@@ -77,6 +77,45 @@ fn bench_schedule_model_cost(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_all_projections_one_cache(c: &mut Criterion) {
+    // The per-build cost behind the end-to-end sweep numbers: all 192
+    // plan projections of one setting built through one `PlanCache`
+    // (shared skeletons and region memo).
+    use omptune_core::{KmpLibrary, OmpPlaces, OmpProcBind};
+    let app = workloads::app("cg").expect("registered");
+    let setting = workloads::Setting {
+        input_code: 1,
+        num_threads: 96,
+    };
+    let model = (app.model)(Arch::Milan, setting);
+    let mut configs = Vec::with_capacity(192);
+    for places in OmpPlaces::ALL {
+        for proc_bind in OmpProcBind::ALL {
+            for schedule in OmpSchedule::ALL {
+                for library in KmpLibrary::ALL {
+                    configs.push(TuningConfig {
+                        places,
+                        proc_bind,
+                        schedule,
+                        library,
+                        ..TuningConfig::default_for(Arch::Milan, 96)
+                    });
+                }
+            }
+        }
+    }
+    let mut group = c.benchmark_group("plan_192_projections");
+    group.bench_function("one_plan_cache", |b| {
+        b.iter(|| {
+            let cache = simrt::PlanCache::new(Arch::Milan, &model, 0);
+            for config in &configs {
+                std::hint::black_box(cache.plan(config, &model));
+            }
+        });
+    });
+    group.finish();
+}
+
 fn bench_full_space_one_setting(c: &mut Criterion) {
     // The realistic unit of sweep work: one (app, setting) batch over a
     // strided slice of the configuration space.
@@ -105,6 +144,7 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_event_queue, bench_simulate_apps, bench_schedule_model_cost, bench_full_space_one_setting
+    targets = bench_event_queue, bench_simulate_apps, bench_schedule_model_cost,
+        bench_all_projections_one_cache, bench_full_space_one_setting
 }
 criterion_main!(benches);

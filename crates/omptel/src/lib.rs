@@ -106,6 +106,13 @@ pub fn now_ns() -> f64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as f64
 }
 
+/// [`now_ns`] as an integer without the `u128` -> `f64` round trip; the
+/// flight recorder stamps every event with it.
+pub(crate) fn now_ns_u64() -> u64 {
+    let d = EPOCH.get_or_init(Instant::now).elapsed();
+    d.as_secs() * 1_000_000_000 + u64::from(d.subsec_nanos())
+}
+
 /// Set the label future [`record_region`] calls from this thread adopt
 /// when the producer passes an empty name. `""` clears it.
 pub fn set_region_label(label: &'static str) {

@@ -111,16 +111,18 @@ impl Monitor {
         let handle = std::thread::Builder::new()
             .name("omptel-monitor".into())
             .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
+                loop {
+                    // Read the flag before accepting: a connection that
+                    // was queued before shutdown is still answered, so
+                    // a scraper never loses a race against a short run.
+                    let stopping = stop_flag.load(Ordering::Relaxed);
                     match listener.accept() {
                         Ok((stream, _)) => {
                             // Per-request errors (client hangup, bad
                             // request) must never kill the server.
                             let _ = serve_one(stream, &metrics, &sweep, &extra);
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
+                        Err(_) if stopping => break,
                         Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
                 }
@@ -344,6 +346,32 @@ mod tests {
         let (head, body) = get(addr, "/healthz");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
         assert_eq!(body, "ok\n");
+    }
+
+    #[test]
+    fn connections_queued_before_shutdown_are_answered() {
+        let monitor = Monitor::start(
+            "127.0.0.1:0",
+            Arc::new(String::new),
+            Arc::new(|| "{\"state\":\"done\"}".to_string()),
+        )
+        .expect("bind localhost");
+        let addr = monitor.local_addr();
+        // Connected and asked, but the server may not have polled yet.
+        let mut queued: Vec<TcpStream> = (0..3)
+            .map(|_| {
+                let mut s = TcpStream::connect(addr).expect("connect to monitor");
+                s.write_all(b"GET /sweep HTTP/1.0\r\n\r\n").unwrap();
+                s
+            })
+            .collect();
+        monitor.shutdown();
+        for s in &mut queued {
+            let mut text = String::new();
+            s.read_to_string(&mut text).unwrap();
+            assert!(text.ends_with("{\"state\":\"done\"}"), "{text}");
+        }
+        assert!(TcpStream::connect(addr).is_err(), "server still listening");
     }
 
     #[test]

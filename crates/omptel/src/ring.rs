@@ -5,7 +5,8 @@
 //! circular buffer of 5-word event slots it alone writes (SPSC: the
 //! owning thread produces, the harvesting thread consumes *after the
 //! gate closes*). A push is five relaxed `AtomicU64` stores plus one
-//! release store of the head index; no CAS, no locks, no allocation.
+//! release store of the head index; no CAS, no locks, and an allocation
+//! only when the producer first reaches one of the ring's 40 KiB chunks.
 //! When the ring wraps, the oldest events are overwritten and counted
 //! as dropped — flight-recorder semantics: always keep the most recent
 //! window, never block the producer.
@@ -24,14 +25,15 @@
 use crate::span::SpanKind;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Words per encoded event slot.
 const EVENT_WORDS: usize = 5;
 
 /// Default ring capacity in events (per thread). 32768 events × 40 B =
-/// 1.25 MiB per participating thread — enough for ~3k samples of
-/// context at ~10 events/sample before wrapping.
+/// at most 1.25 MiB per participating thread, allocated as it fills —
+/// enough for ~3k samples of context at ~10 events/sample before
+/// wrapping.
 pub const DEFAULT_CAPACITY: usize = 32_768;
 
 /// What an event slot records.
@@ -106,14 +108,24 @@ impl TraceEvent {
     }
 }
 
+/// Events per lazily allocated ring chunk (40 KiB).
+const CHUNK_EVENTS: usize = 1024;
+
 /// One thread's ring. The owning thread is the only writer.
+///
+/// Storage is chunked and a chunk is allocated when the producer first
+/// reaches it: sweep workers are short-lived (one set per architecture
+/// sweep) and most record a few thousand events, so zero-filling the
+/// whole 1.25 MiB ring per worker cost more than every event written
+/// to it.
 pub struct ThreadRing {
     /// Stable thread number within the recording (registration order).
     thread: usize,
     /// Total events ever pushed; `head % capacity` is the next slot.
     head: AtomicU64,
-    /// `capacity * EVENT_WORDS` atomic words.
-    words: Box<[AtomicU64]>,
+    /// `CHUNK_EVENTS * EVENT_WORDS` atomic words per chunk, covering
+    /// `capacity` slots between them.
+    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
     capacity: usize,
 }
 
@@ -122,11 +134,22 @@ impl ThreadRing {
         ThreadRing {
             thread,
             head: AtomicU64::new(0),
-            words: (0..capacity * EVENT_WORDS)
-                .map(|_| AtomicU64::new(0))
+            chunks: (0..capacity.div_ceil(CHUNK_EVENTS))
+                .map(|_| OnceLock::new())
                 .collect(),
             capacity,
         }
+    }
+
+    /// The words of ring slot `slot`, allocating its chunk on first use.
+    fn slot_words(&self, slot: usize) -> &[AtomicU64] {
+        let chunk = self.chunks[slot / CHUNK_EVENTS].get_or_init(|| {
+            (0..CHUNK_EVENTS * EVENT_WORDS)
+                .map(|_| AtomicU64::new(0))
+                .collect()
+        });
+        let at = slot % CHUNK_EVENTS * EVENT_WORDS;
+        &chunk[at..at + EVENT_WORDS]
     }
 
     /// Producer-only push: relaxed word stores, then a release head
@@ -134,9 +157,9 @@ impl ThreadRing {
     /// word of every published slot.
     fn push(&self, ev: &TraceEvent) {
         let head = self.head.load(Ordering::Relaxed);
-        let slot = (head % self.capacity as u64) as usize * EVENT_WORDS;
-        for (i, w) in ev.encode().iter().enumerate() {
-            self.words[slot + i].store(*w, Ordering::Relaxed);
+        let words = self.slot_words((head % self.capacity as u64) as usize);
+        for (word, w) in words.iter().zip(ev.encode()) {
+            word.store(w, Ordering::Relaxed);
         }
         self.head.store(head + 1, Ordering::Release);
     }
@@ -150,10 +173,10 @@ impl ThreadRing {
         let mut out = Vec::with_capacity(n as usize);
         for k in 0..n {
             let idx = head - n + k;
-            let slot = (idx % self.capacity as u64) as usize * EVENT_WORDS;
+            let words = self.slot_words((idx % self.capacity as u64) as usize);
             let mut w = [0u64; EVENT_WORDS];
-            for (i, word) in w.iter_mut().enumerate() {
-                *word = self.words[slot + i].load(Ordering::Relaxed);
+            for (word, src) in w.iter_mut().zip(words) {
+                *word = src.load(Ordering::Relaxed);
             }
             if let Some(ev) = TraceEvent::decode(&w) {
                 out.push(ev);
@@ -205,15 +228,15 @@ pub fn sim_spans() -> bool {
     SIM_SPANS.load(Ordering::Relaxed)
 }
 
-/// This thread's ring for the live generation, registering on first
-/// use. Enabled-path only.
-fn my_ring() -> Arc<ThreadRing> {
+/// Run `f` on this thread's ring for the live generation, registering
+/// it on first use. Enabled-path only; `f` must not emit.
+fn with_my_ring<R>(f: impl FnOnce(&ThreadRing) -> R) -> R {
     let generation = GENERATION.load(Ordering::Acquire);
     MY_RING.with(|cell| {
         let mut slot = cell.borrow_mut();
         if let Some((g, ring)) = slot.as_ref() {
             if *g == generation {
-                return ring.clone();
+                return f(ring);
             }
         }
         let mut rings = RINGS.lock().expect("omptrace ring registry poisoned");
@@ -222,15 +245,16 @@ fn my_ring() -> Arc<ThreadRing> {
             CAPACITY.load(Ordering::Acquire),
         ));
         rings.push(ring.clone());
-        *slot = Some((generation, ring.clone()));
-        ring
+        drop(rings);
+        let (_, ring) = slot.insert((generation, ring));
+        f(ring)
     })
 }
 
 /// Emit one event into this thread's ring. Enabled-path only: callers
 /// gate on [`tracing`] first.
 pub(crate) fn emit(ev: TraceEvent) {
-    my_ring().push(&ev);
+    with_my_ring(|ring| ring.push(&ev));
 }
 
 /// This thread's most recent `n` retained events (empty when no
@@ -239,7 +263,7 @@ pub fn recent_events(n: usize) -> Vec<TraceEvent> {
     if !tracing() {
         return Vec::new();
     }
-    my_ring().recent(n)
+    with_my_ring(|ring| ring.recent(n))
 }
 
 /// Live `(threads, retained events, dropped events)` across every ring

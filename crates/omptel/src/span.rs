@@ -114,15 +114,32 @@ impl SpanKind {
 }
 
 /// Process-wide span/flow id allocator; 0 is reserved for "none".
+/// Threads draw ids from it a block at a time ([`fresh_id`]).
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Ids a thread reserves per visit to [`NEXT_ID`].
+const ID_BLOCK: u64 = 1024;
 
 thread_local! {
     /// The innermost live span on this thread (0 = none).
     static CURRENT: Cell<u64> = const { Cell::new(0) };
+    /// This thread's reserved id block: `(next, end)`, empty at start.
+    static IDS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
+/// A process-wide unique id. Handed out from a thread-local block so
+/// sweep workers opening a few spans per sample do not bounce one
+/// cache line between cores on every span; ids are unique, not ordered.
 fn fresh_id() -> u64 {
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+    IDS.with(|c| {
+        let (mut next, mut end) = c.get();
+        if next == end {
+            next = NEXT_ID.fetch_add(ID_BLOCK, Ordering::Relaxed);
+            end = next + ID_BLOCK;
+        }
+        c.set((next + 1, end));
+        next
+    })
 }
 
 /// The current thread's innermost span id (0 when none / not tracing).
@@ -150,7 +167,7 @@ impl Drop for Span {
         if self.id != 0 {
             CURRENT.with(|c| c.set(self.prev));
             emit(TraceEvent {
-                ts_ns: crate::now_ns() as u64,
+                ts_ns: crate::now_ns_u64(),
                 kind: EventKind::SpanEnd,
                 what: self.what,
                 id: self.id,
@@ -180,7 +197,7 @@ fn span_slow(what: SpanKind, arg: u64) -> Span {
     let id = fresh_id();
     let prev = CURRENT.with(|c| c.replace(id));
     emit(TraceEvent {
-        ts_ns: crate::now_ns() as u64,
+        ts_ns: crate::now_ns_u64(),
         kind: EventKind::SpanBegin,
         what,
         id,
@@ -195,7 +212,7 @@ fn span_slow(what: SpanKind, arg: u64) -> Span {
 pub fn instant(what: SpanKind, arg: u64) {
     if tracing() {
         emit(TraceEvent {
-            ts_ns: crate::now_ns() as u64,
+            ts_ns: crate::now_ns_u64(),
             kind: EventKind::Instant,
             what,
             id: 0,
@@ -222,7 +239,7 @@ pub fn flow_handle() -> u64 {
 pub fn flow_out(what: SpanKind, flow: u64) {
     if flow != 0 && tracing() {
         emit(TraceEvent {
-            ts_ns: crate::now_ns() as u64,
+            ts_ns: crate::now_ns_u64(),
             kind: EventKind::FlowOut,
             what,
             id: flow,
@@ -238,7 +255,7 @@ pub fn flow_out(what: SpanKind, flow: u64) {
 pub fn flow_in(what: SpanKind, flow: u64) {
     if flow != 0 && tracing() {
         emit(TraceEvent {
-            ts_ns: crate::now_ns() as u64,
+            ts_ns: crate::now_ns_u64(),
             kind: EventKind::FlowIn,
             what,
             id: flow,

@@ -149,6 +149,7 @@ mod tests {
     }
 
     fn priced(config: &TuningConfig, m: &Model) -> (omptel::EnergyBreakdown, f64) {
+        let _tel = crate::tel_shared();
         let sim = crate::simulate(Arch::Skylake, config, m, 5);
         let bd = sim.breakdown.to_tel().close_to_total(sim.total_ns);
         (

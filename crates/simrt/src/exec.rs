@@ -123,13 +123,11 @@ pub(crate) struct ThreadEnv {
     load: f64,
 }
 
-pub(crate) fn thread_env(arch: Arch, tuning: &TuningConfig, topo: &Topology) -> ThreadEnv {
+pub(crate) fn thread_env(placement: &Placement, t: usize, topo: &Topology) -> ThreadEnv {
     let machine = topo.machine();
-    let t = tuning.num_threads;
-    let placement = Placement::compute(arch, tuning);
     let mut core_of = vec![0usize; t];
     let bound;
-    match &placement {
+    match placement {
         Placement::Unbound => {
             bound = false;
             // The OS spreads runnable threads across the machine.
@@ -272,23 +270,71 @@ impl PlannedRegion {
     };
 }
 
-/// Plan one worksharing-loop region: everything that depends only on
-/// the plan projection (schedule, placement, thread count, library),
-/// the model, and the seed.
-pub(crate) fn plan_loop(
-    phase: &LoopPhase,
+/// The projection-independent part of a loop region: the imbalance
+/// shape integrated over the iteration space. Reads only the phase, the
+/// phase seed and the machine clock, so one skeleton serves every plan
+/// projection of its (step, phase).
+pub(crate) struct LoopSkeleton {
+    phase: LoopPhase,
+    /// Prefix integral of per-iteration *compute* cost over the iteration
+    /// space, discretized to at most [`MAX_UNITS`] units for the imbalance
+    /// shape: `prefix[u]` is the compute time of iterations
+    /// `[0, u * iters_per_unit)`.
+    prefix: Vec<f64>,
+    /// Largest per-unit imbalance multiplier (the dynamic-schedule tail).
+    max_unit_mult: f64,
+}
+
+impl LoopSkeleton {
+    pub(crate) fn new(phase: &LoopPhase, machine: &MachineDesc, seed: u64) -> LoopSkeleton {
+        let units = (phase.iters as usize).min(MAX_UNITS);
+        let iters_per_unit = phase.iters as f64 / units as f64;
+        let compute_per_iter = phase.cycles_per_iter / machine.clock_ghz;
+        let mut prefix = Vec::with_capacity(units + 1);
+        prefix.push(0.0f64);
+        let mut max_unit_mult = 0.0f64;
+        for u in 0..units {
+            let x0 = u as f64 / units as f64;
+            let x1 = (u + 1) as f64 / units as f64;
+            let w = phase.imbalance.mean_over(x0, x1, u as u64, seed);
+            max_unit_mult = max_unit_mult.max(w);
+            prefix.push(prefix[u] + compute_per_iter * w * iters_per_unit);
+        }
+        LoopSkeleton {
+            phase: *phase,
+            prefix,
+            max_unit_mult,
+        }
+    }
+
+    /// Reduction clauses closing the loop (a price-layer input).
+    pub(crate) fn reductions(&self) -> u32 {
+        self.phase.reductions
+    }
+}
+
+/// Plan one worksharing-loop region from its skeleton: everything that
+/// depends on the schedule class (`Static` and `Auto` plan identically),
+/// the thread count and the placement-derived environment. `library` is
+/// never read here.
+pub(crate) fn plan_loop_with(
+    skeleton: &LoopSkeleton,
     t: usize,
     schedule: omptune_core::OmpSchedule,
     machine: &MachineDesc,
     env: &ThreadEnv,
     migration_sensitivity: f64,
-    seed: u64,
 ) -> PlannedRegion {
     use omptune_core::OmpSchedule;
+    let LoopSkeleton {
+        phase,
+        prefix,
+        max_unit_mult,
+    } = skeleton;
     if phase.iters == 0 {
         return PlannedRegion::EMPTY;
     }
-    let units = (phase.iters as usize).min(MAX_UNITS);
+    let units = prefix.len() - 1;
     let iters_per_unit = phase.iters as f64 / units as f64;
     let compute_per_iter = phase.cycles_per_iter / machine.clock_ghz;
 
@@ -307,19 +353,6 @@ pub(crate) fn plan_loop(
         })
         .collect();
 
-    // Prefix integral of per-iteration *compute* cost over the iteration
-    // space, discretized to `units` for the imbalance shape. prefix[u] is
-    // the compute time of iterations [0, u * iters_per_unit).
-    let mut prefix = Vec::with_capacity(units + 1);
-    prefix.push(0.0f64);
-    let mut max_unit_mult = 0.0f64;
-    for u in 0..units {
-        let x0 = u as f64 / units as f64;
-        let x1 = (u + 1) as f64 / units as f64;
-        let w = phase.imbalance.mean_over(x0, x1, u as u64, seed);
-        max_unit_mult = max_unit_mult.max(w);
-        prefix.push(prefix[u] + compute_per_iter * w * iters_per_unit);
-    }
     let total_compute = prefix[units];
     // Compute time of the iteration interval [i0, i1), by interpolation —
     // exact at unit boundaries, linear inside a unit.
@@ -451,44 +484,62 @@ fn simulate_loop(
     seed: u64,
     bd: &mut TimeBreakdown,
 ) -> f64 {
-    let planned = plan_loop(
-        phase,
+    let planned = plan_loop_with(
+        &LoopSkeleton::new(phase, machine, seed),
         tuning.num_threads,
         tuning.schedule,
         machine,
         env,
         migration_sensitivity,
-        seed,
     );
     price_loop(&planned, phase.reductions, tuning, machine, bd)
 }
 
-/// Plan one task region: the greedy earliest-free-thread makespan.
-/// `KMP_LIBRARY` enters here (not in pricing) because yielding idle
-/// workers change per-task starvation costs inside the dispatch loop.
-pub(crate) fn plan_tasks(
-    phase: &TaskPhase,
+/// The projection-independent part of a task region: the per-unit task
+/// size multipliers. Reads only the phase and the phase seed.
+pub(crate) struct TaskSkeleton {
+    phase: TaskPhase,
+    /// One size multiplier per scheduling unit (at most [`MAX_UNITS`]).
+    weights: Vec<f64>,
+}
+
+impl TaskSkeleton {
+    pub(crate) fn new(phase: &TaskPhase, seed: u64) -> TaskSkeleton {
+        let units = (phase.n_tasks as usize).min(MAX_UNITS);
+        let imb = Imbalance::Random { cv: phase.cv };
+        TaskSkeleton {
+            phase: *phase,
+            weights: (0..units)
+                .map(|u| imb.mean_over(0.0, 1.0, u as u64, seed))
+                .collect(),
+        }
+    }
+}
+
+/// Plan one task region from its skeleton: the greedy
+/// earliest-free-thread makespan. `KMP_LIBRARY` enters here (not in
+/// pricing) because yielding idle workers change per-task starvation
+/// costs inside the dispatch loop; the schedule is never read.
+pub(crate) fn plan_tasks_with(
+    skeleton: &TaskSkeleton,
     t: usize,
     yielding: bool,
     machine: &MachineDesc,
     env: &ThreadEnv,
-    seed: u64,
 ) -> PlannedRegion {
+    let TaskSkeleton { phase, weights } = skeleton;
     if phase.n_tasks == 0 {
         return PlannedRegion::EMPTY;
     }
-    let units = (phase.n_tasks as usize).min(MAX_UNITS);
-    let tasks_per_unit = phase.n_tasks as f64 / units as f64;
+    let tasks_per_unit = phase.n_tasks as f64 / weights.len() as f64;
     let base_task = phase.cycles_per_task / machine.clock_ghz;
     let admin = costs::task_admin_ns();
     let starve = phase.starvation * costs::task_starvation_ns(machine, yielding);
 
-    let imb = Imbalance::Random { cv: phase.cv };
     let mut heap = FinishHeap::new(t);
     let mut mem_total = 0.0f64;
-    for u in 0..units {
+    for w in weights {
         let (f, i) = heap.pop();
-        let w = imb.mean_over(0.0, 1.0, u as u64, seed);
         let mem = mem_ns_per_iter(
             AccessPattern::Streaming,
             phase.bytes_per_task,
@@ -549,7 +600,13 @@ fn simulate_tasks(
     bd: &mut TimeBreakdown,
 ) -> f64 {
     let yielding = tuning.library == omptune_core::KmpLibrary::Throughput;
-    let planned = plan_tasks(phase, tuning.num_threads, yielding, machine, env, seed);
+    let planned = plan_tasks_with(
+        &TaskSkeleton::new(phase, seed),
+        tuning.num_threads,
+        yielding,
+        machine,
+        env,
+    );
     price_tasks(&planned, tuning, machine, bd)
 }
 
@@ -738,7 +795,7 @@ pub fn simulate_monolithic(
 ) -> SimResult {
     let machine = machine_for(arch);
     let topo = Topology::new(machine.clone());
-    let env = thread_env(arch, tuning, &topo);
+    let env = thread_env(&Placement::compute(arch, tuning), tuning.num_threads, &topo);
     let policy = tuning.wait_policy();
 
     let mut total = 0.0f64;
@@ -823,6 +880,7 @@ mod tests {
 
     #[test]
     fn simulation_is_deterministic() {
+        let _tel = crate::tel_shared();
         let m = loop_model(100_000, Imbalance::Uniform, AccessPattern::CacheResident);
         let c = cfg(Arch::Milan, 48);
         let a = simulate(Arch::Milan, &c, &m, 7);
@@ -835,6 +893,7 @@ mod tests {
 
     #[test]
     fn extrapolated_steps_match_explicit_simulation() {
+        let _tel = crate::tel_shared();
         // A model with random imbalance: warm steps differ only by seed;
         // the extrapolation must equal (t1 * (n-1)) by construction, and
         // regions must count all steps.
@@ -853,6 +912,7 @@ mod tests {
 
     #[test]
     fn more_threads_is_faster_for_parallel_work() {
+        let _tel = crate::tel_shared();
         let m = loop_model(1_000_000, Imbalance::Uniform, AccessPattern::CacheResident);
         let t8 = simulate(Arch::Milan, &cfg(Arch::Milan, 8), &m, 0);
         let t96 = simulate(Arch::Milan, &cfg(Arch::Milan, 96), &m, 0);
@@ -861,6 +921,7 @@ mod tests {
 
     #[test]
     fn master_binding_is_catastrophic_at_high_thread_counts() {
+        let _tel = crate::tel_shared();
         let m = loop_model(500_000, Imbalance::Uniform, AccessPattern::CacheResident);
         let mut c = cfg(Arch::Milan, 96);
         c.places = OmpPlaces::Cores;
@@ -877,6 +938,7 @@ mod tests {
 
     #[test]
     fn binding_helps_streaming_workloads() {
+        let _tel = crate::tel_shared();
         let m = loop_model(500_000, Imbalance::Uniform, AccessPattern::Streaming);
         let unbound = simulate(Arch::Milan, &cfg(Arch::Milan, 96), &m, 0);
         let mut c = cfg(Arch::Milan, 96);
@@ -887,6 +949,7 @@ mod tests {
 
     #[test]
     fn dynamic_beats_static_on_imbalanced_loops() {
+        let _tel = crate::tel_shared();
         // Coarse iterations (µs-scale) so dispatch cost doesn't drown the
         // balance win — the regime where real apps profit from dynamic.
         let m = Model {
@@ -918,6 +981,7 @@ mod tests {
 
     #[test]
     fn dynamic_costs_dispatch_on_balanced_loops() {
+        let _tel = crate::tel_shared();
         let m = loop_model(500_000, Imbalance::Uniform, AccessPattern::CacheResident);
         let stat = simulate(Arch::Skylake, &cfg(Arch::Skylake, 40), &m, 0);
         let mut c = cfg(Arch::Skylake, 40);
@@ -928,6 +992,7 @@ mod tests {
 
     #[test]
     fn turnaround_helps_fine_grained_tasks() {
+        let _tel = crate::tel_shared();
         let m = Model {
             name: "nq".into(),
             phases: vec![Phase::Tasks(TaskPhase {
@@ -950,6 +1015,7 @@ mod tests {
 
     #[test]
     fn blocktime_zero_hurts_many_region_apps() {
+        let _tel = crate::tel_shared();
         let m = Model {
             name: "mg".into(),
             phases: vec![
@@ -975,6 +1041,7 @@ mod tests {
 
     #[test]
     fn migration_penalty_hits_milan_random_lookups_only() {
+        let _tel = crate::tel_shared();
         let m = loop_model(
             200_000,
             Imbalance::Uniform,
@@ -999,6 +1066,7 @@ mod tests {
 
     #[test]
     fn migration_penalty_fades_at_low_occupancy() {
+        let _tel = crate::tel_shared();
         let m = loop_model(
             200_000,
             Imbalance::Uniform,
@@ -1018,6 +1086,7 @@ mod tests {
 
     #[test]
     fn breakdown_sums_close_to_total() {
+        let _tel = crate::tel_shared();
         let m = loop_model(100_000, Imbalance::Uniform, AccessPattern::Streaming);
         let r = simulate(Arch::Skylake, &cfg(Arch::Skylake, 40), &m, 1);
         let b = &r.breakdown;
@@ -1029,11 +1098,9 @@ mod tests {
         assert_eq!(r.regions, 10);
     }
 
-    use crate::TEL_TEST_LOCK as TEL_LOCK;
-
     #[test]
     fn telemetry_region_breakdowns_sum_to_region_totals() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_exclusive();
         let m = Model {
             name: "cg".into(),
             phases: vec![
@@ -1081,7 +1148,7 @@ mod tests {
 
     #[test]
     fn pathological_master_binding_is_dominated_by_imbalance() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_exclusive();
         // The paper's worst case: many threads all bound to the master's
         // place serialize on one core; nearly all elapsed time is threads
         // waiting on the straggler — the barrier/imbalance-wait sink.
@@ -1111,7 +1178,7 @@ mod tests {
 
     #[test]
     fn telemetry_disabled_simulation_is_bit_identical() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_exclusive();
         let m = loop_model(
             50_000,
             Imbalance::Random { cv: 0.4 },
@@ -1127,6 +1194,7 @@ mod tests {
 
     #[test]
     fn empty_phases_cost_nothing_parallel() {
+        let _tel = crate::tel_shared();
         let m = Model {
             name: "empty".into(),
             phases: vec![Phase::Loop(LoopPhase {

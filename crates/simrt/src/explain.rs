@@ -177,6 +177,7 @@ mod tests {
 
     #[test]
     fn phase_fractions_sum_to_one() {
+        let _tel = crate::tel_shared();
         let model = mixed_model();
         let cfg = TuningConfig::default_for(Arch::Skylake, 40);
         let e = explain(Arch::Skylake, &cfg, &model, 0);
@@ -190,6 +191,7 @@ mod tests {
 
     #[test]
     fn serial_phase_cost_matches_declaration() {
+        let _tel = crate::tel_shared();
         let model = mixed_model();
         let cfg = TuningConfig::default_for(Arch::Skylake, 40);
         let e = explain(Arch::Skylake, &cfg, &model, 0);
@@ -202,6 +204,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_categories() {
+        let _tel = crate::tel_shared();
         let model = mixed_model();
         let cfg = TuningConfig::default_for(Arch::A64fx, 48);
         let text = explain(Arch::A64fx, &cfg, &model, 0).render();
@@ -212,6 +215,7 @@ mod tests {
 
     #[test]
     fn phase_sinks_close_to_phase_span() {
+        let _tel = crate::tel_shared();
         let model = mixed_model();
         let cfg = TuningConfig::default_for(Arch::Milan, 96);
         let e = explain(Arch::Milan, &cfg, &model, 0);
@@ -243,6 +247,7 @@ mod tests {
 
     #[test]
     fn explanation_total_matches_simulate() {
+        let _tel = crate::tel_shared();
         let model = mixed_model();
         let cfg = TuningConfig::default_for(Arch::Milan, 96);
         let e = explain(Arch::Milan, &cfg, &model, 0);

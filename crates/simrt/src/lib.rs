@@ -26,10 +26,32 @@ pub mod microsim;
 pub mod model;
 pub mod plan;
 
-/// Telemetry sessions are process-global; every test that opens one
-/// serializes on this lock regardless of which module it lives in.
+/// Telemetry sessions and flight recorders are process-global, and the
+/// tests that open one assert on exact region, span and counter totals —
+/// so every simulator-driving test in the crate serializes against them
+/// on this lock: [`tel_exclusive`] to open a session or recorder,
+/// [`tel_shared`] for everything else that simulates.
 #[cfg(test)]
-pub(crate) static TEL_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static TEL_TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// Guard for a test that opens a telemetry session or recorder. Poison
+/// is recovered (the lock guards no data), so one failing test reports
+/// as one failure rather than cascading.
+#[cfg(test)]
+pub(crate) fn tel_exclusive() -> std::sync::RwLockWriteGuard<'static, ()> {
+    TEL_TEST_LOCK
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Guard for a test that drives the simulator without observing
+/// telemetry: runs alongside its peers, never alongside a session.
+#[cfg(test)]
+pub(crate) fn tel_shared() -> std::sync::RwLockReadGuard<'static, ()> {
+    TEL_TEST_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 pub use energy::{power_for, price_energy};
 pub use exec::{machine_for, simulate, simulate_monolithic, SimResult, TimeBreakdown, MAX_UNITS};

@@ -170,7 +170,10 @@ mod tests {
             timesteps: 1,
             migration_sensitivity: 0.0,
         };
-        let full = crate::simulate(arch, &cfg, &model, 0);
+        let full = {
+            let _tel = crate::tel_shared();
+            crate::simulate(arch, &cfg, &model, 0)
+        };
         let overhead = full.breakdown.wake_ns + full.breakdown.sync_ns;
         let analytic_span = full.total_ns - overhead;
 

@@ -17,18 +17,192 @@
 //! plan stores the exact f64 addends the monolithic path would apply and
 //! pricing replays its accumulation order verbatim. The property tests in
 //! `tests/properties.rs` pin this.
+//!
+//! **Shared planning work.** No planning step reads a whole projection:
+//! phase skeletons read none of it, the thread environment reads only
+//! the placement, loop regions ignore `library` and task regions ignore
+//! `schedule`. The plans of one [`PlanCache`] are therefore assembled
+//! from one `PlanShared`, which computes each of those parts once
+//! (DESIGN §8.1 has the table and the 192 → ≤30/≤20 bound).
 
 use crate::costs;
 use crate::exec::{
-    machine_for, plan_loop, plan_tasks, price_loop, price_tasks, record_sim_region, thread_env,
-    PlannedRegion, SimResult, ThreadEnv, TimeBreakdown,
+    machine_for, plan_loop_with, plan_tasks_with, price_loop, price_tasks, record_sim_region,
+    thread_env, LoopSkeleton, PlannedRegion, SimResult, TaskSkeleton, ThreadEnv, TimeBreakdown,
 };
 use crate::model::{Model, Phase};
 use archsim::{MachineDesc, Topology};
-use omptune_core::{Arch, PlanProjection, TuningConfig};
+use omptune_core::placement::Placement;
+use omptune_core::{Arch, KmpLibrary, OmpSchedule, PlanProjection, TuningConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// The projection-independent part of one phase of one simulated step.
+enum Skeleton {
+    Serial { ns: f64 },
+    Loop(LoopSkeleton),
+    Tasks(TaskSkeleton),
+}
+
+/// Loop regions are planned per schedule class: `Static` and `Auto`
+/// chunk identically and share one.
+fn loop_class(schedule: OmpSchedule) -> usize {
+    match schedule {
+        OmpSchedule::Static | OmpSchedule::Auto => 0,
+        OmpSchedule::Dynamic => 1,
+        OmpSchedule::Guided => 2,
+    }
+}
+
+/// Everything planned under one placement: the thread environment and
+/// the write-once regions, filled by whichever projection needs one
+/// first and read by all the others.
+struct Placed {
+    env: ThreadEnv,
+    /// Per loop skeleton in (step, phase) order, by [`loop_class`].
+    loops: Vec<[OnceLock<PlannedRegion>; 3]>,
+    /// Per task skeleton in (step, phase) order, by `yielding`.
+    tasks: Vec<[OnceLock<PlannedRegion>; 2]>,
+}
+
+/// The machine and, per simulated step (cold, then warm when the model
+/// has more than one timestep), the skeleton of every phase.
+struct Skeletons {
+    topo: Topology,
+    steps: Vec<Vec<Skeleton>>,
+}
+
+impl Skeletons {
+    fn new(arch: Arch, model: &Model, seed: u64) -> Skeletons {
+        let topo = Topology::new(machine_for(arch));
+        let sim_steps: u64 = if model.timesteps > 1 { 2 } else { 1 };
+        let steps = (0..sim_steps)
+            .map(|step| {
+                model
+                    .phases
+                    .iter()
+                    .enumerate()
+                    .map(|(pi, phase)| {
+                        let phase_seed = seed ^ (step << 32) ^ pi as u64;
+                        match phase {
+                            Phase::Serial { ns } => Skeleton::Serial { ns: *ns },
+                            Phase::Loop(l) => {
+                                Skeleton::Loop(LoopSkeleton::new(l, topo.machine(), phase_seed))
+                            }
+                            Phase::Tasks(tp) => Skeleton::Tasks(TaskSkeleton::new(tp, phase_seed)),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Skeletons { topo, steps }
+    }
+}
+
+/// The planning work the projections of one `(arch, model, seed)` share:
+/// phase skeletons, and per placement the thread environment and the
+/// planned regions. Every stored value comes from the same expression
+/// [`crate::exec::simulate_monolithic`] evaluates, so a plan assembled
+/// from it is bit-identical whichever projection computed each part.
+pub(crate) struct PlanShared {
+    arch: Arch,
+    seed: u64,
+    model_name: String,
+    timesteps: u32,
+    migration_sensitivity: f64,
+    /// Computed by the first build, so a cache that only ever answers
+    /// from a warm sample cache (no builds) never pays for them.
+    skeletons: OnceLock<Skeletons>,
+    /// Keyed by the computed placement itself (with the thread count an
+    /// unbound placement does not carry), so what distinguishes two
+    /// thread environments is decided in `omptune_core::placement`
+    /// alone. A handful of entries: searched, not hashed.
+    placed: Mutex<Vec<(usize, Placement, Arc<Placed>)>>,
+}
+
+impl PlanShared {
+    fn new(arch: Arch, model: &Model, seed: u64) -> PlanShared {
+        PlanShared {
+            arch,
+            seed,
+            model_name: model.name.clone(),
+            timesteps: model.timesteps,
+            migration_sensitivity: model.migration_sensitivity,
+            skeletons: OnceLock::new(),
+            placed: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The machine every plan of this state is planned and priced on.
+    fn machine(&self) -> &MachineDesc {
+        let built = self.skeletons.get();
+        built.expect("plans come after skeletons").topo.machine()
+    }
+
+    /// The placement state for `projection` — the one lock a plan build
+    /// takes; the regions behind it are lock-free once filled.
+    fn placed_for(&self, projection: &PlanProjection, skeletons: &Skeletons) -> Arc<Placed> {
+        // Planning config: projection fields forced, pricing fields at
+        // their defaults — the planning passes never read them.
+        let planning = TuningConfig {
+            places: projection.places,
+            proc_bind: projection.proc_bind,
+            schedule: projection.schedule,
+            library: projection.library,
+            num_threads: projection.num_threads,
+            ..TuningConfig::default_for(self.arch, projection.num_threads)
+        };
+        let t = projection.num_threads;
+        let placement = Placement::compute(self.arch, &planning);
+        let mut placed = self.placed.lock().expect("plan memo poisoned");
+        if let Some((.., hit)) = placed.iter().find(|(n, p, _)| *n == t && *p == placement) {
+            return Arc::clone(hit);
+        }
+        let phases = || skeletons.steps.iter().flatten();
+        let fresh = Arc::new(Placed {
+            env: thread_env(&placement, t, &skeletons.topo),
+            loops: phases()
+                .filter(|s| matches!(s, Skeleton::Loop(_)))
+                .map(|_| Default::default())
+                .collect(),
+            tasks: phases()
+                .filter(|s| matches!(s, Skeleton::Tasks(_)))
+                .map(|_| Default::default())
+                .collect(),
+        });
+        placed.push((t, placement, Arc::clone(&fresh)));
+        fresh
+    }
+}
+
+#[cfg(test)]
+impl PlanShared {
+    /// How many regions have actually been planned so far, per
+    /// (step, phase) slot, summed over placements and classes.
+    fn planned_per_slot(&self) -> Vec<usize> {
+        fn filled(slots: &[OnceLock<PlannedRegion>]) -> usize {
+            slots.iter().filter(|region| region.get().is_some()).count()
+        }
+        let placed = self.placed.lock().expect("plan memo poisoned");
+        let skeletons = self.skeletons.get().expect("nothing built yet");
+        let (mut li, mut ti) = (0, 0);
+        let phases = skeletons.steps.iter().flatten();
+        phases
+            .map(|skeleton| match skeleton {
+                Skeleton::Serial { .. } => 0,
+                Skeleton::Loop(_) => {
+                    li += 1;
+                    placed.iter().map(|(.., p)| filled(&p.loops[li - 1])).sum()
+                }
+                Skeleton::Tasks(_) => {
+                    ti += 1;
+                    placed.iter().map(|(.., p)| filled(&p.tasks[ti - 1])).sum()
+                }
+            })
+            .collect()
+    }
+}
 
 /// One phase of a planned timestep.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,96 +245,93 @@ struct PricedStep {
 /// [`crate::exec::simulate_monolithic`] computes that depends only on
 /// `(arch, plan projection, model, seed)`.
 pub struct RegionPlan {
-    arch: Arch,
-    seed: u64,
     projection: PlanProjection,
-    model_name: String,
-    timesteps: u32,
     /// One entry for the cold step; a second for the warm step when the
     /// model has more than one timestep.
     steps: Vec<StepPlan>,
-    env: ThreadEnv,
+    /// The state the plan was assembled from: machine, model identity.
+    shared: Arc<PlanShared>,
+    placed: Arc<Placed>,
 }
 
 impl RegionPlan {
-    /// Plan the cold and warm timesteps for `projection` on `arch`.
+    /// Plan the cold and warm timesteps for `projection` on `arch`, from
+    /// a fresh planning state (nothing shared with any other plan).
     pub fn build(arch: Arch, projection: PlanProjection, model: &Model, seed: u64) -> RegionPlan {
-        let machine = machine_for(arch);
-        let topo = Topology::new(machine.clone());
-        // Planning config: projection fields forced, pricing fields at
-        // their defaults — the planning passes never read them.
-        let planning = TuningConfig {
-            places: projection.places,
-            proc_bind: projection.proc_bind,
-            schedule: projection.schedule,
-            library: projection.library,
-            num_threads: projection.num_threads,
-            ..TuningConfig::default_for(arch, projection.num_threads)
-        };
-        let env = thread_env(arch, &planning, &topo);
-        let t = projection.num_threads;
-        let yielding = projection.library == omptune_core::KmpLibrary::Throughput;
+        let shared = Arc::new(PlanShared::new(arch, model, seed));
+        RegionPlan::build_with(&shared, projection, model)
+    }
 
-        let sim_steps: u64 = if model.timesteps > 1 { 2 } else { 1 };
-        let mut steps = Vec::with_capacity(sim_steps as usize);
+    /// Assemble the plan for `projection` from `shared`, computing only
+    /// the regions no earlier projection has planned.
+    fn build_with(
+        shared: &Arc<PlanShared>,
+        projection: PlanProjection,
+        model: &Model,
+    ) -> RegionPlan {
+        let skeletons = shared
+            .skeletons
+            .get_or_init(|| Skeletons::new(shared.arch, model, shared.seed));
+        let placed = shared.placed_for(&projection, skeletons);
+        let machine = skeletons.topo.machine();
+        let t = projection.num_threads;
+        let yielding = projection.library == KmpLibrary::Throughput;
+
+        let mut steps = Vec::with_capacity(skeletons.steps.len());
+        let mut loops = placed.loops.iter();
+        let mut tasks = placed.tasks.iter();
         // Idle-time threading across steps reproduces the monolithic
         // chain: INFINITY before the very first region (cold team), then
         // trailing serial time carries into the next step.
         let mut idle_since_region = f64::INFINITY;
-        for step in 0..sim_steps {
-            let mut phases = Vec::with_capacity(model.phases.len());
+        for step in &skeletons.steps {
+            let mut phases = Vec::with_capacity(step.len());
             let mut regions = 0u64;
-            for (pi, phase) in model.phases.iter().enumerate() {
-                let phase_seed = seed ^ (step << 32) ^ pi as u64;
-                match phase {
-                    Phase::Serial { ns } => {
+            for (pi, skeleton) in step.iter().enumerate() {
+                let (kind, planned, reductions) = match skeleton {
+                    Skeleton::Serial { ns } => {
                         idle_since_region += ns;
                         phases.push(PhasePlan::Serial { ns: *ns });
+                        continue;
                     }
-                    Phase::Loop(l) => {
-                        let planned = plan_loop(
-                            l,
-                            t,
-                            projection.schedule,
-                            &machine,
-                            &env,
-                            model.migration_sensitivity,
-                            phase_seed,
-                        );
-                        phases.push(PhasePlan::Region {
-                            pi,
-                            kind: omptel::RegionKind::Loop,
-                            planned,
-                            reductions: l.reductions,
-                            idle_before: idle_since_region,
+                    Skeleton::Loop(l) => {
+                        let by_class = loops.next().expect("one entry per loop skeleton");
+                        let planned = by_class[loop_class(projection.schedule)].get_or_init(|| {
+                            plan_loop_with(
+                                l,
+                                t,
+                                projection.schedule,
+                                machine,
+                                &placed.env,
+                                shared.migration_sensitivity,
+                            )
                         });
-                        idle_since_region = 0.0;
-                        regions += 1;
+                        (omptel::RegionKind::Loop, *planned, l.reductions())
                     }
-                    Phase::Tasks(tp) => {
-                        let planned = plan_tasks(tp, t, yielding, &machine, &env, phase_seed);
-                        phases.push(PhasePlan::Region {
-                            pi,
-                            kind: omptel::RegionKind::Tasks,
-                            planned,
-                            reductions: 0,
-                            idle_before: idle_since_region,
-                        });
-                        idle_since_region = 0.0;
-                        regions += 1;
+                    Skeleton::Tasks(tp) => {
+                        let by_yielding = tasks.next().expect("one entry per task skeleton");
+                        let planned = by_yielding[usize::from(yielding)]
+                            .get_or_init(|| plan_tasks_with(tp, t, yielding, machine, &placed.env));
+                        (omptel::RegionKind::Tasks, *planned, 0)
                     }
-                }
+                };
+                phases.push(PhasePlan::Region {
+                    pi,
+                    kind,
+                    planned,
+                    reductions,
+                    idle_before: idle_since_region,
+                });
+                idle_since_region = 0.0;
+                regions += 1;
             }
             steps.push(StepPlan { phases, regions });
         }
         RegionPlan {
-            arch,
-            seed,
             projection,
-            model_name: model.name.clone(),
-            timesteps: model.timesteps,
             steps,
-            env,
+            shared: Arc::clone(shared),
+            placed,
         }
     }
 
@@ -171,7 +342,7 @@ impl RegionPlan {
 
     /// The seed this plan was built with.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.shared.seed
     }
 
     /// Price the plan under one concrete configuration. `tuning` must
@@ -182,24 +353,25 @@ impl RegionPlan {
             self.projection,
             "priced config must match the plan projection"
         );
-        let machine = machine_for(self.arch);
+        let machine = self.shared.machine();
         let policy = tuning.wait_policy();
 
         let mut total = 0.0f64;
         let mut bd = TimeBreakdown::default();
         let mut regions = 0u64;
 
-        let s0 = self.price_step(0, tuning, &machine, policy, 0.0);
+        let s0 = self.price_step(0, tuning, machine, policy, 0.0);
         total += s0.ns;
         bd.add_scaled(&s0.bd, 1.0);
         regions += s0.regions;
 
-        if self.timesteps > 1 {
-            let s1 = self.price_step(1, tuning, &machine, policy, s0.ns);
-            let reps = (self.timesteps - 1) as f64;
+        let timesteps = self.shared.timesteps;
+        if timesteps > 1 {
+            let s1 = self.price_step(1, tuning, machine, policy, s0.ns);
+            let reps = (timesteps - 1) as f64;
             total += s1.ns * reps;
             bd.add_scaled(&s1.bd, reps);
-            regions += s1.regions * (self.timesteps as u64 - 1);
+            regions += s1.regions * (timesteps as u64 - 1);
         }
 
         SimResult {
@@ -249,14 +421,14 @@ impl RegionPlan {
                     omptel::add(omptel::Counter::Regions, 1);
                     if tel {
                         record_sim_region(
-                            &self.model_name,
+                            &self.shared.model_name,
                             *pi,
                             *kind,
                             base_ns + total,
                             wake,
                             wake + fork + span,
                             &bd.diff(&before),
-                            &self.env,
+                            &self.placed.env,
                         );
                     }
                     omptel::virtual_span(
@@ -308,7 +480,7 @@ impl RegionPlan {
             return;
         }
         let n = tunings.len();
-        let machine = machine_for(self.arch);
+        let machine = self.shared.machine();
         let t = self.projection.num_threads;
         scratch.reset(n);
 
@@ -330,12 +502,12 @@ impl RegionPlan {
                 }
             };
             scratch.policy_of[c] = p as u8;
-            scratch.barrier[c] = costs::barrier_ns(t, &machine, tuning.align_alloc);
+            scratch.barrier[c] = costs::barrier_ns(t, machine, tuning.align_alloc);
             let heuristic_pick = tuning.force_reduction == omptune_core::KmpForceReduction::Unset;
             scratch.red_unit[c] = costs::reduction_ns(
                 tuning.reduction_method(),
                 t,
-                &machine,
+                machine,
                 tuning.align_alloc,
                 heuristic_pick,
             );
@@ -362,7 +534,7 @@ impl RegionPlan {
                         scratch.wake_of.clear();
                         for &policy in &scratch.policies {
                             scratch.wake_of.push(costs::region_wake_ns(
-                                &machine,
+                                machine,
                                 policy,
                                 *idle_before,
                                 t,
@@ -418,11 +590,12 @@ impl RegionPlan {
         // Combine steps exactly as `price` does: step 0 once, step 1
         // scaled by the remaining timesteps.
         let s0_regions = self.steps[0].regions;
-        let (two_steps, reps, s1_regions) = if self.timesteps > 1 {
+        let timesteps = self.shared.timesteps;
+        let (two_steps, reps, s1_regions) = if timesteps > 1 {
             (
                 true,
-                (self.timesteps - 1) as f64,
-                self.steps[1].regions * (self.timesteps as u64 - 1),
+                (timesteps - 1) as f64,
+                self.steps[1].regions * (timesteps as u64 - 1),
             )
         } else {
             (false, 0.0, 0)
@@ -524,9 +697,9 @@ impl PriceScratch {
 /// miss counts are tracked locally (always) and mirrored into the
 /// `omptel` counters when a telemetry session is active.
 pub struct PlanCache {
-    arch: Arch,
-    seed: u64,
-    model_name: String,
+    /// Who the cache is for, and — from the first miss on — the
+    /// planning work its plans share.
+    shared: Arc<PlanShared>,
     plans: Mutex<HashMap<PlanProjection, Arc<RegionPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -536,13 +709,17 @@ impl PlanCache {
     /// Empty cache for simulations of `model` on `arch` with `seed`.
     pub fn new(arch: Arch, model: &Model, seed: u64) -> PlanCache {
         PlanCache {
-            arch,
-            seed,
-            model_name: model.name.clone(),
+            shared: Arc::new(PlanShared::new(arch, model, seed)),
             plans: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
+    }
+
+    /// Build the plan for `key` from the cache's shared planning state.
+    fn build(&self, key: PlanProjection, model: &Model) -> Arc<RegionPlan> {
+        let _s = omptel::span(omptel::SpanKind::PlanBuild, 0);
+        Arc::new(RegionPlan::build_with(&self.shared, key, model))
     }
 
     /// The plan for `tuning`'s projection, building it on first use.
@@ -553,7 +730,7 @@ impl PlanCache {
     /// answers.
     pub fn plan(&self, tuning: &TuningConfig, model: &Model) -> Arc<RegionPlan> {
         debug_assert_eq!(
-            model.name, self.model_name,
+            model.name, self.shared.model_name,
             "plan cache is per (arch, model, seed)"
         );
         let key = tuning.plan_projection();
@@ -563,10 +740,7 @@ impl PlanCache {
             omptel::instant(omptel::SpanKind::PlanHit, 0);
             return Arc::clone(plan);
         }
-        let built = {
-            let _s = omptel::span(omptel::SpanKind::PlanBuild, 0);
-            Arc::new(RegionPlan::build(self.arch, key, model, self.seed))
-        };
+        let built = self.build(key, model);
         self.misses.fetch_add(1, Ordering::Relaxed);
         omptel::add(omptel::Counter::PlanCacheMisses, 1);
         Arc::clone(
@@ -587,7 +761,7 @@ impl PlanCache {
     pub fn plan_batch(&self, tuning: &TuningConfig, model: &Model, group: u64) -> Arc<RegionPlan> {
         debug_assert!(group >= 1, "a plan group holds at least one config");
         debug_assert_eq!(
-            model.name, self.model_name,
+            model.name, self.shared.model_name,
             "plan cache is per (arch, model, seed)"
         );
         let key = tuning.plan_projection();
@@ -597,10 +771,7 @@ impl PlanCache {
             omptel::instant(omptel::SpanKind::PlanHit, group);
             return Arc::clone(plan);
         }
-        let built = {
-            let _s = omptel::span(omptel::SpanKind::PlanBuild, 0);
-            Arc::new(RegionPlan::build(self.arch, key, model, self.seed))
-        };
+        let built = self.build(key, model);
         self.misses.fetch_add(1, Ordering::Relaxed);
         omptel::add(omptel::Counter::PlanCacheMisses, 1);
         if group > 1 {
@@ -645,8 +816,8 @@ pub fn simulate_with_cache(
     seed: u64,
     cache: &PlanCache,
 ) -> SimResult {
-    debug_assert_eq!(arch, cache.arch, "cache built for a different arch");
-    debug_assert_eq!(seed, cache.seed, "cache built for a different seed");
+    debug_assert_eq!(arch, cache.shared.arch, "cache built for a different arch");
+    debug_assert_eq!(seed, cache.shared.seed, "cache built for a different seed");
     let plan = cache.plan(tuning, model);
     let _s = omptel::span(omptel::SpanKind::Price, 0);
     plan.price(tuning)
@@ -690,6 +861,7 @@ mod tests {
 
     #[test]
     fn planned_price_is_bit_identical_to_monolithic() {
+        let _tel = crate::tel_shared();
         let m = mixed_model();
         for arch in [Arch::A64fx, Arch::Skylake, Arch::Milan] {
             let mut c = TuningConfig::default_for(arch, 24);
@@ -704,6 +876,7 @@ mod tests {
 
     #[test]
     fn one_plan_prices_every_pricing_variant_identically() {
+        let _tel = crate::tel_shared();
         let m = mixed_model();
         let arch = Arch::Skylake;
         let cache = PlanCache::new(arch, &m, 5);
@@ -746,6 +919,7 @@ mod tests {
 
     #[test]
     fn distinct_projections_get_distinct_plans() {
+        let _tel = crate::tel_shared();
         let m = mixed_model();
         let cache = PlanCache::new(Arch::Milan, &m, 0);
         for schedule in [
@@ -767,6 +941,7 @@ mod tests {
 
     #[test]
     fn cached_simulation_matches_under_concurrency() {
+        let _tel = crate::tel_shared();
         let m = std::sync::Arc::new(mixed_model());
         let cache = std::sync::Arc::new(PlanCache::new(Arch::A64fx, &m, 9));
         let configs: Vec<TuningConfig> =
@@ -849,6 +1024,7 @@ mod tests {
 
     #[test]
     fn batch_pricing_is_bit_identical_to_sequential() {
+        let _tel = crate::tel_shared();
         let m = mixed_model();
         let mut scratch = PriceScratch::new();
         for arch in [Arch::A64fx, Arch::Skylake, Arch::Milan] {
@@ -872,6 +1048,7 @@ mod tests {
 
     #[test]
     fn plan_batch_counts_like_per_config_plan_calls() {
+        let _tel = crate::tel_shared();
         let m = mixed_model();
         let cache = PlanCache::new(Arch::Skylake, &m, 3);
         let c = TuningConfig::default_for(Arch::Skylake, 8);
@@ -884,13 +1061,166 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    use crate::TEL_TEST_LOCK as TEL_LOCK;
+    /// The 192 plan projections at one thread count, in odometer order.
+    fn all_projections(t: usize) -> Vec<PlanProjection> {
+        let mut out = Vec::with_capacity(192);
+        for places in OmpPlaces::ALL {
+            for proc_bind in OmpProcBind::ALL {
+                for schedule in OmpSchedule::ALL {
+                    for library in KmpLibrary::ALL {
+                        out.push(PlanProjection {
+                            places,
+                            proc_bind,
+                            schedule,
+                            library,
+                            num_threads: t,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn planning_state_waits_for_the_first_build() {
+        let _tel = crate::tel_shared();
+        let m = mixed_model();
+        let cache = PlanCache::new(Arch::Milan, &m, 4);
+        assert!(cache.shared.skeletons.get().is_none());
+        cache.plan(&TuningConfig::default_for(Arch::Milan, 24), &m);
+        assert!(cache.shared.skeletons.get().is_some());
+    }
+
+    #[test]
+    fn full_projection_pass_plans_each_region_class_once_per_placement() {
+        let _tel = crate::tel_shared();
+        let m = mixed_model();
+        let cache = PlanCache::new(Arch::Milan, &m, 4);
+        for projection in all_projections(24) {
+            cache.build(projection, &m);
+        }
+        // The 24 (places, proc_bind) pairs compute 8 distinct placements
+        // here (unbound; master, close and spread on each of 3 place
+        // granularities, less 2 because close and spread assign alike
+        // when 24 threads divide evenly over 12 LLC groups or 2
+        // sockets). x 3 schedule classes per loop phase, x 2 libraries
+        // per task phase, on the cold and the warm step: 192 builds
+        // consumed 80 planned regions, not 768. In general at most 10
+        // placements, so at most 30 and 20 per phase.
+        assert_eq!(cache.shared.placed.lock().unwrap().len(), 8);
+        assert_eq!(cache.shared.planned_per_slot(), [24, 0, 16, 24, 0, 16]);
+        // 5 threads on 12 LLC groups tell close from spread again; two
+        // sockets never do.
+        let cache = PlanCache::new(Arch::Milan, &m, 4);
+        for projection in all_projections(5) {
+            cache.build(projection, &m);
+        }
+        assert_eq!(cache.shared.placed.lock().unwrap().len(), 9);
+        assert_eq!(cache.shared.planned_per_slot(), [27, 0, 18, 27, 0, 18]);
+    }
+
+    /// A model from generated phase descriptors: `kind` picks the phase
+    /// shape, every fifth `size` is an empty (zero-work) phase.
+    fn generated_model(phases: &[(u8, u64)], timesteps: u32, loops: bool, tasks: bool) -> Model {
+        let phases = phases
+            .iter()
+            .filter_map(|&(kind, size)| {
+                let n = if size % 5 == 0 { 0 } else { size };
+                let imbalance = match kind {
+                    0 => Imbalance::Uniform,
+                    1 => Imbalance::Linear { skew: 1.3 },
+                    2 => Imbalance::Random { cv: 0.4 },
+                    3 => {
+                        return tasks.then_some(Phase::Tasks(TaskPhase {
+                            n_tasks: n / 8,
+                            cycles_per_task: 900.0,
+                            cv: 0.3,
+                            starvation: 0.5,
+                            bytes_per_task: 24.0,
+                        }))
+                    }
+                    _ => return Some(Phase::Serial { ns: size as f64 }),
+                };
+                loops.then_some(Phase::Loop(LoopPhase {
+                    iters: n,
+                    cycles_per_iter: 150.0,
+                    bytes_per_iter: 48.0,
+                    access: if kind == 1 {
+                        AccessPattern::RandomShared {
+                            accesses_per_iter: 3.0,
+                        }
+                    } else {
+                        AccessPattern::Streaming
+                    },
+                    imbalance,
+                    reductions: kind as u32,
+                }))
+            })
+            .collect();
+        Model {
+            name: "generated".into(),
+            phases,
+            timesteps,
+            migration_sensitivity: 0.6,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// What the region memo's keys leave out, the planner never
+        /// reads: plans built from *separate* fresh states are equal
+        /// whenever their projections differ only in a field the memo
+        /// collapses. (Through one shared state the equality would be
+        /// trivial — both plans would read the same slot.)
+        #[test]
+        fn projections_the_memo_collapses_plan_identically(
+            arch in prop_oneof![Just(Arch::A64fx), Just(Arch::Skylake), Just(Arch::Milan)],
+            phases in prop::collection::vec((0u8..5, 0u64..60_000), 1..6),
+            timesteps in 1u32..4,
+            seed in any::<u64>(),
+            base in 0usize..192,
+            other_schedule in 0usize..4,
+            t in 1usize..=48,
+        ) {
+            let _tel = crate::tel_shared();
+            let a = all_projections(t)[base];
+            let steps = |p: PlanProjection, m: &Model| RegionPlan::build(arch, p, m, seed).steps;
+
+            // Loop regions never read the library.
+            let loops_only = generated_model(&phases, timesteps, true, false);
+            let flipped = match a.library {
+                KmpLibrary::Throughput => KmpLibrary::Turnaround,
+                KmpLibrary::Turnaround => KmpLibrary::Throughput,
+            };
+            prop_assert!(steps(a, &loops_only) == steps(PlanProjection { library: flipped, ..a }, &loops_only));
+
+            // Task regions never read the schedule.
+            let tasks_only = generated_model(&phases, timesteps, false, true);
+            let rescheduled = PlanProjection { schedule: OmpSchedule::ALL[other_schedule], ..a };
+            prop_assert!(steps(a, &tasks_only) == steps(rescheduled, &tasks_only));
+
+            // Static and Auto are one schedule class; bind-without-places
+            // falls back to per-core places.
+            let mixed = generated_model(&phases, timesteps, true, true);
+            let of = |schedule, places, proc_bind| PlanProjection { schedule, places, proc_bind, ..a };
+            prop_assert!(
+                steps(of(OmpSchedule::Static, a.places, a.proc_bind), &mixed)
+                    == steps(of(OmpSchedule::Auto, a.places, a.proc_bind), &mixed)
+            );
+            prop_assert!(
+                steps(of(a.schedule, OmpPlaces::Unset, OmpProcBind::Close), &mixed)
+                    == steps(of(a.schedule, OmpPlaces::Cores, OmpProcBind::Close), &mixed)
+            );
+        }
+    }
 
     #[test]
     fn batch_pricing_matches_across_telemetry_paths() {
         // The telemetry-active fallback (per-config price) and the SoA
         // fast path must agree bit-for-bit.
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_exclusive();
         let m = mixed_model();
         let variants = pricing_variants(Arch::Milan, 16);
         let cache = PlanCache::new(Arch::Milan, &m, 2);
@@ -910,7 +1240,7 @@ mod tests {
 
     #[test]
     fn plan_cache_counters_reach_telemetry() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_exclusive();
         let m = mixed_model();
         let cache = PlanCache::new(Arch::Skylake, &m, 1);
         let session = omptel::session().expect("no other session active");
@@ -925,7 +1255,7 @@ mod tests {
 
     #[test]
     fn tracing_does_not_perturb_results_bitwise() {
-        let _guard = TEL_LOCK.lock().unwrap();
+        let _tel = crate::tel_exclusive();
         let m = mixed_model();
         let configs: Vec<TuningConfig> = (1..=8)
             .map(|t| TuningConfig::default_for(Arch::A64fx, t))

@@ -3,7 +3,7 @@
 //!
 //! A sample's identity is
 //! `(engine version, arch, app, setting, config hash, seed)` — exactly
-//! the inputs [`crate::runner::run_config`] is a pure function of
+//! the inputs [`crate::runner::run_config_sim`] is a pure function of
 //! (the noise stream is identity-derived, so `config_index` is pinned by
 //! the configuration and the setting). Every float is stored as its
 //! IEEE-754 bit pattern (`f64::to_bits`) so cached samples are

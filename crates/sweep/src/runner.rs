@@ -228,10 +228,8 @@ fn failure_roll(seed: u64, stream: u64, rep: u32) -> f64 {
 }
 
 /// Simulate one configuration's repetitions against a prebuilt model,
-/// optionally through a plan cache (bit-identical either way — the
-/// plan/price property tests pin it). Repetitions hit by the failure
-/// model record `NaN` ("the job died"), to be dropped by the cleaning
-/// pass.
+/// through the batch's plan cache. Repetitions hit by the failure model
+/// record `NaN` ("the job died"), to be dropped by the cleaning pass.
 pub(crate) fn run_config_sim(
     key: &RunKey,
     model: &simrt::Model,
@@ -239,12 +237,9 @@ pub(crate) fn run_config_sim(
     config_index: usize,
     spec: &SweepSpec,
     noise: &NoiseModel,
-    plans: Option<&simrt::PlanCache>,
+    plans: &simrt::PlanCache,
 ) -> (Vec<f64>, SampleTelemetry) {
-    let sim = match plans {
-        Some(cache) => simrt::simulate_with_cache(key.arch, config, model, spec.seed, cache),
-        None => simrt::simulate(key.arch, config, model, spec.seed),
-    };
+    let sim = simrt::simulate_with_cache(key.arch, config, model, spec.seed, plans);
     sample_from_sim(key, &sim, config, config_index, spec, noise)
 }
 
@@ -294,19 +289,6 @@ pub(crate) fn model_of(app: &AppSpec, key: &RunKey) -> simrt::Model {
     (app.model)(key.arch, setting)
 }
 
-/// Simulate one configuration's repetitions (monolithic convenience).
-fn run_config(
-    key: &RunKey,
-    app: &AppSpec,
-    config: &TuningConfig,
-    config_index: usize,
-    spec: &SweepSpec,
-    noise: &NoiseModel,
-) -> (Vec<f64>, SampleTelemetry) {
-    let model = model_of(app, key);
-    run_config_sim(key, &model, config, config_index, spec, noise, None)
-}
-
 /// Run the full batch for one (arch, app, setting).
 ///
 /// `setting_idx` is the setting's position in the architecture's sweep
@@ -322,10 +304,16 @@ pub fn sweep_setting(
     let noise = NoiseModel::for_machine(arch.id());
     let configs = configs_for(arch, setting.num_threads, setting_idx, spec.scope);
 
+    let model = model_of(app, &key);
+    let plans = simrt::PlanCache::new(arch, &model, spec.seed);
+    let run_config = |config: &TuningConfig, config_index: usize| {
+        run_config_sim(&key, &model, config, config_index, spec, &noise, &plans)
+    };
+
     let samples: Vec<RawSample> = configs
         .into_iter()
         .map(|(config_index, config)| {
-            let (runtimes, telemetry) = run_config(&key, app, &config, config_index, spec, &noise);
+            let (runtimes, telemetry) = run_config(&config, config_index);
             RawSample {
                 config_index,
                 runtimes,
@@ -338,8 +326,7 @@ pub fn sweep_setting(
     // The default configuration is simulated explicitly (it may or may
     // not be among the sampled rows) with its own noise stream.
     let default_config = TuningConfig::default_for(arch, setting.num_threads);
-    let (default_runtimes, default_telemetry) =
-        run_config(&key, app, &default_config, usize::MAX, spec, &noise);
+    let (default_runtimes, default_telemetry) = run_config(&default_config, usize::MAX);
 
     SettingData {
         key,

@@ -330,7 +330,7 @@ fn run_unit(
                             *config_index,
                             spec,
                             &job.noise,
-                            Some(&job.plans),
+                            &job.plans,
                         )
                     }
                 };
@@ -382,7 +382,7 @@ fn run_unit(
                         DEFAULT_ROW_INDEX,
                         spec,
                         &job.noise,
-                        Some(&job.plans),
+                        &job.plans,
                     )
                 }
             };

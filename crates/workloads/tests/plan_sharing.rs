@@ -1,0 +1,141 @@
+//! Oracle for the plan cache's shared planning state, over the whole
+//! catalog: every one of the 192 plan projections of every
+//! (application x architecture x setting), priced through ONE
+//! `PlanCache`, must be bit-identical to `simulate_monolithic` — in
+//! whatever order the projections arrive, so that each planned region is
+//! also consumed by projections other than the one that computed it.
+
+use omptune_core::{
+    Arch, KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind,
+    OmpSchedule, TuningConfig,
+};
+use simrt::{simulate_monolithic, simulate_with_cache, Model, PlanCache, SimResult};
+use std::sync::Barrier;
+
+const SEED: u64 = 20_240_417;
+
+/// One configuration per plan projection, in odometer order, with the
+/// pricing variables cycling so every pricing value meets many plans.
+fn one_config_per_projection(arch: Arch, t: usize) -> Vec<TuningConfig> {
+    let aligns = KmpAlignAlloc::domain(arch);
+    let mut out = Vec::with_capacity(192);
+    for places in OmpPlaces::ALL {
+        for proc_bind in OmpProcBind::ALL {
+            for schedule in OmpSchedule::ALL {
+                for library in KmpLibrary::ALL {
+                    let i = out.len();
+                    out.push(TuningConfig {
+                        places,
+                        proc_bind,
+                        schedule,
+                        library,
+                        blocktime: KmpBlocktime::ALL[i % 3],
+                        force_reduction: KmpForceReduction::ALL[i % 4],
+                        align_alloc: aligns[i % aligns.len()],
+                        num_threads: t,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Seeded Fisher-Yates over `0..n` (splitmix64 stream).
+fn shuffled(n: usize, mut state: u64) -> Vec<usize> {
+    let mut next = move || {
+        state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    };
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        order.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    order
+}
+
+fn assert_bit_equal(got: &SimResult, want: &SimResult, what: &str) {
+    assert_eq!(
+        got.total_ns.to_bits(),
+        want.total_ns.to_bits(),
+        "{what}: total_ns"
+    );
+    assert_eq!(got.regions, want.regions, "{what}: regions");
+    let (g, w) = (&got.breakdown, &want.breakdown);
+    for (l, r, sink) in [
+        (g.compute_ns, w.compute_ns, "compute"),
+        (g.memory_ns, w.memory_ns, "memory"),
+        (g.sync_ns, w.sync_ns, "sync"),
+        (g.wake_ns, w.wake_ns, "wake"),
+        (g.dispatch_ns, w.dispatch_ns, "dispatch"),
+        (g.serial_ns, w.serial_ns, "serial"),
+    ] {
+        assert_eq!(l.to_bits(), r.to_bits(), "{what}: {sink}_ns");
+    }
+}
+
+/// Every catalog model (paper and generated rosters) with its arch.
+fn catalog_models() -> Vec<(String, Arch, Model, usize)> {
+    let mut out = Vec::new();
+    for arch in Arch::ALL {
+        let mut apps = workloads::apps_on(arch);
+        apps.extend(workloads::generated_apps_on(arch));
+        for app in apps {
+            for setting in workloads::settings_for(app, arch) {
+                let what = format!("{}/{}/{:?}", arch.id(), app.name, setting);
+                let model = (app.model)(arch, setting);
+                out.push((what, arch, model, setting.num_threads));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn shared_plan_cache_is_bit_identical_to_monolithic_in_any_order() {
+    for (what, arch, model, t) in catalog_models() {
+        let configs = one_config_per_projection(arch, t);
+        let want: Vec<SimResult> = configs
+            .iter()
+            .map(|c| simulate_monolithic(arch, c, &model, SEED))
+            .collect();
+        let check = |cache: &PlanCache, i: usize, order: &str| {
+            let got = simulate_with_cache(arch, &configs[i], &model, SEED, cache);
+            assert_bit_equal(&got, &want[i], &format!("{what} #{i} ({order})"));
+        };
+
+        // (a) Odometer order: each region is computed by the first
+        // projection of its class and reused by the later ones.
+        let cache = PlanCache::new(arch, &model, SEED);
+        for i in 0..configs.len() {
+            check(&cache, i, "odometer");
+        }
+        assert_eq!(cache.stats(), (0, 192), "{what}: one build per projection");
+
+        // (b) Shuffled: some other projection computes each region.
+        let cache = PlanCache::new(arch, &model, SEED);
+        for i in shuffled(configs.len(), SEED ^ t as u64) {
+            check(&cache, i, "shuffled");
+        }
+
+        // (c) Four threads racing on one cache from staggered starts,
+        // released together so the first builds collide on the state.
+        let cache = PlanCache::new(arch, &model, SEED);
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for k in 0..4 {
+                let (cache, start, check, n) = (&cache, &start, &check, configs.len());
+                s.spawn(move || {
+                    start.wait();
+                    for j in 0..n {
+                        check(cache, (j + k * 48) % n, "racing");
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.len(), 192, "{what}");
+    }
+}

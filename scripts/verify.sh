@@ -17,6 +17,20 @@ step() {
 
 step cargo build --release --workspace
 step cargo test --workspace -q
+
+# The simrt lib tests share process-global telemetry; a test that races a
+# session shows up as an intermittent failure, so one green run proves
+# little. Twenty consecutive runs (~1 s) must all pass.
+echo
+echo "==> simrt lib tests, 20 consecutive runs"
+for i in $(seq 20); do
+    cargo test -p simrt --lib -q >/dev/null 2>&1 || {
+        echo "verify: simrt lib tests failed on run $i of 20" >&2
+        cargo test -p simrt --lib -q
+        exit 1
+    }
+done
+echo "20 of 20 passed"
 step cargo fmt --all --check
 step cargo clippy --workspace --all-targets -- -D warnings
 step cargo bench -p bench-harness --bench telemetry_overhead
@@ -108,17 +122,39 @@ cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/monitored" \
     --monitor 127.0.0.1:0 2>/dev/null &
 collect_pid=$!
 addr=""
-for _ in $(seq 1 100); do
+for _ in $(seq 1 1000); do
     if [ -s "$coherence_dir/monitored/monitor.addr" ]; then
         # First line is the address; later lines are sidecar context
         # (the registry directory), so no whole-file parse here.
         addr="$(head -n1 "$coherence_dir/monitored/monitor.addr" | tr -d '[:space:]')"
         break
     fi
-    sleep 0.1
+    sleep 0.01
 done
 [ -n "$addr" ] || { echo "verify: monitor.addr never appeared" >&2; exit 1; }
-metrics="$(http_get "$addr" /metrics)"
+# Connect to every route at once, while the sweep is running: the
+# monitor answers every connection queued before it shuts down, so it
+# does not matter how few accept polls (one per 10 ms) a ~100 ms tiny
+# sweep leaves it. Only a connection attempted after the run is over
+# can fail, and it fails as refused — say so, route by route.
+routes=(metrics healthz sweep runs influence energy)
+scrape_pids=()
+for route in "${routes[@]}"; do
+    http_get "$addr" "/$route" >"$coherence_dir/scrape.$route" &
+    scrape_pids+=($!)
+done
+for i in "${!routes[@]}"; do
+    wait "${scrape_pids[$i]}" || {
+        echo "verify: monitor exited before /${routes[$i]} could be scraped" >&2
+        exit 1
+    }
+done
+metrics="$(cat "$coherence_dir/scrape.metrics")"
+healthz="$(cat "$coherence_dir/scrape.healthz")"
+sweep_json="$(cat "$coherence_dir/scrape.sweep")"
+runs_json="$(cat "$coherence_dir/scrape.runs")"
+influence_json="$(cat "$coherence_dir/scrape.influence")"
+energy_json="$(cat "$coherence_dir/scrape.energy")"
 grep -q '^# TYPE omptel_regions_total counter' <<<"$metrics" || {
     echo "verify: /metrics is not valid Prometheus exposition" >&2
     exit 1
@@ -131,11 +167,10 @@ grep -q '^omptel_sweep_energy_joules ' <<<"$metrics" || {
     echo "verify: /metrics is missing the modeled-energy gauges" >&2
     exit 1
 }
-http_get "$addr" /healthz | grep -q '^ok$' || {
+grep -q '^ok$' <<<"$healthz" || {
     echo "verify: /healthz did not answer ok" >&2
     exit 1
 }
-sweep_json="$(http_get "$addr" /sweep)"
 grep -q '"scope"' <<<"$sweep_json" || {
     echo "verify: /sweep JSON is missing the scope field" >&2
     exit 1
@@ -152,12 +187,10 @@ grep -q '"priced_batches"' <<<"$sweep_json" || {
     echo "verify: /sweep JSON is missing the warm-engine counters" >&2
     exit 1
 }
-runs_json="$(http_get "$addr" /runs)"
 grep -q '"records"' <<<"$runs_json" || {
     echo "verify: /runs is not serving the run-registry listing" >&2
     exit 1
 }
-influence_json="$(http_get "$addr" /influence)"
 grep -q '"influence"' <<<"$influence_json" || {
     echo "verify: /influence is not serving the streaming ranking" >&2
     exit 1
@@ -166,7 +199,6 @@ grep -q '"OMP_PROC_BIND"' <<<"$influence_json" || {
     echo "verify: /influence ranking is missing the env features" >&2
     exit 1
 }
-energy_json="$(http_get "$addr" /energy)"
 # Per-arch joules only appear as architectures complete, so mid-run we
 # only require the document shape; the ring-series check below gates
 # the recorded values after the run finishes.
@@ -400,6 +432,12 @@ BENCH_OUT="$coherence_dir/bench_profile.json" OMPOBS_DIR="$obs_dir" \
     cargo bench -p bench-harness --bench attribution_throughput
 step cargo run --release -p bench-harness --bin bench-diff -- \
     --baseline BENCH_profile.json "$coherence_dir/bench_profile.json" --band 2.0
+
+# Pipeline benchmark smoke: one pass per workload at the tiny scope, every
+# output checked and every result line validated against BENCHMARK.json —
+# the benchmark must keep building and running against the current tree.
+step env CARGO_TARGET_DIR="$PWD/target" bash benchmark/run.sh --smoke \
+    --out "$coherence_dir/bench_smoke"
 
 echo
 echo "verify: all gates passed"
