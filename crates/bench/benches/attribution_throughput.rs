@@ -22,7 +22,6 @@
 
 use ompprof::Attribution;
 use omptune_core::{Arch, LiveInfluence};
-use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
 use sweep::{Scope, SettingData, SweepOptions, SweepSpec};
@@ -208,15 +207,7 @@ fn run(scope: Scope, write_json: bool) {
     }
 
     if write_json {
-        let path = std::env::var_os("BENCH_OUT")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_profile.json")
-            });
-        let reps_json = |v: &[f64]| {
-            let inner: Vec<String> = v.iter().map(|t| format!("{t:.6}")).collect();
-            format!("[{}]", inner.join(", "))
-        };
+        use bench_harness::reps_json;
         let json = format!(
             "{{\n  \"bench\": \"attribution_throughput\",\n  \"scope\": \"{scope:?}\",\n  \
              \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
@@ -229,20 +220,7 @@ fn run(scope: Scope, write_json: bool) {
             reps_json(&influence_reps),
             reps_json(&attribute_reps)
         );
-        std::fs::write(&path, &json).expect("write BENCH_profile.json");
-        println!("  wrote {}", path.display());
-        register_bench("attribution_throughput", &json);
-    }
-}
-
-/// Append this bench's results to the longitudinal run registry
-/// (best-effort: a missing or locked registry never fails the bench).
-fn register_bench(name: &str, json: &str) {
-    let dir = sweep::registry::env_registry_dir()
-        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../.ompobs"));
-    match sweep::record_bench(&dir, name, json) {
-        Ok(rec) => println!("  registered run #{} in {}", rec.seq, dir.display()),
-        Err(e) => eprintln!("  registry {} unavailable: {e}", dir.display()),
+        bench_harness::publish_bench("attribution_throughput", "BENCH_profile.json", &json);
     }
 }
 

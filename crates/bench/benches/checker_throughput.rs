@@ -18,7 +18,6 @@
 //! runs a small smoke corpus and writes nothing; under `cargo bench` it
 //! runs the full corpus and writes the JSON.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Corpus seeds. Fixed so the replayed event mix is stable across runs;
@@ -93,35 +92,16 @@ fn run(seeds: u64, write_json: bool) {
     println!("  traces/s: {traces_per_sec:.0}, events/s: {events_per_sec:.0}");
 
     if write_json {
-        let path = std::env::var_os("BENCH_OUT")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_checker.json")
-            });
-        let reps: Vec<String> = check_reps.iter().map(|t| format!("{t:.6}")).collect();
         let json = format!(
             "{{\n  \"bench\": \"checker_throughput\",\n  \"seeds\": {seeds},\n  \
              \"traces\": {},\n  \"events\": {replayed},\n  \
              \"check_s\": {check_s:.6},\n  \"traces_per_sec\": {traces_per_sec:.1},\n  \
              \"events_per_sec\": {events_per_sec:.1},\n  \
-             \"check_s_reps\": [{}]\n}}\n",
+             \"check_s_reps\": {}\n}}\n",
             corpus.len(),
-            reps.join(", ")
+            bench_harness::reps_json(&check_reps)
         );
-        std::fs::write(&path, &json).expect("write BENCH_checker.json");
-        println!("  wrote {}", path.display());
-        register_bench("checker_throughput", &json);
-    }
-}
-
-/// Append this bench's results to the longitudinal run registry
-/// (best-effort: a missing or locked registry never fails the bench).
-fn register_bench(name: &str, json: &str) {
-    let dir = sweep::registry::env_registry_dir()
-        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../.ompobs"));
-    match sweep::record_bench(&dir, name, json) {
-        Ok(rec) => println!("  registered run #{} in {}", rec.seq, dir.display()),
-        Err(e) => eprintln!("  registry {} unavailable: {e}", dir.display()),
+        bench_harness::publish_bench("checker_throughput", "BENCH_checker.json", &json);
     }
 }
 

@@ -1,0 +1,171 @@
+//! The artifact tail of `collect`: what a finished sweep costs to write.
+//!
+//! On a warm cache the sweep itself is milliseconds and `collect` is its
+//! exporters, so this bench times the three that dominate, on one fixed
+//! cleaned `Strided(100)` slice, the way `collect` calls them:
+//!
+//! - `raw_json_s`   — `write_raw_json` of every batch (one streamed
+//!   document),
+//! - `provenance_s` — provenance build + write: `provenance_iter` fed
+//!   lazily to `write_provenance_jsonl` (one `config_hash` and one JSON
+//!   line per sample),
+//! - `tsdb_s`       — `collect`'s ring pattern, two points per sample
+//!   (`{arch}/virt/s{k}`, `{arch}/energy/s{k}`) through `Tsdb::append`,
+//!   then `Tsdb::flush`.
+//!
+//! Each is the best of N passes with every pass published, plus the
+//! derived ns/sample (informational). Results go to `BENCH_export.json`
+//! at the repo root (override with `BENCH_OUT`) for `bench-diff`.
+//!
+//! `harness = false`: under `cargo test` (argv contains `--test`) this
+//! runs a smoke slice and writes nothing; under `cargo bench` it runs
+//! the full slice and writes the JSON.
+
+use omptune_core::Arch;
+use std::time::Instant;
+use sweep::{Scope, SettingData, SweepSpec};
+
+const WORKERS: usize = 4;
+/// `collect`'s config strata (`ompmon::STRATA`).
+const STRATA: usize = 8;
+
+/// Best-of-`passes` wall seconds of `pass`, and every pass's time.
+fn time_passes(passes: usize, mut pass: impl FnMut()) -> (f64, Vec<f64>) {
+    let reps: Vec<f64> = (0..passes)
+        .map(|_| {
+            let t0 = Instant::now();
+            pass();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    (reps.iter().copied().fold(f64::INFINITY, f64::min), reps)
+}
+
+/// Two ring points per sample, stratified by config index, then one
+/// flush per architecture. Returns the points appended.
+fn append_series(tsdb: &mut omptel::Tsdb, batches: &[SettingData]) -> u64 {
+    let mut points = 0u64;
+    for &arch in Arch::ALL.iter() {
+        let virt: [String; STRATA] = std::array::from_fn(|k| format!("{}/virt/s{k}", arch.id()));
+        let energy: [String; STRATA] =
+            std::array::from_fn(|k| format!("{}/energy/s{k}", arch.id()));
+        let mut seq = [0u64; STRATA];
+        for sample in batches
+            .iter()
+            .filter(|b| b.key.arch == arch)
+            .flat_map(|b| &b.samples)
+        {
+            let k = sample.config_index % STRATA;
+            let point = |count, sum| omptel::Point {
+                ts: seq[k],
+                count,
+                sum,
+            };
+            let runtimes = &sample.runtimes;
+            tsdb.append(
+                &virt[k],
+                point(runtimes.len() as u64, runtimes.iter().sum()),
+            )
+            .expect("append");
+            tsdb.append(&energy[k], point(1, sample.telemetry.energy.total_j))
+                .expect("append");
+            seq[k] += 1;
+            points += 2;
+        }
+        tsdb.flush().expect("flush");
+    }
+    points
+}
+
+fn run(scope: Scope, write_json: bool) {
+    let spec = SweepSpec {
+        scope,
+        ..SweepSpec::default()
+    };
+    let mut batches = sweep::sweep_all_parallel(&spec, WORKERS);
+    for data in &mut batches {
+        sweep::clean(data, spec.reps as usize);
+    }
+    let samples: usize = batches.iter().map(|b| b.samples.len()).sum();
+    let passes = if write_json { 7 } else { 2 };
+
+    // One buffer for both documents, so a pass measures serialization
+    // and not the allocator growing a fresh Vec.
+    let mut out = Vec::new();
+    let mut raw_bytes = 0;
+    let (raw_json_s, raw_json_reps) = time_passes(passes, || {
+        out.clear();
+        sweep::export::write_raw_json(&batches, &mut out).expect("in-memory write");
+        raw_bytes = out.len();
+    });
+    assert_eq!(
+        sweep::export::read_raw_json(&out).expect("raw JSON parses back"),
+        batches
+    );
+
+    let mut provenance_bytes = 0;
+    let (provenance_s, provenance_reps) = time_passes(passes, || {
+        out.clear();
+        sweep::write_provenance_jsonl(sweep::provenance_iter(&batches, &spec), &mut out)
+            .expect("in-memory write");
+        provenance_bytes = out.len();
+    });
+    assert_eq!(out.iter().filter(|&&b| b == b'\n').count(), samples);
+
+    let dir = std::env::temp_dir().join(format!("omptune-export-tail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut tsdb = omptel::Tsdb::open(&dir, omptel::DEFAULT_CAPACITY).expect("open tsdb");
+    let mut points = 0;
+    let (tsdb_s, tsdb_reps) = time_passes(passes, || points = append_series(&mut tsdb, &batches));
+    drop(tsdb);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(points, 2 * samples as u64);
+
+    let ns_per_sample = |s: f64| s * 1e9 / samples as f64;
+    println!("export_tail ({scope:?}): {samples} samples");
+    for (what, s, work) in [
+        ("write_raw_json", raw_json_s, format!("{raw_bytes} bytes")),
+        (
+            "provenance build + write",
+            provenance_s,
+            format!("{provenance_bytes} bytes"),
+        ),
+        ("tsdb append + flush", tsdb_s, format!("{points} points")),
+    ] {
+        println!(
+            "  {what:<26} {s:.6}s  {:>8.0} ns/sample  {work}",
+            ns_per_sample(s)
+        );
+    }
+
+    if write_json {
+        use bench_harness::reps_json;
+        let json = format!(
+            "{{\n  \"bench\": \"export_tail\",\n  \"scope\": \"{scope:?}\",\n  \
+             \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
+             \"raw_json_s\": {raw_json_s:.6},\n  \"provenance_s\": {provenance_s:.6},\n  \
+             \"tsdb_s\": {tsdb_s:.6},\n  \
+             \"raw_json_ns_per_sample\": {:.0},\n  \"provenance_ns_per_sample\": {:.0},\n  \
+             \"tsdb_ns_per_sample\": {:.0},\n  \
+             \"raw_json_bytes\": {raw_bytes},\n  \"provenance_bytes\": {provenance_bytes},\n  \
+             \"tsdb_points\": {points},\n  \
+             \"raw_json_s_reps\": {},\n  \"provenance_s_reps\": {},\n  \"tsdb_s_reps\": {}\n}}\n",
+            ns_per_sample(raw_json_s),
+            ns_per_sample(provenance_s),
+            ns_per_sample(tsdb_s),
+            reps_json(&raw_json_reps),
+            reps_json(&provenance_reps),
+            reps_json(&tsdb_reps)
+        );
+        bench_harness::publish_bench("export_tail", "BENCH_export.json", &json);
+    }
+}
+
+fn main() {
+    let test_mode = std::env::args().any(|a| a == "--test");
+    if test_mode {
+        run(Scope::Strided(300), false);
+    } else {
+        run(Scope::Strided(100), true);
+    }
+}

@@ -21,7 +21,6 @@
 //! runs the full measurement and writes the JSON.
 
 use omptune_core::Arch;
-use std::path::PathBuf;
 use std::time::Instant;
 use sweep::{SampleCache, Scope, SweepOptions, SweepSpec};
 
@@ -346,15 +345,7 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
     }
 
     if write_json {
-        let path = std::env::var_os("BENCH_OUT")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json")
-            });
-        let reps_json = |v: &[f64]| {
-            let inner: Vec<String> = v.iter().map(|t| format!("{t:.6}")).collect();
-            format!("[{}]", inner.join(", "))
-        };
+        use bench_harness::reps_json;
         let json = format!(
             "{{\n  \"bench\": \"sweep_warmcold\",\n  \"scope\": \"{scope:?}\",\n  \
              \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
@@ -377,20 +368,7 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
             reps_json(&registry_reps),
             reps_json(&reg_tax_reps)
         );
-        std::fs::write(&path, &json).expect("write BENCH_sweep.json");
-        println!("  wrote {}", path.display());
-        register_bench("sweep_warmcold", &json);
-    }
-}
-
-/// Append this bench's results to the longitudinal run registry
-/// (best-effort: a missing or locked registry never fails the bench).
-fn register_bench(name: &str, json: &str) {
-    let dir = sweep::registry::env_registry_dir()
-        .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../.ompobs"));
-    match sweep::record_bench(&dir, name, json) {
-        Ok(rec) => println!("  registered run #{} in {}", rec.seq, dir.display()),
-        Err(e) => eprintln!("  registry {} unavailable: {e}", dir.display()),
+        bench_harness::publish_bench("sweep_warmcold", "BENCH_sweep.json", &json);
     }
 }
 

@@ -15,6 +15,15 @@
 //! bin-wise addition as [`Histogram::merge`](crate::Histogram::merge) —
 //! so a downsampled read reports true means over wider windows, never
 //! means-of-means. Single observations are `count == 1` buckets.
+//!
+//! Writing is write-behind: [`RingFile::append`] queues the point in
+//! memory and [`RingFile::flush`] writes the queue — each contiguous run
+//! of slots in one positioned write, then `head`, once, after the
+//! records. A file on disk therefore always describes a prefix of what
+//! was appended: `head` never counts a record that was not written
+//! before it. Producers flush at their own consistency points (`collect`
+//! at the end of every architecture); dropping the handle flushes too,
+//! but cannot report an error.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -85,7 +94,12 @@ impl Point {
 pub struct RingFile {
     file: File,
     capacity: u64,
+    /// Points ever appended, queued ones included.
     head: u64,
+    /// Appended but not yet written: the points `head - queued.len()
+    /// .. head`. Never longer than `capacity`, so a flush covers every
+    /// slot at most once.
+    queued: Vec<Point>,
 }
 
 impl RingFile {
@@ -110,6 +124,7 @@ impl RingFile {
                 file,
                 capacity,
                 head: 0,
+                queued: Vec::new(),
             });
         }
         let (capacity, head) = read_header(&mut file, path)?;
@@ -117,23 +132,56 @@ impl RingFile {
             file,
             capacity,
             head,
+            queued: Vec::new(),
         })
     }
 
     /// Append one point, overwriting the oldest once the ring is full.
+    /// The point is queued; it reaches the file at the next
+    /// [`flush`](RingFile::flush) (which a full queue triggers itself).
     pub fn append(&mut self, p: Point) -> io::Result<()> {
-        let slot = self.head % self.capacity;
-        self.file
-            .seek(SeekFrom::Start(HEADER_BYTES + slot * RECORD_BYTES))?;
-        self.file.write_all(&p.encode())?;
+        if self.queued.len() as u64 == self.capacity {
+            self.flush()?;
+        }
+        self.queued.push(p);
         self.head += 1;
-        self.file.seek(SeekFrom::Start(16))?;
-        self.file.write_all(&self.head.to_le_bytes())
+        Ok(())
     }
 
-    /// Points ever appended.
+    /// Write every queued point, then the head.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.queued.is_empty() {
+            return Ok(());
+        }
+        let first_slot = (self.head - self.queued.len() as u64) % self.capacity;
+        let before_wrap = self.queued.len().min((self.capacity - first_slot) as usize);
+        let records: Vec<u8> = self.queued.iter().flat_map(Point::encode).collect();
+        let (run, wrapped) = records.split_at(before_wrap * RECORD_BYTES as usize);
+        self.write_at(HEADER_BYTES + first_slot * RECORD_BYTES, run)?;
+        if !wrapped.is_empty() {
+            self.write_at(HEADER_BYTES, wrapped)?;
+        }
+        // Last, so the head on disk never counts an unwritten record.
+        self.write_at(16, &self.head.to_le_bytes())?;
+        self.queued.clear();
+        Ok(())
+    }
+
+    fn write_at(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        self.file.seek(SeekFrom::Start(offset))?;
+        self.file.write_all(bytes)
+    }
+
+    /// Points ever appended, queued ones included.
     pub fn head(&self) -> u64 {
         self.head
+    }
+}
+
+impl Drop for RingFile {
+    fn drop(&mut self) {
+        // Best effort: callers that need the error call `flush`.
+        let _ = self.flush();
     }
 }
 
@@ -244,13 +292,22 @@ impl Tsdb {
     }
 
     /// Append one point to `series`, opening its ring file on first use.
+    /// Like [`RingFile::append`], this queues; [`Tsdb::flush`] writes.
     pub fn append(&mut self, series: &str, p: Point) -> io::Result<()> {
-        if !self.files.contains_key(series) {
-            let path = self.dir.join(format!("{}.{EXT}", series_file_stem(series)));
-            self.files
-                .insert(series.to_string(), RingFile::open(&path, self.capacity)?);
+        if let Some(ring) = self.files.get_mut(series) {
+            return ring.append(p);
         }
-        self.files.get_mut(series).expect("just inserted").append(p)
+        let path = self.dir.join(format!("{}.{EXT}", series_file_stem(series)));
+        let ring = RingFile::open(&path, self.capacity)?;
+        self.files
+            .entry(series.to_string())
+            .or_insert(ring)
+            .append(p)
+    }
+
+    /// Write every series' queued points to its ring file.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.files.values_mut().try_for_each(RingFile::flush)
     }
 
     /// Every series stored under `dir`, sorted by name.
@@ -323,6 +380,7 @@ mod tests {
             ring.append(Point::single(i, i as f64)).unwrap();
         }
         assert_eq!(ring.head(), 20);
+        ring.flush().unwrap();
         let (points, dropped) = read_ring(&path).unwrap();
         assert_eq!(dropped, 12);
         assert_eq!(points.len(), 8);
@@ -343,10 +401,84 @@ mod tests {
         assert_eq!(ring.capacity, 64, "existing capacity wins");
         assert_eq!(ring.head(), 1);
         ring.append(Point::single(2, 20.0)).unwrap();
+        ring.flush().unwrap();
         let (points, dropped) = read_ring(&path).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(points.len(), 2);
         assert_eq!(points[1].value(), 20.0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Write-behind changes when bytes reach the file, never which: a
+    /// ring flushed once per run of `run` points is byte-identical, at
+    /// every flush, to one flushed after every point — across the wrap,
+    /// for runs longer than the ring, and through a reopen.
+    #[test]
+    fn write_behind_is_byte_identical_to_point_by_point() {
+        let dir = tmp("behind");
+        for run in 1..=20u64 {
+            let (batched_path, single_path) = (dir.join("batched.omts"), dir.join("single.omts"));
+            for path in [&batched_path, &single_path] {
+                let _ = std::fs::remove_file(path);
+            }
+            let mut batched = RingFile::open(&batched_path, 7).unwrap();
+            let mut single = RingFile::open(&single_path, 7).unwrap();
+            let mut ts = 0u64;
+            for round in 0..5 {
+                for _ in 0..run {
+                    let p = Point {
+                        ts,
+                        count: ts % 3 + 1,
+                        sum: (ts as f64).sqrt(),
+                    };
+                    batched.append(p).unwrap();
+                    single.append(p).unwrap();
+                    single.flush().unwrap();
+                    ts += 1;
+                }
+                batched.flush().unwrap();
+                assert_eq!(
+                    std::fs::read(&batched_path).unwrap(),
+                    std::fs::read(&single_path).unwrap(),
+                    "run {run}, round {round}"
+                );
+                if round == 2 {
+                    batched = RingFile::open(&batched_path, 7).unwrap();
+                    assert_eq!(batched.head(), ts, "reopen continues at the flushed head");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A writer that dies between flushes (its handle is leaked, so not
+    /// even `Drop` runs) leaves exactly the flushed prefix behind, with
+    /// a head that matches it.
+    #[test]
+    fn leaked_handle_leaves_the_flushed_prefix() {
+        let dir = tmp("leak");
+        for flushed in [5u64, 10] {
+            let path = dir.join(format!("leak{flushed}.omts"));
+            let mut ring = RingFile::open(&path, 7).unwrap();
+            for i in 0..flushed {
+                ring.append(Point::single(i, i as f64)).unwrap();
+            }
+            ring.flush().unwrap();
+            for i in flushed..flushed + 4 {
+                ring.append(Point::single(i, i as f64)).unwrap();
+            }
+            std::mem::forget(ring);
+            let (points, dropped) = read_ring(&path).unwrap();
+            assert_eq!(
+                dropped + points.len() as u64,
+                flushed,
+                "head is the flushed one"
+            );
+            let expect: Vec<Point> = (dropped..flushed)
+                .map(|i| Point::single(i, i as f64))
+                .collect();
+            assert_eq!(points, expect);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -390,6 +522,7 @@ mod tests {
         for i in 0..20u64 {
             db.append("s", Point::single(i, i as f64)).unwrap();
         }
+        db.flush().unwrap();
         // The ring wrapped: 12 points overwritten, 8 retained (ts 12..=19).
         let (down, dropped) = Tsdb::read_downsampled(&dir, "s", 3).unwrap();
         assert_eq!(dropped, 12, "drop count survives the downsample");
@@ -423,6 +556,7 @@ mod tests {
         let dir = tmp("single");
         let mut db = Tsdb::open(&dir, 8).unwrap();
         db.append("one", Point::single(42, 7.5)).unwrap();
+        db.flush().unwrap();
         // One stored point: every max_points returns it unchanged —
         // including 0, which clamps to one bucket rather than erasing
         // the series.
@@ -434,6 +568,7 @@ mod tests {
         // Two points into one bucket: the aggregate merges, the bucket
         // keeps the newest timestamp, and the mean is exact.
         db.append("one", Point::single(43, 2.5)).unwrap();
+        db.flush().unwrap();
         let (down, _) = Tsdb::read_downsampled(&dir, "one", 1).unwrap();
         assert_eq!(down.len(), 1);
         assert_eq!(down[0].ts, 43);
@@ -454,6 +589,7 @@ mod tests {
             db.append("skylake/rate/steal", Point::single(i, 0.5))
                 .unwrap();
         }
+        db.flush().unwrap();
         let names = Tsdb::series(&dir).unwrap();
         assert_eq!(names, vec!["skylake/rate/steal", "skylake/virt/s0"]);
         let (points, dropped) = Tsdb::read(&dir, "skylake/virt/s0").unwrap();

@@ -302,6 +302,7 @@ fn joules_series_ring_wrap_keeps_newest_points_bit_exact() {
         db.append("milan/energy/s0", omptel::Point::single(i, joules_at(i)))
             .expect("append");
     }
+    db.flush().expect("flush");
     let (points, wrapped) =
         omptel::Tsdb::read(&dir, "milan/energy/s0").expect("read joules series");
     assert_eq!(points.len(), capacity as usize);

@@ -33,7 +33,7 @@
 
 use omptune_core::{Arch, LiveInfluence};
 use std::fs;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -757,17 +757,17 @@ fn main() -> std::io::Result<()> {
         // latency and scheduler rates legitimately vary and are
         // informational.
         let mut stratum_seq = [0u64; STRATA];
+        let virt_series: [String; STRATA] =
+            std::array::from_fn(|k| format!("{}/virt/s{k}", arch.id()));
+        let energy_series: [String; STRATA] =
+            std::array::from_fn(|k| format!("{}/energy/s{k}", arch.id()));
         let mut arch_energy = ArchEnergy::default();
         for data in &arch_batches {
             for sample in &data.samples {
                 arch_energy.fold(&sample.telemetry);
-                let finite: Vec<f64> = sample
-                    .runtimes
-                    .iter()
-                    .copied()
-                    .filter(|t| t.is_finite())
-                    .collect();
-                if finite.is_empty() {
+                let finite = || sample.runtimes.iter().filter(|t| t.is_finite());
+                let count = finite().count() as u64;
+                if count == 0 {
                     continue;
                 }
                 let k = sample.config_index % STRATA;
@@ -775,10 +775,10 @@ fn main() -> std::io::Result<()> {
                 stratum_seq[k] += 1;
                 let point = omptel::Point {
                     ts,
-                    count: finite.len() as u64,
-                    sum: finite.iter().sum(),
+                    count,
+                    sum: finite().sum(),
                 };
-                tsdb.append(&format!("{}/virt/s{k}", arch.id()), point)?;
+                tsdb.append(&virt_series[k], point)?;
                 // Joules ride the same stratified, deterministic series
                 // layout as virtual time: one point per sample, same
                 // stratum sequence, so the drift sentinel gates energy
@@ -790,7 +790,7 @@ fn main() -> std::io::Result<()> {
                         count: 1,
                         sum: joules,
                     };
-                    tsdb.append(&format!("{}/energy/s{k}", arch.id()), point)?;
+                    tsdb.append(&energy_series[k], point)?;
                 }
             }
         }
@@ -870,6 +870,9 @@ fn main() -> std::io::Result<()> {
                 }
             }
         }
+        // One write per series per arch; a failed write fails the run
+        // here rather than vanishing in the handle's drop.
+        tsdb.flush()?;
 
         manifest.push_arch(
             arch,
@@ -930,14 +933,12 @@ fn main() -> std::io::Result<()> {
     eprintln!("wrote {}", raw_path.display());
 
     let prov_path = cli.out_dir.join("provenance.jsonl");
-    let provenance = sweep::provenance_of(&batches, &spec);
     let mut prov = BufWriter::new(fs::File::create(&prov_path)?);
-    sweep::write_provenance_jsonl(&provenance, &mut prov)?;
-    eprintln!(
-        "wrote {} ({} samples)",
-        prov_path.display(),
-        provenance.len()
-    );
+    let mut prov_lines = 0usize;
+    let records = sweep::provenance_iter(&batches, &spec).inspect(|_| prov_lines += 1);
+    sweep::write_provenance_jsonl(records, &mut prov)?;
+    prov.flush()?;
+    eprintln!("wrote {} ({prov_lines} samples)", prov_path.display());
 
     let manifest_path = cli.out_dir.join("manifest.json");
     let mut mf = BufWriter::new(fs::File::create(&manifest_path)?);

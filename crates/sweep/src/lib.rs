@@ -25,9 +25,9 @@ pub use cache::{
 };
 pub use dataset::{clean, CleanReport, Dataset, DropReason};
 pub use provenance::{
-    config_fingerprint, config_hash, provenance_of, read_manifest, read_provenance_jsonl,
-    slice_fingerprint, write_manifest, write_provenance_jsonl, ArchManifest, RunManifest,
-    SampleProvenance,
+    config_fingerprint, config_hash, provenance_iter, provenance_of, read_manifest,
+    read_provenance_jsonl, slice_fingerprint, write_manifest, write_provenance_jsonl, ArchManifest,
+    RunManifest, SampleProvenance,
 };
 pub use registry::{
     default_registry_dir, detect_git_rev, record_bench, spec_fingerprint, ArchDigest, BatchPartial,

@@ -12,18 +12,46 @@ use crate::schedule::SweepStats;
 use crate::spec::SweepSpec;
 use omptune_core::TuningConfig;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::io::{self, Write};
 
-/// FNV-1a over the canonical JSON encoding of a configuration — a stable
-/// content hash usable as a join key across exports.
-pub fn config_hash(config: &TuningConfig) -> u64 {
-    let text = serde_json::to_string(config).expect("config serializes");
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// FNV-1a of the bytes fed to it, directly or as an `io::Write`.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+
+    fn eat_u64(&mut self, v: u64) {
+        self.eat(&v.to_le_bytes());
+    }
+}
+
+impl Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.eat(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// FNV-1a over the canonical JSON encoding of a configuration — a stable
+/// content hash usable as a join key across exports. The JSON is hashed
+/// as it is written; no text is kept.
+pub fn config_hash(config: &TuningConfig) -> u64 {
+    let mut h = Fnv1a::new();
+    serde_json::to_writer(&mut h, config).expect("config serializes");
+    h.0
 }
 
 /// FNV-1a over a configuration's fields directly — no serialization, so
@@ -33,22 +61,16 @@ pub fn config_hash(config: &TuningConfig) -> u64 {
 /// join key (the two are different hash domains and never compared to
 /// each other).
 pub fn config_fingerprint(config: &TuningConfig) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    fold(config.places as u64);
-    fold(config.proc_bind as u64);
-    fold(config.schedule as u64);
-    fold(config.library as u64);
-    fold(config.blocktime as u64);
-    fold(config.force_reduction as u64);
-    fold(config.align_alloc.0 as u64);
-    fold(config.num_threads as u64);
-    h
+    let mut h = Fnv1a::new();
+    h.eat_u64(config.places as u64);
+    h.eat_u64(config.proc_bind as u64);
+    h.eat_u64(config.schedule as u64);
+    h.eat_u64(config.library as u64);
+    h.eat_u64(config.blocktime as u64);
+    h.eat_u64(config.force_reduction as u64);
+    h.eat_u64(config.align_alloc.0 as u64);
+    h.eat_u64(config.num_threads as u64);
+    h.0
 }
 
 /// Everything needed to reproduce (and audit) one sample.
@@ -98,50 +120,52 @@ impl SampleProvenance {
 /// slice that produced it. Order-dependent by design (it names a slice,
 /// not a set).
 pub fn slice_fingerprint(batches: &[SettingData]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for data in batches {
-        fold(noise_stream(&data.key, 0));
+        h.eat_u64(noise_stream(&data.key, 0));
         for t in &data.default_runtimes {
-            fold(t.to_bits());
+            h.eat_u64(t.to_bits());
         }
         for sample in &data.samples {
-            fold(sample.config_index as u64);
-            fold(config_hash(&sample.config));
+            h.eat_u64(sample.config_index as u64);
+            h.eat_u64(config_hash(&sample.config));
             for t in &sample.runtimes {
-                fold(t.to_bits());
+                h.eat_u64(t.to_bits());
             }
         }
     }
-    h
+    h.0
 }
 
-/// Provenance records for every sample of a batch list, in sweep order.
+/// Provenance records for every sample of a batch list, in sweep order,
+/// built one at a time as the iterator is advanced.
+pub fn provenance_iter<'a>(
+    batches: &'a [SettingData],
+    spec: &'a SweepSpec,
+) -> impl Iterator<Item = SampleProvenance> + 'a {
+    batches.iter().flat_map(move |data| {
+        data.samples
+            .iter()
+            .map(move |s| SampleProvenance::of(data, s, spec))
+    })
+}
+
+/// [`provenance_iter`], collected.
 pub fn provenance_of(batches: &[SettingData], spec: &SweepSpec) -> Vec<SampleProvenance> {
-    batches
-        .iter()
-        .flat_map(|data| {
-            data.samples
-                .iter()
-                .map(move |s| SampleProvenance::of(data, s, spec))
-        })
-        .collect()
+    provenance_iter(batches, spec).collect()
 }
 
-/// Write provenance as JSON lines (one sample per line).
-pub fn write_provenance_jsonl<W: Write>(
-    records: &[SampleProvenance],
-    out: &mut W,
-) -> io::Result<()> {
-    // Serialize straight into the writer: no per-record String
-    // allocation, byte-identical output to the to_string form.
+/// Write provenance as JSON lines (one sample per line). Takes records
+/// by reference (a slice) or by value (a lazy [`provenance_iter`], so
+/// only one record exists at a time).
+pub fn write_provenance_jsonl<W, I>(records: I, out: &mut W) -> io::Result<()>
+where
+    W: Write,
+    I: IntoIterator,
+    I::Item: Borrow<SampleProvenance>,
+{
     for r in records {
-        serde_json::to_writer(&mut *out, r).map_err(io::Error::other)?;
+        serde_json::to_writer(&mut *out, r.borrow()).map_err(io::Error::other)?;
         out.write_all(b"\n")?;
     }
     Ok(())
@@ -293,6 +317,10 @@ mod tests {
         assert_eq!(text.lines().count(), records.len());
         let back = read_provenance_jsonl(&text).unwrap();
         assert_eq!(back, records);
+        // Fed lazily, by value, the writer produces the same bytes.
+        let mut lazy = Vec::new();
+        write_provenance_jsonl(provenance_iter(&batches, &spec), &mut lazy).unwrap();
+        assert_eq!(lazy, text.as_bytes());
     }
 
     #[test]

@@ -81,25 +81,13 @@ impl std::fmt::Debug for RunKey {
 // serialized form; the encoding matches what the derive produced before
 // the stem existed, so persisted keys parse unchanged.
 impl Serialize for RunKey {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("arch".to_string()),
-                self.arch.serialize_value(),
-            ),
-            (
-                serde::Value::Str("app".to_string()),
-                self.app.serialize_value(),
-            ),
-            (
-                serde::Value::Str("input_code".to_string()),
-                self.input_code.serialize_value(),
-            ),
-            (
-                serde::Value::Str("num_threads".to_string()),
-                self.num_threads.serialize_value(),
-            ),
-        ])
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        sink.map_begin()?;
+        sink.entry("arch", &self.arch)?;
+        sink.entry("app", &self.app)?;
+        sink.entry("input_code", &self.input_code)?;
+        sink.entry("num_threads", &self.num_threads)?;
+        sink.map_end()
     }
 }
 

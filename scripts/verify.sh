@@ -433,6 +433,16 @@ BENCH_OUT="$coherence_dir/bench_profile.json" OMPOBS_DIR="$obs_dir" \
 step cargo run --release -p bench-harness --bin bench-diff -- \
     --baseline BENCH_profile.json "$coherence_dir/bench_profile.json" --band 2.0
 
+# Export tail gate: write_raw_json, provenance build + write and tsdb
+# append + flush per sample — the layers a warm `collect` consists of —
+# must stay within the noise band of the committed baseline.
+echo
+echo "==> export tail gate (export_tail vs committed baseline)"
+BENCH_OUT="$coherence_dir/bench_export.json" OMPOBS_DIR="$obs_dir" \
+    cargo bench -p bench-harness --bench export_tail
+step cargo run --release -p bench-harness --bin bench-diff -- \
+    --baseline BENCH_export.json "$coherence_dir/bench_export.json" --band 2.0
+
 # Pipeline benchmark smoke: one pass per workload at the tiny scope, every
 # output checked and every result line validated against BENCHMARK.json —
 # the benchmark must keep building and running against the current tree.
