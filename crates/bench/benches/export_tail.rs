@@ -1,11 +1,15 @@
-//! The artifact tail of `collect`: what a finished sweep costs to write.
+//! The artifact tail of `collect`: what a finished sweep costs to write,
+//! and its dataset to read back.
 //!
 //! On a warm cache the sweep itself is milliseconds and `collect` is its
-//! exporters, so this bench times the three that dominate, on one fixed
-//! cleaned `Strided(100)` slice, the way `collect` calls them:
+//! exporters, so this bench times the three that dominate, and the read
+//! that undoes the first, on one fixed cleaned `Strided(100)` slice, the
+//! way `collect` and the analysis tools call them:
 //!
 //! - `raw_json_s`   — `write_raw_json` of every batch (one streamed
 //!   document),
+//! - `read_raw_json_s` — `read_raw_json` of that document, as `ompprof
+//!   attribute --data` takes it back in,
 //! - `provenance_s` — provenance build + write: `provenance_iter` fed
 //!   lazily to `write_provenance_jsonl` (one `config_hash` and one JSON
 //!   line per sample),
@@ -98,6 +102,12 @@ fn run(scope: Scope, write_json: bool) {
         sweep::export::write_raw_json(&batches, &mut out).expect("in-memory write");
         raw_bytes = out.len();
     });
+    let (read_raw_json_s, read_raw_json_reps) = time_passes(passes, || {
+        let back = sweep::export::read_raw_json(&out).expect("raw JSON parses back");
+        assert_eq!(back.len(), batches.len());
+        // Compared once, below; dropping the batches is part of a read.
+        std::hint::black_box(back);
+    });
     assert_eq!(
         sweep::export::read_raw_json(&out).expect("raw JSON parses back"),
         batches
@@ -126,6 +136,11 @@ fn run(scope: Scope, write_json: bool) {
     for (what, s, work) in [
         ("write_raw_json", raw_json_s, format!("{raw_bytes} bytes")),
         (
+            "read_raw_json",
+            read_raw_json_s,
+            format!("{raw_bytes} bytes"),
+        ),
+        (
             "provenance build + write",
             provenance_s,
             format!("{provenance_bytes} bytes"),
@@ -143,17 +158,20 @@ fn run(scope: Scope, write_json: bool) {
         let json = format!(
             "{{\n  \"bench\": \"export_tail\",\n  \"scope\": \"{scope:?}\",\n  \
              \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
-             \"raw_json_s\": {raw_json_s:.6},\n  \"provenance_s\": {provenance_s:.6},\n  \
-             \"tsdb_s\": {tsdb_s:.6},\n  \
-             \"raw_json_ns_per_sample\": {:.0},\n  \"provenance_ns_per_sample\": {:.0},\n  \
-             \"tsdb_ns_per_sample\": {:.0},\n  \
+             \"raw_json_s\": {raw_json_s:.6},\n  \"read_raw_json_s\": {read_raw_json_s:.6},\n  \
+             \"provenance_s\": {provenance_s:.6},\n  \"tsdb_s\": {tsdb_s:.6},\n  \
+             \"raw_json_ns_per_sample\": {:.0},\n  \"read_raw_json_ns_per_sample\": {:.0},\n  \
+             \"provenance_ns_per_sample\": {:.0},\n  \"tsdb_ns_per_sample\": {:.0},\n  \
              \"raw_json_bytes\": {raw_bytes},\n  \"provenance_bytes\": {provenance_bytes},\n  \
              \"tsdb_points\": {points},\n  \
-             \"raw_json_s_reps\": {},\n  \"provenance_s_reps\": {},\n  \"tsdb_s_reps\": {}\n}}\n",
+             \"raw_json_s_reps\": {},\n  \"read_raw_json_s_reps\": {},\n  \
+             \"provenance_s_reps\": {},\n  \"tsdb_s_reps\": {}\n}}\n",
             ns_per_sample(raw_json_s),
+            ns_per_sample(read_raw_json_s),
             ns_per_sample(provenance_s),
             ns_per_sample(tsdb_s),
             reps_json(&raw_json_reps),
+            reps_json(&read_raw_json_reps),
             reps_json(&provenance_reps),
             reps_json(&tsdb_reps)
         );

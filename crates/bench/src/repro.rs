@@ -15,9 +15,12 @@
 //! | [`Reproduction::figure_heatmap`] | Figs. 2–4 — influence heat maps |
 
 use mlstats::{wilcoxon_signed_rank, Summary, ViolinSummary};
+use omptune_core::analysis::AnalysisError;
 use omptune_core::{
     influence_analysis, recommend_for, worst_trends, AnalysisRecord, Arch, GroupBy,
+    InfluenceHeatMap,
 };
+use std::sync::OnceLock;
 use sweep::{Dataset, Scope, SettingData, SweepSpec};
 use workloads::Setting;
 
@@ -58,6 +61,9 @@ pub struct Reproduction {
     pub batches: Vec<SettingData>,
     pub dataset: Dataset,
     pub spec: SweepSpec,
+    /// The influence heat map of each grouping (indexed by `GroupBy as
+    /// usize`), fitted the first time a figure or its CSV asks for it.
+    heatmaps: [OnceLock<Result<InfluenceHeatMap, AnalysisError>>; 3],
 }
 
 impl Reproduction {
@@ -67,7 +73,10 @@ impl Reproduction {
             scope: scope.to_scope(),
             ..SweepSpec::default()
         };
-        let mut batches = sweep::sweep_all(&spec);
+        // Byte-identical to the sequential `sweep::sweep_all` at any
+        // worker count (`generate_equals_the_sequential_sweep` below).
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut batches = sweep::sweep_all_parallel(&spec, workers);
         for b in &mut batches {
             sweep::clean(b, spec.reps as usize);
         }
@@ -76,7 +85,15 @@ impl Reproduction {
             batches,
             dataset,
             spec,
+            heatmaps: Default::default(),
         }
+    }
+
+    /// `influence_analysis(records, group_by)`, a pure function of its
+    /// arguments, fitted once per grouping.
+    fn heatmap(&self, group_by: GroupBy) -> &Result<InfluenceHeatMap, AnalysisError> {
+        self.heatmaps[group_by as usize]
+            .get_or_init(|| influence_analysis(self.records(), group_by))
     }
 
     fn records(&self) -> &[AnalysisRecord] {
@@ -441,7 +458,7 @@ impl Reproduction {
     /// Machine-readable heat-map data: `group,feature,influence` rows.
     pub fn heatmap_csv(&self, group_by: GroupBy) -> String {
         let mut out = String::from("group,feature,influence\n");
-        if let Ok(hm) = influence_analysis(self.records(), group_by) {
+        if let Ok(hm) = self.heatmap(group_by) {
             for row in &hm.rows {
                 for (f, v) in hm.features.iter().zip(&row.influence) {
                     out.push_str(&format!("{},{},{:.6}\n", row.group, f.name(), v));
@@ -453,7 +470,7 @@ impl Reproduction {
 
     /// Figs. 2–4: influence heat maps for a grouping strategy.
     pub fn figure_heatmap(&self, group_by: GroupBy) -> String {
-        match influence_analysis(self.records(), group_by) {
+        match self.heatmap(group_by) {
             Ok(hm) => {
                 let title = match group_by {
                     GroupBy::Application => "Fig. 2: influence grouped by application",
@@ -476,9 +493,38 @@ mod tests {
     // One shared fast reproduction for all tests (the sweep is the
     // expensive part).
     fn repro() -> &'static Reproduction {
-        use std::sync::OnceLock;
         static REPRO: OnceLock<Reproduction> = OnceLock::new();
         REPRO.get_or_init(|| Reproduction::generate(ReproScope::Fast))
+    }
+
+    #[test]
+    fn generate_equals_the_sequential_sweep() {
+        let r = repro();
+        let mut sequential = sweep::sweep_all(&r.spec);
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(
+            sweep::slice_fingerprint(&sequential),
+            sweep::slice_fingerprint(&sweep::sweep_all_parallel(&r.spec, workers.max(2))),
+            "raw batches, failed repetitions included"
+        );
+        for b in &mut sequential {
+            sweep::clean(b, r.spec.reps as usize);
+        }
+        assert_eq!(r.batches, sequential);
+    }
+
+    #[test]
+    fn a_heatmap_is_fitted_once_and_equals_a_fresh_analysis() {
+        let r = repro();
+        for g in [
+            GroupBy::Application,
+            GroupBy::Architecture,
+            GroupBy::ArchApplication,
+        ] {
+            let fresh = influence_analysis(r.records(), g);
+            assert_eq!(r.heatmap(g), &fresh);
+            assert!(std::ptr::eq(r.heatmap(g), r.heatmap(g)));
+        }
     }
 
     #[test]

@@ -90,29 +90,52 @@ pub struct CacheRecord {
 }
 
 impl Deserialize for CacheRecord {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "CacheRecord"))?;
-        // Absent on pre-energy records: default to empty, never error.
-        let energy_bits = map
-            .iter()
-            .find(|(k, _)| k.as_str() == Some("energy_bits"))
-            .map(|(_, v)| Vec::<u64>::deserialize_value(v))
-            .transpose()?
-            .unwrap_or_default();
+    fn deserialize<'de, S: serde::Source<'de>>(source: &mut S) -> Result<Self, serde::Error> {
+        // The derive's rules (any order, unknown keys skipped, the first
+        // of a duplicate kept) but for `energy_bits`, which may be absent.
+        let (mut engine, mut seed, mut reps, mut failure_rate_bits) = (None, None, None, None);
+        let (mut config_index, mut config_hash, mut runtimes_bits) = (None, None, None);
+        let (mut virtual_ns_bits, mut regions, mut breakdown_bits) = (None, None, None);
+        let mut energy_bits = None;
+        macro_rules! fill {
+            ($slot:ident) => {
+                $slot = Some(Deserialize::deserialize(source)?)
+            };
+        }
+        source.map_begin()?;
+        while let Some(key) = source.map_key()? {
+            match &*key {
+                "engine" if engine.is_none() => fill!(engine),
+                "seed" if seed.is_none() => fill!(seed),
+                "reps" if reps.is_none() => fill!(reps),
+                "failure_rate_bits" if failure_rate_bits.is_none() => fill!(failure_rate_bits),
+                "config_index" if config_index.is_none() => fill!(config_index),
+                "config_hash" if config_hash.is_none() => fill!(config_hash),
+                "runtimes_bits" if runtimes_bits.is_none() => fill!(runtimes_bits),
+                "virtual_ns_bits" if virtual_ns_bits.is_none() => fill!(virtual_ns_bits),
+                "regions" if regions.is_none() => fill!(regions),
+                "breakdown_bits" if breakdown_bits.is_none() => fill!(breakdown_bits),
+                "energy_bits" if energy_bits.is_none() => fill!(energy_bits),
+                _ => source.skip()?,
+            }
+        }
+        macro_rules! need {
+            ($slot:ident) => {
+                $slot.ok_or_else(|| serde::Error::missing_field(stringify!($slot)))?
+            };
+        }
         Ok(CacheRecord {
-            engine: serde::__field(map, "engine")?,
-            seed: serde::__field(map, "seed")?,
-            reps: serde::__field(map, "reps")?,
-            failure_rate_bits: serde::__field(map, "failure_rate_bits")?,
-            config_index: serde::__field(map, "config_index")?,
-            config_hash: serde::__field(map, "config_hash")?,
-            runtimes_bits: serde::__field(map, "runtimes_bits")?,
-            virtual_ns_bits: serde::__field(map, "virtual_ns_bits")?,
-            regions: serde::__field(map, "regions")?,
-            breakdown_bits: serde::__field(map, "breakdown_bits")?,
-            energy_bits,
+            engine: need!(engine),
+            seed: need!(seed),
+            reps: need!(reps),
+            failure_rate_bits: need!(failure_rate_bits),
+            config_index: need!(config_index),
+            config_hash: need!(config_hash),
+            runtimes_bits: need!(runtimes_bits),
+            virtual_ns_bits: need!(virtual_ns_bits),
+            regions: need!(regions),
+            breakdown_bits: need!(breakdown_bits),
+            energy_bits: energy_bits.unwrap_or_default(),
         })
     }
 }

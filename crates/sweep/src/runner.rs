@@ -92,16 +92,16 @@ impl Serialize for RunKey {
 }
 
 impl Deserialize for RunKey {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "RunKey"))?;
-        Ok(RunKey::new(
-            serde::__field::<Arch>(map, "arch")?,
-            serde::__field::<String>(map, "app")?,
-            serde::__field::<u32>(map, "input_code")?,
-            serde::__field::<usize>(map, "num_threads")?,
-        ))
+    fn deserialize<'de, S: serde::Source<'de>>(source: &mut S) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Fields {
+            arch: Arch,
+            app: String,
+            input_code: u32,
+            num_threads: usize,
+        }
+        let f = Fields::deserialize(source)?;
+        Ok(RunKey::new(f.arch, f.app, f.input_code, f.num_threads))
     }
 }
 

@@ -435,7 +435,8 @@ step cargo run --release -p bench-harness --bin bench-diff -- \
 
 # Export tail gate: write_raw_json, provenance build + write and tsdb
 # append + flush per sample — the layers a warm `collect` consists of —
-# must stay within the noise band of the committed baseline.
+# and read_raw_json, which the analysis tools start with, must stay
+# within the noise band of the committed baseline.
 echo
 echo "==> export tail gate (export_tail vs committed baseline)"
 BENCH_OUT="$coherence_dir/bench_export.json" OMPOBS_DIR="$obs_dir" \

@@ -1,12 +1,17 @@
-//! The vendored serde shim streams: `Serialize` pushes events into a
-//! sink, `serde_json` is a sink that writes bytes, the `Value` tree is
-//! another. These tests hold the streamed JSON to the tree-walking
-//! emitter it replaced (kept here as the reference), for every shape the
-//! derive supports, and hold `to_writer` to its I/O contract.
+//! The vendored serde shim streams both ways: `Serialize` pushes events
+//! into a sink, `Deserialize` pulls them out of a source; `serde_json` is
+//! a sink that writes bytes and a source that reads them, the `Value`
+//! tree is another of each. These tests hold the streamed JSON to the
+//! tree-walking emitter it replaced and the streamed reads to the
+//! tree-building parser they replaced (both kept here as the reference),
+//! for every shape the derive supports; hold `to_writer` to its I/O
+//! contract; and feed the reader truncated, mutated and hostile bytes.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use serde::{Deserialize, Serialize, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
@@ -69,6 +74,215 @@ fn reference_str(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+// ---------------------------------------------------------------------------
+// The reader `serde_json` had before streaming: JSON text to a `Value`, by
+// recursive descent, for a type to deserialize out of. Verbatim but for the
+// error type. Known differences of the streaming reader, all on purpose: it
+// refuses more than 128 nested containers (this one overflows the stack), it
+// decodes a `\u` surrogate pair to the scalar it encodes (this one to two
+// U+FFFD), and it wants four hex digits after `\u` (`from_str_radix` here
+// also takes `+12f`).
+
+struct Reference<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+fn reference_parse(text: &str) -> Result<Value, String> {
+    let mut p = Reference {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.parse_value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing characters at byte {}", p.pos));
+    }
+    Ok(v)
+}
+
+impl Reference<'_> {
+    fn skip_ws(&mut self) {
+        while let Some(b) = self.bytes.get(self.pos) {
+            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", b as char, self.pos))
+        }
+    }
+
+    fn eat_literal(&mut self, lit: &str) -> bool {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn parse_value(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') if self.eat_literal("null") => Ok(Value::Unit),
+            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
+            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
+            Some(b'"') => self.parse_string().map(Value::Str),
+            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.parse_object(),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
+            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+        }
+    }
+
+    fn parse_array(&mut self) -> Result<Value, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Seq(items));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<Value, String> {
+        self.expect(b'{')?;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.parse_value()?;
+            entries.push((Value::Str(key), val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(entries));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn parse_string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let Some(b) = self.peek() else {
+                return Err("unterminated string".into());
+            };
+            self.pos += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(esc) = self.peek() else {
+                        return Err("unterminated escape".into());
+                    };
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .ok_or("truncated \\u escape")?;
+                            self.pos += 4;
+                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        other => return Err(format!("bad escape `\\{}`", other as char)),
+                    }
+                }
+                b if b < 0x80 => out.push(b as char),
+                _ => {
+                    let start = self.pos - 1;
+                    let mut end = self.pos;
+                    while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
+                        end += 1;
+                    }
+                    let s = std::str::from_utf8(&self.bytes[start..end])
+                        .map_err(|_| "invalid UTF-8 in string")?;
+                    out.push_str(s);
+                    self.pos = end;
+                }
+            }
+        }
+    }
+
+    fn parse_number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut is_float = false;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => self.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    is_float = true;
+                    self.pos += 1;
+                }
+                _ => break,
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "number")?;
+        if !is_float {
+            if let Ok(u) = text.parse::<u64>() {
+                return Ok(Value::U64(u));
+            }
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Value::I64(i));
+            }
+        }
+        text.parse::<f64>()
+            .map(Value::F64)
+            .map_err(|_| format!("invalid number `{text}`"))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -241,6 +455,61 @@ impl Draw<'_> {
     }
 }
 
+impl Draw<'_> {
+    /// A value of any kind, for a field no type asks for.
+    fn any_value(&mut self, depth: u64) -> Value {
+        match self.below(if depth == 0 { 6 } else { 8 }) {
+            0 => Value::Unit,
+            1 => Value::Bool(self.below(2) == 0),
+            2 => Value::U64(self.0.next_u64()),
+            3 => Value::I64(-((self.0.next_u64() >> 1) as i64) - 1),
+            4 => Value::F64([0.5, -1.0e300, 3.0, 1.0e15][self.below(4) as usize]),
+            5 => Value::Str(self.string()),
+            6 => Value::Seq(self.vec(3, |d| d.any_value(depth - 1))),
+            _ => Value::Map(self.vec(3, |d| (Value::Str(d.string()), d.any_value(depth - 1)))),
+        }
+    }
+
+    /// Rearrange the map of a struct's fields without changing what it
+    /// reads as: add fields the struct does not have, shuffle, then
+    /// repeat some of the struct's own fields (with a value of any kind)
+    /// somewhere after the original.
+    fn scramble_struct(&mut self, map: &mut Value) {
+        let Value::Map(entries) = map else {
+            panic!("a struct is a map")
+        };
+        let own: Vec<Value> = entries.iter().map(|(k, _)| k.clone()).collect();
+        for i in 0..self.below(4) {
+            entries.push((Value::Str(format!("not a field {i}")), self.any_value(2)));
+        }
+        for i in (1..entries.len()).rev() {
+            entries.swap(i, self.below(i as u64 + 1) as usize);
+        }
+        for _ in 0..self.below(3) {
+            let again = own[self.below(own.len() as u64) as usize].clone();
+            let first = entries.iter().position(|(k, _)| *k == again).unwrap();
+            let at = first + 1 + self.below((entries.len() - first) as u64) as usize;
+            entries.insert(at, (again, self.any_value(2)));
+        }
+    }
+}
+
+/// The elements of field `name` of the struct `map`, or the field itself
+/// when it is not a sequence.
+fn field_mut<'a>(map: &'a mut Value, name: &str) -> &'a mut [Value] {
+    let Value::Map(entries) = map else {
+        panic!("a struct is a map")
+    };
+    let (_, field) = entries
+        .iter_mut()
+        .find(|(k, _)| k.as_str() == Some(name))
+        .expect("the first entry of that name");
+    match field {
+        Value::Seq(items) => items,
+        other => std::slice::from_mut(other),
+    }
+}
+
 struct Docs;
 
 impl Strategy for Docs {
@@ -272,6 +541,20 @@ fn check_streamed<T: Serialize + ?Sized>(value: &T) -> String {
     streamed
 }
 
+/// Read `text` as a `T` both ways, straight off the text and out of the
+/// reference parser's tree, and hold the two to each other; likewise the
+/// untyped read and the reference tree itself. Returns what the value
+/// serializes to, or the streamed read's error.
+fn check_read<T: Deserialize + Serialize>(text: &str) -> Result<String, String> {
+    let text_of = |read: Result<T, String>| read.map(|v| serde_json::to_string(&v).unwrap());
+    let tree = reference_parse(text);
+    assert_eq!(serde_json::from_str::<Value>(text).ok(), tree.clone().ok());
+    let streamed = text_of(serde_json::from_str(text).map_err(|e| e.to_string()));
+    let via_tree = text_of(tree.and_then(|t| T::deserialize_value(&t).map_err(|e| e.to_string())));
+    assert_eq!(streamed.as_ref().ok(), via_tree.as_ref().ok(), "{text}");
+    streamed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -280,9 +563,39 @@ proptest! {
         let text = check_streamed(&doc);
         // Typed round trip. NaN is not equal to itself and infinities
         // come back as NaN, so compare what the values serialize to.
-        let back: Doc = serde_json::from_str(&text).unwrap();
-        prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        prop_assert_eq!(check_read::<Doc>(&text).unwrap(), text);
         check_streamed(&keyed);
+    }
+
+    /// Named fields are found by name: in any order, among fields the
+    /// type does not have, the first of a duplicate kept; and each one
+    /// has to be there.
+    #[test]
+    fn fields_are_read_by_name_in_any_order((doc, _) in Docs, seed in any::<u64>()) {
+        let text = serde_json::to_string(&doc).unwrap();
+        let mut draw_rng = TestRng::for_test(&format!("scramble {seed}"));
+        let mut draw = Draw(&mut draw_rng);
+        let mut tree = reference_parse(&text).unwrap();
+        draw.scramble_struct(&mut tree);
+        let boxed = draw.below(2) == 0;
+        for event in field_mut(&mut tree, if boxed { "boxed" } else { "events" }) {
+            if let Value::Map(variant) = event {
+                if variant[0].0.as_str() == Some("Fault") {
+                    draw.scramble_struct(&mut variant[0].1);
+                }
+            }
+        }
+        let scrambled = serde_json::to_string(&tree).unwrap();
+        prop_assert_eq!(check_read::<Doc>(&scrambled).unwrap(), text);
+
+        let Value::Map(entries) = &mut tree else { unreachable!() };
+        let (gone, _) = entries.remove(draw.below(entries.len() as u64) as usize);
+        let gone = gone.as_str().unwrap();
+        // Unless it was not a field, or a repeat of it is still there.
+        if !gone.starts_with("not a field") && entries.iter().all(|(k, _)| k.as_str() != Some(gone)) {
+            let err = check_read::<Doc>(&serde_json::to_string(&tree).unwrap()).unwrap_err();
+            prop_assert_eq!(err, format!("JSON error: missing field `{gone}`"));
+        }
     }
 }
 
@@ -374,4 +687,242 @@ fn a_failing_writer_is_an_error_at_every_byte_and_never_a_short_file() {
     serde_json::to_writer(&mut out, &doc).unwrap();
     assert!(out.largest_write <= 64 * 1024, "{}", out.largest_write);
     assert!(out.largest_write > 32 * 1024, "chunks are worth a syscall");
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: truncated, mutated, too deep.
+
+/// Counts what the current thread has allocated, so a test can bound what
+/// one call costs while the other tests run beside it.
+struct CountingAllocator;
+
+thread_local! {
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// plain thread-local integers with no destructor and no allocation of
+// their own, and `try_with` covers a thread that is being torn down.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + layout.size());
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(layout.size())));
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// `read`'s result and the most it had allocated at once, above what was
+/// live when it began.
+fn peak_of<T>(read: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.get();
+    PEAK.set(before);
+    let out = read();
+    (out, PEAK.get() - before)
+}
+
+/// What the reader owes any input, valid or not: an answer (not a panic)
+/// that cost a small multiple of the input in memory — a `Value` is 32
+/// bytes and can come from 2 of text (`1,`), in a `Vec` that has doubled
+/// and is being moved — and that agrees with the reference parser
+/// wherever that one answers too.
+fn check_hostile(bytes: &[u8]) {
+    let budget = 64 * bytes.len() + 4096;
+    let (untyped, peak) = peak_of(|| serde_json::from_slice::<Value>(bytes));
+    assert!(peak <= budget, "{peak} bytes for {} of input", bytes.len());
+    let (typed, peak) = peak_of(|| serde_json::from_slice::<Doc>(bytes));
+    assert!(peak <= budget, "{peak} bytes for {} of input", bytes.len());
+
+    let text = String::from_utf8_lossy(bytes);
+    let reference = std::str::from_utf8(bytes)
+        .map_err(|e| e.to_string())
+        .and_then(reference_parse);
+    let via_tree = reference
+        .clone()
+        .and_then(|t| Doc::deserialize_value(&t).map_err(|e| e.to_string()));
+    agree(untyped, reference, &text);
+    agree(typed, via_tree, &text);
+}
+
+/// The streaming reader against the reference on one input: never more
+/// lenient, equal where both answer (as the JSON they serialize to: NaN
+/// is not equal to itself), stricter only in wanting hex digits after
+/// `\u`.
+fn agree<T: Serialize>(
+    streamed: Result<T, serde_json::Error>,
+    reference: Result<T, String>,
+    text: &str,
+) {
+    let json = |v: T| serde_json::to_string(&v).unwrap();
+    match (streamed.map(json), reference.map(json)) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{text}"),
+        (Ok(_), Err(e)) => panic!("accepted what the reference refuses ({e}): {text}"),
+        (Err(e), Ok(_)) => assert!(text.contains("\\u+"), "{e}: {text}"),
+        (Err(_), Err(_)) => {}
+    }
+}
+
+#[test]
+fn every_prefix_and_two_thousand_mutations_are_an_error_or_a_value() {
+    let mut rng = TestRng::for_test("hostile");
+    for _ in 0..4 {
+        let doc = Draw(&mut rng).doc();
+        let text = serde_json::to_string(&doc).unwrap().into_bytes();
+        for cut in 0..text.len() {
+            check_hostile(&text[..cut]);
+            assert!(serde_json::from_slice::<Doc>(&text[..cut]).is_err());
+            assert!(serde_json::from_slice::<Value>(&text[..cut]).is_err());
+        }
+        for _ in 0..500 {
+            let mut mutated = text.clone();
+            let at = rng.below(text.len() as u64) as usize;
+            // Mostly bytes that mean something to the grammar.
+            const LIKELY: &[u8] = b"\"\\[]{},:-+.eEu0159ntf \x00\xff";
+            mutated[at] = match rng.below(4) {
+                0 => rng.next_u64() as u8,
+                _ => LIKELY[rng.below(LIKELY.len() as u64) as usize],
+            };
+            check_hostile(&mutated);
+        }
+    }
+}
+
+#[test]
+fn nesting_is_bounded_and_errors_carry_a_byte_offset() {
+    // A megabyte of `[`: an error, where recursive descent ran out of stack.
+    let deep = "[".repeat(1 << 20);
+    let (result, peak) = peak_of(|| serde_json::from_str::<Value>(&deep));
+    let err = result.unwrap_err().to_string();
+    assert!(err.contains("128") && err.ends_with("at byte 128"), "{err}");
+    assert!(peak < 64 * 1024, "{peak} bytes held for a refused document");
+    assert!(serde_json::from_str::<Vec<Vec<Vec<u8>>>>(&deep).is_err());
+    // ... also where the type does not look: in a field it skips.
+    let skipped = format!(
+        r#"{{"Fault":{{"code":1,"x":{},"detail":null}}}}"#,
+        "{\"k\":[".repeat(1 << 19)
+    );
+    assert!(serde_json::from_str::<Event>(&skipped).is_err());
+    // The bound itself: 128 containers open at once are fine, 129 are not.
+    let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    assert!(serde_json::from_str::<Value>(&nested(128)).is_ok());
+    assert!(serde_json::from_str::<Value>(&nested(129)).is_err());
+    let skipped = |n: usize| format!(r#"{{"Gauge":1.5,"x":{}}}"#, nested(n));
+    assert!(
+        serde_json::from_str::<Event>(&skipped(127)).is_err(),
+        "two keys"
+    );
+    let skipped = |n: usize| {
+        format!(
+            r#"{{"Fault":{{"code":1,"x":{},"detail":null}}}}"#,
+            nested(n)
+        )
+    };
+    assert!(serde_json::from_str::<Event>(&skipped(126)).is_ok());
+    assert!(serde_json::from_str::<Event>(&skipped(127)).is_err());
+
+    // The densest tree there is, and an unterminated one.
+    check_hostile(format!("[{}1]", "1,".repeat(50_000)).as_bytes());
+    check_hostile(format!("[{}", "[],".repeat(50_000)).as_bytes());
+
+    for (text, at) in [
+        ("[1,2] x", 6),
+        ("[1,2", 4),
+        ("[1 2]", 3),
+        ("{\"a\" 1}", 5),
+        ("tru", 0),
+        ("nul", 0),
+        ("-", 0),
+        ("1e", 0),
+        ("[1.5.5]", 1),
+        ("\"abc", 4),
+        ("\"a\\", 3),
+        ("\"a\\q\"", 3),
+        ("\"\\u12\"", 3),
+        ("\"\\ud83d\\ude0\"", 9),
+        ("", 0),
+        ("   ", 3),
+    ] {
+        let err = serde_json::from_str::<Value>(text).unwrap_err().to_string();
+        assert!(err.ends_with(&format!("at byte {at}")), "{text:?}: {err}");
+    }
+}
+
+#[test]
+fn surrogate_pairs_decode_to_the_scalar_they_encode() {
+    let read = |text: &str| serde_json::from_str::<String>(text).unwrap();
+    assert_eq!(read(r#""\ud83d\ude00""#), "😀");
+    assert_eq!(read(r#""a\uD83E\uDD80b""#), "a🦀b");
+    // Alone, either half is the replacement character, as before.
+    assert_eq!(read(r#""\ud83d""#), "\u{fffd}");
+    assert_eq!(read(r#""\ude00""#), "\u{fffd}");
+    assert_eq!(read(r#""\ud83dx""#), "\u{fffd}x");
+    assert_eq!(read(r#""\ud83d\n""#), "\u{fffd}\n");
+    assert_eq!(read(r#""\ud83d\u0041""#), "\u{fffd}A");
+    assert_eq!(read(r#""\ud83d\ud83d\ude00""#), "\u{fffd}😀");
+    assert_eq!(read(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+    // What the writer emits for the same text (raw UTF-8) reads back too.
+    assert_eq!(read(&serde_json::to_string("😀").unwrap()), "😀");
+    // Escape-free text is handed out as a slice of the input.
+    let text = String::from(r#"["plain","esc\"aped"]"#);
+    let mut source_check = serde_json::from_str::<Vec<String>>(&text).unwrap();
+    assert_eq!(source_check.remove(1), "esc\"aped");
+}
+
+// ---------------------------------------------------------------------------
+// The document the streaming reader exists for.
+
+#[test]
+fn raw_batches_survive_the_round_trip_failed_repetitions_included() {
+    use omptune::data::{self, export, Scope, SweepOptions, SweepSpec};
+    // `collect tiny`'s batches, and the same sweep with failures injected
+    // and not cleaned away: NaN runtimes, written as `null`.
+    for failure_rate in [0.0, 0.15] {
+        let spec = SweepSpec {
+            scope: Scope::Strided(400),
+            failure_rate,
+            ..SweepSpec::default()
+        };
+        let batches = data::sweep_all_scheduled(&spec, &SweepOptions::new(2)).batches;
+        let failed = batches
+            .iter()
+            .flat_map(|b| &b.samples)
+            .flat_map(|s| &s.runtimes)
+            .filter(|t| t.is_nan())
+            .count();
+        assert_eq!(failed > 0, failure_rate > 0.0);
+
+        let mut text = Vec::new();
+        export::write_raw_json(&batches, &mut text).unwrap();
+        let back = export::read_raw_json(&text).unwrap();
+        // NaN is not equal to itself: compare bit patterns and bytes.
+        assert_eq!(
+            data::slice_fingerprint(&back),
+            data::slice_fingerprint(&batches)
+        );
+        let mut again = Vec::new();
+        export::write_raw_json(&back, &mut again).unwrap();
+        assert!(again == text, "re-written document differs");
+        if failed == 0 {
+            assert_eq!(back, batches);
+        }
+        // ... and the tree the old reader went through says the same.
+        let tree = reference_parse(std::str::from_utf8(&text).unwrap()).unwrap();
+        let via_tree = Vec::<data::SettingData>::deserialize_value(&tree).unwrap();
+        assert_eq!(
+            data::slice_fingerprint(&via_tree),
+            data::slice_fingerprint(&batches)
+        );
+    }
 }
