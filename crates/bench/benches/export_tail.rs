@@ -15,7 +15,10 @@
 //!   line per sample),
 //! - `tsdb_s`       — `collect`'s ring pattern, two points per sample
 //!   (`{arch}/virt/s{k}`, `{arch}/energy/s{k}`) through `Tsdb::append`,
-//!   then `Tsdb::flush`.
+//!   then `Tsdb::flush`,
+//! - `tail_s` / `tail_parallel_s` — the whole tail as `collect` runs it:
+//!   `write_artifacts` of all five files into a directory, its two jobs
+//!   one after the other (`workers` 1) and side by side (`workers` 2).
 //!
 //! Each is the best of N passes with every pass published, plus the
 //! derived ns/sample (informational). Results go to `BENCH_export.json`
@@ -128,8 +131,23 @@ fn run(scope: Scope, write_json: bool) {
     let mut points = 0;
     let (tsdb_s, tsdb_reps) = time_passes(passes, || points = append_series(&mut tsdb, &batches));
     drop(tsdb);
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(points, 2 * samples as u64);
+
+    // The files are rewritten in place every pass, as a re-run `collect`
+    // rewrites its output directory.
+    let manifest = sweep::RunManifest::new(&spec);
+    let tail = |workers| {
+        time_passes(passes, || {
+            let summary = sweep::export::write_artifacts(&dir, &batches, &spec, &manifest, workers)
+                .expect("artifacts written");
+            assert_eq!(summary.provenance_lines, samples);
+            assert_eq!(summary.bytes[1], raw_bytes as u64);
+            assert_eq!(summary.bytes[2], provenance_bytes as u64);
+        })
+    };
+    let (tail_s, tail_reps) = tail(1);
+    let (tail_parallel_s, tail_parallel_reps) = tail(2);
+    let _ = std::fs::remove_dir_all(&dir);
 
     let ns_per_sample = |s: f64| s * 1e9 / samples as f64;
     println!("export_tail ({scope:?}): {samples} samples");
@@ -146,6 +164,12 @@ fn run(scope: Scope, write_json: bool) {
             format!("{provenance_bytes} bytes"),
         ),
         ("tsdb append + flush", tsdb_s, format!("{points} points")),
+        ("write_artifacts, 1 worker", tail_s, "5 files".to_string()),
+        (
+            "write_artifacts, 2 workers",
+            tail_parallel_s,
+            "5 files".to_string(),
+        ),
     ] {
         println!(
             "  {what:<26} {s:.6}s  {:>8.0} ns/sample  {work}",
@@ -160,12 +184,14 @@ fn run(scope: Scope, write_json: bool) {
              \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
              \"raw_json_s\": {raw_json_s:.6},\n  \"read_raw_json_s\": {read_raw_json_s:.6},\n  \
              \"provenance_s\": {provenance_s:.6},\n  \"tsdb_s\": {tsdb_s:.6},\n  \
+             \"tail_s\": {tail_s:.6},\n  \"tail_parallel_s\": {tail_parallel_s:.6},\n  \
              \"raw_json_ns_per_sample\": {:.0},\n  \"read_raw_json_ns_per_sample\": {:.0},\n  \
              \"provenance_ns_per_sample\": {:.0},\n  \"tsdb_ns_per_sample\": {:.0},\n  \
              \"raw_json_bytes\": {raw_bytes},\n  \"provenance_bytes\": {provenance_bytes},\n  \
              \"tsdb_points\": {points},\n  \
              \"raw_json_s_reps\": {},\n  \"read_raw_json_s_reps\": {},\n  \
-             \"provenance_s_reps\": {},\n  \"tsdb_s_reps\": {}\n}}\n",
+             \"provenance_s_reps\": {},\n  \"tsdb_s_reps\": {},\n  \
+             \"tail_s_reps\": {},\n  \"tail_parallel_s_reps\": {}\n}}\n",
             ns_per_sample(raw_json_s),
             ns_per_sample(read_raw_json_s),
             ns_per_sample(provenance_s),
@@ -173,7 +199,9 @@ fn run(scope: Scope, write_json: bool) {
             reps_json(&raw_json_reps),
             reps_json(&read_raw_json_reps),
             reps_json(&provenance_reps),
-            reps_json(&tsdb_reps)
+            reps_json(&tsdb_reps),
+            reps_json(&tail_reps),
+            reps_json(&tail_parallel_reps)
         );
         bench_harness::publish_bench("export_tail", "BENCH_export.json", &json);
     }

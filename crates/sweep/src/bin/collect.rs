@@ -33,11 +33,10 @@
 
 use omptune_core::{Arch, LiveInfluence};
 use std::fs;
-use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use sweep::{Dataset, Roster, SampleCache, Scope, SweepOptions, SweepSpec};
+use sweep::{Roster, SampleCache, Scope, SweepOptions, SweepSpec};
 
 /// Config strata the drift sentinel tests independently; must match
 /// `ompmon::STRATA`.
@@ -920,42 +919,19 @@ fn main() -> std::io::Result<()> {
         batches.extend(arch_batches);
     }
 
-    let dataset = Dataset::build(&batches);
-
-    let csv_path = cli.out_dir.join("samples.csv");
-    let mut csv = BufWriter::new(fs::File::create(&csv_path)?);
-    sweep::export::write_csv(&dataset, &mut csv)?;
-    eprintln!("wrote {}", csv_path.display());
-
-    let raw_path = cli.out_dir.join("raw_batches.json");
-    let mut raw = BufWriter::new(fs::File::create(&raw_path)?);
-    sweep::export::write_raw_json(&batches, &mut raw)?;
-    eprintln!("wrote {}", raw_path.display());
-
-    let prov_path = cli.out_dir.join("provenance.jsonl");
-    let mut prov = BufWriter::new(fs::File::create(&prov_path)?);
-    let mut prov_lines = 0usize;
-    let records = sweep::provenance_iter(&batches, &spec).inspect(|_| prov_lines += 1);
-    sweep::write_provenance_jsonl(records, &mut prov)?;
-    prov.flush()?;
-    eprintln!("wrote {} ({prov_lines} samples)", prov_path.display());
-
-    let manifest_path = cli.out_dir.join("manifest.json");
-    let mut mf = BufWriter::new(fs::File::create(&manifest_path)?);
-    sweep::write_manifest(&manifest, &mut mf)?;
-    eprintln!("wrote {}", manifest_path.display());
-
-    // Per-architecture Table II summary next to the data.
-    let summary_path = cli.out_dir.join("SUMMARY.txt");
-    let mut summary = String::from("samples per architecture (paper Table II)\n");
-    for (arch, apps, samples) in dataset.table2() {
-        summary.push_str(&format!(
-            "{}: {apps} applications, {samples} samples\n",
-            arch.id()
-        ));
+    // The artifact tail: every file from one library call, its two jobs
+    // side by side when the worker budget allows.
+    let artifacts =
+        sweep::export::write_artifacts(&cli.out_dir, &batches, &spec, &manifest, cli.workers)?;
+    for name in sweep::export::ARTIFACT_FILES {
+        let path = cli.out_dir.join(name);
+        if name == "provenance.jsonl" {
+            let lines = artifacts.provenance_lines;
+            eprintln!("wrote {} ({lines} samples)", path.display());
+        } else {
+            eprintln!("wrote {}", path.display());
+        }
     }
-    fs::write(&summary_path, summary)?;
-    eprintln!("wrote {}", summary_path.display());
 
     // Final per-architecture timing summary.
     eprintln!("--- collection timing ---");
@@ -969,6 +945,14 @@ fn main() -> std::io::Result<()> {
     eprintln!(
         "total: {} samples, {} dropped",
         manifest.total_samples, manifest.total_dropped
+    );
+    eprintln!(
+        "export: {:.2} s wall (raw_json+csv {:.2} s | provenance {:.2} s) on {} thread{}",
+        artifacts.wall_s,
+        artifacts.dataset_job_s,
+        artifacts.provenance_job_s,
+        artifacts.threads,
+        if artifacts.threads == 1 { "" } else { "s" }
     );
     if let Some(c) = &cache {
         let (h, m) = c.stats();
@@ -1045,7 +1029,7 @@ fn main() -> std::io::Result<()> {
         let info = sweep::RunInfo {
             workers: cli.workers as u64,
             elapsed_s: timings.iter().map(|t| t.4).sum(),
-            manifest_digest: fs::read(&manifest_path)
+            manifest_digest: fs::read(cli.out_dir.join("manifest.json"))
                 .map(|b| sweep::registry::fnv_bytes(&b))
                 .unwrap_or(0),
             out_dir: cli.out_dir.display().to_string(),

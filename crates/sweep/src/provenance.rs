@@ -13,6 +13,7 @@ use crate::spec::SweepSpec;
 use omptune_core::TuningConfig;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::io::{self, Write};
 
 /// FNV-1a of the bytes fed to it, directly or as an `io::Write`.
@@ -52,6 +53,18 @@ pub fn config_hash(config: &TuningConfig) -> u64 {
     let mut h = Fnv1a::new();
     serde_json::to_writer(&mut h, config).expect("config serializes");
     h.0
+}
+
+/// [`config_hash`], remembered per distinct configuration: a sweep
+/// repeats each configuration across settings (13x at `collect fast`),
+/// and a table lookup is cheaper than the JSON encode.
+#[derive(Default)]
+struct ConfigHashes(HashMap<TuningConfig, u64>);
+
+impl ConfigHashes {
+    fn get(&mut self, config: &TuningConfig) -> u64 {
+        *self.0.entry(*config).or_insert_with(|| config_hash(config))
+    }
 }
 
 /// FNV-1a over a configuration's fields directly — no serialization, so
@@ -97,13 +110,23 @@ pub struct SampleProvenance {
 impl SampleProvenance {
     /// Provenance of one sample within its batch.
     pub fn of(data: &SettingData, sample: &RawSample, spec: &SweepSpec) -> SampleProvenance {
+        SampleProvenance::with_hash(data, sample, spec, config_hash(&sample.config))
+    }
+
+    /// [`SampleProvenance::of`], given the sample's `config_hash`.
+    fn with_hash(
+        data: &SettingData,
+        sample: &RawSample,
+        spec: &SweepSpec,
+        config_hash: u64,
+    ) -> SampleProvenance {
         SampleProvenance {
             arch: data.key.arch.id().to_string(),
             app: data.key.app.clone(),
             input_code: data.key.input_code,
             num_threads: data.key.num_threads,
             config_index: sample.config_index,
-            config_hash: config_hash(&sample.config),
+            config_hash,
             seed: spec.seed,
             noise_stream: noise_stream(&data.key, sample.config_index),
             rep_times: sample.runtimes.clone(),
@@ -121,6 +144,7 @@ impl SampleProvenance {
 /// not a set).
 pub fn slice_fingerprint(batches: &[SettingData]) -> u64 {
     let mut h = Fnv1a::new();
+    let mut hashes = ConfigHashes::default();
     for data in batches {
         h.eat_u64(noise_stream(&data.key, 0));
         for t in &data.default_runtimes {
@@ -128,7 +152,7 @@ pub fn slice_fingerprint(batches: &[SettingData]) -> u64 {
         }
         for sample in &data.samples {
             h.eat_u64(sample.config_index as u64);
-            h.eat_u64(config_hash(&sample.config));
+            h.eat_u64(hashes.get(&sample.config));
             for t in &sample.runtimes {
                 h.eat_u64(t.to_bits());
             }
@@ -143,11 +167,11 @@ pub fn provenance_iter<'a>(
     batches: &'a [SettingData],
     spec: &'a SweepSpec,
 ) -> impl Iterator<Item = SampleProvenance> + 'a {
-    batches.iter().flat_map(move |data| {
-        data.samples
-            .iter()
-            .map(move |s| SampleProvenance::of(data, s, spec))
-    })
+    let mut hashes = ConfigHashes::default();
+    batches
+        .iter()
+        .flat_map(|data| data.samples.iter().map(move |s| (data, s)))
+        .map(move |(data, s)| SampleProvenance::with_hash(data, s, spec, hashes.get(&s.config)))
 }
 
 /// [`provenance_iter`], collected.

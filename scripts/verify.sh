@@ -51,10 +51,15 @@ cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/cold" \
     --workers 4 --cache-dir "$coherence_dir/cache" 2>/dev/null
 cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/warm" \
     --workers 2 --cache-dir "$coherence_dir/cache" 2>/dev/null
-cmp "$coherence_dir/cold/provenance.jsonl" "$coherence_dir/warm/provenance.jsonl" || {
-    echo "verify: warm sweep provenance diverged from cold sweep" >&2
-    exit 1
-}
+# The artifact tail writes provenance on a second thread at these worker
+# counts and after the other files at workers 1 (the migration gate
+# below): all three data files must come out the same.
+for f in provenance.jsonl samples.csv raw_batches.json; do
+    cmp "$coherence_dir/cold/$f" "$coherence_dir/warm/$f" || {
+        echo "verify: warm sweep $f diverged from cold sweep" >&2
+        exit 1
+    }
+done
 # The byte-identity above must include the modeled joules: every
 # provenance record carries its closed energy breakdown, so the cmp
 # gates energy reproducibility too — but only if the fields are there.
@@ -80,10 +85,12 @@ grep -qE '^cache-migrate: [1-9][0-9]* file\(s\) converted' <<<"$migrate_out" || 
 }
 cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/migrated" \
     --workers 1 --cache-dir "$coherence_dir/cache" 2>/dev/null
-cmp "$coherence_dir/cold/provenance.jsonl" "$coherence_dir/migrated/provenance.jsonl" || {
-    echo "verify: warm sweep over a migrated cache diverged from the cold sweep" >&2
-    exit 1
-}
+for f in provenance.jsonl samples.csv raw_batches.json; do
+    cmp "$coherence_dir/cold/$f" "$coherence_dir/migrated/$f" || {
+        echo "verify: warm sweep $f over a migrated cache diverged from the cold sweep" >&2
+        exit 1
+    }
+done
 echo "migrated cache answers byte-identically (workers 4, 2, 1 all agree)"
 
 # Trace validation: a live traced collect run must (a) leave the

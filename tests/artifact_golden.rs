@@ -1,10 +1,16 @@
 //! Golden digests of the `collect` artifacts and of the `config_hash`
 //! join key. Every literal below was captured at the commit before
 //! serialization became streaming (PR 12, 3f80042): the writers may get
-//! faster, the bytes may not change.
+//! faster, the bytes may not change. The artifacts are written the way
+//! `collect` writes them, through `write_artifacts`, so the digests also
+//! pin that its two jobs leave the same files at any worker count.
 
 use omptune::core::{Arch, TuningConfig};
-use omptune::data::{self, Dataset, Scope, SweepOptions, SweepSpec};
+use omptune::data::export::{write_artifacts, ArtifactSummary, ARTIFACT_FILES};
+use omptune::data::{self, Scope, SweepOptions, SweepSpec};
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 fn fnv(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
@@ -12,48 +18,52 @@ fn fnv(bytes: &[u8]) -> u64 {
     })
 }
 
-/// `collect tiny`'s artifacts, in memory: the same spec, cleaning and
-/// writers, with the manifest's wall-clock fields (elapsed seconds, the
-/// latency histogram) left at zero.
-fn tiny_artifacts() -> [(&'static str, Vec<u8>); 4] {
-    let spec = SweepSpec {
-        scope: Scope::Strided(400),
-        ..SweepSpec::default()
-    };
-    let mut manifest = data::RunManifest::new(&spec);
-    let mut batches = Vec::new();
-    for &arch in Arch::ALL.iter() {
-        let outcome = data::sweep_arch_scheduled(arch, &spec, &SweepOptions::new(1));
-        let mut arch_batches = outcome.batches;
-        let dropped: usize = arch_batches
-            .iter_mut()
-            .map(|b| data::clean(b, spec.reps as usize).dropped.len())
-            .sum();
-        manifest.push_arch(
-            arch,
-            &arch_batches,
-            dropped,
-            0.0,
-            outcome.stats,
-            omptune::tel::Histogram::new(),
-        );
-        batches.extend(arch_batches);
-    }
+/// What `collect tiny` hands to its artifact tail: the same spec and
+/// cleaning, with the manifest's wall-clock fields (elapsed seconds, the
+/// latency histogram) left at zero. Swept once for the whole file.
+fn tiny_run() -> &'static (Vec<data::SettingData>, SweepSpec, data::RunManifest) {
+    static RUN: OnceLock<(Vec<data::SettingData>, SweepSpec, data::RunManifest)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let spec = SweepSpec {
+            scope: Scope::Strided(400),
+            ..SweepSpec::default()
+        };
+        let mut manifest = data::RunManifest::new(&spec);
+        let mut batches = Vec::new();
+        for &arch in Arch::ALL.iter() {
+            let outcome = data::sweep_arch_scheduled(arch, &spec, &SweepOptions::new(1));
+            let mut arch_batches = outcome.batches;
+            let dropped: usize = arch_batches
+                .iter_mut()
+                .map(|b| data::clean(b, spec.reps as usize).dropped.len())
+                .sum();
+            manifest.push_arch(
+                arch,
+                &arch_batches,
+                dropped,
+                0.0,
+                outcome.stats,
+                omptune::tel::Histogram::new(),
+            );
+            batches.extend(arch_batches);
+        }
+        (batches, spec, manifest)
+    })
+}
 
-    let mut csv = Vec::new();
-    data::export::write_csv(&Dataset::build(&batches), &mut csv).unwrap();
-    let mut raw = Vec::new();
-    data::export::write_raw_json(&batches, &mut raw).unwrap();
-    let mut prov = Vec::new();
-    data::write_provenance_jsonl(data::provenance_iter(&batches, &spec), &mut prov).unwrap();
-    let mut mf = Vec::new();
-    data::write_manifest(&manifest, &mut mf).unwrap();
-    [
-        ("samples.csv", csv),
-        ("raw_batches.json", raw),
-        ("provenance.jsonl", prov),
-        ("manifest.json", mf),
-    ]
+/// A fresh, empty directory under the system temp dir.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("omptune-golden-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `collect`'s tail into `dir`: every artifact through the one library
+/// function, its jobs on `workers` threads' budget.
+fn write_tiny(dir: &Path, workers: usize) -> std::io::Result<ArtifactSummary> {
+    let (batches, spec, manifest) = tiny_run();
+    write_artifacts(dir, batches, spec, manifest, workers)
 }
 
 #[test]
@@ -64,13 +74,66 @@ fn tiny_collect_artifacts_match_the_golden_digests() {
         ("provenance.jsonl", 1544788, 0x17031c53888e2e7e),
         ("manifest.json", 4488, 0x80fd603cff4e6c4d),
     ];
-    for ((name, bytes), (gname, glen, gfnv)) in tiny_artifacts().iter().zip(golden) {
-        assert_eq!(*name, gname);
-        assert_eq!(
-            (bytes.len(), fnv(bytes)),
-            (glen, gfnv),
-            "{name} changed: length or FNV-1a differs from the golden"
-        );
+    for workers in [1, 2, 4] {
+        let dir = scratch_dir(&format!("w{workers}"));
+        write_tiny(&dir, workers).unwrap();
+        for (name, glen, gfnv) in golden {
+            let bytes = fs::read(dir.join(name)).unwrap();
+            assert_eq!(
+                (bytes.len(), fnv(&bytes)),
+                (glen, gfnv),
+                "{name} changed at {workers} worker(s): length or FNV-1a differs from the golden"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn the_artifact_summary_counts_what_is_on_disk() {
+    for workers in [1, 2] {
+        let dir = scratch_dir(&format!("summary{workers}"));
+        let summary = write_tiny(&dir, workers).unwrap();
+        assert_eq!(summary.threads, workers);
+        for (name, bytes) in ARTIFACT_FILES.iter().zip(summary.bytes) {
+            let on_disk = fs::metadata(dir.join(name)).unwrap().len();
+            assert_eq!(bytes, on_disk, "{name} at {workers} worker(s)");
+            assert!(on_disk > 0, "{name} is empty");
+        }
+        let provenance = fs::read_to_string(dir.join("provenance.jsonl")).unwrap();
+        assert_eq!(summary.provenance_lines, provenance.lines().count());
+        let samples: usize = tiny_run().0.iter().map(|b| b.samples.len()).sum();
+        assert_eq!(summary.provenance_lines, samples);
+        // The whole call covers both jobs, however they were arranged.
+        assert!(summary.wall_s >= summary.dataset_job_s.max(summary.provenance_job_s));
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn the_first_failed_file_in_report_order_is_the_error() {
+    // (files that cannot be created, the one the error must name): the
+    // dataset job writes raw_batches.json and manifest.json, the
+    // provenance job provenance.jsonl, so both jobs fail in both rows
+    // and each row is won by a different job.
+    let cases = [
+        (["raw_batches.json", "provenance.jsonl"], "raw_batches.json"),
+        (["provenance.jsonl", "manifest.json"], "provenance.jsonl"),
+    ];
+    for workers in [1, 2] {
+        for (blocked, named) in cases {
+            let dir = scratch_dir(&format!("blocked{workers}"));
+            for name in blocked {
+                fs::create_dir(dir.join(name)).unwrap();
+            }
+            let err = write_tiny(&dir, workers).unwrap_err().to_string();
+            let path = dir.join(named).display().to_string();
+            assert!(
+                err.starts_with(&path),
+                "at {workers} worker(s) the error should name {path}: {err}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }
 
