@@ -46,25 +46,19 @@ fn sweep_once(
 
 /// FNV-1a over every runtime bit pattern: cheap bit-identity fingerprint.
 fn fingerprint(batches: &[SettingData]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut mix = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
+    let mut h = omptune_core::Fnv1a::new();
     for b in batches {
         for s in &b.samples {
-            mix(s.telemetry.virtual_ns.to_bits());
+            h.eat_u64(s.telemetry.virtual_ns.to_bits());
             for r in &s.runtimes {
-                mix(r.to_bits());
+                h.eat_u64(r.to_bits());
             }
         }
         for r in &b.default_runtimes {
-            mix(r.to_bits());
+            h.eat_u64(r.to_bits());
         }
     }
-    h
+    h.finish()
 }
 
 fn fold_all(batches: &[SettingData]) -> Attribution {

@@ -27,6 +27,7 @@ pub mod arch;
 pub mod config;
 pub mod diag;
 pub mod envvar;
+pub mod fnv;
 pub mod icv;
 pub mod placement;
 pub mod recommend;
@@ -45,6 +46,7 @@ pub use diag::{Diagnostic, Severity};
 pub use envvar::{
     KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
 };
+pub use fnv::Fnv1a;
 pub use icv::IcvState;
 pub use placement::Placement;
 pub use recommend::{recommend_for, worst_trends, CellReport, Recommendation, WorstTrend};

@@ -10,52 +10,48 @@
 //! ones toward certification.
 
 use omprt::trace::{Event, Record};
+use omptune_core::Fnv1a;
 use std::collections::HashMap;
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Canonical 64-bit signature of a trace.
 pub fn trace_signature(records: &[Record]) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     let mut canon = Canon::default();
     for rec in records {
-        h = fnv(h, rec.tid as u64);
-        h = fnv(h, canon.os(rec.os));
-        h = fnv(h, tag(&rec.event));
+        h.eat_u64(rec.tid as u64);
+        h.eat_u64(canon.os(rec.os));
+        h.eat_u64(tag(&rec.event));
         match rec.event {
             Event::RegionFork { region }
             | Event::RegionBegin { region }
             | Event::RegionEnd { region }
-            | Event::RegionJoin { region } => h = fnv(h, canon.obj(region)),
+            | Event::RegionJoin { region } => h.eat_u64(canon.obj(region)),
             Event::BarrierArrive { barrier, team } => {
-                h = fnv(h, canon.obj(barrier));
-                h = fnv(h, u64::from(team));
+                h.eat_u64(canon.obj(barrier));
+                h.eat_u64(u64::from(team));
             }
-            Event::BarrierRelease { barrier } => h = fnv(h, canon.obj(barrier)),
+            Event::BarrierRelease { barrier } => h.eat_u64(canon.obj(barrier)),
             Event::TaskSpawn { task }
             | Event::TaskSteal { task }
             | Event::TaskStart { task }
             | Event::TaskComplete { task }
-            | Event::TaskJoin { task } => h = fnv(h, canon.obj(task)),
-            Event::LockAcquire { lock } | Event::LockRelease { lock } => {
-                h = fnv(h, canon.obj(lock))
-            }
-            Event::Write { loc } | Event::Read { loc } => h = fnv(h, canon.obj(loc)),
+            | Event::TaskJoin { task } => h.eat_u64(canon.obj(task)),
+            Event::LockAcquire { lock } | Event::LockRelease { lock } => h.eat_u64(canon.obj(lock)),
+            Event::Write { loc } | Event::Read { loc } => h.eat_u64(canon.obj(loc)),
             Event::ChunkClaim { loop_id, lo, hi } => {
-                h = fnv(h, canon.obj(loop_id));
-                h = fnv(h, lo as u64);
-                h = fnv(h, hi as u64);
+                h.eat_u64(canon.obj(loop_id));
+                h.eat_u64(lo as u64);
+                h.eat_u64(hi as u64);
             }
             Event::Notify { cond, epoch }
             | Event::ParkBegin { cond, epoch }
             | Event::ParkEnd { cond, epoch } => {
-                h = fnv(h, canon.obj(cond));
-                h = fnv(h, epoch);
+                h.eat_u64(canon.obj(cond));
+                h.eat_u64(epoch);
             }
         }
     }
-    h
+    h.finish()
 }
 
 fn tag(e: &Event) -> u64 {
@@ -80,14 +76,6 @@ fn tag(e: &Event) -> u64 {
         Event::ParkBegin { .. } => 18,
         Event::ParkEnd { .. } => 19,
     }
-}
-
-fn fnv(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// First-appearance renaming of OS thread ids and trace object ids.

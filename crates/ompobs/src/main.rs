@@ -98,9 +98,6 @@ fn load_registry(dir: &PathBuf) -> Result<RegistryLoad, String> {
             dir.display()
         );
     }
-    if load.index_rebuilt {
-        eprintln!("ompobs: index rebuilt from JSONL in {}", dir.display());
-    }
     Ok(load)
 }
 

@@ -70,8 +70,6 @@ pub enum Counter {
     /// Scheduling-unit config groups priced through the batch pricing
     /// path (one per shared-plan miss group, both fast and slow path).
     PricedBatches,
-    /// Sample-cache lookups served from the binary batch index.
-    SampleCacheIndexHits,
     /// Stale temporary cache files reaped when a `SampleCache` opened.
     SampleCacheTmpReaped,
     /// Buffers served from an allocation pool's freelist.
@@ -89,7 +87,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters; sizes the registry array.
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 30;
 
     /// Every counter, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -117,7 +115,6 @@ impl Counter {
         Counter::SampleCacheCorrupt,
         Counter::TraceDropped,
         Counter::PricedBatches,
-        Counter::SampleCacheIndexHits,
         Counter::SampleCacheTmpReaped,
         Counter::PoolHits,
         Counter::PoolMisses,
@@ -153,7 +150,6 @@ impl Counter {
             Counter::SampleCacheCorrupt => "sample_cache_corrupt",
             Counter::TraceDropped => "trace_dropped",
             Counter::PricedBatches => "priced_batches",
-            Counter::SampleCacheIndexHits => "sample_cache_index_hits",
             Counter::SampleCacheTmpReaped => "sample_cache_tmp_reaped",
             Counter::PoolHits => "pool_hits",
             Counter::PoolMisses => "pool_misses",

@@ -208,22 +208,37 @@ fn read_header(file: &mut File, path: &Path) -> io::Result<(u64, u64)> {
 }
 
 /// Read one ring file: the retained window oldest-first, plus the
-/// number of points overwritten before the window.
+/// number of points overwritten before the window. The header's
+/// `capacity` and `head` are claims; what is read (and allocated) is
+/// bounded by the slots the file holds, and a file that ends early
+/// yields the points before the gap.
 pub fn read_ring(path: &Path) -> io::Result<(Vec<Point>, u64)> {
     let mut file = File::open(path)?;
     let (capacity, head) = read_header(&mut file, path)?;
     let retained = head.min(capacity);
     let dropped = head - retained;
-    let mut out = Vec::with_capacity(retained as usize);
-    let mut buf = vec![0u8; RECORD_BYTES as usize];
-    for k in 0..retained {
-        let idx = (head - retained + k) % capacity;
-        file.seek(SeekFrom::Start(HEADER_BYTES + idx * RECORD_BYTES))?;
-        file.read_exact(&mut buf)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "truncated tsdb record"))?;
-        out.push(Point::decode(&buf));
+    let present = file.metadata()?.len().saturating_sub(HEADER_BYTES) / RECORD_BYTES;
+    // The mirror of `RingFile::flush`: the run from the oldest slot to
+    // the end of the ring, then the wrapped one from its start.
+    let first_slot = (head - retained) % capacity;
+    let before_wrap = retained.min(capacity - first_slot);
+    let mut records = Vec::new();
+    for (slot, want) in [(first_slot, before_wrap), (0, retained - before_wrap)] {
+        let slot = slot.min(present);
+        let have = want.min(present - slot);
+        file.seek(SeekFrom::Start(HEADER_BYTES + slot * RECORD_BYTES))?;
+        Read::by_ref(&mut file)
+            .take(have * RECORD_BYTES)
+            .read_to_end(&mut records)?;
+        if have < want {
+            break;
+        }
     }
-    Ok((out, dropped))
+    let points = records
+        .chunks_exact(RECORD_BYTES as usize)
+        .map(Point::decode)
+        .collect();
+    Ok((points, dropped))
 }
 
 /// Exact downsample: at most `max_points` buckets, each the sum of a
@@ -489,6 +504,59 @@ mod tests {
         std::fs::write(&path, b"NOTMAGIC0000000000000000000000000000").unwrap();
         assert!(read_ring(&path).is_err());
         assert!(RingFile::open(&path, 8).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `capacity` and `head` come from the file; neither may size an
+    /// allocation or place a read beyond the bytes that are there.
+    #[test]
+    fn hostile_header_reads_the_slots_present_and_allocates_no_more() {
+        let dir = tmp("hostile");
+        let path = dir.join("s.omts");
+        let huge = 1u64 << 60;
+        let file_with = |capacity: u64, head: u64, slots: u64| {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(MAGIC);
+            bytes.extend_from_slice(&capacity.to_le_bytes());
+            bytes.extend_from_slice(&head.to_le_bytes());
+            bytes.extend_from_slice(&[0; 8]);
+            for i in 0..slots {
+                bytes.extend_from_slice(&Point::single(i, i as f64).encode());
+            }
+            std::fs::write(&path, bytes).unwrap();
+        };
+        let first_n = |n: u64| (0..n).map(|i| Point::single(i, i as f64)).collect();
+        // (capacity, head, slots on disk) -> (points, dropped)
+        let cases: [(u64, u64, u64, Vec<Point>, u64); 5] = [
+            (huge, huge, 5, first_n(5), 0),
+            (huge, huge, 0, vec![], 0),
+            (huge, 3, 0, vec![], 0),
+            // An unwrapped window that starts past the end of the file.
+            (huge, huge + 7, 5, vec![], 7),
+            // A wrapped 8-slot ring cut to 3: the window starts at slot
+            // 2, the last one left, and the gap after it ends the read.
+            (8, huge + 2, 3, vec![Point::single(2, 2.0)], huge + 2 - 8),
+        ];
+        for (capacity, head, slots, want, want_dropped) in cases {
+            file_with(capacity, head, slots);
+            let (points, dropped) = read_ring(&path).unwrap();
+            assert_eq!(
+                points, want,
+                "capacity {capacity} head {head} slots {slots}"
+            );
+            assert_eq!(dropped, want_dropped);
+            assert!(points.capacity() as u64 <= slots);
+        }
+        // A ring cut mid-record: the whole records before the cut.
+        file_with(8, 4, 4);
+        let len = std::fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 10)
+            .unwrap();
+        assert_eq!(read_ring(&path).unwrap(), (first_n(3), 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

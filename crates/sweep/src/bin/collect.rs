@@ -414,17 +414,15 @@ impl SweepState {
              \"omptel_ring_events_total\":{events},\
              \"omptel_ring_dropped_total\":{dropped},"
         ));
-        // Warm-sweep engine counters: batch pricing, the indexed binary
-        // cache, and the worker allocation pools. Zero outside a
+        // Warm-sweep engine counters: batch pricing, the cache's tmp
+        // reaper, and the worker allocation pools. Zero outside a
         // telemetry session (counters are session-gated).
         let counters = omptel::counters_now();
         out.push_str(&format!(
             "\"engine\":{{\"priced_batches\":{},\
-             \"sample_cache_index_hits\":{},\
              \"sample_cache_tmp_reaped\":{},\
              \"pool_hits\":{},\"pool_misses\":{}}},",
             counters.get(omptel::Counter::PricedBatches),
-            counters.get(omptel::Counter::SampleCacheIndexHits),
             counters.get(omptel::Counter::SampleCacheTmpReaped),
             counters.get(omptel::Counter::PoolHits),
             counters.get(omptel::Counter::PoolMisses),
@@ -1030,7 +1028,7 @@ fn main() -> std::io::Result<()> {
             workers: cli.workers as u64,
             elapsed_s: timings.iter().map(|t| t.4).sum(),
             manifest_digest: fs::read(cli.out_dir.join("manifest.json"))
-                .map(|b| sweep::registry::fnv_bytes(&b))
+                .map(|b| omptune_core::Fnv1a::of(&b))
                 .unwrap_or(0),
             out_dir: cli.out_dir.display().to_string(),
             counters,

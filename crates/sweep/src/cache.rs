@@ -2,43 +2,45 @@
 //! replays simulation results from disk instead of recomputing them.
 //!
 //! A sample's identity is
-//! `(engine version, arch, app, setting, config hash, seed)` — exactly
-//! the inputs [`crate::runner::run_config_sim`] is a pure function of
-//! (the noise stream is identity-derived, so `config_index` is pinned by
-//! the configuration and the setting). Every float is stored as its
-//! IEEE-754 bit pattern (`f64::to_bits`) so cached samples are
-//! **byte-identical** to recomputed ones — NaN failure-injected
+//! `(engine version, arch, app, setting, config fingerprint, seed)` —
+//! exactly the inputs [`crate::runner::run_config_sim`] is a pure
+//! function of (the noise stream is identity-derived, so `config_index`
+//! is pinned by the configuration and the setting). Every float is
+//! stored as its IEEE-754 bit pattern (`f64::to_bits`) so cached samples
+//! are **byte-identical** to recomputed ones — NaN failure-injected
 //! repetitions included — which the determinism tests pin.
 //!
-//! Two on-disk forms per `(arch, app, setting)` batch:
+//! One on-disk form: a `.bin` file per `(arch, app, setting)` batch,
+//! written whole through a temporary file renamed into place. All values
+//! are little-endian `u64` words (container `OMPSCB02`):
 //!
-//! - **`.bin` (hot)** — a fixed-record binary file: one checksummed
-//!   header carrying the batch spec, then fixed-stride records of raw
-//!   little-endian `u64` words. Because every record has the same
-//!   stride, a record's byte offset is a function of its slot — the
-//!   loader builds a `config_index → slot` index in one pass with no
-//!   parsing, and warm lookups are O(1) word reads plus a fieldwise
-//!   FNV fingerprint check (no serde anywhere on the warm path).
-//! - **`.jsonl` (archival)** — the original JSON-lines form, still
-//!   written on every store. It is `grep`-able, diff-able, survives
-//!   format evolution, and is the fallback the loader consults when the
-//!   binary file is absent or its header is damaged. Legacy JSONL-only
-//!   caches are upgraded in place by [`migrate_cache_dir`] (the
-//!   `cache-migrate` tool).
+//! ```text
+//! header   [magic, engine, reps, seed, failure_rate_bits,
+//!           count, 0, checksum]                               8 words
+//! record×N [config_index, fingerprint, virtual_ns_bits, regions,
+//!           breakdown_bits×7, energy_bits×6,
+//!           runtimes_bits×reps, checksum]                     18+reps
+//! ```
 //!
-//! Corruption tolerance is identical across both forms: a truncated
-//! record, junk bytes, a wrong-version record, or a hash mismatch make
-//! the affected sample a cache miss — it is recomputed and rewritten.
-//! The cache can never change a result, only the time it takes to
-//! produce it.
+//! Checksums are FNV-1a over the preceding bytes of the header/record.
+//! Every record has the same stride, so the loader builds a
+//! `config_index → slot` index in one pass with no parsing, and warm
+//! lookups are O(1) word reads plus a fieldwise fingerprint check.
+//!
+//! The cache is re-derivable, so it keeps no second copy and reads no
+//! older generation: a record whose checksum fails or that lies past a
+//! torn tail is a miss; a file whose header is damaged, or that another
+//! container version wrote, is an empty batch. Both are counted as
+//! `SampleCacheCorrupt`, recomputed, and the batch rewritten. A sound
+//! header for a different spec is a legitimately stale batch (empty, not
+//! corrupt). The cache can never change a result, only the time it takes
+//! to produce it.
 
-use crate::provenance::{config_fingerprint, config_hash};
+use crate::provenance::config_fingerprint;
 use crate::runner::{RunKey, SampleTelemetry, SettingData};
 use crate::spec::SweepSpec;
-use omptune_core::{Arch, TuningConfig};
-use serde::{Deserialize, Serialize};
+use omptune_core::{Fnv1a, TuningConfig};
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,102 +54,24 @@ pub const ENGINE_VERSION: u32 = 1;
 /// sentinel index for its noise stream already).
 pub const DEFAULT_ROW_INDEX: usize = usize::MAX;
 
-/// One cached sample in the archival JSONL form, floats as IEEE-754 bit
-/// patterns.
-///
-/// `Deserialize` is hand-written (not derived) for one reason: records
-/// written before the energy format carry no `energy_bits` field, and
-/// they must keep parsing — a warm cache stays warm across the format
-/// bump, with energy recomputed at lookup time from the power model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct CacheRecord {
-    /// [`ENGINE_VERSION`] at write time.
-    pub engine: u32,
-    /// Master seed of the sweep that produced this record.
-    pub seed: u64,
-    /// Repetitions per configuration at write time.
-    pub reps: u32,
-    /// `SweepSpec::failure_rate` bits (failures are part of the data).
-    pub failure_rate_bits: u64,
-    /// Odometer index of the configuration ([`DEFAULT_ROW_INDEX`] for
-    /// the default row).
-    pub config_index: usize,
-    /// FNV-1a content hash of the configuration (the address).
-    pub config_hash: u64,
-    /// Repetition runtimes, seconds, as bits (exact, NaN included).
-    pub runtimes_bits: Vec<u64>,
-    /// Telemetry: virtual nanoseconds as bits.
-    pub virtual_ns_bits: u64,
-    /// Telemetry: parallel regions executed.
-    pub regions: u64,
-    /// Telemetry breakdown as bits, in [`BREAKDOWN_FIELDS`] order.
-    pub breakdown_bits: Vec<u64>,
-    /// Priced energy as bits, in [`ENERGY_FIELDS`] order. Empty on
-    /// records written before the energy format; such records still
-    /// answer, with energy re-priced at lookup (it is a pure function
-    /// of arch, config, and the stored breakdown).
-    pub energy_bits: Vec<u64>,
+const BIN_MAGIC: u64 = u64::from_le_bytes(*b"OMPSCB02");
+const HEADER_WORDS: usize = 8;
+const BREAKDOWN_FIELDS: usize = 7;
+/// total, active, memory, wait, serial, base.
+const ENERGY_FIELDS: usize = 6;
+/// Offset of the energy words within a slot: after the fingerprint,
+/// virtual, regions and breakdown×7.
+const SLOT_ENERGY_AT: usize = 3 + BREAKDOWN_FIELDS;
+/// Words of a record the loader keeps, before the runtimes.
+const SLOT_HEAD_WORDS: usize = SLOT_ENERGY_AT + ENERGY_FIELDS;
+
+/// Words per on-disk record: the config index, the slot, the checksum.
+fn record_words(reps: usize) -> usize {
+    1 + SLOT_HEAD_WORDS + reps + 1
 }
 
-impl Deserialize for CacheRecord {
-    fn deserialize<'de, S: serde::Source<'de>>(source: &mut S) -> Result<Self, serde::Error> {
-        // The derive's rules (any order, unknown keys skipped, the first
-        // of a duplicate kept) but for `energy_bits`, which may be absent.
-        let (mut engine, mut seed, mut reps, mut failure_rate_bits) = (None, None, None, None);
-        let (mut config_index, mut config_hash, mut runtimes_bits) = (None, None, None);
-        let (mut virtual_ns_bits, mut regions, mut breakdown_bits) = (None, None, None);
-        let mut energy_bits = None;
-        macro_rules! fill {
-            ($slot:ident) => {
-                $slot = Some(Deserialize::deserialize(source)?)
-            };
-        }
-        source.map_begin()?;
-        while let Some(key) = source.map_key()? {
-            match &*key {
-                "engine" if engine.is_none() => fill!(engine),
-                "seed" if seed.is_none() => fill!(seed),
-                "reps" if reps.is_none() => fill!(reps),
-                "failure_rate_bits" if failure_rate_bits.is_none() => fill!(failure_rate_bits),
-                "config_index" if config_index.is_none() => fill!(config_index),
-                "config_hash" if config_hash.is_none() => fill!(config_hash),
-                "runtimes_bits" if runtimes_bits.is_none() => fill!(runtimes_bits),
-                "virtual_ns_bits" if virtual_ns_bits.is_none() => fill!(virtual_ns_bits),
-                "regions" if regions.is_none() => fill!(regions),
-                "breakdown_bits" if breakdown_bits.is_none() => fill!(breakdown_bits),
-                "energy_bits" if energy_bits.is_none() => fill!(energy_bits),
-                _ => source.skip()?,
-            }
-        }
-        macro_rules! need {
-            ($slot:ident) => {
-                $slot.ok_or_else(|| serde::Error::missing_field(stringify!($slot)))?
-            };
-        }
-        Ok(CacheRecord {
-            engine: need!(engine),
-            seed: need!(seed),
-            reps: need!(reps),
-            failure_rate_bits: need!(failure_rate_bits),
-            config_index: need!(config_index),
-            config_hash: need!(config_hash),
-            runtimes_bits: need!(runtimes_bits),
-            virtual_ns_bits: need!(virtual_ns_bits),
-            regions: need!(regions),
-            breakdown_bits: need!(breakdown_bits),
-            energy_bits: energy_bits.unwrap_or_default(),
-        })
-    }
-}
-
-/// Field order of [`CacheRecord::breakdown_bits`].
-pub const BREAKDOWN_FIELDS: usize = 7;
-/// Field order of [`CacheRecord::energy_bits`]: total, active, memory,
-/// wait, serial, base.
-pub const ENERGY_FIELDS: usize = 6;
-
-fn energy_to_bits(e: &omptel::EnergyBreakdown) -> Vec<u64> {
-    vec![
+fn energy_to_bits(e: &omptel::EnergyBreakdown) -> [u64; ENERGY_FIELDS] {
+    [
         e.total_j.to_bits(),
         e.active_j.to_bits(),
         e.memory_j.to_bits(),
@@ -168,8 +92,8 @@ fn energy_from_bits(bits: &[u64]) -> omptel::EnergyBreakdown {
     }
 }
 
-fn breakdown_to_bits(b: &omptel::Breakdown) -> Vec<u64> {
-    vec![
+fn breakdown_to_bits(b: &omptel::Breakdown) -> [u64; BREAKDOWN_FIELDS] {
+    [
         b.compute_ns.to_bits(),
         b.memory_ns.to_bits(),
         b.sync_ns.to_bits(),
@@ -192,302 +116,98 @@ fn breakdown_from_bits(bits: &[u64]) -> omptel::Breakdown {
     }
 }
 
-impl CacheRecord {
-    /// Encode one computed sample.
-    pub fn encode(
-        spec: &SweepSpec,
-        config_index: usize,
-        config: &TuningConfig,
-        runtimes: &[f64],
-        telemetry: &SampleTelemetry,
-    ) -> CacheRecord {
-        CacheRecord {
-            engine: ENGINE_VERSION,
-            seed: spec.seed,
-            reps: spec.reps,
-            failure_rate_bits: spec.failure_rate.to_bits(),
-            config_index,
-            config_hash: config_hash(config),
-            runtimes_bits: runtimes.iter().map(|r| r.to_bits()).collect(),
-            virtual_ns_bits: telemetry.virtual_ns.to_bits(),
-            regions: telemetry.regions,
-            breakdown_bits: breakdown_to_bits(&telemetry.breakdown),
-            energy_bits: energy_to_bits(&telemetry.energy),
-        }
-    }
-
-    /// Whether this record can answer for `spec` (same engine, seed,
-    /// repetition count, failure rate) and is structurally sound.
-    /// Pre-energy records (empty `energy_bits`) answer; their energy is
-    /// re-priced at lookup.
-    pub fn answers(&self, spec: &SweepSpec) -> bool {
-        self.engine == ENGINE_VERSION
-            && self.seed == spec.seed
-            && self.reps == spec.reps
-            && self.failure_rate_bits == spec.failure_rate.to_bits()
-            && self.runtimes_bits.len() == spec.reps as usize
-            && self.breakdown_bits.len() == BREAKDOWN_FIELDS
-            && (self.energy_bits.is_empty() || self.energy_bits.len() == ENERGY_FIELDS)
-    }
-
-    /// Decode the repetition runtimes.
-    pub fn runtimes(&self) -> Vec<f64> {
-        self.runtimes_bits
-            .iter()
-            .map(|&b| f64::from_bits(b))
-            .collect()
-    }
-
-    /// Decode the telemetry. Pre-energy records re-price their energy
-    /// under `arch`'s power model for `config` — bit-identical to what
-    /// the sweep would have recorded, since pricing is pure.
-    pub fn telemetry(&self, arch: Arch, config: &TuningConfig) -> SampleTelemetry {
-        let virtual_ns = f64::from_bits(self.virtual_ns_bits);
-        let breakdown = breakdown_from_bits(&self.breakdown_bits);
-        let energy = if self.energy_bits.len() == ENERGY_FIELDS {
-            energy_from_bits(&self.energy_bits)
-        } else {
-            simrt::price_energy(arch, config, &breakdown, virtual_ns, self.regions)
-        };
-        SampleTelemetry {
-            virtual_ns,
-            regions: self.regions,
-            breakdown,
-            energy,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Binary batch format.
-//
-// All values are little-endian u64 words. Layout ("OMPSCB02"):
-//
-//   header   [magic, engine, reps, seed, failure_rate_bits,
-//             count, hash_kind, checksum]                       8 words
-//   record×N [config_index, verify_hash, virtual_ns_bits, regions,
-//             breakdown_bits×7, energy_bits×6,
-//             runtimes_bits×reps, checksum]                     18+reps
-//
-// The previous generation ("OMPSCB01") lacks the six energy words; the
-// loader accepts both magics with per-magic record stride, re-pricing
-// energy at lookup for v1 records (pricing is a pure function of arch,
-// config, and the stored breakdown, so the answers are bit-identical to
-// a fresh run). New files are always written in the v2 layout.
-//
-// `hash_kind` selects the verification hash carried in `verify_hash`:
-// files the sweep writes carry the fieldwise fingerprint
-// (`HASH_KIND_FAST`); files migrated from archival JSONL can only carry
-// the serde-based `config_hash` the JSONL records store
-// (`HASH_KIND_SERDE`). Lookups verify with whichever hash the file
-// declares, so both answer with identical results.
-//
-// Checksums are FNV-1a over the preceding bytes of the header/record.
-// A record whose checksum fails is skipped (a miss); a header whose
-// checksum fails sends the loader to the archival JSONL; a header whose
-// *spec* mismatches means a legitimately stale batch (empty, no
-// fallback — the JSONL beside it was written by the same store and is
-// equally stale).
-// ---------------------------------------------------------------------
-
-/// Pre-energy container magic (no energy words in its records).
-const BIN_MAGIC_V1: u64 = u64::from_le_bytes(*b"OMPSCB01");
-/// Current container magic (records carry [`ENERGY_FIELDS`] words).
-const BIN_MAGIC: u64 = u64::from_le_bytes(*b"OMPSCB02");
-const HEADER_WORDS: usize = 8;
-/// Words before the runtimes in each v1 record (index, verify, virtual,
-/// regions, breakdown×7).
-const RECORD_HEAD_WORDS_V1: usize = 11;
-/// Words before the runtimes in each v2 record (v1 plus energy×6).
-const RECORD_HEAD_WORDS: usize = RECORD_HEAD_WORDS_V1 + ENERGY_FIELDS;
-/// Hash kind: `verify_hash` is the fieldwise [`config_fingerprint`].
-pub const HASH_KIND_FAST: u64 = 0;
-/// Hash kind: `verify_hash` is the serde-based [`config_hash`]
-/// (migrated files).
-pub const HASH_KIND_SERDE: u64 = 1;
-
-fn record_words(reps: usize) -> usize {
-    RECORD_HEAD_WORDS + reps + 1
-}
-
-fn record_words_v1(reps: usize) -> usize {
-    RECORD_HEAD_WORDS_V1 + reps + 1
-}
-
-fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn push_word(buf: &mut Vec<u8>, w: u64) {
     buf.extend_from_slice(&w.to_le_bytes());
 }
 
-fn read_word(bytes: &[u8], word_idx: usize) -> u64 {
-    let at = word_idx * 8;
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
-}
-
-fn encode_bin_header(
-    buf: &mut Vec<u8>,
-    magic: u64,
-    spec_words: &BinSpec,
-    count: u64,
-    hash_kind: u64,
-) {
-    push_word(buf, magic);
-    push_word(buf, spec_words.engine);
-    push_word(buf, spec_words.reps);
-    push_word(buf, spec_words.seed);
-    push_word(buf, spec_words.failure_rate_bits);
-    push_word(buf, count);
-    push_word(buf, hash_kind);
-    let sum = fnv_bytes(&buf[buf.len() - (HEADER_WORDS - 1) * 8..]);
+/// Append the FNV-1a of `buf[from..]` to `buf`.
+fn push_checksum(buf: &mut Vec<u8>, from: usize) {
+    let sum = Fnv1a::of(&buf[from..]);
     push_word(buf, sum);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn encode_bin_record(
+/// The little-endian words of `bytes` (a trailing partial word is
+/// dropped).
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|c| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(c);
+        u64::from_le_bytes(w)
+    })
+}
+
+/// Split a checksummed header/record into its payload bytes and whether
+/// the trailing checksum word matches them.
+fn checked(bytes: &[u8]) -> (&[u8], bool) {
+    let (payload, sum) = bytes.split_at(bytes.len().saturating_sub(8));
+    (payload, words(sum).next() == Some(Fnv1a::of(payload)))
+}
+
+/// The spec words a header carries (and a batch must match).
+fn spec_words(spec: &SweepSpec) -> [u64; 4] {
+    [
+        ENGINE_VERSION as u64,
+        spec.reps as u64,
+        spec.seed,
+        spec.failure_rate.to_bits(),
+    ]
+}
+
+fn encode_record(
     buf: &mut Vec<u8>,
     config_index: usize,
-    verify_hash: u64,
-    virtual_ns_bits: u64,
-    regions: u64,
-    breakdown_bits: &[u64],
-    energy_bits: &[u64],
-    runtimes_bits: &[u64],
+    config: &TuningConfig,
+    runtimes: &[f64],
+    telemetry: &SampleTelemetry,
 ) {
     let start = buf.len();
     push_word(buf, config_index as u64);
-    push_word(buf, verify_hash);
-    push_word(buf, virtual_ns_bits);
-    push_word(buf, regions);
-    for &w in breakdown_bits {
+    push_word(buf, config_fingerprint(config));
+    push_word(buf, telemetry.virtual_ns.to_bits());
+    push_word(buf, telemetry.regions);
+    for w in breakdown_to_bits(&telemetry.breakdown) {
         push_word(buf, w);
     }
-    // Empty in v1 containers (pre-energy records), 6 words in v2.
-    for &w in energy_bits {
+    for w in energy_to_bits(&telemetry.energy) {
         push_word(buf, w);
     }
-    for &w in runtimes_bits {
-        push_word(buf, w);
+    for r in runtimes {
+        push_word(buf, r.to_bits());
     }
-    let sum = fnv_bytes(&buf[start..]);
-    push_word(buf, sum);
+    push_checksum(buf, start);
 }
 
-/// The spec words a binary header carries (and a batch must match).
-struct BinSpec {
-    engine: u64,
-    reps: u64,
-    seed: u64,
-    failure_rate_bits: u64,
-}
-
-impl BinSpec {
-    fn of(spec: &SweepSpec) -> BinSpec {
-        BinSpec {
-            engine: ENGINE_VERSION as u64,
-            reps: spec.reps as u64,
-            seed: spec.seed,
-            failure_rate_bits: spec.failure_rate.to_bits(),
-        }
-    }
-}
-
-/// How a verification hash is computed for a loaded batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VerifyKind {
-    /// Fieldwise FNV fingerprint — sweep-written binary files.
-    Fast,
-    /// Serde-based content hash — JSONL records and migrated files.
-    Serde,
-}
-
-/// A loaded batch. Binary batches decode into one flat word vector plus
-/// a `config_index → slot` index (the fixed record stride makes a
-/// slot's offset pure arithmetic); JSONL batches keep their parsed
-/// records behind the same interface. Lookups verify the configuration
-/// hash, so an index collision from a different space layout can never
-/// serve a wrong sample.
+/// A loaded batch: one flat word vector plus a `config_index → slot`
+/// index (the fixed record stride makes a slot's offset pure
+/// arithmetic). Lookups verify the configuration fingerprint, so an
+/// index collision from a different space layout can never serve a
+/// wrong sample.
 pub struct BatchEntries {
     /// Repetitions per record.
     reps: usize,
-    /// Slot-major words: `[verify, virtual, regions, breakdown×7,
-    /// energy_present, energy×6, runtimes×reps]` per slot. Records
-    /// loaded from pre-energy forms carry `energy_present == 0` and
-    /// zeroed energy words; their energy is re-priced at lookup.
+    /// Slot-major words: `[fingerprint, virtual, regions, breakdown×7,
+    /// energy×6, runtimes×reps]` per slot.
     slots: Vec<u64>,
     /// `config_index → slot` offset index.
-    index: HashMap<usize, u32>,
-    verify: VerifyKind,
-    /// Whether this batch came from the indexed binary format (hits are
-    /// then counted under `SampleCacheIndexHits`).
-    indexed: bool,
-    /// The architecture whose power model prices pre-energy records.
-    arch: Arch,
+    index: HashMap<usize, usize>,
 }
 
-/// Words per slot in [`BatchEntries::slots`] before the runtimes:
-/// verify, virtual, regions, breakdown×7, energy_present, energy×6.
-const SLOT_HEAD_WORDS: usize = 10 + 1 + ENERGY_FIELDS;
-/// Offset of the `energy_present` flag word within a slot.
-const SLOT_ENERGY_AT: usize = 10;
-
 impl BatchEntries {
-    /// No cached entries (cold batch). The arch is irrelevant: every
-    /// lookup misses.
+    /// No cached entries (cold batch): every lookup misses.
     pub fn empty() -> BatchEntries {
-        BatchEntries {
-            reps: 0,
-            slots: Vec::new(),
-            index: HashMap::new(),
-            verify: VerifyKind::Fast,
-            indexed: false,
-            arch: Arch::A64fx,
-        }
+        BatchEntries::with_capacity(0, 0)
     }
 
-    fn with_capacity(
-        arch: Arch,
-        reps: usize,
-        records: usize,
-        verify: VerifyKind,
-        indexed: bool,
-    ) -> BatchEntries {
+    fn with_capacity(reps: usize, records: usize) -> BatchEntries {
         BatchEntries {
             reps,
             slots: Vec::with_capacity(records * (SLOT_HEAD_WORDS + reps)),
             index: HashMap::with_capacity(records),
-            verify,
-            indexed,
-            arch,
         }
     }
 
     fn stride(&self) -> usize {
         SLOT_HEAD_WORDS + self.reps
-    }
-
-    /// Insert one record's payload words (last write wins, matching the
-    /// append-order semantics of the JSONL form).
-    fn push_record(&mut self, config_index: usize, payload: &[u64]) {
-        debug_assert_eq!(payload.len(), self.stride());
-        match self.index.get(&config_index) {
-            Some(&slot) => {
-                let at = slot as usize * self.stride();
-                self.slots[at..at + payload.len()].copy_from_slice(payload);
-            }
-            None => {
-                let slot = (self.slots.len() / self.stride()) as u32;
-                self.slots.extend_from_slice(payload);
-                self.index.insert(config_index, slot);
-            }
-        }
     }
 
     /// The cached `(runtimes, telemetry)` for `config`, if present and
@@ -498,38 +218,22 @@ impl BatchEntries {
         config: &TuningConfig,
     ) -> Option<(Vec<f64>, SampleTelemetry)> {
         let &slot = self.index.get(&config_index)?;
-        let at = slot as usize * self.stride();
-        let words = &self.slots[at..at + self.stride()];
-        let expect = match self.verify {
-            VerifyKind::Fast => config_fingerprint(config),
-            VerifyKind::Serde => config_hash(config),
-        };
-        if words[0] != expect {
+        let words = self
+            .slots
+            .get(slot * self.stride()..(slot + 1) * self.stride())?;
+        if words[0] != config_fingerprint(config) {
             return None;
         }
         let runtimes = words[SLOT_HEAD_WORDS..]
             .iter()
             .map(|&b| f64::from_bits(b))
             .collect();
-        let virtual_ns = f64::from_bits(words[1]);
-        let regions = words[2];
-        let breakdown = breakdown_from_bits(&words[3..SLOT_ENERGY_AT]);
-        let energy = if words[SLOT_ENERGY_AT] != 0 {
-            energy_from_bits(&words[SLOT_ENERGY_AT + 1..SLOT_HEAD_WORDS])
-        } else {
-            // Pre-energy record: price it now. Pure function of what is
-            // already verified above, so bit-identical to a fresh run.
-            simrt::price_energy(self.arch, config, &breakdown, virtual_ns, regions)
-        };
         let telemetry = SampleTelemetry {
-            virtual_ns,
-            regions,
-            breakdown,
-            energy,
+            virtual_ns: f64::from_bits(words[1]),
+            regions: words[2],
+            breakdown: breakdown_from_bits(&words[3..SLOT_ENERGY_AT]),
+            energy: energy_from_bits(&words[SLOT_ENERGY_AT..SLOT_HEAD_WORDS]),
         };
-        if self.indexed {
-            omptel::add(omptel::Counter::SampleCacheIndexHits, 1);
-        }
         Some((runtimes, telemetry))
     }
 
@@ -542,18 +246,6 @@ impl BatchEntries {
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
     }
-}
-
-/// Outcome of decoding a binary batch file.
-enum BinLoad {
-    /// Usable (possibly partially — damaged records became misses).
-    Loaded(BatchEntries),
-    /// Structurally sound but written for a different spec: every
-    /// lookup legitimately misses, and the archival JSONL (written by
-    /// the same store) is equally stale — no fallback.
-    Stale,
-    /// The container itself is damaged; consult the archival JSONL.
-    BadHeader,
 }
 
 /// Thread-safe handle to an on-disk sample cache rooted at one
@@ -597,165 +289,53 @@ impl SampleCache {
         self.tmp_reaped
     }
 
-    fn batch_file(&self, key: &RunKey, ext: &str) -> PathBuf {
-        let stem = key.stem();
-        let mut name = String::with_capacity(stem.len() + ext.len());
-        name.push_str(stem);
-        name.push_str(ext);
-        self.dir.join(key.arch.id()).join(name)
-    }
-
-    /// Archival JSON-lines file holding one `(arch, app, setting)`
-    /// batch.
-    pub fn batch_path(&self, key: &RunKey) -> PathBuf {
-        self.batch_file(key, ".jsonl")
-    }
-
-    /// Hot indexed binary file holding the same batch.
+    /// The file holding one `(arch, app, setting)` batch.
     pub fn bin_path(&self, key: &RunKey) -> PathBuf {
-        self.batch_file(key, ".bin")
+        self.dir
+            .join(key.arch.id())
+            .join(format!("{}.bin", key.stem()))
     }
 
-    /// Load the usable records of one batch: the indexed binary form
-    /// when present and sound, the archival JSONL otherwise. Unreadable
-    /// files, corrupt records, wrong-version or wrong-spec records are
-    /// skipped (and reported to the flight recorder / anomaly watchdog
-    /// as cache corruption): any damage degrades to recomputation,
-    /// never to an error or a wrong result.
+    /// Load the usable records of one batch. A missing or unreadable
+    /// file, a damaged header, corrupt records, wrong-version or
+    /// wrong-spec batches all yield fewer (or no) entries — damage is
+    /// also reported to the flight recorder / anomaly watchdog as cache
+    /// corruption. It degrades to recomputation, never to an error or a
+    /// wrong result.
     pub fn load_batch(&self, key: &RunKey, spec: &SweepSpec) -> BatchEntries {
         let _span = omptel::span(omptel::SpanKind::CacheRead, key.num_threads as u64);
-        let mut corrupt = 0u64;
-        let from_bin = match std::fs::read(self.bin_path(key)) {
-            Ok(bytes) => match decode_bin_batch(&bytes, key, spec, &mut corrupt) {
-                BinLoad::Loaded(entries) => Some(entries),
-                BinLoad::Stale => Some(BatchEntries::empty()),
-                BinLoad::BadHeader => None,
-            },
-            Err(_) => None,
+        let Ok(bytes) = std::fs::read(self.bin_path(key)) else {
+            return BatchEntries::empty();
         };
-        let entries = from_bin.unwrap_or_else(|| self.load_jsonl_batch(key, spec, &mut corrupt));
+        let mut corrupt = 0u64;
+        let entries = decode_batch(&bytes, key, spec, &mut corrupt);
         if corrupt > 0 {
             omptel::add(omptel::Counter::SampleCacheCorrupt, corrupt);
         }
         entries
     }
 
-    /// The archival JSONL read path (binary file absent or its header
-    /// damaged).
-    fn load_jsonl_batch(&self, key: &RunKey, spec: &SweepSpec, corrupt: &mut u64) -> BatchEntries {
-        let mut entries =
-            BatchEntries::with_capacity(key.arch, spec.reps as usize, 0, VerifyKind::Serde, false);
-        let mut payload = Vec::with_capacity(entries.stride());
-        if let Ok(text) = std::fs::read_to_string(self.batch_path(key)) {
-            for (lineno, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<CacheRecord>(line) {
-                    Ok(rec) => {
-                        // Wrong-spec records are stale, not corrupt: a
-                        // reseeded sweep legitimately misses everything.
-                        if rec.answers(spec) {
-                            payload.clear();
-                            payload.push(rec.config_hash);
-                            payload.push(rec.virtual_ns_bits);
-                            payload.push(rec.regions);
-                            payload.extend_from_slice(&rec.breakdown_bits);
-                            if rec.energy_bits.len() == ENERGY_FIELDS {
-                                payload.push(1);
-                                payload.extend_from_slice(&rec.energy_bits);
-                            } else {
-                                payload.resize(payload.len() + 1 + ENERGY_FIELDS, 0);
-                            }
-                            payload.extend_from_slice(&rec.runtimes_bits);
-                            entries.push_record(rec.config_index, &payload);
-                        }
-                    }
-                    Err(_) => {
-                        *corrupt += 1;
-                        omptel::report_corrupt(&format!(
-                            "{}/{} i{} t{}: unparseable record at line {}",
-                            key.arch.id(),
-                            key.app,
-                            key.input_code,
-                            key.num_threads,
-                            lineno + 1
-                        ));
-                    }
-                }
-            }
-        }
-        entries
-    }
-
     /// Persist one completed batch (all samples plus the default row),
-    /// replacing any previous files: the archival JSONL first, then the
-    /// hot binary form. Each write goes through a temporary file renamed
-    /// into place, so a crash mid-write leaves either the old or the new
-    /// content — a torn tail at worst, which the tolerant loader
-    /// degrades to misses (and whose leftover `.tmp` the next open
-    /// reaps).
+    /// replacing any previous file. The write goes through a temporary
+    /// file renamed into place, so a crash mid-write leaves either the
+    /// old or the new content — a torn tail at worst, which the tolerant
+    /// loader degrades to misses (and whose leftover `.tmp` the next
+    /// open reaps).
     pub fn store_batch(&self, data: &SettingData, spec: &SweepSpec) -> std::io::Result<()> {
         let _span = omptel::span(omptel::SpanKind::CacheWrite, data.samples.len() as u64);
-        let path = self.batch_path(&data.key);
-        let parent = path.parent().expect("batch path has a parent");
-        std::fs::create_dir_all(parent)?;
-        let default_config = TuningConfig::default_for(data.key.arch, data.key.num_threads);
-
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            for s in &data.samples {
-                let rec =
-                    CacheRecord::encode(spec, s.config_index, &s.config, &s.runtimes, &s.telemetry);
-                serde_json::to_writer(&mut out, &rec).map_err(std::io::Error::other)?;
-                out.write_all(b"\n")?;
-            }
-            let rec = CacheRecord::encode(
-                spec,
-                DEFAULT_ROW_INDEX,
-                &default_config,
-                &data.default_runtimes,
-                &data.default_telemetry,
-            );
-            serde_json::to_writer(&mut out, &rec).map_err(std::io::Error::other)?;
-            out.write_all(b"\n")?;
-            out.flush()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-
-        let reps = spec.reps as usize;
+        std::fs::create_dir_all(self.dir.join(data.key.arch.id()))?;
         let count = data.samples.len() + 1;
-        let mut buf = Vec::with_capacity((HEADER_WORDS + count * record_words(reps)) * 8);
-        encode_bin_header(
-            &mut buf,
-            BIN_MAGIC,
-            &BinSpec::of(spec),
-            count as u64,
-            HASH_KIND_FAST,
-        );
-        let mut runtimes_bits = Vec::with_capacity(reps);
-        let mut encode_one = |buf: &mut Vec<u8>,
-                              idx: usize,
-                              config: &TuningConfig,
-                              runtimes: &[f64],
-                              tel: &SampleTelemetry| {
-            runtimes_bits.clear();
-            runtimes_bits.extend(runtimes.iter().map(|r| r.to_bits()));
-            encode_bin_record(
-                buf,
-                idx,
-                config_fingerprint(config),
-                tel.virtual_ns.to_bits(),
-                tel.regions,
-                &breakdown_to_bits(&tel.breakdown),
-                &energy_to_bits(&tel.energy),
-                &runtimes_bits,
-            );
-        };
+        let mut buf =
+            Vec::with_capacity((HEADER_WORDS + count * record_words(spec.reps as usize)) * 8);
+        push_word(&mut buf, BIN_MAGIC);
+        for w in spec_words(spec) {
+            push_word(&mut buf, w);
+        }
+        push_word(&mut buf, count as u64);
+        push_word(&mut buf, 0); // reserved
+        push_checksum(&mut buf, 0);
         for s in &data.samples {
-            encode_one(
+            encode_record(
                 &mut buf,
                 s.config_index,
                 &s.config,
@@ -763,17 +343,17 @@ impl SampleCache {
                 &s.telemetry,
             );
         }
-        encode_one(
+        encode_record(
             &mut buf,
             DEFAULT_ROW_INDEX,
-            &default_config,
+            &TuningConfig::default_for(data.key.arch, data.key.num_threads),
             &data.default_runtimes,
             &data.default_telemetry,
         );
         let bin = self.bin_path(&data.key);
-        let bin_tmp = bin.with_extension("bin.tmp");
-        std::fs::write(&bin_tmp, &buf)?;
-        std::fs::rename(&bin_tmp, &bin)
+        let tmp = bin.with_extension("bin.tmp");
+        std::fs::write(&tmp, &buf)?;
+        std::fs::rename(&tmp, &bin)
     }
 
     /// Record `n` cache hits.
@@ -822,273 +402,73 @@ fn reap_tmp_files(dir: &Path) -> u64 {
     reaped
 }
 
-/// Decode one binary batch file. Damaged records are skipped and
-/// reported; a damaged header rejects the whole file (archival JSONL
-/// takes over); a sound header for a different spec yields [`BinLoad::Stale`].
-fn decode_bin_batch(bytes: &[u8], key: &RunKey, spec: &SweepSpec, corrupt: &mut u64) -> BinLoad {
-    let mut bad_header = |what: &str| {
+/// Decode one batch file. Damaged records are skipped, a damaged header
+/// empties the batch, and both are counted in `corrupt` and reported; a
+/// sound header for a different spec is an empty batch and no damage.
+fn decode_batch(bytes: &[u8], key: &RunKey, spec: &SweepSpec, corrupt: &mut u64) -> BatchEntries {
+    let mut damaged = |what: &str| {
         *corrupt += 1;
         omptel::report_corrupt(&format!(
-            "{}/{} i{} t{}: unparseable record header ({what}) in binary batch",
+            "{}/{} i{} t{}: unparseable record {what} in binary batch",
             key.arch.id(),
             key.app,
             key.input_code,
             key.num_threads,
         ));
-        BinLoad::BadHeader
     };
-    if bytes.len() < HEADER_WORDS * 8 {
-        return bad_header("short file");
+    let Some((header, body)) = bytes.split_at_checked(HEADER_WORDS * 8) else {
+        damaged("header (short file)");
+        return BatchEntries::empty();
+    };
+    let (_, sound) = checked(header);
+    let header: Vec<u64> = words(header).collect();
+    let flaw = if header[0] != BIN_MAGIC {
+        Some("header (bad magic)")
+    } else if !sound {
+        Some("header (bad checksum)")
+    } else if header[6] != 0 {
+        Some("header (reserved word set)")
+    } else {
+        None
+    };
+    if let Some(flaw) = flaw {
+        damaged(flaw);
+        return BatchEntries::empty();
     }
-    let header = &bytes[..HEADER_WORDS * 8];
-    let magic = read_word(header, 0);
-    if magic != BIN_MAGIC && magic != BIN_MAGIC_V1 {
-        return bad_header("bad magic");
+    if header[1..5] != spec_words(spec) {
+        return BatchEntries::empty();
     }
-    // v1 records carry no energy words; lookups re-price them.
-    let has_energy = magic == BIN_MAGIC;
-    if read_word(header, HEADER_WORDS - 1) != fnv_bytes(&header[..(HEADER_WORDS - 1) * 8]) {
-        return bad_header("bad checksum");
-    }
-    let hash_kind = read_word(header, 6);
-    if hash_kind > HASH_KIND_SERDE {
-        return bad_header("unknown hash kind");
-    }
-    let want = BinSpec::of(spec);
-    if read_word(header, 1) != want.engine
-        || read_word(header, 2) != want.reps
-        || read_word(header, 3) != want.seed
-        || read_word(header, 4) != want.failure_rate_bits
-    {
-        return BinLoad::Stale;
-    }
-    let count = read_word(header, 5) as usize;
     let reps = spec.reps as usize;
-    let rec_words = if has_energy {
-        record_words(reps)
-    } else {
-        record_words_v1(reps)
-    };
-    let stride = rec_words * 8;
-    let verify = if hash_kind == HASH_KIND_FAST {
-        VerifyKind::Fast
-    } else {
-        VerifyKind::Serde
-    };
-    let mut entries = BatchEntries::with_capacity(key.arch, reps, count, verify, true);
-    let mut payload = Vec::with_capacity(entries.stride());
-    for slot in 0..count {
-        let at = HEADER_WORDS * 8 + slot * stride;
-        let Some(rec) = bytes.get(at..at + stride) else {
-            // Torn tail: everything before it already loaded.
-            *corrupt += 1;
-            omptel::report_corrupt(&format!(
-                "{}/{} i{} t{}: unparseable record at slot {slot} (truncated binary batch)",
-                key.arch.id(),
-                key.app,
-                key.input_code,
-                key.num_threads,
-            ));
-            break;
-        };
-        let sum_at = (rec_words - 1) * 8;
-        if read_word(rec, rec_words - 1) != fnv_bytes(&rec[..sum_at]) {
-            *corrupt += 1;
-            omptel::report_corrupt(&format!(
-                "{}/{} i{} t{}: unparseable record at slot {slot} (checksum) in binary batch",
-                key.arch.id(),
-                key.app,
-                key.input_code,
-                key.num_threads,
-            ));
-            continue;
-        }
-        let config_index = match read_word(rec, 0) {
-            u64::MAX => DEFAULT_ROW_INDEX,
-            idx => idx as usize,
-        };
-        payload.clear();
-        // Head words up to the breakdown are layout-identical in both
-        // generations; v1 slots then get a zeroed energy block.
-        for w in 1..RECORD_HEAD_WORDS_V1 {
-            payload.push(read_word(rec, w));
-        }
-        if has_energy {
-            payload.push(1);
-            for w in RECORD_HEAD_WORDS_V1..RECORD_HEAD_WORDS {
-                payload.push(read_word(rec, w));
-            }
-        } else {
-            payload.resize(payload.len() + 1 + ENERGY_FIELDS, 0);
-        }
-        let runs_from = if has_energy {
-            RECORD_HEAD_WORDS
-        } else {
-            RECORD_HEAD_WORDS_V1
-        };
-        for w in runs_from..rec_words - 1 {
-            payload.push(read_word(rec, w));
-        }
-        entries.push_record(config_index, &payload);
-    }
-    BinLoad::Loaded(entries)
-}
-
-// ---------------------------------------------------------------------
-// Migration: archival JSONL → indexed binary.
-// ---------------------------------------------------------------------
-
-/// Outcome of a JSONL → binary cache migration.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MigrationReport {
-    /// Batch files converted.
-    pub files: usize,
-    /// Records written into binary form.
-    pub records: usize,
-    /// Records skipped (unparsable, or disagreeing with their file's
-    /// leading spec).
-    pub skipped_records: usize,
-    /// Files skipped entirely (no usable records).
-    pub skipped_files: usize,
-}
-
-impl MigrationReport {
-    fn absorb(&mut self, other: MigrationReport) {
-        self.files += other.files;
-        self.records += other.records;
-        self.skipped_records += other.skipped_records;
-        self.skipped_files += other.skipped_files;
-    }
-}
-
-/// Convert one archival JSONL batch file to the indexed binary form,
-/// written atomically beside it (`.bin`). The binary file carries
-/// [`HASH_KIND_SERDE`]: JSONL records store only the serde-based
-/// content hash, so that is what lookups will verify against —
-/// migrated and sweep-written files answer identically. The file's
-/// spec (engine, seed, reps, failure rate) is taken from its first
-/// parsable record; records disagreeing with it are skipped (they
-/// could never all share one header).
-pub fn migrate_batch_file(jsonl: &Path) -> std::io::Result<MigrationReport> {
-    let mut report = MigrationReport::default();
-    let text = std::fs::read_to_string(jsonl)?;
-    let mut records: Vec<CacheRecord> = Vec::new();
-    let mut spec_words: Option<BinSpec> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Ok(rec) = serde_json::from_str::<CacheRecord>(line) else {
-            report.skipped_records += 1;
+    let stride = record_words(reps) * 8;
+    // The header's count is a claim; the bytes present bound it.
+    let present = body.len() / stride;
+    let count = header[5].min(present as u64) as usize;
+    let mut entries = BatchEntries::with_capacity(reps, count);
+    for (slot, rec) in body.chunks_exact(stride).take(count).enumerate() {
+        let (payload, sound) = checked(rec);
+        let mut payload = words(payload);
+        let (true, Some(config_index)) = (sound, payload.next()) else {
+            damaged(&format!("at slot {slot} (checksum)"));
             continue;
         };
-        if rec.breakdown_bits.len() != BREAKDOWN_FIELDS
-            || rec.runtimes_bits.len() != rec.reps as usize
-            || !(rec.energy_bits.is_empty() || rec.energy_bits.len() == ENERGY_FIELDS)
-        {
-            report.skipped_records += 1;
-            continue;
-        }
-        let words = spec_words.get_or_insert(BinSpec {
-            engine: rec.engine as u64,
-            reps: rec.reps as u64,
-            seed: rec.seed,
-            failure_rate_bits: rec.failure_rate_bits,
-        });
-        if rec.engine as u64 != words.engine
-            || rec.reps as u64 != words.reps
-            || rec.seed != words.seed
-            || rec.failure_rate_bits != words.failure_rate_bits
-        {
-            report.skipped_records += 1;
-            continue;
-        }
-        // Records must also agree on energy presence: one fixed record
-        // stride per file.
-        if let Some(first) = records.first() {
-            if rec.energy_bits.len() != first.energy_bits.len() {
-                report.skipped_records += 1;
-                continue;
-            }
-        }
-        records.push(rec);
+        let slot_at = entries.slots.len() / entries.stride();
+        entries.slots.extend(payload);
+        // `DEFAULT_ROW_INDEX` is stored as `u64::MAX`, which `as` maps
+        // back at any pointer width. Last write wins, should an index
+        // ever repeat.
+        entries.index.insert(config_index as usize, slot_at);
     }
-    let Some(spec_words) = spec_words else {
-        report.skipped_files += 1;
-        return Ok(report);
-    };
-    // Pre-energy files migrate into the pre-energy container (v1 magic):
-    // the records have no energy words to write, and lookups re-price.
-    let has_energy = records
-        .first()
-        .is_some_and(|r| r.energy_bits.len() == ENERGY_FIELDS);
-    let magic = if has_energy { BIN_MAGIC } else { BIN_MAGIC_V1 };
-    let reps = spec_words.reps as usize;
-    let rec_words = if has_energy {
-        record_words(reps)
-    } else {
-        record_words_v1(reps)
-    };
-    let mut buf = Vec::with_capacity((HEADER_WORDS + records.len() * rec_words) * 8);
-    encode_bin_header(
-        &mut buf,
-        magic,
-        &spec_words,
-        records.len() as u64,
-        HASH_KIND_SERDE,
-    );
-    for rec in &records {
-        encode_bin_record(
-            &mut buf,
-            rec.config_index,
-            rec.config_hash,
-            rec.virtual_ns_bits,
-            rec.regions,
-            &rec.breakdown_bits,
-            &rec.energy_bits,
-            &rec.runtimes_bits,
-        );
+    if header[5] > present as u64 {
+        // Torn tail: everything before it already loaded.
+        damaged(&format!("at slot {present} (truncated)"));
     }
-    let bin = jsonl.with_extension("bin");
-    let tmp = jsonl.with_extension("bin.tmp");
-    std::fs::write(&tmp, &buf)?;
-    std::fs::rename(&tmp, &bin)?;
-    report.files += 1;
-    report.records += records.len();
-    Ok(report)
-}
-
-/// Migrate every `*.jsonl` batch under a cache root (the root itself
-/// and its per-architecture subdirectories) to the binary form.
-/// Idempotent: re-running rewrites the same binary files.
-pub fn migrate_cache_dir(dir: &Path) -> std::io::Result<MigrationReport> {
-    fn walk(dir: &Path, recurse: bool, report: &mut MigrationReport) -> std::io::Result<()> {
-        let read = match std::fs::read_dir(dir) {
-            Ok(r) => r,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        for entry in read.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                if recurse {
-                    walk(&path, false, report)?;
-                }
-            } else if path.extension().is_some_and(|e| e == "jsonl") {
-                report.absorb(migrate_batch_file(&path)?);
-            }
-        }
-        Ok(())
-    }
-    let mut report = MigrationReport::default();
-    walk(dir, true, &mut report)?;
-    Ok(report)
+    entries
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::{sweep_arch_scheduled, sweep_setting_scheduled, SweepOptions};
     use crate::spec::Scope;
     use omptune_core::Arch;
     use workloads::Setting;
@@ -1110,13 +490,53 @@ mod tests {
         }
     }
 
+    const SETTING: Setting = Setting {
+        input_code: 0,
+        num_threads: 40,
+    };
+
     fn batch(spec: &SweepSpec) -> SettingData {
         let app = workloads::app("cg").unwrap();
-        let setting = Setting {
-            input_code: 0,
-            num_threads: 40,
-        };
-        crate::runner::sweep_setting(Arch::Skylake, app, setting, 0, spec)
+        crate::runner::sweep_setting(Arch::Skylake, app, SETTING, 0, spec)
+    }
+
+    /// The same batch through the scheduler over `cache`: what a warm
+    /// sweep does with whatever the cache directory holds.
+    fn batch_over(cache: &SampleCache, spec: &SweepSpec) -> SettingData {
+        let app = workloads::app("cg").unwrap();
+        let opts = SweepOptions::new(2).with_cache(cache);
+        sweep_setting_scheduled(Arch::Skylake, app, SETTING, 0, spec, &opts).0
+    }
+
+    /// Recompute the header checksum after editing header words.
+    fn reseal_header(bytes: &mut [u8]) {
+        let at = (HEADER_WORDS - 1) * 8;
+        let sum = Fnv1a::of(&bytes[..at]);
+        bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Bit-pattern equality (NaN repetitions included).
+    fn assert_same_batch(got: &SettingData, want: &SettingData, label: &str) {
+        assert_eq!(got.key, want.key, "{label}");
+        assert_eq!(got.samples.len(), want.samples.len(), "{label}");
+        for (g, w) in got.samples.iter().zip(&want.samples) {
+            assert_eq!(g.config_index, w.config_index, "{label}");
+            assert_eq!(bits(&g.runtimes), bits(&w.runtimes), "{label}");
+            assert_eq!(
+                energy_to_bits(&g.telemetry.energy),
+                energy_to_bits(&w.telemetry.energy),
+                "{label}"
+            );
+        }
+        assert_eq!(
+            bits(&got.default_runtimes),
+            bits(&want.default_runtimes),
+            "{label}"
+        );
     }
 
     #[test]
@@ -1130,43 +550,44 @@ mod tests {
             .any(|s| s.runtimes.iter().any(|r| r.is_nan())));
         let cache = SampleCache::new(tmp_dir("roundtrip"));
         cache.store_batch(&data, &spec).unwrap();
-        // Both forms exist; the hot binary one answers.
-        assert!(cache.bin_path(&data.key).exists());
-        assert!(cache.batch_path(&data.key).exists());
+        // One file per batch and nothing beside it.
+        let bin = cache.bin_path(&data.key);
+        let stored: Vec<PathBuf> = std::fs::read_dir(cache.dir().join("skylake"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(stored, [bin]);
         let entries = cache.load_batch(&data.key, &spec);
         assert_eq!(entries.len(), data.samples.len() + 1);
         for s in &data.samples {
             let (runtimes, telemetry) = entries
                 .lookup(s.config_index, &s.config)
                 .expect("cached sample present");
-            let got: Vec<u64> = runtimes.iter().map(|r| r.to_bits()).collect();
-            let want: Vec<u64> = s.runtimes.iter().map(|r| r.to_bits()).collect();
-            assert_eq!(got, want, "config {}", s.config_index);
+            assert_eq!(
+                bits(&runtimes),
+                bits(&s.runtimes),
+                "config {}",
+                s.config_index
+            );
             assert_eq!(
                 telemetry.virtual_ns.to_bits(),
                 s.telemetry.virtual_ns.to_bits()
             );
             assert_eq!(telemetry.regions, s.telemetry.regions);
             assert_eq!(
-                telemetry.energy.total_j.to_bits(),
-                s.telemetry.energy.total_j.to_bits()
+                breakdown_to_bits(&telemetry.breakdown),
+                breakdown_to_bits(&s.telemetry.breakdown)
             );
             assert_eq!(
-                telemetry.energy.wait_j.to_bits(),
-                s.telemetry.energy.wait_j.to_bits()
+                energy_to_bits(&telemetry.energy),
+                energy_to_bits(&s.telemetry.energy)
             );
         }
         let default_config = TuningConfig::default_for(Arch::Skylake, 40);
         let (dflt, _) = entries
             .lookup(DEFAULT_ROW_INDEX, &default_config)
             .expect("default row cached");
-        assert_eq!(
-            dflt.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            data.default_runtimes
-                .iter()
-                .map(|r| r.to_bits())
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(bits(&dflt), bits(&data.default_runtimes));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -1182,6 +603,11 @@ mod tests {
         // Different rep count ⇒ nothing answers.
         let rereps = SweepSpec { reps: 4, ..spec };
         assert!(cache.load_batch(&data.key, &rereps).is_empty());
+        // Stale is not damaged.
+        let bytes = std::fs::read(cache.bin_path(&data.key)).unwrap();
+        let mut corrupt = 0;
+        decode_batch(&bytes, &data.key, &reseeded, &mut corrupt);
+        assert_eq!(corrupt, 0);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -1212,48 +638,107 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_binary_header_falls_back_to_archival_jsonl() {
+    fn header_damage_empties_the_batch_and_the_recompute_rewrites_it_sound() {
         let spec = spec();
         let data = batch(&spec);
         let cache = SampleCache::new(tmp_dir("corrupt-header"));
         cache.store_batch(&data, &spec).unwrap();
         let bin = cache.bin_path(&data.key);
-        let mut bytes = std::fs::read(&bin).unwrap();
-        bytes[3] ^= 0xff; // break the magic
-        std::fs::write(&bin, &bytes).unwrap();
-        // The archival JSONL still answers in full.
-        let entries = cache.load_batch(&data.key, &spec);
-        assert_eq!(entries.len(), data.samples.len() + 1);
-        let s = &data.samples[0];
-        assert!(entries.lookup(s.config_index, &s.config).is_some());
+        let sound = std::fs::read(&bin).unwrap();
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [(&str, Damage); 3] = [
+            ("bad magic", |b| b[3] ^= 0xff),
+            ("bad checksum", |b| b[8] ^= 0x01),
+            // The previous container generation (the magic's last
+            // digit one lower), checksum and all: not a format this
+            // loader reads.
+            ("bad magic", |b| {
+                b[..8].copy_from_slice(&(BIN_MAGIC - (1 << 56)).to_le_bytes());
+                reseal_header(b);
+            }),
+        ];
+        for (flaw, damage) in damages {
+            let mut bytes = sound.clone();
+            damage(&mut bytes);
+            std::fs::write(&bin, &bytes).unwrap();
+            let mut corrupt = 0;
+            assert!(decode_batch(&bytes, &data.key, &spec, &mut corrupt).is_empty());
+            assert_eq!(corrupt, 1, "{flaw}: one header, one count");
+            assert!(cache.load_batch(&data.key, &spec).is_empty(), "{flaw}");
+            // Nothing answered, so the sweep recomputes all of it ...
+            assert_same_batch(&batch_over(&cache, &spec), &data, flaw);
+            // ... and leaves the file as the first store wrote it.
+            assert_eq!(std::fs::read(&bin).unwrap(), sound, "{flaw}: rewritten");
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
+    /// A header may claim any count; what is loaded (and allocated) is
+    /// bounded by the records the file actually holds.
     #[test]
-    fn corrupt_jsonl_lines_are_skipped_not_fatal() {
+    fn hostile_count_loads_the_records_present_and_allocates_no_more() {
         let spec = spec();
         let data = batch(&spec);
-        let cache = SampleCache::new(tmp_dir("corrupt-jsonl"));
+        let cache = SampleCache::new(tmp_dir("hostile"));
         cache.store_batch(&data, &spec).unwrap();
-        // Force the archival path: no binary file.
-        std::fs::remove_file(cache.bin_path(&data.key)).unwrap();
-        let path = cache.batch_path(&data.key);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        let n = lines.len();
-        // Poison one record, truncate another mid-line, and prepend junk.
-        lines[0] = "{not json at all".into();
-        let half = lines[1].len() / 2;
-        lines[1].truncate(half);
-        lines.insert(0, "garbage prefix line".into());
-        std::fs::write(&path, lines.join("\n")).unwrap();
-        let entries = cache.load_batch(&data.key, &spec);
-        // The two damaged records are gone; everything else survives.
-        assert_eq!(entries.len(), n - 2);
-        // Damaged rows read as misses.
-        assert!(entries
-            .lookup(data.samples[0].config_index, &data.samples[0].config)
-            .is_none());
+        let mut bytes = std::fs::read(cache.bin_path(&data.key)).unwrap();
+        bytes[5 * 8..6 * 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        reseal_header(&mut bytes);
+        let mut corrupt = 0;
+        let entries = decode_batch(&bytes, &data.key, &spec, &mut corrupt);
+        assert_eq!(entries.len(), data.samples.len() + 1);
+        assert_eq!(corrupt, 1, "the missing 2^60 - n records are one torn tail");
+        assert!(entries.slots.capacity() <= bytes.len() / 8);
+        // Header only: the same claim over no records at all.
+        bytes.truncate(HEADER_WORDS * 8);
+        let entries = decode_batch(&bytes, &data.key, &spec, &mut corrupt);
+        assert!(entries.is_empty());
+        assert_eq!(entries.slots.capacity(), 0);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A writer killed at any word boundary (or a file cut there by
+    /// anything else) leaves a loadable prefix, and the sweep over it
+    /// still produces the reference.
+    #[test]
+    fn every_truncation_point_loads_a_prefix_and_recomputes_the_rest() {
+        let spec = SweepSpec {
+            scope: Scope::Strided(2000),
+            ..spec()
+        };
+        let reference = crate::runner::sweep_arch(Arch::Skylake, &spec);
+        let cache = SampleCache::new(tmp_dir("killpoint"));
+        let cold = sweep_arch_scheduled(
+            Arch::Skylake,
+            &spec,
+            &SweepOptions::new(2).with_cache(&cache),
+        );
+        assert_eq!(cold.batches.len(), reference.len());
+        let victim = &reference[0];
+        let bin = cache.bin_path(&victim.key);
+        let sound = std::fs::read(&bin).unwrap();
+        let stride = record_words(spec.reps as usize) * 8;
+        let whole_records = |len: usize| len.saturating_sub(HEADER_WORDS * 8) / stride;
+        assert_eq!(whole_records(sound.len()), victim.samples.len() + 1);
+        for cut in (0..=sound.len()).step_by(8) {
+            std::fs::write(&bin, &sound[..cut]).unwrap();
+            // Exactly the whole records before the cut: monotone in it.
+            let len = cache.load_batch(&victim.key, &spec).len();
+            assert_eq!(len, whole_records(cut), "cut {cut}");
+            // One sweep per record (at a different word of each) and at
+            // both ends; every cut was loaded above.
+            if cut % (stride + 8) == 0 || cut == sound.len() {
+                let warm = sweep_arch_scheduled(
+                    Arch::Skylake,
+                    &spec,
+                    &SweepOptions::new(2).with_cache(&cache),
+                );
+                for (got, want) in warm.batches.iter().zip(&reference) {
+                    assert_same_batch(got, want, &format!("cut {cut}"));
+                }
+                assert_eq!(std::fs::read(&bin).unwrap(), sound, "cut {cut}: rewritten");
+            }
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -1283,108 +768,19 @@ mod tests {
     }
 
     #[test]
-    fn migrated_jsonl_answers_identically_to_sweep_written_binary() {
-        let spec = spec();
-        let data = batch(&spec);
-        let cache = SampleCache::new(tmp_dir("migrate"));
-        cache.store_batch(&data, &spec).unwrap();
-        // Simulate a legacy JSONL-only cache, then upgrade it.
-        std::fs::remove_file(cache.bin_path(&data.key)).unwrap();
-        let report = migrate_cache_dir(cache.dir()).unwrap();
-        assert_eq!(report.files, 1);
-        assert_eq!(report.records, data.samples.len() + 1);
-        assert_eq!(report.skipped_records, 0);
-        assert!(cache.bin_path(&data.key).exists());
-        let entries = cache.load_batch(&data.key, &spec);
-        assert_eq!(entries.len(), data.samples.len() + 1);
-        for s in &data.samples {
-            let (runtimes, _) = entries
-                .lookup(s.config_index, &s.config)
-                .expect("migrated sample answers");
-            let got: Vec<u64> = runtimes.iter().map(|r| r.to_bits()).collect();
-            let want: Vec<u64> = s.runtimes.iter().map(|r| r.to_bits()).collect();
-            assert_eq!(got, want, "config {}", s.config_index);
-        }
-        // And the migrated file still rejects a wrong config.
-        let s = &data.samples[0];
-        let mut other = s.config;
-        other.schedule = match other.schedule {
-            omptune_core::OmpSchedule::Static => omptune_core::OmpSchedule::Dynamic,
-            _ => omptune_core::OmpSchedule::Static,
-        };
-        assert!(entries.lookup(s.config_index, &other).is_none());
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    /// Strip the `energy_bits` field from every JSONL line, simulating
-    /// a cache written before the energy format existed.
-    fn strip_energy(path: &Path) {
-        let text = std::fs::read_to_string(path).unwrap();
-        let stripped: String = text
-            .lines()
-            .map(|line| {
-                let at = line.find(",\"energy_bits\"").expect("field present");
-                format!("{}}}\n", &line[..at])
-            })
-            .collect();
-        assert!(!stripped.contains("energy_bits"));
-        std::fs::write(path, stripped).unwrap();
-    }
-
-    #[test]
-    fn pre_energy_caches_stay_warm_and_reprice_identically() {
-        let spec = spec();
-        let data = batch(&spec);
-        let cache = SampleCache::new(tmp_dir("pre-energy"));
-        cache.store_batch(&data, &spec).unwrap();
-        // Rewind the on-disk state to the pre-energy generation: JSONL
-        // without the field, no binary file.
-        std::fs::remove_file(cache.bin_path(&data.key)).unwrap();
-        strip_energy(&cache.batch_path(&data.key));
-
-        let check = |entries: &BatchEntries| {
-            assert_eq!(entries.len(), data.samples.len() + 1);
-            for s in &data.samples {
-                let (runtimes, telemetry) = entries
-                    .lookup(s.config_index, &s.config)
-                    .expect("legacy record answers");
-                assert_eq!(
-                    runtimes.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                    s.runtimes.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-                );
-                // Energy was never stored; the lookup re-priced it
-                // bit-identically to what the sweep computed.
-                assert_eq!(
-                    energy_to_bits(&telemetry.energy),
-                    energy_to_bits(&s.telemetry.energy),
-                    "config {}",
-                    s.config_index
-                );
-            }
-        };
-        // Archival JSONL path.
-        check(&cache.load_batch(&data.key, &spec));
-        // Migrating the legacy JSONL writes a v1 container (no energy
-        // words exist to migrate); it must answer identically too.
-        migrate_cache_dir(cache.dir()).unwrap();
-        let bytes = std::fs::read(cache.bin_path(&data.key)).unwrap();
-        assert_eq!(read_word(&bytes, 0), BIN_MAGIC_V1);
-        check(&cache.load_batch(&data.key, &spec));
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
     fn stale_tmp_files_are_reaped_on_open() {
         let dir = tmp_dir("reap");
         let arch_dir = dir.join("skylake");
         std::fs::create_dir_all(&arch_dir).unwrap();
-        std::fs::write(arch_dir.join("cg-i0-t40.jsonl.tmp"), b"torn").unwrap();
         std::fs::write(arch_dir.join("cg-i0-t40.bin.tmp"), b"torn").unwrap();
+        std::fs::write(dir.join("stray.tmp"), b"torn").unwrap();
+        // What an older cache directory may still hold is not ours to
+        // delete (and is never read).
         std::fs::write(arch_dir.join("cg-i0-t40.jsonl"), b"").unwrap();
         let cache = SampleCache::new(&dir);
         assert_eq!(cache.tmp_reaped(), 2);
-        assert!(!arch_dir.join("cg-i0-t40.jsonl.tmp").exists());
         assert!(!arch_dir.join("cg-i0-t40.bin.tmp").exists());
+        assert!(!dir.join("stray.tmp").exists());
         assert!(arch_dir.join("cg-i0-t40.jsonl").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }

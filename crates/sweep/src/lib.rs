@@ -19,10 +19,7 @@ pub mod runner;
 pub mod schedule;
 pub mod spec;
 
-pub use cache::{
-    migrate_cache_dir, BatchEntries, CacheRecord, MigrationReport, SampleCache, DEFAULT_ROW_INDEX,
-    ENGINE_VERSION,
-};
+pub use cache::{BatchEntries, SampleCache, DEFAULT_ROW_INDEX, ENGINE_VERSION};
 pub use dataset::{clean, CleanReport, Dataset, DropReason};
 pub use provenance::{
     config_fingerprint, config_hash, provenance_iter, provenance_of, read_manifest,

@@ -10,41 +10,11 @@
 use crate::runner::{noise_stream, RawSample, SampleTelemetry, SettingData};
 use crate::schedule::SweepStats;
 use crate::spec::SweepSpec;
-use omptune_core::TuningConfig;
+use omptune_core::{Fnv1a, TuningConfig};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io::{self, Write};
-
-/// FNV-1a of the bytes fed to it, directly or as an `io::Write`.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf29ce484222325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-}
-
-impl Write for Fnv1a {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.eat(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
 
 /// FNV-1a over the canonical JSON encoding of a configuration — a stable
 /// content hash usable as a join key across exports. The JSON is hashed
@@ -52,7 +22,7 @@ impl Write for Fnv1a {
 pub fn config_hash(config: &TuningConfig) -> u64 {
     let mut h = Fnv1a::new();
     serde_json::to_writer(&mut h, config).expect("config serializes");
-    h.0
+    h.finish()
 }
 
 /// [`config_hash`], remembered per distinct configuration: a sweep
@@ -83,7 +53,7 @@ pub fn config_fingerprint(config: &TuningConfig) -> u64 {
     h.eat_u64(config.force_reduction as u64);
     h.eat_u64(config.align_alloc.0 as u64);
     h.eat_u64(config.num_threads as u64);
-    h.0
+    h.finish()
 }
 
 /// Everything needed to reproduce (and audit) one sample.
@@ -158,7 +128,7 @@ pub fn slice_fingerprint(batches: &[SettingData]) -> u64 {
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 /// Provenance records for every sample of a batch list, in sweep order,

@@ -1,17 +1,12 @@
 //! The longitudinal run registry backing `ompobs`: an append-only,
 //! content-addressed log of every collection run and bench invocation.
 //!
-//! Layout of a registry directory (`.ompobs/`):
-//!
-//! - `registry.jsonl` — the archival truth: one JSON record per run,
-//!   append-only, never rewritten. A damaged line degrades to
-//!   skip-with-counter on load (the [`SampleCache`](crate::SampleCache)
-//!   discipline) — corruption costs one record, never the registry.
-//! - `registry.idx` — a binary index in the `OMTSDB01` style
-//!   (`OMPOBS01` magic, fixed-width u64 records, per-record checksums).
-//!   The index is a rebuildable cache over the JSONL: any mismatch —
-//!   truncation, stale length, bad checksum — silently falls back to a
-//!   full JSONL scan and the index is rewritten.
+//! A registry directory (`.ompobs/`) holds `registry.jsonl` — one JSON
+//! record per run, append-only, never rewritten — and `registry.lock`,
+//! the OS lock appends serialize on. Every record carries the content
+//! address of its own core, so a damaged line degrades to
+//! skip-with-counter on load (the [`SampleCache`](crate::SampleCache)
+//! discipline): corruption costs one record, never the registry.
 //!
 //! Every record splits into two parts:
 //!
@@ -34,22 +29,16 @@
 use crate::runner::{RunKey, SettingData};
 use crate::spec::{Roster, Scope, SweepSpec};
 use omptune_core::{
-    Feature, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
-    TuningConfig,
+    Feature, Fnv1a, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind,
+    OmpSchedule, TuningConfig,
 };
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-/// Schema marker of pre-energy JSONL lines (still accepted on read).
-pub const SCHEMA: &str = "ompobs-run-v1";
-
-/// Schema marker written into every new JSONL line. v2 adds the
-/// per-arch energy stratum series and per-app / per-cell microjoule
-/// digests; v1 lines parse with those fields empty, and the content
-/// hash mixes energy words only when present, so old registries keep
-/// validating against their stored addresses.
-pub const SCHEMA_V2: &str = "ompobs-run-v2";
+/// Schema marker of every JSONL line; a line carrying any other is
+/// skipped and counted like a damaged one.
+pub const SCHEMA: &str = "ompobs-run-v2";
 
 /// Config strata the virtual-time series fold into
 /// (`config_index % STRATA`); must match `collect`'s tsdb writer and
@@ -64,29 +53,14 @@ pub const STRATA: usize = 8;
 /// budget at paper scale.
 pub const SERIES_RETAIN: usize = 16;
 
-const MAGIC: &[u8; 8] = b"OMPOBS01";
-const HEADER_BYTES: usize = 40;
-const RECORD_BYTES: usize = 56;
-
 const KIND_COLLECT: u64 = 0;
 const KIND_BENCH: u64 = 1;
 
 // ---------------------------------------------------------------------------
-// Hashing: FNV-1a over bytes for strings/files, and an FNV-style
+// Hashing: [`Fnv1a`] over bytes for strings/files, and an FNV-style
 // word-at-a-time mix for the record core (the core is mostly u64 words;
 // hashing words instead of rendered text keeps content addressing off
 // the serialization hot path).
-
-/// FNV-1a over raw bytes (same constants as
-/// [`config_hash`](crate::config_hash)).
-pub fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 fn mix(h: &mut u64, w: u64) {
     *h ^= w;
@@ -94,7 +68,7 @@ fn mix(h: &mut u64, w: u64) {
 }
 
 fn mix_str(h: &mut u64, s: &str) {
-    mix(h, fnv_bytes(s.as_bytes()));
+    mix(h, Fnv1a::of(s.as_bytes()));
     mix(h, s.len() as u64);
 }
 
@@ -245,7 +219,7 @@ pub struct AppDigest {
     /// Summed virtual nanoseconds (whole-ns truncation per sample).
     pub virt_ns: u64,
     /// Summed modeled energy in microjoules (whole-µJ truncation per
-    /// sample; 0 in pre-energy records).
+    /// sample).
     pub energy_uj: u64,
 }
 
@@ -256,7 +230,7 @@ pub struct CellDigest {
     pub value: String,
     pub samples: u64,
     pub virt_ns: u64,
-    /// Summed modeled energy in microjoules (0 in pre-energy records).
+    /// Summed modeled energy in microjoules.
     pub energy_uj: u64,
 }
 
@@ -271,9 +245,7 @@ pub struct ArchDigest {
     pub virt: Vec<StratumSeries>,
     /// Per-stratum energy series mirroring `virt`: `sum_bits` hold the
     /// per-sample `total_j` bit patterns (joules), same slots, same
-    /// totals. Empty in pre-energy (v1) records — and excluded from the
-    /// content hash when empty, so those records keep re-hashing to
-    /// their stored address.
+    /// totals.
     pub energy: Vec<StratumSeries>,
     pub apps: Vec<AppDigest>,
     /// [`Feature::ENV_FEATURES`] × [`value_labels`] order, flattened.
@@ -524,8 +496,7 @@ impl ArchDigest {
         self.apps.iter().map(|a| a.virt_ns).sum()
     }
 
-    /// Total attributed modeled energy in microjoules (sum over apps;
-    /// 0 for pre-energy records).
+    /// Total attributed modeled energy in microjoules (sum over apps).
     pub fn energy_uj(&self) -> u64 {
         self.apps.iter().map(|a| a.energy_uj).sum()
     }
@@ -621,23 +592,18 @@ impl CollectCore {
                 mix(h, cell.samples);
                 mix(h, cell.virt_ns);
             }
-            // Energy words are content-gated: a pre-energy record
-            // parses with an empty series and zero µJ digests, and must
-            // keep hashing to its stored content address.
-            if !a.energy.is_empty() {
-                for s in &a.energy {
-                    mix(h, s.total);
-                    for (&c, &b) in s.counts.iter().zip(&s.sum_bits) {
-                        mix(h, c);
-                        mix(h, b);
-                    }
+            for s in &a.energy {
+                mix(h, s.total);
+                for (&c, &b) in s.counts.iter().zip(&s.sum_bits) {
+                    mix(h, c);
+                    mix(h, b);
                 }
-                for app in &a.apps {
-                    mix(h, app.energy_uj);
-                }
-                for cell in &a.cells {
-                    mix(h, cell.energy_uj);
-                }
+            }
+            for app in &a.apps {
+                mix(h, app.energy_uj);
+            }
+            for cell in &a.cells {
+                mix(h, cell.energy_uj);
             }
         }
     }
@@ -715,18 +681,11 @@ impl RunCore {
         }
     }
 
-    fn kind_code(&self) -> u64 {
-        match self {
-            RunCore::Collect(_) => KIND_COLLECT,
-            RunCore::Bench(_) => KIND_BENCH,
-        }
-    }
-
     /// Grouping key: sweeps group by spec fingerprint, benches by name.
     pub fn spec_fp(&self) -> u64 {
         match self {
             RunCore::Collect(c) => c.spec_fingerprint,
-            RunCore::Bench(b) => fnv_bytes(b.bench.as_bytes()),
+            RunCore::Bench(b) => Fnv1a::of(b.bench.as_bytes()),
         }
     }
 
@@ -829,7 +788,7 @@ impl RunRecord {
     pub fn to_jsonl(&self) -> String {
         let mut o = String::with_capacity(64 * 1024);
         o.push_str("{\"schema\":\"");
-        o.push_str(SCHEMA_V2);
+        o.push_str(SCHEMA);
         o.push_str("\",\"seq\":");
         push_u64(&mut o, self.seq);
         o.push_str(",\"ts_unix\":");
@@ -876,13 +835,9 @@ impl RunRecord {
         let doc: serde::Value =
             serde_json::from_str(line).map_err(|e| format!("unparsable record: {e}"))?;
         let map = doc.as_map().ok_or("record is not an object")?;
-        let get = |name: &str| {
-            map.iter()
-                .find(|(k, _)| k.as_str() == Some(name))
-                .map(|(_, v)| v)
-        };
+        let get = |name: &str| field(map, name);
         let schema = get("schema").and_then(|v| v.as_str()).unwrap_or("");
-        if schema != SCHEMA && schema != SCHEMA_V2 {
+        if schema != SCHEMA {
             return Err(format!("unknown schema {schema:?}"));
         }
         let seq = get("seq").and_then(|v| v.as_u64()).ok_or("missing seq")?;
@@ -969,23 +924,9 @@ fn write_collect_core(o: &mut String, c: &CollectCore) {
         push_u64(o, a.samples);
         o.push_str(",\"dropped\":");
         push_u64(o, a.dropped);
-        o.push_str(",\"virt\":[");
-        for (j, s) in a.virt.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"total\":");
-            push_u64(o, s.total);
-            o.push_str(",\"counts\":");
-            push_u64_array(o, &s.counts);
-            o.push_str(",\"sum_bits\":");
-            push_u64_array(o, &s.sum_bits);
-            o.push('}');
-        }
-        o.push(']');
-        if !a.energy.is_empty() {
-            o.push_str(",\"energy\":[");
-            for (j, s) in a.energy.iter().enumerate() {
+        for (name, strata) in [(",\"virt\":[", &a.virt), (",\"energy\":[", &a.energy)] {
+            o.push_str(name);
+            for (j, s) in strata.iter().enumerate() {
                 if j > 0 {
                     o.push(',');
                 }
@@ -1114,34 +1055,23 @@ fn read_collect_core(v: &serde::Value) -> Result<CollectCore, String> {
             apps: Vec::new(),
             cells: Vec::new(),
         };
-        for s in field(am, "virt").and_then(|v| v.as_seq()).unwrap_or(&[]) {
-            let sm = s.as_map().ok_or("stratum is not an object")?;
-            digest.virt.push(StratumSeries {
-                total: u64_field(sm, "total")?,
-                counts: field(sm, "counts").map(u64_seq).unwrap_or_default(),
-                sum_bits: field(sm, "sum_bits").map(u64_seq).unwrap_or_default(),
-            });
+        for (name, strata) in [("virt", &mut digest.virt), ("energy", &mut digest.energy)] {
+            for s in field(am, name).and_then(|v| v.as_seq()).unwrap_or(&[]) {
+                let sm = s.as_map().ok_or("stratum is not an object")?;
+                strata.push(StratumSeries {
+                    total: u64_field(sm, "total")?,
+                    counts: field(sm, "counts").map(u64_seq).unwrap_or_default(),
+                    sum_bits: field(sm, "sum_bits").map(u64_seq).unwrap_or_default(),
+                });
+            }
         }
-        // Absent in v1 records: parse to empty, which the content hash
-        // gates out.
-        for s in field(am, "energy").and_then(|v| v.as_seq()).unwrap_or(&[]) {
-            let sm = s.as_map().ok_or("energy stratum is not an object")?;
-            digest.energy.push(StratumSeries {
-                total: u64_field(sm, "total")?,
-                counts: field(sm, "counts").map(u64_seq).unwrap_or_default(),
-                sum_bits: field(sm, "sum_bits").map(u64_seq).unwrap_or_default(),
-            });
-        }
-        let opt_u64 = |m: &[(serde::Value, serde::Value)], name: &str| {
-            field(m, name).and_then(|v| v.as_u64()).unwrap_or(0)
-        };
         for app in field(am, "apps").and_then(|v| v.as_seq()).unwrap_or(&[]) {
             let pm = app.as_map().ok_or("app digest is not an object")?;
             digest.apps.push(AppDigest {
                 app: str_field(pm, "app")?,
                 samples: u64_field(pm, "samples")?,
                 virt_ns: u64_field(pm, "virt_ns")?,
-                energy_uj: opt_u64(pm, "energy_uj"),
+                energy_uj: u64_field(pm, "energy_uj")?,
             });
         }
         for cell in field(am, "cells").and_then(|v| v.as_seq()).unwrap_or(&[]) {
@@ -1151,7 +1081,7 @@ fn read_collect_core(v: &serde::Value) -> Result<CollectCore, String> {
                 value: str_field(cm, "value")?,
                 samples: u64_field(cm, "samples")?,
                 virt_ns: u64_field(cm, "virt_ns")?,
-                energy_uj: opt_u64(cm, "energy_uj"),
+                energy_uj: u64_field(cm, "energy_uj")?,
             });
         }
         core.arches.push(digest);
@@ -1208,9 +1138,6 @@ pub struct RegistryLoad {
     pub records: Vec<RunRecord>,
     /// Damaged JSONL lines (or hash-mismatched records) skipped.
     pub corrupt_skipped: u64,
-    /// The binary index was missing/stale/damaged and the JSONL was
-    /// rescanned (and the index rewritten).
-    pub index_rebuilt: bool,
 }
 
 struct LockGuard {
@@ -1223,27 +1150,25 @@ impl Drop for LockGuard {
     }
 }
 
-fn word(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("word in bounds"))
-}
-
-fn put_word(buf: &mut Vec<u8>, w: u64) {
-    buf.extend_from_slice(&w.to_le_bytes());
-}
-
-fn header_checksum(count: u64, jsonl_len: u64) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    mix(&mut h, count);
-    mix(&mut h, jsonl_len);
-    h
-}
-
-fn record_checksum(words: &[u64; 6]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &w in words {
-        mix(&mut h, w);
+/// The lines in `file`, and whether the last one lacks its newline (it
+/// still counts). Counted through one 64 KiB buffer: the registry only
+/// grows, and every run appends to it.
+fn count_lines(file: &mut fs::File) -> io::Result<(u64, bool)> {
+    let mut buf = vec![0u8; 64 * 1024];
+    let (mut newlines, mut last) = (0u64, b'\n');
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => {
+                newlines += buf[..n].iter().filter(|&&b| b == b'\n').count() as u64;
+                last = buf[n - 1];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    h
+    let torn = last != b'\n';
+    Ok((newlines + u64::from(torn), torn))
 }
 
 impl Registry {
@@ -1262,10 +1187,6 @@ impl Registry {
         self.dir.join("registry.jsonl")
     }
 
-    fn idx_path(&self) -> PathBuf {
-        self.dir.join("registry.idx")
-    }
-
     /// Advisory whole-registry lock: a blocking OS file lock on
     /// `registry.lock`. The kernel releases it when the holder exits —
     /// crashed writers never leave a stale lock behind, so there is no
@@ -1281,13 +1202,10 @@ impl Registry {
         Ok(LockGuard { file })
     }
 
-    /// Append one run. Assigns the next sequence number, writes the
-    /// JSONL line, and extends the binary index, all under the registry
-    /// lock. Returns the completed record. The hot path costs a fixed
-    /// handful of filesystem operations: one lock-file open (the OS
-    /// lock itself is free when uncontended), one append-mode open of
-    /// the JSONL, and one read+write open of the index that serves both
-    /// the sequence lookup and the in-place extension.
+    /// Append one run under the registry lock: the next sequence number
+    /// is the count of lines already in the file, read through the same
+    /// handle the new line is then appended with. Returns the completed
+    /// record.
     pub fn append(
         &self,
         core: RunCore,
@@ -1300,19 +1218,11 @@ impl Registry {
         let record_hash = core.hash();
         let _guard = self.lock()?;
         let mut jsonl = fs::OpenOptions::new()
+            .read(true)
             .append(true)
             .create(true)
             .open(self.jsonl_path())?;
-        let jsonl_len = jsonl.metadata()?.len();
-        let idx = self.open_trusted_idx(jsonl_len);
-        let seq = match &idx {
-            Some((_, count)) => *count,
-            None if jsonl_len == 0 => 0,
-            None => fs::read_to_string(self.jsonl_path())?
-                .lines()
-                .filter(|l| !l.trim().is_empty())
-                .count() as u64,
-        };
+        let (seq, torn) = count_lines(&mut jsonl)?;
         let record = RunRecord {
             seq,
             ts_unix,
@@ -1323,234 +1233,37 @@ impl Registry {
         };
         let mut line = record.to_jsonl();
         line.push('\n');
+        if torn {
+            // A writer died mid-line: end its torn line (one skipped
+            // record on load) so it cannot swallow this one.
+            line.insert(0, '\n');
+        }
         jsonl.write_all(line.as_bytes())?;
         jsonl.flush()?;
-        self.extend_index(idx, seq, jsonl_len, line.len() as u64, &record)?;
         Ok(record)
     }
 
-    /// Open the index read+write and validate its header against the
-    /// current JSONL length. Returns the open handle plus the record
-    /// count when everything checks out — the caller reuses the handle
-    /// both as the next sequence number and for the in-place extension
-    /// — and `None` on any doubt (missing, stale, or damaged index).
-    fn open_trusted_idx(&self, jsonl_len: u64) -> Option<(fs::File, u64)> {
-        let mut file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(self.idx_path())
-            .ok()?;
-        let mut head = [0u8; HEADER_BYTES];
-        if file.read_exact(&mut head).is_err() || &head[..8] != MAGIC {
-            return None;
-        }
-        let count = word(&head, 8);
-        let idx_len = word(&head, 16);
-        let checksum = word(&head, 24);
-        let file_len = file.metadata().ok()?.len();
-        if checksum != header_checksum(count, idx_len)
-            || idx_len != jsonl_len
-            || file_len != (HEADER_BYTES + count as usize * RECORD_BYTES) as u64
-        {
-            return None;
-        }
-        Some((file, count))
-    }
-
-    fn extend_index(
-        &self,
-        idx: Option<(fs::File, u64)>,
-        seq: u64,
-        offset: u64,
-        len: u64,
-        record: &RunRecord,
-    ) -> io::Result<()> {
-        let words = [
-            seq,
-            offset,
-            len,
-            record.record_hash,
-            record.core.spec_fp(),
-            record.core.kind_code(),
-        ];
-        let entry = [
-            words[0],
-            words[1],
-            words[2],
-            words[3],
-            words[4],
-            words[5],
-            record_checksum(&words),
-        ];
-        let jsonl_len = offset + len;
-        // Extend-in-place when the pre-validated handle is available:
-        // append the entry, then patch the header. The record lands
-        // before the header does, so a crash between the two leaves a
-        // stale header — which the next load treats as "rebuild from
-        // JSONL", never as truth.
-        if let Some((mut file, count)) = idx {
-            debug_assert_eq!(count, seq);
-            let mut rec = Vec::with_capacity(RECORD_BYTES);
-            for &w in &entry {
-                put_word(&mut rec, w);
-            }
-            file.seek(SeekFrom::End(0))?;
-            file.write_all(&rec)?;
-            let mut patch = Vec::with_capacity(24);
-            put_word(&mut patch, count + 1);
-            put_word(&mut patch, jsonl_len);
-            put_word(&mut patch, header_checksum(count + 1, jsonl_len));
-            file.seek(SeekFrom::Start(8))?;
-            file.write_all(&patch)?;
-            file.flush()?;
-            return Ok(());
-        }
-        // Anything else — missing, stale, or damaged index — is
-        // rewritten wholesale from whatever prefix still validates.
-        let mut records: Vec<[u64; 7]> = Vec::new();
-        if let Ok(buf) = fs::read(self.idx_path()) {
-            if buf.len() >= HEADER_BYTES && &buf[..8] == MAGIC {
-                let count = word(&buf, 8) as usize;
-                if buf.len() == HEADER_BYTES + count * RECORD_BYTES {
-                    for i in 0..count {
-                        let at = HEADER_BYTES + i * RECORD_BYTES;
-                        let mut w = [0u64; 7];
-                        for (j, slot) in w.iter_mut().enumerate() {
-                            *slot = word(&buf, at + j * 8);
-                        }
-                        records.push(w);
-                    }
-                }
-            }
-        }
-        records.truncate(seq as usize);
-        records.push(entry);
-        let mut buf = Vec::with_capacity(HEADER_BYTES + records.len() * RECORD_BYTES);
-        buf.extend_from_slice(MAGIC);
-        put_word(&mut buf, records.len() as u64);
-        put_word(&mut buf, jsonl_len);
-        put_word(&mut buf, header_checksum(records.len() as u64, jsonl_len));
-        put_word(&mut buf, 0); // reserved
-        for w in &records {
-            for &x in w {
-                put_word(&mut buf, x);
-            }
-        }
-        let tmp = self.dir.join("registry.idx.tmp");
-        fs::write(&tmp, &buf)?;
-        fs::rename(&tmp, self.idx_path())
-    }
-
-    /// Load every surviving record. Damage degrades, it never fails:
-    /// a stale or corrupt index triggers a JSONL rescan (and an index
-    /// rewrite), a damaged JSONL line is skipped and counted.
+    /// Load every surviving record. Damage degrades, it never fails: a
+    /// line that does not parse, or whose content no longer matches its
+    /// stored address, is skipped and counted.
     pub fn load(&self) -> io::Result<RegistryLoad> {
         let mut out = RegistryLoad::default();
-        let mut jsonl = Vec::new();
-        match fs::File::open(self.jsonl_path()) {
-            Ok(mut f) => {
-                f.read_to_end(&mut jsonl)?;
-            }
+        let jsonl = match fs::read(self.jsonl_path()) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
             Err(e) => return Err(e),
-        }
-        if let Some(records) = self.load_via_index(&jsonl, &mut out) {
-            out.records = records;
-            return Ok(out);
-        }
-        // Index unusable: rescan the archival JSONL line by line.
-        out.index_rebuilt = true;
-        out.corrupt_skipped = 0;
-        let mut offsets = Vec::new();
-        let mut at = 0usize;
-        let text = String::from_utf8_lossy(&jsonl);
-        for line in text.split_inclusive('\n') {
-            let trimmed = line.trim();
-            if !trimmed.is_empty() {
-                match RunRecord::from_jsonl(trimmed) {
-                    Ok(rec) => {
-                        offsets.push((at as u64, line.len() as u64, rec));
-                    }
-                    Err(_) => out.corrupt_skipped += 1,
-                }
-            }
-            at += line.len();
-        }
-        // Best-effort index rewrite so the next load is O(records).
-        if let Ok(_guard) = self.lock() {
-            let _ = self.rewrite_index(&offsets, jsonl.len() as u64);
-        }
-        out.records = offsets.into_iter().map(|(_, _, r)| r).collect();
-        Ok(out)
-    }
-
-    fn load_via_index(&self, jsonl: &[u8], out: &mut RegistryLoad) -> Option<Vec<RunRecord>> {
-        let buf = fs::read(self.idx_path()).ok()?;
-        if buf.len() < HEADER_BYTES || &buf[..8] != MAGIC {
-            return None;
-        }
-        let count = word(&buf, 8) as usize;
-        let jsonl_len = word(&buf, 16);
-        if word(&buf, 24) != header_checksum(count as u64, jsonl_len)
-            || jsonl_len != jsonl.len() as u64
-            || buf.len() != HEADER_BYTES + count * RECORD_BYTES
-        {
-            return None;
-        }
-        let mut records = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = HEADER_BYTES + i * RECORD_BYTES;
-            let words = [
-                word(&buf, at),
-                word(&buf, at + 8),
-                word(&buf, at + 16),
-                word(&buf, at + 24),
-                word(&buf, at + 32),
-                word(&buf, at + 40),
-            ];
-            if word(&buf, at + 48) != record_checksum(&words) {
-                return None;
-            }
-            let (offset, len) = (words[1] as usize, words[2] as usize);
-            if offset + len > jsonl.len() {
-                return None;
-            }
-            let Ok(line) = std::str::from_utf8(&jsonl[offset..offset + len]) else {
-                out.corrupt_skipped += 1;
+        };
+        for line in String::from_utf8_lossy(&jsonl).lines() {
+            let line = line.trim();
+            if line.is_empty() {
                 continue;
-            };
-            match RunRecord::from_jsonl(line.trim()) {
-                Ok(rec) if rec.record_hash == words[3] => records.push(rec),
-                _ => out.corrupt_skipped += 1,
+            }
+            match RunRecord::from_jsonl(line) {
+                Ok(rec) => out.records.push(rec),
+                Err(_) => out.corrupt_skipped += 1,
             }
         }
-        Some(records)
-    }
-
-    fn rewrite_index(&self, entries: &[(u64, u64, RunRecord)], jsonl_len: u64) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(HEADER_BYTES + entries.len() * RECORD_BYTES);
-        buf.extend_from_slice(MAGIC);
-        put_word(&mut buf, entries.len() as u64);
-        put_word(&mut buf, jsonl_len);
-        put_word(&mut buf, header_checksum(entries.len() as u64, jsonl_len));
-        put_word(&mut buf, 0);
-        for (offset, len, rec) in entries {
-            let words = [
-                rec.seq,
-                *offset,
-                *len,
-                rec.record_hash,
-                rec.core.spec_fp(),
-                rec.core.kind_code(),
-            ];
-            for &w in &words {
-                put_word(&mut buf, w);
-            }
-            put_word(&mut buf, record_checksum(&words));
-        }
-        let tmp = self.dir.join("registry.idx.tmp");
-        fs::write(&tmp, &buf)?;
-        fs::rename(&tmp, self.idx_path())
+        Ok(out)
     }
 
     /// Registry listing as JSON — the `/runs` route body and the
@@ -1570,8 +1283,7 @@ impl Registry {
         push_json_str(&mut o, &self.dir.display().to_string());
         o.push_str(",\"corrupt_skipped\":");
         push_u64(&mut o, loaded.corrupt_skipped);
-        o.push_str(&format!(",\"index_rebuilt\":{},", loaded.index_rebuilt));
-        o.push_str("\"records\":[");
+        o.push_str(",\"records\":[");
         for (i, r) in loaded.records.iter().enumerate() {
             if i > 0 {
                 o.push(',');
@@ -1823,41 +1535,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_energy_records_parse_and_keep_their_address() {
-        // Simulate a v1-era record: no energy words anywhere.
-        let mut core = tiny_core(9);
-        for a in &mut core.arches {
-            a.energy.clear();
-            for app in &mut a.apps {
-                app.energy_uj = 0;
-            }
-            for cell in &mut a.cells {
-                cell.energy_uj = 0;
-            }
-        }
-        let rc = RunCore::Collect(core);
-        let record = RunRecord {
-            seq: 0,
-            ts_unix: 0,
-            git_rev: "unknown".to_string(),
-            record_hash: rc.hash(),
-            core: rc,
-            info: RunInfo::default(),
-        };
-        // A v1 writer stamped the v1 schema and knew nothing of the
-        // energy fields; the reader must accept that line and re-derive
-        // the same content address (the gate in `hash_into`).
-        let v1 = record
-            .to_jsonl()
-            .replace(SCHEMA_V2, SCHEMA)
-            .replace(",\"energy_uj\":0", "");
-        assert!(!v1.contains("energy"), "{v1}");
-        let back = RunRecord::from_jsonl(&v1).unwrap();
-        assert_eq!(back.record_hash, record.record_hash);
-        assert_eq!(back, record);
-    }
-
-    #[test]
     fn energy_words_are_content_addressed() {
         let core = tiny_core(10);
         let a = &core.arches[0];
@@ -1987,7 +1664,6 @@ mod tests {
         let loaded = registry.load().unwrap();
         assert_eq!(loaded.records.len(), 3);
         assert_eq!(loaded.corrupt_skipped, 0);
-        assert!(!loaded.index_rebuilt, "fresh index must be trusted");
         // Same core content => same address on every record.
         let h0 = loaded.records[0].record_hash;
         assert!(loaded.records.iter().all(|r| r.record_hash == h0));
@@ -2021,46 +1697,72 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    fn bench_core(bench: &str) -> RunCore {
+        RunCore::Bench(BenchCore::from_bench_json(bench, r#"{"warm_s": 0.005}"#).unwrap())
+    }
+
     #[test]
-    fn truncated_index_rebuilds_from_jsonl() {
-        let dir = tmp_dir("truncidx");
-        let registry = Registry::open(&dir).unwrap();
-        let core = tiny_core(3);
-        registry
-            .append(RunCore::Collect(core.clone()), RunInfo::default(), "a", 1)
-            .unwrap();
-        registry
-            .append(RunCore::Collect(core.clone()), RunInfo::default(), "b", 2)
-            .unwrap();
-        let idx = fs::read(dir.join("registry.idx")).unwrap();
-        fs::write(dir.join("registry.idx"), &idx[..idx.len() / 2]).unwrap();
-        let loaded = registry.load().unwrap();
-        assert!(loaded.index_rebuilt, "truncated index must trigger rescan");
-        assert_eq!(loaded.records.len(), 2);
+    fn two_handles_number_forty_appends_from_the_one_file() {
+        let dir = tmp_dir("twohandles");
+        let seqs: Vec<u64> = std::thread::scope(|scope| {
+            let writers: Vec<_> = ["a", "b"]
+                .into_iter()
+                .map(|who| {
+                    let registry = Registry::open(&dir).unwrap();
+                    scope.spawn(move || {
+                        (0..20)
+                            .map(|i| {
+                                registry
+                                    .append(bench_core(who), RunInfo::default(), who, i)
+                                    .unwrap()
+                                    .seq
+                            })
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let mut sorted = seqs.clone();
+        sorted.sort_unstable();
+        assert!(sorted.iter().copied().eq(0..40), "{seqs:?}");
+        // The file is in seq order, and it is the whole registry.
+        let loaded = Registry::open(&dir).unwrap().load().unwrap();
         assert_eq!(loaded.corrupt_skipped, 0);
-        // The rescue rewrote the index; the next load trusts it again.
-        let again = registry.load().unwrap();
-        assert!(!again.index_rebuilt);
-        assert_eq!(again.records.len(), 2);
-        // Appending after a rescue keeps numbering monotone.
-        let rec = registry
-            .append(RunCore::Collect(core), RunInfo::default(), "c", 3)
-            .unwrap();
-        assert_eq!(rec.seq, 2);
+        assert!(loaded.records.iter().map(|r| r.seq).eq(0..40));
+        let mut files: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["registry.jsonl", "registry.lock"]);
         let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn missing_index_is_rebuilt_silently() {
-        let dir = tmp_dir("noidx");
+    fn a_torn_last_line_costs_itself_and_not_the_next_append() {
+        let dir = tmp_dir("torn");
         let registry = Registry::open(&dir).unwrap();
-        registry
-            .append(RunCore::Collect(tiny_core(4)), RunInfo::default(), "a", 1)
+        for who in ["a", "b"] {
+            registry
+                .append(bench_core(who), RunInfo::default(), who, 1)
+                .unwrap();
+        }
+        // Kill the second append mid-line.
+        let path = dir.join("registry.jsonl");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
+        let rec = registry
+            .append(bench_core("c"), RunInfo::default(), "c", 2)
             .unwrap();
-        fs::remove_file(dir.join("registry.idx")).unwrap();
+        assert_eq!(rec.seq, 2, "the torn line still counts as a line");
         let loaded = registry.load().unwrap();
-        assert!(loaded.index_rebuilt);
-        assert_eq!(loaded.records.len(), 1);
+        assert_eq!(loaded.corrupt_skipped, 1);
+        let revs: Vec<&str> = loaded.records.iter().map(|r| r.git_rev.as_str()).collect();
+        assert_eq!(revs, ["a", "c"]);
         let _ = fs::remove_dir_all(dir);
     }
 

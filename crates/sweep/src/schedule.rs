@@ -813,9 +813,8 @@ mod tests {
             sweep_arch_scheduled(Arch::A64fx, &spec, &SweepOptions::new(2).with_cache(&cache));
         assert_eq!(cold.batches, seq);
 
-        // Vandalize the first record of every hot binary batch (its
-        // checksum now fails, so it degrades to a miss — never to a
-        // fallback on the archival JSONL, which stays intact beside it).
+        // Vandalize the first record of every batch file (its checksum
+        // now fails, so that one sample degrades to a miss).
         let header = 8 * 8;
         let mut damaged = 0;
         for entry in std::fs::read_dir(cache.dir().join("a64fx")).unwrap() {

@@ -137,8 +137,8 @@ fn engine_counters_surface_under_telemetry_session() {
         "cold sweep priced no batches under the session"
     );
     assert!(
-        c.get(omptel::Counter::SampleCacheIndexHits) > 0,
-        "warm sweep answered no lookups from the binary index"
+        c.get(omptel::Counter::SampleCacheHits) > 0,
+        "warm sweep answered no lookups from the sample cache"
     );
     assert!(
         c.get(omptel::Counter::PoolHits) > 0,

@@ -47,19 +47,22 @@ cleanup() {
     rm -rf "$coherence_dir"
 }
 trap cleanup EXIT
+same_as_cold() { # same_as_cold RUN WHAT
+    for f in provenance.jsonl samples.csv raw_batches.json; do
+        cmp "$coherence_dir/cold/$f" "$coherence_dir/$1/$f" || {
+            echo "verify: $2: $f diverged from the cold sweep" >&2
+            exit 1
+        }
+    done
+}
 cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/cold" \
     --workers 4 --cache-dir "$coherence_dir/cache" 2>/dev/null
 cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/warm" \
     --workers 2 --cache-dir "$coherence_dir/cache" 2>/dev/null
 # The artifact tail writes provenance on a second thread at these worker
-# counts and after the other files at workers 1 (the migration gate
-# below): all three data files must come out the same.
-for f in provenance.jsonl samples.csv raw_batches.json; do
-    cmp "$coherence_dir/cold/$f" "$coherence_dir/warm/$f" || {
-        echo "verify: warm sweep $f diverged from cold sweep" >&2
-        exit 1
-    }
-done
+# counts and after the other files at workers 1 (the legs below): all
+# three data files must come out the same.
+same_as_cold warm "warm sweep"
 # The byte-identity above must include the modeled joules: every
 # provenance record carries its closed energy breakdown, so the cmp
 # gates energy reproducibility too — but only if the fields are there.
@@ -69,29 +72,35 @@ grep -q '"total_j"' "$coherence_dir/cold/provenance.jsonl" || {
 }
 echo "cold and warm provenance byte-identical (modeled joules included)"
 
-# Migration gate: a legacy JSONL-only cache upgraded in place by
-# cache-migrate must warm-answer byte-identically to the sweep-written
-# binary cache. Strip the hot .bin files (leaving the archival JSONL —
-# exactly what a pre-binary cache directory looks like), convert, then
-# warm-sweep at a third worker count.
+# The same cache at a third worker count, sound and then damaged: with
+# byte 3 of every batch header flipped nothing may answer, so the run
+# recomputes everything (and rewrites the files) — and must still agree.
 echo
-echo "==> cache migration gate (JSONL-only -> cache-migrate -> warm sweep)"
-find "$coherence_dir/cache" -name '*.bin' -delete
-migrate_out="$(cargo run --release -p sweep --bin cache-migrate -- "$coherence_dir/cache")"
-echo "$migrate_out"
-grep -qE '^cache-migrate: [1-9][0-9]* file\(s\) converted' <<<"$migrate_out" || {
-    echo "verify: cache-migrate converted no files" >&2
+echo "==> sample cache at workers 1: warm, then over damaged batch headers"
+cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/warm1" \
+    --workers 1 --cache-dir "$coherence_dir/cache" 2>/dev/null
+same_as_cold warm1 "warm sweep at workers 1"
+echo "warm cache answers byte-identically (workers 4, 2, 1 all agree)"
+bins="$(find "$coherence_dir/cache" -name '*.bin')"
+[ -n "$bins" ] || { echo "verify: the cache holds no .bin batch files" >&2; exit 1; }
+others="$(find "$coherence_dir/cache" -type f ! -name '*.bin')"
+[ -z "$others" ] || {
+    echo "verify: the cache holds more than <arch>/<stem>.bin files:" >&2
+    echo "$others" >&2
     exit 1
 }
-cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/migrated" \
-    --workers 1 --cache-dir "$coherence_dir/cache" 2>/dev/null
-for f in provenance.jsonl samples.csv raw_batches.json; do
-    cmp "$coherence_dir/cold/$f" "$coherence_dir/migrated/$f" || {
-        echo "verify: warm sweep $f over a migrated cache diverged from the cold sweep" >&2
-        exit 1
-    }
+for bin in $bins; do
+    # Byte 3 of the magic is 'S' (0x53); its complement is 0xac.
+    printf '\254' | dd of="$bin" bs=1 seek=3 conv=notrunc status=none
 done
-echo "migrated cache answers byte-identically (workers 4, 2, 1 all agree)"
+cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/damaged" \
+    --workers 1 --cache-dir "$coherence_dir/cache" 2>"$coherence_dir/damaged.err"
+grep -q '^sample cache at .*: 0 hits, ' "$coherence_dir/damaged.err" || {
+    echo "verify: a cache with every batch header damaged still answered lookups" >&2
+    exit 1
+}
+same_as_cold damaged "sweep over damaged batch headers"
+echo "damaged batch headers recompute byte-identically"
 
 # Trace validation: a live traced collect run must (a) leave the
 # provenance byte-identical to the untraced runs above, and (b) export a
@@ -244,7 +253,7 @@ echo "energy ring series recorded in tsdb/ alongside virtual time"
 step cargo run --release -p ompmon --bin ompmon -- \
     drift "$coherence_dir/cold" "$coherence_dir/warm"
 
-# Longitudinal observatory gate: the five collect runs above all share
+# Longitudinal observatory gate: the six collect runs above all share
 # one registry ($coherence_dir/.ompobs, the out-dir sibling default).
 # Same tree + same seed means every record must carry the same content
 # address regardless of worker count, the change-point sentinel must
@@ -257,8 +266,8 @@ obs_dir="$coherence_dir/.ompobs"
 list_out="$(cargo run --release -q -p ompobs -- list --dir "$obs_dir")"
 echo "$list_out"
 collect_rows="$(awk '$3 == "collect"' <<<"$list_out" | wc -l)"
-[ "$collect_rows" -ge 5 ] || {
-    echo "verify: registry holds only $collect_rows collect record(s), expected the 5 runs above" >&2
+[ "$collect_rows" -ge 6 ] || {
+    echo "verify: registry holds only $collect_rows collect record(s), expected the 6 runs above" >&2
     exit 1
 }
 unique_hashes="$(awk '$3 == "collect" { print $5 }' <<<"$list_out" | sort -u | wc -l)"
