@@ -14,8 +14,8 @@
 //!   lazily to `write_provenance_jsonl` (one `config_hash` and one JSON
 //!   line per sample),
 //! - `tsdb_s`       — `collect`'s ring pattern, two points per sample
-//!   (`{arch}/virt/s{k}`, `{arch}/energy/s{k}`) through `Tsdb::append`,
-//!   then `Tsdb::flush`,
+//!   (`{arch}/virt/s{k}`, `{arch}/energy/s{k}`) through
+//!   `sweep::series::append_stratum_series`, one `Tsdb::flush` per arch,
 //! - `tail_s` / `tail_parallel_s` — the whole tail as `collect` runs it:
 //!   `write_artifacts` of all five files into a directory, its two jobs
 //!   one after the other (`workers` 1) and side by side (`workers` 2).
@@ -28,13 +28,10 @@
 //! runs a smoke slice and writes nothing; under `cargo bench` it runs
 //! the full slice and writes the JSON.
 
-use omptune_core::Arch;
 use std::time::Instant;
 use sweep::{Scope, SettingData, SweepSpec};
 
 const WORKERS: usize = 4;
-/// `collect`'s config strata (`ompmon::STRATA`).
-const STRATA: usize = 8;
 
 /// Best-of-`passes` wall seconds of `pass`, and every pass's time.
 fn time_passes(passes: usize, mut pass: impl FnMut()) -> (f64, Vec<f64>) {
@@ -48,40 +45,19 @@ fn time_passes(passes: usize, mut pass: impl FnMut()) -> (f64, Vec<f64>) {
     (reps.iter().copied().fold(f64::INFINITY, f64::min), reps)
 }
 
-/// Two ring points per sample, stratified by config index, then one
-/// flush per architecture. Returns the points appended.
+/// `collect`'s stratum series of every architecture (batches arrive
+/// grouped by it), one flush per architecture. Returns the points
+/// appended.
 fn append_series(tsdb: &mut omptel::Tsdb, batches: &[SettingData]) -> u64 {
-    let mut points = 0u64;
-    for &arch in Arch::ALL.iter() {
-        let virt: [String; STRATA] = std::array::from_fn(|k| format!("{}/virt/s{k}", arch.id()));
-        let energy: [String; STRATA] =
-            std::array::from_fn(|k| format!("{}/energy/s{k}", arch.id()));
-        let mut seq = [0u64; STRATA];
-        for sample in batches
-            .iter()
-            .filter(|b| b.key.arch == arch)
-            .flat_map(|b| &b.samples)
-        {
-            let k = sample.config_index % STRATA;
-            let point = |count, sum| omptel::Point {
-                ts: seq[k],
-                count,
-                sum,
-            };
-            let runtimes = &sample.runtimes;
-            tsdb.append(
-                &virt[k],
-                point(runtimes.len() as u64, runtimes.iter().sum()),
-            )
-            .expect("append");
-            tsdb.append(&energy[k], point(1, sample.telemetry.energy.total_j))
-                .expect("append");
-            seq[k] += 1;
-            points += 2;
-        }
-        tsdb.flush().expect("flush");
-    }
-    points
+    let arches = batches.chunk_by(|a, b| a.key.arch == b.key.arch);
+    arches
+        .map(|of_arch| {
+            let arch = of_arch[0].key.arch.id();
+            let points = sweep::series::append_stratum_series(tsdb, arch, of_arch).expect("append");
+            tsdb.flush().expect("flush");
+            points
+        })
+        .sum()
 }
 
 fn run(scope: Scope, write_json: bool) {

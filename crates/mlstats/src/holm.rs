@@ -1,6 +1,6 @@
 //! Holm step-down correction for multiple comparisons.
 //!
-//! The drift sentinel (`ompmon`) runs one Wilcoxon signed-rank test per
+//! The drift sentinel (`ompobs`) runs one Wilcoxon signed-rank test per
 //! (architecture, config-stratum) pair — dozens of hypotheses per
 //! comparison. At α = 0.05 a 24-test family produces a spurious
 //! "drift" verdict in roughly 70 % of identical-run comparisons if raw

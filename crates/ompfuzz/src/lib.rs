@@ -23,7 +23,7 @@
 //!   `certification.json` verdict consumed by CI.
 //!
 //! The `ompfuzz` binary fronts this as `certify`, `gen`, and `run`
-//! commands with `ompmon`-convention exit codes (0 clean, 4 findings,
+//! commands with `ompobs`-convention exit codes (0 clean, 4 findings,
 //! 2 usage, 1 internal).
 
 pub mod certify;

@@ -15,7 +15,7 @@
 //! `--model`, its `simrt` workload model as JSON). `run` executes one
 //! (program, schedule) pair and reports its verdict.
 //!
-//! Exit codes follow the `ompmon` convention: 0 = certified clean,
+//! Exit codes follow the `ompobs` convention: 0 = certified clean,
 //! 4 = findings (checker rules fired or differential mismatch), 2 =
 //! usage error, 1 = internal error (e.g. report serialization failed).
 

@@ -14,7 +14,7 @@
 //! `--demo` — replays a deliberately broken fixture to show detection.
 //! `--json` emits the full machine-readable report on stdout.
 //!
-//! Exit codes follow the `ompmon` convention: 0 = clean, 4 = findings
+//! Exit codes follow the `ompobs` convention: 0 = clean, 4 = findings
 //! (error-severity diagnostics fired), 2 = usage error, 1 = internal
 //! error (e.g. serialization failure).
 

@@ -1,18 +1,22 @@
-//! # ompobs — longitudinal run observatory
+//! # ompobs — the run observatory
 //!
-//! `ompmon drift` answers "did these *two* runs disagree?" given two
-//! run directories by hand. `ompobs` generalizes the question to the
-//! whole recorded history in a [`sweep::Registry`]: every `collect`
-//! run and bench invocation appends a content-addressed record, and
-//! this crate reads the resulting trail three ways:
+//! Answers one question about recorded runs: **did the measured
+//! behaviour move, beyond what noise explains?** The paper's Table III
+//! quantifies per-architecture measurement noise with the Wilcoxon
+//! signed-rank test; [`compare`] turns the same test into a regression
+//! gate over named series pairs, and everything else here feeds it or
+//! reads its verdict:
 //!
-//! - [`sentinel`] — the N-run change-point scan. Comparable runs
-//!   (equal sweep-spec fingerprints) are walked in sequence order;
-//!   each consecutive step is tested series-by-series with the paired
-//!   Wilcoxon signed-rank test, Holm-adjusted over *every* (step,
-//!   series) test in the history so a long trail does not manufacture
-//!   spurious change-points. Records with equal content hashes skip
-//!   testing outright — equal addresses mean equal results.
+//! - [`drift`] — two run directories by hand: every series of the two
+//!   `tsdb/` ring directories `collect` wrote, paired by name.
+//! - [`sentinel`] — the N-run change-point scan over the whole history
+//!   in a [`sweep::Registry`] (every `collect` run and bench invocation
+//!   appends a content-addressed record). Comparable runs (equal
+//!   sweep-spec fingerprints) are walked in sequence order; each
+//!   consecutive step is tested series-by-series, Holm-adjusted over
+//!   *every* (step, series) test in the history so a long trail does
+//!   not manufacture spurious change-points. Records with equal content
+//!   hashes skip testing outright — equal addresses mean equal results.
 //! - [`blame`] — bisection-to-blame. Once a step is flagged, the two
 //!   bracketing records' per-app and per-(variable, value) cost
 //!   digests are diffed to name the top regressed slice:
@@ -25,12 +29,148 @@
 //! [`report`] renders the registry into a dependency-free static HTML
 //! dashboard with hand-rolled SVG sparklines.
 
+pub mod drift;
 pub mod report;
 
 use mlstats::holm_adjust;
 use mlstats::wilcoxon::{wilcoxon_signed_rank, WilcoxonError};
 use serde::Serialize;
+use sweep::series::{is_gating, stratum_series};
 use sweep::{CollectCore, RunCore, RunRecord};
+
+pub use drift::{drift_report, DriftReport};
+
+// ---------------------------------------------------------------------------
+// The comparison every verdict comes from.
+
+/// One named series on the two sides of a comparison, values oldest
+/// first; `None` on a side that never recorded it.
+#[derive(Debug, Clone)]
+pub struct SeriesPair {
+    pub series: String,
+    pub a: Option<Vec<f64>>,
+    pub b: Option<Vec<f64>>,
+}
+
+/// One compared series.
+#[derive(Debug, Clone, Serialize)]
+pub struct SeriesRow {
+    pub series: String,
+    /// Paired points actually tested (after tail alignment + NaN drop).
+    pub n: usize,
+    /// Mean over side A's paired points.
+    pub mean_a: f64,
+    pub mean_b: f64,
+    /// Every paired difference was exactly zero.
+    pub identical: bool,
+    /// Raw two-sided Wilcoxon p (absent when the test is undefined).
+    pub p_raw: Option<f64>,
+    /// Holm-adjusted p; only gating, testable, non-identical rows are
+    /// in the family.
+    pub p_holm: Option<f64>,
+    /// Whether this row can decide the verdict
+    /// ([`sweep::series::is_gating`]).
+    pub gating: bool,
+    /// This row's call (always `false` for informational rows).
+    pub drift: bool,
+    /// Human-readable qualifier (`identical`, `missing in run B`, …).
+    pub note: String,
+}
+
+/// Compare every pair at family-wise level `alpha` (0.05 is the
+/// paper's): rows in input order, and the size of the Holm family.
+///
+/// Only **gating** series ([`sweep::series`]: per-stratum virtual time
+/// and energy, deterministic given the seed) feed the verdict. Wall
+/// latency and scheduler rates legitimately vary run to run; they are
+/// reported with their p-values but never decide — a CI gate that fails
+/// on a busy runner is a gate that gets deleted.
+///
+/// One Wilcoxon test per series would be fine; dozens are not — at
+/// α = 0.05 a 24-test family flags spurious drift in most comparisons.
+/// Gating p-values are therefore Holm-adjusted and a row drifts only
+/// when its adjusted p clears `alpha`, or when it is a gating series
+/// one side lacks.
+pub fn compare(pairs: Vec<SeriesPair>, alpha: f64) -> (Vec<SeriesRow>, usize) {
+    let mut rows: Vec<SeriesRow> = pairs.into_iter().map(compare_pair).collect();
+    // Holm family: gating rows with a defined raw p. Identical rows
+    // cannot drift and untestable rows carry no evidence; keeping them
+    // out preserves power for the tests that can actually speak.
+    let mut family: Vec<&mut SeriesRow> = rows
+        .iter_mut()
+        .filter(|r| r.gating && r.p_raw.is_some())
+        .collect();
+    let raw: Vec<f64> = family.iter().filter_map(|r| r.p_raw).collect();
+    for (row, adjusted) in family.iter_mut().zip(holm_adjust(&raw)) {
+        row.p_holm = Some(adjusted);
+        row.drift = adjusted <= alpha;
+    }
+    let size = family.len();
+    (rows, size)
+}
+
+fn compare_pair(pair: SeriesPair) -> SeriesRow {
+    let gating = is_gating(&pair.series);
+    let mut row = SeriesRow {
+        series: pair.series,
+        n: 0,
+        mean_a: f64::NAN,
+        mean_b: f64::NAN,
+        identical: false,
+        p_raw: None,
+        p_holm: None,
+        gating,
+        drift: false,
+        note: String::new(),
+    };
+    let (a, b) = match (pair.a, pair.b) {
+        (Some(a), Some(b)) => (a, b),
+        (a, _) => {
+            // A gating series present on one side only means the swept
+            // space itself changed — that is drift, not noise.
+            row.drift = gating;
+            row.note = format!("missing in run {}", if a.is_some() { "B" } else { "A" });
+            return row;
+        }
+    };
+    // Tail-aligned positional pairing, non-finite pairs dropped: rings
+    // keep the most recent window, so when one side retained more
+    // history than the other the comparable region is the tail.
+    let n = a.len().min(b.len());
+    let (xs, ys): (Vec<f64>, Vec<f64>) = a[a.len() - n..]
+        .iter()
+        .zip(&b[b.len() - n..])
+        .filter(|(x, y)| x.is_finite() && y.is_finite())
+        .map(|(&x, &y)| (x, y))
+        .unzip();
+    row.n = xs.len();
+    row.mean_a = mean(&xs);
+    row.mean_b = mean(&ys);
+    match wilcoxon_signed_rank(&xs, &ys) {
+        Ok(r) => {
+            row.p_raw = Some(r.p_value);
+            row.note = format!("W={:.1}", r.statistic);
+        }
+        Err(WilcoxonError::AllZeroDifferences) => {
+            row.identical = true;
+            row.note = "identical".to_string();
+        }
+        Err(WilcoxonError::Empty) => row.note = "no paired points".to_string(),
+        Err(WilcoxonError::LengthMismatch) => unreachable!("the pairing aligns lengths"),
+    }
+    row
+}
+
+fn mean(v: &[f64]) -> f64 {
+    if v.is_empty() {
+        f64::NAN
+    } else {
+        v.iter().sum::<f64>() / v.len() as f64
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The N-run sentinel over the registry.
 
 /// History schema marker written into `history.json`.
 pub const HISTORY_SCHEMA: &str = "ompobs-history-v1";
@@ -47,7 +187,8 @@ pub struct RunBrief {
     pub workers: u64,
 }
 
-/// One tested series inside one step.
+/// One tested series inside one step: a [`SeriesRow`] as
+/// `ompobs-history-v1` spells it (every registry series gates).
 #[derive(Debug, Clone, Serialize)]
 pub struct StepRow {
     pub series: String,
@@ -61,6 +202,21 @@ pub struct StepRow {
     /// Holm-adjusted over every testable row of every step.
     pub p_holm: Option<f64>,
     pub change: bool,
+}
+
+impl From<SeriesRow> for StepRow {
+    fn from(row: SeriesRow) -> StepRow {
+        StepRow {
+            series: row.series,
+            n: row.n,
+            mean_a: row.mean_a,
+            mean_b: row.mean_b,
+            identical: row.identical,
+            p_raw: row.p_raw,
+            p_holm: row.p_holm,
+            change: row.drift,
+        }
+    }
 }
 
 /// One consecutive pair of comparable runs.
@@ -164,6 +320,10 @@ pub fn sentinel(records: &[RunRecord], alpha: f64) -> History {
         records.len()
     );
 
+    // Every step's series pairs go to one comparison: a long history
+    // is one big multiple-comparison problem, not many small ones.
+    let mut pairs = Vec::new();
+    let mut rows_per_step = Vec::new();
     for pair in trail.windows(2) {
         let (ra, rb) = (pair[0], pair[1]);
         let mut step = Step {
@@ -176,37 +336,21 @@ pub fn sentinel(records: &[RunRecord], alpha: f64) -> History {
             rows: Vec::new(),
             change_point: false,
         };
+        let before = pairs.len();
         if !step.identical {
             let (RunCore::Collect(ca), RunCore::Collect(cb)) = (&ra.core, &rb.core) else {
                 unreachable!("trail holds collect records only");
             };
-            compare_step(ca, cb, &mut step);
+            step_pairs(ca, cb, &mut step, &mut pairs);
         }
+        rows_per_step.push(pairs.len() - before);
         history.steps.push(step);
     }
-
-    // One Holm family over every testable row of every step: a long
-    // history is one big multiple-comparison problem, not many small
-    // ones.
-    let mut addresses = Vec::new();
-    let mut raw = Vec::new();
-    for (si, step) in history.steps.iter().enumerate() {
-        for (ri, row) in step.rows.iter().enumerate() {
-            if let Some(p) = row.p_raw {
-                addresses.push((si, ri));
-                raw.push(p);
-            }
-        }
-    }
-    history.family = raw.len();
-    for (&(si, ri), &adj) in addresses.iter().zip(holm_adjust(&raw).iter()) {
-        let row = &mut history.steps[si].rows[ri];
-        row.p_holm = Some(adj);
-        if adj <= alpha {
-            row.change = true;
-        }
-    }
-    for (si, step) in history.steps.iter_mut().enumerate() {
+    let (rows, family) = compare(pairs, alpha);
+    history.family = family;
+    let mut rows = rows.into_iter();
+    for (si, (step, n)) in history.steps.iter_mut().zip(rows_per_step).enumerate() {
+        step.rows = rows.by_ref().take(n).map(StepRow::from).collect();
         step.change_point = !step.structural.is_empty() || step.rows.iter().any(|r| r.change);
         if step.change_point {
             history.change_points.push(si);
@@ -216,8 +360,9 @@ pub fn sentinel(records: &[RunRecord], alpha: f64) -> History {
     history
 }
 
-/// Series-by-series comparison of two collect cores into `step`.
-fn compare_step(ca: &CollectCore, cb: &CollectCore, step: &mut Step) {
+/// What two collect cores disagree on structurally, into `step`, and
+/// the series pairs they share, onto `pairs`.
+fn step_pairs(ca: &CollectCore, cb: &CollectCore, step: &mut Step, pairs: &mut Vec<SeriesPair>) {
     for a in &ca.arches {
         if !cb.arches.iter().any(|b| b.arch == a.arch) {
             step.structural
@@ -234,66 +379,22 @@ fn compare_step(ca: &CollectCore, cb: &CollectCore, step: &mut Step) {
         let Some(b) = cb.arches.iter().find(|b| b.arch == a.arch) else {
             continue;
         };
-        for (k, (sa, sb)) in a.virt.iter().zip(&b.virt).enumerate() {
-            push_series_row(step, format!("{}/virt/s{k}", a.arch), sa, sb);
-        }
         // Energy series ride the same test: a config change that moves
         // joules without moving virtual time (a wait-policy swap, say)
-        // is a change-point too. Pre-energy records carry no energy
-        // series; comparing against one is skipped, not flagged — an
-        // upgrade must not read as a regression.
-        if !a.energy.is_empty() && !b.energy.is_empty() {
-            for (k, (sa, sb)) in a.energy.iter().zip(&b.energy).enumerate() {
-                push_series_row(step, format!("{}/energy/s{k}", a.arch), sa, sb);
+        // is a change-point too. A record without energy series is
+        // compared on virtual time alone — skipped, not flagged.
+        for (objective, sa, sb) in [("virt", &a.virt, &b.virt), ("energy", &a.energy, &b.energy)] {
+            if sa.is_empty() || sb.is_empty() {
+                continue;
+            }
+            for (k, (sa, sb)) in sa.iter().zip(sb).enumerate() {
+                pairs.push(SeriesPair {
+                    series: stratum_series(&a.arch, objective, k),
+                    a: Some(sa.means()),
+                    b: Some(sb.means()),
+                });
             }
         }
-    }
-}
-
-/// Test one tail-aligned series pair and append its row to the step.
-fn push_series_row(
-    step: &mut Step,
-    series: String,
-    sa: &sweep::StratumSeries,
-    sb: &sweep::StratumSeries,
-) {
-    let (xs, ys) = paired_means(&sa.means(), &sb.means());
-    let mut row = StepRow {
-        series,
-        n: xs.len(),
-        mean_a: mean(&xs),
-        mean_b: mean(&ys),
-        identical: false,
-        p_raw: None,
-        p_holm: None,
-        change: false,
-    };
-    match wilcoxon_signed_rank(&xs, &ys) {
-        Ok(r) => row.p_raw = Some(r.p_value),
-        Err(WilcoxonError::AllZeroDifferences) => row.identical = true,
-        Err(_) => {}
-    }
-    step.rows.push(row);
-}
-
-/// Tail-aligned positional pairing (ring semantics), NaN pairs dropped.
-fn paired_means(a: &[f64], b: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let n = a.len().min(b.len());
-    let (mut xs, mut ys) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    for (&x, &y) in a[a.len() - n..].iter().zip(&b[b.len() - n..]) {
-        if x.is_finite() && y.is_finite() {
-            xs.push(x);
-            ys.push(y);
-        }
-    }
-    (xs, ys)
-}
-
-fn mean(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        f64::NAN
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
     }
 }
 
@@ -518,8 +619,8 @@ pub fn blame(records: &[RunRecord], from_seq: u64, to_seq: u64) -> Result<Blame,
         .filter_map(|a| {
             db.cells
                 .iter()
-                .find(|b| b.variable == a.variable && b.value == a.value)
-                .map(|b| slice_delta(format!("{}={}", a.variable, a.value), a.virt_ns, b.virt_ns))
+                .find(|b| b.var == a.var && b.value == a.value)
+                .map(|b| slice_delta(format!("{}={}", a.var, a.value), a.virt_ns, b.virt_ns))
         })
         .filter(|d| d.from_virt_ns > 0 || d.to_virt_ns > 0)
         .collect();
@@ -785,14 +886,14 @@ mod tests {
             ],
             cells: vec![
                 sweep::registry::CellDigest {
-                    variable: "OMP_SCHEDULE".to_string(),
+                    var: "OMP_SCHEDULE".to_string(),
                     value: "static".to_string(),
                     samples: 160,
                     virt_ns: (1_800_000.0 * scale) as u64,
                     energy_uj: (3_600_000.0 * energy_scale) as u64,
                 },
                 sweep::registry::CellDigest {
-                    variable: "OMP_SCHEDULE".to_string(),
+                    var: "OMP_SCHEDULE".to_string(),
                     value: "dynamic,16".to_string(),
                     samples: 160,
                     virt_ns: (1_200_000.0 * scale) as u64,
@@ -875,6 +976,23 @@ mod tests {
     }
 
     #[test]
+    fn history_json_matches_the_golden_digest() {
+        // Length and FNV-1a of `history.json` over the clean + perturbed
+        // history above, captured at the commit before the sentinel and
+        // `ompmon drift` became one engine: `ompobs-history-v1` bytes
+        // may not move.
+        let mut records: Vec<RunRecord> = (0..3).map(|i| synth_record(i, None)).collect();
+        records.push(synth_record(3, Some(("skylake", 1.10))));
+        let json = serde_json::to_string_pretty(&sentinel(&records, 0.05)).unwrap();
+        let digest = omptune_core::Fnv1a::of(json.as_bytes());
+        assert_eq!(
+            (json.len(), digest),
+            (10380, 0xefaf_b459_6e82_f727),
+            "{json}"
+        );
+    }
+
+    #[test]
     fn energy_only_shift_is_a_change_point() {
         // Same virtual time, different joules: the wait-policy-swap
         // shape. Only the energy series may flag; the virt rows must
@@ -930,6 +1048,32 @@ mod tests {
         );
         let b = blame(&records, 0, 1).unwrap();
         assert!(b.energy.is_empty(), "{}", b.render());
+    }
+
+    #[test]
+    fn a_record_with_fewer_strata_compares_and_renders_what_it_has() {
+        // Hash-consistent, so it loads — but written with other strata.
+        let mut short = synth_record(1, None);
+        if let RunCore::Collect(c) = &mut short.core {
+            c.arches[0].virt.truncate(2);
+            c.arches[0].energy.truncate(1);
+        }
+        short.record_hash = short.core.hash();
+        let load = sweep::RegistryLoad {
+            records: vec![synth_record(0, None), short],
+            corrupt_skipped: 0,
+        };
+        let h = sentinel(&load.records, 0.05);
+        let a64fx = h.steps[0]
+            .rows
+            .iter()
+            .filter(|r| r.series.starts_with("a64fx/"));
+        assert_eq!(a64fx.count(), 3, "the strata both sides have");
+        let html = report::dashboard_html("reg", &load, &h, None);
+        assert!(
+            html.contains("a64fx/virt/s7"),
+            "missing strata render as gaps"
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! `ompprof` writes next to a run directory.
 
 use crate::{Blame, History};
-use sweep::{RegistryLoad, RunCore, RunRecord};
+use sweep::series::stratum_series;
+use sweep::{ArchDigest, RegistryLoad, RunCore, RunRecord, StratumSeries};
 
 /// Sparkline geometry: small enough to tile, big enough to read.
 const SPARK_W: f64 = 220.0;
@@ -126,41 +127,24 @@ fn fmt_virt(ns: f64) -> String {
     }
 }
 
-/// Per-run mean of one arch's stratum `k` ring series.
-fn series_point(rec: &RunRecord, arch: &str, k: usize) -> f64 {
+/// Per-run mean of one arch's stratum `k` ring series, of the objective
+/// `strata` picks (`|a| &a.virt`, or `|a| &a.energy` for joules). A
+/// record without that series yields NaN, which the sparkline renders
+/// as a break in the line.
+fn series_point(
+    rec: &RunRecord,
+    arch: &str,
+    strata: fn(&ArchDigest) -> &Vec<StratumSeries>,
+    k: usize,
+) -> f64 {
     let RunCore::Collect(c) = &rec.core else {
         return f64::NAN;
     };
-    let Some(a) = c.arches.iter().find(|a| a.arch == arch) else {
-        return f64::NAN;
-    };
-    let means = a.virt[k].means();
-    if means.is_empty() {
-        f64::NAN
-    } else {
-        means.iter().sum::<f64>() / means.len() as f64
-    }
-}
-
-/// Per-run mean of one arch's stratum `k` energy ring series (joules).
-/// Pre-energy records have no energy strata and yield NaN, which the
-/// sparkline renders as a break in the line.
-fn energy_series_point(rec: &RunRecord, arch: &str, k: usize) -> f64 {
-    let RunCore::Collect(c) = &rec.core else {
-        return f64::NAN;
-    };
-    let Some(a) = c.arches.iter().find(|a| a.arch == arch) else {
-        return f64::NAN;
-    };
-    let Some(s) = a.energy.get(k) else {
-        return f64::NAN;
-    };
-    let means = s.means();
-    if means.is_empty() {
-        f64::NAN
-    } else {
-        means.iter().sum::<f64>() / means.len() as f64
-    }
+    c.arches
+        .iter()
+        .find(|a| a.arch == arch)
+        .and_then(|a| strata(a).get(k))
+        .map_or(f64::NAN, |s| crate::mean(&s.means()))
 }
 
 fn fmt_joules(j: f64) -> String {
@@ -329,10 +313,13 @@ a{color:#0969da;text-decoration:none}a:hover{text-decoration:underline}\n\
                 fmt_virt,
             );
             for k in 0..sweep::registry::STRATA {
-                let vals: Vec<f64> = trail.iter().map(|r| series_point(r, arch, k)).collect();
+                let vals: Vec<f64> = trail
+                    .iter()
+                    .map(|r| series_point(r, arch, |a| &a.virt, k))
+                    .collect();
                 push_series_row(
                     &mut html,
-                    &format!("{arch}/virt/s{k}"),
+                    &stratum_series(arch, "virt", k),
                     &vals,
                     &marks,
                     "",
@@ -367,11 +354,11 @@ a{color:#0969da;text-decoration:none}a:hover{text-decoration:underline}\n\
                 for k in 0..sweep::registry::STRATA {
                     let vals: Vec<f64> = trail
                         .iter()
-                        .map(|r| energy_series_point(r, arch, k))
+                        .map(|r| series_point(r, arch, |a| &a.energy, k))
                         .collect();
                     push_series_row(
                         &mut html,
-                        &format!("{arch}/energy/s{k}"),
+                        &stratum_series(arch, "energy", k),
                         &vals,
                         &marks,
                         "energy",

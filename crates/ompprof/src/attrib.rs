@@ -16,7 +16,8 @@
 //! per-sample figures that already closed against their totals, rounded
 //! with the same rule).
 
-use omptune_core::{Feature, KmpAlignAlloc, TuningConfig};
+use omptune_core::Feature;
+use sweep::registry::{value_index, value_labels};
 use sweep::{RawSample, SettingData};
 
 /// Fixed-point scale: 2^16 fractional bits. A sample's f64 nanosecond
@@ -37,86 +38,6 @@ fn to_fp(ns: f64) -> i128 {
 /// Fixed point back to (approximate) nanoseconds for presentation.
 fn from_fp(fp: i128) -> f64 {
     fp as f64 / FP_SCALE
-}
-
-/// The union value domain of one tuning variable: stable labels, stable
-/// order, identical on every architecture (architectures that do not
-/// sweep a value simply leave its cell empty).
-pub fn value_labels(feature: Feature) -> Vec<String> {
-    use omptune_core::{
-        KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
-    };
-    let unset = |v: Option<&str>| v.unwrap_or("unset").to_string();
-    match feature {
-        Feature::Places => OmpPlaces::ALL
-            .iter()
-            .map(|v| unset(v.env_value()))
-            .collect(),
-        Feature::ProcBind => OmpProcBind::ALL
-            .iter()
-            .map(|v| unset(v.env_value()))
-            .collect(),
-        Feature::Schedule => OmpSchedule::ALL
-            .iter()
-            .map(|v| v.env_value().to_string())
-            .collect(),
-        Feature::Library => KmpLibrary::ALL
-            .iter()
-            .map(|v| v.env_value().to_string())
-            .collect(),
-        Feature::Blocktime => KmpBlocktime::ALL
-            .iter()
-            .map(|v| v.env_value().to_string())
-            .collect(),
-        Feature::ForceReduction => KmpForceReduction::ALL
-            .iter()
-            .map(|v| unset(v.env_value()))
-            .collect(),
-        Feature::AlignAlloc => ALIGN_UNION.iter().map(|b| b.to_string()).collect(),
-        other => panic!("{other:?} is not an attributable tuning variable"),
-    }
-}
-
-/// Union alignment domain across architectures (A64FX sweeps only the
-/// upper two; its lower cells stay empty).
-const ALIGN_UNION: [u32; 4] = [64, 128, 256, 512];
-
-/// Index of a configuration's value within [`value_labels`] order.
-pub fn value_index(config: &TuningConfig, feature: Feature) -> usize {
-    use omptune_core::{
-        KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
-    };
-    match feature {
-        Feature::Places => OmpPlaces::ALL
-            .iter()
-            .position(|v| *v == config.places)
-            .expect("places in domain"),
-        Feature::ProcBind => OmpProcBind::ALL
-            .iter()
-            .position(|v| *v == config.proc_bind)
-            .expect("bind in domain"),
-        Feature::Schedule => OmpSchedule::ALL
-            .iter()
-            .position(|v| *v == config.schedule)
-            .expect("schedule in domain"),
-        Feature::Library => KmpLibrary::ALL
-            .iter()
-            .position(|v| *v == config.library)
-            .expect("library in domain"),
-        Feature::Blocktime => KmpBlocktime::ALL
-            .iter()
-            .position(|v| *v == config.blocktime)
-            .expect("blocktime in domain"),
-        Feature::ForceReduction => KmpForceReduction::ALL
-            .iter()
-            .position(|v| *v == config.force_reduction)
-            .expect("reduction in domain"),
-        Feature::AlignAlloc => ALIGN_UNION
-            .iter()
-            .position(|b| KmpAlignAlloc(*b) == config.align_alloc)
-            .expect("alignment in union domain"),
-        other => panic!("{other:?} is not an attributable tuning variable"),
-    }
 }
 
 /// One (variable, value) accumulator: exact integer state only.

@@ -18,12 +18,13 @@
 //!   `--check` mode that cross-validates the attribution ranking against
 //!   the logistic-regression influence ranking (paper Figs. 2–4).
 //!
-//! Exit codes follow the repo convention (omplint/ompfuzz/ompmon):
+//! Exit codes follow the repo convention (omplint/ompfuzz/ompobs):
 //! 0 = clean, 4 = findings (ranking disagreement), 2 = usage error,
 //! 1 = internal error.
 
 pub mod attrib;
 pub mod flame;
 
-pub use attrib::{sink_key, value_index, value_labels, Attribution, Cell, SliceMeta, FP_SCALE};
+pub use attrib::{sink_key, Attribution, Cell, SliceMeta, FP_SCALE};
 pub use flame::{diff_svg, energy_diff_svg, explanation_tree, folded, svg, Frame};
+pub use sweep::registry::{value_index, value_labels};

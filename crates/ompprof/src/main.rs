@@ -15,7 +15,7 @@
 //!   by mean runtime, and render their phase trees as folded stacks and
 //!   flame-graph SVGs plus a signed red/blue diff view.
 //!
-//! Exit codes (shared omplint/ompfuzz/ompmon convention):
+//! Exit codes (shared omplint/ompfuzz/ompobs convention):
 //! 0 = clean, 4 = findings (ranking disagreement), 2 = usage error,
 //! 1 = internal error.
 

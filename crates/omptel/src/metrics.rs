@@ -1,4 +1,4 @@
-//! ompmon metrics exposition: one unified snapshot of the telemetry
+//! Metrics exposition: one unified snapshot of the telemetry
 //! registry, rendered in Prometheus text format v0.0.4.
 //!
 //! [`MetricsSnapshot`] gathers everything a scraper wants from a live

@@ -1,4 +1,4 @@
-//! ompmon live exposition server: a dependency-free std-TCP HTTP
+//! Live exposition server: a dependency-free std-TCP HTTP
 //! endpoint so a long-running sweep can be scraped mid-run.
 //!
 //! Three routes, all read-only:

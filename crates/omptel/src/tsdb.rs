@@ -1,4 +1,4 @@
-//! ompmon time-series store: append-only binary ring files, one per
+//! Time-series store: append-only binary ring files, one per
 //! named series.
 //!
 //! A series file is a fixed-size circular buffer on disk with

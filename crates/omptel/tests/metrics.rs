@@ -1,4 +1,4 @@
-//! ompmon exposition tests: histogram merge + Prometheus round-trip
+//! Exposition tests: histogram merge + Prometheus round-trip
 //! properties, and a live end-to-end scrape of the monitor server.
 
 use omptel::{
@@ -20,7 +20,7 @@ fn hist_of(values: &[u64]) -> Histogram {
 proptest! {
     /// Merging two histograms and rendering the result to Prometheus
     /// text round-trips the exact bin counts, and the merge is the
-    /// bin-wise sum of the parts — the same guarantee `ompmon`'s
+    /// bin-wise sum of the parts — the same guarantee the tsdb's
     /// time-series downsampling leans on.
     #[test]
     fn merge_then_render_round_trips_exact_counts(

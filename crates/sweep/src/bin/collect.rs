@@ -14,7 +14,7 @@
 //! window to `OUT_DIR/anomalies.jsonl`. Tracing never changes results —
 //! the provenance stays byte-identical with it on or off.
 //!
-//! `--monitor ADDR` starts the ompmon exposition server for the run:
+//! `--monitor ADDR` starts the live exposition server for the run:
 //! `/metrics` (Prometheus text format), `/healthz`, `/sweep` (JSON
 //! status of the sweep in flight, including live ring-buffer and
 //! watchdog counters), `/influence` (the streaming logistic influence
@@ -29,7 +29,7 @@
 //! Every run also writes `OUT_DIR/tsdb/` — ring-file time-series of
 //! per-stratum virtual rep means and joules, per-arch energy and EDP
 //! aggregates, wall sample latency, and scheduler rates — which
-//! `ompmon drift` compares across runs.
+//! `ompobs drift` compares across runs.
 
 use omptune_core::{Arch, LiveInfluence};
 use std::fs;
@@ -37,10 +37,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use sweep::{Roster, SampleCache, Scope, SweepOptions, SweepSpec};
-
-/// Config strata the drift sentinel tests independently; must match
-/// `ompmon::STRATA`.
-const STRATA: usize = 8;
 
 const HELP: &str = "\
 collect — run the paper's data-collection sweep and export its artifacts
@@ -265,8 +261,7 @@ struct ArchDone {
     energy: ArchEnergy,
 }
 
-/// Modeled energy an architecture's cleaned samples cost, accumulated
-/// while the tsdb series are written (one pass, no extra walk).
+/// Modeled energy an architecture's cleaned samples cost.
 #[derive(Default, Clone, Copy)]
 struct ArchEnergy {
     /// Σ total_j over the finite samples.
@@ -295,7 +290,8 @@ impl ArchEnergy {
 struct SweepState {
     scope: String,
     /// Longitudinal registry context at run start:
-    /// (dir, records, corrupt_skipped). `None` with `--no-registry`.
+    /// (dir, records, corrupt_skipped). `None` with `--no-registry`,
+    /// and without `--monitor` (nothing would serve it).
     registry: Option<(String, u64, u64)>,
     current: Mutex<Option<(String, Arc<omptel::Progress>, u64)>>,
     completed: Mutex<Vec<ArchDone>>,
@@ -488,14 +484,19 @@ fn main() -> std::io::Result<()> {
         Some(dir) => Some(sweep::Registry::open(dir)?),
         None => None,
     };
-    let registry_stats = registry.as_ref().map(|r| {
-        let loaded = r.load().unwrap_or_default();
-        (
-            r.dir().display().to_string(),
-            loaded.records.len() as u64,
-            loaded.corrupt_skipped,
-        )
-    });
+    // How much history was there at run start: shown by /sweep and
+    // /metrics only, so only a monitored run reads the registry for it.
+    let registry_stats = match (&registry, &cli.monitor) {
+        (Some(r), Some(_)) => {
+            let loaded = r.load().unwrap_or_default();
+            Some((
+                r.dir().display().to_string(),
+                loaded.records.len() as u64,
+                loaded.corrupt_skipped,
+            ))
+        }
+        _ => None,
+    };
 
     // Live exposition: the monitor only *reads* (every route renders
     // from a closure at scrape time), so a monitored run's outputs stay
@@ -672,7 +673,7 @@ fn main() -> std::io::Result<()> {
     // stratum series and cost digests, folded from the cleaned batches.
     let mut run_core = registry.as_ref().map(|_| sweep::CollectCore::new(&spec));
     let mut agg_stats = sweep::SweepStats::default();
-    // Every run records its time-series; `ompmon drift` compares them
+    // Every run records its time-series; `ompobs drift` compares them
     // across runs, so unmonitored CI runs need them too.
     let mut tsdb = omptel::Tsdb::open(cli.out_dir.join("tsdb"), omptel::DEFAULT_CAPACITY)?;
 
@@ -747,49 +748,16 @@ fn main() -> std::io::Result<()> {
             }
         }
 
-        // Time-series for the drift sentinel, from the cleaned samples.
-        // The virt series carry per-sample mean rep times, stratified by
-        // config index: deterministic given the seed, so same-seed runs
-        // must agree exactly — those are ompmon's gating series. Wall
-        // latency and scheduler rates legitimately vary and are
-        // informational.
-        let mut stratum_seq = [0u64; STRATA];
-        let virt_series: [String; STRATA] =
-            std::array::from_fn(|k| format!("{}/virt/s{k}", arch.id()));
-        let energy_series: [String; STRATA] =
-            std::array::from_fn(|k| format!("{}/energy/s{k}", arch.id()));
+        // Time-series for the drift sentinel, from the cleaned samples:
+        // the per-stratum virtual-time and joules series are
+        // deterministic given the seed, so same-seed runs must agree on
+        // them exactly — those gate. Wall latency and scheduler rates
+        // legitimately vary and the per-arch aggregates only repeat the
+        // gating series, so the rest is informational.
+        sweep::series::append_stratum_series(&mut tsdb, arch.id(), &arch_batches)?;
         let mut arch_energy = ArchEnergy::default();
-        for data in &arch_batches {
-            for sample in &data.samples {
-                arch_energy.fold(&sample.telemetry);
-                let finite = || sample.runtimes.iter().filter(|t| t.is_finite());
-                let count = finite().count() as u64;
-                if count == 0 {
-                    continue;
-                }
-                let k = sample.config_index % STRATA;
-                let ts = stratum_seq[k];
-                stratum_seq[k] += 1;
-                let point = omptel::Point {
-                    ts,
-                    count,
-                    sum: finite().sum(),
-                };
-                tsdb.append(&virt_series[k], point)?;
-                // Joules ride the same stratified, deterministic series
-                // layout as virtual time: one point per sample, same
-                // stratum sequence, so the drift sentinel gates energy
-                // exactly the way it gates time.
-                let joules = sample.telemetry.energy.total_j;
-                if joules.is_finite() && joules > 0.0 {
-                    let point = omptel::Point {
-                        ts,
-                        count: 1,
-                        sum: joules,
-                    };
-                    tsdb.append(&energy_series[k], point)?;
-                }
-            }
+        for sample in arch_batches.iter().flat_map(|data| &data.samples) {
+            arch_energy.fold(&sample.telemetry);
         }
         // Arch-level energy aggregates: total joules and the EDP over
         // the cleaned samples, deterministic given the seed.
@@ -836,7 +804,7 @@ fn main() -> std::io::Result<()> {
             tsdb.append(&format!("{}/rate/steal", arch.id()), point)?;
         }
         // Snapshot the streaming influence ranking after each arch so
-        // `ompmon` can chart how the ranking firmed up over the run.
+        // the series chart how the ranking firmed up over the run.
         // Batch completion order is scheduling-dependent, so these
         // series are informational, not drift-gating.
         if let Some(live) = &influence {

@@ -8,7 +8,9 @@
 //!   the per-architecture noise model,
 //! - [`dataset`] — cleaning, repetition averaging, speedup computation,
 //!   and tabular record building,
-//! - [`export`] — the open-sourced artifacts: CSV tables and raw JSON.
+//! - [`export`] — the open-sourced artifacts: CSV tables and raw JSON,
+//! - [`series`] — the per-stratum time-series a run leaves in `tsdb/`,
+//! - [`registry`] — the content-addressed run log `ompobs` reads.
 
 pub mod cache;
 pub mod dataset;
@@ -17,6 +19,7 @@ pub mod provenance;
 pub mod registry;
 pub mod runner;
 pub mod schedule;
+pub mod series;
 pub mod spec;
 
 pub use cache::{BatchEntries, SampleCache, DEFAULT_ROW_INDEX, ENGINE_VERSION};

@@ -32,6 +32,7 @@ use omptune_core::{
     Feature, Fnv1a, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind,
     OmpSchedule, TuningConfig,
 };
+use serde::{Deserialize, Serialize, Sink, Source};
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -40,9 +41,9 @@ use std::path::{Path, PathBuf};
 /// skipped and counted like a damaged one.
 pub const SCHEMA: &str = "ompobs-run-v2";
 
-/// Config strata the virtual-time series fold into
-/// (`config_index % STRATA`); must match `collect`'s tsdb writer and
-/// `ompmon::STRATA`.
+/// Config strata every per-stratum series folds into
+/// (`config_index % STRATA`) — here and in a run's `tsdb/` rings
+/// ([`crate::series`]).
 pub const STRATA: usize = 8;
 
 /// Per-stratum series tail retained in a record. The sentinel pairs
@@ -98,10 +99,12 @@ pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Value domains: the same union label space `ompprof` attributes over
-// (stable across architectures), reimplemented here because `ompprof`
-// sits above `sweep` in the crate graph.
+// Value domains: the union label space the cell digests and `ompprof`'s
+// attribution share — stable labels, stable order, identical on every
+// architecture (one that does not sweep a value leaves its cell empty).
 
+/// Union alignment domain across architectures (A64FX sweeps only the
+/// upper two).
 const ALIGN_UNION: [u32; 4] = [64, 128, 256, 512];
 
 /// Union value labels of one tuning variable, in domain order.
@@ -137,7 +140,8 @@ pub fn value_labels(feature: Feature) -> Vec<String> {
     }
 }
 
-fn value_index(config: &TuningConfig, feature: Feature) -> usize {
+/// Index of a configuration's value within [`value_labels`] order.
+pub fn value_index(config: &TuningConfig, feature: Feature) -> usize {
     // Every enum domain's `ALL` array lists variants in declaration
     // order, so the discriminant cast IS the position — O(1) on the
     // per-sample fold path (pinned by `value_index_matches_domain_order`).
@@ -165,7 +169,7 @@ fn value_index(config: &TuningConfig, feature: Feature) -> usize {
 /// time is what the perturbation gate scales and what the dashboard
 /// renders, and it lives inline in every sample — the fold never has to
 /// chase the per-repetition runtime arrays.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StratumSeries {
     /// Points folded over the whole run (retained + evicted).
     pub total: u64,
@@ -212,7 +216,7 @@ impl StratumSeries {
 }
 
 /// Aggregate cost of one application on one architecture.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AppDigest {
     pub app: String,
     pub samples: u64,
@@ -224,9 +228,10 @@ pub struct AppDigest {
 }
 
 /// Aggregate cost of one (variable, value) cell on one architecture.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellDigest {
-    pub variable: String,
+    /// The tuning variable's name (the field is the wire key).
+    pub var: String,
     pub value: String,
     pub samples: u64,
     pub virt_ns: u64,
@@ -235,7 +240,7 @@ pub struct CellDigest {
 }
 
 /// Everything one architecture contributed to a run's core.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArchDigest {
     pub arch: String,
     pub settings: u64,
@@ -471,8 +476,8 @@ impl ArchDigest {
         let cells = labels
             .into_iter()
             .enumerate()
-            .map(|(i, (variable, value))| CellDigest {
-                variable: variable.to_string(),
+            .map(|(i, (var, value))| CellDigest {
+                var: var.to_string(),
                 value,
                 samples: cells_acc[i][0],
                 virt_ns: cells_acc[i][1],
@@ -503,7 +508,7 @@ impl ArchDigest {
 }
 
 /// The deterministic, content-addressed core of a collection run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CollectCore {
     pub scope: String,
     pub roster: String,
@@ -587,7 +592,7 @@ impl CollectCore {
                 mix(h, app.virt_ns);
             }
             for cell in &a.cells {
-                mix_str(h, &cell.variable);
+                mix_str(h, &cell.var);
                 mix_str(h, &cell.value);
                 mix(h, cell.samples);
                 mix(h, cell.virt_ns);
@@ -611,7 +616,7 @@ impl CollectCore {
 
 /// The content-addressed core of one bench invocation: every scalar and
 /// every repetition array of a `BENCH_*.json`, bits-exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BenchCore {
     pub bench: String,
     /// Scalar keys with `f64` bit patterns, key-sorted.
@@ -708,7 +713,7 @@ impl RunCore {
 }
 
 /// The run-varying half of a record: context, never identity.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunInfo {
     pub workers: u64,
     pub elapsed_s: f64,
@@ -731,393 +736,90 @@ pub struct RunRecord {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: hand-rolled writer (the warm path must not pay
-// `format!` per number) and a permissive `serde::Value` reader.
+// Serialization. Every struct under the envelope derives its JSON form;
+// the envelope is written by hand because `kind` selects the type of
+// `core`, and because reading it ends in the integrity check.
 
-fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    let mut v = v;
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+impl Serialize for RunRecord {
+    fn serialize<S: Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        sink.map_begin()?;
+        sink.entry("schema", SCHEMA)?;
+        sink.entry("seq", &self.seq)?;
+        sink.entry("ts_unix", &self.ts_unix)?;
+        sink.entry("git_rev", &self.git_rev)?;
+        sink.entry("kind", self.core.kind())?;
+        sink.entry("record_hash", &self.record_hash)?;
+        sink.entry("spec_fp", &self.core.spec_fp())?;
+        match &self.core {
+            RunCore::Collect(c) => sink.entry("core", c)?,
+            RunCore::Bench(b) => sink.entry("core", b)?,
         }
+        sink.entry("info", &self.info)?;
+        sink.map_end()
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits"));
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    // Names are overwhelmingly clean identifiers: bulk-copy when no
-    // byte needs escaping, walk char-by-char only otherwise.
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push_str(s);
-        out.push('"');
-        return;
-    }
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl Deserialize for RunRecord {
+    /// `kind` must precede `core` (as the writer orders them); `spec_fp`
+    /// is derived from the core and not read back.
+    fn deserialize<'de, S: Source<'de>>(source: &mut S) -> Result<Self, serde::Error> {
+        let (mut schema, mut kind, mut core, mut info) = (None, None, None, None);
+        let (mut seq, mut ts_unix, mut git_rev, mut record_hash) = (None, None, None, None);
+        source.map_begin()?;
+        while let Some(key) = source.map_key()? {
+            match &*key {
+                "schema" => schema = Some(source.str()?),
+                "seq" => seq = Some(source.u64()?),
+                "ts_unix" => ts_unix = Some(source.u64()?),
+                "git_rev" => git_rev = Some(String::deserialize(source)?),
+                "kind" => kind = Some(source.str()?),
+                "record_hash" => record_hash = Some(source.u64()?),
+                "core" => {
+                    core = Some(match kind.as_deref() {
+                        Some("collect") => RunCore::Collect(CollectCore::deserialize(source)?),
+                        Some("bench") => RunCore::Bench(BenchCore::deserialize(source)?),
+                        Some(other) => return Err(serde::Error::unknown_variant(other, "RunCore")),
+                        None => return Err(serde::Error::custom("`core` before `kind`")),
+                    })
+                }
+                "info" => info = Some(RunInfo::deserialize(source)?),
+                _ => source.skip()?,
+            }
         }
-    }
-    out.push('"');
-}
-
-fn push_u64_array(out: &mut String, vs: &[u64]) {
-    out.push('[');
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        let missing = serde::Error::missing_field;
+        let schema = schema.ok_or_else(|| missing("schema"))?;
+        if schema != SCHEMA {
+            return Err(serde::Error::custom(format!("unknown schema {schema:?}")));
         }
-        push_u64(out, v);
+        let record = RunRecord {
+            seq: seq.ok_or_else(|| missing("seq"))?,
+            ts_unix: ts_unix.ok_or_else(|| missing("ts_unix"))?,
+            git_rev: git_rev.ok_or_else(|| missing("git_rev"))?,
+            record_hash: record_hash.ok_or_else(|| missing("record_hash"))?,
+            core: core.ok_or_else(|| missing("core"))?,
+            info: info.ok_or_else(|| missing("info"))?,
+        };
+        // Integrity: the stored address must match the parsed content.
+        // A mismatch means the line was altered — treat as corrupt.
+        if record.core.hash() != record.record_hash {
+            return Err(serde::Error::custom("record_hash does not match its core"));
+        }
+        Ok(record)
     }
-    out.push(']');
 }
 
 impl RunRecord {
     /// Render the full JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        let mut o = String::with_capacity(64 * 1024);
-        o.push_str("{\"schema\":\"");
-        o.push_str(SCHEMA);
-        o.push_str("\",\"seq\":");
-        push_u64(&mut o, self.seq);
-        o.push_str(",\"ts_unix\":");
-        push_u64(&mut o, self.ts_unix);
-        o.push_str(",\"git_rev\":");
-        push_json_str(&mut o, &self.git_rev);
-        o.push_str(",\"kind\":\"");
-        o.push_str(self.core.kind());
-        o.push_str("\",\"record_hash\":");
-        push_u64(&mut o, self.record_hash);
-        o.push_str(",\"spec_fp\":");
-        push_u64(&mut o, self.core.spec_fp());
-        o.push_str(",\"core\":");
-        match &self.core {
-            RunCore::Collect(c) => write_collect_core(&mut o, c),
-            RunCore::Bench(b) => write_bench_core(&mut o, b),
-        }
-        o.push_str(",\"info\":{\"workers\":");
-        push_u64(&mut o, self.info.workers);
-        o.push_str(&format!(",\"elapsed_s\":{:.6}", self.info.elapsed_s));
-        o.push_str(",\"manifest_digest\":");
-        push_u64(&mut o, self.info.manifest_digest);
-        o.push_str(",\"out_dir\":");
-        push_json_str(&mut o, &self.info.out_dir);
-        o.push_str(",\"counters\":[");
-        for (i, (k, v)) in self.info.counters.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push('[');
-            push_json_str(&mut o, k);
-            o.push(',');
-            push_u64(&mut o, *v);
-            o.push(']');
-        }
-        o.push_str("]}}");
-        o
+        serde_json::to_string(self).expect("writing JSON into memory cannot fail")
     }
 
     /// Parse one JSONL line. `Err` carries a short reason; callers
     /// count it and move on — a damaged line never takes the registry
     /// down.
     pub fn from_jsonl(line: &str) -> Result<RunRecord, String> {
-        let doc: serde::Value =
-            serde_json::from_str(line).map_err(|e| format!("unparsable record: {e}"))?;
-        let map = doc.as_map().ok_or("record is not an object")?;
-        let get = |name: &str| field(map, name);
-        let schema = get("schema").and_then(|v| v.as_str()).unwrap_or("");
-        if schema != SCHEMA {
-            return Err(format!("unknown schema {schema:?}"));
-        }
-        let seq = get("seq").and_then(|v| v.as_u64()).ok_or("missing seq")?;
-        let ts_unix = get("ts_unix").and_then(|v| v.as_u64()).unwrap_or(0);
-        let git_rev = get("git_rev")
-            .and_then(|v| v.as_str())
-            .unwrap_or("unknown")
-            .to_string();
-        let record_hash = get("record_hash")
-            .and_then(|v| v.as_u64())
-            .ok_or("missing record_hash")?;
-        let kind = get("kind").and_then(|v| v.as_str()).ok_or("missing kind")?;
-        let core_v = get("core").ok_or("missing core")?;
-        let core = match kind {
-            "collect" => RunCore::Collect(read_collect_core(core_v)?),
-            "bench" => RunCore::Bench(read_bench_core(core_v)?),
-            other => return Err(format!("unknown kind {other:?}")),
-        };
-        let mut info = RunInfo::default();
-        if let Some(info_map) = get("info").and_then(|v| v.as_map()) {
-            for (k, v) in info_map {
-                match k.as_str() {
-                    Some("workers") => info.workers = v.as_u64().unwrap_or(0),
-                    Some("elapsed_s") => info.elapsed_s = v.as_f64().unwrap_or(0.0),
-                    Some("manifest_digest") => info.manifest_digest = v.as_u64().unwrap_or(0),
-                    Some("out_dir") => {
-                        info.out_dir = v.as_str().unwrap_or("").to_string();
-                    }
-                    Some("counters") => {
-                        for pair in v.as_seq().unwrap_or(&[]) {
-                            if let Some(p) = pair.as_seq() {
-                                if p.len() == 2 {
-                                    if let (Some(name), Some(val)) = (p[0].as_str(), p[1].as_u64())
-                                    {
-                                        info.counters.push((name.to_string(), val));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // Integrity: the stored address must match the parsed content.
-        // A mismatch means the line was altered — treat as corrupt.
-        if core.hash() != record_hash {
-            return Err("record_hash does not match core content".to_string());
-        }
-        Ok(RunRecord {
-            seq,
-            ts_unix,
-            git_rev,
-            record_hash,
-            core,
-            info,
-        })
+        serde_json::from_str(line).map_err(|e| e.to_string())
     }
-}
-
-fn write_collect_core(o: &mut String, c: &CollectCore) {
-    o.push_str("{\"scope\":");
-    push_json_str(o, &c.scope);
-    o.push_str(",\"roster\":");
-    push_json_str(o, &c.roster);
-    o.push_str(",\"reps\":");
-    push_u64(o, c.reps as u64);
-    o.push_str(",\"seed\":");
-    push_u64(o, c.seed);
-    o.push_str(",\"failure_rate_bits\":");
-    push_u64(o, c.failure_rate_bits);
-    o.push_str(",\"spec_fingerprint\":");
-    push_u64(o, c.spec_fingerprint);
-    o.push_str(",\"arches\":[");
-    for (i, a) in c.arches.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str("{\"arch\":");
-        push_json_str(o, &a.arch);
-        o.push_str(",\"settings\":");
-        push_u64(o, a.settings);
-        o.push_str(",\"samples\":");
-        push_u64(o, a.samples);
-        o.push_str(",\"dropped\":");
-        push_u64(o, a.dropped);
-        for (name, strata) in [(",\"virt\":[", &a.virt), (",\"energy\":[", &a.energy)] {
-            o.push_str(name);
-            for (j, s) in strata.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                o.push_str("{\"total\":");
-                push_u64(o, s.total);
-                o.push_str(",\"counts\":");
-                push_u64_array(o, &s.counts);
-                o.push_str(",\"sum_bits\":");
-                push_u64_array(o, &s.sum_bits);
-                o.push('}');
-            }
-            o.push(']');
-        }
-        o.push_str(",\"apps\":[");
-        for (j, app) in a.apps.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"app\":");
-            push_json_str(o, &app.app);
-            o.push_str(",\"samples\":");
-            push_u64(o, app.samples);
-            o.push_str(",\"virt_ns\":");
-            push_u64(o, app.virt_ns);
-            o.push_str(",\"energy_uj\":");
-            push_u64(o, app.energy_uj);
-            o.push('}');
-        }
-        o.push_str("],\"cells\":[");
-        for (j, cell) in a.cells.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"var\":");
-            push_json_str(o, &cell.variable);
-            o.push_str(",\"value\":");
-            push_json_str(o, &cell.value);
-            o.push_str(",\"samples\":");
-            push_u64(o, cell.samples);
-            o.push_str(",\"virt_ns\":");
-            push_u64(o, cell.virt_ns);
-            o.push_str(",\"energy_uj\":");
-            push_u64(o, cell.energy_uj);
-            o.push('}');
-        }
-        o.push_str("]}");
-    }
-    o.push_str("]}");
-}
-
-fn write_bench_core(o: &mut String, b: &BenchCore) {
-    o.push_str("{\"bench\":");
-    push_json_str(o, &b.bench);
-    o.push_str(",\"scalars\":[");
-    for (i, (k, bits)) in b.scalars.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push('[');
-        push_json_str(o, k);
-        o.push(',');
-        push_u64(o, *bits);
-        o.push(']');
-    }
-    o.push_str("],\"reps\":[");
-    for (i, (k, arr)) in b.reps.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push('[');
-        push_json_str(o, k);
-        o.push(',');
-        push_u64_array(o, arr);
-        o.push(']');
-    }
-    o.push_str("]}");
-}
-
-fn field<'v>(map: &'v [(serde::Value, serde::Value)], name: &str) -> Option<&'v serde::Value> {
-    map.iter()
-        .find(|(k, _)| k.as_str() == Some(name))
-        .map(|(_, v)| v)
-}
-
-fn u64_field(map: &[(serde::Value, serde::Value)], name: &str) -> Result<u64, String> {
-    field(map, name)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("missing field {name}"))
-}
-
-fn str_field(map: &[(serde::Value, serde::Value)], name: &str) -> Result<String, String> {
-    field(map, name)
-        .and_then(|v| v.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing field {name}"))
-}
-
-fn u64_seq(v: &serde::Value) -> Vec<u64> {
-    v.as_seq()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|x| x.as_u64())
-        .collect()
-}
-
-fn read_collect_core(v: &serde::Value) -> Result<CollectCore, String> {
-    let map = v.as_map().ok_or("core is not an object")?;
-    let mut core = CollectCore {
-        scope: str_field(map, "scope")?,
-        roster: str_field(map, "roster")?,
-        reps: u64_field(map, "reps")? as u32,
-        seed: u64_field(map, "seed")?,
-        failure_rate_bits: u64_field(map, "failure_rate_bits")?,
-        spec_fingerprint: u64_field(map, "spec_fingerprint")?,
-        arches: Vec::new(),
-    };
-    for a in field(map, "arches").and_then(|v| v.as_seq()).unwrap_or(&[]) {
-        let am = a.as_map().ok_or("arch digest is not an object")?;
-        let mut digest = ArchDigest {
-            arch: str_field(am, "arch")?,
-            settings: u64_field(am, "settings")?,
-            samples: u64_field(am, "samples")?,
-            dropped: u64_field(am, "dropped")?,
-            virt: Vec::new(),
-            energy: Vec::new(),
-            apps: Vec::new(),
-            cells: Vec::new(),
-        };
-        for (name, strata) in [("virt", &mut digest.virt), ("energy", &mut digest.energy)] {
-            for s in field(am, name).and_then(|v| v.as_seq()).unwrap_or(&[]) {
-                let sm = s.as_map().ok_or("stratum is not an object")?;
-                strata.push(StratumSeries {
-                    total: u64_field(sm, "total")?,
-                    counts: field(sm, "counts").map(u64_seq).unwrap_or_default(),
-                    sum_bits: field(sm, "sum_bits").map(u64_seq).unwrap_or_default(),
-                });
-            }
-        }
-        for app in field(am, "apps").and_then(|v| v.as_seq()).unwrap_or(&[]) {
-            let pm = app.as_map().ok_or("app digest is not an object")?;
-            digest.apps.push(AppDigest {
-                app: str_field(pm, "app")?,
-                samples: u64_field(pm, "samples")?,
-                virt_ns: u64_field(pm, "virt_ns")?,
-                energy_uj: u64_field(pm, "energy_uj")?,
-            });
-        }
-        for cell in field(am, "cells").and_then(|v| v.as_seq()).unwrap_or(&[]) {
-            let cm = cell.as_map().ok_or("cell digest is not an object")?;
-            digest.cells.push(CellDigest {
-                variable: str_field(cm, "var")?,
-                value: str_field(cm, "value")?,
-                samples: u64_field(cm, "samples")?,
-                virt_ns: u64_field(cm, "virt_ns")?,
-                energy_uj: u64_field(cm, "energy_uj")?,
-            });
-        }
-        core.arches.push(digest);
-    }
-    Ok(core)
-}
-
-fn read_bench_core(v: &serde::Value) -> Result<BenchCore, String> {
-    let map = v.as_map().ok_or("core is not an object")?;
-    let mut core = BenchCore {
-        bench: str_field(map, "bench")?,
-        scalars: Vec::new(),
-        reps: Vec::new(),
-    };
-    for pair in field(map, "scalars")
-        .and_then(|v| v.as_seq())
-        .unwrap_or(&[])
-    {
-        if let Some(p) = pair.as_seq() {
-            if p.len() == 2 {
-                if let (Some(k), Some(bits)) = (p[0].as_str(), p[1].as_u64()) {
-                    core.scalars.push((k.to_string(), bits));
-                }
-            }
-        }
-    }
-    for pair in field(map, "reps").and_then(|v| v.as_seq()).unwrap_or(&[]) {
-        if let Some(p) = pair.as_seq() {
-            if p.len() == 2 {
-                if let Some(k) = p[0].as_str() {
-                    core.reps.push((k.to_string(), u64_seq(&p[1])));
-                }
-            }
-        }
-    }
-    Ok(core)
 }
 
 // ---------------------------------------------------------------------------
@@ -1266,54 +968,55 @@ impl Registry {
         Ok(out)
     }
 
-    /// Registry listing as JSON — the `/runs` route body and the
-    /// `ompobs list --json` output. Hashes render as hex strings so
-    /// consumers without exact u64 parsing stay safe.
+    /// Registry listing as JSON — the `/runs` route body, loaded fresh
+    /// per call. Hashes render as hex strings so consumers without
+    /// exact u64 parsing stay safe.
     pub fn listing_json(&self) -> String {
-        let loaded = match self.load() {
-            Ok(l) => l,
-            Err(e) => {
-                let mut o = String::from("{\"error\":");
-                push_json_str(&mut o, &e.to_string());
-                o.push('}');
-                return o;
-            }
-        };
-        let mut o = String::from("{\"dir\":");
-        push_json_str(&mut o, &self.dir.display().to_string());
-        o.push_str(",\"corrupt_skipped\":");
-        push_u64(&mut o, loaded.corrupt_skipped);
-        o.push_str(",\"records\":[");
-        for (i, r) in loaded.records.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"seq\":");
-            push_u64(&mut o, r.seq);
-            o.push_str(",\"ts_unix\":");
-            push_u64(&mut o, r.ts_unix);
-            o.push_str(",\"kind\":\"");
-            o.push_str(r.core.kind());
-            o.push_str("\",\"git_rev\":");
-            push_json_str(&mut o, &r.git_rev);
-            o.push_str(&format!(
-                ",\"record_hash\":\"{:016x}\",\"spec_fp\":\"{:016x}\"",
-                r.record_hash,
-                r.core.spec_fp()
-            ));
-            if let RunCore::Collect(c) = &r.core {
-                let samples: u64 = c.arches.iter().map(|a| a.samples).sum();
-                o.push_str(",\"samples\":");
-                push_u64(&mut o, samples);
-            }
-            if let RunCore::Bench(b) = &r.core {
-                o.push_str(",\"bench\":");
-                push_json_str(&mut o, &b.bench);
-            }
-            o.push('}');
+        #[derive(Serialize)]
+        struct Listing {
+            dir: String,
+            corrupt_skipped: u64,
+            records: Vec<ListingRow>,
         }
-        o.push_str("]}");
-        o
+        #[derive(Serialize)]
+        struct Unreadable {
+            error: String,
+        }
+        match self.load() {
+            Ok(loaded) => serde_json::to_string(&Listing {
+                dir: self.dir.display().to_string(),
+                corrupt_skipped: loaded.corrupt_skipped,
+                records: loaded.records.into_iter().map(ListingRow).collect(),
+            }),
+            Err(e) => serde_json::to_string(&Unreadable {
+                error: e.to_string(),
+            }),
+        }
+        .expect("writing JSON into memory cannot fail")
+    }
+}
+
+/// One `/runs` row: a record's envelope without its core, plus the one
+/// figure that sizes it (`samples` of a sweep, `bench` name of a bench).
+struct ListingRow(RunRecord);
+
+impl Serialize for ListingRow {
+    fn serialize<S: Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        let r = &self.0;
+        sink.map_begin()?;
+        sink.entry("seq", &r.seq)?;
+        sink.entry("ts_unix", &r.ts_unix)?;
+        sink.entry("kind", r.core.kind())?;
+        sink.entry("git_rev", &r.git_rev)?;
+        sink.entry("record_hash", &format!("{:016x}", r.record_hash))?;
+        sink.entry("spec_fp", &format!("{:016x}", r.core.spec_fp()))?;
+        match &r.core {
+            RunCore::Collect(c) => {
+                sink.entry("samples", &c.arches.iter().map(|a| a.samples).sum::<u64>())?
+            }
+            RunCore::Bench(b) => sink.entry("bench", &b.bench)?,
+        }
+        sink.map_end()
     }
 }
 
@@ -1597,31 +1300,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_record_roundtrips_through_jsonl() {
-        let core = tiny_core(0x0527_1CEB);
-        let rc = RunCore::Collect(core);
-        let record = RunRecord {
-            seq: 3,
-            ts_unix: 1_700_000_000,
-            git_rev: "abcdef012345".to_string(),
-            record_hash: rc.hash(),
-            core: rc,
-            info: RunInfo {
-                workers: 4,
-                elapsed_s: 1.25,
-                manifest_digest: 42,
-                out_dir: "dataset".to_string(),
-                counters: vec![("steals".to_string(), 17)],
-            },
-        };
-        let line = record.to_jsonl();
-        let back = RunRecord::from_jsonl(&line).unwrap();
-        assert_eq!(back, record);
-        // The round-trip preserves the content address bits-exactly.
-        assert_eq!(back.core.hash(), record.record_hash);
-    }
-
-    #[test]
     fn bench_core_digests_scalars_and_rep_arrays() {
         let json = r#"{"warm_s": 0.005, "samples": 9090, "warm_s_reps": [0.005, 0.0051, null], "label": "x"}"#;
         let core = BenchCore::from_bench_json("sweep", json).unwrap();
@@ -1647,53 +1325,119 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let registry = Registry::open(&dir).unwrap();
         let core = tiny_core(1);
+        let mut appended = Vec::new();
         for i in 0..3u64 {
-            let rec = registry
-                .append(
-                    RunCore::Collect(core.clone()),
-                    RunInfo {
-                        workers: i + 1,
-                        ..RunInfo::default()
-                    },
-                    "deadbeef",
-                    100 + i,
-                )
-                .unwrap();
-            assert_eq!(rec.seq, i);
+            let info = RunInfo {
+                workers: i + 1,
+                elapsed_s: 1.25,
+                manifest_digest: 42,
+                out_dir: "dataset".to_string(),
+                counters: vec![("steals".to_string(), 17)],
+            };
+            let rec = registry.append(RunCore::Collect(core.clone()), info, "deadbeef", 100 + i);
+            appended.push(rec.unwrap());
+            assert_eq!(appended[i as usize].seq, i);
         }
         let loaded = registry.load().unwrap();
-        assert_eq!(loaded.records.len(), 3);
         assert_eq!(loaded.corrupt_skipped, 0);
+        // A swept core and its run context come back through the file
+        // equal, content address included.
+        assert_eq!(loaded.records, appended);
         // Same core content => same address on every record.
         let h0 = loaded.records[0].record_hash;
         assert!(loaded.records.iter().all(|r| r.record_hash == h0));
-        assert!(loaded.records.iter().map(|r| r.seq).eq(0..3));
         let listing = registry.listing_json();
         assert!(listing.contains("\"records\""), "{listing}");
         assert!(listing.contains(&format!("{h0:016x}")), "{listing}");
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// Two lines as the commit before the derived codec wrote them,
+    /// through its hand-rolled string-pushing writer.
+    const PARENT_COLLECT_LINE: &str = r#"{"schema":"ompobs-run-v2","seq":7,"ts_unix":1700000000,"git_rev":"1c7150e0431f","kind":"collect","record_hash":14500987378058802642,"spec_fp":1311768467463790320,"core":{"scope":"Strided(400)","roster":"Paper","reps":3,"seed":42,"failure_rate_bits":4576918229304087675,"spec_fingerprint":1311768467463790320,"arches":[{"arch":"skylake","settings":2,"samples":5,"dropped":1,"virt":[{"total":3,"counts":[1,1],"sum_bits":[4654311885213007872,4654863840050151424]},{"total":0,"counts":[],"sum_bits":[]}],"energy":[{"total":3,"counts":[1,1],"sum_bits":[4598175219545276416,4600427019358961664]},{"total":0,"counts":[],"sum_bits":[]}],"apps":[{"app":"cg","samples":5,"virt_ns":7625,"energy_uj":310}],"cells":[{"var":"OMP_SCHEDULE","value":"dynamic,16","samples":3,"virt_ns":4500,"energy_uj":200},{"var":"KMP_LIBRARY","value":"turn\"around\\","samples":2,"virt_ns":3125,"energy_uj":110}]}]},"info":{"workers":4,"elapsed_s":1.250000,"manifest_digest":18369602397475290863,"out_dir":"runs/\"cold\"\n","counters":[["plan_hits",12],["steals",0]]}}"#;
+    const PARENT_BENCH_LINE: &str = r#"{"schema":"ompobs-run-v2","seq":8,"ts_unix":1700000001,"git_rev":"unknown","kind":"bench","record_hash":14548571392040988712,"spec_fp":14193032250847526115,"core":{"bench":"sweep","scalars":[["samples",4666222894676705280],["warm_s",4572414629676717179]],"reps":[["warm_s_reps",[4572414629676717179,4572529921827177864,9221120237041090560]]]},"info":{"workers":0,"elapsed_s":0.000000,"manifest_digest":0,"out_dir":"","counters":[]}}"#;
+
     #[test]
-    fn damaged_jsonl_line_skips_with_counter() {
-        let dir = tmp_dir("damaged");
-        let registry = Registry::open(&dir).unwrap();
-        let core = tiny_core(2);
-        registry
-            .append(RunCore::Collect(core.clone()), RunInfo::default(), "a", 1)
-            .unwrap();
-        registry
-            .append(RunCore::Collect(core), RunInfo::default(), "b", 2)
-            .unwrap();
-        // Damage the middle of the first line (content no longer
-        // matches its stored hash) without touching the second.
-        let jsonl = fs::read_to_string(dir.join("registry.jsonl")).unwrap();
-        let damaged = jsonl.replacen("\"samples\":", "\"samplez\":", 1);
-        fs::write(dir.join("registry.jsonl"), &damaged).unwrap();
-        let loaded = registry.load().unwrap();
-        assert_eq!(loaded.corrupt_skipped, 1, "damaged line counted");
-        assert_eq!(loaded.records.len(), 1, "intact record survives");
-        assert_eq!(loaded.records[0].git_rev, "b");
+    fn parent_written_lines_load_and_come_back_byte_for_byte() {
+        // Loading checks each core against the `record_hash` the parent
+        // stored, which pins every word of both cores. Written again,
+        // only `elapsed_s` (never hashed) prints other digits.
+        let lines = [
+            (PARENT_COLLECT_LINE, ":1.250000,", ":1.25,"),
+            (PARENT_BENCH_LINE, ":0.000000,", ":0.0,"),
+        ];
+        for (line, old_elapsed, elapsed) in lines {
+            let rec = RunRecord::from_jsonl(line).expect("a parent-written line loads");
+            assert_eq!(rec.to_jsonl(), line.replace(old_elapsed, elapsed));
+        }
+        let info = RunRecord::from_jsonl(PARENT_COLLECT_LINE).unwrap().info;
+        assert_eq!((info.workers, info.elapsed_s), (4, 1.25));
+        assert_eq!(info.out_dir, "runs/\"cold\"\n");
+        assert_eq!(info.counters[0], ("plan_hits".to_string(), 12));
+        // And the `/runs` body over the two, as the parent rendered it.
+        let dir = tmp_dir("listing");
+        let text = format!("{PARENT_COLLECT_LINE}\n{PARENT_BENCH_LINE}\n");
+        fs::write(dir.join("registry.jsonl"), text).unwrap();
+        let listing = format!(
+            r#"{{"dir":"{}","corrupt_skipped":0,"records":[{{"seq":7,"ts_unix":1700000000,"kind":"collect","git_rev":"1c7150e0431f","record_hash":"c93ddb30d99e35d2","spec_fp":"123456789abcdef0","samples":5}},{{"seq":8,"ts_unix":1700000001,"kind":"bench","git_rev":"unknown","record_hash":"c9e6e89974037028","spec_fp":"c4f7c7a25d6dfce3","bench":"sweep"}}]}}"#,
+            dir.display()
+        );
+        assert_eq!(Registry::open(&dir).unwrap().listing_json(), listing);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn hostile_lines_end_as_a_consistent_record_or_one_skip() {
+        // `Ok` is a record whose content matches its address; anything
+        // else is an `Err` for `load` to count. Never a panic.
+        let survives = |bytes: &[u8]| {
+            if let Ok(rec) = RunRecord::from_jsonl(&String::from_utf8_lossy(bytes)) {
+                assert_eq!(rec.core.hash(), rec.record_hash);
+            }
+        };
+        for line in [PARENT_COLLECT_LINE, PARENT_BENCH_LINE] {
+            let bytes = line.as_bytes();
+            for at in 0..bytes.len() {
+                let torn = String::from_utf8_lossy(&bytes[..at]);
+                assert!(RunRecord::from_jsonl(&torn).is_err(), "cut at {at}");
+                for with in [b'0', b'"', b'{', b']', b'\\', b',', 0xff, bytes[at] ^ 1] {
+                    let mut mutated = bytes.to_vec();
+                    mutated[at] = with;
+                    survives(&mutated);
+                }
+            }
+        }
+        // Arbitrary bytes, alternating with arbitrary strings over the
+        // bytes JSON is made of (those get further into the reader).
+        let json_bytes = b"{}[]\",:\\0123456789.-e nulltruefalse\"core\"\"kind\"";
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        for round in 0..4000 {
+            let pick = |n: usize| [n as u8, json_bytes[n % json_bytes.len()]][round % 2];
+            let junk: Vec<u8> = (0..next() % 96).map(|_| pick(next())).collect();
+            survives(&junk);
+        }
+        // In a registry each such line costs one skip and nothing else:
+        // torn, content altered, a key altered, not JSON, every field
+        // missing, another schema. The intact line after them survives.
+        let dir = tmp_dir("hostile");
+        let hostile = [
+            PARENT_COLLECT_LINE[..200].to_string(),
+            PARENT_COLLECT_LINE.replace("7625", "7626"),
+            PARENT_COLLECT_LINE.replacen("\"samples\":", "\"samplez\":", 1),
+            "\u{0}[[[".to_string(),
+            "{}".to_string(),
+            PARENT_BENCH_LINE.replace(SCHEMA, "ompobs-run-v3"),
+        ];
+        let text = format!("{}\n{PARENT_BENCH_LINE}\n", hostile.join("\n"));
+        fs::write(dir.join("registry.jsonl"), text).unwrap();
+        let loaded = Registry::open(&dir).unwrap().load().unwrap();
+        assert_eq!(loaded.corrupt_skipped, 6);
+        assert_eq!(loaded.records.len(), 1);
+        assert_eq!(loaded.records[0].git_rev, "unknown");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -248,9 +248,9 @@ ls "$coherence_dir/monitored/tsdb/"*@energy@*.omts >/dev/null 2>&1 || {
 echo "energy ring series recorded in tsdb/ alongside virtual time"
 
 # Drift sentinel self-comparison: the cold and warm runs above share a
-# seed, so their per-stratum virtual-time series must be statistically
-# indistinguishable — ompmon has to say OK (exit 0; 4 would mean drift).
-step cargo run --release -p ompmon --bin ompmon -- \
+# seed, so their per-stratum virtual-time and energy series must be
+# identical — ompobs drift has to say OK (exit 0; 4 would mean drift).
+step cargo run --release -q -p ompobs -- \
     drift "$coherence_dir/cold" "$coherence_dir/warm"
 
 # Longitudinal observatory gate: the six collect runs above all share
@@ -262,6 +262,15 @@ step cargo run --release -p ompmon --bin ompmon -- \
 # exit 4 with blame naming the perturbed slice.
 echo
 echo "==> longitudinal observatory gate (registry, sentinel, blame, report)"
+expect_exit() { # expect_exit CODE WHAT CMD... — 0 clean, 4 moved, else broken
+    local want="$1" what="$2" rc=0
+    shift 2
+    "$@" || rc=$?
+    [ "$rc" -eq "$want" ] || {
+        echo "verify: $what: ompobs exited $rc, expected $want" >&2
+        exit 1
+    }
+}
 obs_dir="$coherence_dir/.ompobs"
 list_out="$(cargo run --release -q -p ompobs -- list --dir "$obs_dir")"
 echo "$list_out"
@@ -276,12 +285,8 @@ unique_hashes="$(awk '$3 == "collect" { print $5 }' <<<"$list_out" | sort -u | w
     exit 1
 }
 echo "content addresses identical across workers 4, 2, 1 (and traced/monitored)"
-if cargo run --release -q -p ompobs -- sentinel --dir "$obs_dir"; then
-    :
-else
-    echo "verify: sentinel flagged the identical-run history (or failed)" >&2
-    exit 1
-fi
+expect_exit 0 "sentinel over the identical-run history" \
+    cargo run --release -q -p ompobs -- sentinel --dir "$obs_dir"
 [ -s "$obs_dir/history.json" ] || {
     echo "verify: sentinel did not write history.json" >&2
     exit 1
@@ -289,16 +294,18 @@ fi
 cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/perturbed" \
     --workers 2 --cache-dir "$coherence_dir/cache" \
     --perturb skylake:1.10 2>/dev/null
-if cargo run --release -q -p ompobs -- sentinel --dir "$obs_dir"; then
-    echo "verify: sentinel missed the +10% skylake perturbation" >&2
+expect_exit 4 "sentinel over the +10% skylake perturbation" \
+    cargo run --release -q -p ompobs -- sentinel --dir "$obs_dir"
+# The two-run comparison must see the same fault from the runs' tsdb/
+# rings alone: cold vs perturbed is DRIFT (exit 4), not OK and not an
+# error.
+expect_exit 4 "drift of cold vs the +10% skylake perturbation" \
+    cargo run --release -q -p ompobs -- \
+    drift "$coherence_dir/cold" "$coherence_dir/perturbed"
+[ -s "$coherence_dir/perturbed/drift.json" ] || {
+    echo "verify: ompobs drift did not write drift.json beside the newer run" >&2
     exit 1
-else
-    rc=$?
-    [ "$rc" -eq 4 ] || {
-        echo "verify: sentinel failed (exit $rc) instead of detecting the change-point (exit 4)" >&2
-        exit 1
-    }
-fi
+}
 blame_out="$(cargo run --release -q -p ompobs -- blame --dir "$obs_dir")"
 echo "$blame_out"
 grep -q 'top regressed slice: skylake/' <<<"$blame_out" || {
@@ -318,7 +325,7 @@ grep -q 'CHANGE-POINT' "$obs_dir/report.html" || {
     echo "verify: report.html lost the change-point verdict" >&2
     exit 1
 }
-echo "sentinel clean on identical history, change-point + blame on the perturbed run, dashboard well-formed"
+echo "sentinel clean on identical history, change-point + drift + blame on the perturbed run, dashboard well-formed"
 
 # Bench regression gate: fresh sweep_warmcold numbers must stay within
 # the noise band of the committed baseline.
