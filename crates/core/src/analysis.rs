@@ -9,9 +9,8 @@
 
 use crate::arch::Arch;
 use crate::config::TuningConfig;
-use crate::envvar::{
-    KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
-};
+use crate::envvar::{OmpPlaces, OmpProcBind};
+use crate::variable::Variable;
 use mlstats::logreg::{accuracy, fit_logistic, LogRegError, LogisticOptions};
 use mlstats::StandardScaler;
 use serde::{Deserialize, Serialize};
@@ -71,6 +70,12 @@ pub enum Feature {
 }
 
 impl Feature {
+    /// The tuning variable this column stands for; `None` for the
+    /// setting columns.
+    pub fn variable(self) -> Option<Variable> {
+        Variable::ALL.into_iter().find(|v| v.feature() == self)
+    }
+
     /// Column header as printed in the heat maps.
     pub fn name(self) -> &'static str {
         match self {
@@ -78,26 +83,12 @@ impl Feature {
             Feature::Application => "Application",
             Feature::InputSize => "Input Size",
             Feature::NumThreads => "OMP_NUM_THREADS",
-            Feature::Places => "OMP_PLACES",
-            Feature::ProcBind => "OMP_PROC_BIND",
-            Feature::Schedule => "OMP_SCHEDULE",
-            Feature::Library => "KMP_LIBRARY",
-            Feature::Blocktime => "KMP_BLOCKTIME",
-            Feature::ForceReduction => "KMP_FORCE_REDUCTION",
-            Feature::AlignAlloc => "KMP_ALIGN_ALLOC",
+            _ => self
+                .variable()
+                .expect("every other column is a variable")
+                .env_name(),
         }
     }
-
-    /// The environment-variable features common to every grouping.
-    pub const ENV_FEATURES: [Feature; 7] = [
-        Feature::Places,
-        Feature::ProcBind,
-        Feature::Schedule,
-        Feature::Library,
-        Feature::Blocktime,
-        Feature::ForceReduction,
-        Feature::AlignAlloc,
-    ];
 
     /// The feature columns used for a grouping strategy. The grouped-over
     /// identity is excluded; everything else (including the setting axes)
@@ -111,28 +102,28 @@ impl Feature {
         }
         cols.push(Feature::InputSize);
         cols.push(Feature::NumThreads);
-        cols.extend(Feature::ENV_FEATURES);
+        cols.extend(Variable::ALL.map(Variable::feature));
         cols
     }
 }
 
-/// Naive numeric encoding of one environment-variable feature of a
-/// configuration — the per-column scheme shared by the batch analysis
-/// and the streaming [`LiveInfluence`] tracker. Panics on a non-env
-/// feature (those need record context).
+/// Naive numeric encoding of one variable of a configuration — the
+/// per-column scheme shared by the batch analysis and the streaming
+/// [`LiveInfluence`] tracker.
 ///
 /// Categorical levels are coded in increasing binding
 /// strength/granularity so the linear model can express the monotone
-/// part of their effect (the "naive numeric scheme").
-pub fn encode_env_feature(config: &TuningConfig, feature: Feature) -> f64 {
-    match feature {
-        Feature::Places => match config.places {
+/// part of their effect (the "naive numeric scheme"); the variables
+/// without such an order are coded by domain position.
+pub fn encode_env_feature(config: &TuningConfig, var: Variable) -> f64 {
+    match var {
+        Variable::Places => match config.places {
             OmpPlaces::Unset => 0.0,
             OmpPlaces::Sockets => 1.0,
             OmpPlaces::LlCaches => 2.0,
             OmpPlaces::Cores => 3.0,
         },
-        Feature::ProcBind => match config.proc_bind {
+        Variable::ProcBind => match config.proc_bind {
             OmpProcBind::Master => 0.0,
             OmpProcBind::False => 1.0,
             OmpProcBind::Unset => 2.0,
@@ -140,33 +131,19 @@ pub fn encode_env_feature(config: &TuningConfig, feature: Feature) -> f64 {
             OmpProcBind::Close => 4.0,
             OmpProcBind::Spread => 5.0,
         },
-        Feature::Schedule => OmpSchedule::ALL
-            .iter()
-            .position(|v| *v == config.schedule)
-            .expect("schedule in domain") as f64,
-        Feature::Library => match config.library {
-            KmpLibrary::Throughput => 0.0,
-            KmpLibrary::Turnaround => 1.0,
-        },
-        Feature::Blocktime => KmpBlocktime::ALL
-            .iter()
-            .position(|v| *v == config.blocktime)
-            .expect("blocktime in domain") as f64,
-        Feature::ForceReduction => KmpForceReduction::ALL
-            .iter()
-            .position(|v| *v == config.force_reduction)
-            .expect("reduction in domain") as f64,
-        Feature::AlignAlloc => (config.align_alloc.bytes() as f64).log2(),
-        other => panic!("{other:?} is not an environment-variable feature"),
+        Variable::AlignAlloc => (config.align_alloc.bytes() as f64).log2(),
+        by_position => by_position
+            .slot(config)
+            .expect("only an alignment can lack a slot") as f64,
     }
 }
 
-/// The seven env-var feature encodings of one configuration, in
-/// [`Feature::ENV_FEATURES`] order.
+/// The seven variable encodings of one configuration, in
+/// [`Variable::ALL`] order.
 pub fn encode_env_features(config: &TuningConfig) -> Vec<f64> {
-    Feature::ENV_FEATURES
+    Variable::ALL
         .iter()
-        .map(|f| encode_env_feature(config, *f))
+        .map(|v| encode_env_feature(config, *v))
         .collect()
 }
 
@@ -187,7 +164,10 @@ fn encode_record(
             Feature::Application => app_codes[&rec.app] as f64,
             Feature::InputSize => rec.input_size,
             Feature::NumThreads => rec.config.num_threads as f64,
-            env => encode_env_feature(&rec.config, *env),
+            env => encode_env_feature(
+                &rec.config,
+                env.variable().expect("every other column is a variable"),
+            ),
         })
         .collect()
 }
@@ -217,7 +197,7 @@ impl Default for LiveInfluence {
 
 impl LiveInfluence {
     pub fn new() -> LiveInfluence {
-        let d = Feature::ENV_FEATURES.len();
+        let d = Variable::ALL.len();
         LiveInfluence {
             model: mlstats::OnlineLogistic::new(d),
             mean: vec![0.0; d],
@@ -269,19 +249,18 @@ impl LiveInfluence {
         }
     }
 
-    /// Current influence per env feature, in [`Feature::ENV_FEATURES`]
-    /// order. Sums to 1 once any signal exists (all-zero before).
-    pub fn influence(&self) -> Vec<(Feature, f64)> {
-        Feature::ENV_FEATURES
-            .iter()
-            .copied()
+    /// Current influence per variable, in [`Variable::ALL`] order. Sums
+    /// to 1 once any signal exists (all-zero before).
+    pub fn influence(&self) -> Vec<(Variable, f64)> {
+        Variable::ALL
+            .into_iter()
             .zip(self.model.normalized_influence())
             .collect()
     }
 
-    /// The feature with the largest current influence (`None` before
+    /// The variable with the largest current influence (`None` before
     /// any signal), ties broken by presentation order.
-    pub fn top(&self) -> Option<Feature> {
+    pub fn top(&self) -> Option<Variable> {
         let infl = self.influence();
         let (f, v) = infl
             .iter()
@@ -303,11 +282,11 @@ impl LiveInfluence {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{:.6}", f.name(), v));
+            out.push_str(&format!("\"{}\":{:.6}", f.env_name(), v));
         }
         out.push_str("},\"top\":");
         match self.top() {
-            Some(f) => out.push_str(&format!("\"{}\"", f.name())),
+            Some(f) => out.push_str(&format!("\"{}\"", f.env_name())),
             None => out.push_str("null"),
         }
         out.push('}');
@@ -534,6 +513,7 @@ pub fn influence_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envvar::KmpLibrary;
     use crate::space::ConfigSpace;
 
     /// Synthetic records where only KMP_LIBRARY matters: turnaround is
@@ -608,7 +588,7 @@ mod tests {
                 speedup: 1.0,
                 config,
             };
-            let batch = encode_record(&rec, &Feature::ENV_FEATURES, &app_codes);
+            let batch = encode_record(&rec, &Variable::ALL.map(Variable::feature), &app_codes);
             let live = encode_env_features(&rec.config);
             assert_eq!(batch, live);
         }
@@ -624,11 +604,11 @@ mod tests {
                 live.observe(&rec.config, rec.speedup);
             }
         }
-        assert_eq!(live.top(), Some(Feature::Library));
+        assert_eq!(live.top(), Some(Variable::Library));
         let infl = live.influence();
         let library = infl
             .iter()
-            .find(|(f, _)| *f == Feature::Library)
+            .find(|(f, _)| *f == Variable::Library)
             .map(|(_, v)| *v)
             .unwrap();
         assert!(library > 0.5, "library influence = {library}");

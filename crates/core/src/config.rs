@@ -18,7 +18,9 @@ use crate::arch::Arch;
 use crate::envvar::{
     KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
 };
+use crate::variable::Variable;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The binding policy actually in force after default derivation.
@@ -189,56 +191,67 @@ impl TuningConfig {
         }
     }
 
+    /// Environment spelling of this configuration's value of `var`;
+    /// `None` means "leave the variable unset".
+    pub fn spelling(&self, var: Variable) -> Option<Cow<'static, str>> {
+        match var.slot(self) {
+            Some(slot) => var.spelling(slot).map(Cow::Borrowed),
+            // Only an alignment can lack a slot (`KMP_ALIGN_ALLOC` accepts
+            // any power of two), and it still spells.
+            None => Some(Cow::Owned(self.align_alloc.env_value())),
+        }
+    }
+
+    /// [`TuningConfig::spelling`] with unset spelled out, for reports.
+    pub fn label(&self, var: Variable) -> Cow<'static, str> {
+        self.spelling(var).unwrap_or(Cow::Borrowed("unset"))
+    }
+
     /// Export as the environment-variable map a job script would set.
     /// Unset variables are absent from the map.
     pub fn to_env(&self) -> BTreeMap<String, String> {
         let mut env = BTreeMap::new();
-        if let Some(v) = self.places.env_value() {
-            env.insert("OMP_PLACES".into(), v.into());
+        for var in Variable::ALL {
+            if let Some(v) = self.spelling(var) {
+                env.insert(var.env_name().into(), v.into_owned());
+            }
         }
-        if let Some(v) = self.proc_bind.env_value() {
-            env.insert("OMP_PROC_BIND".into(), v.into());
-        }
-        env.insert("OMP_SCHEDULE".into(), self.schedule.env_value().into());
-        env.insert("KMP_LIBRARY".into(), self.library.env_value().into());
-        env.insert("KMP_BLOCKTIME".into(), self.blocktime.env_value().into());
-        if let Some(v) = self.force_reduction.env_value() {
-            env.insert("KMP_FORCE_REDUCTION".into(), v.into());
-        }
-        env.insert("KMP_ALIGN_ALLOC".into(), self.align_alloc.env_value());
         env.insert("OMP_NUM_THREADS".into(), self.num_threads.to_string());
         env
     }
 
     /// Reconstruct a config from an environment map (inverse of
-    /// [`TuningConfig::to_env`]). Unknown values yield `None`.
-    pub fn from_env(env: &BTreeMap<String, String>, arch: Arch) -> Option<TuningConfig> {
+    /// [`TuningConfig::to_env`]). The error is the name of the first
+    /// variable whose value does not parse.
+    pub fn from_env(
+        env: &BTreeMap<String, String>,
+        arch: Arch,
+    ) -> Result<TuningConfig, &'static str> {
         let get = |k: &str| env.get(k).map(String::as_str);
-        Some(TuningConfig {
-            places: OmpPlaces::parse(get("OMP_PLACES"))?,
-            proc_bind: OmpProcBind::parse(get("OMP_PROC_BIND"))?,
-            schedule: OmpSchedule::parse(get("OMP_SCHEDULE"))?,
-            library: KmpLibrary::parse(get("KMP_LIBRARY"))?,
-            blocktime: KmpBlocktime::parse(get("KMP_BLOCKTIME"))?,
-            force_reduction: KmpForceReduction::parse(get("KMP_FORCE_REDUCTION"))?,
-            align_alloc: KmpAlignAlloc::parse(get("KMP_ALIGN_ALLOC"), arch)?,
-            num_threads: get("OMP_NUM_THREADS").and_then(|s| s.parse().ok())?,
-        })
+        let mut config = TuningConfig::default_for(arch, 0);
+        for var in Variable::ALL {
+            config = var
+                .parse(config, get(var.env_name()), arch)
+                .ok_or(var.env_name())?;
+        }
+        config.num_threads = get("OMP_NUM_THREADS")
+            .and_then(|s| s.parse().ok())
+            .ok_or("OMP_NUM_THREADS")?;
+        Ok(config)
+    }
+
+    /// The seven variables as `key=value` words, unset spelled out — the
+    /// part of [`TuningConfig::describe`] that does not depend on the
+    /// setting.
+    pub fn describe_knobs(&self) -> String {
+        Variable::ALL
+            .map(|v| format!("{}={}", v.key(), self.label(v)))
+            .join(" ")
     }
 
     /// Compact single-line description used in reports and logs.
     pub fn describe(&self) -> String {
-        format!(
-            "places={} bind={} sched={} lib={} blocktime={} red={} align={} threads={}",
-            self.places.env_value().unwrap_or("unset"),
-            self.proc_bind.env_value().unwrap_or("unset"),
-            self.schedule.env_value(),
-            self.library.env_value(),
-            self.blocktime.env_value(),
-            self.force_reduction.env_value().unwrap_or("unset"),
-            self.align_alloc.bytes(),
-            self.num_threads,
-        )
+        format!("{} threads={}", self.describe_knobs(), self.num_threads)
     }
 }
 
@@ -326,7 +339,7 @@ mod tests {
         assert!(!env.contains_key("OMP_PLACES"));
         assert!(!env.contains_key("OMP_PROC_BIND"));
         assert!(!env.contains_key("KMP_FORCE_REDUCTION"));
-        assert_eq!(TuningConfig::from_env(&env, Arch::Milan), Some(c));
+        assert_eq!(TuningConfig::from_env(&env, Arch::Milan), Ok(c));
     }
 
     #[test]
@@ -341,10 +354,25 @@ mod tests {
             align_alloc: KmpAlignAlloc(512),
             num_threads: 17,
         };
-        let env = c.to_env();
-        assert_eq!(env["OMP_PLACES"], "ll_caches");
-        assert_eq!(env["KMP_BLOCKTIME"], "infinite");
-        assert_eq!(TuningConfig::from_env(&env, Arch::Skylake), Some(c));
+        let mut env = c.to_env();
+        // The whole map, as the parent of the variable table wrote it.
+        let text: Vec<String> = env.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        assert_eq!(
+            text.join(" "),
+            "KMP_ALIGN_ALLOC=512 KMP_BLOCKTIME=infinite KMP_FORCE_REDUCTION=tree \
+             KMP_LIBRARY=turnaround OMP_NUM_THREADS=17 OMP_PLACES=ll_caches \
+             OMP_PROC_BIND=spread OMP_SCHEDULE=guided"
+        );
+        assert_eq!(TuningConfig::from_env(&env, Arch::Skylake), Ok(c));
+        // A value that does not parse is reported by the variable's name,
+        // the first one in table order.
+        env.insert("KMP_LIBRARY".into(), "serial".into());
+        env.remove("OMP_NUM_THREADS");
+        let failed = TuningConfig::from_env(&env, Arch::Skylake);
+        assert_eq!(failed, Err("KMP_LIBRARY"));
+        env.remove("KMP_LIBRARY");
+        let failed = TuningConfig::from_env(&env, Arch::Skylake);
+        assert_eq!(failed, Err("OMP_NUM_THREADS"));
     }
 
     #[test]
@@ -364,19 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn describe_mentions_every_variable() {
-        let d = TuningConfig::default_for(Arch::A64fx, 48).describe();
-        for key in [
-            "places=",
-            "bind=",
-            "sched=",
-            "lib=",
-            "blocktime=",
-            "red=",
-            "align=",
-            "threads=",
-        ] {
-            assert!(d.contains(key), "missing {key} in {d}");
-        }
+    fn describe_matches_the_parents_literal() {
+        // `omptel-report` titles carry the knobs, logs the whole line.
+        let c = crate::space::ConfigSpace::new(Arch::Milan, 24).get(4861);
+        let knobs = "places=ll_caches bind=unset sched=guided lib=turnaround blocktime=0 \
+                     red=atomic align=128";
+        assert_eq!(c.unwrap().describe_knobs(), knobs);
+        assert_eq!(c.unwrap().describe(), format!("{knobs} threads=24"));
     }
 }

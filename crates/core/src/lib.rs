@@ -9,6 +9,9 @@
 //! - [`config`] — complete tuning configurations plus libomp's default
 //!   derivation rules (proc-bind/places interaction, wait-policy
 //!   derivation, reduction heuristic, per-arch alignment default),
+//! - [`variable`] — the variable table: the seven variables' names,
+//!   value domains, value indices and spellings, which everything
+//!   per-variable loops over,
 //! - [`space`] — full-factorial configuration-space enumeration
 //!   (9216 configs on x86, 4608 on A64FX per setting),
 //! - [`analysis`] — the classification-surrogate influence analysis whose
@@ -34,6 +37,7 @@ pub mod recommend;
 pub mod report;
 pub mod space;
 pub mod tuner;
+pub mod variable;
 
 pub use analysis::{
     encode_env_feature, encode_env_features, influence_analysis, linear_fit_quality,
@@ -56,5 +60,5 @@ pub use report::{
 pub use space::{ConfigSpace, TuningSpace};
 pub use tuner::{
     hill_climb, hill_climb_informed, influence_order, random_search, telemetry_order, TuneResult,
-    Variable,
 };
+pub use variable::Variable;

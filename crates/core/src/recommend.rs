@@ -11,6 +11,7 @@
 use crate::analysis::AnalysisRecord;
 use crate::arch::Arch;
 use crate::config::{EffectiveBind, TuningConfig};
+use crate::variable::Variable;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -42,24 +43,7 @@ pub struct CellReport {
 /// Decompose a config into (variable, value-spelling) pairs for the seven
 /// swept variables. `unset` is spelled out so defaults are comparable.
 fn pairs(c: &TuningConfig) -> [(&'static str, String); 7] {
-    [
-        (
-            "OMP_PLACES",
-            c.places.env_value().unwrap_or("unset").to_string(),
-        ),
-        (
-            "OMP_PROC_BIND",
-            c.proc_bind.env_value().unwrap_or("unset").to_string(),
-        ),
-        ("OMP_SCHEDULE", c.schedule.env_value().to_string()),
-        ("KMP_LIBRARY", c.library.env_value().to_string()),
-        ("KMP_BLOCKTIME", c.blocktime.env_value().to_string()),
-        (
-            "KMP_FORCE_REDUCTION",
-            c.force_reduction.env_value().unwrap_or("unset").to_string(),
-        ),
-        ("KMP_ALIGN_ALLOC", c.align_alloc.env_value()),
-    ]
+    Variable::ALL.map(|v| (v.env_name(), c.label(v).into_owned()))
 }
 
 /// Analyze the top-`k` configurations of one (app, arch) group and report
@@ -257,6 +241,31 @@ mod tests {
                 ("KMP_LIBRARY", "throughput")
             );
         }
+    }
+
+    #[test]
+    fn recommendations_match_the_parents_literals() {
+        // One record (odometer index 4861: everything moved but the bind):
+        // each moved variable is recommended under its environment name
+        // and spelling, the unset bind — the default — is not.
+        let records = [AnalysisRecord {
+            arch: Arch::Milan,
+            app: "cg".into(),
+            input_size: 2.0,
+            config: ConfigSpace::new(Arch::Milan, 24).get(4861).unwrap(),
+            speedup: 1.5,
+        }];
+        let report = recommend_for(&records, "cg", Arch::Milan, 1, 0.5).unwrap();
+        let got: Vec<String> = report
+            .recommendations
+            .iter()
+            .map(|r| format!("{}={}", r.variable, r.value))
+            .collect();
+        assert_eq!(
+            got.join(" "),
+            "KMP_ALIGN_ALLOC=128 KMP_BLOCKTIME=0 KMP_FORCE_REDUCTION=atomic \
+             KMP_LIBRARY=turnaround OMP_PLACES=ll_caches OMP_SCHEDULE=guided"
+        );
     }
 
     #[test]

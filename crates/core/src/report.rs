@@ -137,13 +137,10 @@ pub fn arch_summary(records: &[AnalysisRecord], arch: Arch) -> Option<ArchSummar
 /// (thread count excluded — it is part of the *setting*, not the knobs,
 /// and differs across machines).
 pub fn same_knobs(a: &crate::config::TuningConfig, b: &crate::config::TuningConfig) -> bool {
-    a.places == b.places
-        && a.proc_bind == b.proc_bind
-        && a.schedule == b.schedule
-        && a.library == b.library
-        && a.blocktime == b.blocktime
-        && a.force_reduction == b.force_reduction
-        && a.align_alloc == b.align_alloc
+    crate::config::TuningConfig {
+        num_threads: b.num_threads,
+        ..*a
+    } == *b
 }
 
 /// One cell of the best-config transfer analysis (the markers of the

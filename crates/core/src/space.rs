@@ -13,9 +13,7 @@
 
 use crate::arch::Arch;
 use crate::config::TuningConfig;
-use crate::envvar::{
-    KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
-};
+use crate::variable::Variable;
 use serde::{Deserialize, Serialize};
 
 /// The full factorial space of tuning configurations for one architecture
@@ -45,13 +43,10 @@ impl ConfigSpace {
 
     /// Exact number of configurations in the space.
     pub fn len(&self) -> usize {
-        OmpPlaces::ALL.len()
-            * OmpProcBind::ALL.len()
-            * OmpSchedule::ALL.len()
-            * KmpLibrary::ALL.len()
-            * KmpBlocktime::ALL.len()
-            * KmpForceReduction::ALL.len()
-            * KmpAlignAlloc::domain(self.arch).len()
+        Variable::ALL
+            .iter()
+            .map(|v| v.slots(self.arch).len())
+            .product()
     }
 
     /// Spaces are never empty.
@@ -73,31 +68,14 @@ impl ConfigSpace {
         if index >= self.len() {
             return None;
         }
-        let aligns = KmpAlignAlloc::domain(self.arch);
+        let mut config = self.default_config();
         let mut i = index;
-        let align = aligns[i % aligns.len()];
-        i /= aligns.len();
-        let red = KmpForceReduction::ALL[i % KmpForceReduction::ALL.len()];
-        i /= KmpForceReduction::ALL.len();
-        let bt = KmpBlocktime::ALL[i % KmpBlocktime::ALL.len()];
-        i /= KmpBlocktime::ALL.len();
-        let lib = KmpLibrary::ALL[i % KmpLibrary::ALL.len()];
-        i /= KmpLibrary::ALL.len();
-        let sched = OmpSchedule::ALL[i % OmpSchedule::ALL.len()];
-        i /= OmpSchedule::ALL.len();
-        let bind = OmpProcBind::ALL[i % OmpProcBind::ALL.len()];
-        i /= OmpProcBind::ALL.len();
-        let places = OmpPlaces::ALL[i];
-        Some(TuningConfig {
-            places,
-            proc_bind: bind,
-            schedule: sched,
-            library: lib,
-            blocktime: bt,
-            force_reduction: red,
-            align_alloc: align,
-            num_threads: self.num_threads,
-        })
+        for var in Variable::ALL.iter().rev() {
+            let slots = var.slots(self.arch);
+            config = var.at(config, slots.start + i % slots.len());
+            i /= slots.len();
+        }
+        Some(config)
     }
 
     /// Odometer position of `config`, the inverse of [`ConfigSpace::get`].
@@ -107,38 +85,13 @@ impl ConfigSpace {
         if config.num_threads != self.num_threads {
             return None;
         }
-        let aligns = KmpAlignAlloc::domain(self.arch);
-        let pos = |x: usize, stride: usize| x * stride;
-        let a = aligns.iter().position(|v| *v == config.align_alloc)?;
-        let r = KmpForceReduction::ALL
-            .iter()
-            .position(|v| *v == config.force_reduction)?;
-        let b = KmpBlocktime::ALL
-            .iter()
-            .position(|v| *v == config.blocktime)?;
-        let l = KmpLibrary::ALL.iter().position(|v| *v == config.library)?;
-        let s = OmpSchedule::ALL
-            .iter()
-            .position(|v| *v == config.schedule)?;
-        let p = OmpProcBind::ALL
-            .iter()
-            .position(|v| *v == config.proc_bind)?;
-        let pl = OmpPlaces::ALL.iter().position(|v| *v == config.places)?;
-        let mut stride = 1;
-        let mut idx = pos(a, stride);
-        stride *= aligns.len();
-        idx += pos(r, stride);
-        stride *= KmpForceReduction::ALL.len();
-        idx += pos(b, stride);
-        stride *= KmpBlocktime::ALL.len();
-        idx += pos(l, stride);
-        stride *= KmpLibrary::ALL.len();
-        idx += pos(s, stride);
-        stride *= OmpSchedule::ALL.len();
-        idx += pos(p, stride);
-        stride *= OmpProcBind::ALL.len();
-        idx += pos(pl, stride);
-        Some(idx)
+        let mut index = 0;
+        for var in Variable::ALL {
+            let slots = var.slots(self.arch);
+            let slot = var.slot(config).filter(|s| slots.contains(s))?;
+            index = index * slots.len() + (slot - slots.start);
+        }
+        Some(index)
     }
 
     /// The default configuration within this space.

@@ -22,97 +22,8 @@
 use crate::analysis::{Feature, InfluenceRow};
 use crate::arch::Arch;
 use crate::config::TuningConfig;
-use crate::envvar::{
-    KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
-};
 use crate::space::ConfigSpace;
-use serde::{Deserialize, Serialize};
-
-/// The seven tunable variables, as search dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Variable {
-    Places,
-    ProcBind,
-    Schedule,
-    Library,
-    Blocktime,
-    ForceReduction,
-    AlignAlloc,
-}
-
-impl Variable {
-    /// All variables in declaration order.
-    pub const ALL: [Variable; 7] = [
-        Variable::Places,
-        Variable::ProcBind,
-        Variable::Schedule,
-        Variable::Library,
-        Variable::Blocktime,
-        Variable::ForceReduction,
-        Variable::AlignAlloc,
-    ];
-
-    /// Number of values this variable can take on `arch`.
-    pub fn domain_size(self, arch: Arch) -> usize {
-        match self {
-            Variable::Places => OmpPlaces::ALL.len(),
-            Variable::ProcBind => OmpProcBind::ALL.len(),
-            Variable::Schedule => OmpSchedule::ALL.len(),
-            Variable::Library => KmpLibrary::ALL.len(),
-            Variable::Blocktime => KmpBlocktime::ALL.len(),
-            Variable::ForceReduction => KmpForceReduction::ALL.len(),
-            Variable::AlignAlloc => KmpAlignAlloc::domain(arch).len(),
-        }
-    }
-
-    /// Return `config` with this variable set to its `idx`-th value.
-    pub fn with_value(self, config: TuningConfig, arch: Arch, idx: usize) -> TuningConfig {
-        let mut c = config;
-        match self {
-            Variable::Places => c.places = OmpPlaces::ALL[idx],
-            Variable::ProcBind => c.proc_bind = OmpProcBind::ALL[idx],
-            Variable::Schedule => c.schedule = OmpSchedule::ALL[idx],
-            Variable::Library => c.library = KmpLibrary::ALL[idx],
-            Variable::Blocktime => c.blocktime = KmpBlocktime::ALL[idx],
-            Variable::ForceReduction => c.force_reduction = KmpForceReduction::ALL[idx],
-            Variable::AlignAlloc => c.align_alloc = KmpAlignAlloc::domain(arch)[idx],
-        }
-        c
-    }
-
-    /// The index of `config`'s current value of this variable.
-    pub fn value_index(self, config: &TuningConfig, arch: Arch) -> usize {
-        let pos = |found: Option<usize>| found.expect("value in domain");
-        match self {
-            Variable::Places => pos(OmpPlaces::ALL.iter().position(|v| *v == config.places)),
-            Variable::ProcBind => pos(OmpProcBind::ALL.iter().position(|v| *v == config.proc_bind)),
-            Variable::Schedule => pos(OmpSchedule::ALL.iter().position(|v| *v == config.schedule)),
-            Variable::Library => pos(KmpLibrary::ALL.iter().position(|v| *v == config.library)),
-            Variable::Blocktime => pos(KmpBlocktime::ALL
-                .iter()
-                .position(|v| *v == config.blocktime)),
-            Variable::ForceReduction => pos(KmpForceReduction::ALL
-                .iter()
-                .position(|v| *v == config.force_reduction)),
-            Variable::AlignAlloc => pos(KmpAlignAlloc::domain(arch)
-                .iter()
-                .position(|v| *v == config.align_alloc)),
-        }
-    }
-
-    /// The analysis feature corresponding to this variable.
-    pub fn feature(self) -> Feature {
-        match self {
-            Variable::Places => Feature::Places,
-            Variable::ProcBind => Feature::ProcBind,
-            Variable::Schedule => Feature::Schedule,
-            Variable::Library => Feature::Library,
-            Variable::Blocktime => Feature::Blocktime,
-            Variable::ForceReduction => Feature::ForceReduction,
-            Variable::AlignAlloc => Feature::AlignAlloc,
-        }
-    }
-}
+use crate::variable::Variable;
 
 /// Result of a tuning run.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,8 +129,11 @@ where
 }
 
 /// Coordinate-descent hill climbing: scan each variable's full value
-/// domain in `order`, keep the best, repeat passes until one finds no
-/// improvement or `max_evals` is exhausted. Deterministic.
+/// domain on `arch` in `order`, keep the best, repeat passes until one
+/// finds no improvement or `max_evals` is exhausted. Deterministic.
+/// `start` need not lie in `arch`'s space (a best configuration
+/// transplanted from another machine): a value outside the domain just
+/// makes every value of the domain a candidate.
 pub fn hill_climb<F>(
     arch: Arch,
     start: TuningConfig,
@@ -238,9 +152,9 @@ where
     loop {
         let mut improved = false;
         for &var in order {
-            let current_idx = var.value_index(&best, arch);
-            for idx in 0..var.domain_size(arch) {
-                if idx == current_idx {
+            let current = var.slot(&best);
+            for slot in var.slots(arch) {
+                if Some(slot) == current {
                     continue;
                 }
                 if evaluations >= max_evals {
@@ -251,7 +165,7 @@ where
                         trajectory,
                     };
                 }
-                let candidate = var.with_value(best, arch, idx);
+                let candidate = var.at(best, slot);
                 let value = objective(&candidate);
                 evaluations += 1;
                 if value < best_value {
@@ -525,13 +439,16 @@ mod tests {
     }
 
     #[test]
-    fn variable_value_roundtrip() {
-        let c = TuningConfig::default_for(Arch::Skylake, 40);
-        for var in Variable::ALL {
-            for idx in 0..var.domain_size(Arch::Skylake) {
-                let c2 = var.with_value(c, Arch::Skylake, idx);
-                assert_eq!(var.value_index(&c2, Arch::Skylake), idx);
-            }
-        }
+    fn a_transplanted_start_makes_every_target_value_a_candidate() {
+        // RQ2's transfer scenario: Milan's default (64 B alignment) as the
+        // warm start on A64FX, whose domain is {256, 512}.
+        let start = TuningConfig::default_for(Arch::Milan, 48);
+        let mut aligns = std::collections::BTreeSet::new();
+        let r = hill_climb(Arch::A64fx, start, &Variable::ALL, 500, |c| {
+            aligns.insert(c.align_alloc.bytes());
+            objective(c)
+        });
+        assert_eq!(r.best_value, 40.0, "best {:?}", r.best);
+        assert_eq!(aligns.into_iter().collect::<Vec<_>>(), [64, 256, 512]);
     }
 }

@@ -29,7 +29,7 @@ proptest! {
         let space = ConfigSpace::new(arch, arch.cores());
         let config = space.get(idx % space.len()).expect("in space");
         let env = config.to_env();
-        prop_assert_eq!(TuningConfig::from_env(&env, arch), Some(config));
+        prop_assert_eq!(TuningConfig::from_env(&env, arch), Ok(config));
     }
 
     /// Unset variables never appear in the exported environment.

@@ -93,8 +93,8 @@ fn cmd_lint(args: &[String]) -> i32 {
     let archs: Vec<Arch> = if arch_arg == "all" {
         Arch::ALL.to_vec()
     } else {
-        match Arch::ALL.iter().find(|a| a.id() == arch_arg) {
-            Some(a) => vec![*a],
+        match Arch::from_id(arch_arg) {
+            Some(a) => vec![a],
             None => {
                 eprintln!("unknown arch '{arch_arg}' (a64fx|skylake|milan|all)");
                 return 2;

@@ -784,9 +784,7 @@ pub fn bisect(
     };
     let mut core = sweep::CollectCore::new(&spec);
     for digest in &recorded.arches {
-        let arch = *omptune_core::Arch::ALL
-            .iter()
-            .find(|a| a.id() == digest.arch)
+        let arch = omptune_core::Arch::from_id(&digest.arch)
             .ok_or_else(|| format!("recorded architecture {:?} no longer exists", digest.arch))?;
         let opts = match cache {
             Some(c) => sweep::SweepOptions::new(workers.max(1)).with_cache(c),

@@ -16,8 +16,7 @@
 //! per-sample figures that already closed against their totals, rounded
 //! with the same rule).
 
-use omptune_core::Feature;
-use sweep::registry::{value_index, value_labels};
+use omptune_core::{ConfigSpace, Variable};
 use sweep::{RawSample, SettingData};
 
 /// Fixed-point scale: 2^16 fractional bits. A sample's f64 nanosecond
@@ -115,8 +114,8 @@ impl Cell {
 /// (variable, value) plus a grand-total cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribution {
-    /// `cells[var][value]`, `var` indexing [`Feature::ENV_FEATURES`],
-    /// `value` indexing [`value_labels`] of that variable.
+    /// `cells[variable as usize][slot]`, one cell per slot of the
+    /// variable's union domain.
     pub cells: Vec<Vec<Cell>>,
     /// Every folded sample once.
     pub grand: Cell,
@@ -131,20 +130,24 @@ impl Default for Attribution {
 impl Attribution {
     pub fn new() -> Attribution {
         Attribution {
-            cells: Feature::ENV_FEATURES
+            cells: Variable::ALL
                 .iter()
-                .map(|f| vec![Cell::default(); value_labels(*f).len()])
+                .map(|v| vec![Cell::default(); v.union_len()])
                 .collect(),
             grand: Cell::default(),
         }
     }
 
     /// Fold one sample: its total and sinks are charged to the cell of
-    /// each variable's value in the sample's configuration.
+    /// each variable's value in the sample's configuration. A value
+    /// without a slot (a foreign alignment, which [`foreign_sample`]
+    /// rejects in loaded data) is charged to the grand total only.
     pub fn fold_sample(&mut self, sample: &RawSample) {
         self.grand.fold(sample);
-        for (vi, feature) in Feature::ENV_FEATURES.iter().enumerate() {
-            self.cells[vi][value_index(&sample.config, *feature)].fold(sample);
+        for var in Variable::ALL {
+            if let Some(slot) = var.slot(&sample.config) {
+                self.cells[var as usize][slot].fold(sample);
+            }
         }
     }
 
@@ -217,12 +220,11 @@ impl Attribution {
     }
 
     /// Variables ranked by [`spread_ns`](Attribution::spread_ns),
-    /// descending; ties keep `ENV_FEATURES` order.
-    pub fn ranked_variables(&self) -> Vec<(Feature, f64)> {
-        let mut ranked: Vec<(Feature, f64)> = Feature::ENV_FEATURES
+    /// descending; ties keep [`Variable::ALL`] order.
+    pub fn ranked_variables(&self) -> Vec<(Variable, f64)> {
+        let mut ranked: Vec<(Variable, f64)> = Variable::ALL
             .iter()
-            .enumerate()
-            .map(|(i, f)| (*f, self.spread_ns(i)))
+            .map(|v| (*v, self.spread_ns(*v as usize)))
             .collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         ranked
@@ -230,19 +232,18 @@ impl Attribution {
 
     /// Variables ranked by
     /// [`spread_energy_j`](Attribution::spread_energy_j), descending;
-    /// ties keep `ENV_FEATURES` order.
-    pub fn ranked_variables_energy(&self) -> Vec<(Feature, f64)> {
-        let mut ranked: Vec<(Feature, f64)> = Feature::ENV_FEATURES
+    /// ties keep [`Variable::ALL`] order.
+    pub fn ranked_variables_energy(&self) -> Vec<(Variable, f64)> {
+        let mut ranked: Vec<(Variable, f64)> = Variable::ALL
             .iter()
-            .enumerate()
-            .map(|(i, f)| (*f, self.spread_energy_j(i)))
+            .map(|v| (*v, self.spread_energy_j(*v as usize)))
             .collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         ranked
     }
 
     /// The top-ranked variable (`None` on an empty profile).
-    pub fn top_variable(&self) -> Option<Feature> {
+    pub fn top_variable(&self) -> Option<Variable> {
         if self.samples() == 0 {
             return None;
         }
@@ -271,18 +272,17 @@ impl Attribution {
         ));
         out.push_str(&format!("  \"grand\": {},\n", cell_json(&self.grand)));
         out.push_str("  \"variables\": [\n");
-        for (vi, feature) in Feature::ENV_FEATURES.iter().enumerate() {
-            let labels = value_labels(*feature);
+        for (vi, var) in Variable::ALL.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"spread_ns\": {}, \"spread_j\": {}, \"values\": [\n",
-                feature.name(),
+                var.env_name(),
                 fmt_ns(self.spread_ns(vi)),
                 fmt_j(self.spread_energy_j(vi))
             ));
             for (ci, cell) in self.cells[vi].iter().enumerate() {
                 out.push_str(&format!(
                     "      {{\"label\": \"{}\", \"cell\": {}}}{}\n",
-                    json_escape(&labels[ci]),
+                    json_escape(var.label(ci)),
                     cell_json(cell),
                     if ci + 1 < self.cells[vi].len() {
                         ","
@@ -293,7 +293,7 @@ impl Attribution {
             }
             out.push_str(&format!(
                 "    ]}}{}\n",
-                if vi + 1 < Feature::ENV_FEATURES.len() {
+                if vi + 1 < Variable::ALL.len() {
                     ","
                 } else {
                     ""
@@ -305,7 +305,7 @@ impl Attribution {
         for (i, (f, spread)) in ranked.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"spread_ns\": {}}}{}\n",
-                f.name(),
+                f.env_name(),
                 fmt_ns(*spread),
                 if i + 1 < ranked.len() { "," } else { "" }
             ));
@@ -315,7 +315,7 @@ impl Attribution {
         for (i, (f, spread)) in ranked_e.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"spread_j\": {}}}{}\n",
-                f.name(),
+                f.env_name(),
                 fmt_j(*spread),
                 if i + 1 < ranked_e.len() { "," } else { "" }
             ));
@@ -323,6 +323,27 @@ impl Attribution {
         out.push_str("  ]\n}\n");
         out
     }
+}
+
+/// The first sample of `batches` whose configuration is not a point of
+/// its batch's space, named by batch and `config_index`. Loaded data is
+/// outside input (`KmpAlignAlloc` deserialises any `u32`), and a profile
+/// has no cell for such a value.
+pub fn foreign_sample(batches: &[SettingData]) -> Option<String> {
+    batches.iter().find_map(|batch| {
+        // Not `ConfigSpace::new`: a loaded thread count may be anything.
+        let (arch, num_threads) = (batch.key.arch, batch.key.num_threads);
+        let space = ConfigSpace { arch, num_threads };
+        let mut samples = batch.samples.iter();
+        let sample = samples.find(|s| space.index_of(&s.config).is_none())?;
+        Some(format!(
+            "batch {}/{} sample config_index {}: {} is not a configuration of its space",
+            arch.id(),
+            batch.key.stem(),
+            sample.config_index,
+            sample.config.describe()
+        ))
+    })
 }
 
 /// Identity of the slice a profile was folded from, stamped into the
@@ -476,7 +497,7 @@ mod tests {
         // The energy ranking is complete and deterministic, like the
         // time ranking.
         let r = a.ranked_variables_energy();
-        assert_eq!(r.len(), Feature::ENV_FEATURES.len());
+        assert_eq!(r.len(), Variable::ALL.len());
         assert!(r[0].1 >= r[r.len() - 1].1);
         assert!(r[0].1 > 0.0, "some variable must move modeled energy");
     }
@@ -511,6 +532,25 @@ mod tests {
     }
 
     #[test]
+    fn a_foreign_alignment_is_named_and_never_reaches_a_cell() {
+        let mut batches = slice();
+        assert_eq!(foreign_sample(&batches), None);
+        batches[0].samples[3].config.align_alloc = omptune_core::KmpAlignAlloc(1024);
+        let named = foreign_sample(&batches).expect("1024 B is in no architecture's domain");
+        let index = batches[0].samples[3].config_index;
+        let sample = format!("batch milan/cg-i0-t96 sample config_index {index}: ");
+        assert!(
+            named.starts_with(&sample) && named.contains("align=1024"),
+            "{named}"
+        );
+        // Folded anyway, it is charged to the grand total and to no cell.
+        let mut a = Attribution::new();
+        a.fold_slice(&batches);
+        let aligned = a.cells[Variable::AlignAlloc as usize].iter();
+        assert_eq!(aligned.map(|c| c.samples).sum::<u64>() + 1, a.grand.samples);
+    }
+
+    #[test]
     fn failed_reps_are_counted_not_folded() {
         let batches = slice();
         let mut a = Attribution::new();
@@ -535,7 +575,7 @@ mod tests {
         let r1 = a.ranked_variables();
         let r2 = a.ranked_variables();
         assert_eq!(r1, r2);
-        assert_eq!(r1.len(), Feature::ENV_FEATURES.len());
+        assert_eq!(r1.len(), Variable::ALL.len());
         assert!(r1[0].1 >= r1[r1.len() - 1].1);
         assert!(a.top_variable().is_some());
     }

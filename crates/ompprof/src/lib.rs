@@ -25,6 +25,5 @@
 pub mod attrib;
 pub mod flame;
 
-pub use attrib::{sink_key, Attribution, Cell, SliceMeta, FP_SCALE};
+pub use attrib::{foreign_sample, sink_key, Attribution, Cell, SliceMeta, FP_SCALE};
 pub use flame::{diff_svg, energy_diff_svg, explanation_tree, folded, svg, Frame};
-pub use sweep::registry::{value_index, value_labels};

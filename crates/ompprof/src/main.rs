@@ -20,7 +20,7 @@
 //! 1 = internal error.
 
 use ompprof::{Attribution, SliceMeta};
-use omptune_core::{Arch, Feature, GroupBy, TuningConfig};
+use omptune_core::{Arch, GroupBy, TuningConfig, Variable};
 use std::process::ExitCode;
 use sweep::{Scope, SettingData, SweepSpec};
 
@@ -32,10 +32,6 @@ fn usage() -> String {
     "usage: ompprof attribute [ARCH] [APP] [--scope N] [--workers N] [--out PATH] [--data DIR] [--check]\n\
      \x20      ompprof diff [ARCH] [APP] [--out-dir DIR]"
         .to_string()
-}
-
-fn parse_arch(s: &str) -> Option<Arch> {
-    Arch::ALL.iter().copied().find(|a| a.id() == s)
 }
 
 struct CommonArgs {
@@ -93,7 +89,7 @@ fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
             s => {
                 match positional {
                     0 => {
-                        parsed.arch = parse_arch(s).ok_or_else(|| {
+                        parsed.arch = Arch::from_id(s).ok_or_else(|| {
                             format!("unknown arch {s:?} (expected a64fx, skylake, or milan)")
                         })?
                     }
@@ -140,7 +136,7 @@ fn sweep_slice(
 
 /// Top environment variable of the logistic-influence ranking for the
 /// `{arch}/{app}` group (paper Figs. 2–4 measure).
-fn logreg_top(batches: &[SettingData], arch: Arch, app: &str) -> Result<Feature, String> {
+fn logreg_top(batches: &[SettingData], arch: Arch, app: &str) -> Result<Variable, String> {
     let records = sweep::Dataset::build(batches).records;
     let hm = omptune_core::influence_analysis(&records, GroupBy::ArchApplication)
         .map_err(|e| format!("influence analysis failed: {e:?}"))?;
@@ -148,13 +144,13 @@ fn logreg_top(batches: &[SettingData], arch: Arch, app: &str) -> Result<Feature,
     let row = hm
         .row(&group)
         .ok_or_else(|| format!("no influence row for {group}"))?;
-    let mut best: Option<(Feature, f64)> = None;
+    let mut best: Option<(Variable, f64)> = None;
     for (f, v) in hm.features.iter().zip(&row.influence) {
-        if !Feature::ENV_FEATURES.contains(f) {
+        let Some(var) = f.variable() else {
             continue;
-        }
+        };
         if best.map(|(_, bv)| *v > bv).unwrap_or(true) {
-            best = Some((*f, *v));
+            best = Some((var, *v));
         }
     }
     best.map(|(f, _)| f)
@@ -168,6 +164,9 @@ fn cmd_attribute(args: CommonArgs) -> Result<u8, String> {
             let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let batches =
                 sweep::export::read_raw_json(&bytes).map_err(|e| format!("{path}: {e}"))?;
+            if let Some(foreign) = ompprof::foreign_sample(&batches) {
+                return Err(format!("{path}: {foreign}"));
+            }
             (batches, SweepSpec::default().seed, format!("data:{dir}"))
         }
         None => {
@@ -208,7 +207,7 @@ fn cmd_attribute(args: CommonArgs) -> Result<u8, String> {
         println!(
             "  #{} {:<20} spread {:.3} ms",
             i + 1,
-            f.name(),
+            f.env_name(),
             spread * 1e-6
         );
     }
@@ -216,7 +215,7 @@ fn cmd_attribute(args: CommonArgs) -> Result<u8, String> {
         println!(
             "  E#{} {:<19} spread {:.3} mJ",
             i + 1,
-            f.name(),
+            f.env_name(),
             spread * 1e3
         );
     }
@@ -230,13 +229,13 @@ fn cmd_attribute(args: CommonArgs) -> Result<u8, String> {
         if attributed == influence {
             println!(
                 "check: attribution and logreg influence agree on {}",
-                attributed.name()
+                attributed.env_name()
             );
         } else {
             println!(
                 "check: DISAGREE — attribution says {}, logreg influence says {}",
-                attributed.name(),
-                influence.name()
+                attributed.env_name(),
+                influence.env_name()
             );
             return Ok(EXIT_FINDINGS);
         }
@@ -297,7 +296,7 @@ fn cmd_diff(args: CommonArgs) -> Result<u8, String> {
     profile.fold_slice(&batches);
     let top = profile
         .top_variable()
-        .map(|f| f.name().to_string())
+        .map(|f| f.env_name().to_string())
         .unwrap_or_else(|| "n/a".to_string());
 
     let dir = std::path::Path::new(&args.out_dir);

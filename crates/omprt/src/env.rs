@@ -7,7 +7,7 @@
 //! [`crate::pool::ThreadPool`].
 
 use crate::pool::ThreadPool;
-use omptune_core::{Arch, TuningConfig};
+use omptune_core::{Arch, TuningConfig, Variable};
 use std::collections::BTreeMap;
 
 /// Errors from environment parsing.
@@ -35,22 +35,17 @@ pub struct RuntimeConfig {
     pub arch: Arch,
 }
 
-/// The environment variables the runtime consults, in documentation order.
+/// The environment variables the runtime consults: the thread count,
+/// the wait policy and the seven of the variable table.
 /// `OMP_WAIT_POLICY` is accepted for completeness but — exactly as the
 /// paper describes (Sec. III) — it is *derived*: `active` maps to
 /// `KMP_BLOCKTIME=infinite`, `passive` to `KMP_BLOCKTIME=0`, and an
 /// explicitly set `KMP_BLOCKTIME` wins.
-pub const KNOWN_VARIABLES: [&str; 9] = [
-    "OMP_NUM_THREADS",
-    "OMP_PLACES",
-    "OMP_PROC_BIND",
-    "OMP_SCHEDULE",
-    "OMP_WAIT_POLICY",
-    "KMP_LIBRARY",
-    "KMP_BLOCKTIME",
-    "KMP_FORCE_REDUCTION",
-    "KMP_ALIGN_ALLOC",
-];
+pub fn known_variables() -> impl Iterator<Item = &'static str> {
+    ["OMP_NUM_THREADS", "OMP_WAIT_POLICY"]
+        .into_iter()
+        .chain(Variable::ALL.map(Variable::env_name))
+}
 
 impl RuntimeConfig {
     /// Resolve a configuration from an explicit variable map (unit-testable
@@ -69,7 +64,8 @@ impl RuntimeConfig {
         // unless KMP_BLOCKTIME is explicitly set (the KMP_* variables are
         // the source of truth, per Sec. III).
         if let Some(policy) = map.get("OMP_WAIT_POLICY").cloned() {
-            if !map.contains_key("KMP_BLOCKTIME") {
+            let blocktime = Variable::Blocktime.env_name();
+            if !map.contains_key(blocktime) {
                 let bt = match policy.as_str() {
                     "active" | "ACTIVE" => Some("infinite"),
                     "passive" | "PASSIVE" => Some("0"),
@@ -77,7 +73,7 @@ impl RuntimeConfig {
                 };
                 match bt {
                     Some(v) => {
-                        map.insert("KMP_BLOCKTIME".into(), v.into());
+                        map.insert(blocktime.into(), v.into());
                     }
                     None => {
                         return Err(EnvError {
@@ -89,24 +85,11 @@ impl RuntimeConfig {
             }
             map.remove("OMP_WAIT_POLICY");
         }
-        // Reject unparsable values one variable at a time for a precise
-        // error, then delegate to the core round-trip parser.
         let fail = |variable: &str| EnvError {
             variable: variable.to_string(),
             value: map.get(variable).cloned().unwrap_or_default(),
         };
-        let get = |k: &str| map.get(k).map(String::as_str);
-        use omptune_core::envvar::*;
-        OmpPlaces::parse(get("OMP_PLACES")).ok_or_else(|| fail("OMP_PLACES"))?;
-        OmpProcBind::parse(get("OMP_PROC_BIND")).ok_or_else(|| fail("OMP_PROC_BIND"))?;
-        OmpSchedule::parse(get("OMP_SCHEDULE")).ok_or_else(|| fail("OMP_SCHEDULE"))?;
-        KmpLibrary::parse(get("KMP_LIBRARY")).ok_or_else(|| fail("KMP_LIBRARY"))?;
-        KmpBlocktime::parse(get("KMP_BLOCKTIME")).ok_or_else(|| fail("KMP_BLOCKTIME"))?;
-        KmpForceReduction::parse(get("KMP_FORCE_REDUCTION"))
-            .ok_or_else(|| fail("KMP_FORCE_REDUCTION"))?;
-        KmpAlignAlloc::parse(get("KMP_ALIGN_ALLOC"), arch)
-            .ok_or_else(|| fail("KMP_ALIGN_ALLOC"))?;
-        let config = TuningConfig::from_env(&map, arch).ok_or_else(|| fail("OMP_NUM_THREADS"))?;
+        let config = TuningConfig::from_env(&map, arch).map_err(fail)?;
         if config.num_threads == 0 {
             return Err(fail("OMP_NUM_THREADS"));
         }
@@ -118,7 +101,7 @@ impl RuntimeConfig {
     /// argument since the study's machines are fixed).
     pub fn from_env(arch: Arch, default_threads: usize) -> Result<RuntimeConfig, EnvError> {
         let mut vars = BTreeMap::new();
-        for key in KNOWN_VARIABLES {
+        for key in known_variables() {
             if let Ok(v) = std::env::var(key) {
                 vars.insert(key.to_string(), v);
             }

@@ -16,7 +16,7 @@
 //! through every wait; a parking configuration idles those cores and
 //! wins on joules. The report makes that trade visible per arch.
 
-use omptune_core::{Arch, Feature, TuningConfig};
+use omptune_core::{Arch, TuningConfig, Variable};
 use sweep::{RawSample, Scope, SettingData, SweepSpec};
 
 /// One objective's winning configuration and its three objective
@@ -59,7 +59,7 @@ pub struct ArchVerdict {
     /// the time optimum (`>= 1`; `1.0` when they agree).
     pub time_penalty: f64,
     /// Per-variable marginal energy spread in joules,
-    /// [`Feature::ENV_FEATURES`] order — the heat-map row.
+    /// [`Variable::ALL`] order — the heat-map row.
     pub energy_spread_j: Vec<f64>,
 }
 
@@ -140,7 +140,7 @@ pub fn verdict_from_slice(
 
     let mut attribution = ompprof::Attribution::new();
     attribution.fold_batch(data);
-    let energy_spread_j = (0..Feature::ENV_FEATURES.len())
+    let energy_spread_j = (0..Variable::ALL.len())
         .map(|i| attribution.spread_energy_j(i))
         .collect();
 
@@ -182,56 +182,13 @@ pub fn analyze(app_name: &str, scope: usize, workers: usize) -> Result<Report, S
 /// readable core of the disagreement table — it names exactly the knobs
 /// the objectives fight over.
 pub fn config_delta(from: &TuningConfig, to: &TuningConfig) -> String {
-    let unset = |v: Option<&str>| v.unwrap_or("unset").to_string();
-    let mut deltas: Vec<String> = Vec::new();
-    if from.places != to.places {
-        deltas.push(format!(
-            "places: {}->{}",
-            unset(from.places.env_value()),
-            unset(to.places.env_value())
-        ));
-    }
-    if from.proc_bind != to.proc_bind {
-        deltas.push(format!(
-            "bind: {}->{}",
-            unset(from.proc_bind.env_value()),
-            unset(to.proc_bind.env_value())
-        ));
-    }
-    if from.schedule != to.schedule {
-        deltas.push(format!(
-            "sched: {}->{}",
-            from.schedule.env_value(),
-            to.schedule.env_value()
-        ));
-    }
-    if from.library != to.library {
-        deltas.push(format!(
-            "lib: {}->{}",
-            from.library.env_value(),
-            to.library.env_value()
-        ));
-    }
-    if from.blocktime != to.blocktime {
-        deltas.push(format!(
-            "blocktime: {}->{}",
-            from.blocktime.env_value(),
-            to.blocktime.env_value()
-        ));
-    }
-    if from.force_reduction != to.force_reduction {
-        deltas.push(format!(
-            "red: {}->{}",
-            unset(from.force_reduction.env_value()),
-            unset(to.force_reduction.env_value())
-        ));
-    }
-    if from.align_alloc != to.align_alloc {
-        deltas.push(format!(
-            "align: {}->{}",
-            from.align_alloc.0, to.align_alloc.0
-        ));
-    }
+    let mut deltas: Vec<String> = Variable::ALL
+        .iter()
+        .filter_map(|&v| {
+            let (a, b) = (from.label(v), to.label(v));
+            (a != b).then(|| format!("{}: {a}->{b}", v.key()))
+        })
+        .collect();
     if from.num_threads != to.num_threads {
         deltas.push(format!("threads: {}->{}", from.num_threads, to.num_threads));
     }
@@ -277,18 +234,18 @@ pub fn heatmap_svg(report: &Report) -> String {
     const CELL_H: f64 = 34.0;
     const LEFT: f64 = 90.0;
     const TOP: f64 = 54.0;
-    let cols = Feature::ENV_FEATURES.len();
+    let cols = Variable::ALL.len();
     let rows = report.verdicts.len();
     let width = LEFT + cols as f64 * CELL_W + 12.0;
     let height = TOP + rows as f64 * CELL_H + 12.0;
     let mut body = String::new();
-    for (ci, f) in Feature::ENV_FEATURES.iter().enumerate() {
+    for (ci, f) in Variable::ALL.iter().enumerate() {
         body.push_str(&format!(
             "<text x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"middle\" font-size=\"11\" \
              font-family=\"monospace\">{}</text>\n",
             LEFT + (ci as f64 + 0.5) * CELL_W,
             TOP - 8.0,
-            f.name()
+            f.env_name()
         ));
     }
     for (ri, v) in report.verdicts.iter().enumerate() {
@@ -379,11 +336,15 @@ pub fn report_json(report: &Report) -> String {
             best_json(&v.edp_best)
         ));
         out.push_str("     \"energy_spread_j\": {");
-        for (fi, f) in Feature::ENV_FEATURES.iter().enumerate() {
+        for (fi, f) in Variable::ALL.iter().enumerate() {
             if fi > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": {:.9}", f.name(), v.energy_spread_j[fi]));
+            out.push_str(&format!(
+                "\"{}\": {:.9}",
+                f.env_name(),
+                v.energy_spread_j[fi]
+            ));
         }
         out.push_str(&format!(
             "}}}}{}\n",
@@ -463,13 +424,17 @@ mod tests {
 
     #[test]
     fn config_delta_names_the_contested_knobs() {
-        let a = TuningConfig::default_for(Arch::Milan, 8);
-        assert_eq!(config_delta(&a, &a), "= time-opt");
-        let mut b = a;
-        b.library = omptune_core::KmpLibrary::Throughput;
-        b.blocktime = omptune_core::KmpBlocktime::Infinite;
-        let d = config_delta(&a, &b);
-        // Exact strings depend on defaults; both knobs must be named.
-        assert!(d.contains("lib:") || d.contains("blocktime:"), "{d}");
+        // The strings are the ones the parent of the variable table wrote.
+        let from = TuningConfig::default_for(Arch::Milan, 96);
+        assert_eq!(config_delta(&from, &from), "= time-opt");
+        let to = omptune_core::ConfigSpace::new(Arch::Milan, 24).get(4861);
+        assert_eq!(
+            config_delta(&from, &to.unwrap()),
+            "places: unset->ll_caches, sched: static->guided, lib: throughput->turnaround, \
+             blocktime: 200->0, red: unset->atomic, align: 64->128, threads: 96->24"
+        );
+        let mut bound = from;
+        bound.proc_bind = omptune_core::OmpProcBind::Close;
+        assert_eq!(config_delta(&from, &bound), "bind: unset->close");
     }
 }

@@ -159,9 +159,7 @@ fn parse_cli() -> Result<Cli, String> {
                 let (arch_s, factor_s) = v
                     .split_once(':')
                     .ok_or_else(|| format!("--perturb wants ARCH:FACTOR, got {v}"))?;
-                let arch = *Arch::ALL
-                    .iter()
-                    .find(|a| a.id() == arch_s)
+                let arch = Arch::from_id(arch_s)
                     .ok_or_else(|| format!("unknown architecture: {arch_s}"))?;
                 let factor = factor_s
                     .parse::<f64>()
@@ -810,13 +808,13 @@ fn main() -> std::io::Result<()> {
         if let Some(live) = &influence {
             let snap = live.lock().expect("influence tracker poisoned");
             if snap.samples() > 0 {
-                for (feature, value) in snap.influence() {
+                for (var, value) in snap.influence() {
                     let point = omptel::Point {
                         ts: 0,
                         count: snap.samples(),
                         sum: value,
                     };
-                    let slug = feature.name().to_lowercase();
+                    let slug = var.env_name().to_lowercase();
                     tsdb.append(&format!("{}/influence/{slug}", arch.id()), point)?;
                 }
             }
@@ -824,13 +822,13 @@ fn main() -> std::io::Result<()> {
         if let Some(live) = &energy_influence {
             let snap = live.lock().expect("energy influence tracker poisoned");
             if snap.samples() > 0 {
-                for (feature, value) in snap.influence() {
+                for (var, value) in snap.influence() {
                     let point = omptel::Point {
                         ts: 0,
                         count: snap.samples(),
                         sum: value,
                     };
-                    let slug = feature.name().to_lowercase();
+                    let slug = var.env_name().to_lowercase();
                     tsdb.append(&format!("{}/influence-energy/{slug}", arch.id()), point)?;
                 }
             }

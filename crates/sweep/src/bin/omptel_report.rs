@@ -27,10 +27,6 @@ use std::process::ExitCode;
 use sweep::{Scope, SweepSpec};
 use workloads::Setting;
 
-fn parse_arch(s: &str) -> Option<Arch> {
-    Arch::ALL.iter().copied().find(|a| a.id() == s)
-}
-
 /// Compact nanosecond formatting for quantile tables.
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -72,20 +68,6 @@ fn quantile_row(label: &str, h: &omptel::Histogram) -> String {
         mid(0.95),
         mid(0.99),
         fmt_ns(h.max)
-    )
-}
-
-/// One-line description of a configuration for report titles.
-fn describe(config: &TuningConfig) -> String {
-    format!(
-        "places={} bind={} sched={} lib={} blocktime={} red={} align={}",
-        config.places.env_value().unwrap_or("unset"),
-        config.proc_bind.env_value().unwrap_or("unset"),
-        config.schedule.env_value(),
-        config.library.env_value(),
-        config.blocktime.env_value(),
-        config.force_reduction.env_value().unwrap_or("unset"),
-        config.align_alloc.bytes(),
     )
 }
 
@@ -159,7 +141,7 @@ fn best_vs_worst(arch: Arch, app_name: &str) -> Result<String, String> {
             arch.id(),
             setting.num_threads,
             data.speedup(best),
-            describe(&best.config)
+            best.config.describe_knobs()
         ),
         &best_sum,
     );
@@ -169,7 +151,7 @@ fn best_vs_worst(arch: Arch, app_name: &str) -> Result<String, String> {
             arch.id(),
             setting.num_threads,
             data.speedup(worst),
-            describe(&worst.config)
+            worst.config.describe_knobs()
         ),
         &worst_sum,
     );
@@ -224,7 +206,7 @@ fn json_report(arch: Arch, app_name: &str) -> Result<String, String> {
             "{{\"config\": \"{}\", \"speedup\": {:.6}, \"mean_runtime_s\": {:.9}, \
              \"virtual_ns\": {:.3},\n     \"sinks_ns\": {{{sinks}}},\n     \
              \"energy\": {{{energy}}}}}",
-            describe(&s.config),
+            s.config.describe_knobs(),
             data.speedup(s),
             s.mean_runtime(),
             t.virtual_ns
@@ -422,7 +404,7 @@ fn main() -> ExitCode {
                 },
                 s => {
                     match positional {
-                        0 => match parse_arch(s) {
+                        0 => match Arch::from_id(s) {
                             Some(a) => arch = a,
                             None => {
                                 eprintln!("unknown arch {s:?}");
@@ -452,7 +434,7 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("--json") {
         let arch = match args.get(1) {
-            Some(s) => match parse_arch(s) {
+            Some(s) => match Arch::from_id(s) {
                 Some(a) => a,
                 None => {
                     eprintln!("unknown arch {s:?} (expected a64fx, skylake, or milan)");
@@ -486,7 +468,7 @@ fn main() -> ExitCode {
         };
     }
     let arch = match args.first() {
-        Some(s) => match parse_arch(s) {
+        Some(s) => match Arch::from_id(s) {
             Some(a) => a,
             None => {
                 eprintln!("unknown arch {s:?} (expected a64fx, skylake, or milan)");

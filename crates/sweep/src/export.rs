@@ -7,12 +7,14 @@ use crate::dataset::Dataset;
 use crate::provenance::{provenance_iter, write_manifest, write_provenance_jsonl, RunManifest};
 use crate::runner::SettingData;
 use crate::spec::SweepSpec;
+use omptune_core::Variable;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::Instant;
 
-/// CSV header for the tabular dataset.
+/// CSV header for the tabular dataset; the seven value columns are the
+/// variable table's names, lower-cased.
 pub const CSV_HEADER: &str = "arch,app,input_size,num_threads,omp_places,omp_proc_bind,\
 omp_schedule,kmp_library,kmp_blocktime,kmp_force_reduction,kmp_align_alloc,speedup";
 
@@ -21,22 +23,18 @@ pub fn write_csv<W: Write>(ds: &Dataset, out: &mut W) -> io::Result<()> {
     writeln!(out, "{CSV_HEADER}")?;
     for r in &ds.records {
         let c = &r.config;
-        writeln!(
+        write!(
             out,
-            "{},{},{},{},{},{},{},{},{},{},{},{:.6}",
+            "{},{},{},{},",
             r.arch.id(),
             r.app,
             r.input_size,
-            c.num_threads,
-            c.places.env_value().unwrap_or("unset"),
-            c.proc_bind.env_value().unwrap_or("unset"),
-            c.schedule.env_value(),
-            c.library.env_value(),
-            c.blocktime.env_value(),
-            c.force_reduction.env_value().unwrap_or("unset"),
-            c.align_alloc.bytes(),
-            r.speedup,
+            c.num_threads
         )?;
+        for var in Variable::ALL {
+            write!(out, "{},", c.label(var))?;
+        }
+        writeln!(out, "{:.6}", r.speedup)?;
     }
     Ok(())
 }
@@ -242,7 +240,7 @@ mod tests {
     use super::*;
     use crate::runner::{RawSample, RunKey};
     use omptune_core::analysis::AnalysisRecord;
-    use omptune_core::{Arch, TuningConfig};
+    use omptune_core::{Arch, ConfigSpace, TuningConfig};
 
     fn small_dataset() -> Dataset {
         Dataset {
@@ -258,8 +256,13 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_rows() {
+        let mut ds = small_dataset();
+        ds.records.push(AnalysisRecord {
+            config: ConfigSpace::new(Arch::Milan, 24).get(4861).unwrap(),
+            ..ds.records[0].clone()
+        });
         let mut buf = Vec::new();
-        write_csv(&small_dataset(), &mut buf).unwrap();
+        write_csv(&ds, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let mut lines = text.lines();
         assert_eq!(lines.next().unwrap(), CSV_HEADER);
@@ -267,6 +270,15 @@ mod tests {
         assert!(row.starts_with("milan,cg,1,96,unset,unset,static,"));
         assert!(row.ends_with("1.250000"));
         assert_eq!(row.split(',').count(), CSV_HEADER.split(',').count());
+        // A non-default row as the parent of the variable table wrote it,
+        // under value columns that are the table's names.
+        let row = lines.next().unwrap();
+        assert_eq!(
+            row,
+            "milan,cg,1,24,ll_caches,unset,guided,turnaround,0,atomic,128,1.250000"
+        );
+        let names = Variable::ALL.map(|v| v.env_name().to_lowercase());
+        assert_eq!(CSV_HEADER.split(',').collect::<Vec<_>>()[4..11], names);
     }
 
     #[test]

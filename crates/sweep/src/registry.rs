@@ -28,10 +28,7 @@
 
 use crate::runner::{RunKey, SettingData};
 use crate::spec::{Roster, Scope, SweepSpec};
-use omptune_core::{
-    Feature, Fnv1a, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind,
-    OmpSchedule, TuningConfig,
-};
+use omptune_core::{Fnv1a, Variable};
 use serde::{Deserialize, Serialize, Sink, Source};
 use std::fs;
 use std::io::{self, Read, Write};
@@ -96,68 +93,6 @@ pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
     mix(&mut h, spec.seed);
     mix(&mut h, spec.failure_rate.to_bits());
     h
-}
-
-// ---------------------------------------------------------------------------
-// Value domains: the union label space the cell digests and `ompprof`'s
-// attribution share — stable labels, stable order, identical on every
-// architecture (one that does not sweep a value leaves its cell empty).
-
-/// Union alignment domain across architectures (A64FX sweeps only the
-/// upper two).
-const ALIGN_UNION: [u32; 4] = [64, 128, 256, 512];
-
-/// Union value labels of one tuning variable, in domain order.
-pub fn value_labels(feature: Feature) -> Vec<String> {
-    let unset = |v: Option<&str>| v.unwrap_or("unset").to_string();
-    match feature {
-        Feature::Places => OmpPlaces::ALL
-            .iter()
-            .map(|v| unset(v.env_value()))
-            .collect(),
-        Feature::ProcBind => OmpProcBind::ALL
-            .iter()
-            .map(|v| unset(v.env_value()))
-            .collect(),
-        Feature::Schedule => OmpSchedule::ALL
-            .iter()
-            .map(|v| v.env_value().to_string())
-            .collect(),
-        Feature::Library => KmpLibrary::ALL
-            .iter()
-            .map(|v| v.env_value().to_string())
-            .collect(),
-        Feature::Blocktime => KmpBlocktime::ALL
-            .iter()
-            .map(|v| v.env_value().to_string())
-            .collect(),
-        Feature::ForceReduction => KmpForceReduction::ALL
-            .iter()
-            .map(|v| unset(v.env_value()))
-            .collect(),
-        Feature::AlignAlloc => ALIGN_UNION.iter().map(|b| b.to_string()).collect(),
-        other => panic!("{other:?} is not an environment-variable feature"),
-    }
-}
-
-/// Index of a configuration's value within [`value_labels`] order.
-pub fn value_index(config: &TuningConfig, feature: Feature) -> usize {
-    // Every enum domain's `ALL` array lists variants in declaration
-    // order, so the discriminant cast IS the position — O(1) on the
-    // per-sample fold path (pinned by `value_index_matches_domain_order`).
-    match feature {
-        Feature::Places => config.places as usize,
-        Feature::ProcBind => config.proc_bind as usize,
-        Feature::Schedule => config.schedule as usize,
-        Feature::Library => config.library as usize,
-        Feature::Blocktime => config.blocktime as usize,
-        Feature::ForceReduction => config.force_reduction as usize,
-        Feature::AlignAlloc => ALIGN_UNION
-            .iter()
-            .position(|b| *b == config.align_alloc.0)
-            .expect("alignment in union domain"),
-        other => panic!("{other:?} is not an environment-variable feature"),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -253,34 +188,18 @@ pub struct ArchDigest {
     /// totals.
     pub energy: Vec<StratumSeries>,
     pub apps: Vec<AppDigest>,
-    /// [`Feature::ENV_FEATURES`] × [`value_labels`] order, flattened.
+    /// One cell per (variable, slot) of the variable table, flattened in
+    /// [`Variable::ALL`] × slot order.
     pub cells: Vec<CellDigest>,
 }
 
-/// Flat cell-table capacity; the union label space is 25 slots today.
-const CELL_CAP: usize = 32;
+/// Slots a variable's cell row holds; the longest union domain
+/// (`OMP_PROC_BIND`) has six.
+const SLOT_CAP: usize = 6;
 
-/// Per-feature slot offsets into the flat cell table plus its length —
-/// no label strings built, so this is cheap enough for every
-/// [`BatchPartial::fold`] call.
-fn cell_offsets() -> ([usize; Feature::ENV_FEATURES.len()], usize) {
-    let mut offsets = [0usize; Feature::ENV_FEATURES.len()];
-    let mut len = 0usize;
-    for (fi, f) in Feature::ENV_FEATURES.iter().enumerate() {
-        offsets[fi] = len;
-        len += match f {
-            Feature::Places => OmpPlaces::ALL.len(),
-            Feature::ProcBind => OmpProcBind::ALL.len(),
-            Feature::Schedule => OmpSchedule::ALL.len(),
-            Feature::Library => KmpLibrary::ALL.len(),
-            Feature::Blocktime => KmpBlocktime::ALL.len(),
-            Feature::ForceReduction => KmpForceReduction::ALL.len(),
-            Feature::AlignAlloc => ALIGN_UNION.len(),
-            other => panic!("{other:?} is not an environment-variable feature"),
-        };
-    }
-    (offsets, len)
-}
+/// (samples, virt_ns, energy_uj) per cell, indexed `[variable][slot]`;
+/// the triple is interleaved so a cell update touches adjacent words.
+type CellTable = [[[u64; 3]; SLOT_CAP]; Variable::ALL.len()];
 
 /// One batch's registry-digest contribution: flat fixed-size
 /// accumulators a worker folds the moment it finalizes the batch —
@@ -305,9 +224,7 @@ pub struct BatchPartial {
     /// the `strata_ring` slots — energy exists for precisely the
     /// samples virtual time does, so the two rings share their count.
     strata_ring_energy: [[u64; SERIES_RETAIN]; STRATA],
-    /// (samples, virt_ns, energy_uj) triples interleaved so each slot
-    /// update is one index computation touching adjacent words.
-    cells: [[u64; 3]; CELL_CAP],
+    cells: CellTable,
 }
 
 impl BatchPartial {
@@ -315,8 +232,6 @@ impl BatchPartial {
     /// over L1-resident arrays, so attaching this as a batch observer
     /// keeps record building inside the warm sweep's overhead budget.
     pub fn fold(data: &SettingData) -> BatchPartial {
-        let (offsets, cells_len) = cell_offsets();
-        debug_assert!(cells_len <= CELL_CAP, "cell table outgrew CELL_CAP");
         let mut p = BatchPartial {
             samples: 0,
             virt: 0,
@@ -324,7 +239,7 @@ impl BatchPartial {
             strata_count: [0; STRATA],
             strata_ring: [[0; SERIES_RETAIN]; STRATA],
             strata_ring_energy: [[0; SERIES_RETAIN]; STRATA],
-            cells: [[0; 3]; CELL_CAP],
+            cells: CellTable::default(),
         };
         for sample in &data.samples {
             let vns = sample.telemetry.virtual_ns;
@@ -349,28 +264,16 @@ impl BatchPartial {
             p.samples += 1;
             p.virt += v;
             p.energy_uj += e;
-            // Unrolled `ENV_FEATURES` walk via `value_index`'s O(1)
-            // discriminant casts — no per-feature dispatch. The align
-            // slot maps 64/128/256/512 bytes to 0..=3 with a bit trick
-            // instead of scanning `ALIGN_UNION`; the
-            // `value_index_matches_domain_order` test pins both to the
-            // same ordering.
-            let c = &sample.config;
-            let align_at = ((c.align_alloc.0.trailing_zeros() as usize).saturating_sub(6)).min(3);
-            debug_assert_eq!(align_at, value_index(c, Feature::AlignAlloc));
-            let slots = [
-                offsets[0] + c.places as usize,
-                offsets[1] + c.proc_bind as usize,
-                offsets[2] + c.schedule as usize,
-                offsets[3] + c.library as usize,
-                offsets[4] + c.blocktime as usize,
-                offsets[5] + c.force_reduction as usize,
-                offsets[6] + align_at,
-            ];
-            for &at in &slots {
-                p.cells[at][0] += 1;
-                p.cells[at][1] += v;
-                p.cells[at][2] += e;
+            for var in Variable::ALL {
+                // A value outside the variable's domain (a foreign
+                // alignment in a hand-made batch) has no cell.
+                let Some(slot) = var.slot(&sample.config) else {
+                    continue;
+                };
+                let cell = &mut p.cells[var as usize][slot];
+                cell[0] += 1;
+                cell[1] += v;
+                cell[2] += e;
             }
         }
         p
@@ -407,7 +310,7 @@ impl ArchDigest {
         let mut ring_sums = [[0u64; SERIES_RETAIN]; STRATA];
         let mut ring_energy = [[0u64; SERIES_RETAIN]; STRATA];
         let mut ring_total = [0u64; STRATA];
-        let mut cells_acc = [[0u64; 3]; CELL_CAP];
+        let mut cells_acc = CellTable::default();
         let mut apps: Vec<AppDigest> = Vec::new();
         let mut samples_total = 0u64;
         let mut settings = 0u64;
@@ -439,10 +342,9 @@ impl ArchDigest {
                 }
                 ring_total[k] += c;
             }
-            for (acc, part) in cells_acc.iter_mut().zip(&p.cells) {
-                acc[0] += part[0];
-                acc[1] += part[1];
-                acc[2] += part[2];
+            let words = cells_acc.iter_mut().flatten().flatten();
+            for (acc, part) in words.zip(p.cells.iter().flatten().flatten()) {
+                *acc += part;
             }
         }
         let mut virt = Vec::with_capacity(STRATA);
@@ -466,24 +368,19 @@ impl ArchDigest {
             e.seal();
             energy.push(e);
         }
-        let mut labels: Vec<(&'static str, String)> = Vec::new();
-        for f in Feature::ENV_FEATURES.iter() {
-            for value in value_labels(*f) {
-                labels.push((f.name(), value));
+        let mut cells = Vec::new();
+        for var in Variable::ALL {
+            let row = &cells_acc[var as usize][..var.union_len()];
+            for (slot, &[samples, virt_ns, energy_uj]) in row.iter().enumerate() {
+                cells.push(CellDigest {
+                    var: var.env_name().to_string(),
+                    value: var.label(slot).to_string(),
+                    samples,
+                    virt_ns,
+                    energy_uj,
+                });
             }
         }
-        assert!(labels.len() <= CELL_CAP, "cell table outgrew CELL_CAP");
-        let cells = labels
-            .into_iter()
-            .enumerate()
-            .map(|(i, (var, value))| CellDigest {
-                var: var.to_string(),
-                value,
-                samples: cells_acc[i][0],
-                virt_ns: cells_acc[i][1],
-                energy_uj: cells_acc[i][2],
-            })
-            .collect();
         ArchDigest {
             arch: arch.to_string(),
             settings,
@@ -1171,43 +1068,6 @@ mod tests {
     }
 
     #[test]
-    fn value_index_matches_domain_order() {
-        // The O(1) discriminant cast in `value_index` is only correct
-        // while every `ALL` array lists variants in declaration order;
-        // pin that for each swept enum domain.
-        for (i, v) in OmpPlaces::ALL.iter().enumerate() {
-            assert_eq!(*v as usize, i, "OmpPlaces::ALL out of order at {i}");
-        }
-        for (i, v) in OmpProcBind::ALL.iter().enumerate() {
-            assert_eq!(*v as usize, i, "OmpProcBind::ALL out of order at {i}");
-        }
-        for (i, v) in OmpSchedule::ALL.iter().enumerate() {
-            assert_eq!(*v as usize, i, "OmpSchedule::ALL out of order at {i}");
-        }
-        for (i, v) in KmpLibrary::ALL.iter().enumerate() {
-            assert_eq!(*v as usize, i, "KmpLibrary::ALL out of order at {i}");
-        }
-        for (i, v) in KmpBlocktime::ALL.iter().enumerate() {
-            assert_eq!(*v as usize, i, "KmpBlocktime::ALL out of order at {i}");
-        }
-        for (i, v) in KmpForceReduction::ALL.iter().enumerate() {
-            assert_eq!(*v as usize, i, "KmpForceReduction::ALL out of order at {i}");
-        }
-        // And the alignment union still scans: every union member maps
-        // to its own slot, and the fold's trailing-zeros shortcut
-        // agrees with the scan.
-        for (i, b) in ALIGN_UNION.iter().enumerate() {
-            let config = TuningConfig {
-                align_alloc: omptune_core::KmpAlignAlloc(*b),
-                ..TuningConfig::default_for(Arch::Milan, 96)
-            };
-            assert_eq!(value_index(&config, Feature::AlignAlloc), i);
-            let shortcut = ((b.trailing_zeros() as usize).saturating_sub(6)).min(3);
-            assert_eq!(shortcut, i, "bit trick diverged for {b}-byte alignment");
-        }
-    }
-
-    #[test]
     fn observed_partials_match_whole_fold() {
         // The cache-hot observer path — per-batch partials folded in
         // scheduling-dependent completion order, matched back to
@@ -1238,6 +1098,28 @@ mod tests {
     }
 
     #[test]
+    fn a_foreign_alignment_is_left_out_of_the_alignment_cells() {
+        // `KmpAlignAlloc` deserialises any `u32`; 1024 B has no slot, so
+        // the sample is counted everywhere but in an alignment cell.
+        let spec = SweepSpec {
+            scope: Scope::Strided(2000),
+            ..SweepSpec::default()
+        };
+        let mut batches = sweep_arch_scheduled(Arch::Skylake, &spec, &SweepOptions::new(1)).batches;
+        batches.truncate(1);
+        batches[0].samples[0].config.align_alloc = omptune_core::KmpAlignAlloc(1024);
+        let digest = ArchDigest::fold(Arch::Skylake.id(), &batches, 0);
+        for var in Variable::ALL {
+            let cells = digest.cells.iter().filter(|c| c.var == var.env_name());
+            let foreign = u64::from(var == Variable::AlignAlloc);
+            assert_eq!(
+                cells.map(|c| c.samples).sum::<u64>() + foreign,
+                digest.samples
+            );
+        }
+    }
+
+    #[test]
     fn energy_words_are_content_addressed() {
         let core = tiny_core(10);
         let a = &core.arches[0];
@@ -1248,7 +1130,7 @@ mod tests {
         let cell_uj: u64 = a.cells.iter().map(|c| c.energy_uj).sum();
         assert_eq!(
             cell_uj,
-            app_uj * Feature::ENV_FEATURES.len() as u64,
+            app_uj * Variable::ALL.len() as u64,
             "each sample lands in one cell per variable"
         );
         let h = RunCore::Collect(core.clone()).hash();

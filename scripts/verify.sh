@@ -33,6 +33,17 @@ done
 echo "20 of 20 passed"
 step cargo fmt --all --check
 step cargo clippy --workspace --all-targets -- -D warnings
+
+# One variable table: outside test modules, a swept variable's name is a
+# string literal in crates/core/src/variable.rs and nowhere else under
+# crates/*/src — the next pasted per-variable table fails here, not in review.
+named="$(find crates/*/src -name '*.rs' -exec awk 'FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    !test && /"KMP_FORCE_REDUCTION"/ && !seen[FILENAME]++ { print FILENAME }' {} +)"
+[ "$named" = crates/core/src/variable.rs ] || {
+    echo "verify: \"KMP_FORCE_REDUCTION\" is spelled outside the variable table: $named" >&2
+    exit 1
+}
 step cargo bench -p bench-harness --bench telemetry_overhead
 step cargo run --release -p sweep --bin omptel-report -- --self-check
 
@@ -354,6 +365,19 @@ grep -q '"energy_ranking"' "$coherence_dir/profile.json" || {
     echo "verify: profile.json is missing the energy-spread ranking" >&2
     exit 1
 }
+# A dataset is outside input: one sample with an alignment no
+# architecture sweeps must end in exit 1 naming the sample, not a panic.
+mkdir -p "$coherence_dir/foreign"
+sed '0,/"align_alloc":256/s//"align_alloc":1024/' \
+    "$coherence_dir/cold/raw_batches.json" >"$coherence_dir/foreign/raw_batches.json"
+rc=0
+cargo run --release -q -p ompprof -- attribute --data "$coherence_dir/foreign" \
+    --out "$coherence_dir/foreign/profile.json" 2>"$coherence_dir/foreign.err" || rc=$?
+[ "$rc" -eq 1 ] && grep -q 'sample config_index [0-9]*: .*align=1024' "$coherence_dir/foreign.err" || {
+    echo "verify: ompprof attribute --data over a 1024-byte alignment exited $rc; expected 1 and the sample named" >&2
+    exit 1
+}
+echo "foreign alignment in a dataset: exit 1, sample named"
 diff_out="$(cargo run --release -q -p ompprof -- diff milan cg \
     --out-dir "$coherence_dir/flame")"
 echo "$diff_out"
