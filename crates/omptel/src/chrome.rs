@@ -20,7 +20,6 @@ use crate::ring::{EventKind, FlightRecording};
 use crate::schema::Record;
 use serde::Value;
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Write};
 
 /// pid for flight-recorder (wall-clock) tracks.
 const PID_TRACE: u64 = 1;
@@ -100,11 +99,6 @@ pub fn chrome_trace_value(records: &[Record]) -> Value {
 /// Records as a Chrome trace JSON string.
 pub fn chrome_trace_json(records: &[Record]) -> String {
     serde_json::to_string(&chrome_trace_value(records)).expect("value tree serializes")
-}
-
-/// Write the trace document to `out`.
-pub fn write_chrome_trace<W: Write>(records: &[Record], out: &mut W) -> io::Result<()> {
-    out.write_all(chrome_trace_json(records).as_bytes())
 }
 
 fn metadata_event_pid(name: &str, pid: u64, tid: u64, arg_name: &str) -> Value {

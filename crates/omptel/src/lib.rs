@@ -2,8 +2,8 @@
 //!
 //! A counter/profile registry modeled on LLVM/OpenMP's OMPT tool
 //! interface: the runtimes (`omprt`, real wall-clock; `simrt`, virtual
-//! time) feed the same schema, and exporters turn a collected batch
-//! into JSON-lines metric records or a Chrome `trace_event` timeline.
+//! time) feed the same schema, and the exporter turns a collected batch
+//! into a Chrome `trace_event` timeline.
 //!
 //! ## Zero cost when disabled
 //!
@@ -25,7 +25,6 @@
 pub mod anomaly;
 pub mod chrome;
 pub mod hist;
-pub mod jsonl;
 pub mod metrics;
 pub mod monitor;
 pub mod progress;
@@ -39,10 +38,9 @@ pub mod tsdb;
 pub use anomaly::{install_watchdog, installed_watchdog, report_corrupt, Watchdog};
 pub use chrome::{
     chrome_trace_json, chrome_trace_with_recording, validate_trace, validate_trace_json,
-    write_chrome_trace, TraceReport,
+    TraceReport,
 };
 pub use hist::{AtomicHistogram, Histogram, QuantileBound};
-pub use jsonl::{read_records, records_to_string, write_records};
 pub use metrics::{
     histogram_from_prometheus, parse_prometheus, HistogramMetric, MetricsSnapshot, PromSample,
 };
@@ -61,7 +59,7 @@ pub use span::{
     current_span, flow_handle, flow_in, flow_out, instant, span, virtual_span, Span, SpanKind,
 };
 pub use summary::{LogHistogram, Summary};
-pub use tsdb::{downsample, read_ring, Point, RingFile, Tsdb, DEFAULT_CAPACITY};
+pub use tsdb::{read_ring, Point, RingFile, Tsdb, DEFAULT_CAPACITY};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -10,11 +10,10 @@
 //! [`crate::ring::ThreadRing`], persisted.
 //!
 //! Every point is a pre-aggregated bucket `(ts, count, sum)` rather
-//! than a bare value. That makes [`downsample`] **exact**: merging
-//! adjacent points adds their counts and sums — the same associative
-//! bin-wise addition as [`Histogram::merge`](crate::Histogram::merge) —
-//! so a downsampled read reports true means over wider windows, never
-//! means-of-means. Single observations are `count == 1` buckets.
+//! than a bare value, so a producer can record a rate or a mean over
+//! many observations as one exact point (`collect` writes a per-arch
+//! cache-hit rate as `count` lookups, `sum` hits). Single observations
+//! are `count == 1` buckets.
 //!
 //! Writing is write-behind: [`RingFile::append`] queues the point in
 //! memory and [`RingFile::flush`] writes the queue — each contiguous run
@@ -241,37 +240,6 @@ pub fn read_ring(path: &Path) -> io::Result<(Vec<Point>, u64)> {
     Ok((points, dropped))
 }
 
-/// Exact downsample: at most `max_points` buckets, each the sum of a
-/// run of consecutive input points (counts and sums add, the merged
-/// bucket keeps the *last* timestamp of its run). Total count and sum
-/// are preserved bit-for-exact-sum semantics aside, the same guarantees
-/// as histogram bin merging: associative, order-preserving, lossless in
-/// the aggregate.
-pub fn downsample(points: &[Point], max_points: usize) -> Vec<Point> {
-    let max_points = max_points.max(1);
-    if points.len() <= max_points {
-        return points.to_vec();
-    }
-    let n = points.len();
-    let mut out = Vec::with_capacity(max_points);
-    for g in 0..max_points {
-        // Even split, identical to stripe seeding in the sweep scheduler.
-        let start = n * g / max_points;
-        let end = n * (g + 1) / max_points;
-        let mut merged = Point {
-            ts: points[end - 1].ts,
-            count: 0,
-            sum: 0.0,
-        };
-        for p in &points[start..end] {
-            merged.count += p.count;
-            merged.sum += p.sum;
-        }
-        out.push(merged);
-    }
-    out
-}
-
 /// A directory of named series ring files.
 pub struct Tsdb {
     dir: PathBuf,
@@ -344,16 +312,6 @@ impl Tsdb {
     /// the overwritten-point count.
     pub fn read(dir: &Path, series: &str) -> io::Result<(Vec<Point>, u64)> {
         read_ring(&dir.join(format!("{}.{EXT}", series_file_stem(series))))
-    }
-
-    /// Read with downsampling: at most `max_points` exact-sum buckets.
-    pub fn read_downsampled(
-        dir: &Path,
-        series: &str,
-        max_points: usize,
-    ) -> io::Result<(Vec<Point>, u64)> {
-        let (points, dropped) = Tsdb::read(dir, series)?;
-        Ok((downsample(&points, max_points), dropped))
     }
 }
 
@@ -561,93 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn downsample_is_exact_in_the_aggregate() {
-        let points: Vec<Point> = (0..1000u64)
-            .map(|i| Point::single(i, (i as f64).sin() + 2.0))
-            .collect();
-        let total_count: u64 = points.iter().map(|p| p.count).sum();
-        let total_sum: f64 = points.iter().map(|p| p.sum).sum();
-        for max in [1usize, 7, 100, 999, 1000, 5000] {
-            let down = downsample(&points, max);
-            assert_eq!(down.len(), max.min(1000));
-            assert_eq!(down.iter().map(|p| p.count).sum::<u64>(), total_count);
-            let sum: f64 = down.iter().map(|p| p.sum).sum();
-            assert!(
-                (sum - total_sum).abs() < 1e-9 * total_sum.abs(),
-                "sum drifted at max={max}"
-            );
-            // Timestamps stay monotone (last-of-run).
-            for w in down.windows(2) {
-                assert!(w[0].ts < w[1].ts);
-            }
-        }
-    }
-
-    #[test]
-    fn downsample_on_read_at_ring_wrap_covers_only_the_retained_window() {
-        let dir = tmp("wrapread");
-        let mut db = Tsdb::open(&dir, 8).unwrap();
-        for i in 0..20u64 {
-            db.append("s", Point::single(i, i as f64)).unwrap();
-        }
-        db.flush().unwrap();
-        // The ring wrapped: 12 points overwritten, 8 retained (ts 12..=19).
-        let (down, dropped) = Tsdb::read_downsampled(&dir, "s", 3).unwrap();
-        assert_eq!(dropped, 12, "drop count survives the downsample");
-        assert_eq!(down.len(), 3);
-        assert_eq!(
-            down.iter().map(|p| p.count).sum::<u64>(),
-            8,
-            "buckets cover exactly the retained window"
-        );
-        let expected_sum: f64 = (12..20).map(|i| i as f64).sum();
-        let sum: f64 = down.iter().map(|p| p.sum).sum();
-        assert!((sum - expected_sum).abs() < 1e-12);
-        assert_eq!(
-            down.last().unwrap().ts,
-            19,
-            "newest point anchors the last bucket"
-        );
-        for w in down.windows(2) {
-            assert!(w[0].ts < w[1].ts, "wrap must not reorder timestamps");
-        }
-        // Asking for at least as many buckets as retained points is the
-        // identity read, wrapped or not.
-        let (full, _) = Tsdb::read_downsampled(&dir, "s", 8).unwrap();
-        let (raw, _) = Tsdb::read(&dir, "s").unwrap();
-        assert_eq!(full, raw);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn downsample_at_single_record_boundaries() {
-        let dir = tmp("single");
-        let mut db = Tsdb::open(&dir, 8).unwrap();
-        db.append("one", Point::single(42, 7.5)).unwrap();
-        db.flush().unwrap();
-        // One stored point: every max_points returns it unchanged —
-        // including 0, which clamps to one bucket rather than erasing
-        // the series.
-        for max in [0usize, 1, 2, 100] {
-            let (down, dropped) = Tsdb::read_downsampled(&dir, "one", max).unwrap();
-            assert_eq!(dropped, 0);
-            assert_eq!(down, vec![Point::single(42, 7.5)], "max_points={max}");
-        }
-        // Two points into one bucket: the aggregate merges, the bucket
-        // keeps the newest timestamp, and the mean is exact.
-        db.append("one", Point::single(43, 2.5)).unwrap();
-        db.flush().unwrap();
-        let (down, _) = Tsdb::read_downsampled(&dir, "one", 1).unwrap();
-        assert_eq!(down.len(), 1);
-        assert_eq!(down[0].ts, 43);
-        assert_eq!(down[0].count, 2);
-        assert_eq!(down[0].value(), 5.0);
-        // The empty slice is its own fixed point.
-        assert!(downsample(&[], 4).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn tsdb_directory_lists_and_reads_series() {
         let dir = tmp("dir");
         let mut db = Tsdb::open(&dir, 32).unwrap();
@@ -664,9 +535,8 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(points.len(), 5);
         assert_eq!(points[3].value(), 3.0);
-        let (down, _) = Tsdb::read_downsampled(&dir, "skylake/virt/s0", 2).unwrap();
-        assert_eq!(down.len(), 2);
-        assert_eq!(down.iter().map(|p| p.count).sum::<u64>(), 5);
+        let (other, _) = Tsdb::read(&dir, "skylake/rate/steal").unwrap();
+        assert_eq!(other.iter().map(|p| p.count).sum::<u64>(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -79,21 +79,6 @@ proptest! {
         prop_assert_eq!(Summary::default().merge(&a), a);
     }
 
-    /// JSON-lines exports parse back into records that fold to the same
-    /// summary as the originals.
-    #[test]
-    fn jsonl_roundtrips_into_equal_summary(
-        xs in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 0..12),
-        counters in prop::collection::vec(0u64..100_000, 0..16),
-    ) {
-        let mut records: Vec<Record> = xs.iter().map(|&s| Record::Region(profile(s))).collect();
-        records.push(Record::Counters(CounterSnapshot { values: counters }));
-        let text = omptel::records_to_string(&records);
-        let back = omptel::read_records(&text).expect("reparse");
-        prop_assert_eq!(&back, &records);
-        prop_assert_eq!(Summary::from_records(&back), Summary::from_records(&records));
-    }
-
     /// The Chrome exporter always yields valid JSON whose every event is
     /// a complete (X) or metadata (M) event.
     #[test]

@@ -722,34 +722,10 @@ impl PlanCache {
         Arc::new(RegionPlan::build_with(&self.shared, key, model))
     }
 
-    /// The plan for `tuning`'s projection, building it on first use.
-    ///
-    /// Concurrent misses on the same projection may both build; the first
-    /// insert wins and both results are identical (planning is
-    /// deterministic), so the race costs duplicated work, never wrong
-    /// answers.
+    /// The plan for `tuning`'s projection, building it on first use: a
+    /// group of one.
     pub fn plan(&self, tuning: &TuningConfig, model: &Model) -> Arc<RegionPlan> {
-        debug_assert_eq!(
-            model.name, self.shared.model_name,
-            "plan cache is per (arch, model, seed)"
-        );
-        let key = tuning.plan_projection();
-        if let Some(plan) = self.plans.lock().expect("plan cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            omptel::add(omptel::Counter::PlanCacheHits, 1);
-            omptel::instant(omptel::SpanKind::PlanHit, 0);
-            return Arc::clone(plan);
-        }
-        let built = self.build(key, model);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        omptel::add(omptel::Counter::PlanCacheMisses, 1);
-        Arc::clone(
-            self.plans
-                .lock()
-                .expect("plan cache poisoned")
-                .entry(key)
-                .or_insert(built),
-        )
+        self.plan_batch(tuning, model, 1)
     }
 
     /// The plan for a whole group of `group` configurations sharing
@@ -758,6 +734,11 @@ impl PlanCache {
     /// (a cached plan scores `group` hits; a build scores one miss plus
     /// `group - 1` hits), so hit-rate telemetry is unchanged by
     /// batching.
+    ///
+    /// Concurrent misses on the same projection may both build; the first
+    /// insert wins and both results are identical (planning is
+    /// deterministic), so the race costs duplicated work, never wrong
+    /// answers.
     pub fn plan_batch(&self, tuning: &TuningConfig, model: &Model, group: u64) -> Arc<RegionPlan> {
         debug_assert!(group >= 1, "a plan group holds at least one config");
         debug_assert_eq!(

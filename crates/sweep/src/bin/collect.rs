@@ -36,7 +36,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use sweep::{Roster, SampleCache, Scope, SweepOptions, SweepSpec};
+use sweep::{Roster, RunManifest, SampleCache, Scope, SettingData, SweepOptions, SweepSpec};
 
 const HELP: &str = "\
 collect — run the paper's data-collection sweep and export its artifacts
@@ -76,9 +76,6 @@ OPTIONS:
                       address always lands in OUT_DIR/monitor.addr);
                       opens a telemetry session so runtime counters
                       flow to /metrics
-    --no-influence    skip the streaming influence tracker: /influence
-                      reports it disabled and no influence time-series
-                      are recorded
     --registry DIR    longitudinal run registry directory; every run
                       appends a content-addressed RunRecord there for
                       `ompobs` (default: a `.ompobs/` sibling of
@@ -99,7 +96,6 @@ struct Cli {
     cache_dir: Option<PathBuf>,
     trace: Option<PathBuf>,
     monitor: Option<String>,
-    influence: bool,
     registry: Option<PathBuf>,
     perturb: Option<(Arch, f64)>,
 }
@@ -116,7 +112,6 @@ fn parse_cli() -> Result<Cli, String> {
     let mut cache_dir = PathBuf::from("target/sweep-cache");
     let mut trace = None;
     let mut monitor = None;
-    let mut influence = true;
     let mut registry_dir: Option<PathBuf> = None;
     let mut no_registry = false;
     let mut perturb = None;
@@ -129,7 +124,6 @@ fn parse_cli() -> Result<Cli, String> {
                 std::process::exit(0);
             }
             "--no-cache" => no_cache = true,
-            "--no-influence" => influence = false,
             "--workers" => {
                 let v = args.next().ok_or("--workers needs a value")?;
                 workers = v
@@ -217,7 +211,6 @@ fn parse_cli() -> Result<Cli, String> {
         cache_dir: (!no_cache).then_some(cache_dir),
         trace,
         monitor,
-        influence,
         registry,
         perturb,
     })
@@ -228,7 +221,7 @@ fn parse_cli() -> Result<Cli, String> {
 /// architecture's batches, exactly as a real regression on that arch
 /// would move them. Applied before any artifact (tsdb, provenance,
 /// registry) is built.
-fn perturb_batches(batches: &mut [sweep::SettingData], factor: f64) {
+fn perturb_batches(batches: &mut [SettingData], factor: f64) {
     for data in batches.iter_mut() {
         for t in &mut data.default_runtimes {
             if t.is_finite() {
@@ -249,16 +242,6 @@ fn perturb_batches(batches: &mut [sweep::SettingData], factor: f64) {
     }
 }
 
-/// One completed arch for the scoreboard.
-struct ArchDone {
-    arch: String,
-    settings: usize,
-    samples: usize,
-    dropped: usize,
-    elapsed_s: f64,
-    energy: ArchEnergy,
-}
-
 /// Modeled energy an architecture's cleaned samples cost.
 #[derive(Default, Clone, Copy)]
 struct ArchEnergy {
@@ -271,90 +254,114 @@ struct ArchEnergy {
 }
 
 impl ArchEnergy {
-    fn fold(&mut self, telemetry: &sweep::SampleTelemetry) {
-        let e = &telemetry.energy;
-        if !e.total_j.is_finite() {
-            return;
+    fn of(batches: &[SettingData]) -> ArchEnergy {
+        let mut total = ArchEnergy::default();
+        for sample in batches.iter().flat_map(|data| &data.samples) {
+            let e = &sample.telemetry.energy;
+            if !e.total_j.is_finite() {
+                continue;
+            }
+            total.joules += e.total_j;
+            total.edp_js += e.edp_js(sample.telemetry.virtual_ns);
+            for (slot, sink) in total.sinks.iter_mut().zip(omptel::EnergySink::ALL) {
+                *slot += e.get(sink);
+            }
         }
-        self.joules += e.total_j;
-        self.edp_js += e.edp_js(telemetry.virtual_ns);
-        for (slot, sink) in self.sinks.iter_mut().zip(omptel::EnergySink::ALL) {
-            *slot += e.get(sink);
-        }
+        total
     }
 }
 
-/// Shared view of the sweep in flight, rendered by the `/sweep` route.
+/// The run's one per-architecture record: the manifest `manifest.json`
+/// is written from, and beside each `manifest.arches[i]` its modeled
+/// energy (`manifest.json`'s bytes are pinned, so it cannot grow the
+/// field). Every surface that reports a finished architecture — `/sweep`,
+/// `/energy`, the energy gauges, stderr, the registry record — reads it.
+struct Run {
+    manifest: RunManifest,
+    energy: Vec<ArchEnergy>,
+}
+
+const POISONED: &str = "sweep state poisoned";
+
+/// Shared view of the sweep in flight, rendered by the monitor's routes.
 struct SweepState {
-    scope: String,
     /// Longitudinal registry context at run start:
     /// (dir, records, corrupt_skipped). `None` with `--no-registry`,
     /// and without `--monitor` (nothing would serve it).
     registry: Option<(String, u64, u64)>,
     current: Mutex<Option<(String, Arc<omptel::Progress>, u64)>>,
-    completed: Mutex<Vec<ArchDone>>,
+    run: Mutex<Run>,
+    /// Streaming influence, one online logistic model per objective,
+    /// indexed like `sweep::series::OBJECTIVES`: did the config beat the
+    /// arch default's time, and did it cost fewer joules? Where the two
+    /// rankings disagree is the ompwatt disagreement map, live.
+    /// Exposition only: it never feeds back into sampling or artifacts.
+    influence: Mutex<[LiveInfluence; 2]>,
 }
 
 impl SweepState {
-    fn new(scope: String, registry: Option<(String, u64, u64)>) -> SweepState {
+    fn new(manifest: RunManifest, registry: Option<(String, u64, u64)>) -> SweepState {
         SweepState {
-            scope,
             registry,
             current: Mutex::new(None),
-            completed: Mutex::new(Vec::new()),
+            run: Mutex::new(Run {
+                manifest,
+                energy: Vec::new(),
+            }),
+            influence: Mutex::new([LiveInfluence::new(), LiveInfluence::new()]),
         }
     }
 
     fn begin_arch(&self, arch: &str, meter: Arc<omptel::Progress>, total: u64) {
-        *self.current.lock().expect("sweep state poisoned") =
-            Some((arch.to_string(), meter, total));
+        *self.current.lock().expect(POISONED) = Some((arch.to_string(), meter, total));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_arch(
-        &self,
-        arch: &str,
-        settings: usize,
-        samples: usize,
-        dropped: usize,
-        elapsed_s: f64,
-        energy: ArchEnergy,
-    ) {
-        *self.current.lock().expect("sweep state poisoned") = None;
-        self.completed
-            .lock()
-            .expect("sweep state poisoned")
-            .push(ArchDone {
-                arch: arch.to_string(),
-                settings,
-                samples,
-                dropped,
-                elapsed_s,
-                energy,
-            });
+    fn end_arch(&self) {
+        *self.current.lock().expect(POISONED) = None;
+    }
+
+    /// Feed one completed batch to both influence trackers: per sample
+    /// and objective, the default's cost over the sample's.
+    fn observe(&self, data: &SettingData) {
+        let usable = |cost: f64| cost.is_finite() && cost > 0.0;
+        let defaults = [data.default_mean(), data.default_telemetry.energy.total_j];
+        let mut pair = self.influence.lock().expect(POISONED);
+        for sample in &data.samples {
+            let costs = [sample.mean_runtime(), sample.telemetry.energy.total_j];
+            for (live, (default, cost)) in pair.iter_mut().zip(defaults.into_iter().zip(costs)) {
+                if usable(default) && usable(cost) {
+                    live.observe(&sample.config, default / cost);
+                }
+            }
+        }
+    }
+
+    /// The `/influence` document of one objective's tracker.
+    fn influence_json(&self, objective: usize) -> String {
+        self.influence.lock().expect(POISONED)[objective].json()
     }
 
     /// (joules, EDP J·s) summed over the completed architectures.
     fn energy_totals(&self) -> (f64, f64) {
-        let completed = self.completed.lock().expect("sweep state poisoned");
-        completed.iter().fold((0.0, 0.0), |(j, e), a| {
-            (j + a.energy.joules, e + a.energy.edp_js)
-        })
+        let run = self.run.lock().expect(POISONED);
+        run.energy
+            .iter()
+            .fold((0.0, 0.0), |(j, e), a| (j + a.joules, e + a.edp_js))
     }
 
     /// The `/energy` JSON document: per-arch joules, EDP, and sink
     /// split over the cleaned samples, plus the streaming
-    /// energy-influence ranking when the tracker is live.
-    fn energy_json(&self, influence: Option<&str>) -> String {
+    /// energy-influence ranking.
+    fn energy_json(&self) -> String {
         let mut out = String::from("{\"schema\":\"ompwatt-energy-v1\",\"arches\":[");
-        let completed = self.completed.lock().expect("sweep state poisoned");
-        for (i, a) in completed.iter().enumerate() {
+        let run = self.run.lock().expect(POISONED);
+        for (i, (a, energy)) in run.manifest.arches.iter().zip(&run.energy).enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
                 "{{\"arch\":\"{}\",\"samples\":{},\"joules\":{:.6},\"edp_js\":{:.6},\"sinks\":{{",
-                a.arch, a.samples, a.energy.joules, a.energy.edp_js
+                a.arch, a.samples, energy.joules, energy.edp_js
             ));
             for (j, sink) in omptel::EnergySink::ALL.iter().enumerate() {
                 if j > 0 {
@@ -363,17 +370,14 @@ impl SweepState {
                 out.push_str(&format!(
                     "\"{}\":{:.6}",
                     format!("{sink:?}").to_lowercase(),
-                    a.energy.sinks[j]
+                    energy.sinks[j]
                 ));
             }
             out.push_str("}}");
         }
-        drop(completed);
+        drop(run);
         out.push_str("],\"influence\":");
-        match influence {
-            Some(doc) => out.push_str(doc),
-            None => out.push_str("null"),
-        }
+        out.push_str(&self.influence_json(1));
         out.push('}');
         out
     }
@@ -381,7 +385,7 @@ impl SweepState {
     fn current_meter(&self) -> Option<(Arc<omptel::Progress>, u64)> {
         self.current
             .lock()
-            .expect("sweep state poisoned")
+            .expect(POISONED)
             .as_ref()
             .map(|(_, m, total)| (m.clone(), *total))
     }
@@ -389,8 +393,9 @@ impl SweepState {
     /// The `/sweep` JSON document.
     fn json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str(&format!("\"scope\":\"{}\",", self.scope));
-        match &*self.current.lock().expect("sweep state poisoned") {
+        let run = self.run.lock().expect(POISONED);
+        out.push_str(&format!("\"scope\":\"{}\",", run.manifest.scope));
+        match &*self.current.lock().expect(POISONED) {
             Some((arch, meter, total)) => out.push_str(&format!(
                 "\"state\":\"running\",\"current\":{{\"arch\":\"{arch}\",\
                  \"done\":{},\"total\":{total},\"elapsed_s\":{:.3}}},",
@@ -441,8 +446,7 @@ impl SweepState {
             None => out.push_str("\"registry\":null,"),
         }
         out.push_str("\"completed\":[");
-        let completed = self.completed.lock().expect("sweep state poisoned");
-        for (i, a) in completed.iter().enumerate() {
+        for (i, (a, energy)) in run.manifest.arches.iter().zip(&run.energy).enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -450,18 +454,36 @@ impl SweepState {
                 "{{\"arch\":\"{}\",\"settings\":{},\"samples\":{},\
                  \"dropped\":{},\"elapsed_s\":{:.3},\
                  \"joules\":{:.6},\"edp_js\":{:.6}}}",
-                a.arch,
-                a.settings,
-                a.samples,
-                a.dropped,
-                a.elapsed_s,
-                a.energy.joules,
-                a.energy.edp_js
+                a.arch, a.settings, a.samples, a.dropped, a.elapsed_s, energy.joules, energy.edp_js
             ));
         }
         out.push_str("]}");
         out
     }
+}
+
+/// The run's scheduler counters for its registry record, summed over
+/// the per-architecture records (the sample-cache pair through
+/// `arch_lookups`: `ArchManifest::stats` carries it cumulatively).
+fn scheduler_counters(manifest: &RunManifest) -> Vec<(String, u64)> {
+    let names = [
+        "plan_hits",
+        "plan_misses",
+        "sample_hits",
+        "sample_misses",
+        "steals",
+        "units",
+    ];
+    let mut totals = [0u64; 6];
+    for (i, a) in manifest.arches.iter().enumerate() {
+        let (hits, misses) = manifest.arch_lookups(i);
+        let s = &a.stats;
+        let own = [s.plan_hits, s.plan_misses, hits, misses, s.steals, s.units];
+        for (total, n) in totals.iter_mut().zip(own) {
+            *total += n;
+        }
+    }
+    names.map(str::to_string).into_iter().zip(totals).collect()
 }
 
 fn main() -> std::io::Result<()> {
@@ -496,60 +518,16 @@ fn main() -> std::io::Result<()> {
         _ => None,
     };
 
+    let spec = SweepSpec {
+        scope: cli.scope,
+        roster: cli.roster,
+        ..SweepSpec::default()
+    };
     // Live exposition: the monitor only *reads* (every route renders
     // from a closure at scrape time), so a monitored run's outputs stay
     // byte-identical to an unmonitored one. The telemetry session makes
     // runtime counters visible to /metrics; counters never feed results.
-    let state = Arc::new(SweepState::new(
-        format!("{:?}", cli.scope),
-        registry_stats.clone(),
-    ));
-
-    // Streaming influence: an online logistic model updated from every
-    // completed batch (label: did the config beat the arch default?),
-    // so /influence can rank the tuning variables while the sweep is
-    // still running instead of after the dataset lands. Exposition
-    // only — it never feeds back into sampling or the artifacts.
-    let influence = cli
-        .influence
-        .then(|| Arc::new(Mutex::new(LiveInfluence::new())));
-    let influence_obs = influence.clone().map(|live| {
-        move |data: &sweep::SettingData| {
-            let default = data.default_mean();
-            if !default.is_finite() || default <= 0.0 {
-                return;
-            }
-            let mut live = live.lock().expect("influence tracker poisoned");
-            for sample in &data.samples {
-                let mean = sample.mean_runtime();
-                if mean.is_finite() && mean > 0.0 {
-                    live.observe(&sample.config, default / mean);
-                }
-            }
-        }
-    });
-    // A second, independent logistic stream over the *energy* objective
-    // (label: did the config cost fewer joules than the arch default?).
-    // Where the two rankings disagree is exactly the ompwatt
-    // disagreement map, live while the sweep runs.
-    let energy_influence = cli
-        .influence
-        .then(|| Arc::new(Mutex::new(LiveInfluence::new())));
-    let energy_obs = energy_influence.clone().map(|live| {
-        move |data: &sweep::SettingData| {
-            let default = data.default_telemetry.energy.total_j;
-            if !default.is_finite() || default <= 0.0 {
-                return;
-            }
-            let mut live = live.lock().expect("energy influence tracker poisoned");
-            for sample in &data.samples {
-                let joules = sample.telemetry.energy.total_j;
-                if joules.is_finite() && joules > 0.0 {
-                    live.observe(&sample.config, default / joules);
-                }
-            }
-        }
-    });
+    let state = Arc::new(SweepState::new(RunManifest::new(&spec), registry_stats));
 
     let _session = cli
         .monitor
@@ -558,13 +536,12 @@ fn main() -> std::io::Result<()> {
     let monitor = match &cli.monitor {
         Some(addr) => {
             let st = state.clone();
-            let reg_stats = registry_stats.clone();
             let metrics: omptel::BodyFn = Arc::new(move || {
                 let mut snap = omptel::MetricsSnapshot::capture();
                 // Registry counters: history depth at run start and how
                 // many records corruption has cost, so scrapers can
                 // alarm on a decaying registry.
-                if let Some((_, records, corrupt)) = &reg_stats {
+                if let Some((_, records, corrupt)) = &st.registry {
                     snap = snap
                         .gauge("registry_records", *records as f64)
                         .gauge("registry_corrupt_skipped", *corrupt as f64);
@@ -595,26 +572,16 @@ fn main() -> std::io::Result<()> {
             });
             let st = state.clone();
             let sweep_body: omptel::BodyFn = Arc::new(move || st.json());
-            let live = influence.clone();
-            let influence_body: omptel::BodyFn = Arc::new(move || match &live {
-                Some(live) => live.lock().expect("influence tracker poisoned").json(),
-                None => "{\"disabled\":true}".to_string(),
-            });
-            let mut routes: Vec<omptel::Route> =
-                vec![("/influence".to_string(), "application/json", influence_body)];
+            let st = state.clone();
+            let influence_body: omptel::BodyFn = Arc::new(move || st.influence_json(0));
             // /energy: the ompwatt exposition — per-arch joules, EDP,
             // sink split, and the energy-influence ranking.
             let st = state.clone();
-            let elive = energy_influence.clone();
-            let energy_body: omptel::BodyFn = Arc::new(move || {
-                let doc = elive.as_ref().map(|live| {
-                    live.lock()
-                        .expect("energy influence tracker poisoned")
-                        .json()
-                });
-                st.energy_json(doc.as_deref())
-            });
-            routes.push(("/energy".to_string(), "application/json", energy_body));
+            let energy_body: omptel::BodyFn = Arc::new(move || st.energy_json());
+            let mut routes: Vec<omptel::Route> = vec![
+                ("/influence".to_string(), "application/json", influence_body),
+                ("/energy".to_string(), "application/json", energy_body),
+            ];
             // /runs: the registry listing, loaded fresh per scrape so a
             // poller sees records land the moment runs finish.
             if let Some(reg) = &registry {
@@ -659,18 +626,10 @@ fn main() -> std::io::Result<()> {
         None
     };
 
-    let spec = SweepSpec {
-        scope: cli.scope,
-        roster: cli.roster,
-        ..SweepSpec::default()
-    };
-    let mut manifest = sweep::RunManifest::new(&spec);
     let mut batches = Vec::new();
-    let mut timings = Vec::new();
     // The content-addressed core this run will register: per-arch
     // stratum series and cost digests, folded from the cleaned batches.
     let mut run_core = registry.as_ref().map(|_| sweep::CollectCore::new(&spec));
-    let mut agg_stats = sweep::SweepStats::default();
     // Every run records its time-series; `ompobs drift` compares them
     // across runs, so unmonitored CI runs need them too.
     let mut tsdb = omptel::Tsdb::open(cli.out_dir.join("tsdb"), omptel::DEFAULT_CAPACITY)?;
@@ -694,13 +653,8 @@ fn main() -> std::io::Result<()> {
         let fold_partials =
             run_core.is_some() && cli.perturb.is_none_or(|(perturbed, _)| perturbed != arch);
         let fold_sink: Mutex<Vec<(sweep::RunKey, sweep::BatchPartial)>> = Mutex::new(Vec::new());
-        let observer = |data: &sweep::SettingData| {
-            if let Some(obs) = &influence_obs {
-                obs(data);
-            }
-            if let Some(obs) = &energy_obs {
-                obs(data);
-            }
+        let observer = |data: &SettingData| {
+            state.observe(data);
             if fold_partials {
                 let partial = sweep::BatchPartial::fold(data);
                 fold_sink
@@ -709,14 +663,11 @@ fn main() -> std::io::Result<()> {
                     .push((data.key.clone(), partial));
             }
         };
-        if influence_obs.is_some() || fold_partials {
-            opts = opts.with_batch_observer(&observer);
-        }
+        opts = opts.with_batch_observer(&observer);
         if let Some((_, w)) = &recorder {
             opts = opts.with_watchdog(w);
         }
         let t0 = Instant::now();
-        let before_cache = cache.as_ref().map(|c| c.stats()).unwrap_or((0, 0));
         let outcome = sweep::sweep_arch_scheduled(arch, &spec, &opts);
         eprintln!("{}", meter.finish());
         let elapsed = t0.elapsed().as_secs_f64();
@@ -746,98 +697,11 @@ fn main() -> std::io::Result<()> {
             }
         }
 
-        // Time-series for the drift sentinel, from the cleaned samples:
-        // the per-stratum virtual-time and joules series are
-        // deterministic given the seed, so same-seed runs must agree on
-        // them exactly — those gate. Wall latency and scheduler rates
-        // legitimately vary and the per-arch aggregates only repeat the
-        // gating series, so the rest is informational.
-        sweep::series::append_stratum_series(&mut tsdb, arch.id(), &arch_batches)?;
-        let mut arch_energy = ArchEnergy::default();
-        for sample in arch_batches.iter().flat_map(|data| &data.samples) {
-            arch_energy.fold(&sample.telemetry);
-        }
-        // Arch-level energy aggregates: total joules and the EDP over
-        // the cleaned samples, deterministic given the seed.
-        if arch_energy.joules > 0.0 {
-            let samples_n: usize = arch_batches.iter().map(|b| b.samples.len()).sum();
-            let point = omptel::Point {
-                ts: 0,
-                count: samples_n as u64,
-                sum: arch_energy.joules,
-            };
-            tsdb.append(&format!("{}/energy/joules", arch.id()), point)?;
-            let point = omptel::Point {
-                ts: 0,
-                count: samples_n as u64,
-                sum: arch_energy.edp_js,
-            };
-            tsdb.append(&format!("{}/energy/edp_js", arch.id()), point)?;
-        }
-        let lat = meter.latency_histogram();
-        if !lat.is_empty() {
-            let point = omptel::Point {
-                ts: 0,
-                count: lat.count,
-                sum: meter.latency_sum_ns() as f64,
-            };
-            tsdb.append(&format!("{}/wall/sample_ns", arch.id()), point)?;
-        }
-        let st = outcome.stats;
-        let lookups = st.sample_hits + st.sample_misses;
-        if lookups > 0 {
-            let point = omptel::Point {
-                ts: 0,
-                count: lookups,
-                sum: st.sample_hits as f64,
-            };
-            tsdb.append(&format!("{}/rate/cache_hit", arch.id()), point)?;
-        }
-        if st.units > 0 {
-            let point = omptel::Point {
-                ts: 0,
-                count: st.units,
-                sum: st.steals as f64,
-            };
-            tsdb.append(&format!("{}/rate/steal", arch.id()), point)?;
-        }
-        // Snapshot the streaming influence ranking after each arch so
-        // the series chart how the ranking firmed up over the run.
-        // Batch completion order is scheduling-dependent, so these
-        // series are informational, not drift-gating.
-        if let Some(live) = &influence {
-            let snap = live.lock().expect("influence tracker poisoned");
-            if snap.samples() > 0 {
-                for (var, value) in snap.influence() {
-                    let point = omptel::Point {
-                        ts: 0,
-                        count: snap.samples(),
-                        sum: value,
-                    };
-                    let slug = var.env_name().to_lowercase();
-                    tsdb.append(&format!("{}/influence/{slug}", arch.id()), point)?;
-                }
-            }
-        }
-        if let Some(live) = &energy_influence {
-            let snap = live.lock().expect("energy influence tracker poisoned");
-            if snap.samples() > 0 {
-                for (var, value) in snap.influence() {
-                    let point = omptel::Point {
-                        ts: 0,
-                        count: snap.samples(),
-                        sum: value,
-                    };
-                    let slug = var.env_name().to_lowercase();
-                    tsdb.append(&format!("{}/influence-energy/{slug}", arch.id()), point)?;
-                }
-            }
-        }
-        // One write per series per arch; a failed write fails the run
-        // here rather than vanishing in the handle's drop.
-        tsdb.flush()?;
-
-        manifest.push_arch(
+        // The architecture joins the run's record; everything said about
+        // it from here on (series, stderr, timing block, registry) is
+        // read back from there.
+        let mut run = state.run.lock().expect(POISONED);
+        run.manifest.push_arch(
             arch,
             &arch_batches,
             arch_dropped,
@@ -845,46 +709,48 @@ fn main() -> std::io::Result<()> {
             outcome.stats,
             meter.latency_histogram(),
         );
-        let samples: usize = arch_batches.iter().map(|b| b.samples.len()).sum();
-        let s = outcome.stats;
-        let arch_cache = (
-            s.sample_hits - before_cache.0,
-            s.sample_misses - before_cache.1,
-        );
+        run.energy.push(ArchEnergy::of(&arch_batches));
+        let i = run.energy.len() - 1;
+        let (done, energy) = (&run.manifest.arches[i], &run.energy[i]);
+        let (hits, misses) = run.manifest.arch_lookups(i);
+
+        // Time-series for the drift sentinel, from the cleaned samples:
+        // the gating per-stratum series, then the informational rest.
+        sweep::series::append_stratum_series(&mut tsdb, arch.id(), &arch_batches)?;
+        sweep::series::append_arch_series(
+            &mut tsdb,
+            done,
+            (hits, misses),
+            meter.latency_sum_ns(),
+            (energy.joules, energy.edp_js),
+            &state.influence.lock().expect(POISONED),
+        )?;
+        // One write per series per arch; a failed write fails the run
+        // here rather than vanishing in the handle's drop.
+        tsdb.flush()?;
+
+        let s = &done.stats;
         eprintln!(
-            "{}: plan cache {}/{} hits, sample cache {}/{} hits, {} steals over {} units",
-            arch.id(),
+            "{}: plan cache {}/{} hits, sample cache {hits}/{} hits, {} steals over {} units",
+            done.arch,
             s.plan_hits,
             s.plan_hits + s.plan_misses,
-            arch_cache.0,
-            arch_cache.0 + arch_cache.1,
+            hits + misses,
             s.steals,
             s.units
         );
-        agg_stats.plan_hits += s.plan_hits;
-        agg_stats.plan_misses += s.plan_misses;
-        agg_stats.steals += s.steals;
-        agg_stats.units += s.units;
         eprintln!(
-            "{}: modeled energy {:.1} J over {samples} samples (EDP {:.3} J·s)",
-            arch.id(),
-            arch_energy.joules,
-            arch_energy.edp_js
+            "{}: modeled energy {:.1} J over {} samples (EDP {:.3} J·s)",
+            done.arch, energy.joules, done.samples, energy.edp_js
         );
-        state.finish_arch(
-            arch.id(),
-            arch_batches.len(),
-            samples,
-            arch_dropped,
-            elapsed,
-            arch_energy,
-        );
-        timings.push((arch, arch_batches.len(), samples, arch_dropped, elapsed));
+        drop(run);
+        state.end_arch();
         batches.extend(arch_batches);
     }
 
     // The artifact tail: every file from one library call, its two jobs
     // side by side when the worker budget allows.
+    let manifest = state.run.lock().expect(POISONED).manifest.clone();
     let artifacts =
         sweep::export::write_artifacts(&cli.out_dir, &batches, &spec, &manifest, cli.workers)?;
     for name in sweep::export::ARTIFACT_FILES {
@@ -899,11 +765,15 @@ fn main() -> std::io::Result<()> {
 
     // Final per-architecture timing summary.
     eprintln!("--- collection timing ---");
-    for (arch, settings, samples, dropped, elapsed) in &timings {
-        let rate = *samples as f64 / elapsed.max(1e-9);
+    for a in &manifest.arches {
         eprintln!(
-            "{}: {settings} settings, {samples} samples ({dropped} dropped) in {elapsed:.1}s ({rate:.0} samples/s)",
-            arch.id()
+            "{}: {} settings, {} samples ({} dropped) in {:.1}s ({:.0} samples/s)",
+            a.arch,
+            a.settings,
+            a.samples,
+            a.dropped,
+            a.elapsed_s,
+            a.samples as f64 / a.elapsed_s.max(1e-9)
         );
     }
     eprintln!(
@@ -955,49 +825,14 @@ fn main() -> std::io::Result<()> {
     // the run-varying context (informational). A registry failure warns
     // but never fails a collection run that already produced its data.
     if let (Some(registry), Some(core)) = (&registry, run_core) {
-        if let Some(c) = &cache {
-            let (h, m) = c.stats();
-            agg_stats.sample_hits = h;
-            agg_stats.sample_misses = m;
-        }
-        let engine = omptel::counters_now();
-        let mut counters = vec![
-            ("plan_hits".to_string(), agg_stats.plan_hits),
-            ("plan_misses".to_string(), agg_stats.plan_misses),
-            ("sample_hits".to_string(), agg_stats.sample_hits),
-            ("sample_misses".to_string(), agg_stats.sample_misses),
-            ("steals".to_string(), agg_stats.steals),
-            ("units".to_string(), agg_stats.units),
-            (
-                "priced_batches".to_string(),
-                engine.get(omptel::Counter::PricedBatches),
-            ),
-            (
-                "pool_hits".to_string(),
-                engine.get(omptel::Counter::PoolHits),
-            ),
-            (
-                "pool_misses".to_string(),
-                engine.get(omptel::Counter::PoolMisses),
-            ),
-            (
-                "energy_samples".to_string(),
-                engine.get(omptel::Counter::EnergySamples),
-            ),
-            (
-                "energy_uj".to_string(),
-                engine.get(omptel::Counter::EnergyUj),
-            ),
-        ];
-        counters.sort();
         let info = sweep::RunInfo {
             workers: cli.workers as u64,
-            elapsed_s: timings.iter().map(|t| t.4).sum(),
+            elapsed_s: manifest.arches.iter().map(|a| a.elapsed_s).sum(),
             manifest_digest: fs::read(cli.out_dir.join("manifest.json"))
                 .map(|b| omptune_core::Fnv1a::of(&b))
                 .unwrap_or(0),
             out_dir: cli.out_dir.display().to_string(),
-            counters,
+            counters: scheduler_counters(&manifest),
         };
         match registry.append(
             sweep::RunCore::Collect(core),
@@ -1021,4 +856,162 @@ fn main() -> std::io::Result<()> {
         m.shutdown();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Value;
+
+    fn tiny() -> SweepSpec {
+        SweepSpec {
+            scope: Scope::Strided(400),
+            ..SweepSpec::default()
+        }
+    }
+
+    /// Two finished architectures, the way `main` records them.
+    fn two_arch_state() -> SweepState {
+        let spec = tiny();
+        let registry = Some(("/var/reg \"x\"".to_string(), 3, 1));
+        let state = SweepState::new(RunManifest::new(&spec), registry);
+        for (arch, elapsed, sample_hits) in [(Arch::A64fx, 0.0123456, 0), (Arch::Skylake, 1.5, 900)]
+        {
+            let mut batches =
+                sweep::sweep_arch_scheduled(arch, &spec, &SweepOptions::new(1)).batches;
+            for data in &mut batches {
+                sweep::clean(data, spec.reps as usize);
+            }
+            let stats = sweep::SweepStats {
+                plan_hits: 7,
+                plan_misses: 5,
+                sample_hits,
+                sample_misses: 585,
+                steals: 2,
+                units: 11,
+            };
+            let mut run = state.run.lock().unwrap();
+            let latency = omptel::Histogram::new();
+            run.manifest
+                .push_arch(arch, &batches, 0, elapsed, stats, latency);
+            run.energy.push(ArchEnergy::of(&batches));
+        }
+        state
+    }
+
+    // Both documents for the state above, as the parent's code (with its
+    // own `ArchDone` scoreboard) rendered them.
+    const PARENT_SWEEP: &str = r#"{"scope":"Strided(400)","state":"idle","current":null,"telemetry":{"ring_threads":0,"omptel_ring_events_total":0,"omptel_ring_dropped_total":0,"engine":{"priced_batches":0,"sample_cache_tmp_reaped":0,"pool_hits":0,"pool_misses":0},"watchdog":null},"registry":{"dir":"/var/reg \"x\"","records":3,"corrupt_skipped":1},"completed":[{"arch":"a64fx","settings":45,"samples":540,"dropped":0,"elapsed_s":0.012,"joules":9767.780224,"edp_js":4034.379218},{"arch":"skylake","settings":36,"samples":864,"dropped":0,"elapsed_s":1.500,"joules":46560.968713,"edp_js":299597.498229}]}"#;
+    const PARENT_ENERGY: &str = r#"{"schema":"ompwatt-energy-v1","arches":[{"arch":"a64fx","samples":540,"joules":9767.780224,"edp_js":4034.379218,"sinks":{"active":4841.432097,"memory":1084.281913,"wait":62.020150,"serial":0.621054,"base":3779.425011}},{"arch":"skylake","samples":864,"joules":46560.968713,"edp_js":299597.498229,"sinks":{"active":10779.698471,"memory":2115.336916,"wait":5937.930185,"serial":2.126568,"base":27725.876574}}],"influence":{"samples":0,"optimal_fraction":0.000000,"influence":{"OMP_PLACES":0.000000,"OMP_PROC_BIND":0.000000,"OMP_SCHEDULE":0.000000,"KMP_LIBRARY":0.000000,"KMP_BLOCKTIME":0.000000,"KMP_FORCE_REDUCTION":0.000000,"KMP_ALIGN_ALLOC":0.000000},"top":null}}"#;
+
+    #[test]
+    fn sweep_and_energy_bodies_render_the_manifest() {
+        let state = two_arch_state();
+        let (sweep_doc, energy_doc) = (state.json(), state.energy_json());
+        assert_eq!(sweep_doc, PARENT_SWEEP);
+        assert_eq!(energy_doc, PARENT_ENERGY);
+
+        // Entry by entry, each document says what the record holds.
+        let parse = |doc: &str| serde_json::from_str::<Value>(doc).expect("valid JSON");
+        let array_at = |doc: &Value, at: usize, key: &str| {
+            let (k, v) = &doc.as_map().expect("object")[at];
+            assert_eq!(k.as_str(), Some(key));
+            v.as_seq().expect("array").to_vec()
+        };
+        let completed = array_at(&parse(&sweep_doc), 5, "completed");
+        let arches = array_at(&parse(&energy_doc), 1, "arches");
+        let (joules, edp_js) = state.energy_totals();
+        let run = state.run.lock().unwrap();
+        assert_eq!((completed.len(), arches.len()), (2, 2));
+        for (i, (a, e)) in run.manifest.arches.iter().zip(&run.energy).enumerate() {
+            let (arch, samples) = (&a.arch, a.samples);
+            let figures = format!(r#""joules":{:.6},"edp_js":{:.6}"#, e.joules, e.edp_js);
+            let done = format!(
+                r#"{{"arch":"{arch}","settings":{},"samples":{samples},"dropped":{},"elapsed_s":{:.3},{figures}}}"#,
+                a.settings, a.dropped, a.elapsed_s
+            );
+            assert_eq!(completed[i], parse(&done), "completed[{i}]");
+            let head = parse(&format!(
+                r#"{{"arch":"{arch}","samples":{samples},{figures}}}"#
+            ));
+            assert_eq!(arches[i].as_map().unwrap()[..4], *head.as_map().unwrap());
+        }
+        assert_eq!(joules, run.energy[0].joules + run.energy[1].joules);
+        assert_eq!(edp_js, run.energy[0].edp_js + run.energy[1].edp_js);
+    }
+
+    /// The registry's counters come from the manifest, whose sample-cache
+    /// pair is cumulative: 585 misses then 900 hits is 900/585 for the
+    /// run, not 900/1170 — and none is a session-gated engine counter.
+    #[test]
+    fn registry_counters_sum_the_manifest() {
+        let counters = scheduler_counters(&two_arch_state().run.lock().unwrap().manifest);
+        assert!(counters.is_sorted(), "the registry stores them sorted");
+        let (names, totals): (Vec<_>, Vec<_>) = counters.into_iter().unzip();
+        let all = "plan_hits plan_misses sample_hits sample_misses steals units";
+        assert_eq!(names.join(" "), all);
+        assert_eq!(totals, [14, 10, 900, 585, 4, 22]);
+    }
+
+    /// The merged observer against the two closures it replaced: each
+    /// tracker sees the same observations in the same order.
+    #[test]
+    fn one_observer_feeds_both_trackers_like_the_two_it_replaced() {
+        let time_ref = |live: &mut LiveInfluence, data: &SettingData| {
+            let default = data.default_mean();
+            if !default.is_finite() || default <= 0.0 {
+                return;
+            }
+            for sample in &data.samples {
+                let mean = sample.mean_runtime();
+                if mean.is_finite() && mean > 0.0 {
+                    live.observe(&sample.config, default / mean);
+                }
+            }
+        };
+        let energy_ref = |live: &mut LiveInfluence, data: &SettingData| {
+            let default = data.default_telemetry.energy.total_j;
+            if !default.is_finite() || default <= 0.0 {
+                return;
+            }
+            for sample in &data.samples {
+                let joules = sample.telemetry.energy.total_j;
+                if joules.is_finite() && joules > 0.0 {
+                    live.observe(&sample.config, default / joules);
+                }
+            }
+        };
+
+        // Failure injection leaves non-finite repetitions in the batches,
+        // so the guards are exercised too.
+        let spec = SweepSpec {
+            failure_rate: 0.2,
+            ..tiny()
+        };
+        let batches = sweep::sweep_arch_scheduled(Arch::Skylake, &spec, &SweepOptions::new(1));
+        let mut batches = batches.batches;
+        // One batch whose time default is unusable but whose energy
+        // default is not: only the energy tracker may move.
+        batches[0].default_runtimes.fill(f64::NAN);
+
+        let state = SweepState::new(RunManifest::new(&spec), None);
+        let mut reference = [LiveInfluence::new(), LiveInfluence::new()];
+        for data in &batches {
+            state.observe(data);
+            time_ref(&mut reference[0], data);
+            energy_ref(&mut reference[1], data);
+        }
+        let merged = state.influence.lock().unwrap().clone();
+        assert!(merged[0].samples() > 0);
+        assert!(merged[1].samples() > merged[0].samples());
+        for (objective, (live, reference)) in merged.iter().zip(&reference).enumerate() {
+            let bits = |live: &LiveInfluence| -> Vec<u64> {
+                live.influence().iter().map(|(_, v)| v.to_bits()).collect()
+            };
+            assert_eq!(live.samples(), reference.samples());
+            assert_eq!(bits(live), bits(reference));
+            assert_eq!(live, reference);
+            assert_eq!(state.influence_json(objective), reference.json());
+        }
+    }
 }

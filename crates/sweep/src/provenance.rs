@@ -185,7 +185,11 @@ pub struct ArchManifest {
     pub elapsed_s: f64,
     /// Virtual-time telemetry aggregated over every sample.
     pub summary: omptel::Summary,
-    /// Scheduler statistics (cache hits/misses, steals, units).
+    /// Scheduler statistics (cache hits/misses, steals, units) as the
+    /// scheduler reported them when this architecture finished: the
+    /// plan, steal and unit counts are this architecture's own, the
+    /// sample-cache pair is cumulative over the run's one cache handle
+    /// ([`RunManifest::arch_lookups`] takes the difference).
     pub stats: SweepStats,
     /// Per-sample wall-latency distribution (log-bucketed; empty when
     /// the sweep ran without a progress meter).
@@ -251,6 +255,15 @@ impl RunManifest {
         });
         self.total_samples += samples;
         self.total_dropped += dropped;
+    }
+
+    /// Sample-cache `(hits, misses)` of architecture `i` alone: its
+    /// cumulative `stats` pair less the previous architecture's.
+    pub fn arch_lookups(&self, i: usize) -> (u64, u64) {
+        let pair = |a: &ArchManifest| (a.stats.sample_hits, a.stats.sample_misses);
+        let (hits, misses) = pair(&self.arches[i]);
+        let (hits0, misses0) = i.checked_sub(1).map_or((0, 0), |p| pair(&self.arches[p]));
+        (hits.saturating_sub(hits0), misses.saturating_sub(misses0))
     }
 }
 

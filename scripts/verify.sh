@@ -44,6 +44,14 @@ named="$(find crates/*/src -name '*.rs' -exec awk 'FNR == 1 { test = 0 }
     echo "verify: \"KMP_FORCE_REDUCTION\" is spelled outside the variable table: $named" >&2
     exit 1
 }
+# One series namer: `collect` names and writes no series itself — that
+# is sweep::series' two writers — and has no switch for the influence pair.
+for gone in 'tsdb.append' '--no-influence'; do
+    ! grep -qF -e "$gone" crates/sweep/src/bin/collect.rs || {
+        echo "verify: crates/sweep/src/bin/collect.rs contains '$gone'" >&2
+        exit 1
+    }
+done
 step cargo bench -p bench-harness --bench telemetry_overhead
 step cargo run --release -p sweep --bin omptel-report -- --self-check
 
@@ -82,6 +90,29 @@ grep -q '"total_j"' "$coherence_dir/cold/provenance.jsonl" || {
     exit 1
 }
 echo "cold and warm provenance byte-identical (modeled joules included)"
+
+# A half-warm cache: with a64fx/ removed from a copy, a64fx recomputes
+# and the other two replay. The recorded hit rate is per architecture —
+# the cache handle's counters are cumulative over the run, and a rate
+# built from them would read 900/1485 and 1875/2460.
+echo
+echo "==> per-architecture cache-hit series over a half-warm cache"
+cp -r "$coherence_dir/cache" "$coherence_dir/cache-mixed"
+rm -r "$coherence_dir/cache-mixed/a64fx"
+cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/mixed" \
+    --workers 2 --cache-dir "$coherence_dir/cache-mixed" 2>/dev/null
+same_as_cold mixed "sweep over a half-warm cache"
+series_out="$(cargo run --release -q -p ompobs -- series "$coherence_dir/mixed")"
+for want in "a64fx/rate/cache_hit 0.0000" "skylake/rate/cache_hit 1.0000" \
+    "milan/rate/cache_hit 1.0000"; do
+    awk -v s="${want% *}" -v m="${want#* }" '$1 == s && $NF == m { ok = 1 } END { exit !ok }' \
+        <<<"$series_out" || {
+        echo "verify: expected '$want' from ompobs series, got:" >&2
+        grep 'rate/cache_hit' <<<"$series_out" >&2
+        exit 1
+    }
+done
+echo "a64fx 0.0000, skylake 1.0000, milan 1.0000"
 
 # The same cache at a third worker count, sound and then damaged: with
 # byte 3 of every batch header flipped nothing may answer, so the run
@@ -264,11 +295,11 @@ echo "energy ring series recorded in tsdb/ alongside virtual time"
 step cargo run --release -q -p ompobs -- \
     drift "$coherence_dir/cold" "$coherence_dir/warm"
 
-# Longitudinal observatory gate: the six collect runs above all share
+# Longitudinal observatory gate: the seven collect runs above all share
 # one registry ($coherence_dir/.ompobs, the out-dir sibling default).
 # Same tree + same seed means every record must carry the same content
 # address regardless of worker count, the change-point sentinel must
-# say OK over that history, and a deliberately perturbed sixth run
+# say OK over that history, and a deliberately perturbed eighth run
 # (+10% virtual time on one architecture) must flip the sentinel to
 # exit 4 with blame naming the perturbed slice.
 echo
@@ -286,8 +317,8 @@ obs_dir="$coherence_dir/.ompobs"
 list_out="$(cargo run --release -q -p ompobs -- list --dir "$obs_dir")"
 echo "$list_out"
 collect_rows="$(awk '$3 == "collect"' <<<"$list_out" | wc -l)"
-[ "$collect_rows" -ge 6 ] || {
-    echo "verify: registry holds only $collect_rows collect record(s), expected the 6 runs above" >&2
+[ "$collect_rows" -ge 7 ] || {
+    echo "verify: registry holds only $collect_rows collect record(s), expected the 7 runs above" >&2
     exit 1
 }
 unique_hashes="$(awk '$3 == "collect" { print $5 }' <<<"$list_out" | sort -u | wc -l)"
@@ -305,6 +336,14 @@ expect_exit 0 "sentinel over the identical-run history" \
 cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/perturbed" \
     --workers 2 --cache-dir "$coherence_dir/cache" \
     --perturb skylake:1.10 2>/dev/null
+# That unmonitored run's record carries the scheduler counters of its
+# manifest and none of the session-gated engine counters, which read a
+# closed gate there and were always zero.
+last_record="$(tail -n1 "$obs_dir/registry.jsonl")"
+grep -q '"plan_misses"' <<<"$last_record" && ! grep -q '"priced_batches"' <<<"$last_record" || {
+    echo "verify: the last registry record's counters are not the six scheduler counters" >&2
+    exit 1
+}
 expect_exit 4 "sentinel over the +10% skylake perturbation" \
     cargo run --release -q -p ompobs -- sentinel --dir "$obs_dir"
 # The two-run comparison must see the same fault from the runs' tsdb/
