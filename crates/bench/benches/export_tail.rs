@@ -8,6 +8,9 @@
 //!
 //! - `raw_json_s`   — `write_raw_json` of every batch (one streamed
 //!   document),
+//! - `float_ns`     — the JSON sink's number writer alone: every `f64`
+//!   of that document (17 a sample) written as one array, in ns per
+//!   float,
 //! - `read_raw_json_s` — `read_raw_json` of that document, as `ompprof
 //!   attribute --data` takes it back in,
 //! - `provenance_s` — provenance build + write: `provenance_iter` fed
@@ -28,6 +31,7 @@
 //! runs a smoke slice and writes nothing; under `cargo bench` it runs
 //! the full slice and writes the JSON.
 
+use serde::{Serialize, Value};
 use std::time::Instant;
 use sweep::{Scope, SettingData, SweepSpec};
 
@@ -43,6 +47,16 @@ fn time_passes(passes: usize, mut pass: impl FnMut()) -> (f64, Vec<f64>) {
         })
         .collect();
     (reps.iter().copied().fold(f64::INFINITY, f64::min), reps)
+}
+
+/// Every float of `value`'s tree, in document order.
+fn floats_of(value: &Value, out: &mut Vec<f64>) {
+    match value {
+        Value::F64(x) => out.push(*x),
+        Value::Seq(items) => items.iter().for_each(|item| floats_of(item, out)),
+        Value::Map(entries) => entries.iter().for_each(|(_, item)| floats_of(item, out)),
+        _ => {}
+    }
 }
 
 /// `collect`'s stratum series of every architecture (batches arrive
@@ -72,9 +86,17 @@ fn run(scope: Scope, write_json: bool) {
     let samples: usize = batches.iter().map(|b| b.samples.len()).sum();
     let passes = if write_json { 7 } else { 2 };
 
-    // One buffer for both documents, so a pass measures serialization
+    // One buffer for every document, so a pass measures serialization
     // and not the allocator growing a fresh Vec.
     let mut out = Vec::new();
+    let mut floats = Vec::new();
+    floats_of(&batches.serialize_value(), &mut floats);
+    let (float_s, float_reps) = time_passes(passes, || {
+        out.clear();
+        serde_json::to_writer(&mut out, &floats).expect("in-memory write");
+    });
+    let ns_per_float = |s: f64| s * 1e9 / floats.len() as f64;
+    let float_ns_reps: Vec<f64> = float_reps.iter().map(|&s| ns_per_float(s)).collect();
     let mut raw_bytes = 0;
     let (raw_json_s, raw_json_reps) = time_passes(passes, || {
         out.clear();
@@ -127,6 +149,12 @@ fn run(scope: Scope, write_json: bool) {
 
     let ns_per_sample = |s: f64| s * 1e9 / samples as f64;
     println!("export_tail ({scope:?}): {samples} samples");
+    println!(
+        "  {:<26} {float_s:.6}s  {:>8.1} ns/float   {} floats",
+        "f64 text",
+        ns_per_float(float_s),
+        floats.len()
+    );
     for (what, s, work) in [
         ("write_raw_json", raw_json_s, format!("{raw_bytes} bytes")),
         (
@@ -158,6 +186,7 @@ fn run(scope: Scope, write_json: bool) {
         let json = format!(
             "{{\n  \"bench\": \"export_tail\",\n  \"scope\": \"{scope:?}\",\n  \
              \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
+             \"float_ns\": {:.1},\n  \"floats\": {},\n  \
              \"raw_json_s\": {raw_json_s:.6},\n  \"read_raw_json_s\": {read_raw_json_s:.6},\n  \
              \"provenance_s\": {provenance_s:.6},\n  \"tsdb_s\": {tsdb_s:.6},\n  \
              \"tail_s\": {tail_s:.6},\n  \"tail_parallel_s\": {tail_parallel_s:.6},\n  \
@@ -165,13 +194,16 @@ fn run(scope: Scope, write_json: bool) {
              \"provenance_ns_per_sample\": {:.0},\n  \"tsdb_ns_per_sample\": {:.0},\n  \
              \"raw_json_bytes\": {raw_bytes},\n  \"provenance_bytes\": {provenance_bytes},\n  \
              \"tsdb_points\": {points},\n  \
-             \"raw_json_s_reps\": {},\n  \"read_raw_json_s_reps\": {},\n  \
+             \"float_ns_reps\": {},\n  \"raw_json_s_reps\": {},\n  \"read_raw_json_s_reps\": {},\n  \
              \"provenance_s_reps\": {},\n  \"tsdb_s_reps\": {},\n  \
              \"tail_s_reps\": {},\n  \"tail_parallel_s_reps\": {}\n}}\n",
+            ns_per_float(float_s),
+            floats.len(),
             ns_per_sample(raw_json_s),
             ns_per_sample(read_raw_json_s),
             ns_per_sample(provenance_s),
             ns_per_sample(tsdb_s),
+            reps_json(&float_ns_reps),
             reps_json(&raw_json_reps),
             reps_json(&read_raw_json_reps),
             reps_json(&provenance_reps),

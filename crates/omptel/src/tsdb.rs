@@ -40,6 +40,16 @@ pub const DEFAULT_CAPACITY: u64 = 16_384;
 /// Series file extension.
 const EXT: &str = "omts";
 
+/// Little-endian word `i` of a header or a record. Both are whole words
+/// — the header a fixed array, a record a `chunks_exact(RECORD_BYTES)`
+/// item — and callers name a word inside them, so the slice is in
+/// bounds.
+fn le_word(bytes: &[u8], i: usize) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
+    u64::from_le_bytes(word)
+}
+
 /// One pre-aggregated observation bucket.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
@@ -80,11 +90,10 @@ impl Point {
     }
 
     fn decode(b: &[u8]) -> Point {
-        let word = |i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
         Point {
-            ts: word(0),
-            count: word(1),
-            sum: f64::from_bits(word(2)),
+            ts: le_word(b, 0),
+            count: le_word(b, 1),
+            sum: f64::from_bits(le_word(b, 2)),
         }
     }
 }
@@ -198,8 +207,7 @@ fn read_header(file: &mut File, path: &Path) -> io::Result<(u64, u64)> {
     if &header[0..8] != MAGIC {
         return Err(bad("not an OMTSDB01 ring file"));
     }
-    let capacity = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let head = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+    let (capacity, head) = (le_word(&header, 1), le_word(&header, 2));
     if capacity == 0 {
         return Err(bad("zero capacity"));
     }

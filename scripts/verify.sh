@@ -44,6 +44,15 @@ named="$(find crates/*/src -name '*.rs' -exec awk 'FNR == 1 { test = 0 }
     echo "verify: \"KMP_FORCE_REDUCTION\" is spelled outside the variable table: $named" >&2
     exit 1
 }
+# One float path: the JSON sink writes an f64's digits itself
+# (vendor/serde_json/src/number.rs) and core::fmt is only the reference the
+# tests hold it to — over every binade here, over random, artifact-like and
+# tie inputs in tier-1. The `{x}` it replaced must not come back beside it.
+! grep -qF 'format_args!("{x' vendor/serde_json/src/lib.rs || {
+    echo 'verify: vendor/serde_json/src/lib.rs formats an f64 through format_args!("{x…")' >&2
+    exit 1
+}
+step cargo test -q --test serde_stream float_text -- --ignored
 # One series namer: `collect` names and writes no series itself — that
 # is sweep::series' two writers — and has no switch for the influence pair.
 for gone in 'tsdb.append' '--no-influence'; do

@@ -4,8 +4,10 @@
 //! tree is another of each. These tests hold the streamed JSON to the
 //! tree-walking emitter it replaced and the streamed reads to the
 //! tree-building parser they replaced (both kept here as the reference),
-//! for every shape the derive supports; hold `to_writer` to its I/O
-//! contract; and feed the reader truncated, mutated and hostile bytes.
+//! for every shape the derive supports; hold the sink's own float text to
+//! `core::fmt`'s; hold `to_writer` to its I/O contract; and feed the
+//! reader, and the dataset and manifest readers built on it, truncated,
+//! mutated and hostile bytes.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -615,6 +617,92 @@ fn bare_scalars_and_empty_containers_stream_like_the_tree() {
 }
 
 // ---------------------------------------------------------------------------
+// The sink writes an `f64`'s digits itself. `core::fmt`, which wrote them
+// before, stays the reference: `reference_json`'s two `format!`s.
+
+/// One float through the sink: `core::fmt`'s text, and the same bits back.
+fn check_float(x: f64) {
+    let text = serde_json::to_string(&x).unwrap();
+    let mut reference = String::new();
+    reference_json(&Value::F64(x), &mut reference);
+    assert_eq!(text, reference, "bits {:#018x}", x.to_bits());
+    if x.is_finite() {
+        let back: f64 = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+    }
+}
+
+#[test]
+fn float_text_is_core_fmts_on_random_artifact_and_tie_inputs() {
+    let mut rng = TestRng::for_test("floats");
+    for _ in 0..60_000 {
+        check_float(f64::from_bits(rng.next_u64()));
+        // What the artifacts hold: seconds, nanoseconds, joules.
+        let mantissa = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        for scale in [0.05, 5.7e7, 2.1e6, 7.9, 0.066] {
+            check_float(mantissa * scale);
+            check_float(-mantissa * scale);
+        }
+        // Exact halves: 1 to 3 fractional bits under an integer that
+        // leaves 15 to 17 significant digits. Where the shortest text
+        // drops the final 5, both neighbours are equally close, and
+        // `core::fmt` takes the upper one (`…610.625` is `…610.63`)
+        // where the published algorithms take the even one.
+        let bits = 1 + rng.below(3);
+        let integer_digits = 15 + rng.below(3) - bits;
+        let least = 10u64.pow(integer_digits as u32 - 1);
+        let most = (10 * least).min(1 << (53 - bits));
+        let integer = least + rng.below(most - least);
+        let odd = 1 + 2 * rng.below(1 << (bits - 1));
+        check_float(integer as f64 + odd as f64 / (1u64 << bits) as f64);
+    }
+    let edges = [
+        0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        1e15 - 1.0,
+        1e15,
+        1e16,
+        1e21,
+        1e22,
+        1e23,
+        9007199254740993.0,
+        0.1,
+        0.3,
+        2.5e-7,
+        // `…610.625`, the tie above, spelled so that clippy does not round it.
+        95438016434610.0 + 0.625,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    for x in edges {
+        check_float(x);
+        check_float(-x);
+    }
+}
+
+/// Every binade, at its ends, next to them and at each power of two
+/// inside, and 2^20 random doubles.
+#[test]
+#[ignore = "1.5M floats, seconds: scripts/verify.sh runs it with --ignored"]
+fn float_text_is_core_fmts_in_every_binade() {
+    let mut rng = TestRng::for_test("binades");
+    const LAST: u64 = (1 << 52) - 1;
+    for exponent in 0..0x7ff_u64 {
+        check_float(f64::from_bits(exponent << 52 | LAST));
+        for bit in 0..52 {
+            for mantissa in [(1 << bit) - 1, 1 << bit, (1 << bit) + 1, LAST ^ 1 << bit] {
+                check_float(f64::from_bits(exponent << 52 | mantissa & LAST));
+            }
+        }
+    }
+    for _ in 0..1 << 20 {
+        check_float(f64::from_bits(rng.next_u64()));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // `to_writer`'s I/O contract.
 
 /// Accepts `room` bytes, then fails; records the largest single write.
@@ -925,4 +1013,69 @@ fn raw_batches_survive_the_round_trip_failed_repetitions_included() {
             data::slice_fingerprint(&batches)
         );
     }
+}
+
+/// What `RunRecord::from_jsonl` already owes one registry line, for a
+/// reader of a whole document: every strict prefix is an error, and 8
+/// mutations of every byte and 4,000 arbitrary inputs — raw bytes in turn
+/// with strings over `alphabet`, which get further into the reader — are
+/// an error or a value. A panic anywhere fails the test.
+fn survives_hostile_bytes<T>(
+    document: &[u8],
+    alphabet: &[u8],
+    read: impl Fn(&[u8]) -> io::Result<T>,
+) {
+    assert!(read(document).is_ok());
+    let mut mutated = document.to_vec();
+    for at in 0..document.len() {
+        assert!(read(&document[..at]).is_err(), "cut at {at}");
+        for with in [b'0', b'"', b'{', b']', b'\\', b',', 0xff, document[at] ^ 1] {
+            mutated[at] = with;
+            let _ = read(&mutated);
+        }
+        mutated[at] = document[at];
+    }
+    let mut rng = TestRng::for_test("arbitrary");
+    for round in 0..4000 {
+        let junk: Vec<u8> = (0..rng.below(96))
+            .map(|_| match round % 2 {
+                0 => rng.next_u64() as u8,
+                _ => alphabet[rng.below(alphabet.len() as u64) as usize],
+            })
+            .collect();
+        let _ = read(&junk);
+    }
+}
+
+#[test]
+fn the_dataset_and_manifest_readers_survive_hostile_bytes() {
+    use omptune::data::{self, export, Scope, SweepOptions, SweepSpec};
+    // Two samples of `collect tiny`'s first batch, one with a failed
+    // repetition (`null`), and the manifest of a run that held only them.
+    let spec = SweepSpec {
+        scope: Scope::Strided(400),
+        ..SweepSpec::default()
+    };
+    let arch = omptune::core::Arch::ALL[0];
+    let mut batches = data::sweep_arch_scheduled(arch, &spec, &SweepOptions::new(2)).batches;
+    batches.truncate(1);
+    batches[0].samples.truncate(2);
+    batches[0].samples[1].runtimes[0] = f64::NAN;
+    let mut manifest = data::RunManifest::new(&spec);
+    let mut latency = omptune::tel::Histogram::new();
+    latency.record(1500);
+    let stats = data::SweepStats::default();
+    manifest.push_arch(arch, &batches, 0, 0.25, stats, latency);
+
+    const JSON: &[u8] = b"{}[]\",:\\0123456789.-e nulltruefalse";
+    let mut text = Vec::new();
+    export::write_raw_json(&batches, &mut text).unwrap();
+    let alphabet = [JSON, b"\"key\"\"samples\"\"config\"\"runtimes\"\"Unset\""].concat();
+    survives_hostile_bytes(&text, &alphabet, export::read_raw_json);
+
+    let mut text = Vec::new();
+    data::write_manifest(&manifest, &mut text).unwrap();
+    assert_eq!(text.pop(), Some(b'\n'));
+    let alphabet = [JSON, b"\"scope\"\"arches\"\"summary\"\"counts\""].concat();
+    survives_hostile_bytes(&text, &alphabet, data::read_manifest);
 }
