@@ -144,11 +144,6 @@ impl CorePool {
         (start, end)
     }
 
-    /// When `core` next becomes free.
-    pub fn free_at(&self, core: usize) -> VTime {
-        self.next_free[core]
-    }
-
     /// Among `cores`, the one that frees up first (ties go to the lowest
     /// index, deterministically).
     pub fn earliest_free_of(&self, cores: impl IntoIterator<Item = usize>) -> Option<usize> {

@@ -24,7 +24,7 @@ use ompprof::Attribution;
 use omptune_core::{Arch, LiveInfluence};
 use std::sync::Mutex;
 use std::time::Instant;
-use sweep::{Scope, SettingData, SweepOptions, SweepSpec};
+use sweep::{slice_fingerprint, Scope, SettingData, SweepOptions, SweepSpec};
 
 const WORKERS: usize = 4;
 
@@ -42,23 +42,6 @@ fn sweep_once(
         batches.extend(sweep::sweep_arch_scheduled(arch, spec, &opts).batches);
     }
     (t0.elapsed().as_secs_f64(), batches)
-}
-
-/// FNV-1a over every runtime bit pattern: cheap bit-identity fingerprint.
-fn fingerprint(batches: &[SettingData]) -> u64 {
-    let mut h = omptune_core::Fnv1a::new();
-    for b in batches {
-        for s in &b.samples {
-            h.eat_u64(s.telemetry.virtual_ns.to_bits());
-            for r in &s.runtimes {
-                h.eat_u64(r.to_bits());
-            }
-        }
-        for r in &b.default_runtimes {
-            h.eat_u64(r.to_bits());
-        }
-    }
-    h.finish()
 }
 
 fn fold_all(batches: &[SettingData]) -> Attribution {
@@ -131,8 +114,8 @@ fn run(scope: Scope, write_json: bool) {
         influence_reps.push(t);
         influence_s = influence_s.min(t);
         assert_eq!(
-            fingerprint(&batches),
-            fingerprint(&b),
+            slice_fingerprint(&batches),
+            slice_fingerprint(&b),
             "influence-observed sweep diverged from the plain sweep"
         );
         final_influence_samples = live.lock().expect("influence tracker poisoned").samples();
@@ -179,7 +162,10 @@ fn run(scope: Scope, write_json: bool) {
             }
         };
         let (t_obs, retry_batches) = sweep_once(&spec, Some(&observer));
-        assert_eq!(fingerprint(&batches), fingerprint(&retry_batches));
+        assert_eq!(
+            slice_fingerprint(&batches),
+            slice_fingerprint(&retry_batches)
+        );
         influence_reps.push(t_obs);
         influence_s = influence_s.min(t_obs);
         overhead = influence_s / plain_s;

@@ -22,7 +22,7 @@
 
 use omptune_core::Arch;
 use std::time::Instant;
-use sweep::{SampleCache, Scope, SweepOptions, SweepSpec};
+use sweep::{slice_fingerprint, SampleCache, Scope, SweepOptions, SweepSpec};
 
 const WORKERS: usize = 4;
 
@@ -44,11 +44,14 @@ fn sweep_once(
     (elapsed, batches, samples)
 }
 
-/// One warm sweep that also records the run in the registry — what
-/// `collect` does on every run: per-batch digest partials folded by a
-/// batch observer the moment each batch finalizes (cache-hot on the
+/// One warm sweep that also records the run in the registry, the way
+/// `sweep::collect` does on every run: per-batch digest partials folded
+/// by a batch observer the moment each batch finalizes (cache-hot on the
 /// worker thread), merged in canonical order, and appended as one
-/// content-addressed record.
+/// content-addressed record. Spelled out here rather than called through
+/// `sweep::collect::run`: the three clocks below sit inside the observer,
+/// around the merge and around the append, where no hook of a whole run
+/// (which also cleans, writes series and exports) reaches.
 /// Returns `(total_pass_seconds, recording_tax_seconds, batches)`.
 /// The tax is the directly-clocked sum of everything recording adds to
 /// a plain warm sweep: the per-batch observer folds (timed inside the
@@ -99,23 +102,6 @@ fn registry_once(
     tax += a0.elapsed().as_secs_f64();
     tax += fold_ns.load(Ordering::Relaxed) as f64 * 1e-9;
     (t0.elapsed().as_secs_f64(), tax, all)
-}
-
-/// FNV-1a over every runtime bit pattern: cheap bit-identity fingerprint.
-fn fingerprint(batches: &[sweep::SettingData]) -> u64 {
-    let mut h = omptune_core::Fnv1a::new();
-    for b in batches {
-        for s in &b.samples {
-            h.eat_u64(s.telemetry.virtual_ns.to_bits());
-            for r in &s.runtimes {
-                h.eat_u64(r.to_bits());
-            }
-        }
-        for r in &b.default_runtimes {
-            h.eat_u64(r.to_bits());
-        }
-    }
-    h.finish()
 }
 
 fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
@@ -176,7 +162,7 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
         ..SweepSpec::default()
     };
     let (_, reg_cold_batches, reg_samples) = sweep_once(&reg_spec, Some(&cache));
-    let reg_fp = fingerprint(&reg_cold_batches);
+    let reg_fp = slice_fingerprint(&reg_cold_batches);
     drop(reg_cold_batches);
     let registry_dir = cache_dir.join("registry");
     let registry = sweep::Registry::open(&registry_dir).expect("open bench registry");
@@ -199,7 +185,7 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
         reg_tax_reps.push(tax);
         *registry_s = registry_s.min(t);
         assert_eq!(
-            fingerprint(&rb),
+            slice_fingerprint(&rb),
             reg_fp,
             "registered sweep diverged from its cold sweep"
         );
@@ -265,20 +251,20 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
     }
     let recording = recorder.finish();
 
-    let base_fp = fingerprint(&baseline);
+    let base_fp = slice_fingerprint(&baseline);
     assert_eq!(
         base_fp,
-        fingerprint(&cold_batches),
+        slice_fingerprint(&cold_batches),
         "cold cached sweep diverged from uncached sweep"
     );
     assert_eq!(
         base_fp,
-        fingerprint(&warm_batches),
+        slice_fingerprint(&warm_batches),
         "warm cached sweep diverged from uncached sweep"
     );
     assert_eq!(
         base_fp,
-        fingerprint(&traced_batches),
+        slice_fingerprint(&traced_batches),
         "traced sweep diverged from untraced sweep"
     );
 
@@ -300,7 +286,7 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
             .expect("no other flight recorder is live");
         let (t_traced, retry_batches, _) = sweep_once(&spec, None);
         retry_rec.finish();
-        assert_eq!(base_fp, fingerprint(&retry_batches));
+        assert_eq!(base_fp, slice_fingerprint(&retry_batches));
         traced_reps.push(t_traced);
         traced_s = traced_s.min(t_traced);
         overhead = traced_s / plan_only_s;

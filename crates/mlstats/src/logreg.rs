@@ -88,11 +88,6 @@ impl LogisticModel {
                 .sum::<f64>()
     }
 
-    /// Predicted probability of the positive class.
-    pub fn predict_proba(&self, x: &[f64]) -> f64 {
-        sigmoid(self.decision(x))
-    }
-
     /// Hard 0/1 prediction at the 0.5 threshold.
     pub fn predict(&self, x: &[f64]) -> bool {
         self.decision(x) >= 0.0

@@ -43,11 +43,6 @@ impl Rng {
         lo + self.below(hi - lo + 1)
     }
 
-    /// True with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
-
     /// Pick one element of a nonempty slice.
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.below(xs.len() as u64) as usize]

@@ -761,8 +761,8 @@ fn parse_roster(s: &str) -> Option<sweep::Roster> {
 }
 
 /// Re-run the sweep recorded by the latest comparable run under the
-/// current tree (warm from `cache` when given) and compare content
-/// addresses against the whole trail.
+/// current tree, as `collect` would (warm from `cache` when given), and
+/// compare content addresses against the whole trail.
 pub fn bisect(
     records: &[RunRecord],
     cache: Option<&sweep::SampleCache>,
@@ -782,22 +782,13 @@ pub fn bisect(
         seed: recorded.seed,
         failure_rate: f64::from_bits(recorded.failure_rate_bits),
     };
-    let mut core = sweep::CollectCore::new(&spec);
-    for digest in &recorded.arches {
-        let arch = omptune_core::Arch::from_id(&digest.arch)
-            .ok_or_else(|| format!("recorded architecture {:?} no longer exists", digest.arch))?;
-        let opts = match cache {
-            Some(c) => sweep::SweepOptions::new(workers.max(1)).with_cache(c),
-            None => sweep::SweepOptions::new(workers.max(1)),
-        };
-        let outcome = sweep::sweep_arch_scheduled(arch, &spec, &opts);
-        let mut batches = outcome.batches;
-        let mut dropped = 0usize;
-        for data in &mut batches {
-            dropped += sweep::clean(data, spec.reps as usize).dropped.len();
-        }
-        core.push_arch(arch.id(), &batches, dropped as u64);
-    }
+    let core = sweep::collect::core_of(&sweep::collect::Job {
+        spec: &spec,
+        workers: workers.max(1),
+        cache,
+        perturb: None,
+        watchdog: None,
+    });
     let replay_hash = RunCore::Collect(core).hash();
     Ok(Bisect {
         replay_hash: format!("{replay_hash:016x}"),

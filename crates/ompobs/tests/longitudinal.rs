@@ -5,7 +5,8 @@
 use std::path::PathBuf;
 
 use omptune_core::Arch;
-use sweep::{clean, CollectCore, Registry, RunCore, RunInfo, Scope, SweepOptions, SweepSpec};
+use sweep::collect::Job;
+use sweep::{CollectCore, Registry, RunCore, RunInfo, Scope, SweepSpec};
 
 fn temp_registry(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ompobs-it-{tag}-{}", std::process::id()));
@@ -13,39 +14,21 @@ fn temp_registry(tag: &str) -> PathBuf {
     dir
 }
 
-/// Sweep two architectures at the tiny stride and fold a core,
-/// optionally scaling one architecture's virtual time — the same fault
-/// `collect --perturb` injects.
+/// The core `collect tiny` registers, optionally under the fault
+/// `collect --perturb` injects (one architecture's runtimes, virtual
+/// time and energy scaled, default rows included).
 fn swept_core(perturb: Option<(Arch, f64)>) -> CollectCore {
     let spec = SweepSpec {
         scope: Scope::Strided(400),
         ..SweepSpec::default()
     };
-    let mut core = CollectCore::new(&spec);
-    for &arch in &[Arch::A64fx, Arch::Skylake] {
-        let outcome = sweep::sweep_arch_scheduled(arch, &spec, &SweepOptions::new(2));
-        let mut batches = outcome.batches;
-        if let Some((p, factor)) = perturb {
-            if p == arch {
-                for data in &mut batches {
-                    for sample in &mut data.samples {
-                        for t in &mut sample.runtimes {
-                            if t.is_finite() {
-                                *t *= factor;
-                            }
-                        }
-                        sample.telemetry.virtual_ns *= factor;
-                    }
-                }
-            }
-        }
-        let mut dropped = 0usize;
-        for data in &mut batches {
-            dropped += clean(data, spec.reps as usize).dropped.len();
-        }
-        core.push_arch(arch.id(), &batches, dropped as u64);
-    }
-    core
+    sweep::collect::core_of(&Job {
+        spec: &spec,
+        workers: 2,
+        cache: None,
+        perturb,
+        watchdog: None,
+    })
 }
 
 fn append(reg: &Registry, core: CollectCore, rev: &str, ts: u64) -> sweep::RunRecord {

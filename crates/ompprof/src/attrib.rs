@@ -99,15 +99,6 @@ impl Cell {
             from_fp(self.energy_ufp) / 1e6 / self.samples as f64
         }
     }
-
-    /// Mean energy-delay product per sample in joule-seconds.
-    pub fn mean_edp_js(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            from_fp(self.edp_ufp) / 1e6 / self.samples as f64
-        }
-    }
 }
 
 /// A marginal-cost profile over a sweep slice: one cell per

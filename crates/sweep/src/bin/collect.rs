@@ -31,12 +31,12 @@
 //! aggregates, wall sample latency, and scheduler rates — which
 //! `ompobs drift` compares across runs.
 
-use omptune_core::{Arch, LiveInfluence};
+use omptune_core::Arch;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-use sweep::{Roster, RunManifest, SampleCache, Scope, SettingData, SweepOptions, SweepSpec};
+use std::sync::Arc;
+use sweep::collect::{ArchDone, ArchEnergy, Job, State, Watch};
+use sweep::{Roster, SampleCache, Scope, SweepSpec};
 
 const HELP: &str = "\
 collect — run the paper's data-collection sweep and export its artifacts
@@ -216,145 +216,23 @@ fn parse_cli() -> Result<Cli, String> {
     })
 }
 
-/// Fault injection for the change-point sentinel's acceptance test:
-/// scale every runtime, virtual-time, and energy figure of one
-/// architecture's batches, exactly as a real regression on that arch
-/// would move them. Applied before any artifact (tsdb, provenance,
-/// registry) is built.
-fn perturb_batches(batches: &mut [SettingData], factor: f64) {
-    for data in batches.iter_mut() {
-        for t in &mut data.default_runtimes {
-            if t.is_finite() {
-                *t *= factor;
-            }
-        }
-        data.default_telemetry.virtual_ns *= factor;
-        data.default_telemetry.energy.scale(factor);
-        for sample in &mut data.samples {
-            for t in &mut sample.runtimes {
-                if t.is_finite() {
-                    *t *= factor;
-                }
-            }
-            sample.telemetry.virtual_ns *= factor;
-            sample.telemetry.energy.scale(factor);
-        }
-    }
-}
-
-/// Modeled energy an architecture's cleaned samples cost.
-#[derive(Default, Clone, Copy)]
-struct ArchEnergy {
-    /// Σ total_j over the finite samples.
-    joules: f64,
-    /// Σ total_j · virtual_s — the energy-delay product in J·s.
-    edp_js: f64,
-    /// Per-sink joules, `omptel::EnergySink::ALL` order.
-    sinks: [f64; omptel::EnergySink::ALL.len()],
-}
-
-impl ArchEnergy {
-    fn of(batches: &[SettingData]) -> ArchEnergy {
-        let mut total = ArchEnergy::default();
-        for sample in batches.iter().flat_map(|data| &data.samples) {
-            let e = &sample.telemetry.energy;
-            if !e.total_j.is_finite() {
-                continue;
-            }
-            total.joules += e.total_j;
-            total.edp_js += e.edp_js(sample.telemetry.virtual_ns);
-            for (slot, sink) in total.sinks.iter_mut().zip(omptel::EnergySink::ALL) {
-                *slot += e.get(sink);
-            }
-        }
-        total
-    }
-}
-
-/// The run's one per-architecture record: the manifest `manifest.json`
-/// is written from, and beside each `manifest.arches[i]` its modeled
-/// energy (`manifest.json`'s bytes are pinned, so it cannot grow the
-/// field). Every surface that reports a finished architecture — `/sweep`,
-/// `/energy`, the energy gauges, stderr, the registry record — reads it.
-struct Run {
-    manifest: RunManifest,
-    energy: Vec<ArchEnergy>,
-}
-
-const POISONED: &str = "sweep state poisoned";
-
-/// Shared view of the sweep in flight, rendered by the monitor's routes.
+/// What the monitor's routes render: the run as `sweep::collect` keeps
+/// it, plus what only a monitored run knows.
 struct SweepState {
     /// Longitudinal registry context at run start:
     /// (dir, records, corrupt_skipped). `None` with `--no-registry`,
     /// and without `--monitor` (nothing would serve it).
     registry: Option<(String, u64, u64)>,
-    current: Mutex<Option<(String, Arc<omptel::Progress>, u64)>>,
-    run: Mutex<Run>,
-    /// Streaming influence, one online logistic model per objective,
-    /// indexed like `sweep::series::OBJECTIVES`: did the config beat the
-    /// arch default's time, and did it cost fewer joules? Where the two
-    /// rankings disagree is the ompwatt disagreement map, live.
-    /// Exposition only: it never feeds back into sampling or artifacts.
-    influence: Mutex<[LiveInfluence; 2]>,
+    run: State,
 }
 
 impl SweepState {
-    fn new(manifest: RunManifest, registry: Option<(String, u64, u64)>) -> SweepState {
-        SweepState {
-            registry,
-            current: Mutex::new(None),
-            run: Mutex::new(Run {
-                manifest,
-                energy: Vec::new(),
-            }),
-            influence: Mutex::new([LiveInfluence::new(), LiveInfluence::new()]),
-        }
-    }
-
-    fn begin_arch(&self, arch: &str, meter: Arc<omptel::Progress>, total: u64) {
-        *self.current.lock().expect(POISONED) = Some((arch.to_string(), meter, total));
-    }
-
-    fn end_arch(&self) {
-        *self.current.lock().expect(POISONED) = None;
-    }
-
-    /// Feed one completed batch to both influence trackers: per sample
-    /// and objective, the default's cost over the sample's.
-    fn observe(&self, data: &SettingData) {
-        let usable = |cost: f64| cost.is_finite() && cost > 0.0;
-        let defaults = [data.default_mean(), data.default_telemetry.energy.total_j];
-        let mut pair = self.influence.lock().expect(POISONED);
-        for sample in &data.samples {
-            let costs = [sample.mean_runtime(), sample.telemetry.energy.total_j];
-            for (live, (default, cost)) in pair.iter_mut().zip(defaults.into_iter().zip(costs)) {
-                if usable(default) && usable(cost) {
-                    live.observe(&sample.config, default / cost);
-                }
-            }
-        }
-    }
-
-    /// The `/influence` document of one objective's tracker.
-    fn influence_json(&self, objective: usize) -> String {
-        self.influence.lock().expect(POISONED)[objective].json()
-    }
-
-    /// (joules, EDP J·s) summed over the completed architectures.
-    fn energy_totals(&self) -> (f64, f64) {
-        let run = self.run.lock().expect(POISONED);
-        run.energy
-            .iter()
-            .fold((0.0, 0.0), |(j, e), a| (j + a.joules, e + a.edp_js))
-    }
-
     /// The `/energy` JSON document: per-arch joules, EDP, and sink
     /// split over the cleaned samples, plus the streaming
     /// energy-influence ranking.
     fn energy_json(&self) -> String {
         let mut out = String::from("{\"schema\":\"ompwatt-energy-v1\",\"arches\":[");
-        let run = self.run.lock().expect(POISONED);
+        let run = self.run.lock();
         for (i, (a, energy)) in run.manifest.arches.iter().zip(&run.energy).enumerate() {
             if i > 0 {
                 out.push(',');
@@ -375,27 +253,18 @@ impl SweepState {
             }
             out.push_str("}}");
         }
-        drop(run);
         out.push_str("],\"influence\":");
-        out.push_str(&self.influence_json(1));
+        out.push_str(&run.influence[1].json());
         out.push('}');
         out
-    }
-
-    fn current_meter(&self) -> Option<(Arc<omptel::Progress>, u64)> {
-        self.current
-            .lock()
-            .expect(POISONED)
-            .as_ref()
-            .map(|(_, m, total)| (m.clone(), *total))
     }
 
     /// The `/sweep` JSON document.
     fn json(&self) -> String {
         let mut out = String::from("{");
-        let run = self.run.lock().expect(POISONED);
+        let run = self.run.lock();
         out.push_str(&format!("\"scope\":\"{}\",", run.manifest.scope));
-        match &*self.current.lock().expect(POISONED) {
+        match &run.current {
             Some((arch, meter, total)) => out.push_str(&format!(
                 "\"state\":\"running\",\"current\":{{\"arch\":\"{arch}\",\
                  \"done\":{},\"total\":{total},\"elapsed_s\":{:.3}}},",
@@ -460,33 +329,85 @@ impl SweepState {
         out.push_str("]}");
         out
     }
-}
 
-/// The run's scheduler counters for its registry record, summed over
-/// the per-architecture records (the sample-cache pair through
-/// `arch_lookups`: `ArchManifest::stats` carries it cumulatively).
-fn scheduler_counters(manifest: &RunManifest) -> Vec<(String, u64)> {
-    let names = [
-        "plan_hits",
-        "plan_misses",
-        "sample_hits",
-        "sample_misses",
-        "steals",
-        "units",
-    ];
-    let mut totals = [0u64; 6];
-    for (i, a) in manifest.arches.iter().enumerate() {
-        let (hits, misses) = manifest.arch_lookups(i);
-        let s = &a.stats;
-        let own = [s.plan_hits, s.plan_misses, hits, misses, s.steals, s.units];
-        for (total, n) in totals.iter_mut().zip(own) {
-            *total += n;
+    /// The `/metrics` body: the process snapshot plus this run's gauges.
+    fn metrics(&self) -> String {
+        let mut snap = omptel::MetricsSnapshot::capture();
+        // Registry counters: history depth at run start and how many
+        // records corruption has cost, so scrapers can alarm on a
+        // decaying registry.
+        if let Some((_, records, corrupt)) = &self.registry {
+            snap = snap
+                .gauge("registry_records", *records as f64)
+                .gauge("registry_corrupt_skipped", *corrupt as f64);
         }
+        let run = self.run.lock();
+        // Progress gauges are always present (zero between arches) so
+        // scrapers never see a series disappear.
+        let (done, total, elapsed) = match &run.current {
+            Some((_, meter, total)) => {
+                snap = snap.histogram(
+                    "sample_latency_ns",
+                    meter.latency_histogram(),
+                    Some(meter.latency_sum_ns()),
+                );
+                (meter.done() as f64, *total as f64, meter.elapsed_s())
+            }
+            None => (0.0, 0.0, 0.0),
+        };
+        // Energy totals over the completed arches: joules and the
+        // energy-delay product, so a scraper can watch the second
+        // objective accumulate alongside virtual time.
+        let (joules, edp) = energy_totals(&run.energy);
+        drop(run);
+        snap.gauge("sweep_done", done)
+            .gauge("sweep_total", total)
+            .gauge("sweep_elapsed_seconds", elapsed)
+            .gauge("sweep_energy_joules", joules)
+            .gauge("sweep_energy_edp_js", edp)
+            .render_prometheus()
     }
-    names.map(str::to_string).into_iter().zip(totals).collect()
 }
 
-fn main() -> std::io::Result<()> {
+/// (joules, EDP J·s) summed over the completed architectures.
+fn energy_totals(energy: &[ArchEnergy]) -> (f64, f64) {
+    energy
+        .iter()
+        .fold((0.0, 0.0), |(j, e), a| (j + a.joules, e + a.edp_js))
+}
+
+/// The run's stderr: a live meter per architecture, then its scoreboard.
+struct Stderr;
+
+impl Watch for Stderr {
+    fn meter(&mut self, label: &str, total: u64) -> omptel::Progress {
+        omptel::Progress::stderr(label, total)
+    }
+
+    fn arch_done(&mut self, done: &ArchDone<'_>) {
+        let (a, s, energy) = (done.arch, &done.arch.stats, &done.energy);
+        let (hits, misses) = done.lookups;
+        eprintln!("{}", done.meter_line);
+        if let Some(factor) = done.perturbed {
+            eprintln!("perturb: scaled {} virtual time by {factor}", a.arch);
+        }
+        eprintln!(
+            "{}: plan cache {}/{} hits, sample cache {hits}/{} hits, {} steals over {} units",
+            a.arch,
+            s.plan_hits,
+            s.plan_hits + s.plan_misses,
+            hits + misses,
+            s.steals,
+            s.units
+        );
+        eprintln!(
+            "{}: modeled energy {:.1} J over {} samples (EDP {:.3} J·s)",
+            a.arch, energy.joules, a.samples, energy.edp_js
+        );
+    }
+}
+
+fn main() {
     let cli = match parse_cli() {
         Ok(cli) => cli,
         Err(msg) => {
@@ -494,6 +415,13 @@ fn main() -> std::io::Result<()> {
             std::process::exit(2);
         }
     };
+    if let Err(e) = collect(cli) {
+        eprintln!("collect: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn collect(cli: Cli) -> std::io::Result<()> {
     fs::create_dir_all(&cli.out_dir)?;
     let cache = cli.cache_dir.map(SampleCache::new);
 
@@ -527,60 +455,34 @@ fn main() -> std::io::Result<()> {
     // from a closure at scrape time), so a monitored run's outputs stay
     // byte-identical to an unmonitored one. The telemetry session makes
     // runtime counters visible to /metrics; counters never feed results.
-    let state = Arc::new(SweepState::new(RunManifest::new(&spec), registry_stats));
+    let state = Arc::new(SweepState {
+        registry: registry_stats,
+        run: State::new(&spec),
+    });
 
-    let _session = cli
-        .monitor
-        .as_ref()
-        .map(|_| omptel::session().expect("no other omptel session is live"));
+    let _session = match &cli.monitor {
+        Some(_) => Some(omptel::session().map_err(std::io::Error::other)?),
+        None => None,
+    };
     let monitor = match &cli.monitor {
         Some(addr) => {
-            let st = state.clone();
-            let metrics: omptel::BodyFn = Arc::new(move || {
-                let mut snap = omptel::MetricsSnapshot::capture();
-                // Registry counters: history depth at run start and how
-                // many records corruption has cost, so scrapers can
-                // alarm on a decaying registry.
-                if let Some((_, records, corrupt)) = &st.registry {
-                    snap = snap
-                        .gauge("registry_records", *records as f64)
-                        .gauge("registry_corrupt_skipped", *corrupt as f64);
-                }
-                // Progress gauges are always present (zero between
-                // arches) so scrapers never see a series disappear.
-                let (done, total, elapsed) = match st.current_meter() {
-                    Some((meter, total)) => {
-                        snap = snap.histogram(
-                            "sample_latency_ns",
-                            meter.latency_histogram(),
-                            Some(meter.latency_sum_ns()),
-                        );
-                        (meter.done() as f64, total as f64, meter.elapsed_s())
-                    }
-                    None => (0.0, 0.0, 0.0),
-                };
-                // Energy totals over the completed arches: joules and
-                // the energy-delay product, so a scraper can watch the
-                // second objective accumulate alongside virtual time.
-                let (joules, edp) = st.energy_totals();
-                snap.gauge("sweep_done", done)
-                    .gauge("sweep_total", total)
-                    .gauge("sweep_elapsed_seconds", elapsed)
-                    .gauge("sweep_energy_joules", joules)
-                    .gauge("sweep_energy_edp_js", edp)
-                    .render_prometheus()
-            });
-            let st = state.clone();
-            let sweep_body: omptel::BodyFn = Arc::new(move || st.json());
-            let st = state.clone();
-            let influence_body: omptel::BodyFn = Arc::new(move || st.influence_json(0));
+            let body = |render: fn(&SweepState) -> String| -> omptel::BodyFn {
+                let st = state.clone();
+                Arc::new(move || render(&st))
+            };
             // /energy: the ompwatt exposition — per-arch joules, EDP,
             // sink split, and the energy-influence ranking.
-            let st = state.clone();
-            let energy_body: omptel::BodyFn = Arc::new(move || st.energy_json());
             let mut routes: Vec<omptel::Route> = vec![
-                ("/influence".to_string(), "application/json", influence_body),
-                ("/energy".to_string(), "application/json", energy_body),
+                (
+                    "/influence".to_string(),
+                    "application/json",
+                    body(|st| st.run.lock().influence[0].json()),
+                ),
+                (
+                    "/energy".to_string(),
+                    "application/json",
+                    body(SweepState::energy_json),
+                ),
             ];
             // /runs: the registry listing, loaded fresh per scrape so a
             // poller sees records land the moment runs finish.
@@ -592,7 +494,12 @@ fn main() -> std::io::Result<()> {
             // If the requested address is squatted, the monitor falls
             // back to an ephemeral port on the same host rather than
             // failing the whole collection run.
-            let m = omptel::Monitor::start_with_fallback(addr, metrics, sweep_body, routes)?;
+            let m = omptel::Monitor::start_with_fallback(
+                addr,
+                body(SweepState::metrics),
+                body(SweepState::json),
+                routes,
+            )?;
             // Scripts discover the actually-bound address (ephemeral
             // or fallback port included) from this file; it is written
             // before any sweeping so pollers never race the run.
@@ -615,144 +522,33 @@ fn main() -> std::io::Result<()> {
     };
 
     // Arm the flight recorder and anomaly watchdog when tracing.
-    let recorder = if cli.trace.is_some() {
-        let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
-            .expect("no other flight recorder is live");
-        let sink = fs::File::create(cli.out_dir.join("anomalies.jsonl"))?;
-        let watchdog = Arc::new(omptel::Watchdog::new(0.999, Box::new(sink)));
-        omptel::install_watchdog(Some(watchdog.clone()));
-        Some((rec, watchdog))
-    } else {
-        None
+    let recorder = match &cli.trace {
+        Some(trace_path) => {
+            let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
+                .map_err(std::io::Error::other)?;
+            let sink = fs::File::create(cli.out_dir.join("anomalies.jsonl"))?;
+            let watchdog = Arc::new(omptel::Watchdog::new(0.999, Box::new(sink)));
+            omptel::install_watchdog(Some(watchdog.clone()));
+            Some((rec, watchdog, trace_path))
+        }
+        None => None,
     };
 
-    let mut batches = Vec::new();
-    // The content-addressed core this run will register: per-arch
-    // stratum series and cost digests, folded from the cleaned batches.
-    let mut run_core = registry.as_ref().map(|_| sweep::CollectCore::new(&spec));
-    // Every run records its time-series; `ompobs drift` compares them
-    // across runs, so unmonitored CI runs need them too.
-    let mut tsdb = omptel::Tsdb::open(cli.out_dir.join("tsdb"), omptel::DEFAULT_CAPACITY)?;
-
-    for &arch in Arch::ALL.iter() {
-        let total = sweep::planned_samples(arch, &spec);
-        let meter = Arc::new(omptel::Progress::stderr(
-            &format!("sweep {} ({:?})", arch.id(), cli.scope),
-            total,
-        ));
-        state.begin_arch(arch.id(), meter.clone(), total);
-        let mut opts = SweepOptions::new(cli.workers).with_progress(&meter);
-        if let Some(c) = &cache {
-            opts = opts.with_cache(c);
-        }
-        // Registry digest partials fold per batch on the worker that
-        // finalized it — while the samples are cache-hot — so recording
-        // the run never re-walks the whole sweep. A perturbed arch opts
-        // out: perturbation mutates samples after the sweep, so its
-        // digest must fold the mutated batches instead.
-        let fold_partials =
-            run_core.is_some() && cli.perturb.is_none_or(|(perturbed, _)| perturbed != arch);
-        let fold_sink: Mutex<Vec<(sweep::RunKey, sweep::BatchPartial)>> = Mutex::new(Vec::new());
-        let observer = |data: &SettingData| {
-            state.observe(data);
-            if fold_partials {
-                let partial = sweep::BatchPartial::fold(data);
-                fold_sink
-                    .lock()
-                    .expect("fold sink poisoned")
-                    .push((data.key.clone(), partial));
-            }
-        };
-        opts = opts.with_batch_observer(&observer);
-        if let Some((_, w)) = &recorder {
-            opts = opts.with_watchdog(w);
-        }
-        let t0 = Instant::now();
-        let outcome = sweep::sweep_arch_scheduled(arch, &spec, &opts);
-        eprintln!("{}", meter.finish());
-        let elapsed = t0.elapsed().as_secs_f64();
-
-        let mut arch_batches = outcome.batches;
-        // Sentinel fault injection: shift this arch's figures before
-        // any artifact sees them, so the perturbation looks exactly
-        // like a real regression to every downstream consumer.
-        if let Some((parch, factor)) = cli.perturb {
-            if parch == arch {
-                perturb_batches(&mut arch_batches, factor);
-                eprintln!("perturb: scaled {} virtual time by {factor}", arch.id());
-            }
-        }
-        let mut arch_dropped = 0usize;
-        for data in &mut arch_batches {
-            arch_dropped += sweep::clean(data, spec.reps as usize).dropped.len();
-        }
-        if let Some(core) = &mut run_core {
-            let partials = std::mem::take(&mut *fold_sink.lock().expect("fold sink poisoned"));
-            if fold_partials && arch_dropped == 0 {
-                // The cleaner kept every sample, so the cache-hot
-                // partials describe exactly the batches being recorded.
-                core.push_arch_partials(arch.id(), &arch_batches, partials, 0);
-            } else {
-                core.push_arch(arch.id(), &arch_batches, arch_dropped as u64);
-            }
-        }
-
-        // The architecture joins the run's record; everything said about
-        // it from here on (series, stderr, timing block, registry) is
-        // read back from there.
-        let mut run = state.run.lock().expect(POISONED);
-        run.manifest.push_arch(
-            arch,
-            &arch_batches,
-            arch_dropped,
-            elapsed,
-            outcome.stats,
-            meter.latency_histogram(),
-        );
-        run.energy.push(ArchEnergy::of(&arch_batches));
-        let i = run.energy.len() - 1;
-        let (done, energy) = (&run.manifest.arches[i], &run.energy[i]);
-        let (hits, misses) = run.manifest.arch_lookups(i);
-
-        // Time-series for the drift sentinel, from the cleaned samples:
-        // the gating per-stratum series, then the informational rest.
-        sweep::series::append_stratum_series(&mut tsdb, arch.id(), &arch_batches)?;
-        sweep::series::append_arch_series(
-            &mut tsdb,
-            done,
-            (hits, misses),
-            meter.latency_sum_ns(),
-            (energy.joules, energy.edp_js),
-            &state.influence.lock().expect(POISONED),
-        )?;
-        // One write per series per arch; a failed write fails the run
-        // here rather than vanishing in the handle's drop.
-        tsdb.flush()?;
-
-        let s = &done.stats;
-        eprintln!(
-            "{}: plan cache {}/{} hits, sample cache {hits}/{} hits, {} steals over {} units",
-            done.arch,
-            s.plan_hits,
-            s.plan_hits + s.plan_misses,
-            hits + misses,
-            s.steals,
-            s.units
-        );
-        eprintln!(
-            "{}: modeled energy {:.1} J over {} samples (EDP {:.3} J·s)",
-            done.arch, energy.joules, done.samples, energy.edp_js
-        );
-        drop(run);
-        state.end_arch();
-        batches.extend(arch_batches);
-    }
-
-    // The artifact tail: every file from one library call, its two jobs
-    // side by side when the worker budget allows.
-    let manifest = state.run.lock().expect(POISONED).manifest.clone();
-    let artifacts =
-        sweep::export::write_artifacts(&cli.out_dir, &batches, &spec, &manifest, cli.workers)?;
+    let job = Job {
+        spec: &spec,
+        workers: cli.workers,
+        cache: cache.as_ref(),
+        perturb: cli.perturb,
+        watchdog: recorder.as_ref().map(|(_, w, _)| &**w),
+    };
+    let done = sweep::collect::run(
+        &job,
+        &cli.out_dir,
+        registry.as_ref(),
+        &state.run,
+        &mut Stderr,
+    )?;
+    let (manifest, artifacts) = (&done.manifest, &done.artifacts);
     for name in sweep::export::ARTIFACT_FILES {
         let path = cli.out_dir.join(name);
         if name == "provenance.jsonl" {
@@ -797,14 +593,13 @@ fn main() -> std::io::Result<()> {
     }
 
     // Harvest the flight recorder and export the Chrome trace.
-    if let Some((rec, watchdog)) = recorder {
+    if let Some((rec, watchdog, trace_path)) = recorder {
         omptel::install_watchdog(None);
         watchdog.flush();
         let recording = rec.finish();
-        let trace_path = cli.trace.expect("recorder implies --trace");
         let doc = omptel::chrome_trace_with_recording(&[], &recording);
         fs::write(
-            &trace_path,
+            trace_path,
             serde_json::to_string(&doc).map_err(std::io::Error::other)?,
         )?;
         let (flagged, corrupt) = watchdog.counts();
@@ -821,33 +616,17 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    // Register the finished run: the deterministic core (hashed) plus
-    // the run-varying context (informational). A registry failure warns
-    // but never fails a collection run that already produced its data.
-    if let (Some(registry), Some(core)) = (&registry, run_core) {
-        let info = sweep::RunInfo {
-            workers: cli.workers as u64,
-            elapsed_s: manifest.arches.iter().map(|a| a.elapsed_s).sum(),
-            manifest_digest: fs::read(cli.out_dir.join("manifest.json"))
-                .map(|b| omptune_core::Fnv1a::of(&b))
-                .unwrap_or(0),
-            out_dir: cli.out_dir.display().to_string(),
-            counters: scheduler_counters(&manifest),
-        };
-        match registry.append(
-            sweep::RunCore::Collect(core),
-            info,
-            &sweep::detect_git_rev(std::path::Path::new(".")),
-            sweep::registry::unix_now(),
-        ) {
-            Ok(rec) => eprintln!(
-                "registry: recorded run #{} ({:016x}) -> {}",
-                rec.seq,
-                rec.record_hash,
-                registry.dir().display()
-            ),
-            Err(e) => eprintln!("registry: failed to record run: {e}"),
-        }
+    // A registry failure warns but never fails a collection run that
+    // already produced its data.
+    match (&registry, &done.record) {
+        (Some(registry), Some(Ok(rec))) => eprintln!(
+            "registry: recorded run #{} ({:016x}) -> {}",
+            rec.seq,
+            rec.record_hash,
+            registry.dir().display()
+        ),
+        (_, Some(Err(e))) => eprintln!("registry: failed to record run: {e}"),
+        _ => {}
     }
 
     // Stop serving only after every artifact is on disk, so a scraper
@@ -863,26 +642,37 @@ mod tests {
     use super::*;
     use serde::Value;
 
-    fn tiny() -> SweepSpec {
-        SweepSpec {
+    /// `collect tiny` run through the library, then brought to the
+    /// golden's state: two finished architectures, no observed sample,
+    /// and the wall-clock and scheduling figures pinned.
+    fn two_arch_state() -> SweepState {
+        let spec = SweepSpec {
             scope: Scope::Strided(400),
             ..SweepSpec::default()
-        }
-    }
+        };
+        let state = SweepState {
+            registry: Some(("/var/reg \"x\"".to_string(), 3, 1)),
+            run: State::new(&spec),
+        };
+        let job = Job {
+            spec: &spec,
+            workers: 1,
+            cache: None,
+            perturb: None,
+            watchdog: None,
+        };
+        let dir = std::env::temp_dir().join(format!("collect-routes-{}", std::process::id()));
+        sweep::collect::run(&job, &dir, None, &state.run, &mut ()).unwrap();
+        let _ = fs::remove_dir_all(&dir);
 
-    /// Two finished architectures, the way `main` records them.
-    fn two_arch_state() -> SweepState {
-        let spec = tiny();
-        let registry = Some(("/var/reg \"x\"".to_string(), 3, 1));
-        let state = SweepState::new(RunManifest::new(&spec), registry);
-        for (arch, elapsed, sample_hits) in [(Arch::A64fx, 0.0123456, 0), (Arch::Skylake, 1.5, 900)]
-        {
-            let mut batches =
-                sweep::sweep_arch_scheduled(arch, &spec, &SweepOptions::new(1)).batches;
-            for data in &mut batches {
-                sweep::clean(data, spec.reps as usize);
-            }
-            let stats = sweep::SweepStats {
+        let mut run = state.run.lock();
+        run.manifest.arches.truncate(2);
+        run.energy.truncate(2);
+        run.influence = Default::default();
+        let pinned = [(0.0123456, 0), (1.5, 900)];
+        for (a, (elapsed_s, sample_hits)) in run.manifest.arches.iter_mut().zip(pinned) {
+            a.elapsed_s = elapsed_s;
+            a.stats = sweep::SweepStats {
                 plan_hits: 7,
                 plan_misses: 5,
                 sample_hits,
@@ -890,12 +680,8 @@ mod tests {
                 steals: 2,
                 units: 11,
             };
-            let mut run = state.run.lock().unwrap();
-            let latency = omptel::Histogram::new();
-            run.manifest
-                .push_arch(arch, &batches, 0, elapsed, stats, latency);
-            run.energy.push(ArchEnergy::of(&batches));
         }
+        drop(run);
         state
     }
 
@@ -920,8 +706,8 @@ mod tests {
         };
         let completed = array_at(&parse(&sweep_doc), 5, "completed");
         let arches = array_at(&parse(&energy_doc), 1, "arches");
-        let (joules, edp_js) = state.energy_totals();
-        let run = state.run.lock().unwrap();
+        let run = state.run.lock();
+        let (joules, edp_js) = energy_totals(&run.energy);
         assert_eq!((completed.len(), arches.len()), (2, 2));
         for (i, (a, e)) in run.manifest.arches.iter().zip(&run.energy).enumerate() {
             let (arch, samples) = (&a.arch, a.samples);
@@ -938,80 +724,5 @@ mod tests {
         }
         assert_eq!(joules, run.energy[0].joules + run.energy[1].joules);
         assert_eq!(edp_js, run.energy[0].edp_js + run.energy[1].edp_js);
-    }
-
-    /// The registry's counters come from the manifest, whose sample-cache
-    /// pair is cumulative: 585 misses then 900 hits is 900/585 for the
-    /// run, not 900/1170 — and none is a session-gated engine counter.
-    #[test]
-    fn registry_counters_sum_the_manifest() {
-        let counters = scheduler_counters(&two_arch_state().run.lock().unwrap().manifest);
-        assert!(counters.is_sorted(), "the registry stores them sorted");
-        let (names, totals): (Vec<_>, Vec<_>) = counters.into_iter().unzip();
-        let all = "plan_hits plan_misses sample_hits sample_misses steals units";
-        assert_eq!(names.join(" "), all);
-        assert_eq!(totals, [14, 10, 900, 585, 4, 22]);
-    }
-
-    /// The merged observer against the two closures it replaced: each
-    /// tracker sees the same observations in the same order.
-    #[test]
-    fn one_observer_feeds_both_trackers_like_the_two_it_replaced() {
-        let time_ref = |live: &mut LiveInfluence, data: &SettingData| {
-            let default = data.default_mean();
-            if !default.is_finite() || default <= 0.0 {
-                return;
-            }
-            for sample in &data.samples {
-                let mean = sample.mean_runtime();
-                if mean.is_finite() && mean > 0.0 {
-                    live.observe(&sample.config, default / mean);
-                }
-            }
-        };
-        let energy_ref = |live: &mut LiveInfluence, data: &SettingData| {
-            let default = data.default_telemetry.energy.total_j;
-            if !default.is_finite() || default <= 0.0 {
-                return;
-            }
-            for sample in &data.samples {
-                let joules = sample.telemetry.energy.total_j;
-                if joules.is_finite() && joules > 0.0 {
-                    live.observe(&sample.config, default / joules);
-                }
-            }
-        };
-
-        // Failure injection leaves non-finite repetitions in the batches,
-        // so the guards are exercised too.
-        let spec = SweepSpec {
-            failure_rate: 0.2,
-            ..tiny()
-        };
-        let batches = sweep::sweep_arch_scheduled(Arch::Skylake, &spec, &SweepOptions::new(1));
-        let mut batches = batches.batches;
-        // One batch whose time default is unusable but whose energy
-        // default is not: only the energy tracker may move.
-        batches[0].default_runtimes.fill(f64::NAN);
-
-        let state = SweepState::new(RunManifest::new(&spec), None);
-        let mut reference = [LiveInfluence::new(), LiveInfluence::new()];
-        for data in &batches {
-            state.observe(data);
-            time_ref(&mut reference[0], data);
-            energy_ref(&mut reference[1], data);
-        }
-        let merged = state.influence.lock().unwrap().clone();
-        assert!(merged[0].samples() > 0);
-        assert!(merged[1].samples() > merged[0].samples());
-        for (objective, (live, reference)) in merged.iter().zip(&reference).enumerate() {
-            let bits = |live: &LiveInfluence| -> Vec<u64> {
-                live.influence().iter().map(|(_, v)| v.to_bits()).collect()
-            };
-            assert_eq!(live.samples(), reference.samples());
-            assert_eq!(bits(live), bits(reference));
-            assert_eq!(live, reference);
-            assert_eq!(state.influence_json(objective), reference.json());
-        }
     }
 }

@@ -10,9 +10,11 @@
 //!   and tabular record building,
 //! - [`export`] — the open-sourced artifacts: CSV tables and raw JSON,
 //! - [`series`] — the per-stratum time-series a run leaves in `tsdb/`,
-//! - [`registry`] — the content-addressed run log `ompobs` reads.
+//! - [`registry`] — the content-addressed run log `ompobs` reads,
+//! - [`collect`] — one collection run over all of the above, in order.
 
 pub mod cache;
+pub mod collect;
 pub mod dataset;
 pub mod export;
 pub mod provenance;

@@ -55,44 +55,39 @@ const KIND_COLLECT: u64 = 0;
 const KIND_BENCH: u64 = 1;
 
 // ---------------------------------------------------------------------------
-// Hashing: [`Fnv1a`] over bytes for strings/files, and an FNV-style
+// Hashing: [`Fnv1a`] over bytes for strings/files, and its
 // word-at-a-time mix for the record core (the core is mostly u64 words;
 // hashing words instead of rendered text keeps content addressing off
 // the serialization hot path).
 
-fn mix(h: &mut u64, w: u64) {
-    *h ^= w;
-    *h = h.wrapping_mul(0x100000001b3);
-}
-
-fn mix_str(h: &mut u64, s: &str) {
-    mix(h, Fnv1a::of(s.as_bytes()));
-    mix(h, s.len() as u64);
+fn mix_str(h: &mut Fnv1a, s: &str) {
+    h.mix(Fnv1a::of(s.as_bytes()));
+    h.mix(s.len() as u64);
 }
 
 /// Content fingerprint of a sweep specification: two runs with equal
 /// fingerprints swept the same space the same way, so the sentinel may
 /// compare them point-for-point.
 pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = Fnv1a::new();
     match spec.scope {
-        Scope::Full => mix(&mut h, 1),
-        Scope::PaperSized => mix(&mut h, 2),
+        Scope::Full => h.mix(1),
+        Scope::PaperSized => h.mix(2),
         Scope::Strided(n) => {
-            mix(&mut h, 3);
-            mix(&mut h, n as u64);
+            h.mix(3);
+            h.mix(n as u64);
         }
-        Scope::Pruned => mix(&mut h, 4),
+        Scope::Pruned => h.mix(4),
     }
     match spec.roster {
-        Roster::Paper => mix(&mut h, 11),
-        Roster::Generated => mix(&mut h, 12),
-        Roster::All => mix(&mut h, 13),
+        Roster::Paper => h.mix(11),
+        Roster::Generated => h.mix(12),
+        Roster::All => h.mix(13),
     }
-    mix(&mut h, spec.reps as u64);
-    mix(&mut h, spec.seed);
-    mix(&mut h, spec.failure_rate.to_bits());
-    h
+    h.mix(spec.reps as u64);
+    h.mix(spec.seed);
+    h.mix(spec.failure_rate.to_bits());
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -464,48 +459,48 @@ impl CollectCore {
             .push(ArchDigest::from_partials(arch, ordered, dropped));
     }
 
-    fn hash_into(&self, h: &mut u64) {
+    fn hash_into(&self, h: &mut Fnv1a) {
         mix_str(h, &self.scope);
         mix_str(h, &self.roster);
-        mix(h, self.reps as u64);
-        mix(h, self.seed);
-        mix(h, self.failure_rate_bits);
-        mix(h, self.spec_fingerprint);
+        h.mix(self.reps as u64);
+        h.mix(self.seed);
+        h.mix(self.failure_rate_bits);
+        h.mix(self.spec_fingerprint);
         for a in &self.arches {
             mix_str(h, &a.arch);
-            mix(h, a.settings);
-            mix(h, a.samples);
-            mix(h, a.dropped);
+            h.mix(a.settings);
+            h.mix(a.samples);
+            h.mix(a.dropped);
             for s in &a.virt {
-                mix(h, s.total);
+                h.mix(s.total);
                 for (&c, &b) in s.counts.iter().zip(&s.sum_bits) {
-                    mix(h, c);
-                    mix(h, b);
+                    h.mix(c);
+                    h.mix(b);
                 }
             }
             for app in &a.apps {
                 mix_str(h, &app.app);
-                mix(h, app.samples);
-                mix(h, app.virt_ns);
+                h.mix(app.samples);
+                h.mix(app.virt_ns);
             }
             for cell in &a.cells {
                 mix_str(h, &cell.var);
                 mix_str(h, &cell.value);
-                mix(h, cell.samples);
-                mix(h, cell.virt_ns);
+                h.mix(cell.samples);
+                h.mix(cell.virt_ns);
             }
             for s in &a.energy {
-                mix(h, s.total);
+                h.mix(s.total);
                 for (&c, &b) in s.counts.iter().zip(&s.sum_bits) {
-                    mix(h, c);
-                    mix(h, b);
+                    h.mix(c);
+                    h.mix(b);
                 }
             }
             for app in &a.apps {
-                mix(h, app.energy_uj);
+                h.mix(app.energy_uj);
             }
             for cell in &a.cells {
-                mix(h, cell.energy_uj);
+                h.mix(cell.energy_uj);
             }
         }
     }
@@ -552,17 +547,17 @@ impl BenchCore {
         })
     }
 
-    fn hash_into(&self, h: &mut u64) {
+    fn hash_into(&self, h: &mut Fnv1a) {
         mix_str(h, &self.bench);
         for (k, bits) in &self.scalars {
             mix_str(h, k);
-            mix(h, *bits);
+            h.mix(*bits);
         }
         for (k, arr) in &self.reps {
             mix_str(h, k);
-            mix(h, arr.len() as u64);
+            h.mix(arr.len() as u64);
             for &b in arr {
-                mix(h, b);
+                h.mix(b);
             }
         }
     }
@@ -594,18 +589,18 @@ impl RunCore {
     /// The content address. Covers every word of the core and nothing
     /// of the info, so equal hashes mean equal computed results.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
+        let mut h = Fnv1a::new();
         match self {
             RunCore::Collect(c) => {
-                mix(&mut h, KIND_COLLECT);
+                h.mix(KIND_COLLECT);
                 c.hash_into(&mut h);
             }
             RunCore::Bench(b) => {
-                mix(&mut h, KIND_BENCH);
+                h.mix(KIND_BENCH);
                 b.hash_into(&mut h);
             }
         }
-        h
+        h.finish()
     }
 }
 

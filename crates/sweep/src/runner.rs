@@ -8,7 +8,7 @@
 
 use crate::spec::{configs_for, SweepSpec};
 use archsim::NoiseModel;
-use omptune_core::{Arch, TuningConfig};
+use omptune_core::{Arch, Fnv1a, TuningConfig};
 use serde::{Deserialize, Serialize};
 use workloads::{AppSpec, Setting};
 
@@ -191,19 +191,15 @@ impl SettingData {
 /// Stable stream id for the noise model from the sample identity. Public
 /// so provenance records can name the exact stream a sample drew from.
 pub fn noise_stream(key: &RunKey, config_index: usize) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u64| {
-        h ^= b;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    eat(key.arch as u64);
+    let mut h = Fnv1a::new();
+    h.mix(key.arch as u64);
     for byte in key.app.bytes() {
-        eat(byte as u64);
+        h.mix(byte as u64);
     }
-    eat(key.input_code as u64);
-    eat(key.num_threads as u64);
-    eat(config_index as u64);
-    h
+    h.mix(key.input_code as u64);
+    h.mix(key.num_threads as u64);
+    h.mix(config_index as u64);
+    h.finish()
 }
 
 /// Deterministic uniform in [0, 1) for failure injection.

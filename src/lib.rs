@@ -23,8 +23,8 @@
 //! - [`stats`] (`mlstats`) — Wilcoxon, violins, linear & logistic
 //!   regression;
 //! - [`tel`] (`omptel`) — OMPT-style telemetry: runtime counters, region
-//!   profiles, JSON-lines and Chrome-trace exporters, and the
-//!   `omptel-report` "why was this slow" analysis.
+//!   profiles, the Chrome-trace exporter, and the `omptel-report` "why
+//!   was this slow" analysis.
 //!
 //! ## Quickstart
 //!

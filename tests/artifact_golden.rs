@@ -5,22 +5,18 @@
 //! `collect` writes them, through `write_artifacts`, so the digests also
 //! pin that its two jobs leave the same files at any worker count.
 
-use omptune::core::{Arch, TuningConfig};
+use omptune::core::{Arch, Fnv1a, TuningConfig};
+use omptune::data::collect::{self, Job, State};
 use omptune::data::export::{write_artifacts, ArtifactSummary, ARTIFACT_FILES};
-use omptune::data::{self, Scope, SweepOptions, SweepSpec};
+use omptune::data::{self, Scope, SweepSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
-}
-
-/// What `collect tiny` hands to its artifact tail: the same spec and
-/// cleaning, with the manifest's wall-clock fields (elapsed seconds, the
-/// latency histogram) left at zero. Swept once for the whole file.
+/// What `collect tiny` hands to its artifact tail — one library run at
+/// the same spec — with the manifest's wall-clock fields (elapsed
+/// seconds, the latency histogram) set to zero. Swept once for the
+/// whole file.
 fn tiny_run() -> &'static (Vec<data::SettingData>, SweepSpec, data::RunManifest) {
     static RUN: OnceLock<(Vec<data::SettingData>, SweepSpec, data::RunManifest)> = OnceLock::new();
     RUN.get_or_init(|| {
@@ -28,26 +24,22 @@ fn tiny_run() -> &'static (Vec<data::SettingData>, SweepSpec, data::RunManifest)
             scope: Scope::Strided(400),
             ..SweepSpec::default()
         };
-        let mut manifest = data::RunManifest::new(&spec);
-        let mut batches = Vec::new();
-        for &arch in Arch::ALL.iter() {
-            let outcome = data::sweep_arch_scheduled(arch, &spec, &SweepOptions::new(1));
-            let mut arch_batches = outcome.batches;
-            let dropped: usize = arch_batches
-                .iter_mut()
-                .map(|b| data::clean(b, spec.reps as usize).dropped.len())
-                .sum();
-            manifest.push_arch(
-                arch,
-                &arch_batches,
-                dropped,
-                0.0,
-                outcome.stats,
-                omptune::tel::Histogram::new(),
-            );
-            batches.extend(arch_batches);
+        let job = Job {
+            spec: &spec,
+            workers: 1,
+            cache: None,
+            perturb: None,
+            watchdog: None,
+        };
+        let dir = scratch_dir("run");
+        let done = collect::run(&job, &dir, None, &State::new(&spec), &mut ()).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        let mut manifest = done.manifest;
+        for arch in &mut manifest.arches {
+            arch.elapsed_s = 0.0;
+            arch.sample_latency = omptune::tel::Histogram::new();
         }
-        (batches, spec, manifest)
+        (done.batches, spec, manifest)
     })
 }
 
@@ -80,7 +72,7 @@ fn tiny_collect_artifacts_match_the_golden_digests() {
         for (name, glen, gfnv) in golden {
             let bytes = fs::read(dir.join(name)).unwrap();
             assert_eq!(
-                (bytes.len(), fnv(&bytes)),
+                (bytes.len(), Fnv1a::of(&bytes)),
                 (glen, gfnv),
                 "{name} changed at {workers} worker(s): length or FNV-1a differs from the golden"
             );
