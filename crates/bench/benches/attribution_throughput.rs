@@ -17,13 +17,13 @@
 //! Wilcoxon signed-rank test.
 //!
 //! `harness = false`: under `cargo test` (argv contains `--test`) this
-//! runs a fast smoke slice and writes nothing; under `cargo bench` it
-//! runs the full measurement and writes the JSON.
+//! runs a fast smoke slice and publishes nothing; under `cargo bench` it
+//! runs the full measurement and publishes the document.
 
+use bench_harness::{BenchDoc, Series};
 use ompprof::Attribution;
-use omptune_core::{Arch, LiveInfluence};
+use omptune_core::LiveInfluence;
 use std::sync::Mutex;
-use std::time::Instant;
 use sweep::{slice_fingerprint, Scope, SettingData, SweepOptions, SweepSpec};
 
 const WORKERS: usize = 4;
@@ -31,17 +31,12 @@ const WORKERS: usize = 4;
 fn sweep_once(
     spec: &SweepSpec,
     observer: Option<&(dyn Fn(&SettingData) + Sync)>,
-) -> (f64, Vec<SettingData>) {
-    let t0 = Instant::now();
-    let mut batches = Vec::new();
-    for &arch in Arch::ALL.iter() {
-        let mut opts = SweepOptions::new(WORKERS);
-        if let Some(o) = observer {
-            opts = opts.with_batch_observer(o);
-        }
-        batches.extend(sweep::sweep_arch_scheduled(arch, spec, &opts).batches);
+) -> Vec<SettingData> {
+    let mut opts = SweepOptions::new(WORKERS);
+    if let Some(o) = observer {
+        opts = opts.with_batch_observer(o);
     }
-    (t0.elapsed().as_secs_f64(), batches)
+    sweep::sweep_all_scheduled(spec, &opts).batches
 }
 
 fn fold_all(batches: &[SettingData]) -> Attribution {
@@ -72,7 +67,8 @@ fn assert_merge_identity(batches: &[SettingData], whole: &Attribution) {
     }
 }
 
-fn run(scope: Scope, write_json: bool) {
+fn run(scope: Scope) {
+    let full = bench_harness::full_run();
     let spec = SweepSpec {
         scope,
         ..SweepSpec::default()
@@ -83,18 +79,12 @@ fn run(scope: Scope, write_json: bool) {
     // only one side of the ratio. 7 paired reps is the smallest count
     // where an all-worse outcome reaches p < 0.05 two-sided under the
     // Wilcoxon signed-rank test that bench-diff applies.
-    let passes = if write_json { 7 } else { 3 };
-    let mut plain_reps = Vec::with_capacity(passes);
-    let mut influence_reps = Vec::with_capacity(passes);
-    let mut plain_s = f64::INFINITY;
-    let mut influence_s = f64::INFINITY;
+    let passes = if full { 7 } else { 3 };
+    let (mut plain, mut influence) = (Series::default(), Series::default());
     let mut batches = Vec::new();
     let mut final_influence_samples = 0u64;
-    for _ in 0..passes {
-        let (t, b) = sweep_once(&spec, None);
-        plain_reps.push(t);
-        plain_s = plain_s.min(t);
-        batches = b;
+    let mut pair = || {
+        batches = plain.time(|| sweep_once(&spec, None));
 
         let live = Mutex::new(LiveInfluence::new());
         let observer = |data: &SettingData| {
@@ -110,74 +100,44 @@ fn run(scope: Scope, write_json: bool) {
                 }
             }
         };
-        let (t, b) = sweep_once(&spec, Some(&observer));
-        influence_reps.push(t);
-        influence_s = influence_s.min(t);
+        let observed = influence.time(|| sweep_once(&spec, Some(&observer)));
         assert_eq!(
             slice_fingerprint(&batches),
-            slice_fingerprint(&b),
+            slice_fingerprint(&observed),
             "influence-observed sweep diverged from the plain sweep"
         );
         final_influence_samples = live.lock().expect("influence tracker poisoned").samples();
-    }
-    let samples: u64 = batches.iter().map(|b| b.samples.len() as u64).sum();
-
-    // Attribution folding throughput over the slice just swept.
-    let mut attribute_s = f64::INFINITY;
-    let mut attribute_reps = Vec::with_capacity(passes);
-    let mut whole = Attribution::new();
+        influence.best() / plain.best()
+    };
+    let mut overhead = f64::INFINITY;
     for _ in 0..passes {
-        let t0 = Instant::now();
-        whole = fold_all(&batches);
-        let t = t0.elapsed().as_secs_f64();
-        attribute_reps.push(t);
-        attribute_s = attribute_s.min(t);
+        overhead = pair();
     }
-    assert_eq!(whole.samples(), samples, "attribution lost samples");
-    assert_merge_identity(&batches, &whole);
-
-    let mut overhead = influence_s / plain_s;
     // Re-measure up to three interleaved pairs before failing the bar:
     // best-of only improves, so this gives transient noise more chances
     // to wash out without masking a real regression.
     for _ in 0..3 {
-        if !(write_json && overhead > 1.05) {
+        if !(full && overhead > 1.05) {
             break;
         }
-        let (t_plain, _) = sweep_once(&spec, None);
-        plain_reps.push(t_plain);
-        plain_s = plain_s.min(t_plain);
-        let live = Mutex::new(LiveInfluence::new());
-        let observer = |data: &SettingData| {
-            let default = data.default_mean();
-            if !default.is_finite() || default <= 0.0 {
-                return;
-            }
-            let mut live = live.lock().expect("influence tracker poisoned");
-            for sample in &data.samples {
-                let mean = sample.mean_runtime();
-                if mean.is_finite() && mean > 0.0 {
-                    live.observe(&sample.config, default / mean);
-                }
-            }
-        };
-        let (t_obs, retry_batches) = sweep_once(&spec, Some(&observer));
-        assert_eq!(
-            slice_fingerprint(&batches),
-            slice_fingerprint(&retry_batches)
-        );
-        influence_reps.push(t_obs);
-        influence_s = influence_s.min(t_obs);
-        overhead = influence_s / plain_s;
+        overhead = pair();
     }
+    let samples: u64 = batches.iter().map(|b| b.samples.len() as u64).sum();
 
+    // Attribution folding throughput over the slice just swept.
+    let mut whole = Attribution::new();
+    let attribute = Series::of(passes, || whole = fold_all(&batches));
+    assert_eq!(whole.samples(), samples, "attribution lost samples");
+    assert_merge_identity(&batches, &whole);
+
+    let (plain_s, influence_s, attribute_s) = (plain.best(), influence.best(), attribute.best());
     let fold_rate = samples as f64 / attribute_s.max(1e-12);
     println!("attribution_throughput ({scope:?}): {samples} samples, {WORKERS} workers");
     println!("  sweep plain:              {plain_s:.4}s");
     println!("  sweep + live influence:   {influence_s:.4}s ({overhead:.3}x, {final_influence_samples} observed)");
     println!("  attribute (fold slice):   {attribute_s:.6}s ({fold_rate:.0} samples/s)");
     println!("  shard-merge identity:     ok (2 and 5 shards, byte-equal)");
-    if write_json {
+    if full {
         // Timing-gate only in full bench mode; the smoke slice under
         // `cargo test` is too short for a stable ratio.
         assert!(
@@ -186,30 +146,20 @@ fn run(scope: Scope, write_json: bool) {
         );
     }
 
-    if write_json {
-        use bench_harness::reps_json;
-        let json = format!(
-            "{{\n  \"bench\": \"attribution_throughput\",\n  \"scope\": \"{scope:?}\",\n  \
-             \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
-             \"sweep_plain_s\": {plain_s:.6},\n  \"sweep_influence_s\": {influence_s:.6},\n  \
-             \"influence_overhead\": {overhead:.3},\n  \
-             \"attribute_s\": {attribute_s:.6},\n  \"attribute_samples_per_s\": {fold_rate:.0},\n  \
-             \"sweep_plain_s_reps\": {},\n  \"sweep_influence_s_reps\": {},\n  \
-             \"attribute_s_reps\": {}\n}}\n",
-            reps_json(&plain_reps),
-            reps_json(&influence_reps),
-            reps_json(&attribute_reps)
-        );
-        bench_harness::publish_bench("attribution_throughput", "BENCH_profile.json", &json);
-    }
+    BenchDoc::new("attribution_throughput")
+        .text("scope", &format!("{scope:?}"))
+        .count("workers", WORKERS as u64)
+        .count("samples", samples)
+        .series("sweep_plain_s", plain_s, &plain)
+        .series("sweep_influence_s", influence_s, &influence)
+        .ratio("influence_overhead", overhead)
+        .series("attribute_s", attribute_s, &attribute)
+        .count("attribute_samples_per_s", fold_rate.round() as u64)
+        .publish("BENCH_profile.json");
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    if test_mode {
-        // cargo test: smoke slice, no artifact. Merge identity still holds.
-        run(Scope::Strided(300), false);
-    } else {
-        run(Scope::Strided(100), true);
-    }
+    // cargo test: smoke slice, no artifact. Merge identity still holds.
+    let stride = if bench_harness::full_run() { 100 } else { 300 };
+    run(Scope::Strided(stride));
 }

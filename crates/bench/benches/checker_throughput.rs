@@ -15,10 +15,10 @@
 //! band violation to the Wilcoxon signed-rank test.
 //!
 //! `harness = false`: under `cargo test` (argv contains `--test`) this
-//! runs a small smoke corpus and writes nothing; under `cargo bench` it
-//! runs the full corpus and writes the JSON.
+//! runs a small smoke corpus and publishes nothing; under `cargo bench`
+//! it runs the full corpus and publishes the document.
 
-use std::time::Instant;
+use bench_harness::{BenchDoc, Series};
 
 /// Corpus seeds. Fixed so the replayed event mix is stable across runs;
 /// the traces themselves are recaptured each run (capture time is not
@@ -45,8 +45,8 @@ fn capture_corpus(seeds: u64) -> Vec<Vec<omprt::trace::Record>> {
         .collect()
 }
 
-fn replay_pass(corpus: &[Vec<omprt::trace::Record>], replays: usize) -> (f64, usize) {
-    let t0 = Instant::now();
+/// Replay the corpus `replays` times; the events one replay checked.
+fn replay_pass(corpus: &[Vec<omprt::trace::Record>], replays: usize) -> usize {
     let mut events = 0usize;
     for _ in 0..replays {
         events = 0;
@@ -56,29 +56,22 @@ fn replay_pass(corpus: &[Vec<omprt::trace::Record>], replays: usize) -> (f64, us
             events += report.stats.events;
         }
     }
-    (t0.elapsed().as_secs_f64(), events)
+    events
 }
 
-fn run(seeds: u64, write_json: bool) {
+fn main() {
+    let full = bench_harness::full_run();
+    let seeds = if full { FULL_SEEDS } else { SMOKE_SEEDS };
     let corpus = capture_corpus(seeds);
     let total_events: usize = corpus.iter().map(|t| t.len()).sum();
 
     // Warm-up replay so the first timed pass is not paying first-touch
     // costs, then best-of-N timed passes with every rep published.
-    let replays = if write_json { REPLAYS } else { 2 };
-    let _ = replay_pass(&corpus, 1);
-    let passes = if write_json { 7 } else { 3 };
-    let mut check_s = f64::INFINITY;
-    let mut check_reps = Vec::with_capacity(passes);
-    let mut replayed = 0usize;
-    for _ in 0..passes {
-        let (t, events) = replay_pass(&corpus, replays);
-        check_reps.push(t);
-        if t < check_s {
-            check_s = t;
-        }
-        replayed = events;
-    }
+    let replays = if full { REPLAYS } else { 2 };
+    let mut replayed = replay_pass(&corpus, 1);
+    let passes = if full { 7 } else { 3 };
+    let check = Series::of(passes, || replayed = replay_pass(&corpus, replays));
+    let check_s = check.best();
 
     let traces_per_sec = (corpus.len() * replays) as f64 / check_s;
     let events_per_sec = (replayed * replays) as f64 / check_s;
@@ -91,25 +84,12 @@ fn run(seeds: u64, write_json: bool) {
     println!("  check_s (best of {passes}, {replays} replays/pass): {check_s:.6}s");
     println!("  traces/s: {traces_per_sec:.0}, events/s: {events_per_sec:.0}");
 
-    if write_json {
-        let json = format!(
-            "{{\n  \"bench\": \"checker_throughput\",\n  \"seeds\": {seeds},\n  \
-             \"traces\": {},\n  \"events\": {replayed},\n  \
-             \"check_s\": {check_s:.6},\n  \"traces_per_sec\": {traces_per_sec:.1},\n  \
-             \"events_per_sec\": {events_per_sec:.1},\n  \
-             \"check_s_reps\": {}\n}}\n",
-            corpus.len(),
-            bench_harness::reps_json(&check_reps)
-        );
-        bench_harness::publish_bench("checker_throughput", "BENCH_checker.json", &json);
-    }
-}
-
-fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    if test_mode {
-        run(SMOKE_SEEDS, false);
-    } else {
-        run(FULL_SEEDS, true);
-    }
+    BenchDoc::new("checker_throughput")
+        .count("seeds", seeds)
+        .count("traces", corpus.len() as u64)
+        .count("events", replayed as u64)
+        .series("check_s", check_s, &check)
+        .count("traces_per_sec", traces_per_sec.round() as u64)
+        .count("events_per_sec", events_per_sec.round() as u64)
+        .publish("BENCH_checker.json");
 }

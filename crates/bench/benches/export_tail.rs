@@ -28,26 +28,14 @@
 //! at the repo root (override with `BENCH_OUT`) for `bench-diff`.
 //!
 //! `harness = false`: under `cargo test` (argv contains `--test`) this
-//! runs a smoke slice and writes nothing; under `cargo bench` it runs
-//! the full slice and writes the JSON.
+//! runs a smoke slice and publishes nothing; under `cargo bench` it runs
+//! the full slice and publishes the document.
 
+use bench_harness::{BenchDoc, Series};
 use serde::{Serialize, Value};
-use std::time::Instant;
-use sweep::{Scope, SettingData, SweepSpec};
+use sweep::{Scope, SettingData, SweepOptions, SweepSpec};
 
 const WORKERS: usize = 4;
-
-/// Best-of-`passes` wall seconds of `pass`, and every pass's time.
-fn time_passes(passes: usize, mut pass: impl FnMut()) -> (f64, Vec<f64>) {
-    let reps: Vec<f64> = (0..passes)
-        .map(|_| {
-            let t0 = Instant::now();
-            pass();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    (reps.iter().copied().fold(f64::INFINITY, f64::min), reps)
-}
 
 /// Every float of `value`'s tree, in document order.
 fn floats_of(value: &Value, out: &mut Vec<f64>) {
@@ -74,36 +62,37 @@ fn append_series(tsdb: &mut omptel::Tsdb, batches: &[SettingData]) -> u64 {
         .sum()
 }
 
-fn run(scope: Scope, write_json: bool) {
+fn main() {
+    let full = bench_harness::full_run();
+    let scope = Scope::Strided(if full { 100 } else { 300 });
     let spec = SweepSpec {
         scope,
         ..SweepSpec::default()
     };
-    let mut batches = sweep::sweep_all_parallel(&spec, WORKERS);
+    let mut batches = sweep::sweep_all_scheduled(&spec, &SweepOptions::new(WORKERS)).batches;
     for data in &mut batches {
         sweep::clean(data, spec.reps as usize);
     }
     let samples: usize = batches.iter().map(|b| b.samples.len()).sum();
-    let passes = if write_json { 7 } else { 2 };
+    let passes = if full { 7 } else { 2 };
 
     // One buffer for every document, so a pass measures serialization
     // and not the allocator growing a fresh Vec.
     let mut out = Vec::new();
     let mut floats = Vec::new();
     floats_of(&batches.serialize_value(), &mut floats);
-    let (float_s, float_reps) = time_passes(passes, || {
+    let float_text = Series::of(passes, || {
         out.clear();
         serde_json::to_writer(&mut out, &floats).expect("in-memory write");
     });
-    let ns_per_float = |s: f64| s * 1e9 / floats.len() as f64;
-    let float_ns_reps: Vec<f64> = float_reps.iter().map(|&s| ns_per_float(s)).collect();
+    let float_ns = float_text.scaled(1e9 / floats.len() as f64);
     let mut raw_bytes = 0;
-    let (raw_json_s, raw_json_reps) = time_passes(passes, || {
+    let raw_json = Series::of(passes, || {
         out.clear();
         sweep::export::write_raw_json(&batches, &mut out).expect("in-memory write");
         raw_bytes = out.len();
     });
-    let (read_raw_json_s, read_raw_json_reps) = time_passes(passes, || {
+    let read_raw_json = Series::of(passes, || {
         let back = sweep::export::read_raw_json(&out).expect("raw JSON parses back");
         assert_eq!(back.len(), batches.len());
         // Compared once, below; dropping the batches is part of a read.
@@ -115,7 +104,7 @@ fn run(scope: Scope, write_json: bool) {
     );
 
     let mut provenance_bytes = 0;
-    let (provenance_s, provenance_reps) = time_passes(passes, || {
+    let provenance = Series::of(passes, || {
         out.clear();
         sweep::write_provenance_jsonl(sweep::provenance_iter(&batches, &spec), &mut out)
             .expect("in-memory write");
@@ -127,15 +116,15 @@ fn run(scope: Scope, write_json: bool) {
     let _ = std::fs::remove_dir_all(&dir);
     let mut tsdb = omptel::Tsdb::open(&dir, omptel::DEFAULT_CAPACITY).expect("open tsdb");
     let mut points = 0;
-    let (tsdb_s, tsdb_reps) = time_passes(passes, || points = append_series(&mut tsdb, &batches));
+    let tsdb_series = Series::of(passes, || points = append_series(&mut tsdb, &batches));
     drop(tsdb);
     assert_eq!(points, 2 * samples as u64);
 
     // The files are rewritten in place every pass, as a re-run `collect`
     // rewrites its output directory.
     let manifest = sweep::RunManifest::new(&spec);
-    let tail = |workers| {
-        time_passes(passes, || {
+    let tail_at = |workers| {
+        Series::of(passes, || {
             let summary = sweep::export::write_artifacts(&dir, &batches, &spec, &manifest, workers)
                 .expect("artifacts written");
             assert_eq!(summary.provenance_lines, samples);
@@ -143,83 +132,67 @@ fn run(scope: Scope, write_json: bool) {
             assert_eq!(summary.bytes[2], provenance_bytes as u64);
         })
     };
-    let (tail_s, tail_reps) = tail(1);
-    let (tail_parallel_s, tail_parallel_reps) = tail(2);
+    let (tail, tail_parallel) = (tail_at(1), tail_at(2));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let ns_per_sample = |s: f64| s * 1e9 / samples as f64;
+    let ns_per_sample = |series: &Series| (series.best() * 1e9 / samples as f64).round() as u64;
     println!("export_tail ({scope:?}): {samples} samples");
     println!(
-        "  {:<26} {float_s:.6}s  {:>8.1} ns/float   {} floats",
+        "  {:<26} {:.6}s  {:>8.1} ns/float   {} floats",
         "f64 text",
-        ns_per_float(float_s),
+        float_text.best(),
+        float_ns.best(),
         floats.len()
     );
-    for (what, s, work) in [
-        ("write_raw_json", raw_json_s, format!("{raw_bytes} bytes")),
+    for (what, series, work) in [
+        ("write_raw_json", &raw_json, format!("{raw_bytes} bytes")),
         (
             "read_raw_json",
-            read_raw_json_s,
+            &read_raw_json,
             format!("{raw_bytes} bytes"),
         ),
         (
             "provenance build + write",
-            provenance_s,
+            &provenance,
             format!("{provenance_bytes} bytes"),
         ),
-        ("tsdb append + flush", tsdb_s, format!("{points} points")),
-        ("write_artifacts, 1 worker", tail_s, "5 files".to_string()),
+        (
+            "tsdb append + flush",
+            &tsdb_series,
+            format!("{points} points"),
+        ),
+        ("write_artifacts, 1 worker", &tail, "5 files".to_string()),
         (
             "write_artifacts, 2 workers",
-            tail_parallel_s,
+            &tail_parallel,
             "5 files".to_string(),
         ),
     ] {
         println!(
-            "  {what:<26} {s:.6}s  {:>8.0} ns/sample  {work}",
-            ns_per_sample(s)
+            "  {what:<26} {:.6}s  {:>8} ns/sample  {work}",
+            series.best(),
+            ns_per_sample(series)
         );
     }
 
-    if write_json {
-        use bench_harness::reps_json;
-        let json = format!(
-            "{{\n  \"bench\": \"export_tail\",\n  \"scope\": \"{scope:?}\",\n  \
-             \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
-             \"float_ns\": {:.1},\n  \"floats\": {},\n  \
-             \"raw_json_s\": {raw_json_s:.6},\n  \"read_raw_json_s\": {read_raw_json_s:.6},\n  \
-             \"provenance_s\": {provenance_s:.6},\n  \"tsdb_s\": {tsdb_s:.6},\n  \
-             \"tail_s\": {tail_s:.6},\n  \"tail_parallel_s\": {tail_parallel_s:.6},\n  \
-             \"raw_json_ns_per_sample\": {:.0},\n  \"read_raw_json_ns_per_sample\": {:.0},\n  \
-             \"provenance_ns_per_sample\": {:.0},\n  \"tsdb_ns_per_sample\": {:.0},\n  \
-             \"raw_json_bytes\": {raw_bytes},\n  \"provenance_bytes\": {provenance_bytes},\n  \
-             \"tsdb_points\": {points},\n  \
-             \"float_ns_reps\": {},\n  \"raw_json_s_reps\": {},\n  \"read_raw_json_s_reps\": {},\n  \
-             \"provenance_s_reps\": {},\n  \"tsdb_s_reps\": {},\n  \
-             \"tail_s_reps\": {},\n  \"tail_parallel_s_reps\": {}\n}}\n",
-            ns_per_float(float_s),
-            floats.len(),
-            ns_per_sample(raw_json_s),
-            ns_per_sample(read_raw_json_s),
-            ns_per_sample(provenance_s),
-            ns_per_sample(tsdb_s),
-            reps_json(&float_ns_reps),
-            reps_json(&raw_json_reps),
-            reps_json(&read_raw_json_reps),
-            reps_json(&provenance_reps),
-            reps_json(&tsdb_reps),
-            reps_json(&tail_reps),
-            reps_json(&tail_parallel_reps)
-        );
-        bench_harness::publish_bench("export_tail", "BENCH_export.json", &json);
-    }
-}
-
-fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    if test_mode {
-        run(Scope::Strided(300), false);
-    } else {
-        run(Scope::Strided(100), true);
-    }
+    BenchDoc::new("export_tail")
+        .text("scope", &format!("{scope:?}"))
+        .count("workers", WORKERS as u64)
+        .count("samples", samples as u64)
+        .series("float_ns", float_ns.best(), &float_ns)
+        .count("floats", floats.len() as u64)
+        .series("raw_json_s", raw_json.best(), &raw_json)
+        .series("read_raw_json_s", read_raw_json.best(), &read_raw_json)
+        .series("provenance_s", provenance.best(), &provenance)
+        .series("tsdb_s", tsdb_series.best(), &tsdb_series)
+        .series("tail_s", tail.best(), &tail)
+        .series("tail_parallel_s", tail_parallel.best(), &tail_parallel)
+        .count("raw_json_ns_per_sample", ns_per_sample(&raw_json))
+        .count("read_raw_json_ns_per_sample", ns_per_sample(&read_raw_json))
+        .count("provenance_ns_per_sample", ns_per_sample(&provenance))
+        .count("tsdb_ns_per_sample", ns_per_sample(&tsdb_series))
+        .count("raw_json_bytes", raw_bytes as u64)
+        .count("provenance_bytes", provenance_bytes as u64)
+        .count("tsdb_points", points)
+        .publish("BENCH_export.json");
 }

@@ -17,31 +17,26 @@
 //! is reported.
 //!
 //! `harness = false`: under `cargo test` (argv contains `--test`) this
-//! runs a fast smoke slice and writes nothing; under `cargo bench` it
-//! runs the full measurement and writes the JSON.
+//! runs a fast smoke slice and publishes nothing; under `cargo bench` it
+//! runs the full measurement and publishes the document.
 
+use bench_harness::{BenchDoc, Series};
 use omptune_core::Arch;
 use std::time::Instant;
-use sweep::{slice_fingerprint, SampleCache, Scope, SweepOptions, SweepSpec};
+use sweep::{slice_fingerprint, SampleCache, Scope, SettingData, SweepOptions, SweepSpec};
 
 const WORKERS: usize = 4;
 
-fn sweep_once(
-    spec: &SweepSpec,
-    cache: Option<&SampleCache>,
-) -> (f64, Vec<sweep::SettingData>, u64) {
-    let t0 = Instant::now();
-    let mut batches = Vec::new();
-    for &arch in Arch::ALL.iter() {
-        let mut opts = SweepOptions::new(WORKERS);
-        if let Some(c) = cache {
-            opts = opts.with_cache(c);
-        }
-        batches.extend(sweep::sweep_arch_scheduled(arch, spec, &opts).batches);
+fn sweep_once(spec: &SweepSpec, cache: Option<&SampleCache>) -> Vec<SettingData> {
+    let mut opts = SweepOptions::new(WORKERS);
+    if let Some(c) = cache {
+        opts = opts.with_cache(c);
     }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let samples: u64 = batches.iter().map(|b| b.samples.len() as u64).sum();
-    (elapsed, batches, samples)
+    sweep::sweep_all_scheduled(spec, &opts).batches
+}
+
+fn sample_count(batches: &[SettingData]) -> u64 {
+    batches.iter().map(|b| b.samples.len() as u64).sum()
 }
 
 /// One warm sweep that also records the run in the registry, the way
@@ -52,7 +47,7 @@ fn sweep_once(
 /// `sweep::collect::run`: the three clocks below sit inside the observer,
 /// around the merge and around the append, where no hook of a whole run
 /// (which also cleans, writes series and exports) reaches.
-/// Returns `(total_pass_seconds, recording_tax_seconds, batches)`.
+/// Returns `(recording_tax_seconds, batches)`.
 /// The tax is the directly-clocked sum of everything recording adds to
 /// a plain warm sweep: the per-batch observer folds (timed inside the
 /// observer call), the canonical-order partial merges, and the record
@@ -61,17 +56,16 @@ fn registry_once(
     spec: &SweepSpec,
     cache: &SampleCache,
     registry: &sweep::Registry,
-) -> (f64, f64, Vec<sweep::SettingData>) {
+) -> (f64, Vec<SettingData>) {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
-    let t0 = Instant::now();
     let fold_ns = AtomicU64::new(0);
     let mut tax = 0.0f64;
     let mut core = sweep::CollectCore::new(spec);
     let mut all = Vec::new();
     for &arch in Arch::ALL.iter() {
         let folds: Mutex<Vec<(sweep::RunKey, sweep::BatchPartial)>> = Mutex::new(Vec::new());
-        let observe = |d: &sweep::SettingData| {
+        let observe = |d: &SettingData| {
             let f0 = Instant::now();
             let partial = sweep::BatchPartial::fold(d);
             folds
@@ -101,10 +95,11 @@ fn registry_once(
         .expect("registry append");
     tax += a0.elapsed().as_secs_f64();
     tax += fold_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-    (t0.elapsed().as_secs_f64(), tax, all)
+    (tax, all)
 }
 
-fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
+fn run(scope: Scope, registry_scope: Scope) {
+    let full = bench_harness::full_run();
     let spec = SweepSpec {
         scope,
         ..SweepSpec::default()
@@ -120,33 +115,15 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
     // band violation to the Wilcoxon signed-rank test — 7 paired reps
     // is the smallest count where an all-worse outcome reaches
     // p < 0.05 two-sided with margin; the smoke slice keeps 3.
-    let passes = if write_json { 7 } else { 3 };
-    let mut plan_only_s = f64::INFINITY;
-    let mut no_cache_reps = Vec::with_capacity(passes);
+    let passes = if full { 7 } else { 3 };
     let mut baseline = Vec::new();
-    let mut samples = 0u64;
-    for _ in 0..passes {
-        let (t, b, n) = sweep_once(&spec, None);
-        no_cache_reps.push(t);
-        if t < plan_only_s {
-            plan_only_s = t;
-        }
-        baseline = b;
-        samples = n;
-    }
-    let (cold_s, cold_batches, _) = sweep_once(&spec, Some(&cache));
+    let mut no_cache = Series::of(passes, || baseline = sweep_once(&spec, None));
+    let samples = sample_count(&baseline);
+    let mut cold = Series::default();
+    let cold_batches = cold.time(|| sweep_once(&spec, Some(&cache)));
     // Warm passes at the headline scope: the cache's value claim.
-    let mut warm_s = f64::INFINITY;
-    let mut warm_reps = Vec::with_capacity(passes);
     let mut warm_batches = Vec::new();
-    for _ in 0..passes {
-        let (t, b, _) = sweep_once(&spec, Some(&cache));
-        warm_reps.push(t);
-        if t < warm_s {
-            warm_s = t;
-        }
-        warm_batches = b;
-    }
+    let warm = Series::of(passes, || warm_batches = sweep_once(&spec, Some(&cache)));
     // Best-of-N interleaved warm/registry pass pairs at the registry
     // scope. The registry pass is a warm sweep plus folding every
     // sample into a run-registry record and appending it — the
@@ -161,44 +138,14 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
         scope: registry_scope,
         ..SweepSpec::default()
     };
-    let (_, reg_cold_batches, reg_samples) = sweep_once(&reg_spec, Some(&cache));
+    let reg_cold_batches = sweep_once(&reg_spec, Some(&cache));
+    let reg_samples = sample_count(&reg_cold_batches);
     let reg_fp = slice_fingerprint(&reg_cold_batches);
     drop(reg_cold_batches);
     let registry_dir = cache_dir.join("registry");
     let registry = sweep::Registry::open(&registry_dir).expect("open bench registry");
-    let mut reg_warm_s = f64::INFINITY;
-    let mut reg_warm_reps = Vec::with_capacity(passes);
-    let mut registry_s = f64::INFINITY;
-    let mut registry_reps = Vec::with_capacity(passes);
-    let mut reg_tax_reps = Vec::with_capacity(passes);
-    let run_pair = |reg_warm_s: &mut f64,
-                    registry_s: &mut f64,
-                    reg_warm_reps: &mut Vec<f64>,
-                    registry_reps: &mut Vec<f64>,
-                    reg_tax_reps: &mut Vec<f64>| {
-        let (t, b, _) = sweep_once(&reg_spec, Some(&cache));
-        reg_warm_reps.push(t);
-        *reg_warm_s = reg_warm_s.min(t);
-        drop(b);
-        let (t, tax, rb) = registry_once(&reg_spec, &cache, &registry);
-        registry_reps.push(t);
-        reg_tax_reps.push(tax);
-        *registry_s = registry_s.min(t);
-        assert_eq!(
-            slice_fingerprint(&rb),
-            reg_fp,
-            "registered sweep diverged from its cold sweep"
-        );
-    };
-    for _ in 0..passes {
-        run_pair(
-            &mut reg_warm_s,
-            &mut registry_s,
-            &mut reg_warm_reps,
-            &mut registry_reps,
-            &mut reg_tax_reps,
-        );
-    }
+    let (mut reg_warm, mut registered, mut reg_tax) =
+        (Series::default(), Series::default(), Series::default());
     // The recording tax (~0.5 ms here) is an order of magnitude below
     // this machine's sweep-to-sweep noise (±15% on a shared box), so
     // any estimator built from whole-pass timings — even a median of
@@ -211,44 +158,35 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
     // stall outliers. A real regression lands in the tax clock itself
     // and cannot hide behind sweep noise. Retries append fresh pairs —
     // the estimate only gets more data, never selective data.
-    let median = |xs: &[f64]| {
-        let mut v = xs.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
+    let mut registry_pair = || {
+        drop(reg_warm.time(|| sweep_once(&reg_spec, Some(&cache))));
+        let (tax, rb) = registered.time(|| registry_once(&reg_spec, &cache, &registry));
+        reg_tax.record(tax);
+        assert_eq!(
+            slice_fingerprint(&rb),
+            reg_fp,
+            "registered sweep diverged from its cold sweep"
+        );
+        1.0 + reg_tax.median() / reg_warm.median()
     };
-    let overhead_of = |taxes: &[f64], warms: &[f64]| 1.0 + median(taxes) / median(warms);
-    let mut registry_overhead = overhead_of(&reg_tax_reps, &reg_warm_reps);
+    let mut registry_overhead = f64::INFINITY;
+    for _ in 0..passes {
+        registry_overhead = registry_pair();
+    }
     for _ in 0..3 {
-        if !(write_json && registry_overhead > 1.05) {
+        if !(full && registry_overhead > 1.05) {
             break;
         }
-        run_pair(
-            &mut reg_warm_s,
-            &mut registry_s,
-            &mut reg_warm_reps,
-            &mut registry_reps,
-            &mut reg_tax_reps,
-        );
-        registry_overhead = overhead_of(&reg_tax_reps, &reg_warm_reps);
+        registry_overhead = registry_pair();
     }
-    let registry_tax_s = median(&reg_tax_reps);
     let (hits, misses) = cache.stats();
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     // Traced pass: same uncached sweep, flight recorder at defaults.
     let recorder = omptel::Recorder::start(omptel::RecorderOptions::default())
         .expect("no other flight recorder is live");
-    let mut traced_s = f64::INFINITY;
-    let mut traced_reps = Vec::with_capacity(passes);
     let mut traced_batches = Vec::new();
-    for _ in 0..passes {
-        let (t, b, _) = sweep_once(&spec, None);
-        traced_reps.push(t);
-        if t < traced_s {
-            traced_s = t;
-        }
-        traced_batches = b;
-    }
+    let mut traced = Series::of(passes, || traced_batches = sweep_once(&spec, None));
     let recording = recorder.finish();
 
     let base_fp = slice_fingerprint(&baseline);
@@ -268,29 +206,29 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
         "traced sweep diverged from untraced sweep"
     );
 
+    let (cold_s, warm_s) = (cold.best(), warm.best());
     let speedup = cold_s / warm_s;
-    let mut overhead = traced_s / plan_only_s;
+    let mut overhead = traced.best() / no_cache.best();
     // A transient machine-wide stall can slow every traced pass in one
     // batch (they all run after the warm reps); interleaved plain/traced
     // pairs are the fair comparison, so re-measure up to three pairs
     // before failing. Best-of only improves, so this cannot mask a real
     // regression — it only gives noise more chances to wash out.
     for _ in 0..3 {
-        if !(write_json && overhead > 1.05) {
+        if !(full && overhead > 1.05) {
             break;
         }
-        let (t_plain, _, _) = sweep_once(&spec, None);
-        no_cache_reps.push(t_plain);
-        plan_only_s = plan_only_s.min(t_plain);
+        no_cache.time(|| sweep_once(&spec, None));
         let retry_rec = omptel::Recorder::start(omptel::RecorderOptions::default())
             .expect("no other flight recorder is live");
-        let (t_traced, retry_batches, _) = sweep_once(&spec, None);
+        let retry_batches = traced.time(|| sweep_once(&spec, None));
         retry_rec.finish();
         assert_eq!(base_fp, slice_fingerprint(&retry_batches));
-        traced_reps.push(t_traced);
-        traced_s = traced_s.min(t_traced);
-        overhead = traced_s / plan_only_s;
+        overhead = traced.best() / no_cache.best();
     }
+    let (plan_only_s, traced_s) = (no_cache.best(), traced.best());
+    let (reg_warm_s, registry_s, registry_tax_s) =
+        (reg_warm.best(), registered.best(), reg_tax.median());
     println!("sweep_warmcold ({scope:?}): {samples} samples, {WORKERS} workers");
     println!("  no_cache (plan cache only): {plan_only_s:.4}s");
     println!("  cold (simulate + persist):  {cold_s:.4}s");
@@ -311,7 +249,7 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
         speedup >= 5.0,
         "warm sweep must be >=5x faster than cold, got {speedup:.2}x"
     );
-    if write_json {
+    if full {
         // Timing-gate only in full bench mode; the smoke slice under
         // `cargo test` is too short for a stable ratio.
         assert!(
@@ -324,40 +262,32 @@ fn run(scope: Scope, registry_scope: Scope, write_json: bool) {
         );
     }
 
-    if write_json {
-        use bench_harness::reps_json;
-        let json = format!(
-            "{{\n  \"bench\": \"sweep_warmcold\",\n  \"scope\": \"{scope:?}\",\n  \
-             \"workers\": {WORKERS},\n  \"samples\": {samples},\n  \
-             \"no_cache_s\": {plan_only_s:.6},\n  \"cold_s\": {cold_s:.6},\n  \
-             \"warm_s\": {warm_s:.6},\n  \"warm_speedup\": {speedup:.2},\n  \
-             \"traced_s\": {traced_s:.6},\n  \"trace_overhead\": {overhead:.3},\n  \
-             \"registry_scope\": \"{registry_scope:?}\",\n  \
-             \"registry_samples\": {reg_samples},\n  \
-             \"registry_warm_s\": {reg_warm_s:.6},\n  \
-             \"registry_s\": {registry_s:.6},\n  \"registry_tax_s\": {registry_tax_s:.6},\n  \
-             \"registry_overhead\": {registry_overhead:.3},\n  \
-             \"sample_cache_hits\": {hits},\n  \"sample_cache_misses\": {misses},\n  \
-             \"no_cache_s_reps\": {},\n  \"warm_s_reps\": {},\n  \
-             \"traced_s_reps\": {},\n  \"registry_warm_s_reps\": {},\n  \"registry_s_reps\": {},\n  \
-             \"registry_tax_s_reps\": {}\n}}\n",
-            reps_json(&no_cache_reps),
-            reps_json(&warm_reps),
-            reps_json(&traced_reps),
-            reps_json(&reg_warm_reps),
-            reps_json(&registry_reps),
-            reps_json(&reg_tax_reps)
-        );
-        bench_harness::publish_bench("sweep_warmcold", "BENCH_sweep.json", &json);
-    }
+    BenchDoc::new("sweep_warmcold")
+        .text("scope", &format!("{scope:?}"))
+        .count("workers", WORKERS as u64)
+        .count("samples", samples)
+        .series("no_cache_s", plan_only_s, &no_cache)
+        .seconds("cold_s", cold_s)
+        .series("warm_s", warm_s, &warm)
+        .ratio("warm_speedup", speedup)
+        .series("traced_s", traced_s, &traced)
+        .ratio("trace_overhead", overhead)
+        .text("registry_scope", &format!("{registry_scope:?}"))
+        .count("registry_samples", reg_samples)
+        .series("registry_warm_s", reg_warm_s, &reg_warm)
+        .series("registry_s", registry_s, &registered)
+        .series("registry_tax_s", registry_tax_s, &reg_tax)
+        .ratio("registry_overhead", registry_overhead)
+        .count("sample_cache_hits", hits)
+        .count("sample_cache_misses", misses)
+        .publish("BENCH_sweep.json");
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    if test_mode {
-        // cargo test: smoke slice, no artifact. The 5x bar still holds.
-        run(Scope::Strided(300), Scope::Strided(300), false);
+    if bench_harness::full_run() {
+        run(Scope::Strided(100), Scope::Strided(12));
     } else {
-        run(Scope::Strided(100), Scope::Strided(12), true);
+        // cargo test: smoke slice, no artifact. The 5x bar still holds.
+        run(Scope::Strided(300), Scope::Strided(300));
     }
 }

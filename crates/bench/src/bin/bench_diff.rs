@@ -31,6 +31,7 @@
 
 use mlstats::wilcoxon::{wilcoxon_signed_rank, WilcoxonError};
 use std::process::ExitCode;
+use sweep::BenchCore;
 
 const HELP: &str = "\
 bench-diff — gate a fresh bench JSON against a committed baseline
@@ -59,49 +60,11 @@ const EXIT_BAD_INPUT: u8 = 3;
 /// Significance level for the per-repetition Wilcoxon verdict.
 const ALPHA: f64 = 0.05;
 
-/// Flat numeric view of a bench JSON object: scalar metrics, plus any
-/// `*_reps` arrays of per-repetition measurements.
-struct BenchDoc {
-    scalars: Vec<(String, f64)>,
-    reps: Vec<(String, Vec<f64>)>,
-}
-
-fn load(path: &str) -> Result<BenchDoc, String> {
+/// One bench document through the registry's parser: every scalar and
+/// every `*_reps` array, key-sorted.
+fn load(path: &str) -> Result<BenchCore, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc: serde::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: invalid JSON: {e:?}"))?;
-    let map = doc
-        .as_map()
-        .ok_or_else(|| format!("{path}: root is not an object"))?;
-    let mut out = BenchDoc {
-        scalars: Vec::new(),
-        reps: Vec::new(),
-    };
-    for (k, v) in map {
-        let Some(key) = k.as_str() else { continue };
-        if let Some(x) = v.as_f64() {
-            out.scalars.push((key.to_string(), x));
-        } else if let Some(seq) = v.as_seq() {
-            let values: Vec<f64> = seq.iter().filter_map(|e| e.as_f64()).collect();
-            if values.len() == seq.len() {
-                out.reps.push((key.to_string(), values));
-            }
-        }
-    }
-    Ok(out)
-}
-
-impl BenchDoc {
-    fn scalar(&self, key: &str) -> Option<f64> {
-        self.scalars.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-
-    fn reps_of(&self, key: &str) -> Option<&[f64]> {
-        self.reps
-            .iter()
-            .find(|(k, _)| k == &format!("{key}_reps"))
-            .map(|(_, v)| v.as_slice())
-    }
+    BenchCore::from_bench_json(&bench_name(path), &text).map_err(|e| format!("{path}: {e}"))
 }
 
 enum Direction {
@@ -122,7 +85,7 @@ fn classify(key: &str) -> Direction {
 
 /// Wilcoxon verdict for one band violation: `Some(p)` when both sides
 /// carry comparable reps, `None` when the test cannot run.
-fn significance(base: &BenchDoc, cur: &BenchDoc, key: &str) -> Option<f64> {
+fn significance(base: &BenchCore, cur: &BenchCore, key: &str) -> Option<f64> {
     let (b, c) = (base.reps_of(key)?, cur.reps_of(key)?);
     let n = b.len().min(c.len());
     if n == 0 {
@@ -148,7 +111,7 @@ fn bench_name(path: &str) -> String {
 /// First run against a bench with no committed baseline: adopt the
 /// current (already-validated) results as the baseline and register
 /// them so the longitudinal trail starts here.
-fn seed_baseline(base_path: &str, cur_path: &str) -> ExitCode {
+fn seed_baseline(base_path: &str, cur_path: &str, doc: &BenchCore) -> ExitCode {
     if let Err(e) = std::fs::copy(cur_path, base_path) {
         eprintln!("bench-diff: seeding {base_path} from {cur_path}: {e}");
         return ExitCode::from(EXIT_BAD_INPUT);
@@ -177,28 +140,24 @@ fn seed_baseline(base_path: &str, cur_path: &str) -> ExitCode {
     // Enumerate what the future gate will actually compare, so the
     // first-run log records which series the baseline froze — a later
     // "where did this gated key come from" has its answer in CI history.
-    match load(cur_path) {
-        Ok(doc) => {
-            for (key, value) in &doc.scalars {
-                let dir = match classify(key) {
-                    Direction::LowerBetter => "lower-better",
-                    Direction::HigherBetter => "higher-better",
-                    Direction::Info => "informational",
-                };
-                let reps = doc
-                    .reps_of(key)
-                    .map(|r| format!(", {} reps", r.len()))
-                    .unwrap_or_default();
-                println!("  seeded {key} = {value} ({dir}{reps})");
-            }
-            println!(
-                "  {} series seeded ({} with per-repetition arrays)",
-                doc.scalars.len(),
-                doc.reps.len()
-            );
-        }
-        Err(e) => eprintln!("bench-diff: cannot enumerate seeded series: {e}"),
+    for (key, bits) in &doc.scalars {
+        let value = f64::from_bits(*bits);
+        let dir = match classify(key) {
+            Direction::LowerBetter => "lower-better",
+            Direction::HigherBetter => "higher-better",
+            Direction::Info => "informational",
+        };
+        let reps = doc
+            .reps_of(key)
+            .map(|r| format!(", {} reps", r.len()))
+            .unwrap_or_default();
+        println!("  seeded {key} = {value} ({dir}{reps})");
     }
+    println!(
+        "  {} series seeded ({} with per-repetition arrays)",
+        doc.scalars.len(),
+        doc.reps.len()
+    );
     ExitCode::SUCCESS
 }
 
@@ -245,7 +204,7 @@ fn main() -> ExitCode {
         }
     };
     if !std::path::Path::new(&base_path).exists() {
-        return seed_baseline(&base_path, &cur_path);
+        return seed_baseline(&base_path, &cur_path, &cur);
     }
     let base = match load(&base_path) {
         Ok(b) => b,
@@ -258,12 +217,13 @@ fn main() -> ExitCode {
 
     let mut failures = 0usize;
     println!("bench-diff: {cur_path} vs baseline {base_path} (band {band:.2}x)");
-    for (key, b) in &base.scalars {
+    for (key, bits) in &base.scalars {
+        let b = f64::from_bits(*bits);
         let Some(c) = cur.scalar(key) else {
             println!("  {key:<22} missing in current (baseline {b})");
             continue;
         };
-        let ratio = if *b != 0.0 { c / b } else { f64::INFINITY };
+        let ratio = if b != 0.0 { c / b } else { f64::INFINITY };
         let over_band = match classify(key) {
             Direction::LowerBetter => ratio > band,
             Direction::HigherBetter => ratio < 1.0 / band,
@@ -287,9 +247,9 @@ fn main() -> ExitCode {
             failures += 1;
         }
     }
-    for (key, c) in &cur.scalars {
+    for (key, bits) in &cur.scalars {
         if base.scalar(key).is_none() {
-            println!("  {key:<22} new in current ({c})");
+            println!("  {key:<22} new in current ({})", f64::from_bits(*bits));
         }
     }
     if failures > 0 {

@@ -76,7 +76,8 @@ impl Reproduction {
         // Byte-identical to the sequential `sweep::sweep_all` at any
         // worker count (`generate_equals_the_sequential_sweep` below).
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut batches = sweep::sweep_all_parallel(&spec, workers);
+        let mut batches =
+            sweep::sweep_all_scheduled(&spec, &sweep::SweepOptions::new(workers)).batches;
         for b in &mut batches {
             sweep::clean(b, spec.reps as usize);
         }
@@ -502,9 +503,10 @@ mod tests {
         let r = repro();
         let mut sequential = sweep::sweep_all(&r.spec);
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let opts = sweep::SweepOptions::new(workers.max(2));
         assert_eq!(
             sweep::slice_fingerprint(&sequential),
-            sweep::slice_fingerprint(&sweep::sweep_all_parallel(&r.spec, workers.max(2))),
+            sweep::slice_fingerprint(&sweep::sweep_all_scheduled(&r.spec, &opts).batches),
             "raw batches, failed repetitions included"
         );
         for b in &mut sequential {

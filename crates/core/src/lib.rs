@@ -50,7 +50,7 @@ pub use diag::{Diagnostic, Severity};
 pub use envvar::{
     KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
 };
-pub use fnv::Fnv1a;
+pub use fnv::{mix64, splitmix64, Fnv1a, SPLITMIX64_GAMMA};
 pub use icv::IcvState;
 pub use placement::Placement;
 pub use recommend::{recommend_for, worst_trends, CellReport, Recommendation, WorstTrend};

@@ -201,12 +201,7 @@ where
     let space = ConfigSpace::new(arch, num_threads);
     // SplitMix the seed so that nearby seeds give unrelated streams, and
     // guarantee a nonzero xorshift state.
-    let mut state = {
-        let mut z = seed.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        (z ^ (z >> 31)) | 1
-    };
+    let mut state = crate::splitmix64(seed) | 1;
     let mut next = move || {
         // xorshift64*
         state ^= state >> 12;

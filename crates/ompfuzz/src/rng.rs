@@ -23,11 +23,8 @@ impl Rng {
 
     /// Next raw 64-bit value (SplitMix64 step).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(omptune_core::SPLITMIX64_GAMMA);
+        omptune_core::mix64(self.state)
     }
 
     /// Uniform value in `[0, n)`. `n` must be nonzero. The modulo bias

@@ -1063,6 +1063,8 @@ mod tests {
             html.contains("a64fx/virt/s7"),
             "missing strata render as gaps"
         );
+        assert!(html.starts_with("<!DOCTYPE html>"));
+        assert!(html.ends_with("</html>\n"), "report.html is truncated");
     }
 
     #[test]

@@ -585,5 +585,8 @@ mod tests {
         };
         let doc = a.to_json(&meta);
         assert!(doc.contains("\"samples\": 0"));
+        // The markers readers of profile.json key on.
+        assert!(doc.contains("\"schema\": \"ompprof-attribution-v2\""));
+        assert!(doc.contains("\"energy_ranking\""));
     }
 }

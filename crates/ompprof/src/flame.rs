@@ -387,6 +387,7 @@ mod tests {
         best.value_ns = best.children.iter().map(|c| c.value_ns).sum();
         let doc = diff_svg(&best, &worst, "diff", "sub");
         assert!(doc.starts_with("<?xml"));
+        assert!(doc.trim_end().ends_with("</svg>"));
         assert!(doc.contains("rgb(250,"), "no red regression cells");
         assert!(doc.contains("delta +"), "no positive delta tooltip");
     }
@@ -418,6 +419,7 @@ mod tests {
         best.energy_j = best.children.iter().map(|c| c.energy_j).sum();
         let doc = energy_diff_svg(&best, &worst, "energy diff", "sub");
         assert!(doc.starts_with("<?xml"));
+        assert!(doc.trim_end().ends_with("</svg>"));
         assert!(doc.contains("rgb(250,"), "no red energy-regression cells");
         assert!(doc.contains("delta +"), "no positive joule delta tooltip");
         assert!(doc.contains("mJ"), "tooltips must carry joule figures");

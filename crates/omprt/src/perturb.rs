@@ -31,6 +31,7 @@
 //!
 //! Builds without the `check` feature compile [`point`] to nothing.
 
+use omptune_core::{splitmix64 as mix, SPLITMIX64_GAMMA};
 #[cfg(feature = "check")]
 use std::cell::Cell;
 #[cfg(feature = "check")]
@@ -118,7 +119,7 @@ pub struct Decision {
 pub fn decision(plan: Plan, visit: u64, fp: u64, site: Site) -> Decision {
     // PCT-style priority in 0..8: 0 concedes most, 7 barely at all.
     let prio = mix(plan.seed ^ fp.wrapping_mul(0xA24B_AED4_963E_E407)) % 8;
-    let h = mix(plan.seed ^ visit.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ site.index() << 56 ^ fp);
+    let h = mix(plan.seed ^ visit.wrapping_mul(SPLITMIX64_GAMMA) ^ site.index() << 56 ^ fp);
     if h.is_multiple_of(61) {
         // Priority-change point: a burst long enough for another
         // runnable thread to overtake this one.
@@ -144,15 +145,6 @@ pub fn decision(plan: Plan, visit: u64, fp: u64, site: Site) -> Decision {
             spins: 0,
         }
     }
-}
-
-/// SplitMix64 finalizer: the decision hash.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(feature = "check")]

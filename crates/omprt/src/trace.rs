@@ -9,7 +9,7 @@
 //!
 //! Cost model: every site is gated on one relaxed atomic load, so with
 //! tracing off (the default) the instrumented runtime stays within noise
-//! of an uninstrumented build — the `checker_overhead` bench quantifies
+//! of an uninstrumented build — the `runtime_ablation` bench quantifies
 //! both states. Builds without the `check` feature compile the sites out
 //! entirely.
 //!

@@ -10,7 +10,7 @@
 //! Every instrumentation site is gated on **one relaxed atomic load**
 //! ([`enabled`]) — the same discipline as `omprt::trace`. With no
 //! session active, [`add`] and [`record_region`] return immediately and
-//! no clocks are read; the `telemetry_overhead` bench in `bench-harness`
+//! no clocks are read; the `runtime_ablation` bench in `bench-harness`
 //! pins this.
 //!
 //! ## Exclusive sessions

@@ -70,13 +70,7 @@ impl Imbalance {
 
 /// Deterministic standard-normal variate per (seed, unit).
 fn unit_gaussian(seed: u64, unit: u64) -> f64 {
-    fn mix(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
+    use omptune_core::splitmix64 as mix;
     let k = mix(seed ^ mix(unit));
     let u1 = ((k >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
     let k2 = mix(k);

@@ -28,16 +28,16 @@ pub use cache::{BatchEntries, SampleCache, DEFAULT_ROW_INDEX, ENGINE_VERSION};
 pub use dataset::{clean, CleanReport, Dataset, DropReason};
 pub use provenance::{
     config_fingerprint, config_hash, provenance_iter, provenance_of, read_manifest,
-    read_provenance_jsonl, slice_fingerprint, write_manifest, write_provenance_jsonl, ArchManifest,
-    RunManifest, SampleProvenance,
+    slice_fingerprint, write_manifest, write_provenance_jsonl, ArchManifest, RunManifest,
+    SampleProvenance,
 };
 pub use registry::{
     default_registry_dir, detect_git_rev, record_bench, spec_fingerprint, ArchDigest, BatchPartial,
     BenchCore, CollectCore, Registry, RegistryLoad, RunCore, RunInfo, RunRecord, StratumSeries,
 };
 pub use runner::{
-    noise_stream, sweep_all, sweep_all_parallel, sweep_arch, sweep_arch_parallel, sweep_setting,
-    RawSample, RunKey, SampleTelemetry, SettingData,
+    noise_stream, sweep_all, sweep_arch, sweep_setting, RawSample, RunKey, SampleTelemetry,
+    SettingData,
 };
 pub use schedule::{
     planned_samples, sweep_all_scheduled, sweep_arch_scheduled, sweep_setting_scheduled,

@@ -165,15 +165,6 @@ where
     Ok(())
 }
 
-/// Parse provenance JSON lines back (blank lines skipped).
-pub fn read_provenance_jsonl(text: &str) -> io::Result<Vec<SampleProvenance>> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .map(|l| serde_json::from_str(l).map_err(io::Error::other))
-        .collect()
-}
-
 /// Per-architecture slice of a collection run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArchManifest {
@@ -322,7 +313,10 @@ mod tests {
         write_provenance_jsonl(&records, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), records.len());
-        let back = read_provenance_jsonl(&text).unwrap();
+        let back: Vec<SampleProvenance> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
         assert_eq!(back, records);
         // Fed lazily, by value, the writer produces the same bytes.
         let mut lazy = Vec::new();

@@ -547,6 +547,21 @@ impl BenchCore {
         })
     }
 
+    /// The scalar `key`, as the number the document held.
+    pub fn scalar(&self, key: &str) -> Option<f64> {
+        let found = self.scalars.iter().find(|(k, _)| k == key)?;
+        Some(f64::from_bits(found.1))
+    }
+
+    /// The repetitions published beside the scalar `key` (`<key>_reps`).
+    pub fn reps_of(&self, key: &str) -> Option<Vec<f64>> {
+        let found = self
+            .reps
+            .iter()
+            .find(|(k, _)| k.strip_suffix("_reps") == Some(key))?;
+        Some(found.1.iter().map(|&bits| f64::from_bits(bits)).collect())
+    }
+
     fn hash_into(&self, h: &mut Fnv1a) {
         mix_str(h, &self.bench);
         for (k, bits) in &self.scalars {

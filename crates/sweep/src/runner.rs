@@ -204,11 +204,8 @@ pub fn noise_stream(key: &RunKey, config_index: usize) -> u64 {
 
 /// Deterministic uniform in [0, 1) for failure injection.
 fn failure_roll(seed: u64, stream: u64, rep: u32) -> f64 {
-    let mut z = seed ^ stream.rotate_left(17) ^ ((rep as u64) << 48) ^ 0xFA11_FA11;
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    let z = seed ^ stream.rotate_left(17) ^ ((rep as u64) << 48) ^ 0xFA11_FA11;
+    (omptune_core::splitmix64(z) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Simulate one configuration's repetitions against a prebuilt model,
@@ -357,28 +354,11 @@ pub fn sweep_arch(arch: Arch, spec: &SweepSpec) -> Vec<SettingData> {
         .collect()
 }
 
-/// Sweep one architecture with `workers` OS threads via the
-/// work-stealing scheduler (no sample cache). Because every sample's
-/// noise stream is identity-derived, the result is byte-identical to
-/// the sequential [`sweep_arch`] — a property the tests pin down.
-pub fn sweep_arch_parallel(arch: Arch, spec: &SweepSpec, workers: usize) -> Vec<SettingData> {
-    crate::schedule::sweep_arch_scheduled(arch, spec, &crate::schedule::SweepOptions::new(workers))
-        .batches
-}
-
 /// Sweep all three architectures (the paper's full data collection).
 pub fn sweep_all(spec: &SweepSpec) -> Vec<SettingData> {
     Arch::ALL
         .iter()
         .flat_map(|&arch| sweep_arch(arch, spec))
-        .collect()
-}
-
-/// Parallel variant of [`sweep_all`].
-pub fn sweep_all_parallel(spec: &SweepSpec, workers: usize) -> Vec<SettingData> {
-    Arch::ALL
-        .iter()
-        .flat_map(|&arch| sweep_arch_parallel(arch, spec, workers))
         .collect()
 }
 
@@ -495,8 +475,12 @@ mod tests {
         assert!(mean_rep(0) > 1.15 * mean_rep(1), "missing batch drift");
     }
 
+    /// Every sample's noise stream is identity-derived, so the
+    /// work-stealing scheduler reproduces the sequential sweep at any
+    /// worker count.
     #[test]
     fn parallel_sweep_is_byte_identical_to_sequential() {
+        use crate::schedule::{sweep_arch_scheduled, SweepOptions};
         let spec = SweepSpec {
             scope: Scope::Strided(1500),
             reps: 2,
@@ -506,8 +490,8 @@ mod tests {
         };
         let seq = sweep_arch(Arch::A64fx, &spec);
         for workers in [1usize, 2, 5] {
-            let par = sweep_arch_parallel(Arch::A64fx, &spec, workers);
-            assert_eq!(par, seq, "{workers} workers diverged");
+            let par = sweep_arch_scheduled(Arch::A64fx, &spec, &SweepOptions::new(workers));
+            assert_eq!(par.batches, seq, "{workers} workers diverged");
         }
     }
 

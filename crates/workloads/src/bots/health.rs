@@ -32,19 +32,13 @@ pub fn model(_arch: Arch, setting: Setting) -> Model {
 /// village tree.
 pub mod real {
     use omprt::{join, task_parallel, ThreadPool};
+    use omptune_core::splitmix64 as mix;
 
     /// Simulation output: totals over all villages and timesteps.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Totals {
         pub treated: u64,
         pub referred: u64,
-    }
-
-    fn mix(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
     }
 
     /// Simulate the subtree rooted at `id` with the given depth:

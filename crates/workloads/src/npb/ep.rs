@@ -33,16 +33,11 @@ pub fn model(_arch: Arch, setting: Setting) -> Model {
 /// accepted pairs and sums the deviates (the NPB verification quantities).
 pub mod real {
     use omprt::{parallel_reduce_sum, ThreadPool};
-    use omptune_core::{OmpSchedule, ReductionMethod};
+    use omptune_core::{mix64, OmpSchedule, ReductionMethod, SPLITMIX64_GAMMA};
 
     /// Counter-based uniform in (0, 1): SplitMix64 keyed by the index.
     fn uniform(seed: u64, k: u64) -> f64 {
-        let mut x = seed ^ k.wrapping_mul(0x9E3779B97F4A7C15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58476D1CE4E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D049BB133111EB);
-        x ^= x >> 31;
+        let x = mix64(seed ^ k.wrapping_mul(SPLITMIX64_GAMMA));
         ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64
     }
 

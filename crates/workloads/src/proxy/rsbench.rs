@@ -34,20 +34,13 @@ pub fn model(_arch: Arch, setting: Setting) -> Model {
 /// representation.
 pub mod real {
     use omprt::{parallel_reduce_sum, ThreadPool};
-    use omptune_core::{OmpSchedule, ReductionMethod};
+    use omptune_core::{splitmix64 as mix, OmpSchedule, ReductionMethod};
 
     /// One resonance pole: complex position and residue.
     #[derive(Debug, Clone, Copy)]
     pub struct Pole {
         pub pos: (f64, f64),
         pub res: (f64, f64),
-    }
-
-    fn mix(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
     }
 
     fn uniform(x: u64) -> f64 {

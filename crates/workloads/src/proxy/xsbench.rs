@@ -36,7 +36,7 @@ pub fn model(_arch: Arch, setting: Setting) -> Model {
 /// and a verification checksum, exactly the XSBench recipe at mini scale.
 pub mod real {
     use omprt::{parallel_reduce_sum, ThreadPool};
-    use omptune_core::{OmpSchedule, ReductionMethod};
+    use omptune_core::{splitmix64 as mix, OmpSchedule, ReductionMethod};
 
     /// The unionized grid: sorted energies × per-nuclide cross sections.
     pub struct Grid {
@@ -45,13 +45,6 @@ pub mod real {
         /// point `e`.
         xs: Vec<f64>,
         nuclides: usize,
-    }
-
-    fn mix(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
     }
 
     fn uniform(x: u64) -> f64 {

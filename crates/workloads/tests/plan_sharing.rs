@@ -44,11 +44,8 @@ fn one_config_per_projection(arch: Arch, t: usize) -> Vec<TuningConfig> {
 /// Seeded Fisher-Yates over `0..n` (splitmix64 stream).
 fn shuffled(n: usize, mut state: u64) -> Vec<usize> {
     let mut next = move || {
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        state = state.wrapping_add(omptune_core::SPLITMIX64_GAMMA);
+        omptune_core::mix64(state)
     };
     let mut order: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {

@@ -1,22 +1,31 @@
 #!/usr/bin/env bash
-# Repository verification gate: build, tests, formatting, lints.
-#
-# Usage: scripts/verify.sh
-#
-# Run from anywhere; the script cd's to the repo root. Fails fast on the
-# first broken step so CI output points at the culprit.
+# Repository verification gate: build, tests, formatting, lints, then the
+# CLI, live-monitor and bench legs. Usage: scripts/verify.sh, from anywhere;
+# fails fast on the first broken step so CI output points at the culprit.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-step() {
+banner() {
     echo
     echo "==> $*"
+}
+step() {
+    banner "$*"
     "$@"
 }
 need() { # need FILE PATTERN MESSAGE — some line of FILE matches PATTERN
     grep -q -- "$2" "$1" || {
         echo "verify: $3" >&2
+        exit 1
+    }
+}
+expect_exit() { # expect_exit CODE WHAT CMD... — the tools' 0 clean, 4 findings, 1 error, 2 usage
+    local want="$1" what="$2" rc=0
+    shift 2
+    "$@" || rc=$?
+    [ "$rc" -eq "$want" ] || {
+        echo "verify: $what: exited $rc, expected $want" >&2
         exit 1
     }
 }
@@ -27,8 +36,7 @@ step cargo test --workspace -q
 # The simrt lib tests share process-global telemetry; a test that races a
 # session shows up as an intermittent failure, so one green run proves
 # little. Twenty consecutive runs (~1 s) must all pass.
-echo
-echo "==> simrt lib tests, 20 consecutive runs"
+banner "simrt lib tests, 20 consecutive runs"
 for i in $(seq 20); do
     cargo test -p simrt --lib -q >/dev/null 2>&1 || {
         echo "verify: simrt lib tests failed on run $i of 20" >&2
@@ -70,7 +78,6 @@ for gone in sweep_arch_scheduled 'clean(' push_arch '_series(' write_artifacts '
         exit 1
     }
 done
-step cargo bench -p bench-harness --bench telemetry_overhead
 step cargo run --release -p sweep --bin omptel-report -- --self-check
 
 # The runs the CLI legs below compare: a cold and a warm `collect tiny`
@@ -79,8 +86,7 @@ step cargo run --release -p sweep --bin omptel-report -- --self-check
 # tests/collect_pipeline.rs, in-process), then a traced, a monitored and a
 # perturbed one. All five record into $coherence_dir/.ompobs, the out-dir
 # sibling default.
-echo
-echo "==> collect tiny: cold, then warm off the same cache"
+banner "collect tiny: cold, then warm off the same cache"
 coherence_dir="$(mktemp -d)"
 collect_pid=""
 cleanup() {
@@ -93,6 +99,13 @@ collect_tiny() { # collect_tiny RUN OPTIONS... — `collect tiny` into $coherenc
     shift
     cargo run --release -p sweep --bin collect -- tiny "$coherence_dir/$run" "$@" 2>/dev/null
 }
+same_provenance() { # same_provenance RUN — RUN's provenance is byte-identical to the cold run's
+    cmp "$coherence_dir/cold/provenance.jsonl" "$coherence_dir/$1/provenance.jsonl" || {
+        echo "verify: $1 sweep provenance diverged from the plain sweep" >&2
+        exit 1
+    }
+    echo "$1 and plain provenance byte-identical"
+}
 collect_tiny cold --workers 4 --cache-dir "$coherence_dir/cache"
 collect_tiny warm --workers 2 --cache-dir "$coherence_dir/cache"
 
@@ -100,25 +113,16 @@ collect_tiny warm --workers 2 --cache-dir "$coherence_dir/cache"
 # provenance byte-identical to the untraced runs above, and (b) export a
 # structurally valid trace — spans well-nested per thread, every
 # cross-worker flow resolved, drop count reported by trace-check.
-echo
-echo "==> flight-recorder trace validation (live traced collect)"
+banner "flight-recorder trace validation (live traced collect)"
 collect_tiny traced --workers 4 --cache-dir "$coherence_dir/trace-cache" \
     --trace "$coherence_dir/traced/trace.json"
-cmp "$coherence_dir/cold/provenance.jsonl" "$coherence_dir/traced/provenance.jsonl" || {
-    echo "verify: traced sweep provenance diverged from untraced sweep" >&2
-    exit 1
-}
-echo "traced and untraced provenance byte-identical"
-step cargo run --release -p sweep --bin trace-check -- \
-    "$coherence_dir/traced/trace.json"
+same_provenance traced
+step cargo run --release -p sweep --bin trace-check -- "$coherence_dir/traced/trace.json"
 
-# Live monitor: a monitored collect run must serve valid Prometheus
-# /metrics, /healthz, the /sweep JSON (including the ring-buffer and
-# watchdog telemetry counters), and the streaming /influence ranking
-# while the sweep is running, and still produce byte-identical
-# provenance to the unmonitored runs.
-echo
-echo "==> live monitor gate (/metrics, /healthz, /sweep, /influence, /energy while sweeping)"
+# Live monitor: a monitored collect run must answer every route below
+# while the sweep is running, and still produce byte-identical provenance
+# to the unmonitored runs.
+banner "live monitor gate (/metrics, /healthz, /sweep, /influence, /energy while sweeping)"
 http_get() { # http_get HOST:PORT PATH — plain HTTP/1.0 over /dev/tcp
     local host="${1%:*}" port="${1##*:}"
     exec 3<>"/dev/tcp/$host/$port"
@@ -140,11 +144,10 @@ for _ in $(seq 1 1000); do
     sleep 0.01
 done
 [ -n "$addr" ] || { echo "verify: monitor.addr never appeared" >&2; exit 1; }
-# Connect to every route at once, while the sweep is running: the
-# monitor answers every connection queued before it shuts down, so it
-# does not matter how few accept polls (one per 10 ms) a ~100 ms tiny
-# sweep leaves it. Only a connection attempted after the run is over
-# can fail, and it fails as refused — say so, route by route.
+# Connect to every route at once, while the sweep is running: the monitor
+# answers every connection queued before it shuts down, however few accept
+# polls (one per 10 ms) a ~100 ms tiny sweep leaves it. Only a connection
+# attempted after the run is over can fail, as refused — say so by route.
 routes=(metrics healthz sweep runs influence energy)
 scrape_pids=()
 for route in "${routes[@]}"; do
@@ -157,45 +160,36 @@ for i in "${!routes[@]}"; do
         exit 1
     }
 done
-need "$coherence_dir/scrape.metrics" '^# TYPE omptel_regions_total counter' \
-    "/metrics is not valid Prometheus exposition"
-need "$coherence_dir/scrape.metrics" '^omptel_sweep_total ' \
-    "/metrics is missing the sweep progress gauges"
-need "$coherence_dir/scrape.metrics" '^omptel_sweep_energy_joules ' \
-    "/metrics is missing the modeled-energy gauges"
-need "$coherence_dir/scrape.healthz" '^ok$' "/healthz did not answer ok"
-need "$coherence_dir/scrape.sweep" '"scope"' "/sweep JSON is missing the scope field"
-need "$coherence_dir/scrape.sweep" '"omptel_ring_dropped_total"' \
-    "/sweep JSON is missing the ring drop counter"
-need "$coherence_dir/scrape.sweep" '"watchdog"' "/sweep JSON is missing the watchdog counters"
-need "$coherence_dir/scrape.sweep" '"priced_batches"' \
-    "/sweep JSON is missing the warm-engine counters"
-need "$coherence_dir/scrape.runs" '"records"' "/runs is not serving the run-registry listing"
-need "$coherence_dir/scrape.influence" '"influence"' \
-    "/influence is not serving the streaming ranking"
-need "$coherence_dir/scrape.influence" '"OMP_PROC_BIND"' \
-    "/influence ranking is missing the env features"
-# Per-arch joules only appear as architectures complete, so mid-run we
-# only require the document shape.
-need "$coherence_dir/scrape.energy" '"schema":"ompwatt-energy-v1"' \
-    "/energy is not serving the energy exposition"
-need "$coherence_dir/scrape.energy" '"arches":\[' "/energy document is missing the arches array"
+# Per-arch joules only appear as architectures complete, so mid-run
+# /energy is only held to the document shape.
+while IFS='|' read -r route pattern what; do
+    need "$coherence_dir/scrape.$route" "$pattern" "/$route $what"
+done <<'ROUTES'
+metrics|^# TYPE omptel_regions_total counter|is not valid Prometheus exposition
+metrics|^omptel_sweep_total |is missing the sweep progress gauges
+metrics|^omptel_sweep_energy_joules |is missing the modeled-energy gauges
+healthz|^ok$|did not answer ok
+sweep|"scope"|JSON is missing the scope field
+sweep|"omptel_ring_dropped_total"|JSON is missing the ring drop counter
+sweep|"watchdog"|JSON is missing the watchdog counters
+sweep|"priced_batches"|JSON is missing the warm-engine counters
+runs|"records"|is not serving the run-registry listing
+influence|"influence"|is not serving the streaming ranking
+influence|"OMP_PROC_BIND"|ranking is missing the env features
+energy|"schema":"ompwatt-energy-v1"|is not serving the energy exposition
+energy|"arches":\[|document is missing the arches array
+ROUTES
 echo "live /metrics, /healthz, /sweep, /influence, /energy, /runs all answered mid-run"
 wait "$collect_pid"
 collect_pid=""
 need "$coherence_dir/monitored/monitor.addr" '^registry ' \
     "monitor.addr sidecar is missing the registry line"
-cmp "$coherence_dir/cold/provenance.jsonl" "$coherence_dir/monitored/provenance.jsonl" || {
-    echo "verify: monitored sweep provenance diverged from unmonitored sweep" >&2
-    exit 1
-}
-echo "monitored and unmonitored provenance byte-identical"
+same_provenance monitored
 
 # Drift sentinel self-comparison: the cold and warm runs above share a
 # seed, so their per-stratum virtual-time and energy series must be
 # identical — ompobs drift has to say OK (exit 0; 4 would mean drift).
-step cargo run --release -q -p ompobs -- \
-    drift "$coherence_dir/cold" "$coherence_dir/warm"
+step cargo run --release -q -p ompobs -- drift "$coherence_dir/cold" "$coherence_dir/warm"
 
 # Longitudinal observatory gate: the four collect runs above share one
 # registry and, same tree + same seed, one content address (asserted
@@ -203,168 +197,99 @@ step cargo run --release -q -p ompobs -- \
 # must say OK over that history, and a deliberately perturbed fifth run
 # (+10% virtual time on one architecture) must flip it to exit 4 with
 # blame naming the perturbed slice.
-echo
-echo "==> longitudinal observatory gate (registry, sentinel, blame, report)"
-expect_exit() { # expect_exit CODE WHAT CMD... — 0 clean, 4 moved, else broken
-    local want="$1" what="$2" rc=0
-    shift 2
-    "$@" || rc=$?
-    [ "$rc" -eq "$want" ] || {
-        echo "verify: $what: ompobs exited $rc, expected $want" >&2
-        exit 1
-    }
-}
+banner "longitudinal observatory gate (registry, sentinel, blame, report)"
 obs_dir="$coherence_dir/.ompobs"
 cargo run --release -q -p ompobs -- list --dir "$obs_dir"
 expect_exit 0 "sentinel over the identical-run history" \
     cargo run --release -q -p ompobs -- sentinel --dir "$obs_dir"
-[ -s "$obs_dir/history.json" ] || {
-    echo "verify: sentinel did not write history.json" >&2
-    exit 1
-}
-collect_tiny perturbed --workers 2 --cache-dir "$coherence_dir/cache" \
-    --perturb skylake:1.10
+need "$obs_dir/history.json" . "sentinel did not write history.json"
+collect_tiny perturbed --workers 2 --cache-dir "$coherence_dir/cache" --perturb skylake:1.10
 expect_exit 4 "sentinel over the +10% skylake perturbation" \
     cargo run --release -q -p ompobs -- sentinel --dir "$obs_dir"
 # The two-run comparison must see the same fault from the runs' tsdb/
-# rings alone: cold vs perturbed is DRIFT (exit 4), not OK and not an
-# error.
+# rings alone: cold vs perturbed is DRIFT (exit 4), not OK, not an error.
 expect_exit 4 "drift of cold vs the +10% skylake perturbation" \
     cargo run --release -q -p ompobs -- \
     drift "$coherence_dir/cold" "$coherence_dir/perturbed"
-[ -s "$coherence_dir/perturbed/drift.json" ] || {
-    echo "verify: ompobs drift did not write drift.json beside the newer run" >&2
-    exit 1
-}
+need "$coherence_dir/perturbed/drift.json" . \
+    "ompobs drift did not write drift.json beside the newer run"
 blame_out="$(cargo run --release -q -p ompobs -- blame --dir "$obs_dir")"
 echo "$blame_out"
 need <(echo "$blame_out") 'top regressed slice: skylake/' \
     "blame did not name the perturbed skylake slice"
 cargo run --release -q -p ompobs -- report --dir "$obs_dir"
-need <(head -1 "$obs_dir/report.html") '<!DOCTYPE html>' "report.html is missing the HTML prologue"
-need <(tail -1 "$obs_dir/report.html") '</html>' "report.html is truncated"
 need "$obs_dir/report.html" 'CHANGE-POINT' "report.html lost the change-point verdict"
-echo "sentinel clean on identical history, change-point + drift + blame on the perturbed run, dashboard well-formed"
+echo "sentinel clean on identical history, change-point + drift + blame on the perturbed run"
 
-# Bench regression gates: a bench's fresh numbers must stay within the
-# noise band of its committed baseline. sweep_warmcold first.
-bench_gate() { # bench_gate BENCH BASELINE — run BENCH, then diff it against ./BASELINE
-    echo
-    echo "==> bench regression gate ($1 vs committed $2)"
-    BENCH_OUT="$coherence_dir/$2" OMPOBS_DIR="$obs_dir" cargo bench -p bench-harness --bench "$1"
-    step cargo run --release -p bench-harness --bin bench-diff -- \
-        --baseline "$2" "$coherence_dir/$2" --band 2.0
-}
-bench_gate sweep_warmcold BENCH_sweep.json
-
-# ompprof smoke: attribute a strided CG/Milan sweep and cross-check the
-# top attributed variable against the logistic-regression influence
-# ranking (exit 4 would mean they disagree); then render the
-# best-vs-worst differential flame graphs and confirm the paper's
-# 143.57x CG/Milan gap survives, the folded stacks parse (every line
-# ends in an integer sample count), and the SVGs are well-formed.
-echo
-echo "==> ompprof smoke (attribution vs logreg, 143.57x gap, flame graphs)"
+# ompprof smoke: the top attributed variable of a strided CG/Milan sweep
+# must agree with the logistic-regression influence ranking (--check:
+# exit 4 if not), and `diff` must still print the paper's 143.57x gap.
+# The artifacts' shape (schema markers, folded-stack lines, SVG prologue
+# and epilogue) is held by ompprof's, ompwatt's and ompobs's own tests.
+banner "ompprof smoke (attribution vs logreg, foreign dataset, 143.57x gap)"
 step cargo run --release -p ompprof -- attribute milan cg --check \
     --out "$coherence_dir/profile.json"
-need "$coherence_dir/profile.json" '"schema": "ompprof-attribution-v2"' \
-    "profile.json is missing the attribution schema marker"
-need "$coherence_dir/profile.json" '"energy_ranking"' \
-    "profile.json is missing the energy-spread ranking"
 # A dataset is outside input: one sample with an alignment no
 # architecture sweeps must end in exit 1 naming the sample, not a panic.
 mkdir -p "$coherence_dir/foreign"
 sed '0,/"align_alloc":256/s//"align_alloc":1024/' \
     "$coherence_dir/cold/raw_batches.json" >"$coherence_dir/foreign/raw_batches.json"
-rc=0
-cargo run --release -q -p ompprof -- attribute --data "$coherence_dir/foreign" \
-    --out "$coherence_dir/foreign/profile.json" 2>"$coherence_dir/foreign.err" || rc=$?
-[ "$rc" -eq 1 ] && grep -q 'sample config_index [0-9]*: .*align=1024' "$coherence_dir/foreign.err" || {
-    echo "verify: ompprof attribute --data over a 1024-byte alignment exited $rc; expected 1 and the sample named" >&2
-    exit 1
+attribute_foreign() {
+    cargo run --release -q -p ompprof -- attribute --data "$coherence_dir/foreign" \
+        --out "$coherence_dir/foreign/profile.json" 2>"$coherence_dir/foreign.err"
 }
+expect_exit 1 "ompprof attribute --data over a 1024-byte alignment" attribute_foreign
+need "$coherence_dir/foreign.err" 'sample config_index [0-9]*: .*align=1024' \
+    "ompprof attribute --data did not name the sample with the foreign alignment"
 echo "foreign alignment in a dataset: exit 1, sample named"
 diff_out="$(cargo run --release -q -p ompprof -- diff milan cg \
     --out-dir "$coherence_dir/flame")"
 echo "$diff_out"
 need <(echo "$diff_out") '143\.57x' "ompprof diff lost the paper's 143.57x CG/Milan gap"
-for f in best worst; do
-    awk 'NF < 2 || $NF !~ /^[0-9]+$/ { bad = 1 } END { exit bad }' \
-        "$coherence_dir/flame/$f.folded" || {
-        echo "verify: flame/$f.folded is not valid folded-stack format" >&2
-        exit 1
-    }
-done
-for svg in flame_best flame_worst flame_diff flame_energy_diff; do
-    need <(head -1 "$coherence_dir/flame/$svg.svg") '^<?xml' \
-        "flame/$svg.svg is missing the XML prologue"
-    need <(tail -1 "$coherence_dir/flame/$svg.svg") '</svg>' "flame/$svg.svg is truncated"
-done
-echo "attribution agrees with logreg; folded stacks and flame SVGs well-formed"
 
 # Energy disagreement gate: the headline ompwatt claim — at least one
 # architecture's energy-optimal configuration differs from its
-# time-optimal one — must hold (exit 4 from --check means it vanished),
-# and the artifacts EXPERIMENTS.md and CI reference must be well-formed.
-echo
-echo "==> energy disagreement gate (ompwatt report --check)"
+# time-optimal one — must hold (exit 4 from --check means it vanished).
 step cargo run --release -p ompwatt -- report cg --scope 200 --workers 4 \
     --out-dir "$coherence_dir/ompwatt" --check
-need "$coherence_dir/ompwatt/disagreement.md" 'DISAGREE' \
-    "disagreement.md lists no disagreeing architecture"
-need <(head -1 "$coherence_dir/ompwatt/energy_heatmap.svg") '^<?xml' \
-    "energy_heatmap.svg is missing the XML prologue"
-need <(tail -1 "$coherence_dir/ompwatt/energy_heatmap.svg") '</svg>' \
-    "energy_heatmap.svg is truncated"
-need "$coherence_dir/ompwatt/ompwatt.json" '"schema": "ompwatt-report-v1"' \
-    "ompwatt.json is missing the report schema marker"
-echo "energy-vs-time disagreement holds; ompwatt artifacts well-formed"
 
 # Schedule-space certification smoke: 25 generated programs x 64
 # perturbed schedules (1600 pairs), every trace through the
-# happens-before checker and the differential harness. Exit 4 means the
-# campaign found a real schedule violation; any other failure is an
-# internal error — both block, with distinct diagnostics.
-echo
-echo "==> schedule-space certification smoke (ompfuzz certify, 25x64)"
-if cargo run --release -q -p ompfuzz -- certify --seeds 25 --schedules 64 \
-    --budget-s 300 --out "$coherence_dir/certification.json"; then
-    :
-else
-    rc=$?
-    if [ "$rc" -eq 4 ]; then
-        echo "verify: certification campaign found schedule violations (exit 4)" >&2
-    else
-        echo "verify: ompfuzz certify failed internally (exit $rc)" >&2
-    fi
-    exit 1
-fi
-pairs="$(grep -o '"pairs": *[0-9]*' "$coherence_dir/certification.json" | grep -o '[0-9]*')"
-[ "${pairs:-0}" -ge 1000 ] || {
-    echo "verify: certification covered only ${pairs:-0} (program, schedule) pairs (< 1000)" >&2
-    exit 1
-}
-echo "certification clean over $pairs (program, schedule) pairs"
+# happens-before checker and the differential harness.
+banner "schedule-space certification smoke (ompfuzz certify, 25x64)"
+expect_exit 0 "ompfuzz certify (4 = schedule violations found, else internal)" \
+    cargo run --release -q -p ompfuzz -- certify --seeds 25 --schedules 64 \
+    --budget-s 300 --out "$coherence_dir/certification.json"
+need "$coherence_dir/certification.json" '"pairs": *[0-9]\{4,\}' \
+    "certification covered fewer than 1000 (program, schedule) pairs"
 
 # Generator determinism must also hold under release codegen (the CI
 # smoke above runs release): same seed, byte-identical artifacts.
 step cargo test -p ompfuzz --release --test determinism -q
 
-# Checker throughput gate: trace replay rate through check_trace must
-# stay within the noise band of the committed baseline — the campaign
-# above is checker-bound, so a replay regression shrinks CI coverage.
-bench_gate checker_throughput BENCH_checker.json
-
-# Attribution throughput gate: folding speed and the live-influence
-# sweep overhead (<= 1.05x, asserted inside the bench) must stay within
-# the noise band of the committed baseline.
-bench_gate attribution_throughput BENCH_profile.json
-
-# Export tail gate: write_raw_json, provenance build + write and tsdb
-# append + flush per sample — the layers a warm `collect` consists of —
-# and read_raw_json, which the analysis tools start with, must stay
-# within the noise band of the committed baseline.
-bench_gate export_tail BENCH_export.json
+# Bench regression gates: every bench publishes one rep-array document;
+# its fresh numbers must stay within the noise band of the committed
+# baseline (bench-diff: 2.0x band, then Wilcoxon over the reps).
+gates=(
+    # warm >= 5x cold; tracer and registry <= 1.05x, asserted in the bench
+    sweep_warmcold:BENCH_sweep.json
+    # the certification campaign above is checker-bound: a slower replay shrinks CI coverage
+    checker_throughput:BENCH_checker.json
+    # folding speed; live-influence sweep overhead <= 1.05x, asserted in the bench
+    attribution_throughput:BENCH_profile.json
+    # the layers a warm `collect` consists of, and read_raw_json, which analysis starts with
+    export_tail:BENCH_export.json
+    # the real runtime's barrier/reduction/wait/schedule choices and what observing it costs
+    runtime_ablation:BENCH_runtime.json
+)
+for gate in "${gates[@]}"; do
+    bench="${gate%%:*}" baseline="${gate##*:}"
+    banner "bench regression gate ($bench vs committed $baseline)"
+    BENCH_OUT="$coherence_dir/$baseline" OMPOBS_DIR="$obs_dir" \
+        cargo bench -p bench-harness --bench "$bench"
+    step cargo run --release -p bench-harness --bin bench-diff -- \
+        --baseline "$baseline" "$coherence_dir/$baseline" --band 2.0
+done
 
 # Pipeline benchmark smoke: one pass per workload at the tiny scope, every
 # output checked and every result line validated against BENCHMARK.json —
@@ -372,5 +297,4 @@ bench_gate export_tail BENCH_export.json
 step env CARGO_TARGET_DIR="$PWD/target" bash benchmark/run.sh --smoke \
     --out "$coherence_dir/bench_smoke"
 
-echo
-echo "verify: all gates passed"
+banner "verify: all gates passed"

@@ -1,6 +1,8 @@
-//! Doc lint: a repository path the prose cites in backticks must exist.
-//! The docs outlive the files they describe — a crate folded into
-//! another, a test renamed — and nothing else notices.
+//! Doc lint: a repository path the prose cites in backticks must exist,
+//! a `--bench NAME` must be a bench target and a `BENCH_*.json` a
+//! committed baseline. The docs outlive the files they describe — a crate
+//! folded into another, a test renamed, a bench deleted — and nothing else
+//! notices.
 
 use std::path::Path;
 
@@ -16,24 +18,75 @@ fn cited_path(span: &str) -> Option<&str> {
     (plain && ROOTS.iter().any(|root| path.starts_with(root))).then_some(path)
 }
 
+/// The bench target a backticked command runs (`… --bench NAME …`) and
+/// the baseline file a span names (`BENCH_sweep.json`, not the patterns
+/// `BENCH_*.json` / `BENCH_<name>.json`).
+fn cited_bench(span: &str) -> (Option<&str>, Option<&str>) {
+    let mut words = span.split(' ');
+    let target = words.by_ref().find(|w| *w == "--bench").and(words.next());
+    let plain =
+        |w: &&str| w.starts_with("BENCH_") && w.ends_with(".json") && !w.contains(['*', '<', '=']);
+    (target, span.split(' ').find(plain))
+}
+
+/// `visit(doc, line number, span)` for every backticked span of every doc:
+/// the odd pieces of a line split on backticks are its code spans.
+fn for_each_span(mut visit: impl FnMut(&str, usize, &str)) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            for span in line.split('`').skip(1).step_by(2) {
+                visit(doc, n + 1, span);
+            }
+        }
+    }
+}
+
 #[test]
 fn every_backticked_repo_path_in_the_docs_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut missing = Vec::new();
     let mut checked = 0;
-    for doc in DOCS {
-        let text = std::fs::read_to_string(root.join(doc)).unwrap();
-        for (n, line) in text.lines().enumerate() {
-            // Odd pieces of a line split on backticks are its code spans.
-            for path in line.split('`').skip(1).step_by(2).filter_map(cited_path) {
-                checked += 1;
-                if !root.join(path).exists() {
-                    missing.push(format!("{doc}:{}: `{path}`", n + 1));
-                }
+    for_each_span(|doc, line, span| {
+        if let Some(path) = cited_path(span) {
+            checked += 1;
+            if !root.join(path).exists() {
+                missing.push(format!("{doc}:{line}: `{path}`"));
             }
         }
-    }
+    });
     assert!(checked > 20, "the scan found only {checked} paths");
+    assert!(
+        missing.is_empty(),
+        "cited but absent:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn every_cited_bench_is_a_target_and_every_baseline_is_committed() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
+    let targets: Vec<&str> = manifest
+        .split("[[bench]]")
+        .skip(1)
+        .filter_map(|table| table.split('"').nth(1))
+        .collect();
+    assert_eq!(targets.len(), 5, "{targets:?}");
+    let mut missing = Vec::new();
+    let mut checked = 0;
+    for_each_span(|doc, line, span| {
+        let (target, baseline) = cited_bench(span);
+        checked += target.is_some() as usize + baseline.is_some() as usize;
+        if target.is_some_and(|t| !targets.contains(&t)) {
+            missing.push(format!("{doc}:{line}: `--bench {}`", target.unwrap()));
+        }
+        if baseline.is_some_and(|b| !root.join(b).exists()) {
+            missing.push(format!("{doc}:{line}: `{}`", baseline.unwrap()));
+        }
+    });
+    assert!(checked > 10, "the scan found only {checked} citations");
     assert!(
         missing.is_empty(),
         "cited but absent:\n{}",
@@ -68,4 +121,14 @@ fn spans_that_are_not_one_plain_path_are_skipped() {
     ] {
         assert_eq!(cited_path(skipped), None, "{skipped}");
     }
+    assert_eq!(
+        cited_bench("BENCH_OUT=x.json cargo bench -p bench-harness --bench export_tail"),
+        (Some("export_tail"), None)
+    );
+    assert_eq!(
+        cited_bench("BENCH_sweep.json"),
+        (None, Some("BENCH_sweep.json"))
+    );
+    assert_eq!(cited_bench("BENCH_<name>.json"), (None, None));
+    assert_eq!(cited_bench("BENCH_OUT"), (None, None));
 }

@@ -117,3 +117,29 @@ fn icv_resolution_is_total_over_the_space() {
         }
     }
 }
+
+#[test]
+fn hill_climb_beats_the_default_on_cg_milan() {
+    // The paper's Sec. VI proposal against the real model, not a toy
+    // objective: 120 evaluations of coordinate hill climbing over every
+    // variable on CG/Milan at 96 threads must win more than 1.2x over the
+    // default.
+    let arch = Arch::Milan;
+    let app = omptune::apps::app("cg").expect("cg registered");
+    let setting = omptune::apps::Setting {
+        input_code: 0,
+        num_threads: 96,
+    };
+    let model = (app.model)(arch, setting);
+    let objective = |cfg: &TuningConfig| omptune::sim::simulate(arch, cfg, &model, 0).total_ns;
+    let default = TuningConfig::default_for(arch, 96);
+    let base = objective(&default);
+    let tuned =
+        omptune::core::hill_climb(arch, default, &omptune::core::Variable::ALL, 120, objective);
+    assert!(tuned.evaluations <= 120);
+    assert!(
+        base / tuned.best_value > 1.2,
+        "tuner lost its win: {:.3}x",
+        base / tuned.best_value
+    );
+}
