@@ -23,13 +23,9 @@
 //! along with every series the new baseline froze (and how each will
 //! be gated), and the gate passes — the first run of a new bench
 //! self-initialises instead of forcing a manual bootstrap step.
-//!
-//! Exit codes: `0` pass (including a seeded baseline), `1` regression,
-//! `2` usage error, `3` the baseline (or current) file is unparsable —
-//! so CI can distinguish "the code got slower" from "the gate could
-//! not run".
 
 use mlstats::wilcoxon::{wilcoxon_signed_rank, WilcoxonError};
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use std::process::ExitCode;
 use sweep::BenchCore;
 
@@ -53,8 +49,9 @@ EXIT CODES:
     3  baseline/current unparsable
 ";
 
+// This gate's own two codes beside the suite's 0 and 2 (see [`HELP`]): CI
+// tells "the code got slower" from "the gate could not run".
 const EXIT_REGRESSION: u8 = 1;
-const EXIT_USAGE: u8 = 2;
 const EXIT_BAD_INPUT: u8 = 3;
 
 /// Significance level for the per-repetition Wilcoxon verdict.
@@ -111,11 +108,9 @@ fn bench_name(path: &str) -> String {
 /// First run against a bench with no committed baseline: adopt the
 /// current (already-validated) results as the baseline and register
 /// them so the longitudinal trail starts here.
-fn seed_baseline(base_path: &str, cur_path: &str, doc: &BenchCore) -> ExitCode {
-    if let Err(e) = std::fs::copy(cur_path, base_path) {
-        eprintln!("bench-diff: seeding {base_path} from {cur_path}: {e}");
-        return ExitCode::from(EXIT_BAD_INPUT);
-    }
+fn seed_baseline(base_path: &str, cur_path: &str, doc: &BenchCore) -> Result<u8, String> {
+    std::fs::copy(cur_path, base_path)
+        .map_err(|e| format!("seeding {base_path} from {cur_path}: {e}"))?;
     let registry_dir = sweep::registry::env_registry_dir().unwrap_or_else(|| {
         std::path::Path::new(base_path)
             .parent()
@@ -158,62 +153,47 @@ fn seed_baseline(base_path: &str, cur_path: &str, doc: &BenchCore) -> ExitCode {
         doc.scalars.len(),
         doc.reps.len()
     );
-    ExitCode::SUCCESS
+    Ok(EXIT_OK)
+}
+
+/// The baseline path, the current path and the band.
+fn parse(mut args: Args) -> Result<(String, String, f64), Error> {
+    args.help(HELP)?;
+    let band = match args.parsed("--band", "a factor")? {
+        None => 1.5,
+        Some(f) if f >= 1.0 => f,
+        Some(_) => return Err(Error::usage("--band needs a factor >= 1.0")),
+    };
+    let baseline = args.value("--baseline")?;
+    let current = args.positional()?;
+    args.finish()?;
+    match (baseline, current) {
+        (Some(baseline), Some(current)) => Ok((baseline, current, band)),
+        _ => Err(Error::usage(
+            "--baseline BASE.json and CURRENT.json are both required",
+        )),
+    }
 }
 
 fn main() -> ExitCode {
-    let mut baseline = None;
-    let mut current = None;
-    let mut band = 1.5f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{HELP}");
-                return ExitCode::SUCCESS;
-            }
-            "--baseline" => baseline = args.next(),
-            "--band" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if f >= 1.0 => band = f,
-                _ => {
-                    eprintln!("bench-diff: --band needs a factor >= 1.0");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            other if other.starts_with('-') => {
-                eprintln!("bench-diff: unknown option {other}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-            p => {
-                if current.replace(p.to_string()).is_some() {
-                    eprintln!("bench-diff: more than one current file given");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            }
-        }
+    cli::run("bench-diff", HELP, |args| {
+        let (base, current, band) = parse(args)?;
+        Ok(gate(&base, &current, band).unwrap_or_else(|e| {
+            eprintln!("bench-diff: {e}");
+            EXIT_BAD_INPUT
+        }))
+    })
+}
+
+/// The gate's verdict code, or why an input could not be read.
+fn gate(base_path: &str, cur_path: &str, band: f64) -> Result<u8, String> {
+    let cur = load(cur_path).map_err(|e| format!("current results unusable: {e}"))?;
+    if !std::path::Path::new(base_path).exists() {
+        return seed_baseline(base_path, cur_path, &cur);
     }
-    let (Some(base_path), Some(cur_path)) = (baseline, current) else {
-        eprint!("{HELP}");
-        return ExitCode::from(EXIT_USAGE);
-    };
-    let cur = match load(&cur_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bench-diff: current results unusable: {e}");
-            return ExitCode::from(EXIT_BAD_INPUT);
-        }
-    };
-    if !std::path::Path::new(&base_path).exists() {
-        return seed_baseline(&base_path, &cur_path, &cur);
-    }
-    let base = match load(&base_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench-diff: baseline unusable: {e}");
-            eprintln!("bench-diff: regenerate it with `cargo bench -p bench-harness --bench sweep_warmcold` and commit the result");
-            return ExitCode::from(EXIT_BAD_INPUT);
-        }
-    };
+    let base = load(base_path).map_err(|e| {
+        format!("baseline unusable: {e}\nregenerate it with `cargo bench -p bench-harness` and commit the result")
+    })?;
 
     let mut failures = 0usize;
     println!("bench-diff: {cur_path} vs baseline {base_path} (band {band:.2}x)");
@@ -254,8 +234,22 @@ fn main() -> ExitCode {
     }
     if failures > 0 {
         eprintln!("bench-diff: FAIL: {failures} metric(s) regressed beyond {band:.2}x");
-        return ExitCode::from(EXIT_REGRESSION);
+        return Ok(EXIT_REGRESSION);
     }
     println!("bench-diff: PASS");
-    ExitCode::SUCCESS
+    Ok(EXIT_OK)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_command_line_is_a_gate_or_a_usage_error() {
+        omptune_core::cli::check_parse(
+            super::parse,
+            "--baseline BENCH_x.json fresh.json \
+             | fresh.json --band 2.0 --baseline BENCH_x.json | --help",
+            " | fresh.json | --baseline BENCH_x.json | --baseline a b c \
+             | --baseline a b --band 0.5 | --baseline a b --band | --baseline a b --frob",
+        );
+    }
 }

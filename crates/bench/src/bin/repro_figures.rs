@@ -1,49 +1,21 @@
-//! Regenerate every figure of the paper (text renderings).
+//! Regenerate every figure of the paper (text renderings), and with a
+//! third argument dump machine-readable figure data for external plotting.
 //!
-//! Usage: `repro-figures [fast|paper|full] [fig1|fig2|...|fig7|all]`
+//! Usage: `repro-figures [fast|paper|full] [fig1|fig2|...|fig7|all] [CSV_DIR|-]`
 
-use bench_harness::{ReproScope, Reproduction};
+use bench_harness::repro::{repro_main, Artifact};
 use omptune_core::GroupBy;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scope = args
-        .first()
-        .and_then(|s| ReproScope::parse(s))
-        .unwrap_or(ReproScope::Fast);
-    let which = args.get(1).cloned().unwrap_or_else(|| "all".into());
+const FIGURES: [Artifact; 7] = [
+    ("fig1", |r| r.figure_violin("alignment")),
+    ("fig2", |r| r.figure_heatmap(GroupBy::Application)),
+    ("fig3", |r| r.figure_heatmap(GroupBy::Architecture)),
+    ("fig4", |r| r.figure_heatmap(GroupBy::ArchApplication)),
+    ("fig5", |r| r.figure_violin("bt")),
+    ("fig6", |r| r.figure_violin("health")),
+    ("fig7", |r| r.figure_violin("rsbench")),
+];
 
-    eprintln!("sweeping ({scope:?} scope)...");
-    let r = Reproduction::generate(scope);
-    let print = |name: &str, body: String| {
-        if which == "all" || which == name {
-            println!("{body}");
-        }
-    };
-    print("fig1", r.figure_violin("alignment"));
-    print("fig2", r.figure_heatmap(GroupBy::Application));
-    print("fig3", r.figure_heatmap(GroupBy::Architecture));
-    print("fig4", r.figure_heatmap(GroupBy::ArchApplication));
-    print("fig5", r.figure_violin("bt"));
-    print("fig6", r.figure_violin("health"));
-    print("fig7", r.figure_violin("rsbench"));
-
-    // Optional: dump machine-readable figure data for external plotting.
-    if let Some(dir) = args.get(2).filter(|a| *a != "-") {
-        let dir = std::path::Path::new(dir);
-        std::fs::create_dir_all(dir).expect("create figure dir");
-        for app in ["alignment", "bt", "health", "rsbench"] {
-            for (name, csv) in r.violin_csvs(app) {
-                std::fs::write(dir.join(name), csv).expect("write violin csv");
-            }
-        }
-        for (name, group) in [
-            ("fig2_by_application.csv", GroupBy::Application),
-            ("fig3_by_architecture.csv", GroupBy::Architecture),
-            ("fig4_by_arch_application.csv", GroupBy::ArchApplication),
-        ] {
-            std::fs::write(dir.join(name), r.heatmap_csv(group)).expect("write heatmap csv");
-        }
-        eprintln!("figure CSVs written to {}", dir.display());
-    }
+fn main() -> std::process::ExitCode {
+    repro_main("repro-figures", &FIGURES, true)
 }

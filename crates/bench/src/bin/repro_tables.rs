@@ -2,31 +2,21 @@
 //!
 //! Usage: `repro-tables [fast|paper|full] [table1|table2|...|q1|q4|all]`
 
-use bench_harness::{ReproScope, Reproduction};
+use bench_harness::repro::{repro_main, Artifact};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scope = args
-        .first()
-        .and_then(|s| ReproScope::parse(s))
-        .unwrap_or(ReproScope::Fast);
-    let which = args.get(1).cloned().unwrap_or_else(|| "all".into());
+const TABLES: [Artifact; 10] = [
+    ("table1", |r| r.table1()),
+    ("table2", |r| r.table2()),
+    ("table3", |r| r.table3()),
+    ("table4", |r| r.table4()),
+    ("table5", |r| r.table5()),
+    ("table6", |r| r.table6()),
+    ("table7", |r| r.table7()),
+    ("q1", |r| r.q1()),
+    ("q2", |r| r.q2("xsbench")),
+    ("q4", |r| r.q4()),
+];
 
-    eprintln!("sweeping ({scope:?} scope)...");
-    let r = Reproduction::generate(scope);
-    let print = |name: &str, body: String| {
-        if which == "all" || which == name {
-            println!("{body}");
-        }
-    };
-    print("table1", r.table1());
-    print("table2", r.table2());
-    print("table3", r.table3());
-    print("table4", r.table4());
-    print("table5", r.table5());
-    print("table6", r.table6());
-    print("table7", r.table7());
-    print("q1", r.q1());
-    print("q2", r.q2("xsbench"));
-    print("q4", r.q4());
+fn main() -> std::process::ExitCode {
+    repro_main("repro-tables", &TABLES, false)
 }

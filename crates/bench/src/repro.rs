@@ -16,10 +16,13 @@
 
 use mlstats::{wilcoxon_signed_rank, Summary, ViolinSummary};
 use omptune_core::analysis::AnalysisError;
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use omptune_core::{
     influence_analysis, recommend_for, worst_trends, AnalysisRecord, Arch, GroupBy,
     InfluenceHeatMap,
 };
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::OnceLock;
 use sweep::{Dataset, Scope, SettingData, SweepSpec};
 use workloads::Setting;
@@ -469,6 +472,24 @@ impl Reproduction {
         out
     }
 
+    /// Write the violin and heat-map CSVs into `dir`, for external plotting.
+    pub fn write_figure_csvs(&self, dir: &Path) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        for app in ["alignment", "bt", "health", "rsbench"] {
+            for (name, csv) in self.violin_csvs(app) {
+                std::fs::write(dir.join(name), csv)?;
+            }
+        }
+        for (name, group) in [
+            ("fig2_by_application.csv", GroupBy::Application),
+            ("fig3_by_architecture.csv", GroupBy::Architecture),
+            ("fig4_by_arch_application.csv", GroupBy::ArchApplication),
+        ] {
+            std::fs::write(dir.join(name), self.heatmap_csv(group))?;
+        }
+        Ok(())
+    }
+
     /// Figs. 2–4: influence heat maps for a grouping strategy.
     pub fn figure_heatmap(&self, group_by: GroupBy) -> String {
         match self.heatmap(group_by) {
@@ -485,6 +506,61 @@ impl Reproduction {
             Err(e) => format!("heat map unavailable: {e}"),
         }
     }
+}
+
+/// One artifact a `repro-*` binary prints: its command-line name and
+/// its renderer.
+pub type Artifact = (&'static str, fn(&Reproduction) -> String);
+
+/// What is to be reproduced: the scope, one artifact's name (`None` is
+/// `all`), and where to dump the figure CSVs.
+type ReproJob = (ReproScope, Option<String>, Option<PathBuf>);
+
+/// `[SCOPE] [NAME|all]`, then `[CSV_DIR|-]` for the tool that has CSVs.
+fn parse(mut args: Args, artifacts: &[Artifact], csvs: bool) -> Result<ReproJob, Error> {
+    let scope = match args.positional()? {
+        Some(s) => ReproScope::parse(&s).ok_or_else(|| Error::unknown("scope", &s))?,
+        None => ReproScope::Fast,
+    };
+    let which = args.positional()?.filter(|name| name != "all");
+    match &which {
+        Some(name) if artifacts.iter().all(|a| a.0 != name) => {
+            return Err(Error::unknown("artifact", name));
+        }
+        _ => {}
+    }
+    let dir = match csvs {
+        true => args.positional()?.filter(|dir| dir != "-"),
+        false => None,
+    };
+    args.finish()?;
+    Ok((scope, which, dir.map(PathBuf::from)))
+}
+
+/// The `main` of `repro-tables` and `repro-figures`: sweep once at the
+/// requested scope, print the requested artifacts in table order.
+pub fn repro_main(tool: &str, artifacts: &[Artifact], csvs: bool) -> ExitCode {
+    let names: Vec<&str> = artifacts.iter().map(|a| a.0).collect();
+    let usage = format!(
+        "usage: {tool} [fast|paper|full] [{}|all]{}",
+        names.join("|"),
+        if csvs { " [CSV_DIR|-]" } else { "" }
+    );
+    cli::run(tool, &usage, |args| {
+        let (scope, which, dir) = parse(args, artifacts, csvs)?;
+        eprintln!("sweeping ({scope:?} scope)...");
+        let r = Reproduction::generate(scope);
+        for (name, render) in artifacts {
+            if which.as_deref().unwrap_or(name) == *name {
+                println!("{}", render(&r));
+            }
+        }
+        if let Some(dir) = dir {
+            r.write_figure_csvs(&dir)?;
+            eprintln!("figure CSVs written to {}", dir.display());
+        }
+        Ok(EXIT_OK)
+    })
 }
 
 #[cfg(test)]
@@ -598,5 +674,22 @@ mod tests {
         assert_eq!(ReproScope::parse("paper"), Some(ReproScope::Paper));
         assert_eq!(ReproScope::parse("full"), Some(ReproScope::Full));
         assert_eq!(ReproScope::parse("huge"), None);
+    }
+
+    #[test]
+    fn a_repro_command_line_is_a_job_or_a_usage_error() {
+        let artifacts: [Artifact; 2] = [("table1", |r| r.table1()), ("q1", |r| r.q1())];
+        let tables = |args| parse(args, &artifacts, false);
+        let figures = |args| parse(args, &artifacts, true);
+        cli::check_parse(
+            tables,
+            " | fast | paper q1 | full all",
+            "bogus | fast table9 | fast all figs | fast --json",
+        );
+        cli::check_parse(
+            figures,
+            "fast all figs | full table1 -",
+            "fast all figs extra",
+        );
     }
 }

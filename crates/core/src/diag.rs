@@ -23,7 +23,7 @@ pub enum Severity {
 
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.pad(match self {
             Severity::Note => "note",
             Severity::Warning => "warning",
             Severity::Error => "error",

@@ -27,6 +27,8 @@
 
 pub mod analysis;
 pub mod arch;
+pub mod chunk;
+pub mod cli;
 pub mod config;
 pub mod diag;
 pub mod envvar;

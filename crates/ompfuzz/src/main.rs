@@ -1,11 +1,5 @@
-//! `ompfuzz` CLI — schedule-space certification campaigns.
-//!
-//! ```text
-//! ompfuzz certify [--seeds N] [--schedules M] [--base-seed S]
-//!                 [--budget-s SEC] [--out PATH] [--json]
-//! ompfuzz gen     --seed S [--model]
-//! ompfuzz run     --seed S [--schedule J] [--json]
-//! ```
+//! `ompfuzz` CLI — schedule-space certification campaigns (command line
+//! in [`USAGE`]; exit codes are `omptune_core::cli`'s 0/4/2/1).
 //!
 //! `certify` generates `N` programs, explores `M` perturbation plans
 //! each, replays every novel trace through the happens-before checker
@@ -14,18 +8,16 @@
 //! `certification.json`). `gen` prints one generated program (with
 //! `--model`, its `simrt` workload model as JSON). `run` executes one
 //! (program, schedule) pair and reports its verdict.
-//!
-//! Exit codes follow the `ompobs` convention: 0 = certified clean,
-//! 4 = findings (checker rules fired or differential mismatch), 2 =
-//! usage error, 1 = internal error (e.g. report serialization failed).
 
 use ompfuzz::certify::{certify, CertifyConfig};
 use ompfuzz::diff::diff;
 use ompfuzz::exec::execute;
 use ompfuzz::gen::generate;
 use ompfuzz::signature::trace_signature;
-use omplint::check_trace;
+use omplint::{check_trace, pretty};
 use omprt::{perturb, Plan, ThreadPool};
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
+use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str = "usage: ompfuzz <certify|gen|run> [options]
@@ -35,78 +27,57 @@ const USAGE: &str = "usage: ompfuzz <certify|gen|run> [options]
   run     --seed S [--schedule J] [--json]
 exit codes: 0 clean, 4 findings, 2 usage, 1 internal";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("certify") => cmd_certify(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            2
+/// A parsed command line: the campaign to run, ending in its exit code.
+type Job = Box<dyn FnOnce() -> Result<u8, Error>>;
+
+fn parse(mut args: Args) -> Result<Job, Error> {
+    let seed = |args: &mut Args| {
+        args.parsed("--seed", "a non-negative integer")?
+            .ok_or_else(|| Error::usage("--seed is required"))
+    };
+    let job: Job = match args.subcommand()?.as_str() {
+        "certify" => {
+            let cfg = CertifyConfig {
+                seeds: args.positive("--seeds")?.unwrap_or(25),
+                schedules: args.positive("--schedules")?.unwrap_or(64),
+                base_seed: args
+                    .parsed("--base-seed", "a non-negative integer")?
+                    .unwrap_or(0),
+                time_budget: args
+                    .parsed("--budget-s", "a number of seconds")?
+                    .filter(|s| *s > 0)
+                    .map(Duration::from_secs),
+            };
+            let out = args.value("--out")?;
+            let json = args.flag("--json");
+            Box::new(move || {
+                cmd_certify(&cfg, out.as_deref().unwrap_or("certification.json"), json)
+            })
         }
-    };
-    std::process::exit(code);
-}
-
-fn parse_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn parse_u64(args: &[String], name: &str, default: u64) -> Result<u64, i32> {
-    match parse_flag(args, name).map(str::parse) {
-        None => Ok(default),
-        Some(Ok(v)) => Ok(v),
-        Some(Err(_)) => {
-            eprintln!("{name} needs a non-negative integer");
-            Err(2)
+        "gen" => {
+            let (seed, model) = (seed(&mut args)?, args.flag("--model"));
+            Box::new(move || cmd_gen(seed, model))
         }
-    }
+        "run" => {
+            let seed = seed(&mut args)?;
+            let schedule = args.parsed("--schedule", "a non-negative integer")?;
+            let json = args.flag("--json");
+            Box::new(move || cmd_run(seed, schedule.unwrap_or(0), json))
+        }
+        other => return Err(Error::unknown("subcommand", other)),
+    };
+    args.finish()?;
+    Ok(job)
 }
 
-fn cmd_certify(args: &[String]) -> i32 {
-    let (seeds, schedules, base_seed, budget) = match (
-        parse_u64(args, "--seeds", 25),
-        parse_u64(args, "--schedules", 64),
-        parse_u64(args, "--base-seed", 0),
-        parse_u64(args, "--budget-s", 0),
-    ) {
-        (Ok(a), Ok(b), Ok(c), Ok(d)) => (a, b, c, d),
-        _ => return 2,
-    };
-    if seeds == 0 || schedules == 0 {
-        eprintln!("--seeds and --schedules must be positive");
-        return 2;
-    }
-    let out_path = parse_flag(args, "--out").unwrap_or("certification.json");
-    let json = has_flag(args, "--json");
+fn main() -> ExitCode {
+    cli::run("ompfuzz", USAGE, |args| parse(args)?())
+}
 
-    let cfg = CertifyConfig {
-        seeds,
-        schedules,
-        base_seed,
-        time_budget: (budget > 0).then(|| Duration::from_secs(budget)),
-    };
-    let report = certify(&cfg);
-
-    let serialized = match serde_json::to_string_pretty(&report) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serialization failed: {e:?}");
-            return 1;
-        }
-    };
-    if let Err(e) = std::fs::write(out_path, &serialized) {
-        eprintln!("cannot write {out_path}: {e}");
-        return 1;
-    }
+fn cmd_certify(cfg: &CertifyConfig, out_path: &str, json: bool) -> Result<u8, Error> {
+    let report = certify(cfg);
+    let serialized = pretty(&report)?;
+    std::fs::write(out_path, &serialized).map_err(|e| format!("cannot write {out_path}: {e}"))?;
 
     if json {
         println!("{serialized}");
@@ -128,50 +99,19 @@ fn cmd_certify(args: &[String]) -> i32 {
         }
         println!("report written to {out_path}");
     }
-    if report.is_clean() {
-        0
-    } else {
-        4
-    }
+    Ok(cli::findings(!report.is_clean()))
 }
 
-fn cmd_gen(args: &[String]) -> i32 {
-    if parse_flag(args, "--seed").is_none() {
-        eprintln!("gen requires --seed");
-        return 2;
-    }
-    let seed = match parse_u64(args, "--seed", 0) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
+fn cmd_gen(seed: u64, model: bool) -> Result<u8, Error> {
     let program = generate(seed);
     print!("{}", program.render());
-    if has_flag(args, "--model") {
-        match serde_json::to_string_pretty(&program.to_model()) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("serialization failed: {e:?}");
-                return 1;
-            }
-        }
+    if model {
+        println!("{}", pretty(&program.to_model())?);
     }
-    0
+    Ok(EXIT_OK)
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    if parse_flag(args, "--seed").is_none() {
-        eprintln!("run requires --seed");
-        return 2;
-    }
-    let seed = match parse_u64(args, "--seed", 0) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-    let schedule = match parse_u64(args, "--schedule", 0) {
-        Ok(s) => s,
-        Err(c) => return c,
-    };
-
+fn cmd_run(seed: u64, schedule: u64, json: bool) -> Result<u8, Error> {
     let program = generate(seed);
     let pool = ThreadPool::with_defaults(program.threads);
     let plan = Plan::derive(program.seed, schedule);
@@ -181,15 +121,10 @@ fn cmd_run(args: &[String]) -> i32 {
     };
     let report = check_trace(&records);
     let violations = diff(&program, &records, &outcome);
+    let clean = report.is_clean() && violations.is_empty();
 
-    if has_flag(args, "--json") {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("serialization failed: {e:?}");
-                return 1;
-            }
-        }
+    if json {
+        println!("{}", pretty(&report)?);
     } else {
         print!("{}", program.render());
         println!(
@@ -205,17 +140,29 @@ fn cmd_run(args: &[String]) -> i32 {
         for v in &violations {
             println!("diff: {v}");
         }
-        if report.is_clean() && violations.is_empty() {
+        if clean {
             println!("schedule certified: checker clean, differential harness clean");
         }
     }
-    if report.is_clean() && violations.is_empty() {
-        0
-    } else {
-        4
-    }
+    Ok(cli::findings(!clean))
 }
 
 fn indent(s: &str) -> String {
     s.lines().map(|l| format!("    {l}\n")).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_command_line_is_a_campaign_or_a_usage_error() {
+        omptune_core::cli::check_parse(
+            super::parse,
+            "certify \
+             | certify --seeds 2 --schedules 3 --base-seed 7 --budget-s 0 --out c.json --json \
+             | gen --seed 42 --model | run --seed 42 --schedule 7 --json",
+            " | frob | certify --seeds 2 --schedulse 1 | certify --seeds \
+             | certify --seeds 0 | certify --seeds two | certify extra | gen \
+             | gen --seed 1 --json | run --schedule 3",
+        );
+    }
 }

@@ -17,3 +17,9 @@ pub use campaign::Campaign;
 pub use check::{certify, check_trace, CheckReport, CheckStats, CHECK_RULES};
 pub use lint::{canonicalize, lint_point, lint_space, LintReport, PointClass, RULES};
 pub use omptune_core::diag::{Diagnostic, Severity};
+
+/// A report as indented JSON: what `omplint` and `ompfuzz` print under
+/// `--json`.
+pub fn pretty(doc: &impl serde::Serialize) -> Result<String, String> {
+    serde_json::to_string_pretty(doc).map_err(|e| format!("serialization failed: {e:?}"))
+}

@@ -1,11 +1,6 @@
-//! `omplint` CLI — the two analysis passes as commands.
-//!
-//! ```text
-//! omplint lint  [--arch a64fx|skylake|milan|all] [--threads N] [--json]
-//! omplint check [--demo broken-barrier|lock-cycle|join-cycle|race|chunk-overlap|
-//!                lost-wakeup|tainted-barrier] [--json]
-//! omplint rules
-//! ```
+//! `omplint` CLI — the two analysis passes as commands (command line in
+//! [`USAGE`]; exit codes are `omptune_core::cli`'s 0/4/2/1, 4 meaning
+//! error-severity diagnostics fired).
 //!
 //! `lint` classifies the raw configuration universe and reports the
 //! pruned sweep space. `check` runs the instrumented runtime over a
@@ -13,15 +8,15 @@
 //! methods, task joins), certifies the recorded schedule, or — with
 //! `--demo` — replays a deliberately broken fixture to show detection.
 //! `--json` emits the full machine-readable report on stdout.
-//!
-//! Exit codes follow the `ompobs` convention: 0 = clean, 4 = findings
-//! (error-severity diagnostics fired), 2 = usage error, 1 = internal
-//! error (e.g. serialization failure).
 
 use omplint::check::{self, fixtures, CheckReport, CHECK_RULES};
 use omplint::lint::{self, PointClass, RULES};
-use omptune_core::{Arch, OmpSchedule, ReductionMethod, Severity};
+use omplint::pretty;
+use omprt::trace::Record;
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
+use omptune_core::{Arch, OmpSchedule, ReductionMethod};
 use serde::Serialize;
+use std::process::ExitCode;
 
 const USAGE: &str = "usage: omplint <lint|check|rules> [options]
   lint  [--arch a64fx|skylake|milan|all] [--threads N] [--json]
@@ -30,29 +25,55 @@ const USAGE: &str = "usage: omplint <lint|check|rules> [options]
   rules
 exit codes: 0 clean, 4 findings, 2 usage, 1 internal";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("lint") => cmd_lint(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("rules") => cmd_rules(),
-        _ => {
-            eprintln!("{USAGE}");
-            2
+/// A `check --demo` fixture: its report label and its broken trace.
+fn demo(name: &str) -> Option<(&'static str, Vec<Record>)> {
+    use fixtures::*;
+    Some(match name {
+        "broken-barrier" => ("demo: broken barrier", broken_barrier_trace()),
+        "lock-cycle" => ("demo: lock-order cycle", lock_cycle_trace()),
+        "join-cycle" => ("demo: task join cycle", join_cycle_trace()),
+        "race" => ("demo: unsynchronized writes", racy_trace()),
+        "chunk-overlap" => ("demo: overlapping chunks", overlapping_chunks_trace()),
+        "lost-wakeup" => ("demo: lost wakeup (stale-epoch park)", lost_wakeup_trace()),
+        "tainted-barrier" => (
+            "demo: tainted barrier masking a race",
+            tainted_barrier_mask_trace(),
+        ),
+        _ => return None,
+    })
+}
+
+/// A parsed command line: the pass to run, ending in its exit code.
+type Job = Box<dyn FnOnce() -> Result<u8, Error>>;
+
+fn parse(mut args: Args) -> Result<Job, Error> {
+    let job: Job = match args.subcommand()?.as_str() {
+        "lint" => {
+            let archs = match args.value("--arch")?.as_deref() {
+                None | Some("all") => Arch::ALL.to_vec(),
+                Some(id) => vec![Arch::from_id(id).ok_or_else(|| Error::unknown("arch", id))?],
+            };
+            let (threads, json) = (args.positive("--threads")?, args.flag("--json"));
+            Box::new(move || cmd_lint(archs, threads, json))
         }
+        "check" => {
+            // Without a demo (label, trace), checks a live workload.
+            let demo = match args.value("--demo")? {
+                Some(name) => Some(demo(&name).ok_or_else(|| Error::unknown("demo", &name))?),
+                None => None,
+            };
+            let json = args.flag("--json");
+            Box::new(move || cmd_check(demo, json))
+        }
+        "rules" => Box::new(cmd_rules),
+        other => return Err(Error::unknown("subcommand", other)),
     };
-    std::process::exit(code);
+    args.finish()?;
+    Ok(job)
 }
 
-fn parse_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+fn main() -> ExitCode {
+    cli::run("omplint", USAGE, |args| parse(args)?())
 }
 
 #[derive(Serialize)]
@@ -88,29 +109,7 @@ fn summarize(report: &lint::LintReport) -> LintSummary {
     }
 }
 
-fn cmd_lint(args: &[String]) -> i32 {
-    let arch_arg = parse_flag(args, "--arch").unwrap_or("all");
-    let archs: Vec<Arch> = if arch_arg == "all" {
-        Arch::ALL.to_vec()
-    } else {
-        match Arch::from_id(arch_arg) {
-            Some(a) => vec![a],
-            None => {
-                eprintln!("unknown arch '{arch_arg}' (a64fx|skylake|milan|all)");
-                return 2;
-            }
-        }
-    };
-    let threads: Option<usize> = match parse_flag(args, "--threads").map(str::parse) {
-        None => None,
-        Some(Ok(n)) => Some(n),
-        Some(Err(_)) => {
-            eprintln!("--threads needs a positive integer");
-            return 2;
-        }
-    };
-    let json = has_flag(args, "--json");
-
+fn cmd_lint(archs: Vec<Arch>, threads: Option<usize>, json: bool) -> Result<u8, Error> {
     let mut summaries = Vec::new();
     for arch in archs {
         let n = threads.unwrap_or_else(|| arch.cores());
@@ -121,15 +120,9 @@ fn cmd_lint(args: &[String]) -> i32 {
         summaries.push(summarize(&report));
     }
     if json {
-        match serde_json::to_string_pretty(&summaries) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("serialization failed: {e:?}");
-                return 1;
-            }
-        }
+        println!("{}", pretty(&summaries)?);
     }
-    0
+    Ok(EXIT_OK)
 }
 
 fn print_lint_report(report: &lint::LintReport) {
@@ -159,60 +152,17 @@ fn print_lint_report(report: &lint::LintReport) {
     println!();
 }
 
-fn cmd_check(args: &[String]) -> i32 {
-    let json = has_flag(args, "--json");
-    let (label, report) = match parse_flag(args, "--demo") {
-        Some("broken-barrier") => (
-            "demo: broken barrier",
-            check::check_trace(&fixtures::broken_barrier_trace()),
-        ),
-        Some("lock-cycle") => (
-            "demo: lock-order cycle",
-            check::check_trace(&fixtures::lock_cycle_trace()),
-        ),
-        Some("join-cycle") => (
-            "demo: task join cycle",
-            check::check_trace(&fixtures::join_cycle_trace()),
-        ),
-        Some("race") => (
-            "demo: unsynchronized writes",
-            check::check_trace(&fixtures::racy_trace()),
-        ),
-        Some("chunk-overlap") => (
-            "demo: overlapping chunks",
-            check::check_trace(&fixtures::overlapping_chunks_trace()),
-        ),
-        Some("lost-wakeup") => (
-            "demo: lost wakeup (stale-epoch park)",
-            check::check_trace(&fixtures::lost_wakeup_trace()),
-        ),
-        Some("tainted-barrier") => (
-            "demo: tainted barrier masking a race",
-            check::check_trace(&fixtures::tainted_barrier_mask_trace()),
-        ),
-        Some(other) => {
-            eprintln!("unknown demo '{other}'");
-            return 2;
-        }
+fn cmd_check(demo: Option<(&str, Vec<Record>)>, json: bool) -> Result<u8, Error> {
+    let (label, report) = match demo {
+        Some((label, trace)) => (label, check::check_trace(&trace)),
         None => ("live runtime workload", live_workload_report()),
     };
-
     if json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("serialization failed: {e:?}");
-                return 1;
-            }
-        }
+        println!("{}", pretty(&report)?);
     } else {
         print_check_report(label, &report);
     }
-    if report.is_clean() {
-        0
-    } else {
-        4
-    }
+    Ok(cli::findings(!report.is_clean()))
 }
 
 /// Trace a workload touching every instrumented subsystem: fork-join
@@ -286,22 +236,29 @@ fn print_check_report(label: &str, report: &CheckReport) {
     println!();
 }
 
-fn cmd_rules() -> i32 {
+fn cmd_rules() -> Result<u8, Error> {
     println!("lint rules (configuration space):");
     for r in &RULES {
-        println!("  {:<7} {:<22} {}", sev(r.severity), r.id, r.summary);
+        println!("  {:<7} {:<22} {}", r.severity, r.id, r.summary);
     }
     println!("check rules (synchronization traces):");
     for r in &CHECK_RULES {
-        println!("  {:<7} {:<22} {}", sev(r.severity), r.id, r.summary);
+        println!("  {:<7} {:<22} {}", r.severity, r.id, r.summary);
     }
-    0
+    Ok(EXIT_OK)
 }
 
-fn sev(s: Severity) -> &'static str {
-    match s {
-        Severity::Note => "note",
-        Severity::Warning => "warning",
-        Severity::Error => "error",
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_command_line_is_a_pass_or_a_usage_error() {
+        omptune_core::cli::check_parse(
+            super::parse,
+            "lint | lint --arch a64fx --threads 200 --json | lint --arch all | check --json \
+             | check --demo tainted-barrier | rules",
+            " | frob | lint --arhc milan | lint --arch nope | lint --arch \
+             | lint --threads 0 | lint --threads abc | lint milan | check --demo nope \
+             | check --threads 4 | rules --json",
+        );
     }
 }

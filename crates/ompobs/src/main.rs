@@ -1,26 +1,17 @@
 //! `ompobs` — the run observatory: did behaviour move between two run
 //! directories, or anywhere along the content-addressed run registry
-//! that `collect` and the benches append to.
-//!
-//! ```text
-//! ompobs drift    <RUN_A> <RUN_B> [--alpha A] [--out PATH]
-//! ompobs series   <RUN>
-//! ompobs list     [--dir DIR]
-//! ompobs sentinel [--dir DIR] [--alpha A] [--out PATH]
-//! ompobs blame    [--dir DIR] [--from N --to N] [--out PATH]
-//! ompobs bisect   [--dir DIR] [--cache-dir DIR] [--workers N]
-//! ompobs report   [--dir DIR] [--out PATH]
-//! ```
+//! that `collect` and the benches append to. Command line in [`USAGE`].
 //!
 //! The registry directory defaults to `$OMPOBS_DIR`, then `.ompobs`.
-//! Exit codes follow the suite convention: `0` clean, `4` drift or
-//! change-point detected, `2` usage error, `1` I/O or data error — CI
-//! can tell "behaviour moved" from "the comparison could not run".
+//! Exit codes are `omptune_core::cli`'s 0/4/2/1, 4 meaning drift or a
+//! change-point — CI can tell "behaviour moved" from "the comparison
+//! could not run".
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use omptel::tsdb::Tsdb;
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use sweep::{RegistryLoad, RunCore, SampleCache};
 
 const USAGE: &str = "usage: ompobs drift    <RUN_A> <RUN_B> [--alpha A] [--out PATH]
@@ -31,66 +22,59 @@ const USAGE: &str = "usage: ompobs drift    <RUN_A> <RUN_B> [--alpha A] [--out P
        ompobs bisect   [--dir DIR] [--cache-dir DIR] [--workers N]
        ompobs report   [--dir DIR] [--out PATH]";
 
-const EXIT_OK: u8 = 0;
-const EXIT_ERROR: u8 = 1;
-const EXIT_USAGE: u8 = 2;
-const EXIT_CHANGE: u8 = 4;
-
-/// Flags shared by every subcommand, parsed in one pass.
-#[derive(Default)]
-struct Flags {
-    /// Positional run directories (`drift` takes two, `series` one).
+/// A parsed command line: the verb, its run directories and the flags.
+struct Cli {
+    cmd: String,
     runs: Vec<PathBuf>,
     dir: Option<PathBuf>,
     alpha: f64,
     out: Option<PathBuf>,
-    from: Option<u64>,
-    to: Option<u64>,
+    /// `--from N --to N`, both or neither.
+    bracket: Option<(u64, u64)>,
     cache_dir: Option<PathBuf>,
     workers: usize,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut f = Flags {
-        alpha: 0.05,
-        workers: 2,
-        ..Flags::default()
+fn parse(mut args: Args) -> Result<Cli, Error> {
+    let cmd = args.subcommand()?;
+    let runs = match cmd.as_str() {
+        "drift" => 2,
+        "series" => 1,
+        "list" | "sentinel" | "blame" | "bisect" | "report" => 0,
+        other => return Err(Error::unknown("command", other)),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut want = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} wants a value"))
-        };
-        match arg.as_str() {
-            "--dir" => f.dir = Some(PathBuf::from(want("--dir")?)),
-            "--out" => f.out = Some(PathBuf::from(want("--out")?)),
-            "--cache-dir" => f.cache_dir = Some(PathBuf::from(want("--cache-dir")?)),
-            "--alpha" => match want("--alpha")?.parse::<f64>() {
-                Ok(a) if a > 0.0 && a < 1.0 => f.alpha = a,
-                _ => return Err("--alpha wants a value in (0, 1)".to_string()),
-            },
-            "--from" => match want("--from")?.parse::<u64>() {
-                Ok(n) => f.from = Some(n),
-                Err(_) => return Err("--from wants a run sequence number".to_string()),
-            },
-            "--to" => match want("--to")?.parse::<u64>() {
-                Ok(n) => f.to = Some(n),
-                Err(_) => return Err("--to wants a run sequence number".to_string()),
-            },
-            "--workers" => match want("--workers")?.parse::<usize>() {
-                Ok(n) if n > 0 => f.workers = n,
-                _ => return Err("--workers wants a positive integer".to_string()),
-            },
-            other if other.starts_with("--") => return Err(format!("unknown flag {other:?}")),
-            run => f.runs.push(PathBuf::from(run)),
-        }
+    let seq = "a run sequence number";
+    let mut cli = Cli {
+        dir: args.value("--dir")?.map(PathBuf::from),
+        out: args.value("--out")?.map(PathBuf::from),
+        cache_dir: args.value("--cache-dir")?.map(PathBuf::from),
+        alpha: match args.parsed("--alpha", "a level")? {
+            None => 0.05,
+            Some(a) if a > 0.0 && a < 1.0 => a,
+            Some(_) => return Err(Error::usage("--alpha needs a value in (0, 1)")),
+        },
+        bracket: match (args.parsed("--from", seq)?, args.parsed("--to", seq)?) {
+            (Some(from), Some(to)) => Some((from, to)),
+            (None, None) => None,
+            _ => return Err(Error::usage("--from and --to go together")),
+        },
+        workers: args.positive("--workers")?.unwrap_or(2),
+        runs: Vec::new(),
+        cmd,
+    };
+    while let Some(run) = args.positional()? {
+        cli.runs.push(PathBuf::from(run));
     }
-    Ok(f)
+    if cli.runs.len() != runs {
+        let (cmd, n) = (&cli.cmd, cli.runs.len());
+        return Err(Error::usage(format!(
+            "{cmd} takes {runs} run directories, not {n}"
+        )));
+    }
+    Ok(cli)
 }
 
-fn registry_dir(f: &Flags) -> PathBuf {
+fn registry_dir(f: &Cli) -> PathBuf {
     f.dir
         .clone()
         .or_else(sweep::registry::env_registry_dir)
@@ -110,54 +94,28 @@ fn load_registry(dir: &Path) -> Result<RegistryLoad, String> {
     Ok(load)
 }
 
-/// What a command ends in: its exit code, or the message of an I/O or
-/// data error (exit 1).
-type Outcome = Result<u8, String>;
+/// What a command ends in: its exit code, or the error `cli::run` prints.
+type Outcome = Result<u8, Error>;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((c, r)) => (c.as_str(), r),
-        None => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(EXIT_USAGE);
+    cli::run("ompobs", USAGE, |args| {
+        let cli = parse(args)?;
+        match (cli.cmd.as_str(), cli.runs.as_slice()) {
+            ("drift", [run_a, run_b]) => drift_cmd(run_a, run_b, &cli),
+            ("series", [run]) => series_cmd(run),
+            (cmd, _) => {
+                let dir = registry_dir(&cli);
+                let load = load_registry(&dir)?;
+                match cmd {
+                    "list" => list_cmd(&dir, &load),
+                    "sentinel" => sentinel_cmd(&dir, &load, &cli),
+                    "blame" => blame_cmd(&dir, &load, &cli),
+                    "bisect" => bisect_cmd(&load, &cli),
+                    _ => report_cmd(&dir, &load, &cli),
+                }
+            }
         }
-    };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("ompobs: {e}\n{USAGE}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    let outcome = match (cmd, flags.runs.as_slice()) {
-        ("drift", [run_a, run_b]) => drift_cmd(run_a, run_b, &flags),
-        ("series", [run]) => series_cmd(run),
-        ("list" | "sentinel" | "blame" | "bisect" | "report", []) => {
-            let dir = registry_dir(&flags);
-            load_registry(&dir).and_then(|load| match cmd {
-                "list" => list_cmd(&dir, &load),
-                "sentinel" => sentinel_cmd(&dir, &load, &flags),
-                "blame" => blame_cmd(&dir, &load, &flags),
-                "bisect" => bisect_cmd(&load, &flags),
-                "report" => report_cmd(&dir, &load, &flags),
-                _ => unreachable!("the arm lists the registry verbs"),
-            })
-        }
-        ("drift" | "series" | "list" | "sentinel" | "blame" | "bisect" | "report", runs) => {
-            let n = runs.len();
-            eprintln!("ompobs: {cmd} does not take {n} run directories\n{USAGE}");
-            Ok(EXIT_USAGE)
-        }
-        _ => {
-            eprintln!("ompobs: unknown command {cmd:?}\n{USAGE}");
-            Ok(EXIT_USAGE)
-        }
-    };
-    ExitCode::from(outcome.unwrap_or_else(|e| {
-        eprintln!("ompobs: {e}");
-        EXIT_ERROR
-    }))
+    })
 }
 
 /// Write `doc` as indented JSON to `out`.
@@ -168,16 +126,13 @@ fn write_json(out: &Path, what: &str, doc: &impl serde::Serialize) -> Result<(),
     Ok(())
 }
 
-fn drift_cmd(run_a: &Path, run_b: &Path, flags: &Flags) -> Outcome {
-    let report = ompobs::drift_report(run_a, run_b, flags.alpha).map_err(|e| e.to_string())?;
+fn drift_cmd(run_a: &Path, run_b: &Path, cli: &Cli) -> Outcome {
+    let report = ompobs::drift_report(run_a, run_b, cli.alpha).map_err(|e| e.to_string())?;
     print!("{}", report.render());
     // The machine-readable verdict lands next to the newer run.
-    let out = flags
-        .out
-        .clone()
-        .unwrap_or_else(|| run_b.join("drift.json"));
+    let out = cli.out.clone().unwrap_or_else(|| run_b.join("drift.json"));
     write_json(&out, "report", &report)?;
-    Ok(if report.drift { EXIT_CHANGE } else { EXIT_OK })
+    Ok(cli::findings(report.drift))
 }
 
 fn series_cmd(run: &Path) -> Outcome {
@@ -254,58 +209,49 @@ fn list_cmd(dir: &Path, load: &RegistryLoad) -> Outcome {
     Ok(EXIT_OK)
 }
 
-fn sentinel_cmd(dir: &Path, load: &RegistryLoad, flags: &Flags) -> Outcome {
-    let history = ompobs::sentinel(&load.records, flags.alpha);
+fn sentinel_cmd(dir: &Path, load: &RegistryLoad, cli: &Cli) -> Outcome {
+    let history = ompobs::sentinel(&load.records, cli.alpha);
     print!("{}", history.render());
-    let out = flags
-        .out
-        .clone()
-        .unwrap_or_else(|| dir.join("history.json"));
+    let out = cli.out.clone().unwrap_or_else(|| dir.join("history.json"));
     write_json(&out, "history", &history)?;
-    Ok(if history.change { EXIT_CHANGE } else { EXIT_OK })
+    Ok(cli::findings(history.change))
 }
 
-fn blame_cmd(dir: &Path, load: &RegistryLoad, flags: &Flags) -> Outcome {
-    let (from, to) = match (flags.from, flags.to) {
-        (Some(a), Some(b)) => (a, b),
+fn blame_cmd(dir: &Path, load: &RegistryLoad, cli: &Cli) -> Outcome {
+    let (from, to) = match cli.bracket {
+        Some(bracket) => bracket,
         // No explicit bracket: blame the last change-point step,
         // falling back to the last step of the trail.
-        (None, None) => ompobs::sentinel(&load.records, flags.alpha)
+        None => ompobs::sentinel(&load.records, cli.alpha)
             .default_bracket()
             .ok_or("fewer than two comparable runs — nothing to blame")?,
-        _ => {
-            eprintln!("ompobs: --from and --to go together\n{USAGE}");
-            return Ok(EXIT_USAGE);
-        }
     };
     let blame = ompobs::blame(&load.records, from, to)?;
     print!("{}", blame.render());
-    let out = flags.out.clone().unwrap_or_else(|| dir.join("blame.json"));
+    let out = cli.out.clone().unwrap_or_else(|| dir.join("blame.json"));
     write_json(&out, "blame", &blame)?;
     Ok(EXIT_OK)
 }
 
-fn bisect_cmd(load: &RegistryLoad, flags: &Flags) -> Outcome {
-    let cache = flags.cache_dir.as_ref().map(SampleCache::new);
-    let result = ompobs::bisect(&load.records, cache.as_ref(), flags.workers)?;
+fn bisect_cmd(load: &RegistryLoad, cli: &Cli) -> Outcome {
+    let cache = cli.cache_dir.as_ref().map(SampleCache::new);
+    let result = ompobs::bisect(&load.records, cache.as_ref(), cli.workers)?;
     print!("{}", result.render());
     // "reproduces nothing" is the change signal for CI.
-    Ok(if result.matches.is_empty() && result.compared > 0 {
-        EXIT_CHANGE
-    } else {
-        EXIT_OK
-    })
+    Ok(cli::findings(
+        result.matches.is_empty() && result.compared > 0,
+    ))
 }
 
-fn report_cmd(dir: &Path, load: &RegistryLoad, flags: &Flags) -> Outcome {
-    let history = ompobs::sentinel(&load.records, flags.alpha);
+fn report_cmd(dir: &Path, load: &RegistryLoad, cli: &Cli) -> Outcome {
+    let history = ompobs::sentinel(&load.records, cli.alpha);
     let blame = history
         .default_bracket()
         .filter(|_| history.change)
         .and_then(|(from, to)| ompobs::blame(&load.records, from, to).ok());
     let html =
         ompobs::report::dashboard_html(&dir.display().to_string(), load, &history, blame.as_ref());
-    let out = flags.out.clone().unwrap_or_else(|| dir.join("report.html"));
+    let out = cli.out.clone().unwrap_or_else(|| dir.join("report.html"));
     std::fs::write(&out, html).map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(
         "report: {} record(s), {} change-point(s) -> {}",
@@ -314,4 +260,22 @@ fn report_cmd(dir: &Path, load: &RegistryLoad, flags: &Flags) -> Outcome {
         out.display()
     );
     Ok(EXIT_OK)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_command_line_is_a_verb_with_flags_or_a_usage_error() {
+        omptune_core::cli::check_parse(
+            super::parse,
+            "drift a b --alpha 0.01 --out d.json | series a | list --dir reg \
+             | sentinel --dir reg --alpha 0.1 --out h.json \
+             | blame --from 1 --to 3 --out b.json \
+             | bisect --dir reg --cache-dir c --workers 4 | report",
+            " | frob | drift a | drift a b c | series | list extra | list --frob \
+             | sentinel --alpha 1.5 \
+             | sentinel --dir | blame --from 1 | blame --from x --to 2 \
+             | bisect --workers 0",
+        );
+    }
 }

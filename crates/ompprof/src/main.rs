@@ -1,137 +1,77 @@
 //! `ompprof` — sweep-wide cost attribution and differential flame
 //! graphs.
 //!
-//! Subcommands:
+//! Subcommands (command lines in [`USAGE`]):
 //!
-//! - `ompprof attribute [ARCH] [APP] [--scope N] [--workers N]
-//!   [--out PATH] [--data DIR] [--check]` — sweep a strided slice of
-//!   one setting (or fold an exported `raw_batches.json` via `--data`),
-//!   fold every sample's sink breakdown into the per-(variable, value)
-//!   attribution profile, write it as JSON, and print the marginal-cost
-//!   ranking. `--check` cross-validates the top-ranked variable against
-//!   the logistic-regression influence ranking.
-//! - `ompprof diff [ARCH] [APP] [--out-dir DIR]` — sweep the same slice
-//!   the telemetry report uses, pick the best and worst configurations
-//!   by mean runtime, and render their phase trees as folded stacks and
-//!   flame-graph SVGs plus a signed red/blue diff view.
+//! - `attribute` — sweep a strided slice of one setting (or fold an
+//!   exported `raw_batches.json` via `--data`), fold every sample's sink
+//!   breakdown into the per-(variable, value) attribution profile, write
+//!   it as JSON, and print the marginal-cost ranking. `--check`
+//!   cross-validates the top-ranked variable against the
+//!   logistic-regression influence ranking.
+//! - `diff` — sweep the same slice the telemetry report uses, pick the
+//!   best and worst configurations by mean runtime, and render their
+//!   phase trees as folded stacks and flame-graph SVGs plus a signed
+//!   red/blue diff view.
 //!
-//! Exit codes (shared omplint/ompfuzz/ompobs convention):
-//! 0 = clean, 4 = findings (ranking disagreement), 2 = usage error,
-//! 1 = internal error.
+//! Exit codes are `omptune_core::cli`'s 0/4/2/1, 4 meaning `--check`
+//! found the two rankings disagreeing.
 
 use ompprof::{Attribution, SliceMeta};
-use omptune_core::{Arch, GroupBy, TuningConfig, Variable};
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
+use omptune_core::{Arch, GroupBy, Variable};
 use std::process::ExitCode;
-use sweep::{Scope, SettingData, SweepSpec};
+use sweep::{ReportSlice, SettingData, SweepOptions, SweepSpec};
 
-const EXIT_FINDINGS: u8 = 4;
-const EXIT_USAGE: u8 = 2;
-const EXIT_INTERNAL: u8 = 1;
+const USAGE: &str = "usage: ompprof attribute [ARCH] [APP] [--scope N] [--workers N] [--out PATH] [--data DIR] [--check]
+       ompprof diff [ARCH] [APP] [--out-dir DIR]";
 
-fn usage() -> String {
-    "usage: ompprof attribute [ARCH] [APP] [--scope N] [--workers N] [--out PATH] [--data DIR] [--check]\n\
-     \x20      ompprof diff [ARCH] [APP] [--out-dir DIR]"
-        .to_string()
-}
-
-struct CommonArgs {
+/// A parsed command line; a subcommand's flags stay at their defaults
+/// under the other one.
+struct Cli {
+    diff: bool,
     arch: Arch,
     app: String,
     scope: usize,
     workers: usize,
     out: String,
-    out_dir: String,
     data: Option<String>,
     check: bool,
+    out_dir: String,
 }
 
-fn parse_args(args: &[String]) -> Result<CommonArgs, String> {
-    let mut parsed = CommonArgs {
+fn parse(mut args: Args) -> Result<Cli, Error> {
+    let diff = match args.subcommand()?.as_str() {
+        "attribute" => false,
+        "diff" => true,
+        other => return Err(Error::unknown("subcommand", other)),
+    };
+    let mut cli = Cli {
+        diff,
         arch: Arch::Milan,
         app: "cg".to_string(),
         scope: 400,
         workers: 4,
         out: "profile.json".to_string(),
-        out_dir: "ompprof-out".to_string(),
         data: None,
         check: false,
+        out_dir: "ompprof-out".to_string(),
     };
-    let mut positional = 0usize;
-    let mut rest = args.iter();
-    while let Some(a) = rest.next() {
-        match a.as_str() {
-            "--check" => parsed.check = true,
-            "--scope" | "--workers" | "--out" | "--out-dir" | "--data" => {
-                let v = rest
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .clone();
-                match a.as_str() {
-                    "--scope" => {
-                        parsed.scope = v.parse().map_err(|_| format!("bad --scope {v:?}"))?;
-                        if parsed.scope == 0 {
-                            return Err("--scope must be positive".into());
-                        }
-                    }
-                    "--workers" => {
-                        parsed.workers = v.parse().map_err(|_| format!("bad --workers {v:?}"))?;
-                        if parsed.workers == 0 {
-                            return Err("--workers must be positive".into());
-                        }
-                    }
-                    "--out" => parsed.out = v,
-                    "--out-dir" => parsed.out_dir = v,
-                    "--data" => parsed.data = Some(v),
-                    _ => unreachable!(),
-                }
-            }
-            s if s.starts_with("--") => return Err(format!("unknown flag {s}")),
-            s => {
-                match positional {
-                    0 => {
-                        parsed.arch = Arch::from_id(s).ok_or_else(|| {
-                            format!("unknown arch {s:?} (expected a64fx, skylake, or milan)")
-                        })?
-                    }
-                    1 => parsed.app = s.to_string(),
-                    _ => return Err(format!("unexpected argument {s:?}")),
-                }
-                positional += 1;
-            }
-        }
+    if diff {
+        cli.out_dir = args.value("--out-dir")?.unwrap_or(cli.out_dir);
+    } else {
+        cli.scope = args.positive("--scope")?.unwrap_or(cli.scope);
+        cli.workers = args.positive("--workers")?.unwrap_or(cli.workers);
+        cli.out = args.value("--out")?.unwrap_or(cli.out);
+        cli.data = args.value("--data")?;
+        cli.check = args.flag("--check");
     }
-    Ok(parsed)
-}
-
-/// Sweep the strided slice `attribute`/`diff` profile: one setting (the
-/// largest) of `app` on `arch`, in catalog position 0, default seed.
-fn sweep_slice(
-    arch: Arch,
-    app_name: &str,
-    scope: usize,
-    workers: usize,
-) -> Result<(Vec<SettingData>, SweepSpec), String> {
-    let app = workloads::app(app_name).ok_or_else(|| format!("unknown app {app_name:?}"))?;
-    if !workloads::available_on(app_name, arch) {
-        return Err(format!("{app_name} is not available on {}", arch.id()));
+    if let Some(id) = args.positional()? {
+        cli.arch = Arch::from_id(&id).ok_or_else(|| Error::unknown("arch", &id))?;
     }
-    let spec = SweepSpec {
-        scope: Scope::Strided(scope),
-        ..SweepSpec::default()
-    };
-    let setting = workloads::settings_for(app, arch)
-        .last()
-        .copied()
-        .ok_or_else(|| format!("{app_name} has no settings on {}", arch.id()))?;
-    let (data, _stats) = sweep::sweep_setting_scheduled(
-        arch,
-        app,
-        setting,
-        0,
-        &spec,
-        &sweep::SweepOptions::new(workers),
-    );
-    Ok((vec![data], spec))
+    cli.app = args.positional()?.unwrap_or(cli.app);
+    args.finish()?;
+    Ok(cli)
 }
 
 /// Top environment variable of the logistic-influence ranking for the
@@ -157,21 +97,22 @@ fn logreg_top(batches: &[SettingData], arch: Arch, app: &str) -> Result<Variable
         .ok_or_else(|| "no env features in influence row".to_string())
 }
 
-fn cmd_attribute(args: CommonArgs) -> Result<u8, String> {
-    let (batches, seed, scope_label) = match &args.data {
+fn cmd_attribute(args: &Cli) -> Result<u8, Error> {
+    let (batches, scope_label) = match &args.data {
         Some(dir) => {
             let path = format!("{dir}/raw_batches.json");
             let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let batches =
                 sweep::export::read_raw_json(&bytes).map_err(|e| format!("{path}: {e}"))?;
             if let Some(foreign) = ompprof::foreign_sample(&batches) {
-                return Err(format!("{path}: {foreign}"));
+                return Err(format!("{path}: {foreign}").into());
             }
-            (batches, SweepSpec::default().seed, format!("data:{dir}"))
+            (batches, format!("data:{dir}"))
         }
         None => {
-            let (batches, spec) = sweep_slice(args.arch, &args.app, args.scope, args.workers)?;
-            (batches, spec.seed, format!("strided({})", args.scope))
+            let workers = SweepOptions::new(args.workers);
+            let slice = ReportSlice::sweep(args.arch, &args.app, args.scope, &workers)?;
+            (vec![slice.data], format!("strided({})", args.scope))
         }
     };
     if batches.iter().all(|b| b.samples.is_empty()) {
@@ -184,7 +125,7 @@ fn cmd_attribute(args: CommonArgs) -> Result<u8, String> {
         arch: args.arch.id().to_string(),
         app: args.app.clone(),
         scope: scope_label,
-        seed,
+        seed: SweepSpec::default().seed,
         fingerprint: sweep::slice_fingerprint(&batches),
     };
     if let Some(parent) = std::path::Path::new(&args.out).parent() {
@@ -237,55 +178,25 @@ fn cmd_attribute(args: CommonArgs) -> Result<u8, String> {
                 attributed.env_name(),
                 influence.env_name()
             );
-            return Ok(EXIT_FINDINGS);
         }
+        return Ok(cli::findings(attributed != influence));
     }
-    Ok(0)
+    Ok(EXIT_OK)
 }
 
-/// Region-level summary of one configuration under an exclusive
-/// telemetry session (same recipe as `omptel-report`, whose recorded
-/// best-vs-worst gap this subcommand must reproduce).
-fn summarize(
-    arch: Arch,
-    config: &TuningConfig,
-    model: &simrt::Model,
-    seed: u64,
-) -> Result<omptel::Summary, String> {
-    let session = omptel::session().map_err(|e| format!("telemetry session: {e}"))?;
-    simrt::simulate(arch, config, model, seed);
-    Ok(session.finish().summary())
-}
+fn cmd_diff(args: &Cli) -> Result<u8, Error> {
+    // omptel-report's slice, so the gap printed here is the recorded one.
+    let slice = ReportSlice::sweep(args.arch, &args.app, 50, &SweepOptions::new(4))?;
+    let (best, worst) = (slice.fastest()?, slice.slowest()?);
+    let (data, setting, seed) = (&slice.data, slice.setting, slice.spec.seed);
+    let model = slice.model();
 
-fn cmd_diff(args: CommonArgs) -> Result<u8, String> {
-    // The exact slice omtel-report's best_vs_worst uses, so the gap
-    // printed here is the recorded one.
-    let (batches, spec) = sweep_slice(args.arch, &args.app, 50, 4)?;
-    let data = &batches[0];
-    let best = data
-        .samples
-        .iter()
-        .min_by(|a, b| a.mean_runtime().total_cmp(&b.mean_runtime()))
-        .ok_or("empty sweep")?;
-    let worst = data
-        .samples
-        .iter()
-        .max_by(|a, b| a.mean_runtime().total_cmp(&b.mean_runtime()))
-        .ok_or("empty sweep")?;
-
-    let app = workloads::app(&args.app).expect("validated in sweep_slice");
-    let setting = workloads::settings_for(app, args.arch)
-        .last()
-        .copied()
-        .expect("validated in sweep_slice");
-    let model = (app.model)(args.arch, setting);
-
-    let best_sum = summarize(args.arch, &best.config, &model, spec.seed)?;
-    let worst_sum = summarize(args.arch, &worst.config, &model, spec.seed)?;
+    let best_sum = slice.summarize(&best.config)?;
+    let worst_sum = slice.summarize(&worst.config)?;
     let gap = worst_sum.total_ns as f64 / best_sum.total_ns as f64;
 
-    let best_ex = simrt::explain(args.arch, &best.config, &model, spec.seed);
-    let worst_ex = simrt::explain(args.arch, &worst.config, &model, spec.seed);
+    let best_ex = simrt::explain(args.arch, &best.config, &model, seed);
+    let worst_ex = simrt::explain(args.arch, &worst.config, &model, seed);
     let best_tree = ompprof::explanation_tree(&args.app, args.arch, &best.config, &best_ex);
     let worst_tree = ompprof::explanation_tree(&args.app, args.arch, &worst.config, &worst_ex);
     let energy_gap = worst_tree.energy_j / best_tree.energy_j.max(1e-12);
@@ -293,7 +204,7 @@ fn cmd_diff(args: CommonArgs) -> Result<u8, String> {
     // Attribution over the same slice names the variable the flame
     // graph subtitle blames.
     let mut profile = Attribution::new();
-    profile.fold_slice(&batches);
+    profile.fold_batch(data);
     let top = profile
         .top_variable()
         .map(|f| f.env_name().to_string())
@@ -306,24 +217,12 @@ fn cmd_diff(args: CommonArgs) -> Result<u8, String> {
             .map_err(|e| format!("cannot write {}/{name}: {e}", args.out_dir))
     };
     let slug = format!("{}/{} t={}", args.arch.id(), args.app, setting.num_threads);
-    write("best.folded", ompprof::folded(&best_tree))?;
-    write("worst.folded", ompprof::folded(&worst_tree))?;
-    write(
-        "flame_best.svg",
-        ompprof::svg(
-            &best_tree,
-            &format!("best {slug}"),
-            &format!("speedup {:.2}x | top variable {top}", data.speedup(best)),
-        ),
-    )?;
-    write(
-        "flame_worst.svg",
-        ompprof::svg(
-            &worst_tree,
-            &format!("worst {slug}"),
-            &format!("speedup {:.2}x | top variable {top}", data.speedup(worst)),
-        ),
-    )?;
+    for (side, tree, sample) in [("best", &best_tree, best), ("worst", &worst_tree, worst)] {
+        write(&format!("{side}.folded"), ompprof::folded(tree))?;
+        let subtitle = format!("speedup {:.2}x | top variable {top}", data.speedup(sample));
+        let svg = ompprof::svg(tree, &format!("{side} {slug}"), &subtitle);
+        write(&format!("flame_{side}.svg"), svg)?;
+    }
     write(
         "flame_diff.svg",
         ompprof::diff_svg(
@@ -353,35 +252,30 @@ fn cmd_diff(args: CommonArgs) -> Result<u8, String> {
         "wrote {}/{{best,worst}}.folded, flame_{{best,worst,diff}}.svg, and flame_energy_diff.svg",
         args.out_dir
     );
-    Ok(0)
+    Ok(EXIT_OK)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{}", usage());
-        return ExitCode::from(EXIT_USAGE);
-    };
-    let parsed = match parse_args(&args[1..]) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("ompprof: {e}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
+    cli::run("ompprof", USAGE, |args| {
+        let cli = parse(args)?;
+        match cli.diff {
+            true => cmd_diff(&cli),
+            false => cmd_attribute(&cli),
         }
-    };
-    let result = match cmd.as_str() {
-        "attribute" => cmd_attribute(parsed),
-        "diff" => cmd_diff(parsed),
-        other => {
-            eprintln!("ompprof: unknown subcommand {other:?}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    match result {
-        Ok(code) => ExitCode::from(code),
-        Err(e) => {
-            eprintln!("ompprof: {e}");
-            ExitCode::from(EXIT_INTERNAL)
-        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_command_line_is_a_profile_job_or_a_usage_error() {
+        omptune_core::cli::check_parse(
+            super::parse,
+            "attribute | attribute milan cg --scope 400 --workers 2 --out p.json --check \
+             | attribute --data collect_out --out profile.json \
+             | diff milan cg --out-dir flame",
+            " | frob | attribute nope | attribute milan cg extra | attribute --scope 0 \
+             | attribute --workers | attribute --out-dir d | diff --check | diff --frob",
+        );
     }
 }

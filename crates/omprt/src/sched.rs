@@ -3,10 +3,10 @@
 //! Two layers:
 //!
 //! 1. **Pure chunk math** — [`static_chunks`], [`guided_chunk_size`] —
-//!    deterministic functions mirroring libomp's `__kmp_for_static_init`
-//!    and guided dispatch formulas, unit- and property-testable without
-//!    threads. The simulator (`simrt`) reuses exactly these functions so
-//!    the simulated and real runtimes dispatch identical chunks.
+//!    `Range` views of the two rules in `omptune_core::chunk` (libomp's
+//!    `__kmp_for_static_init` split and guided step). The simulator
+//!    (`simrt`) calls the same two functions, so the simulated and real
+//!    runtimes dispatch identical chunks.
 //! 2. **Atomic dispatchers** — [`DynamicDispatcher`], [`GuidedDispatcher`]
 //!    — the shared-counter machinery threads use at run time.
 //!
@@ -15,25 +15,22 @@
 use crate::check_event;
 use crate::perturb::{self, Site};
 use crate::trace::{self, Event};
-use omptune_core::OmpSchedule;
+use omptune_core::{chunk, OmpSchedule};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default chunk size when none is given: libomp uses 1 for `dynamic`.
 pub const DEFAULT_DYNAMIC_CHUNK: usize = 1;
 /// Guided scheduling never hands out chunks smaller than this.
-pub const MIN_GUIDED_CHUNK: usize = 1;
+pub const MIN_GUIDED_CHUNK: usize = chunk::MIN_GUIDED_CHUNK as usize;
 
 /// The contiguous block of iterations thread `tid` executes under plain
 /// `static` (no chunk): iterations are divided into `num_threads`
 /// near-equal blocks; the first `rem` threads get one extra iteration.
 pub fn static_chunks(total: usize, num_threads: usize, tid: usize) -> Range<usize> {
     debug_assert!(tid < num_threads);
-    let base = total / num_threads;
-    let rem = total % num_threads;
-    let lo = tid * base + tid.min(rem);
-    let len = base + usize::from(tid < rem);
-    lo..lo + len
+    let (lo, hi) = chunk::static_block(total as u64, num_threads as u64, tid as u64);
+    lo as usize..hi as usize
 }
 
 /// The chunks thread `tid` executes under `static,chunk` (block-cyclic):
@@ -59,10 +56,10 @@ pub fn static_cyclic_chunks(
 }
 
 /// Guided chunk size for `remaining` iterations on a team of
-/// `num_threads`: `max(remaining / (2 * nthreads), 1)`, libomp's
-/// default guided formula (without chunk parameter).
+/// `num_threads`: libomp's default guided formula (without chunk
+/// parameter).
 pub fn guided_chunk_size(remaining: usize, num_threads: usize) -> usize {
-    (remaining / (2 * num_threads)).max(MIN_GUIDED_CHUNK)
+    chunk::guided_chunk(remaining as u64, num_threads as u64) as usize
 }
 
 /// Shared-counter dispatcher for `dynamic` scheduling.
@@ -131,8 +128,7 @@ impl GuidedDispatcher {
             if lo >= self.total {
                 return None;
             }
-            let size = guided_chunk_size(self.total - lo, self.num_threads);
-            let hi = (lo + size).min(self.total);
+            let hi = lo + guided_chunk_size(self.total - lo, self.num_threads);
             if self
                 .next
                 .compare_exchange_weak(lo, hi, Ordering::Relaxed, Ordering::Relaxed)
@@ -157,7 +153,7 @@ pub fn guided_chunk_sequence(total: usize, num_threads: usize) -> Vec<usize> {
     let mut out = Vec::new();
     let mut remaining = total;
     while remaining > 0 {
-        let c = guided_chunk_size(remaining, num_threads).min(remaining);
+        let c = guided_chunk_size(remaining, num_threads);
         out.push(c);
         remaining -= c;
     }

@@ -17,7 +17,7 @@
 //! wins on joules. The report makes that trade visible per arch.
 
 use omptune_core::{Arch, TuningConfig, Variable};
-use sweep::{RawSample, Scope, SettingData, SweepSpec};
+use sweep::{RawSample, ReportSlice, SettingData, SweepOptions, SweepSpec};
 
 /// One objective's winning configuration and its three objective
 /// scores (so penalties can be read across columns).
@@ -79,36 +79,16 @@ impl Report {
     }
 }
 
-/// Sweep one strided slice of `app` on `arch` (largest setting, catalog
-/// position 0 — the same slice `ompprof` profiles) and reduce it to an
-/// [`ArchVerdict`].
+/// Sweep the report slice of `app` on `arch` (`sweep::ReportSlice`, the
+/// slice `ompprof` profiles) and reduce it to an [`ArchVerdict`].
 pub fn analyze_arch(
     arch: Arch,
     app_name: &str,
     scope: usize,
     workers: usize,
 ) -> Result<ArchVerdict, String> {
-    let app = workloads::app(app_name).ok_or_else(|| format!("unknown app {app_name:?}"))?;
-    if !workloads::available_on(app_name, arch) {
-        return Err(format!("{app_name} is not available on {}", arch.id()));
-    }
-    let spec = SweepSpec {
-        scope: Scope::Strided(scope),
-        ..SweepSpec::default()
-    };
-    let setting = workloads::settings_for(app, arch)
-        .last()
-        .copied()
-        .ok_or_else(|| format!("{app_name} has no settings on {}", arch.id()))?;
-    let (data, _stats) = sweep::sweep_setting_scheduled(
-        arch,
-        app,
-        setting,
-        0,
-        &spec,
-        &sweep::SweepOptions::new(workers),
-    );
-    verdict_from_slice(arch, app_name, &data)
+    let slice = ReportSlice::sweep(arch, app_name, scope, &SweepOptions::new(workers))?;
+    verdict_from_slice(arch, app_name, &slice.data)
 }
 
 /// Reduce one sweep slice to its verdict (separated from the sweep so

@@ -1,8 +1,5 @@
-//! `ompwatt` — the energy-vs-time disagreement report.
-//!
-//! ```text
-//! ompwatt report [APP] [--scope N] [--workers N] [--out-dir DIR] [--check]
-//! ```
+//! `ompwatt` — the energy-vs-time disagreement report (command line in
+//! [`USAGE`]).
 //!
 //! Sweeps a strided slice of the tuning space on every architecture
 //! that has `APP` (default `cg`), finds the time-, energy-, and
@@ -16,20 +13,17 @@
 //!
 //! `--check` is the self-check CI runs: it asserts that at least one
 //! architecture's energy optimum is *not* its time optimum — the
-//! headline claim of the energy study. Exit codes follow the suite
-//! convention: 0 clean, 4 the check failed (no disagreement anywhere),
-//! 2 usage error, 1 internal error.
+//! headline claim of the energy study. Exit codes are
+//! `omptune_core::cli`'s 0/4/2/1, 4 meaning the check failed (no
+//! disagreement anywhere).
 
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use std::process::ExitCode;
-
-const EXIT_FINDINGS: u8 = 4;
-const EXIT_USAGE: u8 = 2;
-const EXIT_INTERNAL: u8 = 1;
 
 const USAGE: &str =
     "usage: ompwatt report [APP] [--scope N] [--workers N] [--out-dir DIR] [--check]";
 
-struct Args {
+struct Cli {
     app: String,
     scope: usize,
     workers: usize,
@@ -37,55 +31,25 @@ struct Args {
     check: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args {
-        app: "cg".to_string(),
-        scope: 200,
-        workers: 4,
-        out_dir: "ompwatt-out".to_string(),
-        check: false,
-    };
-    let mut positional = 0usize;
-    let mut rest = args.iter();
-    while let Some(a) = rest.next() {
-        match a.as_str() {
-            "--check" => parsed.check = true,
-            "--scope" | "--workers" | "--out-dir" => {
-                let v = rest
-                    .next()
-                    .ok_or_else(|| format!("{a} needs a value"))?
-                    .clone();
-                match a.as_str() {
-                    "--scope" => {
-                        parsed.scope = v.parse().map_err(|_| format!("bad --scope {v:?}"))?;
-                        if parsed.scope == 0 {
-                            return Err("--scope must be positive".into());
-                        }
-                    }
-                    "--workers" => {
-                        parsed.workers = v.parse().map_err(|_| format!("bad --workers {v:?}"))?;
-                        if parsed.workers == 0 {
-                            return Err("--workers must be positive".into());
-                        }
-                    }
-                    "--out-dir" => parsed.out_dir = v,
-                    _ => unreachable!(),
-                }
-            }
-            s if s.starts_with("--") => return Err(format!("unknown flag {s}")),
-            s => {
-                if positional > 0 {
-                    return Err(format!("unexpected argument {s:?}"));
-                }
-                parsed.app = s.to_string();
-                positional += 1;
-            }
-        }
+fn parse(mut args: Args) -> Result<Cli, Error> {
+    match args.subcommand()?.as_str() {
+        "report" => {}
+        other => return Err(Error::unknown("subcommand", other)),
     }
-    Ok(parsed)
+    let cli = Cli {
+        scope: args.positive("--scope")?.unwrap_or(200),
+        workers: args.positive("--workers")?.unwrap_or(4),
+        out_dir: args
+            .value("--out-dir")?
+            .unwrap_or_else(|| "ompwatt-out".to_string()),
+        check: args.flag("--check"),
+        app: args.positional()?.unwrap_or_else(|| "cg".to_string()),
+    };
+    args.finish()?;
+    Ok(cli)
 }
 
-fn run(args: Args) -> Result<u8, String> {
+fn report(args: Cli) -> Result<u8, Error> {
     let report = ompwatt::analyze(&args.app, args.scope, args.workers)?;
 
     let dir = std::path::Path::new(&args.out_dir);
@@ -123,37 +87,28 @@ fn run(args: Args) -> Result<u8, String> {
 
     if args.check {
         let n = report.disagreements();
-        if n == 0 {
-            println!("check: FAILED — time- and energy-optima agree on every architecture");
-            return Ok(EXIT_FINDINGS);
+        match n {
+            0 => println!("check: FAILED — time- and energy-optima agree on every architecture"),
+            _ => println!("check: {n} architecture(s) where energy-optimal != time-optimal"),
         }
-        println!("check: {n} architecture(s) where energy-optimal != time-optimal");
+        return Ok(cli::findings(n == 0));
     }
-    Ok(0)
+    Ok(EXIT_OK)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    };
-    if cmd != "report" {
-        eprintln!("ompwatt: unknown subcommand {cmd:?}\n{USAGE}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let parsed = match parse_args(&args[1..]) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("ompwatt: {e}\n{USAGE}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    match run(parsed) {
-        Ok(code) => ExitCode::from(code),
-        Err(e) => {
-            eprintln!("ompwatt: {e}");
-            ExitCode::from(EXIT_INTERNAL)
-        }
+    cli::run("ompwatt", USAGE, |args| report(parse(args)?))
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_command_line_is_a_report_job_or_a_usage_error() {
+        omptune_core::cli::check_parse(
+            super::parse,
+            "report | report cg --scope 200 --workers 4 --out-dir w --check",
+            " | frob | report cg lu | report --scope 0 | report --scope \
+             | report --workers x | report --json",
+        );
     }
 }

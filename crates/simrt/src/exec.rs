@@ -2,9 +2,9 @@
 //! [`TuningConfig`] on a machine, in virtual time.
 //!
 //! Execution is chunk-level: each worksharing loop is discretized into at
-//! most [`MAX_UNITS`] scheduling units; static assignment reuses the real
-//! runtime's chunk math (`omprt::sched` mirrors it), dynamic/guided
-//! assign units greedily to the earliest-free thread exactly as the
+//! most [`MAX_UNITS`] scheduling units; static blocks and guided steps are
+//! the real runtime's (`omptune_core::chunk`, which `omprt::sched` calls
+//! too), dynamic/guided assign units greedily to the earliest-free thread exactly as the
 //! shared-counter dispatchers do, with per-chunk dispatch costs. All
 //! tuning effects — placement/locality, oversubscription, wait-policy
 //! wake-ups, reduction methods, allocation alignment — enter through
@@ -20,7 +20,7 @@ use crate::costs;
 use crate::model::{AccessPattern, Imbalance, LoopPhase, Model, Phase, TaskPhase};
 use archsim::{MachineDesc, Topology};
 use omptune_core::placement::Placement;
-use omptune_core::{Arch, TuningConfig};
+use omptune_core::{chunk, Arch, TuningConfig};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -380,15 +380,11 @@ pub(crate) fn plan_loop_with(
         OmpSchedule::Static | OmpSchedule::Auto => {
             // Exact near-equal contiguous split of the iteration space.
             let mut span = 0.0f64;
-            let base = phase.iters / t as u64;
-            let rem = phase.iters % t as u64;
-            let mut lo = 0u64;
             for (i, m) in mem.iter().enumerate().take(t) {
-                let len = base + u64::from((i as u64) < rem);
-                let cost = (compute_between(lo as f64, (lo + len) as f64) + m * len as f64)
+                let (lo, hi) = chunk::static_block(phase.iters, t as u64, i as u64);
+                let cost = (compute_between(lo as f64, hi as f64) + m * (hi - lo) as f64)
                     * env.speed_div[i];
                 span = span.max(cost);
-                lo += len;
             }
             span
         }
@@ -411,16 +407,15 @@ pub(crate) fn plan_loop_with(
             let total_iters = phase.iters;
             let mut next = 0u64;
             while next < total_iters {
-                let remaining = total_iters - next;
-                let chunk = (remaining / (2 * t as u64)).max(1).min(remaining);
+                let size = chunk::guided_chunk(total_iters - next, t as u64);
                 let (f, i) = heap.pop();
-                let cost = (compute_between(next as f64, (next + chunk) as f64)
-                    + mem[i] * chunk as f64)
+                let cost = (compute_between(next as f64, (next + size) as f64)
+                    + mem[i] * size as f64)
                     * env.speed_div[i]
                     + costs::dispatch_ns(t);
                 heap.push(f + cost, i);
                 dispatch_total += costs::dispatch_ns(t);
-                next += chunk;
+                next += size;
             }
             heap.max_finish()
         }

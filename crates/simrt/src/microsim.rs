@@ -11,7 +11,7 @@
 use crate::costs;
 use crate::model::LoopPhase;
 use archsim::{ns, CorePool, EventQueue, VTime};
-use omptune_core::{OmpSchedule, TuningConfig};
+use omptune_core::{chunk, OmpSchedule, TuningConfig};
 
 /// Outcome of an event-driven loop-phase execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,14 +55,7 @@ pub fn run_loop_event_driven(
     let mut next_iter = 0u64;
     let mut static_next: Vec<(u64, u64)> = Vec::new();
     if matches!(tuning.schedule, OmpSchedule::Static | OmpSchedule::Auto) {
-        let base = total / t as u64;
-        let rem = total % t as u64;
-        let mut lo = 0u64;
-        for i in 0..t as u64 {
-            let len = base + u64::from(i < rem);
-            static_next.push((lo, lo + len));
-            lo += len;
-        }
+        static_next.extend((0..t as u64).map(|i| chunk::static_block(total, t as u64, i)));
     }
 
     // Everyone asks for work at t=0.
@@ -96,8 +89,7 @@ pub fn run_loop_event_driven(
                 if next_iter >= total {
                     None
                 } else {
-                    let remaining = total - next_iter;
-                    let size = (remaining / (2 * t as u64)).max(1).min(remaining);
+                    let size = chunk::guided_chunk(total - next_iter, t as u64);
                     let lo = next_iter;
                     next_iter += size;
                     Some((lo, lo + size, costs::dispatch_ns(t)))

@@ -5,7 +5,9 @@
 //! Used during development to tune the workload models and cost
 //! constants; kept as a reproducible artifact (see EXPERIMENTS.md).
 
+use omptune_core::cli::{self, EXIT_OK};
 use omptune_core::{Arch, ConfigSpace, TuningConfig};
+use std::process::ExitCode;
 use workloads::{apps_on, settings_for};
 
 /// Paper Table VI ranges (plus Table V per-arch rows where given).
@@ -30,7 +32,15 @@ fn paper_range(app: &str) -> (f64, f64) {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
+    cli::run("calibrate", "usage: calibrate", |args| {
+        args.finish()?;
+        calibrate();
+        Ok(EXIT_OK)
+    })
+}
+
+fn calibrate() {
     let mut per_app: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for arch in Arch::ALL {
         println!("=== {} ===", arch.display_name());
@@ -92,5 +102,13 @@ fn main() {
             "{:>10}  ours {:.3} - {:.3}   paper {:.3} - {:.3}",
             app, lo, hi, plo, phi
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calibrate_reads_no_argument() {
+        omptune_core::cli::check_parse(|args| args.finish(), "", "--help | fast");
     }
 }

@@ -31,12 +31,16 @@
 //! aggregates, wall sample latency, and scheduler rates — which
 //! `ompobs drift` compares across runs.
 
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use omptune_core::Arch;
 use std::fs;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
 use sweep::collect::{ArchDone, ArchEnergy, Job, State, Watch};
 use sweep::{Roster, SampleCache, Scope, SweepSpec};
+
+const USAGE: &str = "usage: collect [SCOPE] [OUT_DIR] [OPTIONS] (see --help)";
 
 const HELP: &str = "\
 collect — run the paper's data-collection sweep and export its artifacts
@@ -100,109 +104,56 @@ struct Cli {
     perturb: Option<(Arch, f64)>,
 }
 
-fn parse_cli() -> Result<Cli, String> {
-    let mut scope = Scope::PaperSized;
-    let mut roster = Roster::Paper;
-    let mut positional = 0usize;
-    let mut out_dir = PathBuf::from("dataset");
-    let mut workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut no_cache = false;
-    let mut cache_dir = PathBuf::from("target/sweep-cache");
-    let mut trace = None;
-    let mut monitor = None;
-    let mut registry_dir: Option<PathBuf> = None;
-    let mut no_registry = false;
-    let mut perturb = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{HELP}");
-                std::process::exit(0);
-            }
-            "--no-cache" => no_cache = true,
-            "--workers" => {
-                let v = args.next().ok_or("--workers needs a value")?;
-                workers = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --workers value: {v}"))?;
-                if workers == 0 {
-                    return Err("--workers must be at least 1".into());
+fn parse(mut args: Args) -> Result<Cli, Error> {
+    args.help(HELP)?;
+    let path = |v: Option<String>| v.map(PathBuf::from);
+    let workers = match args.positive("--workers")? {
+        Some(n) => n,
+        None => std::thread::available_parallelism().map_or(4, |n| n.get()),
+    };
+    let roster = match args.value("--roster")?.as_deref() {
+        None | Some("paper") => Roster::Paper,
+        Some("generated") => Roster::Generated,
+        Some("all") => Roster::All,
+        Some(other) => return Err(Error::unknown("roster", other)),
+    };
+    let cache_dir = path(args.value("--cache-dir")?);
+    let no_cache = args.flag("--no-cache");
+    let registry_dir = path(args.value("--registry")?);
+    let no_registry = args.flag("--no-registry");
+    let perturb = match args.value("--perturb")? {
+        None => None,
+        Some(v) => {
+            let parts = v.split_once(':').and_then(|(arch, factor)| {
+                Some((Arch::from_id(arch)?, factor.parse::<f64>().ok()?))
+            });
+            match parts {
+                Some((_, factor)) if factor.is_finite() && factor > 0.0 => parts,
+                _ => {
+                    let what = "ARCH:FACTOR with a finite positive factor";
+                    return Err(Error::usage(format!("--perturb needs {what}, got {v:?}")));
                 }
-            }
-            "--cache-dir" => {
-                cache_dir = PathBuf::from(args.next().ok_or("--cache-dir needs a value")?);
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(args.next().ok_or("--trace needs a value")?));
-            }
-            "--monitor" => {
-                monitor = Some(args.next().ok_or("--monitor needs an address")?);
-            }
-            "--registry" => {
-                registry_dir = Some(PathBuf::from(
-                    args.next().ok_or("--registry needs a directory")?,
-                ));
-            }
-            "--no-registry" => no_registry = true,
-            "--perturb" => {
-                let v = args.next().ok_or("--perturb needs ARCH:FACTOR")?;
-                let (arch_s, factor_s) = v
-                    .split_once(':')
-                    .ok_or_else(|| format!("--perturb wants ARCH:FACTOR, got {v}"))?;
-                let arch = Arch::from_id(arch_s)
-                    .ok_or_else(|| format!("unknown architecture: {arch_s}"))?;
-                let factor = factor_s
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid perturbation factor: {factor_s}"))?;
-                if !factor.is_finite() || factor <= 0.0 {
-                    return Err("--perturb factor must be finite and positive".into());
-                }
-                perturb = Some((arch, factor));
-            }
-            "--roster" => {
-                let v = args.next().ok_or("--roster needs a value")?;
-                roster = match v.as_str() {
-                    "paper" => Roster::Paper,
-                    "generated" => Roster::Generated,
-                    "all" => Roster::All,
-                    other => return Err(format!("unknown roster: {other} (see --help)")),
-                };
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option: {other} (see --help)"));
-            }
-            positional_arg => {
-                match positional {
-                    0 => {
-                        scope = match positional_arg {
-                            "tiny" => Scope::Strided(400),
-                            "fast" => Scope::Strided(24),
-                            "paper" => Scope::PaperSized,
-                            "full" => Scope::Full,
-                            "pruned" => Scope::Pruned,
-                            other => return Err(format!("unknown scope: {other} (see --help)")),
-                        };
-                    }
-                    1 => out_dir = PathBuf::from(positional_arg),
-                    _ => return Err(format!("unexpected argument: {positional_arg}")),
-                }
-                positional += 1;
             }
         }
-    }
-    let registry = if no_registry {
-        None
-    } else {
-        Some(
-            registry_dir
-                .or_else(sweep::registry::env_registry_dir)
-                .unwrap_or_else(|| sweep::registry::default_registry_dir(&out_dir)),
-        )
     };
+    let trace = path(args.value("--trace")?);
+    let monitor = args.value("--monitor")?;
+    let scope = match args.positional()?.as_deref() {
+        Some("tiny") => Scope::Strided(400),
+        Some("fast") => Scope::Strided(24),
+        None | Some("paper") => Scope::PaperSized,
+        Some("full") => Scope::Full,
+        Some("pruned") => Scope::Pruned,
+        Some(other) => return Err(Error::unknown("scope", other)),
+    };
+    let out_dir = path(args.positional()?).unwrap_or_else(|| PathBuf::from("dataset"));
+    args.finish()?;
+    let registry = (!no_registry).then(|| {
+        registry_dir
+            .or_else(sweep::registry::env_registry_dir)
+            .unwrap_or_else(|| sweep::registry::default_registry_dir(&out_dir))
+    });
+    let cache_dir = cache_dir.unwrap_or_else(|| PathBuf::from("target/sweep-cache"));
     Ok(Cli {
         scope,
         roster,
@@ -407,18 +358,11 @@ impl Watch for Stderr {
     }
 }
 
-fn main() {
-    let cli = match parse_cli() {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("collect: {msg}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = collect(cli) {
-        eprintln!("collect: {e}");
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    cli::run("collect", USAGE, |args| {
+        collect(parse(args)?)?;
+        Ok(EXIT_OK)
+    })
 }
 
 fn collect(cli: Cli) -> std::io::Result<()> {
@@ -689,6 +633,18 @@ mod tests {
     // own `ArchDone` scoreboard) rendered them.
     const PARENT_SWEEP: &str = r#"{"scope":"Strided(400)","state":"idle","current":null,"telemetry":{"ring_threads":0,"omptel_ring_events_total":0,"omptel_ring_dropped_total":0,"engine":{"priced_batches":0,"sample_cache_tmp_reaped":0,"pool_hits":0,"pool_misses":0},"watchdog":null},"registry":{"dir":"/var/reg \"x\"","records":3,"corrupt_skipped":1},"completed":[{"arch":"a64fx","settings":45,"samples":540,"dropped":0,"elapsed_s":0.012,"joules":9767.780224,"edp_js":4034.379218},{"arch":"skylake","settings":36,"samples":864,"dropped":0,"elapsed_s":1.500,"joules":46560.968713,"edp_js":299597.498229}]}"#;
     const PARENT_ENERGY: &str = r#"{"schema":"ompwatt-energy-v1","arches":[{"arch":"a64fx","samples":540,"joules":9767.780224,"edp_js":4034.379218,"sinks":{"active":4841.432097,"memory":1084.281913,"wait":62.020150,"serial":0.621054,"base":3779.425011}},{"arch":"skylake","samples":864,"joules":46560.968713,"edp_js":299597.498229,"sinks":{"active":10779.698471,"memory":2115.336916,"wait":5937.930185,"serial":2.126568,"base":27725.876574}}],"influence":{"samples":0,"optimal_fraction":0.000000,"influence":{"OMP_PLACES":0.000000,"OMP_PROC_BIND":0.000000,"OMP_SCHEDULE":0.000000,"KMP_LIBRARY":0.000000,"KMP_BLOCKTIME":0.000000,"KMP_FORCE_REDUCTION":0.000000,"KMP_ALIGN_ALLOC":0.000000},"top":null}}"#;
+
+    #[test]
+    fn a_command_line_is_a_collection_job_or_a_usage_error() {
+        cli::check_parse(
+            parse,
+            " | --help | tiny -h | fast out --workers 2 --cache-dir c --registry r \
+             | tiny out --workers 1 --no-cache --no-registry | pruned out --roster all \
+             --trace t.json --monitor 127.0.0.1:0 --perturb skylake:1.10",
+            "bogus | tiny out extra | --frob | tiny out --workers | tiny out --workers 0 \
+             | --roster nope | --perturb skylake | --perturb nope:1.1 | --perturb milan:-1",
+        );
+    }
 
     #[test]
     fn sweep_and_energy_bodies_render_the_manifest() {

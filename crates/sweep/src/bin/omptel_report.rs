@@ -21,11 +21,19 @@
 //!   configuration (master binding at full thread count) must be
 //!   diagnosed as dominated by barrier/imbalance wait.
 
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use omptune_core::{Arch, OmpPlaces, OmpProcBind, TuningConfig};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use sweep::{Scope, SweepSpec};
+use sweep::{ReportSlice, Scope, SweepOptions, SweepSpec};
 use workloads::Setting;
+
+const USAGE: &str =
+    "usage: omptel-report [--json | --spans [--trace-out PATH] | --self-check] [ARCH] [APP]";
+
+/// The slice every mode but `--self-check` reports on: strided 50,
+/// swept on 4 workers.
+const SCOPE: usize = 50;
 
 /// Compact nanosecond formatting for quantile tables.
 fn fmt_ns(ns: u64) -> String {
@@ -71,94 +79,27 @@ fn quantile_row(label: &str, h: &omptel::Histogram) -> String {
     )
 }
 
-/// Region-level telemetry summary of one configuration: re-simulate it
-/// under an exclusive session so the summary carries region profiles
-/// (histograms, max region) on top of the sink totals.
-fn summarize(
-    arch: Arch,
-    config: &TuningConfig,
-    model: &simrt::Model,
-    seed: u64,
-) -> omptel::Summary {
-    let session = omptel::session().expect("no concurrent telemetry session");
-    simrt::simulate(arch, config, model, seed);
-    session.finish().summary()
-}
-
-/// Sweep the standard report slice: strided 50, largest setting of
-/// `app_name`, catalog position 0 — shared by the text and JSON modes
-/// so both describe the same samples.
-#[allow(clippy::type_complexity)]
-fn report_slice(
-    arch: Arch,
-    app_name: &str,
-) -> Result<
-    (
-        &'static workloads::AppSpec,
-        Setting,
-        SweepSpec,
-        sweep::SettingData,
-        sweep::SweepStats,
-    ),
-    String,
-> {
-    let app = workloads::app(app_name).ok_or_else(|| format!("unknown app {app_name:?}"))?;
-    if !workloads::available_on(app_name, arch) {
-        return Err(format!("{app_name} is not available on {}", arch.id()));
-    }
-    let spec = SweepSpec {
-        scope: Scope::Strided(50),
-        ..SweepSpec::default()
-    };
-    let setting = workloads::settings_for(app, arch)
-        .last()
-        .copied()
-        .ok_or_else(|| format!("{app_name} has no settings on {}", arch.id()))?;
-    let (data, stats) =
-        sweep::sweep_setting_scheduled(arch, app, setting, 0, &spec, &sweep::SweepOptions::new(4));
-    Ok((app, setting, spec, data, stats))
-}
-
 fn best_vs_worst(arch: Arch, app_name: &str) -> Result<String, String> {
-    let (app, setting, spec, data, stats) = report_slice(arch, app_name)?;
-    let best = data
-        .samples
-        .iter()
-        .min_by(|a, b| a.mean_runtime().total_cmp(&b.mean_runtime()))
-        .ok_or("empty sweep")?;
-    let worst = data
-        .samples
-        .iter()
-        .max_by(|a, b| a.mean_runtime().total_cmp(&b.mean_runtime()))
-        .ok_or("empty sweep")?;
-
-    let model = (app.model)(arch, setting);
-    let best_sum = summarize(arch, &best.config, &model, spec.seed);
-    let worst_sum = summarize(arch, &worst.config, &model, spec.seed);
-    let best_ex = omptel::explain(
-        &format!(
-            "best  {app_name}/{} t={} speedup {:.2}x | {}",
+    let slice = ReportSlice::sweep(arch, app_name, SCOPE, &SweepOptions::new(4))?;
+    let (best, worst) = (slice.fastest()?, slice.slowest()?);
+    let (data, setting, stats) = (&slice.data, slice.setting, &slice.stats);
+    let explain = |label: &str, s: &sweep::RawSample| -> Result<_, String> {
+        let summary = slice.summarize(&s.config)?;
+        let title = format!(
+            "{label} {app_name}/{} t={} speedup {:.2}x | {}",
             arch.id(),
             setting.num_threads,
-            data.speedup(best),
-            best.config.describe_knobs()
-        ),
-        &best_sum,
-    );
-    let worst_ex = omptel::explain(
-        &format!(
-            "worst {app_name}/{} t={} speedup {:.2}x | {}",
-            arch.id(),
-            setting.num_threads,
-            data.speedup(worst),
-            worst.config.describe_knobs()
-        ),
-        &worst_sum,
-    );
+            data.speedup(s),
+            s.config.describe_knobs()
+        );
+        Ok((omptel::explain(&title, &summary), summary))
+    };
+    let (best_ex, best_sum) = explain("best ", best)?;
+    let (worst_ex, worst_sum) = explain("worst", worst)?;
     Ok(format!(
         "{}{}",
         omptel::render_pair((&best_ex, &best_sum), (&worst_ex, &worst_sum)),
-        stats_table(&stats)
+        stats_table(stats)
     ))
 }
 
@@ -166,17 +107,9 @@ fn best_vs_worst(arch: Arch, app_name: &str) -> Result<String, String> {
 /// JSON (the same convention as the ompprof attribution export: schema
 /// stamp first, fixed-precision decimals, stable key order).
 fn json_report(arch: Arch, app_name: &str) -> Result<String, String> {
-    let (_app, setting, spec, data, stats) = report_slice(arch, app_name)?;
-    let best = data
-        .samples
-        .iter()
-        .min_by(|a, b| a.mean_runtime().total_cmp(&b.mean_runtime()))
-        .ok_or("empty sweep")?;
-    let worst = data
-        .samples
-        .iter()
-        .max_by(|a, b| a.mean_runtime().total_cmp(&b.mean_runtime()))
-        .ok_or("empty sweep")?;
+    let slice = ReportSlice::sweep(arch, app_name, SCOPE, &SweepOptions::new(4))?;
+    let (best, worst) = (slice.fastest()?, slice.slowest()?);
+    let (data, setting, spec, stats) = (&slice.data, slice.setting, &slice.spec, &slice.stats);
     let side = |s: &sweep::RawSample| {
         let t = &s.telemetry;
         let mut sinks = String::new();
@@ -245,28 +178,16 @@ fn json_report(arch: Arch, app_name: &str) -> Result<String, String> {
 /// per-span-kind duration quantiles, the sample latency distribution,
 /// and (optionally) the Chrome trace.
 fn spans_report(arch: Arch, app_name: &str, trace_out: Option<&str>) -> Result<String, String> {
-    let app = workloads::app(app_name).ok_or_else(|| format!("unknown app {app_name:?}"))?;
-    if !workloads::available_on(app_name, arch) {
-        return Err(format!("{app_name} is not available on {}", arch.id()));
-    }
-    let spec = SweepSpec {
-        scope: Scope::Strided(50),
-        ..SweepSpec::default()
-    };
-    let setting = workloads::settings_for(app, arch)
-        .last()
-        .copied()
-        .ok_or_else(|| format!("{app_name} has no settings on {}", arch.id()))?;
-
     let rec = omptel::Recorder::start(omptel::RecorderOptions {
         sim_spans: true,
         ..Default::default()
     })
     .map_err(|_| "another flight recorder is live".to_string())?;
     let progress = omptel::Progress::quiet("spans", 0);
-    let opts = sweep::SweepOptions::new(4).with_progress(&progress);
-    let (data, stats) = sweep::sweep_setting_scheduled(arch, app, setting, 0, &spec, &opts);
+    let opts = SweepOptions::new(4).with_progress(&progress);
+    let slice = ReportSlice::sweep(arch, app_name, SCOPE, &opts)?;
     let recording = rec.finish();
+    let (data, setting, stats) = (&slice.data, slice.setting, &slice.stats);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -301,7 +222,7 @@ fn spans_report(arch: Arch, app_name: &str, trace_out: Option<&str>) -> Result<S
         );
         out.push_str(&quantile_row("sample", &lat));
     }
-    out.push_str(&stats_table(&stats));
+    out.push_str(&stats_table(stats));
 
     if let Some(path) = trace_out {
         omptel::validate_trace(&recording).map_err(|e| format!("trace validation: {e}"))?;
@@ -368,7 +289,7 @@ fn self_check() -> Result<(), String> {
     let mut bad = TuningConfig::default_for(Arch::Milan, 96);
     bad.places = OmpPlaces::Cores;
     bad.proc_bind = OmpProcBind::Master;
-    let summary = summarize(Arch::Milan, &bad, &model, spec.seed);
+    let summary = sweep::report_slice::summarize(Arch::Milan, &bad, &model, spec.seed)?;
     let dominant = summary.dominant_sink();
     if dominant != omptel::Sink::Imbalance {
         return Err(format!(
@@ -385,107 +306,63 @@ fn self_check() -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--spans") {
-        let mut arch = Arch::Milan;
-        let mut app = "cg".to_string();
-        let mut trace_out = None;
-        let mut positional = 0usize;
-        let mut rest = args[1..].iter();
-        while let Some(a) = rest.next() {
-            match a.as_str() {
-                "--trace-out" => match rest.next() {
-                    Some(p) => trace_out = Some(p.clone()),
-                    None => {
-                        eprintln!("--trace-out needs a value");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                s => {
-                    match positional {
-                        0 => match Arch::from_id(s) {
-                            Some(a) => arch = a,
-                            None => {
-                                eprintln!("unknown arch {s:?}");
-                                return ExitCode::FAILURE;
-                            }
-                        },
-                        1 => app = s.to_string(),
-                        _ => {
-                            eprintln!("unexpected argument: {s}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                    positional += 1;
-                }
-            }
+enum Mode {
+    Text,
+    Json,
+    Spans(Option<String>),
+    SelfCheck,
+}
+
+fn parse(mut args: Args) -> Result<(Mode, Arch, String), Error> {
+    let flags = ["--json", "--spans", "--self-check"].map(|mode| args.flag(mode));
+    let mode = match flags {
+        [false, false, false] => Mode::Text,
+        [true, false, false] => Mode::Json,
+        [false, true, false] => Mode::Spans(args.value("--trace-out")?),
+        [false, false, true] => Mode::SelfCheck,
+        _ => {
+            return Err(Error::usage(
+                "--json, --spans and --self-check exclude each other",
+            ))
         }
-        return match spans_report(arch, &app, trace_out.as_deref()) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("omptel-report: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("--json") {
-        let arch = match args.get(1) {
-            Some(s) => match Arch::from_id(s) {
-                Some(a) => a,
-                None => {
-                    eprintln!("unknown arch {s:?} (expected a64fx, skylake, or milan)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Arch::Milan,
-        };
-        let app = args.get(2).map(String::as_str).unwrap_or("cg");
-        return match json_report(arch, app) {
-            Ok(doc) => {
-                print!("{doc}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("omptel-report: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("--self-check") {
-        return match self_check() {
-            Ok(()) => {
-                println!("self-check: PASS");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("self-check: FAIL: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let arch = match args.first() {
-        Some(s) => match Arch::from_id(s) {
-            Some(a) => a,
-            None => {
-                eprintln!("unknown arch {s:?} (expected a64fx, skylake, or milan)");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Arch::Milan,
     };
-    let app = args.get(1).map(String::as_str).unwrap_or("cg");
-    match best_vs_worst(arch, app) {
-        Ok(report) => {
-            print!("{report}");
-            ExitCode::SUCCESS
+    let (mut arch, mut app) = (Arch::Milan, "cg".to_string());
+    if !matches!(mode, Mode::SelfCheck) {
+        if let Some(id) = args.positional()? {
+            arch = Arch::from_id(&id).ok_or_else(|| Error::unknown("arch", &id))?;
         }
-        Err(e) => {
-            eprintln!("omptel-report: {e}");
-            ExitCode::FAILURE
+        app = args.positional()?.unwrap_or(app);
+    }
+    args.finish()?;
+    Ok((mode, arch, app))
+}
+
+fn main() -> ExitCode {
+    cli::run("omptel-report", USAGE, |args| {
+        let (mode, arch, app) = parse(args)?;
+        match mode {
+            Mode::Text => print!("{}", best_vs_worst(arch, &app)?),
+            Mode::Json => print!("{}", json_report(arch, &app)?),
+            Mode::Spans(trace_out) => print!("{}", spans_report(arch, &app, trace_out.as_deref())?),
+            Mode::SelfCheck => {
+                self_check().map_err(|e| format!("self-check: FAIL: {e}"))?;
+                println!("self-check: PASS");
+            }
         }
+        Ok(EXIT_OK)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_command_line_is_a_report_mode_or_a_usage_error() {
+        omptune_core::cli::check_parse(
+            super::parse,
+            " | milan cg | --json skylake xsbench | --spans milan cg --trace-out t.json \
+             | --self-check",
+            "--bogus | --spans --trace-out | --trace-out t.json | --json --spans | nope \
+             | milan cg extra | --self-check milan",
+        );
     }
 }

@@ -7,6 +7,7 @@
 //! Exit status is nonzero on any violation, any unresolved flow, or any
 //! orphaned span — verify.sh runs this against a live traced sweep.
 
+use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -22,61 +23,45 @@ OPTIONS:
     -h, --help      print this help
 ";
 
-fn main() -> ExitCode {
-    let mut path = None;
-    let mut allow_drops = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "-h" | "--help" => {
-                print!("{HELP}");
-                return ExitCode::SUCCESS;
-            }
-            "--allow-drops" => allow_drops = true,
-            other if other.starts_with('-') => {
-                eprintln!("trace-check: unknown option {other}");
-                return ExitCode::FAILURE;
-            }
-            p => {
-                if path.replace(p.to_string()).is_some() {
-                    eprintln!("trace-check: more than one trace path given");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    let Some(path) = path else {
-        eprint!("{HELP}");
-        return ExitCode::FAILURE;
-    };
-    let json = match std::fs::read_to_string(&path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("trace-check: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match omptel::validate_trace_json(&json) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("trace-check: FAIL: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// The trace path and `--allow-drops`.
+fn parse(mut args: Args) -> Result<(String, bool), Error> {
+    args.help(HELP)?;
+    let allow_drops = args.flag("--allow-drops");
+    let path = args.positional()?;
+    args.finish()?;
+    let path = path.ok_or_else(|| Error::usage("no trace path given"))?;
+    Ok((path, allow_drops))
+}
+
+fn check(path: &str, allow_drops: bool) -> Result<u8, Error> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let report = omptel::validate_trace_json(&json).map_err(|e| format!("FAIL: {e}"))?;
     println!("trace-check: {report}");
     if report.unresolved_flows > 0 {
-        eprintln!(
-            "trace-check: FAIL: {} unresolved flow(s)",
-            report.unresolved_flows
-        );
-        return ExitCode::FAILURE;
+        return Err(format!("FAIL: {} unresolved flow(s)", report.unresolved_flows).into());
     }
     if report.orphan_spans > 0 && !(allow_drops && report.dropped > 0) {
-        eprintln!(
-            "trace-check: FAIL: {} orphaned span(s)",
-            report.orphan_spans
-        );
-        return ExitCode::FAILURE;
+        return Err(format!("FAIL: {} orphaned span(s)", report.orphan_spans).into());
     }
     println!("trace-check: PASS");
-    ExitCode::SUCCESS
+    Ok(EXIT_OK)
+}
+
+fn main() -> ExitCode {
+    cli::run("trace-check", HELP, |args| {
+        let (path, allow_drops) = parse(args)?;
+        check(&path, allow_drops)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_command_line_is_one_trace_path_or_a_usage_error() {
+        omptune_core::cli::check_parse(
+            super::parse,
+            "t.json | t.json --allow-drops | --allow-drops t.json | --help | -h",
+            " | --allow-drops | a.json b.json | t.json --frob",
+        );
+    }
 }

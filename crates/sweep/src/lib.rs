@@ -19,6 +19,7 @@ pub mod dataset;
 pub mod export;
 pub mod provenance;
 pub mod registry;
+pub mod report_slice;
 pub mod runner;
 pub mod schedule;
 pub mod series;
@@ -35,6 +36,7 @@ pub use registry::{
     default_registry_dir, detect_git_rev, record_bench, spec_fingerprint, ArchDigest, BatchPartial,
     BenchCore, CollectCore, Registry, RegistryLoad, RunCore, RunInfo, RunRecord, StratumSeries,
 };
+pub use report_slice::ReportSlice;
 pub use runner::{
     noise_stream, sweep_all, sweep_arch, sweep_setting, RawSample, RunKey, SampleTelemetry,
     SettingData,

@@ -48,36 +48,12 @@ echo "20 of 20 passed"
 step cargo fmt --all --check
 step cargo clippy --workspace --all-targets -- -D warnings
 
-# One variable table: outside test modules, a swept variable's name is a
-# string literal in crates/core/src/variable.rs and nowhere else under
-# crates/*/src — the next pasted per-variable table fails here, not in review.
-named="$(find crates/*/src -name '*.rs' -exec awk 'FNR == 1 { test = 0 }
-    /^#\[cfg\(test\)\]/ { test = 1 }
-    !test && /"KMP_FORCE_REDUCTION"/ && !seen[FILENAME]++ { print FILENAME }' {} +)"
-[ "$named" = crates/core/src/variable.rs ] || {
-    echo "verify: \"KMP_FORCE_REDUCTION\" is spelled outside the variable table: $named" >&2
-    exit 1
-}
-# One float path: the JSON sink writes an f64's digits itself
-# (vendor/serde_json/src/number.rs) and core::fmt is only the reference the
-# tests hold it to — over every binade here, over random, artifact-like and
-# tie inputs in tier-1. The `{x}` it replaced must not come back beside it.
-! grep -qF 'format_args!("{x' vendor/serde_json/src/lib.rs || {
-    echo 'verify: vendor/serde_json/src/lib.rs formats an f64 through format_args!("{x…")' >&2
-    exit 1
-}
+# The "written once" source rules (one variable table, one float path, one
+# collection run, one exit path) are tier-1's tests/source_rules.rs, run by
+# the workspace tests above. The JSON sink's own f64 text is held to
+# core::fmt over random, artifact-like and tie inputs there; over every
+# binade here.
 step cargo test -q --test serde_stream float_text -- --ignored
-# One collection run: the binary is a command line, a monitor and stderr
-# around sweep::collect::run — it sweeps, cleans, folds, writes series,
-# exports and registers nothing itself (sweep::series names the series),
-# and has no switch for the influence pair.
-for gone in sweep_arch_scheduled 'clean(' push_arch '_series(' write_artifacts '.append(' \
-    '--no-influence'; do
-    ! grep -qF -e "$gone" crates/sweep/src/bin/collect.rs || {
-        echo "verify: crates/sweep/src/bin/collect.rs contains '$gone'" >&2
-        exit 1
-    }
-done
 step cargo run --release -p sweep --bin omptel-report -- --self-check
 
 # The runs the CLI legs below compare: a cold and a warm `collect tiny`

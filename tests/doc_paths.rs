@@ -1,6 +1,7 @@
 //! Doc lint: a repository path the prose cites in backticks must exist,
-//! a `--bench NAME` must be a bench target and a `BENCH_*.json` a
-//! committed baseline. The docs outlive the files they describe — a crate
+//! a `--bench NAME` must be a bench target, a `BENCH_*.json` a committed
+//! baseline, and a `--flag` given to one of the twelve tools a literal in
+//! that tool's source. The docs outlive the files they describe — a crate
 //! folded into another, a test renamed, a bench deleted — and nothing else
 //! notices.
 
@@ -27,6 +28,38 @@ fn cited_bench(span: &str) -> (Option<&str>, Option<&str>) {
     let plain =
         |w: &&str| w.starts_with("BENCH_") && w.ends_with(".json") && !w.contains(['*', '<', '=']);
     (target, span.split(' ').find(plain))
+}
+
+/// The source file of the tool `word` names (bare, or ending a path such
+/// as `target/release/collect`), if it names one of the twelve: a crate
+/// with a `main.rs`, or a `sweep` / `bench-harness` `src/bin` file.
+fn tool_source(word: &str) -> Option<String> {
+    let tool = word.rsplit('/').next()?;
+    let file = tool.replace('-', "_");
+    let candidates = [
+        format!("crates/{tool}/src/main.rs"),
+        format!("crates/sweep/src/bin/{file}.rs"),
+        format!("crates/bench/src/bin/{file}.rs"),
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    candidates.into_iter().find(|path| root.join(path).exists())
+}
+
+/// The source of the tool a backticked command runs and the `--flag`s it
+/// gives it, up to a pipe. The tool is the command's first word; a
+/// `cargo …` command names it before ` -- ` and gives it what follows
+/// (`--release`, `--bin`, `--test` are cargo's).
+fn cited_flags(span: &str) -> Option<(String, Vec<&str>)> {
+    let (tool, given) = match span.strip_prefix("cargo ") {
+        Some(cargo) => cargo.split_once(" -- ")?,
+        None => span.split_once(' ')?,
+    };
+    let source = tool.split(' ').find_map(tool_source)?;
+    let flags = given
+        .split(' ')
+        .take_while(|w| *w != "|")
+        .filter(|w| w.len() > 2 && w.starts_with("--"));
+    Some((source, flags.collect()))
 }
 
 /// `visit(doc, line number, span)` for every backticked span of every doc:
@@ -95,6 +128,27 @@ fn every_cited_bench_is_a_target_and_every_baseline_is_committed() {
 }
 
 #[test]
+fn every_flag_a_doc_gives_a_tool_is_one_the_tool_reads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut unread = Vec::new();
+    let mut checked = 0;
+    for_each_span(|doc, line, span| {
+        let Some((source, flags)) = cited_flags(span) else {
+            return;
+        };
+        let text = std::fs::read_to_string(root.join(&source)).unwrap();
+        for flag in flags {
+            checked += 1;
+            if !text.contains(&format!("\"{flag}\"")) {
+                unread.push(format!("{doc}:{line}: `{flag}` is not in {source}"));
+            }
+        }
+    });
+    assert!(checked > 10, "the scan found only {checked} flags");
+    assert!(unread.is_empty(), "{}", unread.join("\n"));
+}
+
+#[test]
 fn spans_that_are_not_one_plain_path_are_skipped() {
     assert_eq!(
         cited_path("crates/sweep/src/collect.rs"),
@@ -131,4 +185,22 @@ fn spans_that_are_not_one_plain_path_are_skipped() {
     );
     assert_eq!(cited_bench("BENCH_<name>.json"), (None, None));
     assert_eq!(cited_bench("BENCH_OUT"), (None, None));
+    let piped =
+        "cargo run --release -p sweep --bin collect -- tiny out --workers 2 | tail --lines 3";
+    let collect = (
+        "crates/sweep/src/bin/collect.rs".to_string(),
+        vec!["--workers"],
+    );
+    assert_eq!(cited_flags(piped), Some(collect));
+    let bare = "target/release/collect tiny out --workers 2";
+    assert_eq!(cited_flags(bare), cited_flags(piped));
+    for cargos in [
+        "cargo test -p ompfuzz --release --test determinism",
+        "cargo bench -p bench-harness --bench x",
+        "--trace",
+    ] {
+        assert_eq!(cited_flags(cargos), None, "{cargos}");
+    }
+    let lint = "cargo run -p omplint --bin omplint -- lint --json";
+    assert_eq!(cited_flags(lint).unwrap().1, ["--json"]);
 }

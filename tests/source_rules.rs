@@ -1,0 +1,85 @@
+//! Source lint: the "written once" rules a grep can hold. Each names the
+//! one file a thing may live in; the next pasted copy fails here, not in
+//! review.
+
+use std::path::Path;
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap()
+}
+
+/// `(repo-relative path, text)` of every `.rs` file under `crates/*/src`.
+fn crate_sources() -> Vec<(String, String)> {
+    fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, root, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let rel = path.strip_prefix(root).unwrap().to_str().unwrap();
+                out.push((rel.to_string(), read(&path)));
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut out = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        walk(&krate.unwrap().path().join("src"), root, &mut out);
+    }
+    assert!(out.len() > 80, "the walk found only {} sources", out.len());
+    out
+}
+
+/// One variable table: outside test modules, a swept variable's name is a
+/// string literal in `crates/core/src/variable.rs` and nowhere else.
+#[test]
+fn a_variable_name_is_spelled_in_the_variable_table_only() {
+    let spells = |text: &str| {
+        let code = text.split("\n#[cfg(test)]").next().unwrap();
+        code.contains("\"KMP_FORCE_REDUCTION\"")
+    };
+    let sources = crate_sources();
+    let named: Vec<&str> = sources
+        .iter()
+        .filter_map(|(path, text)| spells(text).then_some(path.as_str()))
+        .collect();
+    assert_eq!(named, ["crates/core/src/variable.rs"]);
+}
+
+/// One float path: the JSON sink writes an `f64`'s digits itself
+/// (`vendor/serde_json/src/number.rs`); `core::fmt` is only the reference
+/// `tests/serde_stream.rs` holds it to. One collection run: the binary is
+/// a command line, a monitor and stderr around `sweep::collect::run` — it
+/// sweeps, cleans, folds, writes series, exports and registers nothing
+/// itself, and has no switch for the influence pair.
+#[test]
+fn the_json_sink_and_the_collect_binary_hold_no_second_copy() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sink = read(&root.join("vendor/serde_json/src/lib.rs"));
+    assert!(!sink.contains("format_args!(\"{x"));
+    let binary = read(&root.join("crates/sweep/src/bin/collect.rs"));
+    let gone =
+        "sweep_arch_scheduled clean( push_arch _series( write_artifacts .append( --no-influence";
+    for gone in gone.split(' ') {
+        assert!(!binary.contains(gone), "collect.rs contains {gone:?}");
+    }
+}
+
+/// One front end: a process exits through `omptune_core::cli::run`, which
+/// also owns the four exit codes; `bench-diff` adds its own two by name.
+#[test]
+fn exit_codes_and_process_exit_live_in_the_cli_module() {
+    let mut strays = Vec::new();
+    let own = ["const EXIT_REGRESSION: u8", "const EXIT_BAD_INPUT: u8"];
+    for (path, text) in crate_sources() {
+        for (n, line) in text.lines().enumerate() {
+            let stray = line.contains("process::exit") || line.contains("const EXIT_");
+            let allowed = path == "crates/core/src/cli.rs"
+                || path.ends_with("bench_diff.rs") && own.iter().any(|c| line.contains(c));
+            if stray && !allowed {
+                strays.push(format!("{path}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(strays.is_empty(), "{}", strays.join("\n"));
+}
