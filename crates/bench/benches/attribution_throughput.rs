@@ -11,6 +11,10 @@
 //!   observer — what `collect --monitor` does to serve `/influence` —
 //!   slows the sweep by at most 5% (`influence_overhead <= 1.05`).
 //!
+//! It also clocks the batch analysis those streams stand in for: the
+//! three `influence_analysis` heat maps (Figs. 2–4) over the fast
+//! reproduction dataset (`influence_fit_s`).
+//!
 //! Results go to `BENCH_profile.json` at the repo root (override with
 //! `BENCH_OUT`); every timing key publishes its repetitions
 //! (`*_s_reps`) so `bench-diff` can put a band violation to the
@@ -20,9 +24,9 @@
 //! runs a fast smoke slice and publishes nothing; under `cargo bench` it
 //! runs the full measurement and publishes the document.
 
-use bench_harness::{BenchDoc, Series};
+use bench_harness::{BenchDoc, ReproScope, Reproduction, Series};
 use ompprof::Attribution;
-use omptune_core::LiveInfluence;
+use omptune_core::{influence_analysis, GroupBy, LiveInfluence};
 use std::sync::Mutex;
 use sweep::{slice_fingerprint, Scope, SettingData, SweepOptions, SweepSpec};
 
@@ -130,6 +134,21 @@ fn run(scope: Scope) {
     assert_eq!(whole.samples(), samples, "attribution lost samples");
     assert_merge_identity(&batches, &whole);
 
+    // The analysis layer: Figs. 2–4's three groupings fitted over the
+    // dataset `repro-figures fast` draws.
+    let records = Reproduction::generate(ReproScope::Fast).dataset.records;
+    let mut models = 0;
+    let fit = Series::of(passes, || {
+        models = [
+            GroupBy::Application,
+            GroupBy::Architecture,
+            GroupBy::ArchApplication,
+        ]
+        .map(|g| influence_analysis(&records, g).expect("fits").rows.len())
+        .iter()
+        .sum();
+    });
+
     let (plain_s, influence_s, attribute_s) = (plain.best(), influence.best(), attribute.best());
     let fold_rate = samples as f64 / attribute_s.max(1e-12);
     println!("attribution_throughput ({scope:?}): {samples} samples, {WORKERS} workers");
@@ -137,6 +156,11 @@ fn run(scope: Scope) {
     println!("  sweep + live influence:   {influence_s:.4}s ({overhead:.3}x, {final_influence_samples} observed)");
     println!("  attribute (fold slice):   {attribute_s:.6}s ({fold_rate:.0} samples/s)");
     println!("  shard-merge identity:     ok (2 and 5 shards, byte-equal)");
+    println!(
+        "  influence fit (3 maps):   {:.4}s ({models} models, {} records)",
+        fit.best(),
+        records.len()
+    );
     if full {
         // Timing-gate only in full bench mode; the smoke slice under
         // `cargo test` is too short for a stable ratio.
@@ -155,6 +179,9 @@ fn run(scope: Scope) {
         .ratio("influence_overhead", overhead)
         .series("attribute_s", attribute_s, &attribute)
         .count("attribute_samples_per_s", fold_rate.round() as u64)
+        .count("influence_records", records.len() as u64)
+        .count("influence_models", models as u64)
+        .series("influence_fit_s", fit.best(), &fit)
         .publish("BENCH_profile.json");
 }
 

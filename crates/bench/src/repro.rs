@@ -19,7 +19,7 @@ use omptune_core::analysis::AnalysisError;
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use omptune_core::{
     influence_analysis, recommend_for, worst_trends, AnalysisRecord, Arch, GroupBy,
-    InfluenceHeatMap,
+    InfluenceHeatMap, SettingMaxima, SpeedupRange,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -67,6 +67,9 @@ pub struct Reproduction {
     /// The influence heat map of each grouping (indexed by `GroupBy as
     /// usize`), fitted the first time a figure or its CSV asks for it.
     heatmaps: [OnceLock<Result<InfluenceHeatMap, AnalysisError>>; 3],
+    /// The per-setting speedup maxima Tables V–VI and Q1 read, folded
+    /// the first time one of them asks.
+    maxima: OnceLock<SettingMaxima>,
 }
 
 impl Reproduction {
@@ -90,6 +93,7 @@ impl Reproduction {
             dataset,
             spec,
             heatmaps: Default::default(),
+            maxima: OnceLock::new(),
         }
     }
 
@@ -98,6 +102,11 @@ impl Reproduction {
     fn heatmap(&self, group_by: GroupBy) -> &Result<InfluenceHeatMap, AnalysisError> {
         self.heatmaps[group_by as usize]
             .get_or_init(|| influence_analysis(self.records(), group_by))
+    }
+
+    fn maxima(&self) -> &SettingMaxima {
+        self.maxima
+            .get_or_init(|| SettingMaxima::of(self.records()))
     }
 
     fn records(&self) -> &[AnalysisRecord] {
@@ -244,7 +253,9 @@ impl Reproduction {
              Application | Architecture | Speedup Range (x) | paper\n",
         );
         for (app, arch, paper_range) in paper {
-            let range = omptune_core::app_arch_range(self.records(), app, *arch)
+            let range = self
+                .maxima()
+                .app_arch_range(app, *arch)
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "n/a".into());
             out.push_str(&format!(
@@ -283,13 +294,7 @@ impl Reproduction {
         );
         // Table VI folds per-setting maxima over (arch, setting) cells.
         for (app, paper_range) in paper {
-            let maxima = omptune_core::report::max_speedup_per_setting(self.records());
-            let vals: Vec<f64> = maxima
-                .iter()
-                .filter(|((a, _, _), _)| a == app)
-                .map(|(_, v)| *v)
-                .collect();
-            let range = omptune_core::SpeedupRange::over(vals)
+            let range = SpeedupRange::over(self.maxima().of_app(app).map(|g| g.1))
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "n/a".into());
             out.push_str(&format!("{:<11} | {:<17} | {}\n", app, range, paper_range));
@@ -351,7 +356,7 @@ impl Reproduction {
         ];
         let mut out = String::from("Q1: upshot potential per architecture\n");
         for (arch, paper_s) in paper {
-            match omptune_core::arch_summary(self.records(), arch) {
+            match self.maxima().arch_summary(arch) {
                 Some(s) => out.push_str(&format!(
                     "{:<8} range {} median {:.3} over {} groups   (paper: {})\n",
                     arch.id(),
@@ -603,6 +608,32 @@ mod tests {
             assert_eq!(r.heatmap(g), &fresh);
             assert!(std::ptr::eq(r.heatmap(g), r.heatmap(g)));
         }
+    }
+
+    #[test]
+    fn the_fast_heat_maps_hash_to_the_pinned_digest() {
+        // Every group label, accuracy and influence value of Figs. 2–4
+        // at the fast scope, by bit pattern: the fitting kernel, its
+        // thread split and the group order may change only if this
+        // digest does not.
+        let r = repro();
+        let mut text = String::new();
+        for g in [
+            GroupBy::Application,
+            GroupBy::Architecture,
+            GroupBy::ArchApplication,
+        ] {
+            let hm = r.heatmap(g).as_ref().expect("fits");
+            for row in &hm.rows {
+                text.push_str(&format!("{} {:x} ", row.group, row.accuracy.to_bits()));
+                for v in &row.influence {
+                    text.push_str(&format!("{:x},", v.to_bits()));
+                }
+                text.push('\n');
+            }
+        }
+        let digest = omptune_core::Fnv1a::of(text.as_bytes());
+        assert_eq!(format!("{digest:016x}"), "14dbfb11b4631560");
     }
 
     #[test]

@@ -12,9 +12,10 @@ use crate::config::TuningConfig;
 use crate::envvar::{OmpPlaces, OmpProcBind};
 use crate::variable::Variable;
 use mlstats::logreg::{accuracy, fit_logistic, LogRegError, LogisticOptions};
-use mlstats::StandardScaler;
+use mlstats::Design;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The speedup threshold above which a sample counts as "optimal"
 /// (Sec. IV-D: at least 1 % improvement).
@@ -147,29 +148,114 @@ pub fn encode_env_features(config: &TuningConfig) -> Vec<f64> {
         .collect()
 }
 
-/// Naive numeric encoding of one record into the feature columns
-/// (Sec. IV-D: "This encoding is a naive numeric scheme").
-fn encode_record(
+/// Naive numeric encoding of one record's feature column (Sec. IV-D:
+/// "This encoding is a naive numeric scheme").
+fn encode_feature(
     rec: &AnalysisRecord,
-    cols: &[Feature],
-    app_codes: &BTreeMap<String, usize>,
-) -> Vec<f64> {
-    cols.iter()
-        .map(|f| match f {
-            Feature::Architecture => match rec.arch {
-                Arch::A64fx => 0.0,
-                Arch::Skylake => 1.0,
-                Arch::Milan => 2.0,
-            },
-            Feature::Application => app_codes[&rec.app] as f64,
-            Feature::InputSize => rec.input_size,
-            Feature::NumThreads => rec.config.num_threads as f64,
-            env => encode_env_feature(
-                &rec.config,
-                env.variable().expect("every other column is a variable"),
-            ),
-        })
-        .collect()
+    feature: Feature,
+    app_codes: &BTreeMap<&str, usize>,
+) -> f64 {
+    match feature {
+        Feature::Architecture => match rec.arch {
+            Arch::A64fx => 0.0,
+            Arch::Skylake => 1.0,
+            Arch::Milan => 2.0,
+        },
+        Feature::Application => app_codes[rec.app.as_str()] as f64,
+        Feature::InputSize => rec.input_size,
+        Feature::NumThreads => rec.config.num_threads as f64,
+        env => encode_env_feature(
+            &rec.config,
+            env.variable().expect("every other column is a variable"),
+        ),
+    }
+}
+
+/// A record's group under `group_by`, as a key that sorts like the
+/// group's label: `"milan/cg"` sorts as `("milan", "cg")` because no
+/// architecture id is a prefix of another.
+fn group_key(group_by: GroupBy, rec: &AnalysisRecord) -> (&'static str, &str) {
+    match group_by {
+        GroupBy::Application => ("", &rec.app),
+        GroupBy::Architecture => (rec.arch.id(), ""),
+        GroupBy::ArchApplication => (rec.arch.id(), &rec.app),
+    }
+}
+
+/// The label of a record's group, e.g. `"alignment"`, `"milan"`,
+/// `"milan/cg"`.
+fn group_label(group_by: GroupBy, rec: &AnalysisRecord) -> String {
+    match group_by {
+        GroupBy::Application => rec.app.clone(),
+        GroupBy::Architecture => rec.arch.id().to_string(),
+        GroupBy::ArchApplication => format!("{}/{}", rec.arch.id(), rec.app),
+    }
+}
+
+/// Partition `records` by `group_by`, encode each group's records once
+/// into a z-scored [`Design`] over [`Feature::columns`], and run `fit`
+/// on every group — on `workers` scoped threads, largest group first.
+/// Results come back in label order, whatever the thread count: a
+/// group's fit reads only its own rows, so its sums do not depend on
+/// which thread ran it or when.
+fn fit_groups<T: Send>(
+    records: &[AnalysisRecord],
+    group_by: GroupBy,
+    workers: usize,
+    fit: impl Fn(String, &Design, &[&AnalysisRecord]) -> Option<T> + Sync,
+) -> Result<Vec<T>, AnalysisError> {
+    if records.is_empty() {
+        return Err(AnalysisError::NoData);
+    }
+    // Stable application codes across the whole dataset: first seen, first.
+    let mut app_codes: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut groups: BTreeMap<(&str, &str), Vec<&AnalysisRecord>> = BTreeMap::new();
+    for r in records {
+        let next = app_codes.len();
+        app_codes.entry(&r.app).or_insert(next);
+        groups.entry(group_key(group_by, r)).or_default().push(r);
+    }
+    let groups: Vec<Vec<&AnalysisRecord>> = groups.into_values().collect();
+    let cols = Feature::columns(group_by);
+    let fit_one = |recs: &[&AnalysisRecord]| {
+        let mut x = Design::with_capacity(cols.len(), recs.len());
+        for r in recs {
+            x.push(cols.iter().map(|f| encode_feature(r, *f, &app_codes)));
+        }
+        x.standardize();
+        fit(group_label(group_by, recs[0]), &x, recs)
+    };
+
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_by_key(|g| std::cmp::Reverse(groups[*g].len()));
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        while let Some(&g) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((g, fit_one(&groups[g])));
+        }
+        done
+    };
+    let workers = workers.clamp(1, groups.len());
+    let mut done: Vec<(usize, Option<T>)> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(claim)).collect();
+        let mut done = claim();
+        for h in helpers {
+            done.extend(h.join().expect("a group fit panicked"));
+        }
+        done
+    });
+    done.sort_by_key(|(g, _)| *g);
+    let out: Vec<T> = done.into_iter().filter_map(|(_, fitted)| fitted).collect();
+    if out.is_empty() {
+        return Err(AnalysisError::NoUsableGroups);
+    }
+    Ok(out)
+}
+
+/// One fit per available core.
+fn fit_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Streaming influence over the seven environment variables: every
@@ -399,40 +485,11 @@ pub fn linear_fit_quality(
     records: &[AnalysisRecord],
     group_by: GroupBy,
 ) -> Result<Vec<(String, f64)>, AnalysisError> {
-    if records.is_empty() {
-        return Err(AnalysisError::NoData);
-    }
-    let mut app_codes = BTreeMap::new();
-    for r in records {
-        let next = app_codes.len();
-        app_codes.entry(r.app.clone()).or_insert(next);
-    }
-    let mut groups: BTreeMap<String, Vec<&AnalysisRecord>> = BTreeMap::new();
-    for r in records {
-        let key = match group_by {
-            GroupBy::Application => r.app.clone(),
-            GroupBy::Architecture => r.arch.id().to_string(),
-            GroupBy::ArchApplication => format!("{}/{}", r.arch.id(), r.app),
-        };
-        groups.entry(key).or_default().push(r);
-    }
-    let cols = Feature::columns(group_by);
-    let mut out = Vec::new();
-    for (group, recs) in groups {
-        let xs: Vec<Vec<f64>> = recs
-            .iter()
-            .map(|r| encode_record(r, &cols, &app_codes))
-            .collect();
+    fit_groups(records, group_by, fit_workers(), |group, x, recs| {
         let y: Vec<f64> = recs.iter().map(|r| r.speedup).collect();
-        let (_, xs_std) = StandardScaler::fit_transform(&xs);
-        if let Ok(model) = mlstats::fit_linear(&xs_std, &y) {
-            out.push((group, model.r2));
-        }
-    }
-    if out.is_empty() {
-        return Err(AnalysisError::NoUsableGroups);
-    }
-    Ok(out)
+        let model = mlstats::fit_linear(x, &y).ok()?;
+        Some((group, model.r2))
+    })
 }
 
 /// Run the paper's influence analysis over `records` with the given
@@ -444,65 +501,39 @@ pub fn influence_analysis(
     records: &[AnalysisRecord],
     group_by: GroupBy,
 ) -> Result<InfluenceHeatMap, AnalysisError> {
-    if records.is_empty() {
-        return Err(AnalysisError::NoData);
-    }
-    // Stable application codes across the whole dataset.
-    let mut app_codes = BTreeMap::new();
-    for r in records {
-        let next = app_codes.len();
-        app_codes.entry(r.app.clone()).or_insert(next);
-    }
+    influence_analysis_on(records, group_by, fit_workers())
+}
 
-    // Partition into groups.
-    let mut groups: BTreeMap<String, Vec<&AnalysisRecord>> = BTreeMap::new();
-    for r in records {
-        let key = match group_by {
-            GroupBy::Application => r.app.clone(),
-            GroupBy::Architecture => r.arch.id().to_string(),
-            GroupBy::ArchApplication => format!("{}/{}", r.arch.id(), r.app),
-        };
-        groups.entry(key).or_default().push(r);
-    }
-
+/// [`influence_analysis`] with the groups fitted on `workers` threads.
+fn influence_analysis_on(
+    records: &[AnalysisRecord],
+    group_by: GroupBy,
+    workers: usize,
+) -> Result<InfluenceHeatMap, AnalysisError> {
     let cols = Feature::columns(group_by);
-    let mut rows = Vec::new();
-    for (group, recs) in groups {
-        let xs: Vec<Vec<f64>> = recs
-            .iter()
-            .map(|r| encode_record(r, &cols, &app_codes))
-            .collect();
+    let rows = fit_groups(records, group_by, workers, |group, x, recs| {
         let y: Vec<bool> = recs.iter().map(|r| r.is_optimal()).collect();
         let n_samples = recs.len();
         let optimal_fraction = y.iter().filter(|b| **b).count() as f64 / n_samples as f64;
-
-        let (_, xs_std) = StandardScaler::fit_transform(&xs);
-        match fit_logistic(&xs_std, &y, LogisticOptions::default()) {
-            Ok(model) => {
-                rows.push(InfluenceRow {
-                    group,
-                    accuracy: accuracy(&model, &xs_std, &y),
-                    influence: model.normalized_influence(),
-                    n_samples,
-                    optimal_fraction,
-                });
-            }
-            Err(LogRegError::SingleClass) => {
-                // Degenerate group: report zero influence everywhere.
-                rows.push(InfluenceRow {
-                    group,
-                    accuracy: 1.0,
-                    influence: vec![0.0; cols.len()],
-                    n_samples,
-                    optimal_fraction,
-                });
-            }
-            Err(LogRegError::BadShape) => {}
+        match fit_logistic(x, &y, LogisticOptions::default()) {
+            Ok(model) => Some(InfluenceRow {
+                group,
+                accuracy: accuracy(&model, x, &y),
+                influence: model.normalized_influence(),
+                n_samples,
+                optimal_fraction,
+            }),
+            // Degenerate group: report zero influence everywhere.
+            Err(LogRegError::SingleClass) => Some(InfluenceRow {
+                group,
+                accuracy: 1.0,
+                influence: vec![0.0; cols.len()],
+                n_samples,
+                optimal_fraction,
+            }),
+            Err(LogRegError::BadShape) => None,
         }
-    }
-    if rows.is_empty() {
-        return Err(AnalysisError::NoUsableGroups);
-    }
+    })?;
     Ok(InfluenceHeatMap {
         group_by,
         features: cols,
@@ -579,7 +610,7 @@ mod tests {
     #[test]
     fn env_encoding_matches_batch_scheme() {
         let space = ConfigSpace::new(Arch::Milan, 48);
-        let app_codes: BTreeMap<String, usize> = [("cg".to_string(), 0)].into_iter().collect();
+        let app_codes: BTreeMap<&str, usize> = [("cg", 0)].into_iter().collect();
         for config in space.iter().step_by(997) {
             let rec = AnalysisRecord {
                 arch: Arch::Milan,
@@ -588,7 +619,9 @@ mod tests {
                 speedup: 1.0,
                 config,
             };
-            let batch = encode_record(&rec, &Variable::ALL.map(Variable::feature), &app_codes);
+            let batch: Vec<f64> = Variable::ALL
+                .map(|v| encode_feature(&rec, v.feature(), &app_codes))
+                .to_vec();
             let live = encode_env_features(&rec.config);
             assert_eq!(batch, live);
         }
@@ -684,6 +717,30 @@ mod tests {
         let hm = influence_analysis(&records, GroupBy::ArchApplication).unwrap();
         assert!(hm.row("milan/nqueens").is_some());
         assert!(hm.row("skylake/nqueens").is_some());
+    }
+
+    #[test]
+    fn one_worker_and_four_fit_the_same_heat_maps() {
+        // Groups of unequal size on every grouping, so four workers
+        // claim them out of label order.
+        let mut records = library_dominated_records();
+        let n = records.len();
+        for (i, r) in records.iter_mut().enumerate() {
+            r.arch = Arch::ALL[i % 3];
+            r.app = ["cg", "nqueens", "sort", "ft"][(i * 7 / n) % 4].into();
+            r.input_size = (i % 2) as f64;
+        }
+        for g in [
+            GroupBy::Application,
+            GroupBy::Architecture,
+            GroupBy::ArchApplication,
+        ] {
+            let one = influence_analysis_on(&records, g, 1).unwrap();
+            let four = influence_analysis_on(&records, g, 4).unwrap();
+            assert!(one.rows.len() > 2, "{g:?}: {} groups", one.rows.len());
+            assert!(one.rows.windows(2).all(|w| w[0].group < w[1].group));
+            assert_eq!(one, four);
+        }
     }
 
     #[test]

@@ -56,9 +56,7 @@ pub use fnv::{mix64, splitmix64, Fnv1a, SPLITMIX64_GAMMA};
 pub use icv::IcvState;
 pub use placement::Placement;
 pub use recommend::{recommend_for, worst_trends, CellReport, Recommendation, WorstTrend};
-pub use report::{
-    app_arch_range, app_range, arch_summary, transfer_analysis, ArchSummary, SpeedupRange, Transfer,
-};
+pub use report::{transfer_analysis, ArchSummary, SettingMaxima, SpeedupRange, Transfer};
 pub use space::{ConfigSpace, TuningSpace};
 pub use tuner::{
     hill_climb, hill_climb_informed, influence_order, random_search, telemetry_order, TuneResult,

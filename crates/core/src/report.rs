@@ -63,46 +63,75 @@ impl std::fmt::Display for SpeedupRange {
     }
 }
 
-/// Maximum speedup observed per (app, arch, setting) group.
-pub fn max_speedup_per_setting(
-    records: &[AnalysisRecord],
-) -> BTreeMap<(String, Arch, SettingKey), f64> {
-    let mut out: BTreeMap<(String, Arch, SettingKey), f64> = BTreeMap::new();
-    for r in records {
-        let key = (r.app.clone(), r.arch, SettingKey::of(r));
-        let e = out.entry(key).or_insert(f64::NEG_INFINITY);
-        if r.speedup > *e {
-            *e = r.speedup;
-        }
-    }
-    out
-}
+/// The maximum speedup observed per (application, architecture, setting)
+/// group — folded once over a record slice, then read by every range
+/// below (Tables V–VI, Sec. V Q1).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SettingMaxima(BTreeMap<(String, Arch, SettingKey), f64>);
 
-/// Table V: range of per-setting maxima for one (application, architecture).
-pub fn app_arch_range(records: &[AnalysisRecord], app: &str, arch: Arch) -> Option<SpeedupRange> {
-    let maxima = max_speedup_per_setting(records);
-    SpeedupRange::over(
-        maxima
-            .iter()
-            .filter(|((a, ar, _), _)| a == app && *ar == arch)
-            .map(|(_, v)| *v),
-    )
-}
-
-/// Table VI: range, across architectures, of the best speedup each
-/// architecture reaches for `app`.
-pub fn app_range(records: &[AnalysisRecord], app: &str) -> Option<SpeedupRange> {
-    let maxima = max_speedup_per_setting(records);
-    let mut per_arch: BTreeMap<Arch, f64> = BTreeMap::new();
-    for ((a, arch, _), v) in &maxima {
-        if a == app {
-            let e = per_arch.entry(*arch).or_insert(f64::NEG_INFINITY);
-            if *v > *e {
-                *e = *v;
+impl SettingMaxima {
+    /// One pass over `records`, keyed by the borrowed application name;
+    /// only each group's key is copied out, once.
+    pub fn of(records: &[AnalysisRecord]) -> SettingMaxima {
+        let mut fold: BTreeMap<(&str, Arch, SettingKey), f64> = BTreeMap::new();
+        for r in records {
+            let e = fold
+                .entry((&r.app, r.arch, SettingKey::of(r)))
+                .or_insert(f64::NEG_INFINITY);
+            if r.speedup > *e {
+                *e = r.speedup;
             }
         }
+        SettingMaxima(
+            fold.into_iter()
+                .map(|((app, arch, setting), v)| ((app.to_string(), arch, setting), v))
+                .collect(),
+        )
     }
-    SpeedupRange::over(per_arch.into_values())
+
+    /// Every group's maximum, in (application, architecture, setting)
+    /// order.
+    fn iter(&self) -> impl Iterator<Item = (&str, Arch, f64)> + '_ {
+        self.0
+            .iter()
+            .map(|((app, arch, _), v)| (app.as_str(), *arch, *v))
+    }
+
+    /// The maxima of `app`'s groups, with their architecture.
+    pub fn of_app<'a>(&'a self, app: &'a str) -> impl Iterator<Item = (Arch, f64)> + 'a {
+        self.iter().filter(move |g| g.0 == app).map(|g| (g.1, g.2))
+    }
+
+    /// Table V: range of per-setting maxima for one (application,
+    /// architecture).
+    pub fn app_arch_range(&self, app: &str, arch: Arch) -> Option<SpeedupRange> {
+        SpeedupRange::over(self.of_app(app).filter(|g| g.0 == arch).map(|g| g.1))
+    }
+
+    /// Table VI: range, across architectures, of the best speedup each
+    /// architecture reaches for `app`.
+    pub fn app_range(&self, app: &str) -> Option<SpeedupRange> {
+        let mut per_arch: BTreeMap<Arch, f64> = BTreeMap::new();
+        for (arch, v) in self.of_app(app) {
+            let e = per_arch.entry(arch).or_insert(f64::NEG_INFINITY);
+            if v > *e {
+                *e = v;
+            }
+        }
+        SpeedupRange::over(per_arch.into_values())
+    }
+
+    /// Sec. V Q1 for one architecture. `None` when it has no records.
+    pub fn arch_summary(&self, arch: Arch) -> Option<ArchSummary> {
+        let vals: Vec<f64> = self.iter().filter(|g| g.1 == arch).map(|g| g.2).collect();
+        let range = SpeedupRange::over(vals.iter().copied())?;
+        Some(ArchSummary {
+            arch,
+            range,
+            median_improvement: mlstats::median(&vals),
+            n_groups: vals.len(),
+        })
+    }
 }
 
 /// Per-architecture summary for Sec. V Q1: the range of highest observed
@@ -114,23 +143,6 @@ pub struct ArchSummary {
     pub median_improvement: f64,
     /// Number of (application, setting) groups summarized.
     pub n_groups: usize,
-}
-
-/// Compute the Q1 summary for one architecture. `None` when no records.
-pub fn arch_summary(records: &[AnalysisRecord], arch: Arch) -> Option<ArchSummary> {
-    let maxima = max_speedup_per_setting(records);
-    let vals: Vec<f64> = maxima
-        .iter()
-        .filter(|((_, ar, _), _)| *ar == arch)
-        .map(|(_, v)| *v)
-        .collect();
-    let range = SpeedupRange::over(vals.iter().copied())?;
-    Some(ArchSummary {
-        arch,
-        range,
-        median_improvement: mlstats::median(&vals),
-        n_groups: vals.len(),
-    })
 }
 
 /// Whether two configurations set the same seven environment variables
@@ -229,10 +241,9 @@ mod tests {
             rec("cg", Arch::Milan, 0.0, 96, 1.5),
             rec("cg", Arch::Milan, 1.0, 96, 1.1),
         ];
-        let maxima = max_speedup_per_setting(&records);
-        assert_eq!(maxima.len(), 2);
-        let vals: Vec<f64> = maxima.values().copied().collect();
-        assert!(vals.contains(&1.5) && vals.contains(&1.1));
+        let maxima = SettingMaxima::of(&records);
+        let vals: Vec<f64> = maxima.iter().map(|g| g.2).collect();
+        assert_eq!(vals, [1.5, 1.1]);
     }
 
     #[test]
@@ -242,7 +253,9 @@ mod tests {
             rec("alignment", Arch::A64fx, 1.0, 48, 1.101),
             rec("alignment", Arch::A64fx, 2.0, 48, 1.07),
         ];
-        let r = app_arch_range(&records, "alignment", Arch::A64fx).unwrap();
+        let r = SettingMaxima::of(&records)
+            .app_arch_range("alignment", Arch::A64fx)
+            .unwrap();
         assert_eq!(r.lo, 1.032);
         assert_eq!(r.hi, 1.101);
     }
@@ -254,7 +267,7 @@ mod tests {
             rec("xsbench", Arch::Milan, 0.0, 96, 2.602),
             rec("xsbench", Arch::Skylake, 0.0, 40, 1.002),
         ];
-        let r = app_range(&records, "xsbench").unwrap();
+        let r = SettingMaxima::of(&records).app_range("xsbench").unwrap();
         assert_eq!(r.lo, 1.002);
         assert_eq!(r.hi, 2.602);
     }
@@ -266,7 +279,9 @@ mod tests {
             rec("b", Arch::Milan, 0.0, 96, 1.15),
             rec("c", Arch::Milan, 0.0, 96, 2.6),
         ];
-        let s = arch_summary(&records, Arch::Milan).unwrap();
+        let s = SettingMaxima::of(&records)
+            .arch_summary(Arch::Milan)
+            .unwrap();
         assert_eq!(s.n_groups, 3);
         assert_eq!(s.median_improvement, 1.15);
         assert_eq!(s.range.lo, 1.1);
@@ -275,10 +290,10 @@ mod tests {
 
     #[test]
     fn missing_scope_is_none() {
-        let records = vec![rec("cg", Arch::Milan, 0.0, 96, 1.0)];
-        assert!(app_arch_range(&records, "cg", Arch::A64fx).is_none());
-        assert!(app_range(&records, "ft").is_none());
-        assert!(arch_summary(&records, Arch::Skylake).is_none());
+        let maxima = SettingMaxima::of(&[rec("cg", Arch::Milan, 0.0, 96, 1.0)]);
+        assert!(maxima.app_arch_range("cg", Arch::A64fx).is_none());
+        assert!(maxima.app_range("ft").is_none());
+        assert!(maxima.arch_summary(Arch::Skylake).is_none());
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! - [`logreg`] — L2-regularized logistic regression whose normalized
 //!   coefficient magnitudes are the paper's feature-influence measure
 //!   (Figs. 2–4),
-//! - [`encode`] — the naive numeric category encoding and z-score
-//!   standardization used as preprocessing,
+//! - [`encode`] — the naive numeric category encoding, z-score
+//!   standardization, and the contiguous [`Design`] matrix both
+//!   regressions fit over,
 //! - [`corr`] — Pearson/Spearman correlation for exploratory checks.
 //!
 //! Everything is deterministic and dependency-light so the full analysis
@@ -35,7 +36,7 @@ pub mod violin;
 pub mod wilcoxon;
 
 pub use describe::{mean, median, quantile, std_population, std_sample, Summary};
-pub use encode::{CategoryEncoder, StandardScaler};
+pub use encode::{CategoryEncoder, Design, StandardScaler};
 pub use holm::{holm_adjust, holm_reject};
 pub use linreg::{fit_linear, LinearModel};
 pub use logreg::{fit_logistic, LogisticModel, LogisticOptions, OnlineLogistic};

@@ -7,6 +7,7 @@
 //! can *demonstrate* that observation before falling back to the
 //! classification formulation (see [`crate::logreg`]).
 
+use crate::encode::Design;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -56,31 +57,24 @@ impl LinearModel {
     }
 }
 
-/// Fit `y ≈ b0 + B·x` by OLS. `xs` holds one feature vector per row.
+/// Fit `y ≈ b0 + B·x` by OLS over the rows of `x`.
 ///
 /// A tiny ridge term (1e-9) is added to the normal matrix diagonal to keep
 /// near-collinear encodings (common with the paper's naive numeric feature
 /// scheme) numerically stable without meaningfully biasing coefficients.
-pub fn fit_linear(xs: &[Vec<f64>], y: &[f64]) -> Result<LinearModel, LinRegError> {
-    if xs.is_empty() || xs.len() != y.len() {
+pub fn fit_linear(x: &Design, y: &[f64]) -> Result<LinearModel, LinRegError> {
+    if x.is_empty() || x.len() != y.len() {
         return Err(LinRegError::BadShape);
     }
-    let d = xs[0].len();
-    if xs.iter().any(|r| r.len() != d) {
-        return Err(LinRegError::BadShape);
-    }
-    let p = d + 1; // + intercept column
-    if xs.len() < p {
+    let p = x.dim() + 1; // + intercept column
+    if x.len() < p {
         return Err(LinRegError::Singular);
     }
 
-    // Build X^T X and X^T y directly (never materialize the design matrix).
+    // Build X^T X and X^T y directly from the design's rows.
     let mut xtx = Matrix::zeros(p, p);
     let mut xty = vec![0.0f64; p];
-    let mut row = vec![0.0f64; p];
-    for (x, &yi) in xs.iter().zip(y) {
-        row[0] = 1.0;
-        row[1..].copy_from_slice(x);
+    for (row, &yi) in x.rows().zip(y) {
         for i in 0..p {
             xty[i] += row[i] * yi;
             for j in i..p {
@@ -102,18 +96,18 @@ pub fn fit_linear(xs: &[Vec<f64>], y: &[f64]) -> Result<LinearModel, LinRegError
         coefficients: beta[1..].to_vec(),
         r2: 0.0,
     };
-    let r2 = r_squared(&model, xs, y);
+    let r2 = r_squared(&model, x, y);
     Ok(LinearModel { r2, ..model })
 }
 
-/// R² of `model` on `(xs, y)`. 1.0 is a perfect fit; can be negative for a
+/// R² of `model` on `(x, y)`. 1.0 is a perfect fit; can be negative for a
 /// model worse than predicting the mean.
-pub fn r_squared(model: &LinearModel, xs: &[Vec<f64>], y: &[f64]) -> f64 {
+pub fn r_squared(model: &LinearModel, x: &Design, y: &[f64]) -> f64 {
     let ybar = crate::describe::mean(y);
     let mut ss_res = 0.0;
     let mut ss_tot = 0.0;
-    for (x, &yi) in xs.iter().zip(y) {
-        let e = yi - model.predict(x);
+    for (row, &yi) in x.rows().zip(y) {
+        let e = yi - model.predict(&row[1..]);
         ss_res += e * e;
         let d = yi - ybar;
         ss_tot += d * d;
@@ -140,7 +134,7 @@ mod tests {
             .map(|i| vec![i as f64, (i * i % 7) as f64])
             .collect();
         let y: Vec<f64> = xs.iter().map(|r| 3.0 + 2.0 * r[0] - r[1]).collect();
-        let m = fit_linear(&xs, &y).unwrap();
+        let m = fit_linear(&Design::from_rows(&xs).unwrap(), &y).unwrap();
         assert!((m.intercept - 3.0).abs() < 1e-6);
         assert!((m.coefficients[0] - 2.0).abs() < 1e-6);
         assert!((m.coefficients[1] + 1.0).abs() < 1e-6);
@@ -152,22 +146,20 @@ mod tests {
         // The paper's motivation: strongly non-linear data fits poorly.
         let xs: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 10.0]).collect();
         let y: Vec<f64> = xs.iter().map(|r| (r[0] * 3.0).sin()).collect();
-        let m = fit_linear(&xs, &y).unwrap();
+        let m = fit_linear(&Design::from_rows(&xs).unwrap(), &y).unwrap();
         assert!(m.r2 < 0.3, "r2={}", m.r2);
     }
 
     #[test]
     fn underdetermined_is_rejected() {
-        let xs = vec![vec![1.0, 2.0, 3.0]];
-        let y = vec![1.0];
-        assert_eq!(fit_linear(&xs, &y).unwrap_err(), LinRegError::Singular);
+        let x = Design::from_rows(&[vec![1.0, 2.0, 3.0]]).unwrap();
+        assert_eq!(fit_linear(&x, &[1.0]).unwrap_err(), LinRegError::Singular);
     }
 
     #[test]
-    fn ragged_input_rejected() {
-        let xs = vec![vec![1.0], vec![1.0, 2.0]];
-        let y = vec![0.0, 1.0];
-        assert_eq!(fit_linear(&xs, &y).unwrap_err(), LinRegError::BadShape);
+    fn mismatched_input_rejected() {
+        let x = Design::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
+        assert_eq!(fit_linear(&x, &[0.0]).unwrap_err(), LinRegError::BadShape);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! the Hessian is singular, matching scikit-learn's `lbfgs` results closely
 //! on these low-dimensional problems.
 
+use crate::encode::Design;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -107,17 +108,19 @@ impl LogisticModel {
     }
 }
 
-/// Fit a logistic model on rows `xs` with boolean labels `y`.
+/// Fit a logistic model on the rows of `x` with boolean labels `y`.
+///
+/// Each Newton step accumulates the gradient and the upper triangle of
+/// the Hessian over the rows in order, packed row by row, with the row
+/// weight hoisted: `w·x_i` once per `i`, then `+= (w·x_i)·x_j` — the
+/// same left-associated product as `w·x_i·x_j`, so every entry is the
+/// same sum of the same terms in the same order at any packing.
 pub fn fit_logistic(
-    xs: &[Vec<f64>],
+    x: &Design,
     y: &[bool],
     opts: LogisticOptions,
 ) -> Result<LogisticModel, LogRegError> {
-    if xs.is_empty() || xs.len() != y.len() {
-        return Err(LogRegError::BadShape);
-    }
-    let d = xs[0].len();
-    if xs.iter().any(|r| r.len() != d) {
+    if x.is_empty() || x.len() != y.len() {
         return Err(LogRegError::BadShape);
     }
     let pos = y.iter().filter(|v| **v).count();
@@ -125,36 +128,40 @@ pub fn fit_logistic(
         return Err(LogRegError::SingleClass);
     }
 
-    let n = xs.len();
-    let p = d + 1;
+    let n = x.len();
+    let p = x.dim() + 1;
     let mut beta = vec![0.0f64; p]; // [intercept, coefs...]
     let mut iterations = 0;
+    let mut grad = vec![0.0f64; p];
+    let mut upper = vec![0.0f64; p * (p + 1) / 2];
+    let mut hess = Matrix::zeros(p, p);
 
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
         // Gradient and Hessian of the regularized negative log-likelihood.
-        let mut grad = vec![0.0f64; p];
-        let mut hess = Matrix::zeros(p, p);
-        let mut row = vec![0.0f64; p];
-        for (x, &yi) in xs.iter().zip(y) {
-            row[0] = 1.0;
-            row[1..].copy_from_slice(x);
-            let z: f64 = beta.iter().zip(&row).map(|(b, v)| b * v).sum();
+        grad.fill(0.0);
+        upper.fill(0.0);
+        for (row, &yi) in x.rows().zip(y) {
+            let z: f64 = beta.iter().zip(row).map(|(b, v)| b * v).sum();
             let mu = sigmoid(z);
             let err = mu - if yi { 1.0 } else { 0.0 };
             let w = (mu * (1.0 - mu)).max(1e-10);
+            let mut k = 0; // start of row i of the packed triangle
             for i in 0..p {
                 grad[i] += err * row[i];
-                for j in i..p {
-                    hess[(i, j)] += w * row[i] * row[j];
+                let wi = w * row[i];
+                for (h, xj) in upper[k..k + p - i].iter_mut().zip(&row[i..]) {
+                    *h += wi * xj;
                 }
+                k += p - i;
             }
         }
         let nf = n as f64;
+        let mut packed = upper.iter();
         for i in 0..p {
             grad[i] /= nf;
-            for j in i..p {
-                hess[(i, j)] /= nf;
+            for (j, h) in (i..p).zip(packed.by_ref()) {
+                hess[(i, j)] = h / nf;
             }
         }
         // L2 on coefficients only.
@@ -192,7 +199,7 @@ pub fn fit_logistic(
         iterations,
         loss: 0.0,
     };
-    let loss = mean_nll(&model, xs, y);
+    let loss = mean_nll(&model, x, y);
     Ok(LogisticModel { loss, ..model })
 }
 
@@ -289,31 +296,35 @@ impl OnlineLogistic {
     }
 }
 
-/// Mean negative log-likelihood of `model` on `(xs, y)`.
-pub fn mean_nll(model: &LogisticModel, xs: &[Vec<f64>], y: &[bool]) -> f64 {
+/// Mean negative log-likelihood of `model` on `(x, y)`.
+pub fn mean_nll(model: &LogisticModel, x: &Design, y: &[bool]) -> f64 {
     let mut total = 0.0;
-    for (x, &yi) in xs.iter().zip(y) {
-        let z = model.decision(x);
+    for (row, &yi) in x.rows().zip(y) {
+        let z = model.decision(&row[1..]);
         // log(1 + e^z) computed stably.
         let log1pexp = if z > 30.0 { z } else { (1.0 + z.exp()).ln() };
         total += if yi { log1pexp - z } else { log1pexp };
     }
-    total / xs.len() as f64
+    total / x.len() as f64
 }
 
-/// Classification accuracy of `model` on `(xs, y)`.
-pub fn accuracy(model: &LogisticModel, xs: &[Vec<f64>], y: &[bool]) -> f64 {
-    let correct = xs
-        .iter()
+/// Classification accuracy of `model` on `(x, y)`.
+pub fn accuracy(model: &LogisticModel, x: &Design, y: &[bool]) -> f64 {
+    let correct = x
+        .rows()
         .zip(y)
-        .filter(|(x, &yi)| model.predict(x) == yi)
+        .filter(|(row, &yi)| model.predict(&row[1..]) == yi)
         .count();
-    correct as f64 / xs.len() as f64
+    correct as f64 / x.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn design(xs: &[Vec<f64>]) -> Design {
+        Design::from_rows(xs).expect("rows of equal width")
+    }
 
     fn separable_data() -> (Vec<Vec<f64>>, Vec<bool>) {
         // Positive iff x0 + x1 > 5.
@@ -338,12 +349,9 @@ mod tests {
     #[test]
     fn fits_separable_data_accurately() {
         let (xs, y) = separable_data();
-        let m = fit_logistic(&xs, &y, LogisticOptions::default()).unwrap();
-        assert!(
-            accuracy(&m, &xs, &y) > 0.97,
-            "acc={}",
-            accuracy(&m, &xs, &y)
-        );
+        let x = design(&xs);
+        let m = fit_logistic(&x, &y, LogisticOptions::default()).unwrap();
+        assert!(accuracy(&m, &x, &y) > 0.97, "acc={}", accuracy(&m, &x, &y));
         // Both features matter equally for x0 + x1 > 5.
         let infl = m.normalized_influence();
         assert!((infl[0] - 0.5).abs() < 0.05, "influence={:?}", infl);
@@ -356,7 +364,7 @@ mod tests {
             .map(|i| vec![(i % 10) as f64, ((i * 7) % 13) as f64])
             .collect();
         let y: Vec<bool> = xs.iter().map(|r| r[0] > 4.5).collect();
-        let m = fit_logistic(&xs, &y, LogisticOptions::default()).unwrap();
+        let m = fit_logistic(&design(&xs), &y, LogisticOptions::default()).unwrap();
         let infl = m.normalized_influence();
         assert!(infl[0] > 0.9, "influence={:?}", infl);
     }
@@ -365,7 +373,7 @@ mod tests {
     fn single_class_rejected() {
         let xs = vec![vec![1.0], vec![2.0]];
         assert_eq!(
-            fit_logistic(&xs, &[true, true], LogisticOptions::default()).unwrap_err(),
+            fit_logistic(&design(&xs), &[true, true], LogisticOptions::default()).unwrap_err(),
             LogRegError::SingleClass
         );
     }
@@ -373,7 +381,12 @@ mod tests {
     #[test]
     fn empty_rejected() {
         assert_eq!(
-            fit_logistic(&[], &[], LogisticOptions::default()).unwrap_err(),
+            fit_logistic(
+                &Design::with_capacity(1, 0),
+                &[],
+                LogisticOptions::default()
+            )
+            .unwrap_err(),
             LogRegError::BadShape
         );
     }
@@ -381,14 +394,15 @@ mod tests {
     #[test]
     fn loss_decreases_relative_to_null_model() {
         let (xs, y) = separable_data();
-        let m = fit_logistic(&xs, &y, LogisticOptions::default()).unwrap();
+        let x = design(&xs);
+        let m = fit_logistic(&x, &y, LogisticOptions::default()).unwrap();
         let null = LogisticModel {
             intercept: 0.0,
             coefficients: vec![0.0, 0.0],
             iterations: 0,
             loss: 0.0,
         };
-        assert!(m.loss < mean_nll(&null, &xs, &y) / 2.0);
+        assert!(m.loss < mean_nll(&null, &x, &y) / 2.0);
     }
 
     #[test]
@@ -404,11 +418,11 @@ mod tests {
             }
         }
         assert_eq!(online.n(), 4000);
-        let m = online.model();
+        let (m, x) = (online.model(), design(&xs));
         assert!(
-            accuracy(&m, &xs, &y) > 0.9,
+            accuracy(&m, &x, &y) > 0.9,
             "online acc={}",
-            accuracy(&m, &xs, &y)
+            accuracy(&m, &x, &y)
         );
         // Both features matter equally for x0 + x1 > 5 — same verdict
         // as the batch fitter.

@@ -5,6 +5,7 @@
 //! checkable: confusion matrices, precision/recall/F1, and deterministic
 //! k-fold cross-validation so the scores are out-of-sample.
 
+use crate::encode::Design;
 use crate::logreg::{fit_logistic, LogRegError, LogisticModel, LogisticOptions};
 use serde::{Deserialize, Serialize};
 
@@ -123,7 +124,8 @@ pub fn cross_validate(
         if test_x.is_empty() {
             continue;
         }
-        match fit_logistic(&train_x, &train_y, opts) {
+        let train = Design::from_rows(&train_x).ok_or(LogRegError::BadShape)?;
+        match fit_logistic(&train, &train_y, opts) {
             Ok(model) => {
                 let c = Confusion::tally(&model, &test_x, &test_y);
                 fold_accuracy.push(c.accuracy());
@@ -158,7 +160,12 @@ mod tests {
     #[test]
     fn confusion_counts_add_up() {
         let (xs, y) = separable();
-        let m = fit_logistic(&xs, &y, LogisticOptions::default()).unwrap();
+        let m = fit_logistic(
+            &Design::from_rows(&xs).unwrap(),
+            &y,
+            LogisticOptions::default(),
+        )
+        .unwrap();
         let c = Confusion::tally(&m, &xs, &y);
         assert_eq!(c.total(), 120);
         assert!(c.accuracy() > 0.95);

@@ -2,12 +2,119 @@
 
 use mlstats::corr::{midranks, pearson, spearman};
 use mlstats::describe::{mean, quantile, std_population, Summary};
-use mlstats::encode::StandardScaler;
+use mlstats::encode::{Design, StandardScaler};
 use mlstats::linreg::fit_linear;
-use mlstats::logreg::{fit_logistic, LogisticOptions};
+use mlstats::logreg::{fit_logistic, sigmoid, LogisticModel, LogisticOptions};
 use mlstats::matrix::Matrix;
 use mlstats::wilcoxon::wilcoxon_signed_rank;
 use proptest::prelude::*;
+
+/// The IRLS fit written over `Vec<f64>` rows: every sample re-copied
+/// into a scratch `[1, x…]` row, the Hessian summed as `w·x_i·x_j` into
+/// a full matrix. The reference the packed [`fit_logistic`] kernel must
+/// reproduce bit for bit.
+fn reference_fit(xs: &[Vec<f64>], y: &[bool], opts: LogisticOptions) -> LogisticModel {
+    let n = xs.len();
+    let p = xs[0].len() + 1;
+    let mut beta = vec![0.0f64; p];
+    let mut iterations = 0;
+    for iter in 0..opts.max_iter {
+        iterations = iter + 1;
+        let mut grad = vec![0.0f64; p];
+        let mut hess = Matrix::zeros(p, p);
+        let mut row = vec![0.0f64; p];
+        for (x, &yi) in xs.iter().zip(y) {
+            row[0] = 1.0;
+            row[1..].copy_from_slice(x);
+            let z: f64 = beta.iter().zip(&row).map(|(b, v)| b * v).sum();
+            let mu = sigmoid(z);
+            let err = mu - if yi { 1.0 } else { 0.0 };
+            let w = (mu * (1.0 - mu)).max(1e-10);
+            for i in 0..p {
+                grad[i] += err * row[i];
+                for j in i..p {
+                    hess[(i, j)] += w * row[i] * row[j];
+                }
+            }
+        }
+        let nf = n as f64;
+        for i in 0..p {
+            grad[i] /= nf;
+            for j in i..p {
+                hess[(i, j)] /= nf;
+            }
+        }
+        for i in 1..p {
+            grad[i] += opts.l2 * beta[i];
+            hess[(i, i)] += opts.l2;
+        }
+        for i in 0..p {
+            for j in 0..i {
+                hess[(i, j)] = hess[(j, i)];
+            }
+            hess[(i, i)] += 1e-10;
+        }
+        let step = match hess.solve(&grad) {
+            Some(s) => s,
+            None => grad.iter().map(|g| g * 0.5).collect(),
+        };
+        let mut max_update = 0.0f64;
+        for i in 0..p {
+            beta[i] -= step[i];
+            max_update = max_update.max(step[i].abs());
+        }
+        if max_update < opts.tol {
+            break;
+        }
+    }
+    let model = LogisticModel {
+        intercept: beta[0],
+        coefficients: beta[1..].to_vec(),
+        iterations,
+        loss: 0.0,
+    };
+    let mut total = 0.0;
+    for (x, &yi) in xs.iter().zip(y) {
+        let z = model.decision(x);
+        let log1pexp = if z > 30.0 { z } else { (1.0 + z.exp()).ln() };
+        total += if yi { log1pexp - z } else { log1pexp };
+    }
+    LogisticModel {
+        loss: total / n as f64,
+        ..model
+    }
+}
+
+/// A random `n × d` design shaped like the analysis's encodings: column
+/// `c` holds small integer levels, a continuous value or a log2 size by
+/// `c % 3`; labels follow a random linear score plus `noise`-scaled
+/// jitter (`noise` 0 is separable).
+fn random_problem(n: usize, d: usize, seed: u64, noise: f64) -> (Vec<Vec<f64>>, Vec<bool>) {
+    let mut state = seed;
+    let mut unit = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let weights: Vec<f64> = (0..d).map(|_| unit() * 4.0 - 2.0).collect();
+    let mut xs = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    for _ in 0..n {
+        let x: Vec<f64> = (0..d)
+            .map(|c| match c % 3 {
+                0 => (unit() * 6.0).floor(),
+                1 => unit() * 6.0 - 3.0,
+                _ => (3.0 + (unit() * 8.0).floor()).log2(),
+            })
+            .collect();
+        let score: f64 = weights.iter().zip(&x).map(|(w, v)| w * v).sum();
+        y.push(score + noise * (unit() * 8.0 - 4.0) > weights.iter().sum::<f64>());
+        xs.push(x);
+    }
+    (xs, y)
+}
 
 proptest! {
     /// A solved linear system actually satisfies A·x = b.
@@ -125,7 +232,7 @@ proptest! {
     ) {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / 3.0]).collect();
         let y: Vec<f64> = xs.iter().map(|r| intercept + coef * r[0]).collect();
-        let m = fit_linear(&xs, &y).expect("fits");
+        let m = fit_linear(&Design::from_rows(&xs).unwrap(), &y).expect("fits");
         prop_assert!((m.intercept - intercept).abs() < 1e-5);
         prop_assert!((m.coefficients[0] - coef).abs() < 1e-5);
     }
@@ -137,8 +244,40 @@ proptest! {
         let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![(i % 11) as f64]).collect();
         let y: Vec<bool> = xs.iter().map(|r| r[0] > threshold).collect();
         prop_assume!(y.iter().any(|v| *v) && y.iter().any(|v| !*v));
-        let m = fit_logistic(&xs, &y, LogisticOptions::default()).expect("fits");
-        let acc = mlstats::logreg::accuracy(&m, &xs, &y);
+        let x = Design::from_rows(&xs).unwrap();
+        let m = fit_logistic(&x, &y, LogisticOptions::default()).expect("fits");
+        let acc = mlstats::logreg::accuracy(&m, &x, &y);
         prop_assert!(acc > 0.95, "accuracy {acc}");
+    }
+
+    /// The packed-Hessian kernel over a contiguous design is the
+    /// row-copying reference bit for bit: the same intercept,
+    /// coefficients and loss by `to_bits`, after the same number of
+    /// Newton steps — raw or z-scored, separable or noisy.
+    #[test]
+    fn packed_kernel_is_the_reference_bit_for_bit(
+        n in 2usize..400,
+        d in 1usize..12,
+        seed in any::<u64>(),
+        noise in 0.0f64..2.0,
+        standardize in any::<bool>(),
+    ) {
+        let (mut xs, y) = random_problem(n, d, seed, noise);
+        prop_assume!(y.iter().any(|v| *v) && y.iter().any(|v| !*v));
+        let mut design = Design::from_rows(&xs).expect("rows of equal width");
+        if standardize {
+            xs = StandardScaler::fit_transform(&xs).1;
+            design.standardize();
+        }
+        let opts = LogisticOptions::default();
+        let want = reference_fit(&xs, &y, opts);
+        let got = fit_logistic(&design, &y, opts).expect("both classes present");
+        prop_assert_eq!(got.iterations, want.iterations);
+        prop_assert_eq!(got.intercept.to_bits(), want.intercept.to_bits());
+        for (g, w) in got.coefficients.iter().zip(&want.coefficients) {
+            prop_assert_eq!(g.to_bits(), w.to_bits());
+        }
+        prop_assert_eq!(got.coefficients.len(), d);
+        prop_assert_eq!(got.loss.to_bits(), want.loss.to_bits());
     }
 }

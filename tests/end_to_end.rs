@@ -4,22 +4,28 @@
 
 use omptune::core::{
     influence_analysis, recommend_for, worst_trends, Arch, EffectiveBind, Feature, GroupBy,
-    TuningConfig,
+    SettingMaxima, TuningConfig,
 };
 use omptune::data::{Dataset, Scope, SweepSpec};
+use std::sync::OnceLock;
 
-fn small_dataset() -> Dataset {
-    let spec = SweepSpec {
-        scope: Scope::Strided(32),
-        reps: 3,
-        seed: 99,
-        ..SweepSpec::default()
-    };
-    let mut batches = omptune::data::sweep_all(&spec);
-    for b in &mut batches {
-        omptune::data::clean(b, 3);
-    }
-    Dataset::build(&batches)
+/// One shared dataset for every test here (the sweep is the expensive
+/// part); each test only reads it.
+fn small_dataset() -> &'static Dataset {
+    static DATASET: OnceLock<Dataset> = OnceLock::new();
+    DATASET.get_or_init(|| {
+        let spec = SweepSpec {
+            scope: Scope::Strided(32),
+            reps: 3,
+            seed: 99,
+            ..SweepSpec::default()
+        };
+        let mut batches = omptune::data::sweep_all(&spec);
+        for b in &mut batches {
+            omptune::data::clean(b, 3);
+        }
+        Dataset::build(&batches)
+    })
 }
 
 #[test]
@@ -59,9 +65,10 @@ fn nqueens_turnaround_is_the_headline_win() {
 #[test]
 fn xsbench_binding_wins_only_on_milan() {
     // Paper Table V: XSBench improves 2.6x on Milan, ~nothing elsewhere.
-    let ds = small_dataset();
+    let maxima = SettingMaxima::of(&small_dataset().records);
     let max_on = |arch: Arch| {
-        omptune::core::app_arch_range(&ds.records, "xsbench", arch)
+        maxima
+            .app_arch_range("xsbench", arch)
             .expect("xsbench present")
             .hi
     };
@@ -85,9 +92,10 @@ fn xsbench_binding_wins_only_on_milan() {
 #[test]
 fn architecture_medians_are_ordered_like_the_paper() {
     // Paper Q1: milan (1.15) > skylake (1.065) > a64fx (1.02).
-    let ds = small_dataset();
+    let maxima = SettingMaxima::of(&small_dataset().records);
     let median = |arch: Arch| {
-        omptune::core::arch_summary(&ds.records, arch)
+        maxima
+            .arch_summary(arch)
             .expect("arch present")
             .median_improvement
     };
