@@ -13,13 +13,16 @@
 //! | [`Reproduction::q4`] | Sec. V Q4 — worst-performance trends |
 //! | [`Reproduction::figure_violin`] | Figs. 1, 5–7 — violin plots |
 //! | [`Reproduction::figure_heatmap`] | Figs. 2–4 — influence heat maps |
+//! | [`Reproduction::fidelity`] | every row of `omptune_core::paper` against ours |
 
-use mlstats::{wilcoxon_signed_rank, Summary, ViolinSummary};
+use mlstats::wilcoxon::WilcoxonError;
+use mlstats::{wilcoxon_signed_rank, Summary, ViolinSummary, WilcoxonResult};
 use omptune_core::analysis::AnalysisError;
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
+use omptune_core::paper::{self, End, Key, Scorecard};
 use omptune_core::{
-    influence_analysis, recommend_for, worst_trends, AnalysisRecord, Arch, GroupBy,
-    InfluenceHeatMap, SettingMaxima, SpeedupRange,
+    influence_analysis, recommend_for, transfer_analysis, worst_trends, AnalysisRecord, Arch,
+    CellReport, Feature, GroupBy, InfluenceHeatMap, SettingMaxima, WorstTrend,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -57,6 +60,15 @@ impl ReproScope {
         }
     }
 }
+
+/// Table VII's cells: application, architecture, and the share of the
+/// top 64 configurations a value needs to be recommended.
+const TABLE7: [(&str, Arch, f64); 4] = [
+    ("nqueens", Arch::A64fx, 0.6),
+    ("nqueens", Arch::Skylake, 0.6),
+    ("nqueens", Arch::Milan, 0.6),
+    ("cg", Arch::Skylake, 0.35),
+];
 
 /// A materialized reproduction context: the swept batches and the
 /// processed dataset, shared by all generators.
@@ -138,14 +150,16 @@ impl Reproduction {
     pub fn table2(&self) -> String {
         let mut out = String::from(
             "TABLE II: Dataset description\n\
-             Architecture  | Applications | #Samples  (paper: 15/53822, 13/99707, 12/90230)\n",
+             Architecture  | Applications | #Samples | paper\n",
         );
         for (arch, apps, samples) in self.dataset.table2() {
             out.push_str(&format!(
-                "{:<13} | {:>12} | {:>8}\n",
+                "{:<13} | {:>12} | {:>8} | {}/{}\n",
                 arch.display_name().split(' ').next().unwrap_or(arch.id()),
                 apps,
-                samples
+                samples,
+                paper::value(Key::Apps(arch)),
+                paper::value(Key::Samples(arch)),
             ));
         }
         out
@@ -166,39 +180,43 @@ impl Reproduction {
         )
     }
 
+    /// The mean of repetition `rep` of alignment-small (Table IV); NaN
+    /// when there is no such repetition.
+    fn rep_mean(&self, arch: Arch, rep: usize) -> f64 {
+        let reps = self.alignment_reps(arch);
+        let summary = reps.as_ref().and_then(|r| Summary::of(r.get(rep)?));
+        summary.map_or(f64::NAN, |s| s.mean)
+    }
+
     /// Table III: Wilcoxon signed-rank consistency of repeated runs of
     /// the Alignment benchmark (pairs R0R1, R1R2, R2R3).
-    ///
-    /// Runs a dedicated 4-repetition sweep of the alignment batches so
-    /// all three pairs exist regardless of `spec.reps`.
     pub fn table3(&self) -> String {
         let mut out = String::from(
             "TABLE III: Wilcoxon test results for runtime comparisons\n\
-             Architecture-Benchmark   | Pair   | Test Stat   | p-value\n",
+             Architecture-Benchmark   | Pair   | Test Stat   | p-value | paper\n",
         );
         for arch in Arch::ALL {
-            let reps = self.four_rep_alignment(arch);
-            for (a, b, label) in [(0, 1, "R0, R1"), (1, 2, "R1, R2"), (2, 3, "R2, R3")] {
-                let row = match wilcoxon_signed_rank(&reps[a], &reps[b]) {
+            for (i, test) in self.consistency(arch).iter().enumerate() {
+                let row = match test {
                     Ok(r) => format!("{:>11.1} | {:.3e}", r.statistic.max(0.0), r.p_value),
                     Err(e) => format!("(degenerate: {e})"),
                 };
                 out.push_str(&format!(
-                    "{:<24} | {} | {}\n",
+                    "{:<24} | R{i}, R{} | {} | {:.3e}\n",
                     format!("{}-alignment-small", arch.id()),
-                    label,
-                    row
+                    i + 1,
+                    row,
+                    paper::value(Key::Consistency(arch, i))
                 ));
             }
         }
-        out.push_str(
-            "(paper: a64fx p=0.72-0.86; milan and skylake p~0 except skylake R0,R1 p=0.19)\n",
-        );
         out
     }
 
-    /// Dedicated 4-repetition alignment-small sweep per architecture.
-    fn four_rep_alignment(&self, arch: Arch) -> Vec<Vec<f64>> {
+    /// Table III's three tests on one architecture, over a dedicated
+    /// 4-repetition sweep of alignment-small so all three pairs exist
+    /// regardless of `spec.reps`.
+    fn consistency(&self, arch: Arch) -> [Result<WilcoxonResult, WilcoxonError>; 3] {
         let spec = SweepSpec {
             reps: 4,
             ..self.spec
@@ -209,61 +227,51 @@ impl Reproduction {
             num_threads: arch.cores(),
         };
         let batch = sweep::sweep_setting(arch, app, setting, 0, &spec);
-        (0..4)
-            .map(|r| batch.samples.iter().map(|s| s.runtimes[r]).collect())
-            .collect()
+        let rep = |r: usize| -> Vec<f64> { batch.samples.iter().map(|s| s.runtimes[r]).collect() };
+        [0, 1, 2].map(|r| wilcoxon_signed_rank(&rep(r), &rep(r + 1)))
     }
 
     /// Table IV: mean/std of each repetition of alignment-small.
     pub fn table4(&self) -> String {
         let mut out = String::from(
             "TABLE IV: Runtime statistics (alignment-small, per repetition)\n\
-             Architecture-Application | Runtime Idx | Mean (sec) | Std Dev (sec)\n",
+             Architecture-Application | Runtime Idx | Mean (sec) | Std Dev (sec) | paper mean\n",
         );
         for arch in Arch::ALL {
             if let Some(reps) = self.alignment_reps(arch) {
                 for (i, rep) in reps.iter().enumerate().take(3) {
                     let s = Summary::of(rep).expect("non-empty repetition");
                     out.push_str(&format!(
-                        "{:<24} | Runtime_{}   | {:>10.3} | {:>10.3}\n",
+                        "{:<24} | Runtime_{}   | {:>10.3} | {:>10.3} | {:.3}\n",
                         format!("{}-alignment-small", arch.id()),
                         i,
                         s.mean,
-                        s.std
+                        s.std,
+                        paper::value(Key::RepMean(arch, i))
                     ));
                 }
             }
         }
-        out.push_str("(paper: a64fx 0.131+-0.310 all reps; milan 0.135/0.109/0.111; skylake 0.061/0.062/0.062)\n");
         out
     }
 
     /// Table V: speedup ranges for Alignment and XSBench per architecture.
     pub fn table5(&self) -> String {
-        let paper: &[(&str, Arch, &str)] = &[
-            ("alignment", Arch::A64fx, "1.032 - 1.101"),
-            ("alignment", Arch::Milan, "1.022 - 1.186"),
-            ("alignment", Arch::Skylake, "1.065 - 1.111"),
-            ("xsbench", Arch::A64fx, "1.004 - 1.015"),
-            ("xsbench", Arch::Milan, "1.016 - 2.602"),
-            ("xsbench", Arch::Skylake, "1.001 - 1.002"),
-        ];
         let mut out = String::from(
             "TABLE V: Speedup range for applications on architectures\n\
              Application | Architecture | Speedup Range (x) | paper\n",
         );
-        for (app, arch, paper_range) in paper {
-            let range = self
-                .maxima()
-                .app_arch_range(app, *arch)
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "n/a".into());
+        for row in paper::ROWS {
+            let Key::AppArch(app, arch, End::Min) = row.key else {
+                continue;
+            };
+            let range = self.maxima().app_arch_range(app, arch);
             out.push_str(&format!(
                 "{:<11} | {:<12} | {:<17} | {}\n",
                 app,
                 arch.id(),
-                range,
-                paper_range
+                range.map_or_else(|| "n/a".into(), |r| r.to_string()),
+                paper::range(|end| Key::AppArch(app, arch, end))
             ));
         }
         out
@@ -271,35 +279,30 @@ impl Reproduction {
 
     /// Table VI: per-application speedup ranges.
     pub fn table6(&self) -> String {
-        let paper: &[(&str, &str)] = &[
-            ("alignment", "1.022 - 1.186"),
-            ("bt", "1.027 - 1.185"),
-            ("cg", "1.000 - 1.857"),
-            ("ep", "1.000 - 1.090"),
-            ("ft", "1.010 - 1.545"),
-            ("health", "1.282 - 2.218"),
-            ("lu", "1.020 - 1.121"),
-            ("lulesh", "1.004 - 1.062"),
-            ("mg", "1.011 - 2.167"),
-            ("nqueens", "2.342 - 4.851"),
-            ("rsbench", "1.004 - 1.213"),
-            ("sort", "1.174 - 1.180"),
-            ("strassen", "1.023 - 1.025"),
-            ("su3bench", "1.002 - 2.279"),
-            ("xsbench", "1.001 - 2.602"),
-        ];
         let mut out = String::from(
             "TABLE VI: Speedup range per application\n\
              Application | Speedup Range (x) | paper\n",
         );
-        // Table VI folds per-setting maxima over (arch, setting) cells.
-        for (app, paper_range) in paper {
-            let range = SpeedupRange::over(self.maxima().of_app(app).map(|g| g.1))
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "n/a".into());
-            out.push_str(&format!("{:<11} | {:<17} | {}\n", app, range, paper_range));
+        for row in paper::ROWS {
+            let Key::App(app, End::Min) = row.key else {
+                continue;
+            };
+            out.push_str(&format!(
+                "{:<11} | {:<17} | {}\n",
+                app,
+                self.maxima()
+                    .app_range(app)
+                    .map_or_else(|| "n/a".into(), |r| r.to_string()),
+                paper::range(|end| Key::App(app, end))
+            ));
         }
         out
+    }
+
+    /// Table VII's recommendation for one of its cells.
+    fn recommendation(&self, app: &str, arch: Arch) -> Option<CellReport> {
+        let (_, _, support) = TABLE7.iter().find(|c| c.0 == app && c.1 == arch)?;
+        recommend_for(self.records(), app, arch, 64, *support)
     }
 
     /// Table VII: best performing variables and values for NQueens
@@ -309,15 +312,16 @@ impl Reproduction {
             "TABLE VII: Best performing environment variables and values\n\
              App     | Arch    | Recommendations (support)\n",
         );
-        for arch in Arch::ALL {
-            if let Some(report) = recommend_for(self.records(), "nqueens", arch, 64, 0.6) {
+        for (app, arch, _) in TABLE7 {
+            if let Some(report) = self.recommendation(app, arch) {
                 let recs: Vec<String> = report
                     .recommendations
                     .iter()
                     .map(|r| format!("{}={} ({:.0}%)", r.variable, r.value, r.support * 100.0))
                     .collect();
                 out.push_str(&format!(
-                    "nqueens | {:<7} | best {:.3}x: {}\n",
+                    "{:<7} | {:<7} | best {:.3}x: {}\n",
+                    app,
                     arch.id(),
                     report.best_speedup,
                     if recs.is_empty() {
@@ -328,42 +332,31 @@ impl Reproduction {
                 ));
             }
         }
-        if let Some(report) = recommend_for(self.records(), "cg", Arch::Skylake, 64, 0.35) {
-            let recs: Vec<String> = report
-                .recommendations
-                .iter()
-                .map(|r| format!("{}={} ({:.0}%)", r.variable, r.value, r.support * 100.0))
-                .collect();
-            out.push_str(&format!(
-                "cg      | skylake | best {:.3}x: {}\n",
-                report.best_speedup,
-                recs.join(", ")
-            ));
-        }
-        out.push_str(
-            "(paper: nqueens KMP_LIBRARY=turnaround on all archs; cg/skylake \
-             KMP_FORCE_REDUCTION=tree/atomic + KMP_ALIGN_ALLOC)\n",
-        );
+        let claims: Vec<String> = paper::ROWS
+            .iter()
+            .filter(|r| r.artifact == "table7")
+            .map(|r| r.key.to_string())
+            .collect();
+        out.push_str(&format!("(paper: {})\n", claims.join("; ")));
         out
     }
 
     /// Sec. V Q1: per-architecture speedup ranges and medians.
     pub fn q1(&self) -> String {
-        let paper = [
-            (Arch::A64fx, "1.0-4.85 median 1.02"),
-            (Arch::Milan, "1.011-2.6 median 1.15"),
-            (Arch::Skylake, "1.0-3.47 median 1.065"),
-        ];
         let mut out = String::from("Q1: upshot potential per architecture\n");
-        for (arch, paper_s) in paper {
+        for row in paper::ROWS {
+            let Key::Median(arch) = row.key else {
+                continue;
+            };
+            let paper = paper::range(|end| Key::Upshot(arch, end));
             match self.maxima().arch_summary(arch) {
                 Some(s) => out.push_str(&format!(
-                    "{:<8} range {} median {:.3} over {} groups   (paper: {})\n",
+                    "{:<8} range {} median {:.3} over {} groups   (paper: {paper} median {:.3})\n",
                     arch.id(),
                     s.range,
                     s.median_improvement,
                     s.n_groups,
-                    paper_s
+                    row.paper,
                 )),
                 None => out.push_str(&format!("{:<8} no data\n", arch.id())),
             }
@@ -395,10 +388,16 @@ impl Reproduction {
         out
     }
 
+    /// The patterns of the worst 1 % of the records (at least 10), and
+    /// that count.
+    fn worst_trends(&self) -> (usize, Vec<WorstTrend>) {
+        let k = (self.records().len() / 100).max(10);
+        (k, worst_trends(self.records(), k))
+    }
+
     /// Sec. V Q4: worst-performance trends.
     pub fn q4(&self) -> String {
-        let k = (self.records().len() / 100).max(10);
-        let trends = worst_trends(self.records(), k);
+        let (k, trends) = self.worst_trends();
         let mut out = format!("Q4: trends among the worst {k} samples\n");
         for t in &trends {
             out.push_str(&format!(
@@ -511,6 +510,84 @@ impl Reproduction {
             Err(e) => format!("heat map unavailable: {e}"),
         }
     }
+
+    /// The paper-fidelity scorecard (`repro-tables SCOPE fidelity`): every
+    /// row of `omptune_core::paper` against this reproduction. The rows
+    /// describe the paper scope at the default seed.
+    pub fn fidelity(&self) -> Scorecard<'static> {
+        self.score(paper::ROWS)
+    }
+
+    /// `rows` against this reproduction: the paper's, or a test's with a
+    /// planted miss. A claim is 1 when it holds here and 0 when not; a
+    /// value the dataset lacks is NaN, which every tolerance calls a miss.
+    pub fn score<'a>(&self, rows: &'a [paper::Row]) -> Scorecard<'a> {
+        let nan = |x: Option<f64>| x.unwrap_or(f64::NAN);
+        let claim = |holds: bool| f64::from(u8::from(holds));
+        let table2 = self.dataset.table2();
+        // Indexed by `Arch as usize`, which is its position in `Arch::ALL`.
+        let p_values =
+            Arch::ALL.map(|a| self.consistency(a).map(|t| nan(t.ok().map(|r| r.p_value))));
+        let maxima = self.maxima();
+        let median = |arch| nan(maxima.arch_summary(arch).map(|s| s.median_improvement));
+        let influence = |group_by, group: &str, feature| {
+            let heatmap = self.heatmap(group_by).as_ref().ok();
+            nan(heatmap.and_then(|h| h.influence_of(group, feature)))
+        };
+        let ours = |key: Key| match key {
+            Key::Apps(arch) => nan(table2.iter().find(|t| t.0 == arch).map(|t| t.1 as f64)),
+            Key::Samples(arch) => nan(table2.iter().find(|t| t.0 == arch).map(|t| t.2 as f64)),
+            Key::Consistency(arch, i) => nan(p_values[arch as usize].get(i).copied()),
+            Key::RepMean(arch, i) => self.rep_mean(arch, i),
+            Key::FirstRepShift(arch) => self.rep_mean(arch, 0) / self.rep_mean(arch, 1),
+            Key::AppArch(app, arch, end) => {
+                nan(maxima.app_arch_range(app, arch).map(|r| end.of(r)))
+            }
+            Key::App(app, end) => nan(maxima.app_range(app).map(|r| end.of(r))),
+            Key::Upshot(arch, end) => nan(maxima.arch_summary(arch).map(|s| end.of(s.range))),
+            Key::Median(arch) => median(arch),
+            Key::MedianOrder => claim(
+                median(Arch::Milan) > median(Arch::Skylake)
+                    && median(Arch::Skylake) > median(Arch::A64fx),
+            ),
+            Key::Recommends(app, arch, variable, values) => {
+                let report = self.recommendation(app, arch);
+                claim(report.is_some_and(|report| {
+                    report.recommendations.iter().any(|r| {
+                        r.variable == variable.env_name()
+                            && (values.is_empty() || values.contains(&r.value.as_str()))
+                    })
+                }))
+            }
+            Key::TransferBelow(app, percentile) => {
+                let transfers = transfer_analysis(self.records(), app);
+                claim(
+                    transfers
+                        .iter()
+                        .any(|t| t.source_arch != t.target_arch && t.percentile < percentile),
+                )
+            }
+            Key::MasterBindWorst(lift) => claim(
+                self.worst_trends()
+                    .1
+                    .first()
+                    .is_some_and(|t| t.pattern.starts_with("master binding") && t.lift() > lift),
+            ),
+            Key::LeadersOutrank(arch) => {
+                let of = |feature| influence(GroupBy::Architecture, arch.id(), feature);
+                let leader = of(Feature::NumThreads).max(of(Feature::ProcBind));
+                claim(leader > of(Feature::ForceReduction) && leader > of(Feature::AlignAlloc))
+            }
+            Key::AlignAllocBelow(arch, x) => {
+                claim(influence(GroupBy::Architecture, arch.id(), Feature::AlignAlloc) < x)
+            }
+            Key::LessArchReliant(a, b) => {
+                let of = |app| influence(GroupBy::Application, app, Feature::Architecture);
+                claim(of(a) < of(b))
+            }
+        };
+        Scorecard(rows.iter().map(|row| row.check(ours(row.key))).collect())
+    }
 }
 
 /// One artifact a `repro-*` binary prints: its command-line name and
@@ -521,18 +598,22 @@ pub type Artifact = (&'static str, fn(&Reproduction) -> String);
 /// `all`), and where to dump the figure CSVs.
 type ReproJob = (ReproScope, Option<String>, Option<PathBuf>);
 
-/// `[SCOPE] [NAME|all]`, then `[CSV_DIR|-]` for the tool that has CSVs.
+/// `repro-tables`' scorecard ([`Reproduction::fidelity`]): one more
+/// artifact name, which `all` does not select and whose run exits 4 on a
+/// miss.
+const FIDELITY: &str = "fidelity";
+
+/// `[SCOPE] [NAME|all]`, then `[CSV_DIR|-]` for the tool that has CSVs;
+/// the tool without them, `repro-tables`, also answers [`FIDELITY`].
 fn parse(mut args: Args, artifacts: &[Artifact], csvs: bool) -> Result<ReproJob, Error> {
     let scope = match args.positional()? {
         Some(s) => ReproScope::parse(&s).ok_or_else(|| Error::unknown("scope", &s))?,
         None => ReproScope::Fast,
     };
     let which = args.positional()?.filter(|name| name != "all");
-    match &which {
-        Some(name) if artifacts.iter().all(|a| a.0 != name) => {
-            return Err(Error::unknown("artifact", name));
-        }
-        _ => {}
+    let known = |name: &str| artifacts.iter().any(|a| a.0 == name) || !csvs && name == FIDELITY;
+    if let Some(name) = which.as_deref().filter(|name| !known(name)) {
+        return Err(Error::unknown("artifact", name));
     }
     let dir = match csvs {
         true => args.positional()?.filter(|dir| dir != "-"),
@@ -543,9 +624,13 @@ fn parse(mut args: Args, artifacts: &[Artifact], csvs: bool) -> Result<ReproJob,
 }
 
 /// The `main` of `repro-tables` and `repro-figures`: sweep once at the
-/// requested scope, print the requested artifacts in table order.
+/// requested scope, print the requested artifacts in table order, or the
+/// scorecard and its code.
 pub fn repro_main(tool: &str, artifacts: &[Artifact], csvs: bool) -> ExitCode {
-    let names: Vec<&str> = artifacts.iter().map(|a| a.0).collect();
+    let mut names: Vec<&str> = artifacts.iter().map(|a| a.0).collect();
+    if !csvs {
+        names.push(FIDELITY);
+    }
     let usage = format!(
         "usage: {tool} [fast|paper|full] [{}|all]{}",
         names.join("|"),
@@ -555,6 +640,11 @@ pub fn repro_main(tool: &str, artifacts: &[Artifact], csvs: bool) -> ExitCode {
         let (scope, which, dir) = parse(args, artifacts, csvs)?;
         eprintln!("sweeping ({scope:?} scope)...");
         let r = Reproduction::generate(scope);
+        if which.as_deref() == Some(FIDELITY) {
+            let card = r.fidelity();
+            print!("{card}");
+            return Ok(card.code());
+        }
         for (name, render) in artifacts {
             if which.as_deref().unwrap_or(name) == *name {
                 println!("{}", render(&r));
@@ -652,31 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn table2_has_paper_app_counts() {
-        let t = repro().table2();
-        let count_of = |prefix: &str| -> usize {
-            t.lines()
-                .find(|l| l.starts_with(prefix))
-                .and_then(|l| l.split('|').nth(1))
-                .and_then(|f| f.trim().parse().ok())
-                .unwrap_or_else(|| panic!("row for {prefix} missing:\n{t}"))
-        };
-        assert_eq!(count_of("Fujitsu"), 15);
-        assert_eq!(count_of("AMD"), 13);
-        assert_eq!(count_of("Intel"), 12);
-    }
-
-    #[test]
-    fn q4_identifies_master_binding() {
-        let q4 = repro().q4();
-        let master_line = q4
-            .lines()
-            .find(|l| l.contains("master binding with many threads"))
-            .expect("master pattern screened");
-        assert!(master_line.contains("lift"), "line: {master_line}");
-    }
-
-    #[test]
     fn violin_renders_for_alignment() {
         let v = repro().figure_violin("alignment");
         assert!(v.contains("a64fx"));
@@ -714,13 +779,13 @@ mod tests {
         let figures = |args| parse(args, &artifacts, true);
         cli::check_parse(
             tables,
-            " | fast | paper q1 | full all",
+            " | fast | paper q1 | full all | paper fidelity",
             "bogus | fast table9 | fast all figs | fast --json",
         );
         cli::check_parse(
             figures,
             "fast all figs | full table1 -",
-            "fast all figs extra",
+            "fast all figs extra | paper fidelity",
         );
     }
 }

@@ -18,7 +18,9 @@
 //!   normalized logistic-regression coefficients form Figs. 2–4,
 //! - [`report`] — speedup-range summaries (Tables V–VI, Sec. V Q1),
 //! - [`recommend`] — best-configuration extraction (Table VII) and
-//!   worst-trend screening (Sec. V Q4).
+//!   worst-trend screening (Sec. V Q4),
+//! - [`paper`] — the paper's numbers, one typed row per claim, with the
+//!   tolerance each is held to.
 //!
 //! The crate is deliberately independent of how samples are produced:
 //! the sweep harness (`sweep` crate) feeds it [`analysis::AnalysisRecord`]s
@@ -34,6 +36,7 @@ pub mod diag;
 pub mod envvar;
 pub mod fnv;
 pub mod icv;
+pub mod paper;
 pub mod placement;
 pub mod recommend;
 pub mod report;

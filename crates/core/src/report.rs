@@ -7,7 +7,8 @@
 //!
 //! - per (application, architecture): the max per *setting* (input size or
 //!   thread count) varies over a range — Table V rows,
-//! - per application: the best per *architecture* varies — Table VI rows,
+//! - per application: the max per (architecture, setting) varies — Table
+//!   VI rows,
 //! - per architecture: the best per (application, setting) varies, and its
 //!   median is the architecture's "median improvement" — Sec. V Q1.
 
@@ -98,7 +99,7 @@ impl SettingMaxima {
     }
 
     /// The maxima of `app`'s groups, with their architecture.
-    pub fn of_app<'a>(&'a self, app: &'a str) -> impl Iterator<Item = (Arch, f64)> + 'a {
+    fn of_app<'a>(&'a self, app: &'a str) -> impl Iterator<Item = (Arch, f64)> + 'a {
         self.iter().filter(move |g| g.0 == app).map(|g| (g.1, g.2))
     }
 
@@ -108,17 +109,9 @@ impl SettingMaxima {
         SpeedupRange::over(self.of_app(app).filter(|g| g.0 == arch).map(|g| g.1))
     }
 
-    /// Table VI: range, across architectures, of the best speedup each
-    /// architecture reaches for `app`.
+    /// Table VI: range of `app`'s per-(architecture, setting) maxima.
     pub fn app_range(&self, app: &str) -> Option<SpeedupRange> {
-        let mut per_arch: BTreeMap<Arch, f64> = BTreeMap::new();
-        for (arch, v) in self.of_app(app) {
-            let e = per_arch.entry(arch).or_insert(f64::NEG_INFINITY);
-            if v > *e {
-                *e = v;
-            }
-        }
-        SpeedupRange::over(per_arch.into_values())
+        SpeedupRange::over(self.of_app(app).map(|g| g.1))
     }
 
     /// Sec. V Q1 for one architecture. `None` when it has no records.

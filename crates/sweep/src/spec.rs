@@ -12,7 +12,7 @@
 //! cover the same behavior as [`Scope::Full`] at roughly a quarter of
 //! the runs.
 
-use omptune_core::{Arch, ConfigSpace, TuningConfig};
+use omptune_core::{paper, Arch, ConfigSpace, TuningConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which slice of the configuration space a sweep covers.
@@ -74,13 +74,10 @@ impl Default for SweepSpec {
     }
 }
 
-/// Paper sample totals per architecture (Table II).
+/// Paper sample totals per architecture (Table II's rows in
+/// `omptune_core::paper`).
 pub fn table2_target(arch: Arch) -> usize {
-    match arch {
-        Arch::A64fx => 53_822,
-        Arch::Milan => 99_707,
-        Arch::Skylake => 90_230,
-    }
+    paper::value(paper::Key::Samples(arch)) as usize
 }
 
 /// Number of (application, setting) pairs swept on `arch`:

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example neutron_transport`
 
+use omptune::core::paper::{self, End, Key};
 use omptune::core::{Arch, OmpSchedule, TuningConfig};
 use omptune::rt::ThreadPool;
 use std::time::Instant;
@@ -58,10 +59,11 @@ fn main() {
             }
         }
         println!(
-            "  {:<8} best {:.3}x via {}   (paper: a64fx <=1.015, milan up to 2.602, skylake <=1.002)",
+            "  {:<8} best {:.3}x via {}   (paper: up to {:.3})",
             arch.id(),
             best.0,
-            best.1.describe()
+            best.1.describe(),
+            paper::value(Key::AppArch("xsbench", arch, End::Max))
         );
     }
 }

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example task_tuning`
 
+use omptune::core::paper::{self, Key};
 use omptune::core::{Arch, KmpBlocktime, KmpLibrary, TuningConfig, WaitPolicy};
 use omptune::rt::ThreadPool;
 use std::time::Instant;
@@ -63,11 +64,12 @@ fn main() {
         let t_default = omptune::sim::simulate(arch, &default, &model, 0).seconds();
         let t_tuned = omptune::sim::simulate(arch, &tuned, &model, 0).seconds();
         println!(
-            "  {:<8} {:.3}s -> {:.3}s  speedup {:.2}x  (paper range 2.342 - 4.851)",
+            "  {:<8} {:.3}s -> {:.3}s  speedup {:.2}x  (paper range {})",
             arch.id(),
             t_default,
             t_tuned,
-            t_default / t_tuned
+            t_default / t_tuned,
+            paper::range(|end| Key::App("nqueens", end))
         );
     }
 }

@@ -1,7 +1,10 @@
 //! End-to-end integration: sweep → dataset → analysis → recommendations,
-//! across crate boundaries, verifying the paper's headline findings hold
-//! in the reproduction.
+//! across crate boundaries. The paper's findings are the scorecard's rows
+//! at the paper scope; the headline findings must also survive on the
+//! small strided dataset, which holds the pipeline's own properties.
 
+use bench_harness::repro::{ReproScope, Reproduction};
+use omptune::core::paper::{self, End, Key, Verdict};
 use omptune::core::{
     influence_analysis, recommend_for, worst_trends, Arch, EffectiveBind, Feature, GroupBy,
     SettingMaxima, TuningConfig,
@@ -36,6 +39,39 @@ fn pipeline_produces_nonempty_dataset_for_all_archs() {
         let expected_apps = omptune::apps::apps_on(arch).len();
         assert_eq!(apps, expected_apps, "{arch} app count");
     }
+}
+
+/// The paper-sized reproduction every table is built from, at the
+/// default seed: what the scorecard's rows describe.
+fn paper_scope() -> &'static Reproduction {
+    static REPRO: OnceLock<Reproduction> = OnceLock::new();
+    REPRO.get_or_init(|| Reproduction::generate(ReproScope::Paper))
+}
+
+/// Every number and claim of the paper has one home, a row of
+/// `omptune_core::paper`; none may miss (Tables II–VII, Q1/Q2/Q4, Figs.
+/// 2–3: NQueens → turnaround, XSBench wins only on Milan, the median
+/// order, master binding worst, the Fig. 2/3 influence ranks).
+#[test]
+fn the_paper_scope_scorecard_has_no_miss() {
+    let card = paper_scope().fidelity();
+    assert!(card.0.len() >= 60, "only {} rows", card.0.len());
+    assert_eq!(card.code(), 0, "\n{card}");
+}
+
+/// A scorecard that cannot fail is not a gate: one row's paper value
+/// ×1.1 is a miss, and the run's code is 4.
+#[test]
+fn a_planted_miss_flips_the_scorecard() {
+    let mut rows = paper::ROWS.to_vec();
+    let at = rows
+        .iter()
+        .position(|r| r.key == Key::App("xsbench", End::Max))
+        .expect("row");
+    rows[at].paper *= 1.1;
+    let card = paper_scope().score(&rows);
+    assert_eq!(card.0[at].verdict, Verdict::Miss, "{}", card.0[at]);
+    assert_eq!(card.code(), 4);
 }
 
 #[test]

@@ -8,19 +8,21 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap()
 }
 
-/// `(repo-relative path, text)` of every `.rs` file under `crates/*/src`.
-fn crate_sources() -> Vec<(String, String)> {
-    fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(&path, root, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let rel = path.strip_prefix(root).unwrap().to_str().unwrap();
-                out.push((rel.to_string(), read(&path)));
-            }
+/// Push `(repo-relative path, text)` of every `.rs` file under `dir`.
+fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            walk(&path, root, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path.strip_prefix(root).unwrap().to_str().unwrap();
+            out.push((rel.to_string(), read(&path)));
         }
     }
+}
+
+/// `(repo-relative path, text)` of every `.rs` file under `crates/*/src`.
+fn crate_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut out = Vec::new();
     for krate in std::fs::read_dir(root.join("crates")).unwrap() {
@@ -44,6 +46,29 @@ fn a_variable_name_is_spelled_in_the_variable_table_only() {
         .filter_map(|(path, text)| spells(text).then_some(path.as_str()))
         .collect();
     assert_eq!(named, ["crates/core/src/variable.rs"]);
+}
+
+/// One table of the paper's numbers: outside test modules and comments,
+/// three of them (Table II's A64FX samples, the NQueens and XSBench maxima)
+/// are written in `crates/core/src/paper.rs` and nowhere else under
+/// `crates/*/src` or `examples/`.
+#[test]
+fn a_paper_number_is_written_in_the_paper_table_only() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = crate_sources();
+    walk(&root.join("examples"), root, &mut sources);
+    let numbers = ["2.602", "4.851", "53_822"];
+    let mut written = std::collections::BTreeSet::new();
+    for (path, text) in &sources {
+        let code = text.split("\n#[cfg(test)]").next().unwrap();
+        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            let found = numbers.iter().filter(|n| line.contains(*n));
+            written.extend(found.map(|n| (path, *n)));
+        }
+    }
+    let home = "crates/core/src/paper.rs".to_string();
+    let want: std::collections::BTreeSet<_> = numbers.iter().map(|n| (&home, *n)).collect();
+    assert_eq!(written, want);
 }
 
 /// One float path: the JSON sink writes an `f64`'s digits itself
