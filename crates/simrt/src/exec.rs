@@ -109,7 +109,9 @@ pub fn machine_for(arch: Arch) -> MachineDesc {
     }
 }
 
-/// Per-thread execution environment derived from the placement.
+/// Per-thread execution environment derived from the placement. Every
+/// field is a count or a ratio of counts, so `==` is exact.
+#[derive(PartialEq)]
 pub(crate) struct ThreadEnv {
     /// Slowdown from core sharing (1.0 = exclusive core).
     speed_div: Vec<f64>,
@@ -222,15 +224,15 @@ impl FinishHeap {
         FinishHeap { heap }
     }
 
-    /// Pop the earliest-free thread.
-    fn pop(&mut self) -> (f64, usize) {
-        let Reverse((bits, i)) = self.heap.pop().expect("heap never empty");
-        (f64::from_bits(bits), i)
-    }
-
-    fn push(&mut self, finish: f64, i: usize) {
+    /// Charge `cost(thread)` to the earliest-free thread in place: one
+    /// sift instead of a pop and a push. Keys are distinct `(finish,
+    /// thread)` pairs, so the thread chosen is the one a pop would return.
+    fn charge_earliest(&mut self, cost: impl FnOnce(usize) -> f64) {
+        let mut top = self.heap.peek_mut().expect("heap never empty");
+        let Reverse((bits, i)) = *top;
+        let finish = f64::from_bits(bits) + cost(i);
         debug_assert!(finish.is_finite() && finish >= 0.0);
-        self.heap.push(Reverse((finish.to_bits(), i)));
+        *top = Reverse((finish.to_bits(), i));
     }
 
     fn max_finish(self) -> f64 {
@@ -354,23 +356,22 @@ pub(crate) fn plan_loop_with(
         .collect();
 
     let total_compute = prefix[units];
-    // Compute time of the iteration interval [i0, i1), by interpolation —
-    // exact at unit boundaries, linear inside a unit.
-    let compute_between = |i0: f64, i1: f64| -> f64 {
-        let interp = |x: f64| -> f64 {
-            let pos = (x / iters_per_unit).clamp(0.0, units as f64);
-            let lo = pos.floor() as usize;
-            if lo >= units {
-                return prefix[units];
-            }
-            prefix[lo] + (pos - lo as f64) * (prefix[lo + 1] - prefix[lo])
-        };
-        interp(i1) - interp(i0)
+    // Compute time of iterations [0, x), by interpolation — exact at unit
+    // boundaries, linear inside a unit.
+    let interp = |x: f64| -> f64 {
+        let pos = (x / iters_per_unit).clamp(0.0, units as f64);
+        let lo = pos.floor() as usize;
+        if lo >= units {
+            return prefix[units];
+        }
+        prefix[lo] + (pos - lo as f64) * (prefix[lo + 1] - prefix[lo])
     };
+    let compute_between = |i0: f64, i1: f64| interp(i1) - interp(i0);
 
     let compute_add = total_compute / t as f64;
     let memory_add = mem[0] * phase.iters as f64 / t as f64;
 
+    let dispatch = costs::dispatch_ns(t);
     let mut dispatch_total = 0.0;
     // Effective parallel capacity in unit-speed threads (oversubscribed
     // threads contribute 1/div each) — a work-conserving dispatcher
@@ -393,29 +394,30 @@ pub(crate) fn plan_loop_with(
             // granularity, so the span is the work-conserving optimum
             // plus per-iteration dispatch and a largest-iteration tail.
             let mem_avg: f64 = mem.iter().sum::<f64>() / t as f64;
-            let per_iter_dispatch = costs::dispatch_ns(t);
-            dispatch_total = per_iter_dispatch * phase.iters as f64;
-            let total = total_compute + (mem_avg + per_iter_dispatch) * phase.iters as f64;
+            dispatch_total = dispatch * phase.iters as f64;
+            let total = total_compute + (mem_avg + dispatch) * phase.iters as f64;
             let max_div = env.speed_div.iter().cloned().fold(1.0, f64::max);
             let tail = (compute_per_iter * max_unit_mult + mem_avg) * max_div;
             total / capacity + tail
         }
         OmpSchedule::Guided => {
             // The real guided chunk sequence over the iteration space,
-            // greedily assigned to the earliest-free thread.
+            // greedily assigned to the earliest-free thread. Each chunk's
+            // upper interpolation is the next chunk's lower one.
             let mut heap = FinishHeap::new(t);
             let total_iters = phase.iters;
             let mut next = 0u64;
+            let mut done = interp(0.0);
             while next < total_iters {
                 let size = chunk::guided_chunk(total_iters - next, t as u64);
-                let (f, i) = heap.pop();
-                let cost = (compute_between(next as f64, (next + size) as f64)
-                    + mem[i] * size as f64)
-                    * env.speed_div[i]
-                    + costs::dispatch_ns(t);
-                heap.push(f + cost, i);
-                dispatch_total += costs::dispatch_ns(t);
                 next += size;
+                let upto = interp(next as f64);
+                let compute = upto - done;
+                done = upto;
+                heap.charge_earliest(|i| {
+                    (compute + mem[i] * size as f64) * env.speed_div[i] + dispatch
+                });
+                dispatch_total += dispatch;
             }
             heap.max_finish()
         }
@@ -531,21 +533,26 @@ pub(crate) fn plan_tasks_with(
     let admin = costs::task_admin_ns();
     let starve = phase.starvation * costs::task_starvation_ns(machine, yielding);
 
+    let mem: Vec<f64> = (0..t)
+        .map(|i| {
+            mem_ns_per_iter(
+                AccessPattern::Streaming,
+                phase.bytes_per_task,
+                env,
+                machine,
+                0.0,
+                i,
+            )
+        })
+        .collect();
     let mut heap = FinishHeap::new(t);
     let mut mem_total = 0.0f64;
     for w in weights {
-        let (f, i) = heap.pop();
-        let mem = mem_ns_per_iter(
-            AccessPattern::Streaming,
-            phase.bytes_per_task,
-            env,
-            machine,
-            0.0,
-            i,
-        );
-        mem_total += mem * tasks_per_unit;
-        let per_task = base_task * w + mem + admin + starve;
-        heap.push(f + per_task * tasks_per_unit * env.speed_div[i], i);
+        heap.charge_earliest(|i| {
+            mem_total += mem[i] * tasks_per_unit;
+            let per_task = base_task * w + mem[i] + admin + starve;
+            per_task * tasks_per_unit * env.speed_div[i]
+        });
     }
     let compute_add = base_task * phase.n_tasks as f64 / t as f64;
     let memory_add = mem_total / t as f64;
@@ -1206,5 +1213,209 @@ mod tests {
         let r = simulate(Arch::A64fx, &cfg(Arch::A64fx, 48), &m, 0);
         // Only fork/wake/barrier overheads remain.
         assert!(r.total_ns < 1e6);
+    }
+
+    /// The earliest-free-thread heap as the retired loops drove it: one
+    /// push per thread, then a pop and a push per chunk or unit.
+    fn retired_heap(t: usize) -> BinaryHeap<Reverse<(u64, usize)>> {
+        let mut heap = BinaryHeap::with_capacity(t);
+        for i in 0..t {
+            heap.push(Reverse((0, i)));
+        }
+        heap
+    }
+
+    fn retired_max_finish(heap: BinaryHeap<Reverse<(u64, usize)>>) -> f64 {
+        heap.into_iter()
+            .map(|Reverse((bits, _))| f64::from_bits(bits))
+            .fold(0.0, f64::max)
+    }
+
+    /// `plan_loop_with`'s guided arm before the one-sift walk: pop, two
+    /// interpolations per chunk, push, `dispatch_ns` per chunk.
+    fn plan_guided_retired(
+        skeleton: &LoopSkeleton,
+        t: usize,
+        machine: &MachineDesc,
+        env: &ThreadEnv,
+        migration_sensitivity: f64,
+    ) -> PlannedRegion {
+        let LoopSkeleton { phase, prefix, .. } = skeleton;
+        if phase.iters == 0 {
+            return PlannedRegion::EMPTY;
+        }
+        let units = prefix.len() - 1;
+        let iters_per_unit = phase.iters as f64 / units as f64;
+        let mem: Vec<f64> = (0..t)
+            .map(|i| {
+                let (access, bytes) = (phase.access, phase.bytes_per_iter);
+                mem_ns_per_iter(access, bytes, env, machine, migration_sensitivity, i)
+            })
+            .collect();
+        let compute_between = |i0: f64, i1: f64| -> f64 {
+            let interp = |x: f64| -> f64 {
+                let pos = (x / iters_per_unit).clamp(0.0, units as f64);
+                let lo = pos.floor() as usize;
+                if lo >= units {
+                    return prefix[units];
+                }
+                prefix[lo] + (pos - lo as f64) * (prefix[lo + 1] - prefix[lo])
+            };
+            interp(i1) - interp(i0)
+        };
+        let mut dispatch_total = 0.0;
+        let mut heap = retired_heap(t);
+        let mut next = 0u64;
+        while next < phase.iters {
+            let size = chunk::guided_chunk(phase.iters - next, t as u64);
+            let Reverse((bits, i)) = heap.pop().unwrap();
+            let cost = (compute_between(next as f64, (next + size) as f64) + mem[i] * size as f64)
+                * env.speed_div[i]
+                + costs::dispatch_ns(t);
+            heap.push(Reverse(((f64::from_bits(bits) + cost).to_bits(), i)));
+            dispatch_total += costs::dispatch_ns(t);
+            next += size;
+        }
+        let span = retired_max_finish(heap);
+        PlannedRegion {
+            span: if env.bound {
+                span
+            } else {
+                span * costs::unbound_span_penalty(machine, env.load)
+            },
+            compute_add: prefix[units] / t as f64,
+            memory_add: mem[0] * phase.iters as f64 / t as f64,
+            dispatch_add: dispatch_total / t as f64,
+            empty: false,
+        }
+    }
+
+    /// `plan_tasks_with` before the one-sift walk: pop, one
+    /// `mem_ns_per_iter` per unit, push.
+    fn plan_tasks_retired(
+        skeleton: &TaskSkeleton,
+        t: usize,
+        yielding: bool,
+        machine: &MachineDesc,
+        env: &ThreadEnv,
+    ) -> PlannedRegion {
+        let TaskSkeleton { phase, weights } = skeleton;
+        if phase.n_tasks == 0 {
+            return PlannedRegion::EMPTY;
+        }
+        let tasks_per_unit = phase.n_tasks as f64 / weights.len() as f64;
+        let base_task = phase.cycles_per_task / machine.clock_ghz;
+        let admin = costs::task_admin_ns();
+        let starve = phase.starvation * costs::task_starvation_ns(machine, yielding);
+        let mut heap = retired_heap(t);
+        let mut mem_total = 0.0f64;
+        for w in weights {
+            let Reverse((bits, i)) = heap.pop().unwrap();
+            let streaming = AccessPattern::Streaming;
+            let mem = mem_ns_per_iter(streaming, phase.bytes_per_task, env, machine, 0.0, i);
+            mem_total += mem * tasks_per_unit;
+            let per_task = base_task * w + mem + admin + starve;
+            let finish = f64::from_bits(bits) + per_task * tasks_per_unit * env.speed_div[i];
+            heap.push(Reverse((finish.to_bits(), i)));
+        }
+        let span = retired_max_finish(heap);
+        PlannedRegion {
+            span: if env.bound {
+                span
+            } else {
+                span * costs::unbound_span_penalty(machine, env.load)
+            },
+            compute_add: base_task * phase.n_tasks as f64 / t as f64,
+            memory_add: mem_total / t as f64,
+            dispatch_add: (admin + starve) * phase.n_tasks as f64 / t as f64,
+            empty: false,
+        }
+    }
+
+    fn assert_same_bits(got: PlannedRegion, want: PlannedRegion) {
+        for (g, w) in [
+            (got.span, want.span),
+            (got.compute_add, want.compute_add),
+            (got.memory_add, want.memory_add),
+            (got.dispatch_add, want.dispatch_add),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{got:?} vs {want:?}");
+        }
+        assert_eq!(got.empty, want.empty);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-sift guided and task walks plan every region to the
+        /// bit the retired pop/push loops did, on unbound, bound and
+        /// oversubscribed (master-bound, or more threads than cores)
+        /// teams of every arch.
+        #[test]
+        fn one_sift_walks_match_the_retired_loops(
+            arch in prop_oneof![Just(Arch::A64fx), Just(Arch::Skylake), Just(Arch::Milan)],
+            t in 1usize..=128,
+            (size_class, raw_size) in (0u8..4, any::<u64>()),
+            (places, proc_bind) in (0usize..4, 0usize..6),
+            (shape, skew, cv) in (0u8..3, -2.0f64..2.0, 0.0f64..1.5),
+            (access, accesses) in (0u8..3, 0.5f64..8.0),
+            (cycles, bytes, starvation) in (1.0f64..10_000.0, 0.0f64..256.0, 0.0f64..1.0),
+            yielding in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let size = match size_class {
+                0 => 0,
+                1 => 1,
+                2 => raw_size % (2 * t as u64),
+                _ => raw_size % 8_000_001,
+            };
+            let imbalance = [
+                Imbalance::Uniform,
+                Imbalance::Linear { skew },
+                Imbalance::Random { cv },
+            ][shape as usize];
+            let access = [
+                AccessPattern::Streaming,
+                AccessPattern::RandomShared { accesses_per_iter: accesses },
+                AccessPattern::CacheResident,
+            ][access as usize];
+            let machine = machine_for(arch);
+            let topo = Topology::new(machine.clone());
+            let tuning = TuningConfig {
+                places: OmpPlaces::ALL[places],
+                proc_bind: OmpProcBind::ALL[proc_bind],
+                ..cfg(arch, t)
+            };
+            let env = thread_env(&Placement::compute(arch, &tuning), t, &topo);
+
+            let phase = LoopPhase {
+                iters: size,
+                cycles_per_iter: cycles,
+                bytes_per_iter: bytes,
+                access,
+                imbalance,
+                reductions: 0,
+            };
+            let skeleton = LoopSkeleton::new(&phase, &machine, seed);
+            assert_same_bits(
+                plan_loop_with(&skeleton, t, OmpSchedule::Guided, &machine, &env, 0.8),
+                plan_guided_retired(&skeleton, t, &machine, &env, 0.8),
+            );
+
+            let phase = TaskPhase {
+                n_tasks: size,
+                cycles_per_task: cycles,
+                cv,
+                starvation,
+                bytes_per_task: bytes,
+            };
+            let skeleton = TaskSkeleton::new(&phase, seed);
+            assert_same_bits(
+                plan_tasks_with(&skeleton, t, yielding, &machine, &env),
+                plan_tasks_retired(&skeleton, t, yielding, &machine, &env),
+            );
+        }
     }
 }

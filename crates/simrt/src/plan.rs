@@ -55,9 +55,9 @@ fn loop_class(schedule: OmpSchedule) -> usize {
     }
 }
 
-/// Everything planned under one placement: the thread environment and
-/// the write-once regions, filled by whichever projection needs one
-/// first and read by all the others.
+/// Everything planned under one thread environment (one or more
+/// placements): the environment and the write-once regions, filled by
+/// whichever projection needs one first and read by all the others.
 struct Placed {
     env: ThreadEnv,
     /// Per loop skeleton in (step, phase) order, by [`loop_class`].
@@ -101,8 +101,8 @@ impl Skeletons {
 }
 
 /// The planning work the projections of one `(arch, model, seed)` share:
-/// phase skeletons, and per placement the thread environment and the
-/// planned regions. Every stored value comes from the same expression
+/// phase skeletons, and per thread environment the planned regions.
+/// Every stored value comes from the same expression
 /// [`crate::exec::simulate_monolithic`] evaluates, so a plan assembled
 /// from it is bit-identical whichever projection computed each part.
 pub(crate) struct PlanShared {
@@ -114,10 +114,10 @@ pub(crate) struct PlanShared {
     /// Computed by the first build, so a cache that only ever answers
     /// from a warm sample cache (no builds) never pays for them.
     skeletons: OnceLock<Skeletons>,
-    /// Keyed by the computed placement itself (with the thread count an
-    /// unbound placement does not carry), so what distinguishes two
-    /// thread environments is decided in `omptune_core::placement`
-    /// alone. A handful of entries: searched, not hashed.
+    /// Looked up by the computed placement itself (with the thread count
+    /// an unbound placement does not carry); shared by thread
+    /// environment, so two placements whose threads land alike alias
+    /// one `Placed`. A handful of entries: searched, not hashed.
     placed: Mutex<Vec<(usize, Placement, Arc<Placed>)>>,
 }
 
@@ -159,32 +159,53 @@ impl PlanShared {
         if let Some((.., hit)) = placed.iter().find(|(n, p, _)| *n == t && *p == placement) {
             return Arc::clone(hit);
         }
-        let phases = || skeletons.steps.iter().flatten();
-        let fresh = Arc::new(Placed {
-            env: thread_env(&placement, t, &skeletons.topo),
-            loops: phases()
-                .filter(|s| matches!(s, Skeleton::Loop(_)))
-                .map(|_| Default::default())
-                .collect(),
-            tasks: phases()
-                .filter(|s| matches!(s, Skeleton::Tasks(_)))
-                .map(|_| Default::default())
-                .collect(),
-        });
-        placed.push((t, placement, Arc::clone(&fresh)));
-        fresh
+        // A new placement may still land every thread where an earlier
+        // one did: the planners read only the environment, so it shares
+        // that placement's regions.
+        let env = thread_env(&placement, t, &skeletons.topo);
+        let shared = match placed.iter().find(|(.., p)| p.env == env) {
+            Some((.., alike)) => Arc::clone(alike),
+            None => {
+                let phases = || skeletons.steps.iter().flatten();
+                Arc::new(Placed {
+                    env,
+                    loops: phases()
+                        .filter(|s| matches!(s, Skeleton::Loop(_)))
+                        .map(|_| Default::default())
+                        .collect(),
+                    tasks: phases()
+                        .filter(|s| matches!(s, Skeleton::Tasks(_)))
+                        .map(|_| Default::default())
+                        .collect(),
+                })
+            }
+        };
+        placed.push((t, placement, Arc::clone(&shared)));
+        shared
     }
 }
 
 #[cfg(test)]
 impl PlanShared {
+    /// The distinct thread environments so far: one `Placed` per
+    /// environment, however many placements alias it.
+    fn environments(&self) -> Vec<Arc<Placed>> {
+        let mut distinct: Vec<Arc<Placed>> = Vec::new();
+        for (.., p) in self.placed.lock().expect("plan memo poisoned").iter() {
+            if !distinct.iter().any(|d| Arc::ptr_eq(d, p)) {
+                distinct.push(Arc::clone(p));
+            }
+        }
+        distinct
+    }
+
     /// How many regions have actually been planned so far, per
-    /// (step, phase) slot, summed over placements and classes.
+    /// (step, phase) slot, summed over environments and classes.
     fn planned_per_slot(&self) -> Vec<usize> {
         fn filled(slots: &[OnceLock<PlannedRegion>]) -> usize {
             slots.iter().filter(|region| region.get().is_some()).count()
         }
-        let placed = self.placed.lock().expect("plan memo poisoned");
+        let placed = self.environments();
         let skeletons = self.skeletons.get().expect("nothing built yet");
         let (mut li, mut ti) = (0, 0);
         let phases = skeletons.steps.iter().flatten();
@@ -193,11 +214,11 @@ impl PlanShared {
                 Skeleton::Serial { .. } => 0,
                 Skeleton::Loop(_) => {
                     li += 1;
-                    placed.iter().map(|(.., p)| filled(&p.loops[li - 1])).sum()
+                    placed.iter().map(|p| filled(&p.loops[li - 1])).sum()
                 }
                 Skeleton::Tasks(_) => {
                     ti += 1;
-                    placed.iter().map(|(.., p)| filled(&p.tasks[ti - 1])).sum()
+                    placed.iter().map(|p| filled(&p.tasks[ti - 1])).sum()
                 }
             })
             .collect()
@@ -1074,7 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn full_projection_pass_plans_each_region_class_once_per_placement() {
+    fn full_projection_pass_plans_each_region_class_once_per_thread_environment() {
         let _tel = crate::tel_shared();
         let m = mixed_model();
         let cache = PlanCache::new(Arch::Milan, &m, 4);
@@ -1085,20 +1106,52 @@ mod tests {
         // here (unbound; master, close and spread on each of 3 place
         // granularities, less 2 because close and spread assign alike
         // when 24 threads divide evenly over 12 LLC groups or 2
-        // sockets). x 3 schedule classes per loop phase, x 2 libraries
-        // per task phase, on the cold and the warm step: 192 builds
-        // consumed 80 planned regions, not 768. In general at most 10
-        // placements, so at most 30 and 20 per phase.
+        // sockets), and those land threads in 7 distinct environments:
+        // master on a 48-core socket puts thread i on core i, as close
+        // on cores does. x 3 schedule classes per loop phase, x 2
+        // libraries per task phase, on the cold and the warm step: 192
+        // builds consumed 70 planned regions, not 768. In general at
+        // most 10 placements, so at most 30 and 20 per phase.
         assert_eq!(cache.shared.placed.lock().unwrap().len(), 8);
-        assert_eq!(cache.shared.planned_per_slot(), [24, 0, 16, 24, 0, 16]);
+        assert_eq!(cache.shared.environments().len(), 7);
+        assert_eq!(cache.shared.planned_per_slot(), [21, 0, 14, 21, 0, 14]);
         // 5 threads on 12 LLC groups tell close from spread again; two
-        // sockets never do.
+        // sockets never do. Master on an 8-core LLC group, like master
+        // on a socket, puts thread i on core i.
         let cache = PlanCache::new(Arch::Milan, &m, 4);
         for projection in all_projections(5) {
             cache.build(projection, &m);
         }
         assert_eq!(cache.shared.placed.lock().unwrap().len(), 9);
-        assert_eq!(cache.shared.planned_per_slot(), [27, 0, 18, 27, 0, 18]);
+        assert_eq!(cache.shared.environments().len(), 7);
+        assert_eq!(cache.shared.planned_per_slot(), [21, 0, 14, 21, 0, 14]);
+    }
+
+    #[test]
+    fn placements_that_land_alike_share_one_placed() {
+        let _tel = crate::tel_shared();
+        let m = mixed_model();
+        let arch = Arch::Milan;
+        let cache = PlanCache::new(arch, &m, 4);
+        let of = |places, proc_bind| TuningConfig {
+            places,
+            proc_bind,
+            schedule: OmpSchedule::Guided,
+            ..TuningConfig::default_for(arch, 24)
+        };
+        let master = of(OmpPlaces::Sockets, OmpProcBind::Master);
+        let close = of(OmpPlaces::Cores, OmpProcBind::Close);
+        assert_ne!(
+            Placement::compute(arch, &master),
+            Placement::compute(arch, &close)
+        );
+        let (a, b) = (cache.plan(&master, &m), cache.plan(&close, &m));
+        assert!(Arc::ptr_eq(&a.placed, &b.placed));
+        assert_eq!(cache.len(), 2);
+        for c in [master, close] {
+            let cached = simulate_with_cache(arch, &c, &m, 4, &cache);
+            assert_bit_equal(&cached, &simulate_monolithic(arch, &c, &m, 4), "aliased");
+        }
     }
 
     /// A model from generated phase descriptors: `kind` picks the phase
