@@ -1,27 +1,22 @@
 //! `bench-diff` — compare a fresh `BENCH_*.json` against a committed
-//! baseline and fail on regression beyond a noise band.
+//! baseline and fail on a timing regression beyond a noise band.
 //!
 //! Both files are flat JSON objects of numbers (plus identifying
-//! strings). Keys are classified by name: `*_s` and `*_overhead` are
-//! lower-is-better timings, `*speedup*` keys are higher-is-better;
-//! counting keys (`samples`, `*_hits`, `*_misses`, `workers`) are
-//! informational and only reported. A timing may grow (or a speedup
-//! shrink) by at most the noise band factor before the comparison
-//! fails. Missing-in-either keys are reported but never fatal, so the
-//! baseline format can evolve.
-//!
-//! When both files carry per-repetition arrays (`<key>_reps`, as
-//! `sweep_warmcold` writes), a band violation is additionally put to
-//! the Wilcoxon signed-rank test: a regression whose paired reps are
-//! not significantly worse (p ≥ 0.05) is reported as **within noise**
-//! and does not fail the gate — one cold outlier repetition should not
-//! block a merge. Without reps the band alone decides, conservatively.
+//! strings). What is gated is a *series*: a scalar `<key>` whose baseline
+//! carries its repetitions as `<key>_reps`, as every `Series` a bench
+//! publishes does. Lower is better. A series may grow by the band factor;
+//! past it, its paired reps are put to the Wilcoxon signed-rank test, and
+//! only reps that are significantly worse (p < 0.05) fail the gate — one
+//! cold outlier repetition does not block a merge. Every other scalar
+//! (counts, rates, quotients of two series) is reported as `info` and
+//! never fails. Missing-in-either keys are reported but never fatal, so
+//! the baseline format can evolve.
 //!
 //! A *missing* baseline is not a failure: the current results are
 //! seeded as the new baseline (and recorded into the run registry so
 //! the trail starts at the same point), `BASELINE-SEEDED` is printed
-//! along with every series the new baseline froze (and how each will
-//! be gated), and the gate passes — the first run of a new bench
+//! along with every key the new baseline froze, gated or informational,
+//! and the gate passes — the first run of a new bench
 //! self-initialises instead of forcing a manual bootstrap step.
 
 use mlstats::wilcoxon::{wilcoxon_signed_rank, WilcoxonError};
@@ -37,9 +32,10 @@ USAGE:
 
 OPTIONS:
     --baseline PATH  committed reference BENCH_*.json (required)
-    --band FACTOR    allowed regression factor (default: 1.5); a timing
-                     may be at most FACTOR x the baseline, a speedup at
-                     least baseline / FACTOR
+    --band FACTOR    allowed regression factor (default: 1.5); a series
+                     (a key with a `_reps` array) may be at most FACTOR x
+                     the baseline before its reps are tested; every other
+                     key is informational
     -h, --help       print this help
 
 EXIT CODES:
@@ -62,22 +58,6 @@ const ALPHA: f64 = 0.05;
 fn load(path: &str) -> Result<BenchCore, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     BenchCore::from_bench_json(&bench_name(path), &text).map_err(|e| format!("{path}: {e}"))
-}
-
-enum Direction {
-    LowerBetter,
-    HigherBetter,
-    Info,
-}
-
-fn classify(key: &str) -> Direction {
-    if key.ends_with("_s") || key.ends_with("_overhead") {
-        Direction::LowerBetter
-    } else if key.contains("speedup") {
-        Direction::HigherBetter
-    } else {
-        Direction::Info
-    }
 }
 
 /// Wilcoxon verdict for one band violation: `Some(p)` when both sides
@@ -108,7 +88,7 @@ fn bench_name(path: &str) -> String {
 /// First run against a bench with no committed baseline: adopt the
 /// current (already-validated) results as the baseline and register
 /// them so the longitudinal trail starts here.
-fn seed_baseline(base_path: &str, cur_path: &str, doc: &BenchCore) -> Result<u8, String> {
+fn seed_baseline(base_path: &str, cur_path: &str, doc: &BenchCore) -> Result<(u8, String), String> {
     std::fs::copy(cur_path, base_path)
         .map_err(|e| format!("seeding {base_path} from {cur_path}: {e}"))?;
     let registry_dir = sweep::registry::env_registry_dir().unwrap_or_else(|| {
@@ -131,29 +111,23 @@ fn seed_baseline(base_path: &str, cur_path: &str, doc: &BenchCore) -> Result<u8,
         },
         Err(e) => eprintln!("bench-diff: re-reading {cur_path}: {e}"),
     }
-    println!("BASELINE-SEEDED: {base_path} adopted from {cur_path}");
+    let mut report = format!("BASELINE-SEEDED: {base_path} adopted from {cur_path}\n");
     // Enumerate what the future gate will actually compare, so the
     // first-run log records which series the baseline froze — a later
     // "where did this gated key come from" has its answer in CI history.
     for (key, bits) in &doc.scalars {
-        let value = f64::from_bits(*bits);
-        let dir = match classify(key) {
-            Direction::LowerBetter => "lower-better",
-            Direction::HigherBetter => "higher-better",
-            Direction::Info => "informational",
+        let how = match doc.reps_of(key) {
+            Some(reps) => format!("gated ({} reps)", reps.len()),
+            None => "informational".to_string(),
         };
-        let reps = doc
-            .reps_of(key)
-            .map(|r| format!(", {} reps", r.len()))
-            .unwrap_or_default();
-        println!("  seeded {key} = {value} ({dir}{reps})");
+        report += &format!("  seeded {key} = {}: {how}\n", f64::from_bits(*bits));
     }
-    println!(
-        "  {} series seeded ({} with per-repetition arrays)",
+    report += &format!(
+        "  {} keys seeded, {} of them gated\n",
         doc.scalars.len(),
         doc.reps.len()
     );
-    Ok(EXIT_OK)
+    Ok((EXIT_OK, report))
 }
 
 /// The baseline path, the current path and the band.
@@ -178,15 +152,22 @@ fn parse(mut args: Args) -> Result<(String, String, f64), Error> {
 fn main() -> ExitCode {
     cli::run("bench-diff", HELP, |args| {
         let (base, current, band) = parse(args)?;
-        Ok(gate(&base, &current, band).unwrap_or_else(|e| {
-            eprintln!("bench-diff: {e}");
-            EXIT_BAD_INPUT
-        }))
+        Ok(match gate(&base, &current, band) {
+            Ok((code, report)) => {
+                print!("{report}");
+                code
+            }
+            Err(e) => {
+                eprintln!("bench-diff: {e}");
+                EXIT_BAD_INPUT
+            }
+        })
     })
 }
 
-/// The gate's verdict code, or why an input could not be read.
-fn gate(base_path: &str, cur_path: &str, band: f64) -> Result<u8, String> {
+/// The gate's verdict code and its report, or why an input could not be
+/// read.
+fn gate(base_path: &str, cur_path: &str, band: f64) -> Result<(u8, String), String> {
     let cur = load(cur_path).map_err(|e| format!("current results unusable: {e}"))?;
     if !std::path::Path::new(base_path).exists() {
         return seed_baseline(base_path, cur_path, &cur);
@@ -196,48 +177,40 @@ fn gate(base_path: &str, cur_path: &str, band: f64) -> Result<u8, String> {
     })?;
 
     let mut failures = 0usize;
-    println!("bench-diff: {cur_path} vs baseline {base_path} (band {band:.2}x)");
+    let mut report = format!("bench-diff: {cur_path} vs baseline {base_path} (band {band:.2}x)\n");
     for (key, bits) in &base.scalars {
         let b = f64::from_bits(*bits);
         let Some(c) = cur.scalar(key) else {
-            println!("  {key:<22} missing in current (baseline {b})");
+            report += &format!("  {key:<22} missing in current (baseline {b})\n");
             continue;
         };
         let ratio = if b != 0.0 { c / b } else { f64::INFINITY };
-        let over_band = match classify(key) {
-            Direction::LowerBetter => ratio > band,
-            Direction::HigherBetter => ratio < 1.0 / band,
-            Direction::Info => false,
-        };
-        let (verdict, bad) = if !over_band {
-            let label = match classify(key) {
-                Direction::Info => "info",
-                _ => "ok",
-            };
-            (label.to_string(), false)
+        let verdict = if base.reps_of(key).is_none() {
+            "info".to_string()
+        } else if ratio <= band {
+            "ok".to_string()
         } else {
             match significance(&base, &cur, key) {
-                Some(p) if p < ALPHA => (format!("REGRESSED (p={p:.4})"), true),
-                Some(p) => (format!("within noise (p={p:.4})"), false),
-                None => ("REGRESSED".to_string(), true),
+                Some(p) if p >= ALPHA => format!("within noise (p={p:.4})"),
+                p => {
+                    failures += 1;
+                    p.map_or("REGRESSED".to_string(), |p| format!("REGRESSED (p={p:.4})"))
+                }
             }
         };
-        println!("  {key:<22} {b:>12.6} -> {c:>12.6} ({ratio:.3}x) {verdict}");
-        if bad {
-            failures += 1;
-        }
+        report += &format!("  {key:<22} {b:>14} -> {c:>14} ({ratio:.3}x) {verdict}\n");
     }
     for (key, bits) in &cur.scalars {
         if base.scalar(key).is_none() {
-            println!("  {key:<22} new in current ({})", f64::from_bits(*bits));
+            report += &format!("  {key:<22} new in current ({})\n", f64::from_bits(*bits));
         }
     }
     if failures > 0 {
-        eprintln!("bench-diff: FAIL: {failures} metric(s) regressed beyond {band:.2}x");
-        return Ok(EXIT_REGRESSION);
+        eprintln!("bench-diff: FAIL: {failures} series regressed beyond {band:.2}x");
+        return Ok((EXIT_REGRESSION, report));
     }
-    println!("bench-diff: PASS");
-    Ok(EXIT_OK)
+    report += "bench-diff: PASS\n";
+    Ok((EXIT_OK, report))
 }
 
 #[cfg(test)]
@@ -251,5 +224,86 @@ mod tests {
             " | fresh.json | --baseline BENCH_x.json | --baseline a b c \
              | --baseline a b --band 0.5 | --baseline a b --band | --baseline a b --frob",
         );
+    }
+
+    /// A document with one series (`cold_s`, seven reps around `series`)
+    /// and two scalars without reps.
+    fn doc(series: f64, warm_speedup: f64, tax_s: f64) -> String {
+        let reps: Vec<String> = [1.0, 1.02, 0.99, 1.01, 1.03, 1.0, 0.98]
+            .iter()
+            .map(|r| (r * series).to_string())
+            .collect();
+        format!(
+            "{{\"bench\": \"x\", \"cold_s\": {series}, \"warm_speedup\": {warm_speedup}, \
+             \"tax_s\": {tax_s}, \"cold_s_reps\": [{}]}}",
+            reps.join(", ")
+        )
+    }
+
+    #[test]
+    fn only_a_series_whose_reps_are_significantly_worse_fails_the_gate() {
+        let dir = std::env::temp_dir().join(format!("bench-diff-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = doc(0.1, 26.75, 0.002);
+        // (case, baseline, current, exit code, key, verdict on its line)
+        let cases = [
+            (
+                "every rep of a series at 3x",
+                Some(&base),
+                doc(0.3, 26.75, 0.002),
+                1,
+                "cold_s",
+                "REGRESSED (p=",
+            ),
+            (
+                "a quotient halved, the series unchanged",
+                Some(&base),
+                doc(0.1, 13.375, 0.002),
+                0,
+                "warm_speedup",
+                "info",
+            ),
+            (
+                "a `_s` scalar without reps at 3x",
+                Some(&base),
+                doc(0.1, 26.75, 0.006),
+                0,
+                "tax_s",
+                "info",
+            ),
+            (
+                "no baseline",
+                None,
+                doc(0.1, 26.75, 0.002),
+                0,
+                "BASELINE-SEEDED:",
+                "adopted",
+            ),
+            (
+                "no baseline, the listing",
+                None,
+                doc(0.1, 26.75, 0.002),
+                0,
+                "seeded cold_s",
+                "gated (7 reps)",
+            ),
+        ];
+        for (i, (case, baseline, current, exit, key, verdict)) in cases.into_iter().enumerate() {
+            let (base_path, cur_path) =
+                (dir.join(format!("BENCH_{i}.json")), dir.join("fresh.json"));
+            if let Some(text) = baseline {
+                std::fs::write(&base_path, text).unwrap();
+            }
+            std::fs::write(&cur_path, current).unwrap();
+            let (code, report) =
+                super::gate(base_path.to_str().unwrap(), cur_path.to_str().unwrap(), 2.0).unwrap();
+            assert_eq!(code, exit, "{case}:\n{report}");
+            let line = report.lines().find(|l| l.trim_start().starts_with(key));
+            assert!(
+                line.is_some_and(|l| l.contains(verdict)),
+                "{case}: no `{key} … {verdict}` line in\n{report}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

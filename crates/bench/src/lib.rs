@@ -86,10 +86,10 @@ impl Series {
     }
 }
 
-/// The flat `BENCH_*.json` document: identifying text, counts, seconds
+/// The flat `BENCH_*.json` document: identifying text, counts, series
 /// and ratios in the order given, then one `<key>_reps` array per series.
-/// Key names carry the gate (`bench-diff`'s `classify`): `*_s` and
-/// `*_overhead` may not grow, `*speedup*` may not shrink.
+/// `bench-diff` gates a series (lower is better) and reports every other
+/// scalar as information.
 pub struct BenchDoc {
     bench: &'static str,
     scalars: String,
@@ -122,22 +122,18 @@ impl BenchDoc {
         self.scalar(key, format_args!("{value}"))
     }
 
-    pub fn seconds(&mut self, key: &str, value: f64) -> &mut Self {
-        self.scalar(key, format_args!("{value:.9}"))
-    }
-
     pub fn ratio(&mut self, key: &str, value: f64) -> &mut Self {
         self.scalar(key, format_args!("{value:.3}"))
     }
 
-    /// A timed series: `key` is the statistic the bench gates on
+    /// A timed series: `key` is the statistic the bench reports
     /// (`series.best()` or `series.median()`), `<key>_reps` every
     /// repetition, which `bench-diff` puts to the Wilcoxon test.
     pub fn series(&mut self, key: &str, value: f64, series: &Series) -> &mut Self {
-        let inner: Vec<String> = series.reps.iter().map(|t| format!("{t:.9}")).collect();
+        let inner: Vec<String> = series.reps.iter().map(|&t| fixed(t)).collect();
         write!(self.reps, ",\n  \"{key}_reps\": [{}]", inner.join(", "))
             .expect("write to a String");
-        self.seconds(key, value)
+        self.scalar(key, format_args!("{}", fixed(value)))
     }
 
     pub fn to_json(&self) -> String {
@@ -151,6 +147,14 @@ impl BenchDoc {
             publish_bench(self.bench, file, &self.to_json());
         }
     }
+}
+
+/// A timing as positional text: nine decimals, and more below a
+/// millisecond, so a per-unit cost of nanoseconds keeps six significant
+/// digits.
+fn fixed(t: f64) -> String {
+    let decimals = (5.0 - t.log10().floor()).clamp(9.0, 17.0) as usize;
+    format!("{t:.decimals$}")
 }
 
 /// Publish one bench's results: write `json` to `BENCH_OUT` (default:
@@ -187,14 +191,20 @@ mod tests {
         doc.text("scope", "Strided(\"7\")")
             .count("samples", 9090)
             .series("warm_s", warm.best(), &warm)
+            .series("span_s", 4.52e-8, &warm.scaled(1e-5))
             .ratio("warm_speedup", 26.7512);
         let json = doc.to_json();
         assert!(json.starts_with("{\n  \"bench\": \"demo\",\n  \"scope\": "));
-        assert!(json.ends_with("\n  \"warm_s_reps\": [0.003000000, 0.001000000, 0.002000000]\n}\n"));
+        assert!(json.contains("\n  \"warm_s_reps\": [0.003000000, 0.001000000, 0.002000000],\n"));
+        assert!(json.contains("\n  \"span_s\": 0.0000000452000,\n"));
+        assert!(json.ends_with(
+            "\n  \"span_s_reps\": [0.0000000300000, 0.0000000100000, 0.0000000200000]\n}\n"
+        ));
         let core = sweep::BenchCore::from_bench_json("demo", &json).expect("parses");
         assert_eq!(core.scalar("samples"), Some(9090.0));
         assert_eq!(core.scalar("warm_s"), Some(0.001));
         assert_eq!(core.scalar("warm_speedup"), Some(26.751));
         assert_eq!(core.reps_of("warm_s"), Some(vec![0.003, 0.001, 0.002]));
+        assert_eq!(core.scalar("span_s"), Some(4.52e-8));
     }
 }

@@ -47,8 +47,8 @@ pub const STRATA: usize = 8;
 /// points positionally (tail-aligned, like ring files), so the tail is
 /// the comparable region; capping it keeps record building — and the
 /// record's serialized footprint, which the append path hashes and
-/// writes on every run — inside the warm sweep's ≤1.05x overhead
-/// budget at paper scale.
+/// writes on every run — a fixed cost per run, whatever the sweep's
+/// scale.
 pub const SERIES_RETAIN: usize = 16;
 
 const KIND_COLLECT: u64 = 0;
@@ -224,8 +224,9 @@ pub struct BatchPartial {
 
 impl BatchPartial {
     /// Fold one batch. Per-sample work is a handful of integer adds
-    /// over L1-resident arrays, so attaching this as a batch observer
-    /// keeps record building inside the warm sweep's overhead budget.
+    /// over L1-resident arrays (the `registry_fold_s` series of
+    /// `BENCH_sweep.json` times it), cheap enough to run as a batch
+    /// observer on every sweep.
     pub fn fold(data: &SettingData) -> BatchPartial {
         let mut p = BatchPartial {
             samples: 0,
