@@ -2,9 +2,9 @@
 //! it costs — the executable counterpart of the simulator's model, one
 //! timed series per choice DESIGN.md calls out:
 //!
-//! - `barrier_{central,tree}_t{2,4}_s` — 16 barrier episodes in one
-//!   region, per algorithm and team size;
-//! - `reduction_{tree,critical,atomic}_s` — one 4-thread reduction (the
+//! - `barrier_{central,tree}_s` — 16 barrier episodes in one region,
+//!   per algorithm;
+//! - `reduction_{tree,critical,atomic}_s` — one team-wide reduction (the
 //!   `KMP_FORCE_REDUCTION` choice), result asserted every iteration;
 //! - `wait_{active_spin,active_yield,spin_then_sleep,passive}_s` — 8
 //!   empty regions back to back: the region-to-region turnaround the
@@ -23,9 +23,11 @@
 //!
 //! Every series is seconds per iteration over 7 passes, each pass sized
 //! by [`Series::per_iteration`]; the four `*_overhead` ratios compare an
-//! observed state with its idle one. On a host with fewer cores than a
-//! team (`threads` in the document) the spinning policies measure the
-//! scheduler's timeslice, not the algorithm — compare like with like.
+//! observed state with its idle one. Every team is the host's
+//! parallelism capped at 4 (`team` in the document, beside `threads`),
+//! so no spinning thread waits for a core, and each series group's pool
+//! is dropped before the next group starts. A team larger than the host
+//! would time the scheduler's timeslice, not the runtime.
 //! Results go to `BENCH_runtime.json` at the repo root (override with
 //! `BENCH_OUT`) for `bench-diff`.
 //!
@@ -85,8 +87,12 @@ fn main() {
     };
     let mut doc = BenchDoc::new("runtime_ablation");
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let team = threads.min(4);
     doc.count("threads", threads as u64);
-    println!("runtime_ablation: {threads} hardware threads, {passes} passes per series");
+    doc.count("team", team as u64);
+    println!(
+        "runtime_ablation: {threads} hardware threads, teams of {team}, {passes} passes per series"
+    );
     let mut timed = |key: &str, iteration: &mut dyn FnMut()| {
         let series = Series::per_iteration(passes, budget_s, iteration);
         println!("  {key:<24} {:>12.0} ns/iter", series.best() * 1e9);
@@ -94,14 +100,16 @@ fn main() {
         series.best()
     };
 
-    for team in [2usize, 4] {
+    // Each series group owns its pool, dropped before the next one
+    // starts, so no spinning team outlives the series it was made for.
+    {
         let pool = ThreadPool::new(team, SPIN);
         let barriers: [(&str, Box<dyn Barrier>); 2] = [
             ("central", Box::new(CentralBarrier::new(team))),
             ("tree", Box::new(TreeBarrier::new(team, 2))),
         ];
         for (name, barrier) in &barriers {
-            timed(&format!("barrier_{name}_t{team}_s"), &mut || {
+            timed(&format!("barrier_{name}_s"), &mut || {
                 pool.parallel(|ctx| {
                     for _ in 0..16 {
                         barrier.wait(ctx.thread_num);
@@ -111,21 +119,25 @@ fn main() {
         }
     }
 
-    let pool = ThreadPool::new(4, SPIN);
-    for (name, method) in [
-        ("tree", ReductionMethod::Tree),
-        ("critical", ReductionMethod::Critical),
-        ("atomic", ReductionMethod::Atomic),
-    ] {
-        let barrier = CentralBarrier::new(4);
-        timed(&format!("reduction_{name}_s"), &mut || {
-            let reducer = Reducer::new(4, method);
-            pool.parallel(|ctx| {
-                reducer.combine(ctx.thread_num, ctx.thread_num as f64, &barrier);
-                barrier.wait(ctx.thread_num);
+    {
+        let pool = ThreadPool::new(team, SPIN);
+        // Thread i contributes i.
+        let expect = (team * (team - 1) / 2) as f64;
+        for (name, method) in [
+            ("tree", ReductionMethod::Tree),
+            ("critical", ReductionMethod::Critical),
+            ("atomic", ReductionMethod::Atomic),
+        ] {
+            let barrier = CentralBarrier::new(team);
+            timed(&format!("reduction_{name}_s"), &mut || {
+                let reducer = Reducer::new(team, method);
+                pool.parallel(|ctx| {
+                    reducer.combine(ctx.thread_num, ctx.thread_num as f64, &barrier);
+                    barrier.wait(ctx.thread_num);
+                });
+                assert_eq!(reducer.result(), expect);
             });
-            assert_eq!(reducer.result(), 6.0);
-        });
+        }
     }
 
     for (name, policy) in [
@@ -140,7 +152,7 @@ fn main() {
         ),
         ("passive", WaitPolicy::Passive),
     ] {
-        let pool = ThreadPool::new(4, policy);
+        let pool = ThreadPool::new(team, policy);
         timed(&format!("wait_{name}_s"), &mut || {
             for _ in 0..8 {
                 pool.parallel(|_| {
@@ -150,41 +162,48 @@ fn main() {
         });
     }
 
-    type Work = fn(usize) -> u64;
-    for (shape, work) in [("skewed", skewed_work as Work), ("uniform", uniform_work)] {
-        for (name, schedule) in [
-            ("static", OmpSchedule::Static),
-            ("dynamic", OmpSchedule::Dynamic),
-            ("guided", OmpSchedule::Guided),
-        ] {
-            timed(&format!("{shape}_{name}_s"), &mut || {
-                let sink = AtomicU64::new(0);
-                parallel_for(&pool, schedule, SCHEDULED, |i| {
-                    sink.fetch_add(work(i) & 1, Ordering::Relaxed);
+    {
+        let pool = ThreadPool::new(team, SPIN);
+        type Work = fn(usize) -> u64;
+        for (shape, work) in [("skewed", skewed_work as Work), ("uniform", uniform_work)] {
+            for (name, schedule) in [
+                ("static", OmpSchedule::Static),
+                ("dynamic", OmpSchedule::Dynamic),
+                ("guided", OmpSchedule::Guided),
+            ] {
+                timed(&format!("{shape}_{name}_s"), &mut || {
+                    let sink = AtomicU64::new(0);
+                    parallel_for(&pool, schedule, SCHEDULED, |i| {
+                        sink.fetch_add(work(i) & 1, Ordering::Relaxed);
+                    });
+                    black_box(sink.into_inner());
                 });
-                black_box(sink.into_inner());
-            });
+            }
         }
     }
 
-    let idle = timed("real_idle_s", &mut || real_workload(&pool));
-    let collecting = timed("real_collecting_s", &mut || {
-        let session = omptel::session().expect("exclusive session");
-        real_workload(&pool);
-        black_box(session.finish().regions.len());
-    });
-    let tracing = timed("real_tracing_s", &mut || {
-        let session = trace::session();
-        real_workload(&pool);
-        black_box(session.finish().len());
-    });
-    let checking = timed("real_checking_s", &mut || {
-        let session = trace::session();
-        real_workload(&pool);
-        let report = omplint::check_trace(&session.finish());
-        assert!(report.is_clean(), "the traced workload must certify clean");
-        black_box(report.stats.events);
-    });
+    let (idle, collecting, tracing, checking) = {
+        let pool = ThreadPool::new(team, SPIN);
+        let idle = timed("real_idle_s", &mut || real_workload(&pool));
+        let collecting = timed("real_collecting_s", &mut || {
+            let session = omptel::session().expect("exclusive session");
+            real_workload(&pool);
+            black_box(session.finish().regions.len());
+        });
+        let tracing = timed("real_tracing_s", &mut || {
+            let session = trace::session();
+            real_workload(&pool);
+            black_box(session.finish().len());
+        });
+        let checking = timed("real_checking_s", &mut || {
+            let session = trace::session();
+            real_workload(&pool);
+            let report = omplint::check_trace(&session.finish());
+            assert!(report.is_clean(), "the traced workload must certify clean");
+            black_box(report.stats.events);
+        });
+        (idle, collecting, tracing, checking)
+    };
 
     let app = workloads::app("cg").expect("cg registered");
     let setting = workloads::Setting {

@@ -787,7 +787,6 @@ pub fn bisect(
         workers: workers.max(1),
         cache,
         perturb: None,
-        watchdog: None,
     });
     let replay_hash = RunCore::Collect(core).hash();
     Ok(Bisect {

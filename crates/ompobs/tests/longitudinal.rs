@@ -27,7 +27,6 @@ fn swept_core(perturb: Option<(Arch, f64)>) -> CollectCore {
         workers: 2,
         cache: None,
         perturb,
-        watchdog: None,
     })
 }
 

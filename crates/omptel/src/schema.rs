@@ -68,7 +68,8 @@ pub enum Counter {
     /// when a recording finishes).
     TraceDropped,
     /// Scheduling-unit config groups priced through the batch pricing
-    /// path (one per shared-plan miss group, both fast and slow path).
+    /// path (one per shared-plan miss group; a sample priced on its own,
+    /// under the flight recorder or the watchdog, is a group of one).
     PricedBatches,
     /// Stale temporary cache files reaped when a `SampleCache` opened.
     SampleCacheTmpReaped,

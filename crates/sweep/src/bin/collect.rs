@@ -483,7 +483,6 @@ fn collect(cli: Cli) -> std::io::Result<()> {
         workers: cli.workers,
         cache: cache.as_ref(),
         perturb: cli.perturb,
-        watchdog: recorder.as_ref().map(|(_, w, _)| &**w),
     };
     let done = sweep::collect::run(
         &job,
@@ -603,7 +602,6 @@ mod tests {
             workers: 1,
             cache: None,
             perturb: None,
-            watchdog: None,
         };
         let dir = std::env::temp_dir().join(format!("collect-routes-{}", std::process::id()));
         sweep::collect::run(&job, &dir, None, &state.run, &mut ()).unwrap();

@@ -3,8 +3,8 @@
 //!
 //! A sample's identity is
 //! `(engine version, arch, app, setting, config fingerprint, seed)` —
-//! exactly the inputs [`crate::runner::run_config_sim`] is a pure
-//! function of (the noise stream is identity-derived, so `config_index`
+//! exactly the inputs a simulated sample
+//! ([`crate::runner::sample_from_sim`]) is a pure function of (the noise stream is identity-derived, so `config_index`
 //! is pinned by the configuration and the setting). Every float is
 //! stored as its IEEE-754 bit pattern (`f64::to_bits`) so cached samples
 //! are **byte-identical** to recomputed ones — NaN failure-injected

@@ -31,8 +31,6 @@ pub struct Job<'a> {
     pub cache: Option<&'a SampleCache>,
     /// `--perturb ARCH:FACTOR`, the sentinel's fault injection.
     pub perturb: Option<(Arch, f64)>,
-    /// `--trace`'s anomaly watchdog.
-    pub watchdog: Option<&'a omptel::Watchdog>,
 }
 
 /// Modeled energy an architecture's cleaned samples cost.
@@ -236,9 +234,6 @@ fn sweep_arch(
         .with_batch_observer(&observer);
     if let Some(c) = job.cache {
         opts = opts.with_cache(c);
-    }
-    if let Some(w) = job.watchdog {
-        opts = opts.with_watchdog(w);
     }
     let t0 = Instant::now();
     let outcome = sweep_arch_scheduled(arch, spec, &opts);

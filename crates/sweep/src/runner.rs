@@ -208,27 +208,11 @@ fn failure_roll(seed: u64, stream: u64, rep: u32) -> f64 {
     (omptune_core::splitmix64(z) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Simulate one configuration's repetitions against a prebuilt model,
-/// through the batch's plan cache. Repetitions hit by the failure model
-/// record `NaN` ("the job died"), to be dropped by the cleaning pass.
-pub(crate) fn run_config_sim(
-    key: &RunKey,
-    model: &simrt::Model,
-    config: &TuningConfig,
-    config_index: usize,
-    spec: &SweepSpec,
-    noise: &NoiseModel,
-    plans: &simrt::PlanCache,
-) -> (Vec<f64>, SampleTelemetry) {
-    let sim = simrt::simulate_with_cache(key.arch, config, model, spec.seed, plans);
-    sample_from_sim(key, &sim, config, config_index, spec, noise)
-}
-
 /// Turn one simulation result into a sample: telemetry plus noised
-/// (and failure-injected) repetition times. Split out of
-/// [`run_config_sim`] so the scheduler's batched pricing path applies
-/// the identical post-processing to [`simrt::RegionPlan::price_batch`]
-/// output.
+/// (and failure-injected) repetition times. Repetitions hit by the
+/// failure model record `NaN` ("the job died"), to be dropped by the
+/// cleaning pass. The sequential [`sweep_setting`] and the scheduler's
+/// batch pricing both end here, so their samples agree bit for bit.
 pub(crate) fn sample_from_sim(
     key: &RunKey,
     sim: &simrt::SimResult,
@@ -288,7 +272,8 @@ pub fn sweep_setting(
     let model = model_of(app, &key);
     let plans = simrt::PlanCache::new(arch, &model, spec.seed);
     let run_config = |config: &TuningConfig, config_index: usize| {
-        run_config_sim(&key, &model, config, config_index, spec, &noise, &plans)
+        let sim = simrt::simulate_with_cache(arch, config, &model, spec.seed, &plans);
+        sample_from_sim(&key, &sim, config, config_index, spec, &noise)
     };
 
     let samples: Vec<RawSample> = configs

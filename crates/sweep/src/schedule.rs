@@ -1,14 +1,12 @@
 //! Work-stealing sweep scheduler: fine-grained `(app, setting,
 //! config-chunk)` units over per-worker deques.
 //!
-//! The old parallel runner split whole `(app, setting)` batches across
-//! workers, which load-balances badly once a sample cache makes some
-//! batches nearly free: a worker stuck with the last cold batch runs
-//! alone while the rest idle. Here every batch is cut into chunks of at
-//! most [`UNIT_CONFIGS`] configurations (plus one unit for the default
-//! row); each worker starts with a contiguous stripe of units and
+//! Every batch is cut into chunks of at most [`UNIT_CONFIGS`]
+//! configurations, plus one unit for the default row (the batch's last
+//! slot); each worker starts with a contiguous stripe of units and
 //! steals from the busiest end of other workers' deques when its own
-//! runs dry.
+//! runs dry. Every unit runs the same body: look each slot up in the
+//! sample cache, group the misses by plan projection, price each group.
 //!
 //! **Determinism.** Results land in per-batch slots addressed by
 //! configuration position, and batches assemble in catalog order — so
@@ -17,10 +15,7 @@
 //! [`crate::runner::sweep_arch`]. The property tests pin this.
 
 use crate::cache::{BatchEntries, SampleCache, DEFAULT_ROW_INDEX};
-use crate::runner::{
-    model_of, run_config_sim, sample_from_sim, work_list, RawSample, RunKey, SampleTelemetry,
-    SettingData,
-};
+use crate::runner::{model_of, sample_from_sim, work_list, RawSample, RunKey, SettingData};
 use crate::spec::{configs_for, samples_for_setting, SweepSpec};
 use archsim::NoiseModel;
 use omptel::SpanKind;
@@ -65,12 +60,12 @@ impl SweepStats {
 }
 
 /// Scheduler knobs: worker count plus optional sample cache, progress
-/// meter, and anomaly watchdog.
+/// meter and batch observer. The anomaly watchdog is the process one
+/// ([`omptel::installed_watchdog`]), read once per sweep.
 pub struct SweepOptions<'a> {
     pub workers: usize,
     pub cache: Option<&'a SampleCache>,
     pub progress: Option<&'a omptel::Progress>,
-    pub watchdog: Option<&'a omptel::Watchdog>,
     /// Called with each completed batch (on the worker thread that
     /// finished it) before it is stored — live observers such as the
     /// streaming influence tracker hook here. Completion order is
@@ -85,7 +80,6 @@ impl<'a> SweepOptions<'a> {
             workers,
             cache: None,
             progress: None,
-            watchdog: None,
             on_batch: None,
         }
     }
@@ -102,12 +96,6 @@ impl<'a> SweepOptions<'a> {
         self
     }
 
-    /// Attach an anomaly watchdog (fed every sample's wall latency).
-    pub fn with_watchdog(mut self, watchdog: &'a omptel::Watchdog) -> SweepOptions<'a> {
-        self.watchdog = Some(watchdog);
-        self
-    }
-
     /// Attach a completed-batch observer (see [`SweepOptions::on_batch`]).
     pub fn with_batch_observer(
         mut self,
@@ -115,11 +103,6 @@ impl<'a> SweepOptions<'a> {
     ) -> SweepOptions<'a> {
         self.on_batch = Some(observer);
         self
-    }
-
-    /// Should per-sample wall latency be measured at all?
-    fn observing(&self) -> bool {
-        self.progress.is_some() || self.watchdog.is_some()
     }
 }
 
@@ -147,11 +130,12 @@ struct BatchJob {
     key: RunKey,
     model: simrt::Model,
     noise: NoiseModel,
+    /// The sampled configurations, then the default row
+    /// (`DEFAULT_ROW_INDEX`) as the last slot.
     configs: Vec<(usize, TuningConfig)>,
     entries: BatchEntries,
     plans: simrt::PlanCache,
     slots: Mutex<Vec<Option<RawSample>>>,
-    default_slot: Mutex<Option<(Vec<f64>, SampleTelemetry)>>,
     /// Units still outstanding; the worker that drops this to zero
     /// assembles and (if fresh work happened) persists the batch.
     remaining: AtomicUsize,
@@ -159,16 +143,11 @@ struct BatchJob {
     fresh: AtomicBool,
 }
 
-enum UnitKind {
-    /// Configurations `[start, end)` of the batch.
-    Configs { start: usize, end: usize },
-    /// The batch's default-configuration row.
-    Default,
-}
-
 struct Unit {
     batch: usize,
-    kind: UnitKind,
+    /// Slots `[start, end)` of the batch's `configs`.
+    start: usize,
+    end: usize,
     /// Cross-thread flow handle stitching the seeding span to the
     /// executing worker's span in the trace (0 when not tracing).
     flow: u64,
@@ -184,22 +163,22 @@ fn build_jobs(
         .map(|&(app, setting, setting_idx)| {
             let key = RunKey::new(arch, app.name, setting.input_code, setting.num_threads);
             let model = model_of(app, &key);
-            let configs = configs_for(arch, setting.num_threads, setting_idx, spec.scope);
+            let mut configs = configs_for(arch, setting.num_threads, setting_idx, spec.scope);
+            let units = configs.len().div_ceil(UNIT_CONFIGS) + 1;
+            let default_config = TuningConfig::default_for(arch, setting.num_threads);
+            configs.push((DEFAULT_ROW_INDEX, default_config));
             let entries = match cache {
                 Some(c) => c.load_batch(&key, spec),
                 None => BatchEntries::empty(),
             };
-            let n = configs.len();
-            let units = n.div_ceil(UNIT_CONFIGS) + 1;
             BatchJob {
                 plans: simrt::PlanCache::new(arch, &model, spec.seed),
                 noise: NoiseModel::for_machine(arch.id()),
                 key,
                 model,
+                slots: Mutex::new(vec![None; configs.len()]),
                 configs,
                 entries,
-                slots: Mutex::new(vec![None; n]),
-                default_slot: Mutex::new(None),
                 remaining: AtomicUsize::new(units),
                 fresh: AtomicBool::new(false),
             }
@@ -209,23 +188,20 @@ fn build_jobs(
 
 fn units_of(jobs: &[BatchJob]) -> Vec<Unit> {
     let mut units = Vec::new();
-    for (b, job) in jobs.iter().enumerate() {
-        let n = job.configs.len();
-        let mut start = 0;
-        while start < n {
-            let end = (start + UNIT_CONFIGS).min(n);
+    for (batch, job) in jobs.iter().enumerate() {
+        // The sampled configurations in chunks, then the default row alone.
+        let default_row = job.configs.len() - 1;
+        let chunks = (0..default_row)
+            .step_by(UNIT_CONFIGS)
+            .map(|start| (start, (start + UNIT_CONFIGS).min(default_row)));
+        for (start, end) in chunks.chain([(default_row, default_row + 1)]) {
             units.push(Unit {
-                batch: b,
-                kind: UnitKind::Configs { start, end },
+                batch,
+                start,
+                end,
                 flow: omptel::flow_handle(),
             });
-            start = end;
         }
-        units.push(Unit {
-            batch: b,
-            kind: UnitKind::Default,
-            flow: omptel::flow_handle(),
-        });
     }
     units
 }
@@ -263,13 +239,18 @@ fn pool_reserve<T>(buf: &mut Vec<T>, needed: usize) {
 }
 
 /// Feed one sample's wall latency to the progress meter and watchdog.
-fn observe_sample(opts: &SweepOptions, job: &BatchJob, config_index: usize, t0: Option<Instant>) {
-    let Some(t0) = t0 else { return };
+fn observe_sample(
+    opts: &SweepOptions,
+    watchdog: Option<&omptel::Watchdog>,
+    job: &BatchJob,
+    config_index: usize,
+    t0: Instant,
+) {
     let ns = t0.elapsed().as_nanos() as u64;
     if let Some(p) = opts.progress {
         p.observe_ns(ns);
     }
-    if let Some(w) = opts.watchdog {
+    if let Some(w) = watchdog {
         w.observe(ns, || {
             format!(
                 "{}/{} i{} t{} c{}",
@@ -284,151 +265,101 @@ fn observe_sample(opts: &SweepOptions, job: &BatchJob, config_index: usize, t0: 
 }
 
 /// Execute one unit; returns the number of samples it produced.
+///
+/// Every slot is looked up in the sample cache first; the misses are
+/// then priced by [`price_misses`]. While samples are watched one at a
+/// time — a live flight recorder or an installed watchdog — the pending
+/// miss is priced right after its own lookup, as a group of one inside
+/// its `Sample` span, so each sample emits its own events and gets its
+/// own latency. `price_batch` is bit-identical to per-config pricing
+/// (property-tested), so the rule changes timing, never results.
 fn run_unit(
     unit: &Unit,
     job: &BatchJob,
     spec: &SweepSpec,
     opts: &SweepOptions,
+    watchdog: Option<&omptel::Watchdog>,
     scratch: &mut WorkerScratch,
 ) -> u64 {
-    let cache = opts.cache;
-    let observing = opts.observing();
-    match unit.kind {
-        UnitKind::Configs { start, end } => {
-            let _uspan = omptel::span(SpanKind::Unit, unit.batch as u64);
-            omptel::flow_in(SpanKind::Unit, unit.flow);
-            // Raw-speed path: no flight recorder, no per-sample anomaly
-            // watchdog — lookups and batched pricing only. Per-sample
-            // spans/instants would all be no-ops here, the batched path
-            // prices bit-identically (property-tested), and under a
-            // telemetry session `price_batch` delegates to the sequential
-            // pricer so region records and counters come out the same —
-            // the two paths differ in speed alone. A progress meter rides
-            // along (its latency series turns unit-amortized); only the
-            // watchdog forces true per-sample timing.
-            if !omptel::tracing() && opts.watchdog.is_none() {
-                return run_unit_configs_batched(job, spec, opts, scratch, start, end);
-            }
-            let mut produced = Vec::with_capacity(end - start);
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            for (config_index, config) in &job.configs[start..end] {
-                let sspan = omptel::span(SpanKind::Sample, *config_index as u64);
-                let t0 = observing.then(Instant::now);
-                let (runtimes, telemetry) = match job.entries.lookup(*config_index, config) {
-                    Some(cached) => {
-                        hits += 1;
-                        omptel::instant(SpanKind::CacheHit, *config_index as u64);
-                        cached
-                    }
-                    None => {
-                        misses += 1;
-                        run_config_sim(
-                            &job.key,
-                            &job.model,
-                            config,
-                            *config_index,
-                            spec,
-                            &job.noise,
-                            &job.plans,
-                        )
-                    }
-                };
-                drop(sspan);
-                observe_sample(opts, job, *config_index, t0);
-                produced.push(RawSample {
-                    config_index: *config_index,
-                    config: *config,
-                    runtimes,
-                    telemetry,
-                });
-            }
-            if let Some(c) = cache {
-                c.count_hits(hits);
-                c.count_misses(misses);
-            }
-            if misses > 0 {
-                job.fresh.store(true, Ordering::Relaxed);
-            }
-            let mut slots = job.slots.lock().expect("batch slots poisoned");
-            for (offset, sample) in produced.into_iter().enumerate() {
-                slots[start + offset] = Some(sample);
-            }
-            (end - start) as u64
-        }
-        UnitKind::Default => {
-            let _uspan = omptel::span(SpanKind::DefaultRow, unit.batch as u64);
-            omptel::flow_in(SpanKind::Unit, unit.flow);
-            let default_config = TuningConfig::default_for(job.key.arch, job.key.num_threads);
-            let sspan = omptel::span(SpanKind::Sample, DEFAULT_ROW_INDEX as u64);
-            let t0 = observing.then(Instant::now);
-            let result = match job.entries.lookup(DEFAULT_ROW_INDEX, &default_config) {
-                Some(cached) => {
-                    if let Some(c) = cache {
-                        c.count_hits(1);
-                    }
-                    omptel::instant(SpanKind::CacheHit, DEFAULT_ROW_INDEX as u64);
-                    cached
-                }
-                None => {
-                    if let Some(c) = cache {
-                        c.count_misses(1);
-                    }
-                    job.fresh.store(true, Ordering::Relaxed);
-                    run_config_sim(
-                        &job.key,
-                        &job.model,
-                        &default_config,
-                        DEFAULT_ROW_INDEX,
-                        spec,
-                        &job.noise,
-                        &job.plans,
-                    )
-                }
-            };
-            drop(sspan);
-            observe_sample(opts, job, DEFAULT_ROW_INDEX, t0);
-            *job.default_slot.lock().expect("default slot poisoned") = Some(result);
-            1
-        }
-    }
-}
-
-/// The Configs arm of [`run_unit`] when nothing observes per-sample
-/// events: every cache lookup runs first, then each run of consecutive
-/// misses sharing a plan projection is priced as one SoA batch against
-/// a single plan fetch ([`simrt::RegionPlan::price_batch`]). Sampled
-/// spaces enumerate the odometer's pricing digits innermost, so a
-/// typical cold unit collapses into a handful of plan fetches.
-fn run_unit_configs_batched(
-    job: &BatchJob,
-    spec: &SweepSpec,
-    opts: &SweepOptions,
-    scratch: &mut WorkerScratch,
-    start: usize,
-    end: usize,
-) -> u64 {
-    let slice = &job.configs[start..end];
-    let t0 = opts.progress.map(|_| Instant::now());
+    // The default row is the batch's last slot, alone in its unit.
+    let kind = if unit.start + 1 == job.configs.len() {
+        SpanKind::DefaultRow
+    } else {
+        SpanKind::Unit
+    };
+    let _uspan = omptel::span(kind, unit.batch as u64);
+    omptel::flow_in(SpanKind::Unit, unit.flow);
+    let watched = watchdog.is_some() || omptel::tracing();
+    let slice = &job.configs[unit.start..unit.end];
+    // Unwatched samples share their unit's time: the meter's latency
+    // series gets the unit-amortized value.
+    let amortized = opts
+        .progress
+        .filter(|_| !watched)
+        .map(|p| (p, Instant::now()));
     pool_reserve(&mut scratch.produced, slice.len());
     pool_reserve(&mut scratch.miss_at, slice.len());
-    for (at, (config_index, config)) in slice.iter().enumerate() {
-        match job.entries.lookup(*config_index, config) {
-            Some((runtimes, telemetry)) => scratch.produced.push(Some(RawSample {
-                config_index: *config_index,
-                config: *config,
-                runtimes,
-                telemetry,
-            })),
+    let mut hits = 0u64;
+    for (at, &(config_index, config)) in slice.iter().enumerate() {
+        let sspan = omptel::span(SpanKind::Sample, config_index as u64);
+        let t0 = watched.then(Instant::now);
+        match job.entries.lookup(config_index, &config) {
+            Some((runtimes, telemetry)) => {
+                hits += 1;
+                omptel::instant(SpanKind::CacheHit, config_index as u64);
+                scratch.produced.push(Some(RawSample {
+                    config_index,
+                    config,
+                    runtimes,
+                    telemetry,
+                }));
+            }
             None => {
                 scratch.produced.push(None);
                 scratch.miss_at.push((at, config.plan_projection()));
             }
         }
+        if let Some(t0) = t0 {
+            price_misses(job, spec, slice, scratch);
+            drop(sspan);
+            observe_sample(opts, watchdog, job, config_index, t0);
+        }
     }
-    let hits = (slice.len() - scratch.miss_at.len()) as u64;
-    let misses = scratch.miss_at.len() as u64;
+    price_misses(job, spec, slice, scratch);
+    let misses = slice.len() as u64 - hits;
 
+    if let Some(c) = opts.cache {
+        c.count_hits(hits);
+        c.count_misses(misses);
+    }
+    if misses > 0 {
+        job.fresh.store(true, Ordering::Relaxed);
+    }
+    let mut slots = job.slots.lock().expect("batch slots poisoned");
+    for (offset, sample) in scratch.produced.drain(..).enumerate() {
+        slots[unit.start + offset] = Some(sample.expect("every unit sample assembled"));
+    }
+    drop(slots);
+    if let Some((p, t0)) = amortized {
+        let avg = t0.elapsed().as_nanos() as u64 / slice.len() as u64;
+        for _ in 0..slice.len() {
+            p.observe_ns(avg);
+        }
+    }
+    slice.len() as u64
+}
+
+/// Price the unit's pending misses and assemble their samples: each run
+/// of consecutive misses sharing a plan projection is priced as one SoA
+/// batch against a single plan fetch ([`simrt::RegionPlan::price_batch`]).
+/// Sampled spaces enumerate the odometer's pricing digits innermost, so
+/// a typical cold unit collapses into a handful of plan fetches.
+fn price_misses(
+    job: &BatchJob,
+    spec: &SweepSpec,
+    slice: &[(usize, TuningConfig)],
+    scratch: &mut WorkerScratch,
+) {
     let mut g0 = 0;
     while g0 < scratch.miss_at.len() {
         let projection = scratch.miss_at[g0].1;
@@ -460,29 +391,7 @@ fn run_unit_configs_batched(
         }
         g0 = g1;
     }
-
-    if let Some(c) = opts.cache {
-        c.count_hits(hits);
-        c.count_misses(misses);
-    }
-    if misses > 0 {
-        job.fresh.store(true, Ordering::Relaxed);
-    }
-    let mut slots = job.slots.lock().expect("batch slots poisoned");
-    for (offset, sample) in scratch.produced.drain(..).enumerate() {
-        slots[start + offset] = Some(sample.expect("every unit sample assembled"));
-    }
-    drop(slots);
-    // Batched execution can't time individual samples; the meter's
-    // latency series gets the unit-amortized value instead (its done
-    // count advances in the worker loop either way).
-    if let (Some(p), Some(t0)) = (opts.progress, t0) {
-        let avg = t0.elapsed().as_nanos() as u64 / slice.len().max(1) as u64;
-        for _ in 0..slice.len() {
-            p.observe_ns(avg);
-        }
-    }
-    slice.len() as u64
+    scratch.miss_at.clear();
 }
 
 /// Assemble one finished batch (every unit done) into its output slot
@@ -495,24 +404,19 @@ fn finalize_batch(
     batch_index: usize,
 ) {
     let cache = opts.cache;
-    let samples: Vec<RawSample> = job
+    let mut samples: Vec<RawSample> = job
         .slots
         .lock()
         .expect("batch slots poisoned")
         .iter_mut()
         .map(|s| s.take().expect("every config slot filled"))
         .collect();
-    let (default_runtimes, default_telemetry) = job
-        .default_slot
-        .lock()
-        .expect("default slot poisoned")
-        .take()
-        .expect("default row filled");
+    let default_row = samples.pop().expect("the default row is the last slot");
     let data = SettingData {
         key: job.key.clone(),
         samples,
-        default_runtimes,
-        default_telemetry,
+        default_runtimes: default_row.runtimes,
+        default_telemetry: default_row.telemetry,
     };
     if let Some(c) = cache {
         if job.fresh.load(Ordering::Relaxed) {
@@ -559,6 +463,8 @@ fn run_scheduler(jobs: Vec<BatchJob>, spec: &SweepSpec, opts: &SweepOptions) -> 
     let out: Mutex<Vec<Option<SettingData>>> = Mutex::new((0..jobs.len()).map(|_| None).collect());
     let steals = AtomicU64::new(0);
     let units_run = AtomicU64::new(0);
+    let watchdog = omptel::installed_watchdog();
+    let watchdog = watchdog.as_deref();
 
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -587,7 +493,7 @@ fn run_scheduler(jobs: Vec<BatchJob>, spec: &SweepSpec, opts: &SweepOptions) -> 
                     // Units are only ever removed, so all-empty means done.
                     let Some(unit) = unit else { break };
                     let job = &jobs[unit.batch];
-                    let produced = run_unit(&unit, job, spec, opts, &mut scratch);
+                    let produced = run_unit(&unit, job, spec, opts, watchdog, &mut scratch);
                     units_run.fetch_add(1, Ordering::Relaxed);
                     if let Some(p) = opts.progress {
                         p.inc(produced);

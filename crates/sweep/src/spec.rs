@@ -127,26 +127,38 @@ pub fn config_indices(space_len: usize, n_samples: usize) -> Vec<usize> {
 }
 
 /// Materialize the sampled configurations for one setting.
+///
+/// The vector keeps room for one more entry: the scheduler appends the
+/// batch's default row, and growing it there instead costs a warm sweep
+/// a fresh allocation and copy per batch (about a fifth of its time).
 pub fn configs_for(
     arch: Arch,
     num_threads: usize,
     setting_idx: usize,
     scope: Scope,
 ) -> Vec<(usize, TuningConfig)> {
+    let with_spare_slot = |n: usize| Vec::with_capacity(n + 1);
     if scope == Scope::Pruned {
         let pruned = pruned_space(arch, num_threads);
-        return pruned
-            .indices()
-            .iter()
-            .map(|&i| (i, pruned.space().get(i).expect("index in space")))
-            .collect();
+        let mut configs = with_spare_slot(pruned.indices().len());
+        configs.extend(
+            pruned
+                .indices()
+                .iter()
+                .map(|&i| (i, pruned.space().get(i).expect("index in space"))),
+        );
+        return configs;
     }
     let space = ConfigSpace::new(arch, num_threads);
     let n = samples_for_setting(arch, num_threads, setting_idx, scope);
-    config_indices(space.len(), n)
-        .into_iter()
-        .map(|i| (i, space.get(i).expect("index in space")))
-        .collect()
+    let indices = config_indices(space.len(), n);
+    let mut configs = with_spare_slot(indices.len());
+    configs.extend(
+        indices
+            .into_iter()
+            .map(|i| (i, space.get(i).expect("index in space"))),
+    );
+    configs
 }
 
 #[cfg(test)]
@@ -221,6 +233,10 @@ mod tests {
     fn configs_are_valid_for_the_space() {
         let configs = configs_for(Arch::Skylake, 40, 0, Scope::Strided(500));
         assert!(!configs.is_empty());
+        assert!(
+            configs.capacity() > configs.len(),
+            "no slot for the default row"
+        );
         for (i, c) in &configs {
             assert_eq!(c.num_threads, 40);
             let space = ConfigSpace::new(Arch::Skylake, 40);

@@ -7,7 +7,8 @@
 //!   cross-worker flows all resolve,
 //! - a corrupted cache batch is recomputed byte-identically and the
 //!   corruption lands in the flight recorder as a `CacheCorrupt` event
-//!   and in the anomaly watchdog's dump.
+//!   and in the anomaly watchdog's dump,
+//! - an installed watchdog, recorder or not, times every sample once.
 
 use omptune_core::Arch;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -145,7 +146,62 @@ fn engine_counters_surface_under_telemetry_session() {
         "steady-state units never reused pooled buffers"
     );
 
+    // Under a recorder every miss is priced on its own, right after its
+    // lookup: one priced batch per cache-missed sample.
+    let traced_cache = SampleCache::new(tmp_dir("engine-counters-traced"));
+    let session = omptel::session().expect("no other omptel session is live");
+    let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
+        .expect("no other recorder live");
+    let traced = sweep::sweep_arch_scheduled(
+        Arch::Skylake,
+        &spec,
+        &SweepOptions::new(4).with_cache(&traced_cache),
+    );
+    rec.finish();
+    let batch = session.finish();
+    assert_eq!(
+        provenance_bytes(&traced.batches, &spec),
+        reference,
+        "traced session-monitored sweep changed the provenance bytes"
+    );
+    assert_eq!(
+        traced.stats.sample_misses,
+        sweep::planned_samples(Arch::Skylake, &spec)
+    );
+    assert_eq!(
+        batch.counters.get(omptel::Counter::PricedBatches),
+        traced.stats.sample_misses,
+        "a traced miss is a priced group of one"
+    );
+
     let _ = std::fs::remove_dir_all(cache.dir());
+    let _ = std::fs::remove_dir_all(traced_cache.dir());
+}
+
+/// An installed watchdog watches samples one at a time with no recorder
+/// live: it times every planned sample (each config and each default
+/// row) once, and the results are those of a plain run.
+#[test]
+fn installed_watchdog_times_every_sample_without_a_recorder() {
+    let _guard = recorder_lock();
+    let spec = spec();
+    let plain = sweep::sweep_arch_scheduled(Arch::A64fx, &spec, &SweepOptions::new(2));
+
+    let watchdog = Arc::new(omptel::Watchdog::new(0.999, Box::new(std::io::sink())));
+    omptel::install_watchdog(Some(watchdog.clone()));
+    let watched = sweep::sweep_arch_scheduled(Arch::A64fx, &spec, &SweepOptions::new(2));
+    omptel::install_watchdog(None);
+
+    assert_eq!(
+        watchdog.histogram().count,
+        sweep::planned_samples(Arch::A64fx, &spec),
+        "one latency per planned sample"
+    );
+    assert_eq!(
+        provenance_bytes(&watched.batches, &spec),
+        provenance_bytes(&plain.batches, &spec),
+        "the watchdog changed the provenance bytes"
+    );
 }
 
 #[test]

@@ -257,7 +257,8 @@ gates=(
     attribution_throughput:BENCH_profile.json
     # the layers a warm `collect` consists of, and read_raw_json, which analysis starts with
     export_tail:BENCH_export.json
-    # the real runtime's barrier/reduction/wait/schedule choices and what observing it costs
+    # the real runtime's barrier/reduction/wait/schedule choices and what observing it costs,
+    # on one team sized to the host (its parallelism, capped at 4)
     runtime_ablation:BENCH_runtime.json
 )
 for gate in "${gates[@]}"; do

@@ -29,7 +29,6 @@ fn tiny_run() -> &'static (Vec<data::SettingData>, SweepSpec, data::RunManifest)
             workers: 1,
             cache: None,
             perturb: None,
-            watchdog: None,
         };
         let dir = scratch_dir("run");
         let done = collect::run(&job, &dir, None, &State::new(&spec), &mut ()).unwrap();

@@ -84,7 +84,6 @@ fn runs() -> &'static Runs {
                 workers,
                 cache: Some(&cache),
                 perturb,
-                watchdog: None,
             };
             let out = root.join(name);
             let state = State::new(&spec);
