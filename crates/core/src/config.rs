@@ -148,6 +148,37 @@ impl TuningConfig {
         }
     }
 
+    /// The representative of this configuration's equivalence class, and a
+    /// fixpoint of itself. Four rewrites, each a libomp derivation the
+    /// simulator prices bit for bit the same (`tests/model_sanity.rs`
+    /// holds every catalog cell to that):
+    /// `auto` → `static`; `true` → `close`; `false` → unset, with places
+    /// unset too, since they are never consulted; and `spread` with places
+    /// set → unset, which derives `spread`.
+    ///
+    /// `KMP_LIBRARY` at `KMP_BLOCKTIME=0`, and a forced reduction equal to
+    /// the heuristic's choice, are *not* rewritten: the model prices both
+    /// differently (task workers yield by library, and the heuristic costs
+    /// a dispatch).
+    pub fn canonical(&self) -> TuningConfig {
+        let mut c = *self;
+        if c.schedule == OmpSchedule::Auto {
+            c.schedule = OmpSchedule::Static;
+        }
+        match c.proc_bind {
+            OmpProcBind::True => c.proc_bind = OmpProcBind::Close,
+            OmpProcBind::False => {
+                c.proc_bind = OmpProcBind::Unset;
+                c.places = OmpPlaces::Unset;
+            }
+            OmpProcBind::Spread if c.places != OmpPlaces::Unset => {
+                c.proc_bind = OmpProcBind::Unset;
+            }
+            _ => {}
+        }
+        c
+    }
+
     /// The binding policy actually in force (Sec. III-2 derivation):
     /// `unset` → `false` normally, but `spread` when `OMP_PLACES` is set;
     /// `true` → implementation choice, libomp binds close.
@@ -389,6 +420,22 @@ mod tests {
         let mut c = a;
         c.library = KmpLibrary::Turnaround;
         assert_ne!(a.plan_projection(), c.plan_projection());
+    }
+
+    #[test]
+    fn canonical_is_idempotent_and_keeps_the_derived_semantics() {
+        for arch in Arch::ALL {
+            for threads in [1, 3, arch.cores()] {
+                for c in crate::space::ConfigSpace::new(arch, threads).iter() {
+                    let k = c.canonical();
+                    assert_eq!(k.canonical(), k, "{} is not a fixpoint", k.describe());
+                    assert_eq!(k.effective_bind(), c.effective_bind());
+                    assert_eq!(k.wait_policy(), c.wait_policy());
+                    assert_eq!(k.reduction_method(), c.reduction_method());
+                    assert_eq!(k.align_alloc, c.align_alloc);
+                }
+            }
+        }
     }
 
     #[test]

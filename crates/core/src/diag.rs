@@ -1,11 +1,10 @@
 //! Structured diagnostics for configuration-space analysis.
 //!
 //! The `omplint` crate classifies configuration points against a rule
-//! catalog; each firing is reported as a [`Diagnostic`] carrying the rule
-//! id, a severity, a human-readable message, and (when one exists) a
-//! canonical replacement. Keeping the types here — rather than in
-//! `omplint` — lets `sweep` and `bench` consume lint output without
-//! depending on the linter itself.
+//! catalog, and checks synchronization traces; each firing of either
+//! pass is reported as a [`Diagnostic`] carrying the rule id, a
+//! severity, a human-readable message, and (when one exists) a
+//! canonical replacement.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -60,7 +60,7 @@ pub use icv::IcvState;
 pub use placement::Placement;
 pub use recommend::{recommend_for, worst_trends, CellReport, Recommendation, WorstTrend};
 pub use report::{transfer_analysis, ArchSummary, SettingMaxima, SpeedupRange, Transfer};
-pub use space::{ConfigSpace, TuningSpace};
+pub use space::ConfigSpace;
 pub use tuner::{
     hill_climb, hill_climb_informed, influence_order, random_search, telemetry_order, TuneResult,
 };

@@ -14,7 +14,6 @@
 use crate::arch::Arch;
 use crate::config::TuningConfig;
 use crate::variable::Variable;
-use serde::{Deserialize, Serialize};
 
 /// The full factorial space of tuning configurations for one architecture
 /// and thread count.
@@ -124,100 +123,6 @@ impl Iterator for ConfigIter {
 
 impl ExactSizeIterator for ConfigIter {}
 
-/// A pruned subset of a [`ConfigSpace`]: the configurations a linter (or
-/// any other filter) kept, identified by their odometer indices in the
-/// full space. Sweeps over a `TuningSpace` therefore stay reproducible —
-/// each sample's identity is still its full-space index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TuningSpace {
-    arch: Arch,
-    num_threads: usize,
-    /// Sorted, deduplicated odometer indices into the full space.
-    indices: Vec<usize>,
-}
-
-impl TuningSpace {
-    /// Build from a set of surviving full-space indices. Indices are
-    /// sorted and deduplicated; out-of-range indices panic (they indicate
-    /// a bug in the producer, not bad data).
-    pub fn new(space: ConfigSpace, mut indices: Vec<usize>) -> TuningSpace {
-        indices.sort_unstable();
-        indices.dedup();
-        if let Some(&max) = indices.last() {
-            assert!(
-                max < space.len(),
-                "index {max} outside the {}-point space",
-                space.len()
-            );
-        }
-        TuningSpace {
-            arch: space.arch,
-            num_threads: space.num_threads,
-            indices,
-        }
-    }
-
-    /// The unpruned space (every index kept).
-    pub fn full(space: ConfigSpace) -> TuningSpace {
-        TuningSpace::new(space, (0..space.len()).collect())
-    }
-
-    /// The full-factorial space this prunes.
-    pub fn space(&self) -> ConfigSpace {
-        ConfigSpace {
-            arch: self.arch,
-            num_threads: self.num_threads,
-        }
-    }
-
-    pub fn arch(&self) -> Arch {
-        self.arch
-    }
-
-    pub fn num_threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Number of surviving configurations.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// Surviving full-space indices, ascending.
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Whether a full-space index survived pruning.
-    pub fn contains_index(&self, index: usize) -> bool {
-        self.indices.binary_search(&index).is_ok()
-    }
-
-    /// The `i`-th surviving configuration (in full-space order).
-    pub fn get(&self, i: usize) -> Option<TuningConfig> {
-        self.space().get(*self.indices.get(i)?)
-    }
-
-    /// Iterate the surviving configurations in full-space order.
-    pub fn iter(&self) -> impl Iterator<Item = TuningConfig> + '_ {
-        let space = self.space();
-        self.indices.iter().map(move |&i| {
-            space
-                .get(i)
-                .expect("TuningSpace index validated at construction")
-        })
-    }
-
-    /// Fraction of the full space that survived, in `[0, 1]`.
-    pub fn keep_ratio(&self) -> f64 {
-        self.indices.len() as f64 / self.space().len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,33 +183,5 @@ mod tests {
         assert_eq!(it.len(), 4608);
         it.next();
         assert_eq!(it.len(), 4607);
-    }
-
-    #[test]
-    fn tuning_space_sorts_and_dedups() {
-        let space = ConfigSpace::new(Arch::A64fx, 8);
-        let t = TuningSpace::new(space, vec![7, 3, 3, 0, 7]);
-        assert_eq!(t.indices(), &[0, 3, 7]);
-        assert_eq!(t.len(), 3);
-        assert!(t.contains_index(3));
-        assert!(!t.contains_index(4));
-        assert_eq!(t.get(1), space.get(3));
-    }
-
-    #[test]
-    fn tuning_space_full_keeps_everything() {
-        let space = ConfigSpace::new(Arch::Skylake, 4);
-        let t = TuningSpace::full(space);
-        assert_eq!(t.len(), space.len());
-        assert_eq!(t.keep_ratio(), 1.0);
-        assert_eq!(t.iter().count(), space.len());
-        assert_eq!(t.space(), space);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn tuning_space_rejects_out_of_range() {
-        let space = ConfigSpace::new(Arch::A64fx, 8);
-        let _ = TuningSpace::new(space, vec![4608]);
     }
 }

@@ -3,8 +3,8 @@
 //! Two passes:
 //! - [`lint`]: a rule engine over the raw `OMP_*`/`KMP_*` environment
 //!   universe that classifies every configuration point as valid,
-//!   redundant, or invalid, and derives the pruned [`TuningSpace`]
-//!   the sweep consumes.
+//!   redundant (not a fixpoint of `TuningConfig::canonical`), or
+//!   invalid.
 //! - [`check`]: a happens-before checker over synchronization traces
 //!   recorded by `omprt`'s `check` feature — vector-clock race
 //!   detection plus barrier-misuse and deadlock analysis.
@@ -15,7 +15,7 @@ pub mod lint;
 
 pub use campaign::Campaign;
 pub use check::{certify, check_trace, CheckReport, CheckStats, CHECK_RULES};
-pub use lint::{canonicalize, lint_point, lint_space, LintReport, PointClass, RULES};
+pub use lint::{lint_point, lint_space, LintReport, PointClass, RULES};
 pub use omptune_core::diag::{Diagnostic, Severity};
 
 /// A report as indented JSON: what `omplint` and `ompfuzz` print under

@@ -6,23 +6,20 @@
 //! alignments below the A64FX cache line) — but it does so by hand. This
 //! pass mechanizes the argument: it enumerates a *raw* cross-product that
 //! still contains every excluded value, classifies each point as
-//! [`PointClass::Valid`], [`PointClass::Redundant`] (semantically
-//! equivalent to an earlier point under the runtime's own derivation
-//! rules) or [`PointClass::Invalid`], and emits one [`Diagnostic`] per
-//! rule firing. The surviving canonical points form a pruned
-//! [`TuningSpace`] the sweep harness can consume directly.
+//! [`PointClass::Valid`], [`PointClass::Redundant`] (equivalent to
+//! another point under the runtime's own derivation rules) or
+//! [`PointClass::Invalid`], and emits one [`Diagnostic`] per
+//! rule firing.
 //!
-//! Redundancy is decided against the semantics implemented in
-//! `omptune_core::config`: two points are equivalent iff they derive the
-//! same effective binding, place list, schedule, wait policy, reduction
-//! method and alignment. The canonical representative of a class is its
-//! first member in odometer order, which is exactly the member on which
-//! no redundancy rule fires — canonicalization is therefore a
-//! deterministic rewrite, not a search.
+//! Redundancy is the model's equivalence, [`TuningConfig::canonical`]:
+//! a point is redundant iff it is not a fixpoint of that rewrite, and
+//! each redundancy rule names one of its four rewrites. The rewrite
+//! lives in `omptune_core`, where a tier-1 test holds it to `simrt` bit
+//! for bit; a rule the model refutes cannot live here.
 
 use omptune_core::{
-    Arch, ConfigSpace, Diagnostic, KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary,
-    OmpPlaces, OmpProcBind, OmpSchedule, ReductionMethod, Severity, TuningConfig, TuningSpace,
+    Arch, Diagnostic, KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces,
+    OmpProcBind, OmpSchedule, Severity, TuningConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -159,7 +156,7 @@ impl RawPoint {
 pub enum PointClass {
     /// Canonical and worth sweeping.
     Valid,
-    /// Semantically equivalent to an earlier (canonical) point.
+    /// Equivalent to its canonical form, a different point.
     Redundant,
     /// Must not be swept on this machine.
     Invalid,
@@ -174,7 +171,7 @@ pub struct Rule {
 }
 
 /// The full rule catalog, invalidity rules first.
-pub const RULES: [Rule; 12] = [
+pub const RULES: [Rule; 10] = [
     Rule {
         id: "E-PLACES-SMT",
         severity: Severity::Error,
@@ -225,16 +222,6 @@ pub const RULES: [Rule; 12] = [
         id: "R-PLACES-UNBOUND",
         severity: Severity::Warning,
         summary: "OMP_PLACES is never consulted when OMP_PROC_BIND=false disables binding",
-    },
-    Rule {
-        id: "R-LIB-PASSIVE",
-        severity: Severity::Warning,
-        summary: "KMP_LIBRARY is irrelevant at KMP_BLOCKTIME=0 (workers sleep immediately)",
-    },
-    Rule {
-        id: "R-RED-HEURISTIC",
-        severity: Severity::Warning,
-        summary: "KMP_FORCE_REDUCTION equals what the heuristic already picks at this team size",
     },
 ];
 
@@ -293,63 +280,6 @@ impl LintReport {
             })
             .collect()
     }
-
-    /// The pruned sweep space: full-space indices of the valid points.
-    /// `None` when the whole universe is invalid (oversubscription), in
-    /// which case there is no underlying [`ConfigSpace`] at all.
-    pub fn pruned(&self) -> Option<TuningSpace> {
-        if self.num_threads > self.arch.cores() {
-            return None;
-        }
-        let space = ConfigSpace::new(self.arch, self.num_threads);
-        let indices = self
-            .points
-            .iter()
-            .filter(|p| p.class == PointClass::Valid)
-            .map(|p| {
-                let config = p
-                    .point
-                    .to_config(self.num_threads)
-                    .expect("valid point projects into the paper space");
-                space
-                    .index_of(&config)
-                    .expect("valid point indexes into the paper space")
-            })
-            .collect();
-        Some(TuningSpace::new(space, indices))
-    }
-}
-
-/// Rewrite a swept configuration to its canonical equivalent: the unique
-/// member of its semantic equivalence class on which no redundancy rule
-/// fires (and the class's first point in odometer order).
-pub fn canonicalize(mut config: TuningConfig) -> TuningConfig {
-    if config.schedule == OmpSchedule::Auto {
-        config.schedule = OmpSchedule::Static;
-    }
-    if config.proc_bind == OmpProcBind::True {
-        config.proc_bind = OmpProcBind::Close;
-    }
-    if config.proc_bind == OmpProcBind::False {
-        // Binding disabled: the place list is never consulted, and the
-        // explicit `false` equals the placeless default.
-        config.places = OmpPlaces::Unset;
-        config.proc_bind = OmpProcBind::Unset;
-    }
-    if config.proc_bind == OmpProcBind::Spread && config.places != OmpPlaces::Unset {
-        config.proc_bind = OmpProcBind::Unset;
-    }
-    if config.blocktime == KmpBlocktime::Zero {
-        config.library = KmpLibrary::Throughput;
-    }
-    if config.force_reduction != KmpForceReduction::Unset {
-        let heuristic = ReductionMethod::heuristic(config.num_threads);
-        let explicit = config.reduction_method();
-        if explicit == heuristic {
-            config.force_reduction = KmpForceReduction::Unset;
-        }
-    }
-    config
 }
 
 /// Lint one raw point. Invalidity rules are checked first; redundancy
@@ -453,26 +383,6 @@ pub fn lint_point(point: &RawPoint, arch: Arch, num_threads: usize) -> LintedPoi
             ),
         );
     }
-    if point.blocktime == KmpBlocktime::Zero && point.library == RawLibrary::Turnaround {
-        fire(
-            &mut diags,
-            "R-LIB-PASSIVE",
-            "blocktime 0 sleeps immediately; library turnaround equals throughput".to_string(),
-        );
-    }
-    if point.force_reduction != KmpForceReduction::Unset
-        && config.reduction_method() == ReductionMethod::heuristic(num_threads)
-    {
-        fire(
-            &mut diags,
-            "R-RED-HEURISTIC",
-            format!(
-                "forcing {:?} equals the heuristic's choice at {} threads",
-                config.reduction_method(),
-                num_threads
-            ),
-        );
-    }
 
     if diags.is_empty() {
         LintedPoint {
@@ -482,7 +392,7 @@ pub fn lint_point(point: &RawPoint, arch: Arch, num_threads: usize) -> LintedPoi
             canonical: None,
         }
     } else {
-        let canonical = canonicalize(config);
+        let canonical = config.canonical();
         debug_assert_ne!(
             canonical, config,
             "redundant point must rewrite to a different point"
@@ -500,7 +410,7 @@ pub fn lint_point(point: &RawPoint, arch: Arch, num_threads: usize) -> LintedPoi
 }
 
 /// Enumerate the raw universe in odometer order (align fastest, places
-/// slowest — the same nesting as [`ConfigSpace`]).
+/// slowest — the same nesting as [`ConfigSpace`](omptune_core::ConfigSpace)).
 pub fn raw_universe() -> Vec<RawPoint> {
     let mut out = Vec::new();
     for places in RawPlaces::ALL {
@@ -546,6 +456,7 @@ pub fn lint_space(arch: Arch, num_threads: usize) -> LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omptune_core::ConfigSpace;
 
     #[test]
     fn raw_universe_size() {
@@ -571,13 +482,12 @@ mod tests {
 
     #[test]
     fn valid_counts_are_exact() {
-        // Predicate-free combinations: 13 (bind,places) pairs x 3
-        // schedules x 5 (library,blocktime) pairs x 3 reductions (team
-        // >= 5: tree is the heuristic) x aligns.
+        // Fixpoints of `canonical()`: 13 (bind,places) pairs x 3
+        // schedules x 6 (library,blocktime) pairs x 4 reductions x aligns.
         let report = lint_space(Arch::Skylake, 40);
-        assert_eq!(report.count(PointClass::Valid), 13 * 3 * 5 * 3 * 4);
+        assert_eq!(report.count(PointClass::Valid), 13 * 3 * 6 * 4 * 4);
         let report = lint_space(Arch::A64fx, 48);
-        assert_eq!(report.count(PointClass::Valid), 13 * 3 * 5 * 3 * 2);
+        assert_eq!(report.count(PointClass::Valid), 13 * 3 * 6 * 4 * 2);
     }
 
     #[test]
@@ -596,7 +506,6 @@ mod tests {
     fn oversubscription_invalidates_everything() {
         let report = lint_space(Arch::Skylake, 41);
         assert_eq!(report.count(PointClass::Invalid), report.raw_len());
-        assert!(report.pruned().is_none());
         assert!(report.points[0]
             .diagnostics
             .iter()
@@ -638,61 +547,24 @@ mod tests {
     }
 
     #[test]
-    fn canonicalization_is_idempotent_and_predicate_free() {
-        let report = lint_space(Arch::Milan, 96);
-        for p in &report.points {
-            if let Some(c) = &p.canonical {
-                assert_eq!(canonicalize(*c), *c, "canonical point must be a fixpoint");
-                // The canonical point itself lints clean.
-                let raw = RawPoint {
-                    places: match c.places {
-                        OmpPlaces::Unset => RawPlaces::Unset,
-                        OmpPlaces::Cores => RawPlaces::Cores,
-                        OmpPlaces::LlCaches => RawPlaces::LlCaches,
-                        OmpPlaces::Sockets => RawPlaces::Sockets,
-                    },
-                    proc_bind: c.proc_bind,
-                    schedule: c.schedule,
-                    library: RawLibrary::Throughput,
-                    blocktime: c.blocktime,
-                    force_reduction: c.force_reduction,
-                    align: c.align_alloc.bytes(),
-                };
-                let raw = RawPoint {
-                    library: match c.library {
-                        KmpLibrary::Throughput => RawLibrary::Throughput,
-                        KmpLibrary::Turnaround => RawLibrary::Turnaround,
-                    },
-                    ..raw
-                };
-                let linted = lint_point(&raw, Arch::Milan, 96);
-                assert_eq!(linted.class, PointClass::Valid, "{}", raw.describe());
+    fn a_point_is_valid_iff_it_is_a_fixpoint_of_canonical() {
+        for arch in Arch::ALL {
+            let report = lint_space(arch, arch.cores());
+            for p in report
+                .points
+                .iter()
+                .filter(|p| p.class != PointClass::Invalid)
+            {
+                let config = p.point.to_config(arch.cores()).unwrap();
+                let canonical = config.canonical();
+                assert_eq!(
+                    p.class == PointClass::Valid,
+                    canonical == config,
+                    "{arch:?}: {}",
+                    p.point.describe()
+                );
+                assert_eq!(p.canonical, (canonical != config).then_some(canonical));
             }
-        }
-    }
-
-    #[test]
-    fn canonical_points_preserve_semantics() {
-        let report = lint_space(Arch::Skylake, 40);
-        for p in &report.points {
-            if let (Some(c), Some(orig)) = (&p.canonical, p.point.to_config(40)) {
-                assert_eq!(c.effective_bind(), orig.effective_bind());
-                assert_eq!(c.wait_policy(), orig.wait_policy());
-                assert_eq!(c.reduction_method(), orig.reduction_method());
-                assert_eq!(c.align_alloc, orig.align_alloc);
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_space_is_deterministic_and_canonical() {
-        let a = lint_space(Arch::A64fx, 48).pruned().unwrap();
-        let b = lint_space(Arch::A64fx, 48).pruned().unwrap();
-        assert_eq!(a, b, "linting must be deterministic");
-        assert_eq!(a.len(), 13 * 3 * 5 * 3 * 2);
-        // Every surviving config is its own canonical form.
-        for config in a.iter() {
-            assert_eq!(canonicalize(config), config);
         }
     }
 

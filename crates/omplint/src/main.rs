@@ -2,8 +2,8 @@
 //! [`USAGE`]; exit codes are `omptune_core::cli`'s 0/4/2/1, 4 meaning
 //! error-severity diagnostics fired).
 //!
-//! `lint` classifies the raw configuration universe and reports the
-//! pruned sweep space. `check` runs the instrumented runtime over a
+//! `lint` classifies the raw configuration universe and counts the rule
+//! firings. `check` runs the instrumented runtime over a
 //! representative workload (regions, all schedules, all reduction
 //! methods, task joins), certifies the recorded schedule, or — with
 //! `--demo` — replays a deliberately broken fixture to show detection.
@@ -84,14 +84,12 @@ struct LintSummary {
     invalid: usize,
     redundant: usize,
     valid: usize,
-    pruned_len: usize,
     keep_ratio: f64,
     rule_counts: Vec<(String, usize)>,
 }
 
 fn summarize(report: &lint::LintReport) -> LintSummary {
     let valid = report.count(PointClass::Valid);
-    let pruned_len = report.pruned().map(|p| p.len()).unwrap_or(0);
     LintSummary {
         arch: report.arch.id().to_string(),
         num_threads: report.num_threads,
@@ -99,7 +97,6 @@ fn summarize(report: &lint::LintReport) -> LintSummary {
         invalid: report.count(PointClass::Invalid),
         redundant: report.count(PointClass::Redundant),
         valid,
-        pruned_len,
         keep_ratio: valid as f64 / report.raw_len() as f64,
         rule_counts: report
             .rule_counts()
@@ -136,7 +133,6 @@ fn print_lint_report(report: &lint::LintReport) {
         s.valid,
         100.0 * s.keep_ratio
     );
-    println!("pruned sweep space: {} configurations", s.pruned_len);
     println!("rule firings:");
     for (id, n) in &s.rule_counts {
         let sample = report

@@ -54,7 +54,7 @@ ARGS:
                 fast    small slice (every 24th config)
                 paper   Table II sample counts (the default)
                 full    every configuration of every setting
-                pruned  only omplint-canonical configurations
+                pruned  only canonical configurations (TuningConfig::canonical)
     OUT_DIR   output directory (default: dataset)
 
 OPTIONS:

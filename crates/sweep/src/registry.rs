@@ -77,7 +77,9 @@ pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
             h.mix(3);
             h.mix(n as u64);
         }
-        Scope::Pruned => h.mix(4),
+        // Word 4 was the linter-pruned scope, a smaller set of
+        // configurations: those runs are not comparable to these.
+        Scope::Pruned => h.mix(5),
     }
     match spec.roster {
         Roster::Paper => h.mix(11),
@@ -1164,9 +1166,17 @@ mod tests {
             ..base
         };
         let reseeded = SweepSpec { seed: 7, ..base };
+        let pruned = SweepSpec {
+            scope: Scope::Pruned,
+            ..base
+        };
         assert_ne!(spec_fingerprint(&base), spec_fingerprint(&strided));
         assert_ne!(spec_fingerprint(&base), spec_fingerprint(&reseeded));
+        assert_ne!(spec_fingerprint(&base), spec_fingerprint(&pruned));
         assert_eq!(spec_fingerprint(&base), spec_fingerprint(&base.clone()));
+        // What a pruned run of this spec recorded while the scope was the
+        // linter's smaller set.
+        assert_ne!(spec_fingerprint(&pruned), 0x1fcf_f463_cc51_0f2a);
     }
 
     #[test]

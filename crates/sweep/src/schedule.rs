@@ -119,9 +119,7 @@ pub struct SweepOutcome {
 pub fn planned_samples(arch: Arch, spec: &SweepSpec) -> u64 {
     work_list(arch, spec.roster)
         .iter()
-        .map(|&(_, setting, idx)| {
-            samples_for_setting(arch, setting.num_threads, idx, spec.scope) as u64 + 1
-        })
+        .map(|&(_, _, idx)| samples_for_setting(arch, idx, spec.scope) as u64 + 1)
         .sum()
 }
 

@@ -7,10 +7,9 @@
 //! [`Scope::Full`] sweeps every configuration, [`Scope::PaperSized`]
 //! deterministically strides the space so the per-architecture totals
 //! match Table II exactly, and [`Scope::Pruned`] sweeps only the
-//! configurations `omplint`'s rule engine classifies as valid —
-//! canonical representatives of each semantic equivalence class, which
-//! cover the same behavior as [`Scope::Full`] at roughly a quarter of
-//! the runs.
+//! fixpoints of [`TuningConfig::canonical`] — one representative of
+//! each class the simulator prices bit for bit alike, which cover the
+//! same behavior as [`Scope::Full`] at 39/96 of the runs.
 
 use omptune_core::{paper, Arch, ConfigSpace, TuningConfig};
 use serde::{Deserialize, Serialize};
@@ -24,9 +23,9 @@ pub enum Scope {
     PaperSized,
     /// A tiny smoke-test slice (every `n`-th configuration).
     Strided(usize),
-    /// Only configurations `omplint` classifies as valid: redundant
-    /// points (semantically equal to an earlier canonical point) are
-    /// skipped, so the sweep covers every distinct behavior once.
+    /// Only the configurations with `c.canonical() == c`: a point the
+    /// model prices exactly like its canonical form is skipped, so the
+    /// sweep covers every distinct behavior once.
     Pruned,
 }
 
@@ -87,19 +86,12 @@ pub fn settings_count(arch: Arch) -> usize {
 }
 
 /// How many configurations setting number `setting_idx` (in sweep order)
-/// contributes under `scope` on `arch` at `num_threads`. (The thread
-/// count only matters for [`Scope::Pruned`]: the linter's redundancy
-/// rules depend on the team size through the reduction heuristic.)
-pub fn samples_for_setting(
-    arch: Arch,
-    num_threads: usize,
-    setting_idx: usize,
-    scope: Scope,
-) -> usize {
-    let space_len = ConfigSpace::new(arch, 1).len();
+/// contributes under `scope` on `arch`, at any team size.
+pub fn samples_for_setting(arch: Arch, setting_idx: usize, scope: Scope) -> usize {
+    let space = ConfigSpace::new(arch, 1);
     match scope {
-        Scope::Full => space_len,
-        Scope::Strided(n) => space_len.div_ceil(n.max(1)),
+        Scope::Full => space.len(),
+        Scope::Strided(n) => space.len().div_ceil(n.max(1)),
         Scope::PaperSized => {
             let settings = settings_count(arch);
             let target = table2_target(arch);
@@ -107,16 +99,8 @@ pub fn samples_for_setting(
             let remainder = target % settings;
             base + usize::from(setting_idx < remainder)
         }
-        Scope::Pruned => pruned_space(arch, num_threads).len(),
+        Scope::Pruned => space.iter().filter(|c| c.canonical() == *c).count(),
     }
-}
-
-/// The linter-pruned tuning space for one (arch, team size): every
-/// point the rule engine classifies as valid, in odometer order.
-pub fn pruned_space(arch: Arch, num_threads: usize) -> omptune_core::TuningSpace {
-    omplint::lint_space(arch, num_threads)
-        .pruned()
-        .expect("sweep settings never oversubscribe")
 }
 
 /// The configuration indices (into the odometer order of [`ConfigSpace`])
@@ -137,27 +121,23 @@ pub fn configs_for(
     setting_idx: usize,
     scope: Scope,
 ) -> Vec<(usize, TuningConfig)> {
-    let with_spare_slot = |n: usize| Vec::with_capacity(n + 1);
-    if scope == Scope::Pruned {
-        let pruned = pruned_space(arch, num_threads);
-        let mut configs = with_spare_slot(pruned.indices().len());
-        configs.extend(
-            pruned
-                .indices()
-                .iter()
-                .map(|&i| (i, pruned.space().get(i).expect("index in space"))),
-        );
-        return configs;
-    }
     let space = ConfigSpace::new(arch, num_threads);
-    let n = samples_for_setting(arch, num_threads, setting_idx, scope);
-    let indices = config_indices(space.len(), n);
-    let mut configs = with_spare_slot(indices.len());
-    configs.extend(
-        indices
-            .into_iter()
-            .map(|i| (i, space.get(i).expect("index in space"))),
-    );
+    let n = samples_for_setting(arch, setting_idx, scope);
+    let mut configs = Vec::with_capacity(n + 1);
+    if scope == Scope::Pruned {
+        configs.extend(
+            space
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.canonical() == *c),
+        );
+    } else {
+        configs.extend(
+            config_indices(space.len(), n)
+                .into_iter()
+                .map(|i| (i, space.get(i).expect("index in space"))),
+        );
+    }
     configs
 }
 
@@ -169,7 +149,7 @@ mod tests {
     fn paper_sized_totals_match_table2_exactly() {
         for arch in Arch::ALL {
             let total: usize = (0..settings_count(arch))
-                .map(|i| samples_for_setting(arch, arch.cores(), i, Scope::PaperSized))
+                .map(|i| samples_for_setting(arch, i, Scope::PaperSized))
                 .sum();
             assert_eq!(total, table2_target(arch), "{arch}");
         }
@@ -192,33 +172,36 @@ mod tests {
 
     #[test]
     fn full_scope_covers_everything() {
-        assert_eq!(samples_for_setting(Arch::Milan, 96, 0, Scope::Full), 9216);
-        assert_eq!(samples_for_setting(Arch::A64fx, 48, 0, Scope::Full), 4608);
+        assert_eq!(samples_for_setting(Arch::Milan, 0, Scope::Full), 9216);
+        assert_eq!(samples_for_setting(Arch::A64fx, 0, Scope::Full), 4608);
     }
 
     #[test]
     fn strided_scope_shrinks() {
-        assert_eq!(
-            samples_for_setting(Arch::Milan, 96, 0, Scope::Strided(100)),
-            93
-        );
+        assert_eq!(samples_for_setting(Arch::Milan, 0, Scope::Strided(100)), 93);
     }
 
     #[test]
     fn pruned_scope_keeps_only_canonical_configs() {
-        // The linter keeps 13 (bind,places) x 3 schedules x 5
-        // (library,blocktime) x 3 reductions x aligns canonical points.
-        assert_eq!(samples_for_setting(Arch::Milan, 96, 0, Scope::Pruned), 2340);
-        assert_eq!(samples_for_setting(Arch::A64fx, 48, 0, Scope::Pruned), 1170);
+        // 13 (bind,places) pairs x 3 schedules x 6 (library,blocktime)
+        // pairs x 4 reductions x aligns, whatever the team size.
+        assert_eq!(samples_for_setting(Arch::Milan, 0, Scope::Pruned), 3744);
+        assert_eq!(samples_for_setting(Arch::A64fx, 0, Scope::Pruned), 1872);
 
-        let configs = configs_for(Arch::Skylake, 40, 0, Scope::Pruned);
-        assert_eq!(configs.len(), 2340);
-        let space = ConfigSpace::new(Arch::Skylake, 40);
-        for (i, c) in &configs {
-            assert_eq!(space.index_of(c), Some(*i));
-            // Every swept point is its own canonical form: sweeping it
-            // again through the linter must change nothing.
-            assert_eq!(omplint::canonicalize(*c), *c);
+        for (arch, threads, n) in [
+            (Arch::Skylake, 1, 3744),
+            (Arch::Skylake, 40, 3744),
+            (Arch::Milan, 3, 3744),
+            (Arch::A64fx, 48, 1872),
+        ] {
+            let configs = configs_for(arch, threads, 0, Scope::Pruned);
+            assert_eq!(configs.len(), n, "{arch} at {threads} threads");
+            assert!(configs.capacity() > n, "no slot for the default row");
+            let space = ConfigSpace::new(arch, threads);
+            for (i, c) in &configs {
+                assert_eq!(space.get(*i), Some(*c));
+                assert_eq!(c.canonical(), *c);
+            }
         }
     }
 

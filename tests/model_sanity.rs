@@ -2,41 +2,144 @@
 //! cell of the study: the calibrated models must produce physically
 //! sensible, deterministic results under every class of configuration.
 
-use omptune::core::{Arch, ConfigSpace, TuningConfig};
+use omptune::apps::{AppSpec, Setting};
+use omptune::core::{
+    Arch, ConfigSpace, KmpBlocktime, KmpForceReduction, KmpLibrary, ReductionMethod, TuningConfig,
+};
+use omptune::sim::{simulate_with_cache, PlanCache, SimResult};
+
+/// Every (arch, paper app, setting) cell of the catalog, with its model.
+fn cells() -> impl Iterator<Item = (Arch, &'static AppSpec, Setting, omptune::sim::Model)> {
+    Arch::ALL.into_iter().flat_map(|arch| {
+        omptune::apps::apps_on(arch)
+            .into_iter()
+            .flat_map(move |app| {
+                omptune::apps::settings_for(app, arch)
+                    .into_iter()
+                    .map(move |setting| (arch, app, setting, (app.model)(arch, setting)))
+            })
+    })
+}
+
+/// A simulation result as bits: `total_ns`, the breakdown, `regions`.
+fn bits(r: &SimResult) -> (u64, [u64; 6], u64) {
+    let b = &r.breakdown;
+    let parts = [
+        b.compute_ns,
+        b.memory_ns,
+        b.sync_ns,
+        b.wake_ns,
+        b.dispatch_ns,
+        b.serial_ns,
+    ];
+    (r.total_ns.to_bits(), parts.map(f64::to_bits), r.regions)
+}
+
+#[test]
+fn canonical_rewrites_price_bit_for_bit_alike() {
+    // The judge of every redundancy rule: each configuration prices
+    // exactly like `canonical()` of it, in every cell and over the full
+    // space. A rewrite the model refutes fails here.
+    let mut rewritten = 0;
+    for (arch, app, setting, model) in cells() {
+        let cache = PlanCache::new(arch, &model, 0);
+        let space = ConfigSpace::new(arch, setting.num_threads);
+        let priced: Vec<_> = space
+            .iter()
+            .map(|c| bits(&simulate_with_cache(arch, &c, &model, 0, &cache)))
+            .collect();
+        for (i, c) in space.iter().enumerate() {
+            let k = c.canonical();
+            if k != c {
+                rewritten += 1;
+                let j = space.index_of(&k).expect("canonical() stays in the space");
+                assert_eq!(
+                    priced[i],
+                    priced[j],
+                    "{}/{}/{setting:?}: {} prices unlike its canonical {}",
+                    arch.id(),
+                    app.name,
+                    c.describe_knobs(),
+                    k.describe_knobs()
+                );
+            }
+        }
+    }
+    assert_eq!(rewritten, 533_520);
+}
+
+#[test]
+fn the_refuted_rewrites_stay_refuted() {
+    // Two equivalences a linter once assumed and the model denies: the
+    // library at blocktime 0 (task workers yield by library), and forcing
+    // the reduction the heuristic picks anyway (the heuristic costs a
+    // dispatch, which Table VII's forced-reduction row depends on). Each
+    // must change `total_ns` somewhere, so `canonical()` cannot take
+    // either back without failing the test above.
+    type Pair = fn(TuningConfig) -> Option<(TuningConfig, TuningConfig)>;
+    let library_at_blocktime_zero: Pair = |mut c| {
+        c.blocktime = KmpBlocktime::Zero;
+        let mut other = c;
+        c.library = KmpLibrary::Turnaround;
+        other.library = KmpLibrary::Throughput;
+        Some((c, other))
+    };
+    let forced_heuristic: Pair = |c| {
+        let forced = match ReductionMethod::heuristic(c.num_threads) {
+            ReductionMethod::Critical => KmpForceReduction::Critical,
+            ReductionMethod::Tree => KmpForceReduction::Tree,
+            _ => return None,
+        };
+        Some((
+            TuningConfig {
+                force_reduction: forced,
+                ..c
+            },
+            c,
+        ))
+    };
+    for (name, pair) in [
+        ("KMP_LIBRARY at KMP_BLOCKTIME=0", library_at_blocktime_zero),
+        ("a forced heuristic reduction", forced_heuristic),
+    ] {
+        let refuted = cells().any(|(arch, _, setting, model)| {
+            let default = TuningConfig::default_for(arch, setting.num_threads);
+            pair(default).is_some_and(|(a, b)| {
+                let price = |c: &TuningConfig| omptune::sim::simulate(arch, c, &model, 0).total_ns;
+                price(&a).to_bits() != price(&b).to_bits()
+            })
+        });
+        assert!(refuted, "{name} prices alike in every cell");
+    }
+}
 
 #[test]
 fn every_cell_simulates_sanely() {
-    for arch in Arch::ALL {
-        for app in omptune::apps::apps_on(arch) {
-            for setting in omptune::apps::settings_for(app, arch) {
-                let model = (app.model)(arch, setting);
-                let space = ConfigSpace::new(arch, setting.num_threads);
-                let default = TuningConfig::default_for(arch, setting.num_threads);
-                let base = omptune::sim::simulate(arch, &default, &model, 0).seconds();
-                assert!(
-                    base > 1e-6 && base < 100.0,
-                    "{}/{}/{:?}: default runtime {base}s out of range",
-                    arch.id(),
-                    app.name,
-                    setting
-                );
-                // A strided slice of the space: all speedups within
-                // physical bounds (master-bind can be ~100x slower on
-                // Milan, with memory multipliers on top; nothing should be
-                // more than 6x faster).
-                for config in space.iter().step_by(97) {
-                    let t = omptune::sim::simulate(arch, &config, &model, 0).seconds();
-                    let speedup = base / t;
-                    assert!(
-                        (1.0 / 500.0..=6.0).contains(&speedup),
-                        "{}/{}/{:?}: speedup {speedup} for {}",
-                        arch.id(),
-                        app.name,
-                        setting,
-                        config.describe()
-                    );
-                }
-            }
+    for (arch, app, setting, model) in cells() {
+        let space = ConfigSpace::new(arch, setting.num_threads);
+        let default = TuningConfig::default_for(arch, setting.num_threads);
+        let base = omptune::sim::simulate(arch, &default, &model, 0).seconds();
+        assert!(
+            base > 1e-6 && base < 100.0,
+            "{}/{}/{:?}: default runtime {base}s out of range",
+            arch.id(),
+            app.name,
+            setting
+        );
+        // A strided slice of the space: all speedups within physical
+        // bounds (master-bind can be ~100x slower on Milan, with memory
+        // multipliers on top; nothing should be more than 6x faster).
+        for config in space.iter().step_by(97) {
+            let t = omptune::sim::simulate(arch, &config, &model, 0).seconds();
+            let speedup = base / t;
+            assert!(
+                (1.0 / 500.0..=6.0).contains(&speedup),
+                "{}/{}/{:?}: speedup {speedup} for {}",
+                arch.id(),
+                app.name,
+                setting,
+                config.describe()
+            );
         }
     }
 }
