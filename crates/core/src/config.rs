@@ -90,7 +90,13 @@ impl ReductionMethod {
 /// `KMP_LIBRARY` is part of the projection (not the pricing layer): it
 /// changes whether idle task workers yield, which feeds the greedy
 /// task-dispatch makespan, not just a constant.
+///
+/// A projection is always of a [`TuningConfig::canonical`] configuration,
+/// so configurations the model prices alike share one plan. Other crates
+/// read the fields but obtain a projection only from
+/// [`TuningConfig::plan_projection`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[non_exhaustive]
 pub struct PlanProjection {
     pub places: OmpPlaces,
     pub proc_bind: OmpProcBind,
@@ -136,15 +142,17 @@ impl TuningConfig {
         *self == TuningConfig::default_for(arch, self.num_threads)
     }
 
-    /// The plan-relevant projection of this configuration: the cache
-    /// key for simulation-plan reuse (see [`PlanProjection`]).
+    /// The plan-relevant projection of this configuration's canonical
+    /// form: the cache key for simulation-plan reuse (see
+    /// [`PlanProjection`]).
     pub fn plan_projection(&self) -> PlanProjection {
+        let c = self.canonical();
         PlanProjection {
-            places: self.places,
-            proc_bind: self.proc_bind,
-            schedule: self.schedule,
-            library: self.library,
-            num_threads: self.num_threads,
+            places: c.places,
+            proc_bind: c.proc_bind,
+            schedule: c.schedule,
+            library: c.library,
+            num_threads: c.num_threads,
         }
     }
 
@@ -420,6 +428,29 @@ mod tests {
         let mut c = a;
         c.library = KmpLibrary::Turnaround;
         assert_ne!(a.plan_projection(), c.plan_projection());
+        // A configuration and its rewrite under each of `canonical()`'s
+        // four rules share one projection.
+        let placed = TuningConfig {
+            places: OmpPlaces::Cores,
+            ..a
+        };
+        let bound = |proc_bind| TuningConfig {
+            proc_bind,
+            ..placed
+        };
+        let auto = TuningConfig {
+            schedule: OmpSchedule::Auto,
+            ..a
+        };
+        for (from, to) in [
+            (auto, a),
+            (bound(OmpProcBind::True), bound(OmpProcBind::Close)),
+            (bound(OmpProcBind::False), a),
+            (bound(OmpProcBind::Spread), placed),
+        ] {
+            assert_ne!(from, to);
+            assert_eq!(from.plan_projection(), to.plan_projection(), "{from:?}");
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Streaming log-bucketed latency histograms with *bounded* quantiles.
 //!
-//! [`summary::LogHistogram`](crate::summary::LogHistogram) is a coarse
-//! log₂ sketch good enough for region-time shape; the sweep's progress
-//! and anomaly machinery need more: exact counts, mergeability, and
-//! quantile answers with a guaranteed error bound. This module provides
-//! an HdrHistogram-style bucket scheme with **8 sub-buckets per octave**:
+//! The sweep's progress and anomaly machinery need exact counts,
+//! mergeability, and quantile answers with a guaranteed error bound.
+//! This module provides an HdrHistogram-style bucket scheme with **8
+//! sub-buckets per octave**:
 //!
 //! - values `0..16` get exact unit-width bins (index = value),
 //! - a value `v ≥ 16` with `exp = floor(log2 v)` lands in sub-bucket

@@ -58,7 +58,7 @@ pub use schema::{
 pub use span::{
     current_span, flow_handle, flow_in, flow_out, instant, span, virtual_span, Span, SpanKind,
 };
-pub use summary::{LogHistogram, Summary};
+pub use summary::Summary;
 pub use tsdb::{read_ring, Point, RingFile, Tsdb, DEFAULT_CAPACITY};
 
 use std::cell::Cell;

@@ -2,80 +2,13 @@
 //! snapshots into a [`Summary`] that merges associatively.
 //!
 //! All accumulated nanosecond quantities are stored as **integers**
-//! (rounded once, at profile ingestion) and the latency distribution as
-//! a log₂-binned histogram, so [`Summary::merge`] is *exactly*
+//! (rounded once, at profile ingestion), so [`Summary::merge`] is *exactly*
 //! associative and commutative — a requirement for parallel sweeps that
 //! fold partial summaries in nondeterministic order. Floating-point
 //! addition would not be.
 
 use crate::schema::{Breakdown, CounterSnapshot, RegionProfile, Sink};
 use serde::{Deserialize, Serialize};
-
-/// Log₂-binned nanosecond histogram: bin 0 holds exact zeros, bin `b`
-/// holds values in `[2^(b-1), 2^b)`. Merging is bin-wise addition.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogHistogram {
-    /// Sparse-at-the-tail counts; index = bin.
-    pub counts: Vec<u64>,
-}
-
-impl LogHistogram {
-    fn bin(ns: u64) -> usize {
-        (64 - ns.leading_zeros()) as usize
-    }
-
-    /// Record one observation.
-    pub fn add_ns(&mut self, ns: u64) {
-        let b = Self::bin(ns);
-        if self.counts.len() <= b {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += 1;
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Bin-wise sum.
-    pub fn merge(&self, other: &LogHistogram) -> LogHistogram {
-        let n = self.counts.len().max(other.counts.len());
-        let mut counts = vec![0u64; n];
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c = self.counts.get(i).copied().unwrap_or(0)
-                + other.counts.get(i).copied().unwrap_or(0);
-        }
-        // Trim trailing zeros so equal distributions compare equal
-        // regardless of merge history.
-        while counts.last() == Some(&0) {
-            counts.pop();
-        }
-        LogHistogram { counts }
-    }
-
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1) as the geometric midpoint of
-    /// the bin holding the q-th observation; `None` when empty.
-    pub fn percentile_ns(&self, q: f64) -> Option<f64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(if b == 0 {
-                    0.0
-                } else {
-                    1.5 * 2f64.powi(b as i32 - 1)
-                });
-            }
-        }
-        None
-    }
-}
 
 /// Mergeable aggregate over region profiles and counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,8 +26,6 @@ pub struct Summary {
     pub imbalance_ns: u64,
     /// Largest single-region elapsed time.
     pub max_region_ns: u64,
-    /// Distribution of region elapsed times.
-    pub region_hist: LogHistogram,
     /// Merged runtime counters.
     pub counters: CounterSnapshot,
 }
@@ -122,7 +53,6 @@ impl Summary {
         self.serial_ns += ns(p.breakdown.serial_ns);
         self.imbalance_ns += ns(p.breakdown.imbalance_ns);
         self.max_region_ns = self.max_region_ns.max(total);
-        self.region_hist.add_ns(total);
     }
 
     /// Fold a whole-run breakdown in as `regions` regions of aggregate
@@ -140,7 +70,6 @@ impl Summary {
         self.serial_ns += ns(bd.serial_ns);
         self.imbalance_ns += ns(bd.imbalance_ns);
         self.max_region_ns = self.max_region_ns.max(total);
-        self.region_hist.add_ns(total);
     }
 
     /// Merge runtime counters in.
@@ -161,8 +90,7 @@ impl Summary {
     }
 
     /// Pure merge of two summaries. Exactly associative and commutative:
-    /// every field is an integer sum, max, bin-wise histogram sum, or
-    /// element-wise counter sum.
+    /// every field is an integer sum, max, or element-wise counter sum.
     pub fn merge(&self, other: &Summary) -> Summary {
         Summary {
             regions: self.regions + other.regions,
@@ -175,7 +103,6 @@ impl Summary {
             serial_ns: self.serial_ns + other.serial_ns,
             imbalance_ns: self.imbalance_ns + other.imbalance_ns,
             max_region_ns: self.max_region_ns.max(other.max_region_ns),
-            region_hist: self.region_hist.merge(&other.region_hist),
             counters: self.counters.merge(&other.counters),
         }
     }
@@ -254,21 +181,6 @@ mod tests {
             },
             threads: Vec::new(),
         }
-    }
-
-    #[test]
-    fn histogram_bins_and_percentiles() {
-        let mut h = LogHistogram::default();
-        assert_eq!(h.percentile_ns(0.5), None);
-        for ns in [0u64, 1, 1, 3, 1000, 1_000_000] {
-            h.add_ns(ns);
-        }
-        assert_eq!(h.total(), 6);
-        // Median falls in the bin of the 3rd observation (value 1).
-        let p50 = h.percentile_ns(0.5).unwrap();
-        assert!((1.0..4.0).contains(&p50), "p50 {p50}");
-        let p100 = h.percentile_ns(1.0).unwrap();
-        assert!(p100 > 500_000.0, "p100 {p100}");
     }
 
     #[test]

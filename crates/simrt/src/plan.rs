@@ -23,7 +23,7 @@
 //! the placement, loop regions ignore `library` and task regions ignore
 //! `schedule`. The plans of one [`PlanCache`] are therefore assembled
 //! from one `PlanShared`, which computes each of those parts once
-//! (DESIGN §8.1 has the table and the 192 → ≤30/≤20 bound).
+//! (DESIGN §8.1 has the table and the 78 → ≤30/≤20 bound).
 
 use crate::costs;
 use crate::exec::{
@@ -33,7 +33,7 @@ use crate::exec::{
 use crate::model::{Model, Phase};
 use archsim::{MachineDesc, Topology};
 use omptune_core::placement::Placement;
-use omptune_core::{Arch, KmpLibrary, OmpSchedule, PlanProjection, TuningConfig};
+use omptune_core::{Arch, KmpLibrary, PlanProjection, TuningConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -45,22 +45,13 @@ enum Skeleton {
     Tasks(TaskSkeleton),
 }
 
-/// Loop regions are planned per schedule class: `Static` and `Auto`
-/// chunk identically and share one.
-fn loop_class(schedule: OmpSchedule) -> usize {
-    match schedule {
-        OmpSchedule::Static | OmpSchedule::Auto => 0,
-        OmpSchedule::Dynamic => 1,
-        OmpSchedule::Guided => 2,
-    }
-}
-
 /// Everything planned under one thread environment (one or more
 /// placements): the environment and the write-once regions, filled by
 /// whichever projection needs one first and read by all the others.
 struct Placed {
     env: ThreadEnv,
-    /// Per loop skeleton in (step, phase) order, by [`loop_class`].
+    /// Per loop skeleton in (step, phase) order, by schedule: a
+    /// projection's is canonical, so never `Auto`.
     loops: Vec<[OnceLock<PlannedRegion>; 3]>,
     /// Per task skeleton in (step, phase) order, by `yielding`.
     tasks: Vec<[OnceLock<PlannedRegion>; 2]>,
@@ -316,8 +307,8 @@ impl RegionPlan {
                         continue;
                     }
                     Skeleton::Loop(l) => {
-                        let by_class = loops.next().expect("one entry per loop skeleton");
-                        let planned = by_class[loop_class(projection.schedule)].get_or_init(|| {
+                        let by_schedule = loops.next().expect("one entry per loop skeleton");
+                        let planned = by_schedule[projection.schedule as usize].get_or_init(|| {
                             plan_loop_with(
                                 l,
                                 t,
@@ -354,16 +345,6 @@ impl RegionPlan {
             shared: Arc::clone(shared),
             placed,
         }
-    }
-
-    /// The projection this plan was built for.
-    pub fn projection(&self) -> PlanProjection {
-        self.projection
-    }
-
-    /// The seed this plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.shared.seed
     }
 
     /// Price the plan under one concrete configuration. `tuning` must
@@ -714,14 +695,17 @@ impl PriceScratch {
 }
 
 /// In-memory plan cache for one `(arch, model, seed)` batch: maps each
-/// [`PlanProjection`] to its shared [`RegionPlan`]. Thread-safe; hit and
-/// miss counts are tracked locally (always) and mirrored into the
-/// `omptel` counters when a telemetry session is active.
+/// [`PlanProjection`] to its shared [`RegionPlan`], built exactly once.
+/// Thread-safe; hit and miss counts are tracked locally (always) and
+/// mirrored into the `omptel` counters when a telemetry session is
+/// active.
 pub struct PlanCache {
     /// Who the cache is for, and — from the first miss on — the
     /// planning work its plans share.
     shared: Arc<PlanShared>,
-    plans: Mutex<HashMap<PlanProjection, Arc<RegionPlan>>>,
+    /// Per key, the plan once its one build is done; a concurrent probe
+    /// of the same key waits for that build.
+    plans: Mutex<HashMap<PlanProjection, Arc<OnceLock<Arc<RegionPlan>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -754,12 +738,8 @@ impl PlanCache {
     /// exactly as `group` per-config [`PlanCache::plan`] calls would be
     /// (a cached plan scores `group` hits; a build scores one miss plus
     /// `group - 1` hits), so hit-rate telemetry is unchanged by
-    /// batching.
-    ///
-    /// Concurrent misses on the same projection may both build; the first
-    /// insert wins and both results are identical (planning is
-    /// deterministic), so the race costs duplicated work, never wrong
-    /// answers.
+    /// batching. A probe that finds its key's build under way waits for
+    /// it and scores hits, so each key is built exactly once.
     pub fn plan_batch(&self, tuning: &TuningConfig, model: &Model, group: u64) -> Arc<RegionPlan> {
         debug_assert!(group >= 1, "a plan group holds at least one config");
         debug_assert_eq!(
@@ -767,26 +747,31 @@ impl PlanCache {
             "plan cache is per (arch, model, seed)"
         );
         let key = tuning.plan_projection();
-        if let Some(plan) = self.plans.lock().expect("plan cache poisoned").get(&key) {
-            self.hits.fetch_add(group, Ordering::Relaxed);
-            omptel::add(omptel::Counter::PlanCacheHits, group);
-            omptel::instant(omptel::SpanKind::PlanHit, group);
-            return Arc::clone(plan);
-        }
-        let built = self.build(key, model);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        omptel::add(omptel::Counter::PlanCacheMisses, 1);
-        if group > 1 {
-            self.hits.fetch_add(group - 1, Ordering::Relaxed);
-            omptel::add(omptel::Counter::PlanCacheHits, group - 1);
-        }
-        Arc::clone(
+        let slot = Arc::clone(
             self.plans
                 .lock()
                 .expect("plan cache poisoned")
                 .entry(key)
-                .or_insert(built),
-        )
+                .or_default(),
+        );
+        let mut built = false;
+        let plan = slot.get_or_init(|| {
+            built = true;
+            self.build(key, model)
+        });
+        if built {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            omptel::add(omptel::Counter::PlanCacheMisses, 1);
+            if group > 1 {
+                self.hits.fetch_add(group - 1, Ordering::Relaxed);
+                omptel::add(omptel::Counter::PlanCacheHits, group - 1);
+            }
+        } else {
+            self.hits.fetch_add(group, Ordering::Relaxed);
+            omptel::add(omptel::Counter::PlanCacheHits, group);
+            omptel::instant(omptel::SpanKind::PlanHit, group);
+        }
+        Arc::clone(plan)
     }
 
     /// `(hits, misses)` so far.
@@ -797,7 +782,7 @@ impl PlanCache {
         )
     }
 
-    /// Number of distinct projections planned.
+    /// Number of distinct projections planned (or being planned).
     pub fn len(&self) -> usize {
         self.plans.lock().expect("plan cache poisoned").len()
     }
@@ -1063,19 +1048,20 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// The 192 plan projections at one thread count, in odometer order.
-    fn all_projections(t: usize) -> Vec<PlanProjection> {
+    /// The 192 raw (places, bind, schedule, library) combinations at one
+    /// thread count, in odometer order, with default pricing variables.
+    fn all_structures(arch: Arch, t: usize) -> Vec<TuningConfig> {
         let mut out = Vec::with_capacity(192);
         for places in OmpPlaces::ALL {
             for proc_bind in OmpProcBind::ALL {
                 for schedule in OmpSchedule::ALL {
                     for library in KmpLibrary::ALL {
-                        out.push(PlanProjection {
+                        out.push(TuningConfig {
                             places,
                             proc_bind,
                             schedule,
                             library,
-                            num_threads: t,
+                            ..TuningConfig::default_for(arch, t)
                         });
                     }
                 }
@@ -1099,8 +1085,8 @@ mod tests {
         let _tel = crate::tel_shared();
         let m = mixed_model();
         let cache = PlanCache::new(Arch::Milan, &m, 4);
-        for projection in all_projections(24) {
-            cache.build(projection, &m);
+        for c in all_structures(Arch::Milan, 24) {
+            cache.build(c.plan_projection(), &m);
         }
         // The 24 (places, proc_bind) pairs compute 8 distinct placements
         // here (unbound; master, close and spread on each of 3 place
@@ -1108,10 +1094,11 @@ mod tests {
         // when 24 threads divide evenly over 12 LLC groups or 2
         // sockets), and those land threads in 7 distinct environments:
         // master on a 48-core socket puts thread i on core i, as close
-        // on cores does. x 3 schedule classes per loop phase, x 2
-        // libraries per task phase, on the cold and the warm step: 192
-        // builds consumed 70 planned regions, not 768. In general at
-        // most 10 placements, so at most 30 and 20 per phase.
+        // on cores does. x 3 canonical schedules per loop phase, x 2
+        // libraries per task phase, on the cold and the warm step: the
+        // 78 canonical projections consumed 70 planned regions, not 312.
+        // In general at most 10 placements, so at most 30 and 20 per
+        // phase.
         assert_eq!(cache.shared.placed.lock().unwrap().len(), 8);
         assert_eq!(cache.shared.environments().len(), 7);
         assert_eq!(cache.shared.planned_per_slot(), [21, 0, 14, 21, 0, 14]);
@@ -1119,8 +1106,8 @@ mod tests {
         // sockets never do. Master on an 8-core LLC group, like master
         // on a socket, puts thread i on core i.
         let cache = PlanCache::new(Arch::Milan, &m, 4);
-        for projection in all_projections(5) {
-            cache.build(projection, &m);
+        for c in all_structures(Arch::Milan, 5) {
+            cache.build(c.plan_projection(), &m);
         }
         assert_eq!(cache.shared.placed.lock().unwrap().len(), 9);
         assert_eq!(cache.shared.environments().len(), 7);
@@ -1219,8 +1206,10 @@ mod tests {
             t in 1usize..=48,
         ) {
             let _tel = crate::tel_shared();
-            let a = all_projections(t)[base];
-            let steps = |p: PlanProjection, m: &Model| RegionPlan::build(arch, p, m, seed).steps;
+            let a = all_structures(arch, t)[base];
+            let steps = |c: TuningConfig, m: &Model| {
+                RegionPlan::build(arch, c.plan_projection(), m, seed).steps
+            };
 
             // Loop regions never read the library.
             let loops_only = generated_model(&phases, timesteps, true, false);
@@ -1228,25 +1217,17 @@ mod tests {
                 KmpLibrary::Throughput => KmpLibrary::Turnaround,
                 KmpLibrary::Turnaround => KmpLibrary::Throughput,
             };
-            prop_assert!(steps(a, &loops_only) == steps(PlanProjection { library: flipped, ..a }, &loops_only));
+            prop_assert!(steps(a, &loops_only) == steps(TuningConfig { library: flipped, ..a }, &loops_only));
 
             // Task regions never read the schedule.
             let tasks_only = generated_model(&phases, timesteps, false, true);
-            let rescheduled = PlanProjection { schedule: OmpSchedule::ALL[other_schedule], ..a };
+            let rescheduled = TuningConfig { schedule: OmpSchedule::ALL[other_schedule], ..a };
             prop_assert!(steps(a, &tasks_only) == steps(rescheduled, &tasks_only));
 
-            // Static and Auto are one schedule class; bind-without-places
-            // falls back to per-core places.
+            // Bind-without-places falls back to per-core places.
             let mixed = generated_model(&phases, timesteps, true, true);
-            let of = |schedule, places, proc_bind| PlanProjection { schedule, places, proc_bind, ..a };
-            prop_assert!(
-                steps(of(OmpSchedule::Static, a.places, a.proc_bind), &mixed)
-                    == steps(of(OmpSchedule::Auto, a.places, a.proc_bind), &mixed)
-            );
-            prop_assert!(
-                steps(of(a.schedule, OmpPlaces::Unset, OmpProcBind::Close), &mixed)
-                    == steps(of(a.schedule, OmpPlaces::Cores, OmpProcBind::Close), &mixed)
-            );
+            let of = |places| TuningConfig { places, proc_bind: OmpProcBind::Close, ..a };
+            prop_assert!(steps(of(OmpPlaces::Unset), &mixed) == steps(of(OmpPlaces::Cores), &mixed));
         }
     }
 

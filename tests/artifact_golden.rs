@@ -59,11 +59,13 @@ fn write_tiny(dir: &Path, workers: usize) -> std::io::Result<ArtifactSummary> {
 
 #[test]
 fn tiny_collect_artifacts_match_the_golden_digests() {
+    // `manifest.json` also pins each arch's plan hit and miss counts, so
+    // it moves with the plan cache's key; the other three do not.
     let golden: [(&str, usize, u64); 4] = [
         ("samples.csv", 162278, 0x9584286d713cb238),
         ("raw_batches.json", 1670600, 0x3c18d76107f1f6cb),
         ("provenance.jsonl", 1544788, 0x17031c53888e2e7e),
-        ("manifest.json", 4488, 0x80fd603cff4e6c4d),
+        ("manifest.json", 2679, 0xd51b7436fc4b1d89),
     ];
     for workers in [1, 2, 4] {
         let dir = scratch_dir(&format!("w{workers}"));

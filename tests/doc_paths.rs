@@ -1,9 +1,10 @@
 //! Doc lint: a repository path the prose cites in backticks must exist,
 //! a `--bench NAME` must be a bench target, a `BENCH_*.json` a committed
-//! baseline, and a `--flag` given to one of the eleven tools a literal in
-//! that tool's source. The docs outlive the files they describe — a crate
-//! folded into another, a test renamed, a bench deleted — and nothing else
-//! notices.
+//! baseline, a `--flag` given to one of the eleven tools a literal in
+//! that tool's source, and a `crate::item` path under a workspace crate
+//! an item that crate's source defines. The docs outlive the files and
+//! items they describe — a crate folded into another, a test renamed, a
+//! bench deleted, a function inlined — and nothing else notices.
 
 use std::path::Path;
 
@@ -60,6 +61,79 @@ fn cited_flags(span: &str) -> Option<(String, Vec<&str>)> {
         .take_while(|w| *w != "|")
         .filter(|w| w.len() > 2 && w.starts_with("--"));
     Some((source, flags.collect()))
+}
+
+/// The workspace crates under `crates/`, by the name code calls them
+/// (`omptune-core` is `omptune_core`), each with the text of its `src/`.
+fn workspace_crates() -> Vec<(String, String)> {
+    fn read_tree(dir: &Path, text: &mut String) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                read_tree(&path, text);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                text.push_str(&std::fs::read_to_string(&path).unwrap());
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut crates = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+        let dir = entry.unwrap().path();
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \""))
+            .and_then(|rest| rest.split('"').next())
+            .unwrap();
+        let mut text = String::new();
+        read_tree(&dir.join("src"), &mut text);
+        crates.push((name.replace('-', "_"), text));
+    }
+    crates
+}
+
+/// The crate a span starts with (`simrt::plan::RegionPlan::price(..)`)
+/// and the item names its path goes through, with a closing `{A, B}`
+/// group (`bench_harness::{Series, BenchDoc}`) read as two more names.
+fn cited_items(span: &str) -> Option<(&str, Vec<&str>)> {
+    let (krate, rest) = span.split_once("::")?;
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    if krate.is_empty() || !krate.chars().all(ident) {
+        return None;
+    }
+    let end = rest
+        .find(|c: char| !ident(c) && c != ':')
+        .unwrap_or(rest.len());
+    let mut names: Vec<&str> = rest[..end].split("::").filter(|n| !n.is_empty()).collect();
+    if let Some(group) = rest[end..].strip_prefix('{') {
+        let group = group.split('}').next().unwrap_or("");
+        names.extend(group.split(',').map(str::trim).filter(|n| !n.is_empty()));
+    }
+    Some((krate, names))
+}
+
+/// Whether `src` defines `name`, by text: an item keyword right before
+/// it (`pub(crate) fn name`), or an indented line that starts with it
+/// the way an enum variant does (`Name,`, `Name(…`, `Name {`).
+fn defines(src: &str, name: &str) -> bool {
+    const KEYWORDS: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "mod", "const", "static", "type",
+    ];
+    src.lines().any(|line| {
+        let words: Vec<&str> = line
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        let item = words
+            .windows(2)
+            .any(|w| KEYWORDS.contains(&w[0]) && w[1] == name);
+        let variant = line.starts_with(char::is_whitespace)
+            && line.trim_start().strip_prefix(name).is_some_and(|rest| {
+                rest.trim_start().is_empty() || rest.trim_start().starts_with([',', '(', '{'])
+            });
+        item || variant
+    })
 }
 
 /// `visit(doc, line number, span)` for every backticked span of every doc:
@@ -149,6 +223,32 @@ fn every_flag_a_doc_gives_a_tool_is_one_the_tool_reads() {
 }
 
 #[test]
+fn every_crate_item_a_doc_cites_is_defined_in_that_crate() {
+    let crates = workspace_crates();
+    assert!(crates.len() > 10, "found only {} crates", crates.len());
+    let mut undefined = Vec::new();
+    let mut checked = 0;
+    for_each_span(|doc, line, span| {
+        let Some((krate, names)) = cited_items(span) else {
+            return;
+        };
+        let Some((_, src)) = crates.iter().find(|(name, _)| name == krate) else {
+            return;
+        };
+        for name in names {
+            checked += 1;
+            if !defines(src, name) {
+                undefined.push(format!(
+                    "{doc}:{line}: `{name}` in `{span}` is not in {krate}"
+                ));
+            }
+        }
+    });
+    assert!(checked > 50, "the scan found only {checked} items");
+    assert!(undefined.is_empty(), "{}", undefined.join("\n"));
+}
+
+#[test]
 fn spans_that_are_not_one_plain_path_are_skipped() {
     assert_eq!(
         cited_path("crates/sweep/src/collect.rs"),
@@ -203,4 +303,22 @@ fn spans_that_are_not_one_plain_path_are_skipped() {
     }
     let lint = "cargo run -p omplint --bin omplint -- lint --json";
     assert_eq!(cited_flags(lint).unwrap().1, ["--json"]);
+    assert_eq!(
+        cited_items("simrt::plan::RegionPlan::price(..)"),
+        Some(("simrt", vec!["plan", "RegionPlan", "price"]))
+    );
+    assert_eq!(
+        cited_items("bench_harness::{Series, BenchDoc}"),
+        Some(("bench_harness", vec!["Series", "BenchDoc"]))
+    );
+    for other in ["crates/sweep/src/collect.rs", "<arch>::x", "a b::c"] {
+        assert_eq!(cited_items(other), None, "{other}");
+    }
+    let src = "pub(crate) fn plan() {}\nenum Kind {\n    Loop,\n    Tasks(u8),\n}\n";
+    for name in ["plan", "Kind", "Loop", "Tasks"] {
+        assert!(defines(src, name), "{name}");
+    }
+    for name in ["loop_class", "Loo", "u8"] {
+        assert!(!defines(src, name), "{name}");
+    }
 }

@@ -6,7 +6,7 @@ use omptune::apps::{AppSpec, Setting};
 use omptune::core::{
     Arch, ConfigSpace, KmpBlocktime, KmpForceReduction, KmpLibrary, ReductionMethod, TuningConfig,
 };
-use omptune::sim::{simulate_with_cache, PlanCache, SimResult};
+use omptune::sim::{simulate_monolithic, simulate_with_cache, PlanCache, SimResult};
 
 /// Every (arch, paper app, setting) cell of the catalog, with its model.
 fn cells() -> impl Iterator<Item = (Arch, &'static AppSpec, Setting, omptune::sim::Model)> {
@@ -35,37 +35,83 @@ fn bits(r: &SimResult) -> (u64, [u64; 6], u64) {
     (r.total_ns.to_bits(), parts.map(f64::to_bits), r.regions)
 }
 
-#[test]
-fn canonical_rewrites_price_bit_for_bit_alike() {
-    // The judge of every redundancy rule: each configuration prices
-    // exactly like `canonical()` of it, in every cell and over the full
-    // space. A rewrite the model refutes fails here.
+/// One cell's judgement of `canonical()`, as (rewritten configurations,
+/// rewritten raw projections checked against the monolithic simulator).
+fn judge_cell(
+    arch: Arch,
+    app: &AppSpec,
+    setting: Setting,
+    model: &omptune::sim::Model,
+) -> (usize, usize) {
+    let what = format!("{}/{}/{setting:?}", arch.id(), app.name);
+    let cache = PlanCache::new(arch, model, 0);
+    let space = ConfigSpace::new(arch, setting.num_threads);
+    let priced: Vec<_> = space
+        .iter()
+        .map(|c| bits(&simulate_with_cache(arch, &c, model, 0, &cache)))
+        .collect();
+    // (a) Over the full space, each configuration prices like its
+    // canonical form. The cache plans both by the canonical projection,
+    // so this judges what pricing reads.
     let mut rewritten = 0;
-    for (arch, app, setting, model) in cells() {
-        let cache = PlanCache::new(arch, &model, 0);
-        let space = ConfigSpace::new(arch, setting.num_threads);
-        let priced: Vec<_> = space
-            .iter()
-            .map(|c| bits(&simulate_with_cache(arch, &c, &model, 0, &cache)))
-            .collect();
-        for (i, c) in space.iter().enumerate() {
-            let k = c.canonical();
-            if k != c {
-                rewritten += 1;
-                let j = space.index_of(&k).expect("canonical() stays in the space");
-                assert_eq!(
-                    priced[i],
-                    priced[j],
-                    "{}/{}/{setting:?}: {} prices unlike its canonical {}",
-                    arch.id(),
-                    app.name,
-                    c.describe_knobs(),
-                    k.describe_knobs()
-                );
-            }
+    for (i, c) in space.iter().enumerate() {
+        let k = c.canonical();
+        if k != c {
+            rewritten += 1;
+            let j = space.index_of(&k).expect("canonical() stays in the space");
+            assert_eq!(
+                priced[i],
+                priced[j],
+                "{what}: {} prices unlike its canonical {}",
+                c.describe_knobs(),
+                k.describe_knobs()
+            );
         }
     }
-    assert_eq!(rewritten, 533_520);
+    // (b) Per raw (places, bind, schedule, library) projection, one
+    // configuration, its pricing variables stepping through their
+    // combinations: where `canonical()` rewrites it, the cached price
+    // equals the monolithic simulator's, which plans it as written.
+    let per_projection = space.len() / 192;
+    let mut raw = 0;
+    for p in 0..192 {
+        let i = p * per_projection + p % per_projection;
+        let c = space.get(i).expect("in the space");
+        if c.canonical() != c {
+            raw += 1;
+            assert_eq!(
+                priced[i],
+                bits(&simulate_monolithic(arch, &c, model, 0)),
+                "{what}: {} prices unlike the model plans it",
+                c.describe_knobs()
+            );
+        }
+    }
+    (rewritten, raw)
+}
+
+#[test]
+fn canonical_rewrites_price_bit_for_bit_alike() {
+    // The judge of every redundancy rule, in every cell: a rewrite the
+    // model refutes fails here. Cells are split over two threads.
+    let cells: Vec<_> = cells().collect();
+    let judged = std::thread::scope(|s| {
+        let halves: Vec<_> = cells
+            .chunks(cells.len().div_ceil(2))
+            .map(|half| {
+                s.spawn(move || {
+                    half.iter()
+                        .map(|(arch, app, setting, model)| judge_cell(*arch, app, *setting, model))
+                        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+                })
+            })
+            .collect();
+        halves
+            .into_iter()
+            .map(|h| h.join().expect("a judge thread panicked"))
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    });
+    assert_eq!(judged, (533_520, 13_680));
 }
 
 #[test]
@@ -75,7 +121,9 @@ fn the_refuted_rewrites_stay_refuted() {
     // the reduction the heuristic picks anyway (the heuristic costs a
     // dispatch, which Table VII's forced-reduction row depends on). Each
     // must change `total_ns` somewhere, so `canonical()` cannot take
-    // either back without failing the test above.
+    // either back without failing the test above. Priced by the
+    // monolithic simulator, which plans as written: `simulate` plans by
+    // `canonical()`, and would judge it instead of the model.
     type Pair = fn(TuningConfig) -> Option<(TuningConfig, TuningConfig)>;
     let library_at_blocktime_zero: Pair = |mut c| {
         c.blocktime = KmpBlocktime::Zero;
@@ -105,7 +153,7 @@ fn the_refuted_rewrites_stay_refuted() {
         let refuted = cells().any(|(arch, _, setting, model)| {
             let default = TuningConfig::default_for(arch, setting.num_threads);
             pair(default).is_some_and(|(a, b)| {
-                let price = |c: &TuningConfig| omptune::sim::simulate(arch, c, &model, 0).total_ns;
+                let price = |c: &TuningConfig| simulate_monolithic(arch, c, &model, 0).total_ns;
                 price(&a).to_bits() != price(&b).to_bits()
             })
         });
