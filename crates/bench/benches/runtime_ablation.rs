@@ -14,12 +14,12 @@
 //!   static scheduling leaves threads idle, paper Sec. III-3) or is flat;
 //! - `real_{idle,collecting,tracing,checking}_s` — a tree reduction plus
 //!   a dynamic loop on the real runtime with every event site idle (one
-//!   relaxed load each — the state sweeps run in), under an `omptel`
-//!   session, under an `omprt::trace` session, and with the trace also
-//!   replayed through `omplint::check_trace`; the sum is asserted equal
-//!   in all four and the trace certified clean;
+//!   relaxed load each — the state sweeps run in), under a counter-only
+//!   `omptel` session, under an `omprt::trace` session, and with the
+//!   trace also replayed through `omplint::check_trace`; the sum is
+//!   asserted equal in all four and the trace certified clean;
 //! - `sim_{idle,collecting}_s` — one `simrt::simulate` of CG/Milan@48
-//!   without and with region-profile capture.
+//!   without and with a counter-only `omptel` session.
 //!
 //! Every series is seconds per iteration over 7 passes, each pass sized
 //! by [`Series::per_iteration`]; the four `*_overhead` ratios compare an
@@ -188,7 +188,7 @@ fn main() {
         let collecting = timed("real_collecting_s", &mut || {
             let session = omptel::session().expect("exclusive session");
             real_workload(&pool);
-            black_box(session.finish().regions.len());
+            black_box(session.finish());
         });
         let tracing = timed("real_tracing_s", &mut || {
             let session = trace::session();
@@ -218,7 +218,7 @@ fn main() {
     let sim_collecting = timed("sim_collecting_s", &mut || {
         let session = omptel::session().expect("exclusive session");
         black_box(simrt::simulate(Arch::Milan, &config, &model, 0).total_ns);
-        black_box(session.finish().regions.len());
+        black_box(session.finish());
     });
 
     doc.ratio("telemetry_overhead", collecting / idle)

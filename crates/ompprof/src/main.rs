@@ -190,10 +190,7 @@ fn cmd_diff(args: &Cli) -> Result<u8, Error> {
     let (best, worst) = (slice.fastest()?, slice.slowest()?);
     let (data, setting, seed) = (&slice.data, slice.setting, slice.spec.seed);
     let model = slice.model();
-
-    let best_sum = slice.summarize(&best.config)?;
-    let worst_sum = slice.summarize(&worst.config)?;
-    let gap = worst_sum.total_ns as f64 / best_sum.total_ns as f64;
+    let gap = slice.virtual_gap()?;
 
     let best_ex = simrt::explain(args.arch, &best.config, &model, seed);
     let worst_ex = simrt::explain(args.arch, &worst.config, &model, seed);
@@ -229,7 +226,7 @@ fn cmd_diff(args: &Cli) -> Result<u8, Error> {
             &best_tree,
             &worst_tree,
             &format!("worst vs best {slug}"),
-            &format!("best-vs-worst {gap:.2}x region-time gap | top variable {top}"),
+            &format!("best-vs-worst {gap:.2}x virtual-time gap | top variable {top}"),
         ),
     )?;
     write(
@@ -245,7 +242,7 @@ fn cmd_diff(args: &Cli) -> Result<u8, Error> {
     )?;
 
     println!(
-        "ompprof diff {slug}: best-vs-worst: {gap:.2}x region-time gap, \
+        "ompprof diff {slug}: best-vs-worst: {gap:.2}x virtual-time gap, \
          {energy_gap:.2}x modeled-energy gap (top variable {top})"
     );
     println!(

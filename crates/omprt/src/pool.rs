@@ -19,64 +19,9 @@
 use crate::perturb::{self, Site};
 use crate::trace::{self, Event};
 use omptune_core::config::WaitPolicy;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Wall-clock telemetry for one in-flight region; allocated only when an
-/// `omptel` session is live, so the disabled path never reads a clock.
-struct RegionTel {
-    /// Region start on the telemetry epoch clock.
-    begin_ns: f64,
-    start: Instant,
-    /// Per-thread busy nanoseconds, filled by each team thread.
-    busy: Arc<Vec<AtomicU64>>,
-}
-
-impl RegionTel {
-    fn start(n: usize) -> RegionTel {
-        RegionTel {
-            begin_ns: omptel::now_ns(),
-            start: Instant::now(),
-            busy: Arc::new((0..n).map(|_| AtomicU64::new(0)).collect()),
-        }
-    }
-
-    /// Close out the region: fork/join latency is the elapsed wall time
-    /// minus the average busy time; the unattributable remainder (join
-    /// waits on the slowest thread) lands in the imbalance bucket.
-    fn finish(self) {
-        let n = self.busy.len();
-        let total_ns = self.start.elapsed().as_nanos() as f64;
-        let threads: Vec<omptel::ThreadProfile> = (0..n)
-            .map(|i| {
-                let busy_ns = self.busy[i].load(Ordering::Relaxed) as f64;
-                omptel::ThreadProfile {
-                    thread: i,
-                    busy_ns,
-                    wait_ns: (total_ns - busy_ns).max(0.0),
-                    wake_ns: 0.0,
-                    oversub: 1.0,
-                }
-            })
-            .collect();
-        let avg_busy = threads.iter().map(|t| t.busy_ns).sum::<f64>() / n as f64;
-        let breakdown = omptel::Breakdown {
-            compute_ns: avg_busy.min(total_ns),
-            ..omptel::Breakdown::default()
-        }
-        .close_to_total(total_ns);
-        omptel::add(omptel::Counter::Regions, 1);
-        omptel::record_region(omptel::RegionProfile {
-            name: omptel::region_label().to_string(),
-            kind: omptel::RegionKind::Parallel,
-            begin_ns: self.begin_ns,
-            total_ns,
-            breakdown,
-            threads,
-        });
-    }
-}
 
 /// Per-thread context handed to parallel-region closures.
 #[derive(Debug, Clone, Copy)]
@@ -219,7 +164,7 @@ impl ThreadPool {
             trace::set_thread_id(0);
             trace::emit(Event::RegionFork { region });
         }
-        let tel = omptel::enabled().then(|| RegionTel::start(self.num_threads));
+        omptel::add(omptel::Counter::Regions, 1);
         // Flight-recorder span for the whole fork/join region on the
         // caller's track; workers record their own share below.
         let _pspan = omptel::span(omptel::SpanKind::Parallel, self.num_threads as u64);
@@ -227,15 +172,10 @@ impl ThreadPool {
             if region != 0 {
                 trace::emit(Event::RegionBegin { region });
             }
-            let t0 = tel.as_ref().map(|_| Instant::now());
             f(ThreadCtx {
                 thread_num: 0,
                 num_threads: 1,
             });
-            if let (Some(tel), Some(t0)) = (tel, t0) {
-                tel.busy[0].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                tel.finish();
-            }
             if region != 0 {
                 trace::emit(Event::RegionEnd { region });
                 trace::emit(Event::RegionJoin { region });
@@ -249,18 +189,13 @@ impl ThreadPool {
         fn erase<'a>(f: Arc<dyn Fn(ThreadCtx) + Send + Sync + 'a>) -> Job {
             unsafe { std::mem::transmute(f) }
         }
-        let busy = tel.as_ref().map(|t| Arc::clone(&t.busy));
         let job: Job = erase(Arc::new(move |ctx: ThreadCtx| {
             if region != 0 {
                 trace::set_thread_id(ctx.thread_num);
                 trace::emit(Event::RegionBegin { region });
             }
             let _wspan = omptel::span(omptel::SpanKind::Worker, ctx.thread_num as u64);
-            let t0 = busy.as_ref().map(|_| Instant::now());
             f(ctx);
-            if let (Some(busy), Some(t0)) = (&busy, t0) {
-                busy[ctx.thread_num].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
             if region != 0 {
                 trace::emit(Event::RegionEnd { region });
             }
@@ -312,9 +247,6 @@ impl ThreadPool {
         }
         // Drop the job so borrowed state is released before returning.
         *self.shared.slot() = None;
-        if let Some(tel) = tel {
-            tel.finish();
-        }
         if region != 0 {
             trace::emit(Event::RegionJoin { region });
         }

@@ -1,6 +1,6 @@
 //! End-to-end telemetry capture from the real runtime: an omptel session
-//! wrapped around pool work must yield region profiles whose breakdown
-//! sums to the region total, plus the counters each construct promises.
+//! wrapped around pool work must yield the counters each construct
+//! promises, and nothing before the session opened.
 //!
 //! Sessions are process-global, so every test takes TEST_LOCK.
 
@@ -21,63 +21,31 @@ fn spin_work(i: usize) -> f64 {
 }
 
 #[test]
-fn session_captures_region_profiles_from_real_pool() {
+fn session_counts_regions_and_chunks_from_real_pool() {
     let _guard = TEST_LOCK.lock().unwrap();
     let pool = ThreadPool::with_defaults(4);
-    // Warm the pool up outside the session so worker spawn cost is not
-    // part of the first profiled region.
+    // Warm the pool up outside the session: its region is not counted.
     parallel_for(&pool, OmpSchedule::Static, 64, |i| {
         std::hint::black_box(spin_work(i));
     });
 
     let session = omptel::session().expect("no other session active");
-    omptel::set_region_label("tel-test/static");
     parallel_for(&pool, OmpSchedule::Static, 4096, |i| {
         std::hint::black_box(spin_work(i));
     });
-    omptel::set_region_label("tel-test/dynamic");
     parallel_for(&pool, OmpSchedule::Dynamic, 512, |i| {
         std::hint::black_box(spin_work(i));
     });
-    let batch = session.finish();
+    let counters = session.finish();
 
-    let find = |label: &str| {
-        batch
-            .regions
-            .iter()
-            .find(|r| r.name == label)
-            .unwrap_or_else(|| panic!("region {label} not recorded"))
-    };
-    for label in ["tel-test/static", "tel-test/dynamic"] {
-        let region = find(label);
-        assert_eq!(region.kind, omptel::RegionKind::Parallel);
-        assert_eq!(region.threads.len(), 4, "{label}");
-        assert!(region.total_ns > 0.0, "{label} must take measurable time");
-        // The acceptance invariant: breakdown components sum to the
-        // region's total elapsed time (close_to_total guarantees it).
-        let sum = region.breakdown.sum();
-        assert!(
-            (sum - region.total_ns).abs() <= 1.0,
-            "{label}: breakdown sum {sum} != total {}",
-            region.total_ns
-        );
-        for t in &region.threads {
-            assert!(
-                t.busy_ns <= region.total_ns * 1.5,
-                "{label}: thread busy exceeds region total wildly"
-            );
-        }
-    }
-
-    let summary = batch.summary();
-    assert!(summary.regions >= 2);
+    assert_eq!(counters.get(omptel::Counter::Regions), 2);
     // The dynamic loop hands out 512 chunks of size 1.
     assert!(
-        batch.counters.get(omptel::Counter::ChunksDynamic) >= 512,
+        counters.get(omptel::Counter::ChunksDynamic) >= 512,
         "dynamic chunk claims missing"
     );
     // The static loop logs one chunk per participating thread.
-    assert!(batch.counters.get(omptel::Counter::ChunksStatic) >= 4);
+    assert!(counters.get(omptel::Counter::ChunksStatic) >= 4);
 }
 
 #[test]
@@ -85,7 +53,6 @@ fn reduction_and_barrier_counters_are_recorded() {
     let _guard = TEST_LOCK.lock().unwrap();
     let pool = ThreadPool::with_defaults(4);
     let session = omptel::session().expect("no other session active");
-    omptel::set_region_label("tel-test/reduce");
     let got = parallel_reduce_sum(
         &pool,
         OmpSchedule::Static,
@@ -93,29 +60,28 @@ fn reduction_and_barrier_counters_are_recorded() {
         1000,
         |i| i as f64,
     );
-    let batch = session.finish();
+    let counters = session.finish();
     assert_eq!(got, 499_500.0);
-    assert!(batch.counters.get(omptel::Counter::ReduceTree) >= 1);
+    assert!(counters.get(omptel::Counter::ReduceTree) >= 1);
     // The tree reduction runs ⌈log₂ 4⌉ = 2 internal barrier rounds plus
     // the trailing visibility barrier, each an episode per thread.
     assert!(
-        batch.counters.get(omptel::Counter::BarrierEpisodes) >= 8,
+        counters.get(omptel::Counter::BarrierEpisodes) >= 8,
         "barrier episodes missing: {}",
-        batch.counters.get(omptel::Counter::BarrierEpisodes)
+        counters.get(omptel::Counter::BarrierEpisodes)
     );
 }
 
 #[test]
 fn disabled_runtime_records_nothing() {
     let _guard = TEST_LOCK.lock().unwrap();
-    // No session: the gated paths must not record regions.
+    // No session: the gated paths must not count.
     let pool = ThreadPool::with_defaults(2);
     parallel_for(&pool, OmpSchedule::Guided, 256, |i| {
         std::hint::black_box(spin_work(i));
     });
     // Open a fresh session and immediately finish it — anything captured
     // before it began must not leak in.
-    let batch = omptel::session().expect("no other session active").finish();
-    assert!(batch.regions.is_empty());
-    assert!(batch.counters.is_empty());
+    let counters = omptel::session().expect("no other session active").finish();
+    assert!(counters.is_empty());
 }

@@ -121,7 +121,7 @@ impl Watchdog {
              \"threshold_ns\":{threshold_ns},\"quantile\":{},\"t_ns\":{},\"window\":[",
             escape(ctx),
             self.quantile,
-            crate::now_ns() as u64,
+            crate::now_ns_u64(),
         ));
         for (i, e) in window.iter().enumerate() {
             if i > 0 {

@@ -1,11 +1,8 @@
-//! Chrome `trace_event` exporter: renders region/thread profiles as a
+//! Chrome `trace_event` exporter: renders a [`FlightRecording`] as a
 //! timeline viewable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
-//! Output is the JSON-object form `{"traceEvents": [...]}`. Counter-
-//! session records export as complete (`"ph":"X"`) and metadata
-//! (`"ph":"M"`) events on `pid` 0 (region rows on `tid` 0, per-thread
-//! slices on `tid = thread + 1`). A [`FlightRecording`] additionally
-//! exports on `pid` 1 (one track per recorded thread): span pairs as
+//! Output is the JSON-object form `{"traceEvents": [...]}`. Wall-clock
+//! events export on `pid` 1 (one track per recorded thread): span pairs as
 //! `X` slices, instants as `i`, and cross-thread flows as `s`/`f`
 //! flow events whose arrows stitch a stolen unit back to the seeding
 //! worker. Simulator virtual-time spans render on `pid` 2 — a
@@ -17,7 +14,6 @@
 //! track, every flow id seen on both sides, drop counts surfaced.
 
 use crate::ring::{EventKind, FlightRecording};
-use crate::schema::Record;
 use serde::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -34,74 +30,7 @@ fn str_val(s: &str) -> Value {
     Value::Str(s.to_string())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn complete_event(name: &str, cat: &str, ts_us: f64, dur_us: f64, tid: u64) -> Value {
-    Value::Map(vec![
-        entry("name", str_val(name)),
-        entry("cat", str_val(cat)),
-        entry("ph", str_val("X")),
-        entry("ts", Value::F64(ts_us)),
-        entry("dur", Value::F64(dur_us.max(0.0))),
-        entry("pid", Value::U64(0)),
-        entry("tid", Value::U64(tid)),
-    ])
-}
-
-fn metadata_event(name: &str, tid: u64, arg_name: &str) -> Value {
-    Value::Map(vec![
-        entry("name", str_val(name)),
-        entry("ph", str_val("M")),
-        entry("pid", Value::U64(0)),
-        entry("tid", Value::U64(tid)),
-        entry("args", Value::Map(vec![entry("name", str_val(arg_name))])),
-    ])
-}
-
-/// Build the trace document as a serde value tree.
-pub fn chrome_trace_value(records: &[Record]) -> Value {
-    let mut events = vec![
-        metadata_event("process_name", 0, "omptel"),
-        metadata_event("thread_name", 0, "regions"),
-    ];
-    let mut max_tid = 0u64;
-    for r in records {
-        let Record::Region(p) = r else { continue };
-        let cat = format!("{:?}", p.kind).to_lowercase();
-        events.push(complete_event(
-            &p.name,
-            &cat,
-            p.begin_ns / 1e3,
-            p.total_ns / 1e3,
-            0,
-        ));
-        for t in &p.threads {
-            let tid = t.thread as u64 + 1;
-            max_tid = max_tid.max(tid);
-            events.push(complete_event(
-                &format!("{}#t{}", p.name, t.thread),
-                &cat,
-                (p.begin_ns + t.wake_ns) / 1e3,
-                t.busy_ns / 1e3,
-                tid,
-            ));
-        }
-    }
-    for tid in 1..=max_tid {
-        events.push(metadata_event(
-            "thread_name",
-            tid,
-            &format!("thread {}", tid - 1),
-        ));
-    }
-    Value::Map(vec![entry("traceEvents", Value::Seq(events))])
-}
-
-/// Records as a Chrome trace JSON string.
-pub fn chrome_trace_json(records: &[Record]) -> String {
-    serde_json::to_string(&chrome_trace_value(records)).expect("value tree serializes")
-}
-
-fn metadata_event_pid(name: &str, pid: u64, tid: u64, arg_name: &str) -> Value {
+fn metadata_event(name: &str, pid: u64, tid: u64, arg_name: &str) -> Value {
     Value::Map(vec![
         entry("name", str_val(name)),
         entry("ph", str_val("M")),
@@ -162,27 +91,21 @@ fn flow_event(ph: &str, name: &str, ts_us: f64, tid: u64, id: u64) -> Value {
     Value::Map(fields)
 }
 
-/// Build a trace document covering both counter-session records and a
-/// flight recording. Span begin/end pairs become `X` slices, instants
-/// `i` events, flows `s`/`f` arrows, and virtual-time spans slices on
-/// their own pid. A top-level `"omptrace"` key carries recorder stats
-/// (threads, retained events, drop and orphan counts).
-pub fn chrome_trace_with_recording(records: &[Record], rec: &FlightRecording) -> Value {
-    let Value::Map(mut doc) = chrome_trace_value(records) else {
-        unreachable!("chrome_trace_value returns a map")
-    };
-    let Some(Value::Seq(events)) = doc.first_mut().map(|(_, v)| v) else {
-        unreachable!("traceEvents is the first key")
-    };
-
+/// Build the trace document of a flight recording. Span begin/end pairs
+/// become `X` slices, instants `i` events, flows `s`/`f` arrows, and
+/// virtual-time spans slices on their own pid. A top-level `"omptrace"`
+/// key carries recorder stats (threads, retained events, drop and
+/// orphan counts).
+pub fn chrome_trace_with_recording(rec: &FlightRecording) -> Value {
+    let mut events = Vec::new();
     let mut orphans = 0usize;
     let mut have_virtual = false;
     if !rec.threads.is_empty() {
-        events.push(metadata_event_pid("process_name", PID_TRACE, 0, "omptrace"));
+        events.push(metadata_event("process_name", PID_TRACE, 0, "omptrace"));
     }
     for t in &rec.threads {
         let tid = t.thread as u64;
-        events.push(metadata_event_pid(
+        events.push(metadata_event(
             "thread_name",
             PID_TRACE,
             tid,
@@ -259,7 +182,7 @@ pub fn chrome_trace_with_recording(records: &[Record], rec: &FlightRecording) ->
         orphans += open.len();
     }
     if have_virtual {
-        events.push(metadata_event_pid(
+        events.push(metadata_event(
             "process_name",
             PID_VIRTUAL,
             0,
@@ -267,16 +190,18 @@ pub fn chrome_trace_with_recording(records: &[Record], rec: &FlightRecording) ->
         ));
     }
 
-    doc.push(entry(
-        "omptrace",
-        Value::Map(vec![
-            entry("threads", Value::U64(rec.threads.len() as u64)),
-            entry("events", Value::U64(rec.total_events() as u64)),
-            entry("dropped", Value::U64(rec.total_dropped())),
-            entry("orphan_spans", Value::U64(orphans as u64)),
-        ]),
-    ));
-    Value::Map(doc)
+    Value::Map(vec![
+        entry("traceEvents", Value::Seq(events)),
+        entry(
+            "omptrace",
+            Value::Map(vec![
+                entry("threads", Value::U64(rec.threads.len() as u64)),
+                entry("events", Value::U64(rec.total_events() as u64)),
+                entry("dropped", Value::U64(rec.total_dropped())),
+                entry("orphan_spans", Value::U64(orphans as u64)),
+            ]),
+        ),
+    ])
 }
 
 /// What a validation pass measured.
@@ -481,67 +406,6 @@ pub fn validate_trace_json(json: &str) -> Result<TraceReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Breakdown, RegionKind, RegionProfile, ThreadProfile};
-
-    fn region(name: &str, begin: f64, total: f64, threads: usize) -> Record {
-        Record::Region(RegionProfile {
-            name: name.into(),
-            kind: RegionKind::Loop,
-            begin_ns: begin,
-            total_ns: total,
-            breakdown: Breakdown::default(),
-            threads: (0..threads)
-                .map(|t| ThreadProfile {
-                    thread: t,
-                    busy_ns: total / 2.0,
-                    wait_ns: total / 2.0,
-                    wake_ns: 0.0,
-                    oversub: 1.0,
-                })
-                .collect(),
-        })
-    }
-
-    #[test]
-    fn trace_is_valid_json_with_only_x_and_m_events() {
-        let records = vec![region("a", 0.0, 2000.0, 2), region("b", 2000.0, 500.0, 0)];
-        let json = chrome_trace_json(&records);
-        let doc: Value = serde_json::from_str(&json).expect("valid JSON");
-        let map = doc.as_map().expect("object");
-        let (k, events) = &map[0];
-        assert_eq!(k.as_str(), Some("traceEvents"));
-        let events = events.as_seq().expect("traceEvents array");
-        // 2 region X events + 2 thread X events + metadata.
-        assert!(events.len() >= 4);
-        let mut x_events = 0;
-        for e in events {
-            let e = e.as_map().expect("event object");
-            let field = |name: &str| {
-                e.iter()
-                    .find(|(k, _)| k.as_str() == Some(name))
-                    .map(|(_, v)| v)
-            };
-            let ph = field("ph").and_then(Value::as_str).expect("ph field");
-            assert!(ph == "X" || ph == "M", "unexpected phase {ph}");
-            assert!(field("name").is_some());
-            if ph == "X" {
-                x_events += 1;
-                let ts = field("ts").and_then(Value::as_f64).expect("ts");
-                let dur = field("dur").and_then(Value::as_f64).expect("dur");
-                assert!(ts >= 0.0 && dur >= 0.0);
-            }
-        }
-        assert_eq!(x_events, 4);
-    }
-
-    #[test]
-    fn region_durations_are_microseconds() {
-        let json = chrome_trace_json(&[region("r", 1_000.0, 3_000.0, 0)]);
-        // 3000 ns = 3 µs.
-        assert!(json.contains("\"dur\":3"), "{json}");
-        assert!(json.contains("\"ts\":1"), "{json}");
-    }
-
     use crate::ring::{ThreadTrace, TraceEvent};
     use crate::span::SpanKind;
 
@@ -589,7 +453,7 @@ mod tests {
     #[test]
     fn recording_exports_slices_flows_and_stats() {
         let rec = stolen_unit_recording();
-        let doc = chrome_trace_with_recording(&[], &rec);
+        let doc = chrome_trace_with_recording(&rec);
         let json = serde_json::to_string(&doc).unwrap();
         assert!(json.contains("\"ph\":\"s\""), "flow out: {json}");
         assert!(json.contains("\"ph\":\"f\""), "flow in: {json}");
@@ -677,7 +541,7 @@ mod tests {
                 )],
             }],
         };
-        let json = serde_json::to_string(&chrome_trace_with_recording(&[], &rec)).unwrap();
+        let json = serde_json::to_string(&chrome_trace_with_recording(&rec)).unwrap();
         assert!(json.contains("simrt virtual time"), "{json}");
         assert!(json.contains("\"pid\":2"), "{json}");
     }

@@ -21,7 +21,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long one connection may take to send its request head, in all.
+/// The server has one thread, so this bounds how long any client can
+/// keep `/metrics` unanswered and [`Monitor::shutdown`] waiting.
+const HEAD_DEADLINE: Duration = Duration::from_millis(500);
 
 /// Producer of one response body, evaluated per request.
 pub type BodyFn = Arc<dyn Fn() -> String + Send + Sync>;
@@ -160,18 +165,26 @@ impl Drop for Monitor {
 }
 
 /// Answer one connection: parse the request line, route, respond, close.
+/// The request head is read until a blank line, 2 KiB, end of stream or
+/// [`HEAD_DEADLINE`] after accept — one deadline for the whole head, so a
+/// client dribbling a byte at a time cannot renew it.
 fn serve_one(
     mut stream: TcpStream,
     metrics: &BodyFn,
     sweep: &BodyFn,
     extra: &[Route],
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    let deadline = Instant::now() + HEAD_DEADLINE;
     stream.set_write_timeout(Some(Duration::from_millis(500)))?;
     let mut buf = [0u8; 2048];
     let mut len = 0usize;
     // Read until the end of the request head (we ignore bodies).
     while len < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut buf[len..]) {
             Ok(0) => break,
             Ok(n) => {
@@ -372,6 +385,112 @@ mod tests {
             assert!(text.ends_with("{\"state\":\"done\"}"), "{text}");
         }
         assert!(TcpStream::connect(addr).is_err(), "server still listening");
+    }
+
+    /// Longest a misbehaving client may keep the server from others:
+    /// the head deadline plus scheduling slack.
+    const HELD_AT_MOST: Duration = Duration::from_secs(2);
+
+    fn healthy() -> Monitor {
+        Monitor::start("127.0.0.1:0", Arc::new(String::new), Arc::new(String::new))
+            .expect("bind localhost")
+    }
+
+    /// Connect, let `client` misbehave, then read until the server is
+    /// done with the connection. Returns how long that took from connect
+    /// and what the server sent. A reset after a full response is the
+    /// kernel's answer to request bytes the server never read, so it
+    /// counts as the response it follows.
+    fn misbehave(addr: SocketAddr, client: impl FnOnce(&mut TcpStream)) -> (Duration, Vec<u8>) {
+        let start = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect to monitor");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client(&mut stream);
+        let mut got = Vec::new();
+        match stream.read_to_end(&mut got) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset && got.ends_with(b"\n") => {}
+            Err(e) => panic!("no response and no clean close: {e} after {got:?}"),
+        }
+        (start.elapsed(), got)
+    }
+
+    /// Bounded, then a response or a clean close, then a live server.
+    fn assert_let_go(addr: SocketAddr, case: &str, (held, got): (Duration, Vec<u8>)) {
+        assert!(held < HELD_AT_MOST, "{case}: connection held {held:?}");
+        assert!(
+            got.is_empty() || got.starts_with(b"HTTP/1.0 "),
+            "{case}: neither a response nor a clean close: {:?}",
+            String::from_utf8_lossy(&got)
+        );
+        let (head, body) = get(addr, "/healthz");
+        assert!(
+            head.starts_with("HTTP/1.0 200") && body == "ok\n",
+            "{case}: {head}"
+        );
+    }
+
+    #[test]
+    fn a_dribbling_client_cannot_hold_the_server() {
+        let monitor = healthy();
+        let addr = monitor.local_addr();
+        // One byte every 100 ms for up to 4 s, never a blank line.
+        let dribbler = std::thread::spawn(move || {
+            misbehave(addr, |s| {
+                for &b in b"GET /healthz HTTP/1.0\r\nX-Slow: 1234567890"
+                    .iter()
+                    .cycle()
+                    .take(40)
+                {
+                    if s.write_all(&[b]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        });
+        // Meanwhile a scrape is answered within the bound.
+        std::thread::sleep(Duration::from_millis(150));
+        let asked = Instant::now();
+        let (head, _) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
+        assert!(
+            asked.elapsed() < HELD_AT_MOST,
+            "scrape waited {:?}",
+            asked.elapsed()
+        );
+        assert_let_go(addr, "dribble", dribbler.join().unwrap());
+        let stopping = Instant::now();
+        monitor.shutdown();
+        assert!(stopping.elapsed() < HELD_AT_MOST);
+    }
+
+    #[test]
+    fn oversized_unterminated_and_idle_heads_are_let_go() {
+        let monitor = healthy();
+        let addr = monitor.local_addr();
+        // More than the 2 KiB head buffer, with no blank line in it.
+        let oversized = misbehave(addr, |s| {
+            let mut head = b"GET /healthz HTTP/1.0\r\nX-Pad: ".to_vec();
+            head.resize(8192, b'a');
+            s.write_all(&head).unwrap();
+        });
+        assert_let_go(addr, "oversized head", oversized);
+        // A request line with no `\r\n\r\n`, then a half-close.
+        let half_closed = misbehave(addr, |s| {
+            s.write_all(b"GET /healthz HTTP/1.0\r\n").unwrap();
+            s.shutdown(std::net::Shutdown::Write).unwrap();
+        });
+        assert!(
+            half_closed.1.starts_with(b"HTTP/1.0 200"),
+            "{half_closed:?}"
+        );
+        assert_let_go(addr, "half-closed head", half_closed);
+        // Connected, silent, still open.
+        let idle = misbehave(addr, |_| {});
+        assert_let_go(addr, "idle connection", idle);
     }
 
     #[test]

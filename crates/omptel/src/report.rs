@@ -12,9 +12,9 @@ pub struct Explanation {
     pub title: String,
     /// The sink holding the most time.
     pub dominant: Sink,
-    /// Fraction of all region time in the dominant sink.
+    /// Fraction of all run time in the dominant sink.
     pub dominant_fraction: f64,
-    /// Fraction of region time lost to barrier/imbalance waiting.
+    /// Fraction of run time lost to barrier/imbalance waiting.
     pub imbalance_ratio: f64,
     /// Steal success rate, when the run stole at all.
     pub steal_efficiency: Option<f64>,
@@ -57,13 +57,12 @@ pub fn render(e: &Explanation, s: &Summary) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {} ==\n", e.title));
     out.push_str(&format!(
-        "regions {}   region time {}   max region {}\n",
+        "regions {}   run time {}\n",
         s.regions,
-        fmt_ns(s.total_ns),
-        fmt_ns(s.max_region_ns)
+        fmt_ns(s.total_ns)
     ));
     out.push_str(&format!(
-        "top time sink     : {} ({:.1}% of region time)\n",
+        "top time sink     : {} ({:.1}% of run time)\n",
         e.dominant.label(),
         100.0 * e.dominant_fraction
     ));
@@ -115,17 +114,18 @@ pub fn render(e: &Explanation, s: &Summary) -> String {
 }
 
 /// Render a best-vs-worst pair side by side (paper Table VI shape):
-/// both explanations plus the headline contrast line.
-pub fn render_pair(best: (&Explanation, &Summary), worst: (&Explanation, &Summary)) -> String {
+/// both explanations plus the headline contrast line. `gap` is the
+/// caller's worst/best time ratio, so the headline prints the figure the
+/// caller reports elsewhere rather than one re-derived from the rounded
+/// summaries.
+pub fn render_pair(
+    gap: f64,
+    best: (&Explanation, &Summary),
+    worst: (&Explanation, &Summary),
+) -> String {
     let mut out = String::new();
-    let speedup = if best.1.total_ns > 0 {
-        worst.1.total_ns as f64 / best.1.total_ns as f64
-    } else {
-        f64::NAN
-    };
     out.push_str(&format!(
-        "best-vs-worst: {:.2}x region-time gap; worst config dominated by {}\n\n",
-        speedup,
+        "best-vs-worst: {gap:.2}x virtual-time gap; worst config dominated by {}\n\n",
         worst.0.dominant.label()
     ));
     out.push_str(&render(best.0, best.1));
@@ -137,22 +137,16 @@ pub fn render_pair(best: (&Explanation, &Summary), worst: (&Explanation, &Summar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Breakdown, CounterSnapshot, RegionKind, RegionProfile};
+    use crate::schema::{Breakdown, CounterSnapshot};
 
     fn summary(compute: f64, imbalance: f64) -> Summary {
         let mut s = Summary::default();
-        s.add_profile(&RegionProfile {
-            name: "r".into(),
-            kind: RegionKind::Loop,
-            begin_ns: 0.0,
-            total_ns: compute + imbalance,
-            breakdown: Breakdown {
-                compute_ns: compute,
-                imbalance_ns: imbalance,
-                ..Breakdown::default()
-            },
-            threads: Vec::new(),
-        });
+        let bd = Breakdown {
+            compute_ns: compute,
+            imbalance_ns: imbalance,
+            ..Breakdown::default()
+        };
+        s.add_aggregate(compute + imbalance, &bd, 1);
         s
     }
 
@@ -172,10 +166,11 @@ mod tests {
         let good = summary(1000.0, 0.0);
         let bad = summary(100.0, 9900.0);
         let text = render_pair(
+            10.0,
             (&explain("good", &good), &good),
             (&explain("bad", &bad), &bad),
         );
-        assert!(text.contains("10.00x"), "{text}");
+        assert!(text.contains("10.00x virtual-time gap"), "{text}");
         assert!(
             text.contains("dominated by barrier/imbalance wait"),
             "{text}"

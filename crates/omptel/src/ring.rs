@@ -328,7 +328,7 @@ impl Recorder {
             return Err(RecorderActive);
         }
         // Pin the shared clock epoch before any event timestamps.
-        let _ = crate::now_ns();
+        let _ = crate::now_ns_u64();
         RINGS
             .lock()
             .expect("omptrace ring registry poisoned")

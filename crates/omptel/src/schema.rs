@@ -1,14 +1,13 @@
-//! The telemetry schema: counters, time-sink categories, and the
-//! region/thread profile records shared by both runtimes.
+//! The telemetry schema: counters, and the time- and energy-sink
+//! categories a run's time and energy are described by.
 //!
-//! The same [`RegionProfile`]/[`ThreadProfile`] shapes describe a real
-//! `omprt` parallel region (wall-clock nanoseconds) and a simulated
-//! `simrt` region (virtual nanoseconds), mirroring how an OMPT tool sees
-//! libomp and a simulator through one callback vocabulary. The invariant
-//! every producer must uphold: the seven [`Breakdown`] components of a
-//! region **sum exactly to the region's total elapsed time** — whatever
-//! the producer cannot attribute goes into `imbalance_ns`, never into
-//! thin air.
+//! One [`Counter`] vocabulary serves both runtimes, mirroring how an
+//! OMPT tool sees libomp and a simulator through one callback set. A
+//! run's time is described once, by a closed [`Breakdown`]; the
+//! invariant every producer must uphold is that its seven components
+//! **sum exactly to the run's total elapsed time** — whatever the
+//! producer cannot attribute goes into `imbalance_ns`, never into thin
+//! air.
 
 use serde::{Deserialize, Serialize};
 
@@ -192,7 +191,7 @@ impl CounterSnapshot {
     }
 }
 
-/// Where a region's time went. Every component in nanoseconds (wall or
+/// Where a run's time went. Every component in nanoseconds (wall or
 /// virtual, depending on the producing runtime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Sink {
@@ -239,7 +238,7 @@ impl Sink {
     }
 }
 
-/// Per-region time breakdown, one slot per [`Sink`].
+/// Time breakdown, one slot per [`Sink`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Breakdown {
     pub compute_ns: f64,
@@ -422,59 +421,6 @@ impl EnergyBreakdown {
         self.serial_j *= factor;
         self.base_j *= factor;
     }
-}
-
-/// What kind of region a profile describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RegionKind {
-    /// A real `omprt` fork-join region (the pool cannot see inside).
-    Parallel,
-    /// A simulated worksharing loop.
-    Loop,
-    /// A simulated task episode.
-    Tasks,
-    /// A serial section.
-    Serial,
-}
-
-/// Per-thread slice of one region.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ThreadProfile {
-    /// Team-local thread id.
-    pub thread: usize,
-    /// Time the thread spent inside the region body.
-    pub busy_ns: f64,
-    /// Time the thread waited (join/barrier) within the region.
-    pub wait_ns: f64,
-    /// Wake-up latency this thread paid at region start.
-    pub wake_ns: f64,
-    /// Hardware threads sharing this thread's core (1.0 = exclusive);
-    /// the per-place oversubscription occupancy under the placement.
-    pub oversub: f64,
-}
-
-/// One parallel region, as both runtimes describe it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegionProfile {
-    /// Canonical region name, `"<app>/<phase>"` for simulated regions.
-    pub name: String,
-    pub kind: RegionKind,
-    /// Region start, nanoseconds since the session clock epoch.
-    pub begin_ns: f64,
-    /// Elapsed (wall or virtual) nanoseconds.
-    pub total_ns: f64,
-    /// Where the time went; components sum to `total_ns`.
-    pub breakdown: Breakdown,
-    /// Per-thread detail; may be empty when the producer only has
-    /// region-level visibility.
-    pub threads: Vec<ThreadProfile>,
-}
-
-/// One exported telemetry record (a JSON-lines line).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Record {
-    Region(RegionProfile),
-    Counters(CounterSnapshot),
 }
 
 #[cfg(test)]

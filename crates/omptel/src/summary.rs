@@ -1,16 +1,16 @@
-//! Aggregation: fold any number of region profiles and counter
+//! Aggregation: fold any number of closed run breakdowns and counter
 //! snapshots into a [`Summary`] that merges associatively.
 //!
 //! All accumulated nanosecond quantities are stored as **integers**
-//! (rounded once, at profile ingestion), so [`Summary::merge`] is *exactly*
+//! (rounded once, at ingestion), so [`Summary::merge`] is *exactly*
 //! associative and commutative — a requirement for parallel sweeps that
 //! fold partial summaries in nondeterministic order. Floating-point
 //! addition would not be.
 
-use crate::schema::{Breakdown, CounterSnapshot, RegionProfile, Sink};
+use crate::schema::{Breakdown, CounterSnapshot, Sink};
 use serde::{Deserialize, Serialize};
 
-/// Mergeable aggregate over region profiles and counters.
+/// Mergeable aggregate over run breakdowns and counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Summary {
     /// Regions folded in.
@@ -24,7 +24,7 @@ pub struct Summary {
     pub dispatch_ns: u64,
     pub serial_ns: u64,
     pub imbalance_ns: u64,
-    /// Largest single-region elapsed time.
+    /// Largest single aggregate folded in (one run's elapsed time).
     pub max_region_ns: u64,
     /// Merged runtime counters.
     pub counters: CounterSnapshot,
@@ -40,24 +40,8 @@ fn ns(x: f64) -> u64 {
 }
 
 impl Summary {
-    /// Fold one region profile in.
-    pub fn add_profile(&mut self, p: &RegionProfile) {
-        let total = ns(p.total_ns);
-        self.regions += 1;
-        self.total_ns += total;
-        self.compute_ns += ns(p.breakdown.compute_ns);
-        self.memory_ns += ns(p.breakdown.memory_ns);
-        self.sync_ns += ns(p.breakdown.sync_ns);
-        self.wake_ns += ns(p.breakdown.wake_ns);
-        self.dispatch_ns += ns(p.breakdown.dispatch_ns);
-        self.serial_ns += ns(p.breakdown.serial_ns);
-        self.imbalance_ns += ns(p.breakdown.imbalance_ns);
-        self.max_region_ns = self.max_region_ns.max(total);
-    }
-
     /// Fold a whole-run breakdown in as `regions` regions of aggregate
-    /// time `total_ns` (used by the sweep, which keeps per-sample
-    /// aggregates rather than per-region profiles).
+    /// time `total_ns` (the sweep folds each sample's closed telemetry).
     pub fn add_aggregate(&mut self, total_ns: f64, bd: &Breakdown, regions: u64) {
         let total = ns(total_ns);
         self.regions += regions;
@@ -75,18 +59,6 @@ impl Summary {
     /// Merge runtime counters in.
     pub fn add_counters(&mut self, c: &CounterSnapshot) {
         self.counters = self.counters.merge(c);
-    }
-
-    /// Build a summary from exported records.
-    pub fn from_records(records: &[crate::schema::Record]) -> Summary {
-        let mut s = Summary::default();
-        for r in records {
-            match r {
-                crate::schema::Record::Region(p) => s.add_profile(p),
-                crate::schema::Record::Counters(c) => s.add_counters(c),
-            }
-        }
-        s
     }
 
     /// Pure merge of two summaries. Exactly associative and commutative:
@@ -166,29 +138,22 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Record, RegionKind};
 
-    fn profile(total: f64, compute: f64, imbalance: f64) -> RegionProfile {
-        RegionProfile {
-            name: "t".into(),
-            kind: RegionKind::Loop,
-            begin_ns: 0.0,
-            total_ns: total,
-            breakdown: Breakdown {
-                compute_ns: compute,
-                imbalance_ns: imbalance,
-                ..Breakdown::default()
-            },
-            threads: Vec::new(),
-        }
+    fn run(total: f64, compute: f64, imbalance: f64) -> Summary {
+        let mut s = Summary::default();
+        let bd = Breakdown {
+            compute_ns: compute,
+            imbalance_ns: imbalance,
+            ..Breakdown::default()
+        };
+        s.add_aggregate(total, &bd, 1);
+        s
     }
 
     #[test]
     fn merge_is_exact_on_integers() {
-        let mut a = Summary::default();
-        a.add_profile(&profile(100.0, 60.0, 40.0));
-        let mut b = Summary::default();
-        b.add_profile(&profile(50.0, 50.0, 0.0));
+        let a = run(100.0, 60.0, 40.0);
+        let b = run(50.0, 50.0, 0.0);
         let m = a.merge(&b);
         assert_eq!(m.regions, 2);
         assert_eq!(m.total_ns, 150);
@@ -199,25 +164,21 @@ mod tests {
 
     #[test]
     fn dominant_sink_and_ratios() {
-        let mut s = Summary::default();
-        s.add_profile(&profile(100.0, 20.0, 80.0));
+        let s = run(100.0, 20.0, 80.0);
         assert_eq!(s.dominant_sink(), Sink::Imbalance);
         assert!((s.imbalance_ratio() - 0.8).abs() < 1e-12);
         assert_eq!(s.steal_efficiency(), None);
     }
 
     #[test]
-    fn from_records_folds_both_kinds() {
-        let records = vec![
-            Record::Region(profile(10.0, 10.0, 0.0)),
-            Record::Counters(CounterSnapshot {
-                values: vec![1, 5, 5],
-            }),
-            Record::Counters(CounterSnapshot {
-                values: vec![0, 5, 0],
-            }),
-        ];
-        let s = Summary::from_records(&records);
+    fn counters_merge_into_the_steal_efficiency() {
+        let mut s = run(10.0, 10.0, 0.0);
+        s.add_counters(&CounterSnapshot {
+            values: vec![1, 5, 5],
+        });
+        s.add_counters(&CounterSnapshot {
+            values: vec![0, 5, 0],
+        });
         assert_eq!(s.regions, 1);
         assert_eq!(s.counters.values[1], 10);
         assert_eq!(s.steal_efficiency(), Some(10.0 / 15.0));

@@ -55,17 +55,6 @@ impl TimeBreakdown {
         self.serial_ns += other.serial_ns * k;
     }
 
-    pub(crate) fn diff(&self, earlier: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            compute_ns: self.compute_ns - earlier.compute_ns,
-            memory_ns: self.memory_ns - earlier.memory_ns,
-            sync_ns: self.sync_ns - earlier.sync_ns,
-            wake_ns: self.wake_ns - earlier.wake_ns,
-            dispatch_ns: self.dispatch_ns - earlier.dispatch_ns,
-            serial_ns: self.serial_ns - earlier.serial_ns,
-        }
-    }
-
     /// The telemetry view of this breakdown. The simulator charges ideal
     /// per-thread time, so the imbalance sink starts at zero here; callers
     /// with a known region total use [`omptel::Breakdown::close_to_total`]
@@ -621,53 +610,8 @@ struct StepOutcome {
     trailing_idle: f64,
 }
 
-/// Record one simulated parallel region into the active telemetry
-/// session: the phase's breakdown delta becomes the region's sink
-/// charges, and `close_to_total` folds uncharged idle time (the gap
-/// between per-thread averages and the critical-path span) into the
-/// imbalance sink — so components always sum to the region's elapsed
-/// virtual time.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn record_sim_region(
-    model_name: &str,
-    pi: usize,
-    kind: omptel::RegionKind,
-    begin_ns: f64,
-    wake: f64,
-    region_total: f64,
-    delta: &TimeBreakdown,
-    env: &ThreadEnv,
-) {
-    let breakdown = delta.to_tel().close_to_total(region_total);
-    let busy = delta.compute_ns + delta.memory_ns + delta.dispatch_ns;
-    let threads = env
-        .speed_div
-        .iter()
-        .map(|&div| omptel::ThreadProfile {
-            thread: 0, // filled below
-            busy_ns: busy / div.max(1.0),
-            wait_ns: (region_total - wake - busy / div.max(1.0)).max(0.0),
-            wake_ns: wake,
-            oversub: div,
-        })
-        .enumerate()
-        .map(|(i, mut p)| {
-            p.thread = i;
-            p
-        })
-        .collect();
-    omptel::record_region(omptel::RegionProfile {
-        name: format!("{model_name}/p{pi}"),
-        kind,
-        begin_ns,
-        total_ns: region_total,
-        breakdown,
-        threads,
-    });
-}
-
 /// Simulate one timestep. `base_ns` is the virtual time at which the step
-/// begins (used only to timestamp telemetry regions).
+/// begins (used only to timestamp virtual spans).
 #[allow(clippy::too_many_arguments)]
 fn simulate_step(
     model: &Model,
@@ -683,7 +627,6 @@ fn simulate_step(
     let mut bd = TimeBreakdown::default();
     let mut total = 0.0f64;
     let mut regions = 0u64;
-    let tel = omptel::enabled();
     for (pi, phase) in model.phases.iter().enumerate() {
         let phase_seed = seed ^ (step << 32) ^ pi as u64;
         match phase {
@@ -693,7 +636,6 @@ fn simulate_step(
                 idle_since_region += ns;
             }
             Phase::Loop(l) => {
-                let before = bd;
                 let wake =
                     costs::region_wake_ns(machine, policy, idle_since_region, tuning.num_threads);
                 let fork = costs::fork_ns(tuning.num_threads);
@@ -709,18 +651,6 @@ fn simulate_step(
                 bd.wake_ns += wake;
                 bd.sync_ns += fork;
                 omptel::add(omptel::Counter::Regions, 1);
-                if tel {
-                    record_sim_region(
-                        &model.name,
-                        pi,
-                        omptel::RegionKind::Loop,
-                        base_ns + total,
-                        wake,
-                        wake + fork + span,
-                        &bd.diff(&before),
-                        env,
-                    );
-                }
                 omptel::virtual_span(
                     omptel::SpanKind::SimRegion,
                     (base_ns + total) as u64,
@@ -732,7 +662,6 @@ fn simulate_step(
                 regions += 1;
             }
             Phase::Tasks(tp) => {
-                let before = bd;
                 let wake =
                     costs::region_wake_ns(machine, policy, idle_since_region, tuning.num_threads);
                 let fork = costs::fork_ns(tuning.num_threads);
@@ -740,18 +669,6 @@ fn simulate_step(
                 bd.wake_ns += wake;
                 bd.sync_ns += fork;
                 omptel::add(omptel::Counter::Regions, 1);
-                if tel {
-                    record_sim_region(
-                        &model.name,
-                        pi,
-                        omptel::RegionKind::Tasks,
-                        base_ns + total,
-                        wake,
-                        wake + fork + span,
-                        &bd.diff(&before),
-                        env,
-                    );
-                }
                 omptel::virtual_span(
                     omptel::SpanKind::SimRegion,
                     (base_ns + total) as u64,
@@ -824,7 +741,7 @@ pub fn simulate_monolithic(
     if model.timesteps > 1 {
         // Warm second step, then extrapolate: steps are statistically
         // identical, so the remaining (timesteps - 2) repeat the warm one.
-        // Telemetry regions are emitted for the two simulated steps only;
+        // Virtual spans are emitted for the two simulated steps only;
         // extrapolated repeats contribute to aggregates, not timelines.
         let s1 = simulate_step(
             model,
@@ -1101,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_region_breakdowns_sum_to_region_totals() {
+    fn a_session_counts_each_simulated_region_and_the_run_closes() {
         let _tel = crate::tel_exclusive();
         let m = Model {
             name: "cg".into(),
@@ -1128,29 +1045,24 @@ mod tests {
         };
         let session = omptel::session().expect("no other session active");
         let r = simulate(Arch::Milan, &cfg(Arch::Milan, 48), &m, 7);
-        let batch = session.finish();
-        // Two simulated steps × two parallel phases.
-        assert_eq!(batch.regions.len(), 4);
-        for region in &batch.regions {
-            assert!(region.name.starts_with("cg/p"), "name {}", region.name);
-            // Acceptance invariant: breakdown components sum to the
-            // region's total elapsed virtual time.
-            let sum = region.breakdown.sum();
-            assert!(
-                (sum - region.total_ns).abs() <= region.total_ns.max(1.0) * 1e-9,
-                "{}: sum {sum} != total {}",
-                region.name,
-                region.total_ns
-            );
-            assert_eq!(region.threads.len(), 48);
-            assert!(region.begin_ns + region.total_ns <= r.total_ns * 1.000_001);
-        }
-        assert!(batch.counters.get(omptel::Counter::Regions) >= 4);
+        let counters = session.finish();
+        // Two simulated steps × two parallel phases; the extrapolated
+        // steps are counted in `regions`, not simulated.
+        assert_eq!(counters.get(omptel::Counter::Regions), 4);
+        assert_eq!(r.regions, 10);
+        // Acceptance invariant: the closed breakdown sums to the run's
+        // elapsed virtual time.
+        let sum = r.breakdown.to_tel().close_to_total(r.total_ns).sum();
+        assert!(
+            (sum - r.total_ns).abs() <= r.total_ns * 1e-9,
+            "sum {sum} != total {}",
+            r.total_ns
+        );
     }
 
     #[test]
     fn pathological_master_binding_is_dominated_by_imbalance() {
-        let _tel = crate::tel_exclusive();
+        let _tel = crate::tel_shared();
         // The paper's worst case: many threads all bound to the master's
         // place serialize on one core; nearly all elapsed time is threads
         // waiting on the straggler — the barrier/imbalance-wait sink.
@@ -1158,24 +1070,16 @@ mod tests {
         let mut c = cfg(Arch::Milan, 96);
         c.places = OmpPlaces::Cores;
         c.proc_bind = OmpProcBind::Master;
-        let session = omptel::session().expect("no other session active");
-        simulate(Arch::Milan, &c, &m, 0);
-        let summary = session.finish().summary();
+        let r = simulate(Arch::Milan, &c, &m, 0);
+        let mut summary = omptel::Summary::default();
+        let closed = r.breakdown.to_tel().close_to_total(r.total_ns);
+        summary.add_aggregate(r.total_ns, &closed, r.regions);
         assert_eq!(summary.dominant_sink(), omptel::Sink::Imbalance);
         assert!(
             summary.sink_fraction(omptel::Sink::Imbalance) > 0.9,
             "imbalance fraction {}",
             summary.sink_fraction(omptel::Sink::Imbalance)
         );
-        // Every thread shares one core: oversubscription is visible in
-        // the per-thread profiles.
-        let session = omptel::session().expect("released above");
-        simulate(Arch::Milan, &c, &m, 0);
-        let batch = session.finish();
-        assert!(batch
-            .regions
-            .iter()
-            .all(|r| r.threads.iter().all(|t| t.oversub >= 90.0)));
     }
 
     #[test]

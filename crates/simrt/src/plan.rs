@@ -27,8 +27,8 @@
 
 use crate::costs;
 use crate::exec::{
-    machine_for, plan_loop_with, plan_tasks_with, price_loop, price_tasks, record_sim_region,
-    thread_env, LoopSkeleton, PlannedRegion, SimResult, TaskSkeleton, ThreadEnv, TimeBreakdown,
+    machine_for, plan_loop_with, plan_tasks_with, price_loop, price_tasks, thread_env,
+    LoopSkeleton, PlannedRegion, SimResult, TaskSkeleton, ThreadEnv, TimeBreakdown,
 };
 use crate::model::{Model, Phase};
 use archsim::{MachineDesc, Topology};
@@ -216,6 +216,13 @@ impl PlanShared {
     }
 }
 
+/// Which pricing a planned region takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RegionKind {
+    Loop,
+    Tasks,
+}
+
 /// One phase of a planned timestep.
 #[derive(Debug, Clone, PartialEq)]
 enum PhasePlan {
@@ -223,9 +230,9 @@ enum PhasePlan {
         ns: f64,
     },
     Region {
-        /// Phase index in the model (telemetry region naming).
+        /// Phase index in the model (the virtual span's argument).
         pi: usize,
-        kind: omptel::RegionKind,
+        kind: RegionKind,
         planned: PlannedRegion,
         /// Reduction clauses (loop regions only; zero for task regions).
         reductions: u32,
@@ -263,7 +270,6 @@ pub struct RegionPlan {
     steps: Vec<StepPlan>,
     /// The state the plan was assembled from: machine, model identity.
     shared: Arc<PlanShared>,
-    placed: Arc<Placed>,
 }
 
 impl RegionPlan {
@@ -318,13 +324,13 @@ impl RegionPlan {
                                 shared.migration_sensitivity,
                             )
                         });
-                        (omptel::RegionKind::Loop, *planned, l.reductions())
+                        (RegionKind::Loop, *planned, l.reductions())
                     }
                     Skeleton::Tasks(tp) => {
                         let by_yielding = tasks.next().expect("one entry per task skeleton");
                         let planned = by_yielding[usize::from(yielding)]
                             .get_or_init(|| plan_tasks_with(tp, t, yielding, machine, &placed.env));
-                        (omptel::RegionKind::Tasks, *planned, 0)
+                        (RegionKind::Tasks, *planned, 0)
                     }
                 };
                 phases.push(PhasePlan::Region {
@@ -343,7 +349,6 @@ impl RegionPlan {
             projection,
             steps,
             shared: Arc::clone(shared),
-            placed,
         }
     }
 
@@ -397,7 +402,6 @@ impl RegionPlan {
         let t = tuning.num_threads;
         let mut bd = TimeBreakdown::default();
         let mut total = 0.0f64;
-        let tel = omptel::enabled();
         for phase in &step.phases {
             match phase {
                 PhasePlan::Serial { ns } => {
@@ -411,28 +415,17 @@ impl RegionPlan {
                     reductions,
                     idle_before,
                 } => {
-                    let before = bd;
                     let wake = costs::region_wake_ns(machine, policy, *idle_before, t);
                     let fork = costs::fork_ns(t);
                     let span = match kind {
-                        omptel::RegionKind::Tasks => price_tasks(planned, tuning, machine, &mut bd),
-                        _ => price_loop(planned, *reductions, tuning, machine, &mut bd),
+                        RegionKind::Tasks => price_tasks(planned, tuning, machine, &mut bd),
+                        RegionKind::Loop => {
+                            price_loop(planned, *reductions, tuning, machine, &mut bd)
+                        }
                     };
                     bd.wake_ns += wake;
                     bd.sync_ns += fork;
                     omptel::add(omptel::Counter::Regions, 1);
-                    if tel {
-                        record_sim_region(
-                            &self.shared.model_name,
-                            *pi,
-                            *kind,
-                            base_ns + total,
-                            wake,
-                            wake + fork + span,
-                            &bd.diff(&before),
-                            &self.placed.env,
-                        );
-                    }
                     omptel::virtual_span(
                         omptel::SpanKind::SimRegion,
                         (base_ns + total) as u64,
@@ -463,8 +456,7 @@ impl RegionPlan {
     /// only the loop nest is transposed — so every result is bit-equal
     /// to the sequential path. With telemetry or tracing active it
     /// falls back to per-config [`RegionPlan::price`] so event order
-    /// (region records, virtual spans, counters) is identical to the
-    /// one-at-a-time path.
+    /// (virtual spans, counters) is identical to the one-at-a-time path.
     pub fn price_batch(
         &self,
         tunings: &[TuningConfig],
@@ -555,7 +547,7 @@ impl RegionPlan {
                                 acc.sync[c] += fork;
                                 acc.total[c] += wk + fork;
                             }
-                        } else if *kind == omptel::RegionKind::Tasks {
+                        } else if *kind == RegionKind::Tasks {
                             let span = planned.span;
                             for c in 0..n {
                                 let wk = wake_of[pol[c] as usize];
@@ -1132,8 +1124,12 @@ mod tests {
             Placement::compute(arch, &master),
             Placement::compute(arch, &close)
         );
-        let (a, b) = (cache.plan(&master, &m), cache.plan(&close, &m));
-        assert!(Arc::ptr_eq(&a.placed, &b.placed));
+        cache.plan(&master, &m);
+        cache.plan(&close, &m);
+        let memo = cache.shared.placed.lock().unwrap();
+        assert_eq!(memo.len(), 2, "one memo entry per placement");
+        assert!(Arc::ptr_eq(&memo[0].2, &memo[1].2));
+        drop(memo);
         assert_eq!(cache.len(), 2);
         for c in [master, close] {
             let cached = simulate_with_cache(arch, &c, &m, 4, &cache);
@@ -1263,9 +1259,9 @@ mod tests {
         simulate_with_cache(Arch::Skylake, &c, &m, 1, &cache);
         c.blocktime = KmpBlocktime::Zero;
         simulate_with_cache(Arch::Skylake, &c, &m, 1, &cache);
-        let batch = session.finish();
-        assert_eq!(batch.counters.get(omptel::Counter::PlanCacheMisses), 1);
-        assert_eq!(batch.counters.get(omptel::Counter::PlanCacheHits), 1);
+        let counters = session.finish();
+        assert_eq!(counters.get(omptel::Counter::PlanCacheMisses), 1);
+        assert_eq!(counters.get(omptel::Counter::PlanCacheHits), 1);
     }
 
     #[test]

@@ -78,8 +78,8 @@ OPTIONS:
                       for an ephemeral port; if ADDR is busy the server
                       falls back to an ephemeral port, and the bound
                       address always lands in OUT_DIR/monitor.addr);
-                      opens a telemetry session so runtime counters
-                      flow to /metrics
+                      opens a counter-only telemetry session so runtime
+                      counters flow to /metrics
     --registry DIR    longitudinal run registry directory; every run
                       appends a content-addressed RunRecord there for
                       `ompobs` (default: a `.ompobs/` sibling of
@@ -398,7 +398,8 @@ fn collect(cli: Cli) -> std::io::Result<()> {
     // Live exposition: the monitor only *reads* (every route renders
     // from a closure at scrape time), so a monitored run's outputs stay
     // byte-identical to an unmonitored one. The telemetry session makes
-    // runtime counters visible to /metrics; counters never feed results.
+    // runtime counters visible to /metrics and buffers nothing else;
+    // counters never feed results.
     let state = Arc::new(SweepState {
         registry: registry_stats,
         run: State::new(&spec),
@@ -540,7 +541,7 @@ fn collect(cli: Cli) -> std::io::Result<()> {
         omptel::install_watchdog(None);
         watchdog.flush();
         let recording = rec.finish();
-        let doc = omptel::chrome_trace_with_recording(&[], &recording);
+        let doc = omptel::chrome_trace_with_recording(&recording);
         fs::write(
             trace_path,
             serde_json::to_string(&doc).map_err(std::io::Error::other)?,

@@ -16,16 +16,19 @@
 //!   the per-sample wall-latency distribution; `--trace-out` also dumps
 //!   the Chrome trace_event JSON.
 //! - `omptel-report --self-check` — run the acceptance invariants and
-//!   exit nonzero on violation: every sampled region profile's breakdown
-//!   must sum to the region's elapsed virtual time, and the pathological
-//!   configuration (master binding at full thread count) must be
-//!   diagnosed as dominated by barrier/imbalance wait.
+//!   exit nonzero on violation: every sample's breakdown must sum to its
+//!   elapsed virtual time, and the pathological configuration (master
+//!   binding at full thread count) must be diagnosed as dominated by
+//!   barrier/imbalance wait.
+//!
+//! Every explanation folds a sample's own closed telemetry; nothing is
+//! re-simulated, and no telemetry session is opened.
 
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use omptune_core::{Arch, OmpPlaces, OmpProcBind, TuningConfig};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use sweep::{ReportSlice, Scope, SweepOptions, SweepSpec};
+use sweep::{ReportSlice, SampleTelemetry, Scope, SweepOptions, SweepSpec};
 use workloads::Setting;
 
 const USAGE: &str =
@@ -83,8 +86,8 @@ fn best_vs_worst(arch: Arch, app_name: &str) -> Result<String, String> {
     let slice = ReportSlice::sweep(arch, app_name, SCOPE, &SweepOptions::new(4))?;
     let (best, worst) = (slice.fastest()?, slice.slowest()?);
     let (data, setting, stats) = (&slice.data, slice.setting, &slice.stats);
-    let explain = |label: &str, s: &sweep::RawSample| -> Result<_, String> {
-        let summary = slice.summarize(&s.config)?;
+    let explain = |label: &str, s: &sweep::RawSample| {
+        let summary = s.telemetry.summary();
         let title = format!(
             "{label} {app_name}/{} t={} speedup {:.2}x | {}",
             arch.id(),
@@ -92,13 +95,14 @@ fn best_vs_worst(arch: Arch, app_name: &str) -> Result<String, String> {
             data.speedup(s),
             s.config.describe_knobs()
         );
-        Ok((omptel::explain(&title, &summary), summary))
+        (omptel::explain(&title, &summary), summary)
     };
-    let (best_ex, best_sum) = explain("best ", best)?;
-    let (worst_ex, worst_sum) = explain("worst", worst)?;
+    let (best_ex, best_sum) = explain("best ", best);
+    let (worst_ex, worst_sum) = explain("worst", worst);
+    let gap = slice.virtual_gap()?;
     Ok(format!(
         "{}{}",
-        omptel::render_pair((&best_ex, &best_sum), (&worst_ex, &worst_sum)),
+        omptel::render_pair(gap, (&best_ex, &best_sum), (&worst_ex, &worst_sum)),
         stats_table(stats)
     ))
 }
@@ -226,7 +230,7 @@ fn spans_report(arch: Arch, app_name: &str, trace_out: Option<&str>) -> Result<S
 
     if let Some(path) = trace_out {
         omptel::validate_trace(&recording).map_err(|e| format!("trace validation: {e}"))?;
-        let doc = omptel::chrome_trace_with_recording(&[], &recording);
+        let doc = omptel::chrome_trace_with_recording(&recording);
         let json = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote {path}");
@@ -236,9 +240,8 @@ fn spans_report(arch: Arch, app_name: &str, trace_out: Option<&str>) -> Result<S
 
 /// The acceptance invariants, as a runnable check.
 fn self_check() -> Result<(), String> {
-    // 1. A sweep sample of an NPB workload: every region profile captured
-    //    during simulation has a breakdown summing to its elapsed virtual
-    //    time, and the sample-level aggregate closes against the total.
+    // 1. A sweep sample of an NPB workload: every sample's closed
+    //    breakdown sums to its elapsed virtual time.
     let app = workloads::app("cg").expect("cg registered");
     let spec = SweepSpec {
         scope: Scope::Strided(400),
@@ -262,26 +265,9 @@ fn self_check() -> Result<(), String> {
             ));
         }
     }
-    let model = (app.model)(Arch::Milan, setting);
-    let session = omptel::session().map_err(|e| e.to_string())?;
-    simrt::simulate(Arch::Milan, &data.samples[0].config, &model, spec.seed);
-    let batch = session.finish();
-    if batch.regions.is_empty() {
-        return Err("simulation recorded no region profiles".into());
-    }
-    for r in &batch.regions {
-        let sum = r.breakdown.sum();
-        if (sum - r.total_ns).abs() > r.total_ns.max(1.0) * 1e-9 {
-            return Err(format!(
-                "region {} breakdown sum {sum} != region total {}",
-                r.name, r.total_ns
-            ));
-        }
-    }
     println!(
-        "self-check: {} samples and {} region profiles close against their totals",
-        data.samples.len(),
-        batch.regions.len()
+        "self-check: {} samples close against their totals",
+        data.samples.len()
     );
 
     // 2. The pathological configuration — every thread bound to the
@@ -289,7 +275,9 @@ fn self_check() -> Result<(), String> {
     let mut bad = TuningConfig::default_for(Arch::Milan, 96);
     bad.places = OmpPlaces::Cores;
     bad.proc_bind = OmpProcBind::Master;
-    let summary = sweep::report_slice::summarize(Arch::Milan, &bad, &model, spec.seed)?;
+    let model = (app.model)(Arch::Milan, setting);
+    let sim = simrt::simulate(Arch::Milan, &bad, &model, spec.seed);
+    let summary = SampleTelemetry::from_sim(Arch::Milan, &bad, &sim).summary();
     let dominant = summary.dominant_sink();
     if dominant != omptel::Sink::Imbalance {
         return Err(format!(
@@ -355,6 +343,29 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use omptune_core::Arch;
+
+    /// The text report's gap is the ratio of the two `virtual_ns` fields
+    /// `--json` prints for the same slice: one gap figure, not two.
+    #[test]
+    fn the_text_gap_is_the_json_virtual_ns_ratio() {
+        let text = super::best_vs_worst(Arch::Milan, "cg").unwrap();
+        let json = super::json_report(Arch::Milan, "cg").unwrap();
+        let doc: serde::Value = serde_json::from_str(&json).unwrap();
+        fn field<'v>(v: &'v serde::Value, key: &str) -> &'v serde::Value {
+            let map = v.as_map().expect("a JSON object");
+            let found = map.iter().find(|(k, _)| k.as_str() == Some(key));
+            &found.unwrap_or_else(|| panic!("no {key}")).1
+        }
+        let virtual_ns = |side| field(field(&doc, side), "virtual_ns").as_f64().unwrap();
+        let gap = virtual_ns("worst") / virtual_ns("best");
+        let headline = format!("best-vs-worst: {gap:.2}x virtual-time gap;");
+        assert!(
+            text.starts_with(&headline),
+            "{headline:?} does not head\n{text}"
+        );
+    }
+
     #[test]
     fn a_command_line_is_a_report_mode_or_a_usage_error() {
         omptune_core::cli::check_parse(

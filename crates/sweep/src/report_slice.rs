@@ -1,10 +1,10 @@
 //! The one slice `omptel-report`, `ompprof` and `ompwatt` profile: a
 //! strided sweep of an application's largest setting on one architecture,
 //! catalog position 0, default seed. The three tools' figures (the
-//! recorded 143.57x CG/Milan gap among them) agree because they call this.
+//! recorded 142.76x CG/Milan gap among them) agree because they call this.
 
 use crate::{RawSample, Scope, SettingData, SweepOptions, SweepSpec, SweepStats};
-use omptune_core::{Arch, TuningConfig};
+use omptune_core::Arch;
 use workloads::{AppSpec, Setting};
 
 /// A swept report slice and what it was swept from.
@@ -63,29 +63,16 @@ impl ReportSlice {
         samples.max_by(by_mean_runtime).ok_or_else(empty)
     }
 
+    /// The best-vs-worst virtual-time gap, `slowest` over `fastest` by
+    /// their noiseless `virtual_ns`: the one gap figure the reports print.
+    pub fn virtual_gap(&self) -> Result<f64, String> {
+        Ok(self.slowest()?.telemetry.virtual_ns / self.fastest()?.telemetry.virtual_ns)
+    }
+
     /// The simulation model of the slice's (architecture, setting).
     pub fn model(&self) -> simrt::Model {
         (self.app.model)(self.arch, self.setting)
     }
-
-    /// [`summarize`] one configuration of the slice.
-    pub fn summarize(&self, config: &TuningConfig) -> Result<omptel::Summary, String> {
-        summarize(self.arch, config, &self.model(), self.spec.seed)
-    }
-}
-
-/// Region-level telemetry of one configuration: re-simulate it under an
-/// exclusive session, so the summary carries region profiles on top of the
-/// sink totals a sample keeps.
-pub fn summarize(
-    arch: Arch,
-    config: &TuningConfig,
-    model: &simrt::Model,
-    seed: u64,
-) -> Result<omptel::Summary, String> {
-    let session = omptel::session().map_err(|e| format!("telemetry session: {e}"))?;
-    simrt::simulate(arch, config, model, seed);
-    Ok(session.finish().summary())
 }
 
 fn by_mean_runtime(a: &&RawSample, b: &&RawSample) -> std::cmp::Ordering {

@@ -127,7 +127,9 @@ pub struct SampleTelemetry {
 }
 
 impl SampleTelemetry {
-    fn from_sim(arch: Arch, config: &TuningConfig, sim: &simrt::SimResult) -> SampleTelemetry {
+    /// The telemetry of one simulated run of `config`: its breakdown
+    /// closed against the total, and its energy priced.
+    pub fn from_sim(arch: Arch, config: &TuningConfig, sim: &simrt::SimResult) -> SampleTelemetry {
         let breakdown = sim.breakdown.to_tel().close_to_total(sim.total_ns);
         let energy = simrt::price_energy(arch, config, &breakdown, sim.total_ns, sim.regions);
         SampleTelemetry {
@@ -141,6 +143,14 @@ impl SampleTelemetry {
     /// Fold this sample into a telemetry summary.
     pub fn fold_into(&self, s: &mut omptel::Summary) {
         s.add_aggregate(self.virtual_ns, &self.breakdown, self.regions);
+    }
+
+    /// This sample alone as a telemetry summary: where its time went, as
+    /// the reports explain it.
+    pub fn summary(&self) -> omptel::Summary {
+        let mut s = omptel::Summary::default();
+        self.fold_into(&mut s);
+        s
     }
 }
 

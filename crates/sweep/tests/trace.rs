@@ -88,7 +88,7 @@ fn live_sweep_trace_is_well_nested_with_resolved_flows() {
     assert_eq!(report.flows as u64, outcome.stats.units);
 
     // The exported Chrome JSON passes the laminar/flow validator too.
-    let doc = omptel::chrome_trace_with_recording(&[], &recording);
+    let doc = omptel::chrome_trace_with_recording(&recording);
     let json = serde_json::to_string(&doc).expect("trace serializes");
     let exported = omptel::validate_trace_json(&json).expect("valid exported trace");
     assert_eq!(exported.unresolved_flows, 0);
@@ -119,7 +119,7 @@ fn engine_counters_surface_under_telemetry_session() {
         &spec,
         &SweepOptions::new(4).with_cache(&cache),
     );
-    let batch = session.finish();
+    let c = session.finish();
 
     assert_eq!(
         provenance_bytes(&cold.batches, &spec),
@@ -132,7 +132,6 @@ fn engine_counters_surface_under_telemetry_session() {
         "session-monitored warm sweep changed the provenance bytes"
     );
 
-    let c = &batch.counters;
     assert!(
         c.get(omptel::Counter::PricedBatches) > 0,
         "cold sweep priced no batches under the session"
@@ -158,7 +157,7 @@ fn engine_counters_surface_under_telemetry_session() {
         &SweepOptions::new(4).with_cache(&traced_cache),
     );
     rec.finish();
-    let batch = session.finish();
+    let counters = session.finish();
     assert_eq!(
         provenance_bytes(&traced.batches, &spec),
         reference,
@@ -169,7 +168,7 @@ fn engine_counters_surface_under_telemetry_session() {
         sweep::planned_samples(Arch::Skylake, &spec)
     );
     assert_eq!(
-        batch.counters.get(omptel::Counter::PricedBatches),
+        counters.get(omptel::Counter::PricedBatches),
         traced.stats.sample_misses,
         "a traced miss is a priced group of one"
     );

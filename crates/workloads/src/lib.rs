@@ -19,11 +19,9 @@ pub mod catalog;
 pub mod generated;
 pub mod npb;
 pub mod proxy;
-pub mod regions;
 pub(crate) mod util;
 
 pub use catalog::{
     app, apps, apps_on, available_on, generated_apps_on, settings_for, AppSpec, Setting, Suite,
 };
 pub use generated::{generated_apps, PROMOTED_SEEDS};
-pub use regions::{region_name, region_names};

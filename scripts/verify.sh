@@ -199,10 +199,10 @@ echo "sentinel clean on identical history, change-point + drift + blame on the p
 
 # ompprof smoke: the top attributed variable of a strided CG/Milan sweep
 # must agree with the logistic-regression influence ranking (--check:
-# exit 4 if not), and `diff` must still print the paper's 143.57x gap.
+# exit 4 if not), and `diff` must still print the recorded 142.76x gap.
 # The artifacts' shape (schema markers, folded-stack lines, SVG prologue
 # and epilogue) is held by ompprof's, ompwatt's and ompobs's own tests.
-banner "ompprof smoke (attribution vs logreg, foreign dataset, 143.57x gap)"
+banner "ompprof smoke (attribution vs logreg, foreign dataset, 142.76x gap)"
 step cargo run --release -p ompprof -- attribute milan cg --check \
     --out "$coherence_dir/profile.json"
 # A dataset is outside input: one sample with an alignment no
@@ -221,7 +221,7 @@ echo "foreign alignment in a dataset: exit 1, sample named"
 diff_out="$(cargo run --release -q -p ompprof -- diff milan cg \
     --out-dir "$coherence_dir/flame")"
 echo "$diff_out"
-need <(echo "$diff_out") '143\.57x' "ompprof diff lost the paper's 143.57x CG/Milan gap"
+need <(echo "$diff_out") '142\.76x' "ompprof diff lost the recorded 142.76x CG/Milan gap"
 
 # Energy disagreement gate: the headline ompwatt claim — at least one
 # architecture's energy-optimal configuration differs from its

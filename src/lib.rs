@@ -22,9 +22,9 @@
 //! - [`data`] (`sweep`) — the 240k-sample data-collection harness;
 //! - [`stats`] (`mlstats`) — Wilcoxon, violins, linear & logistic
 //!   regression;
-//! - [`tel`] (`omptel`) — OMPT-style telemetry: runtime counters, region
-//!   profiles, the Chrome-trace exporter, and the `omptel-report` "why
-//!   was this slow" analysis.
+//! - [`tel`] (`omptel`) — OMPT-style telemetry: runtime counters, the
+//!   closed time breakdown, the flight recorder and its Chrome-trace
+//!   exporter, and the `omptel-report` "why was this slow" analysis.
 //!
 //! ## Quickstart
 //!

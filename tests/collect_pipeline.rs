@@ -1,14 +1,14 @@
 //! The collection run's spine, in-process: `sweep::collect::run` at the
-//! `tiny` scope, cold, warm, half-warm and over a damaged cache at
-//! workers 4/2/1, must leave the same data files and the same content
-//! address — and a perturbed run a different one. These were
+//! `tiny` scope, cold, monitored, warm, half-warm and over a damaged
+//! cache at workers 4/2/1, must leave the same data files and the same
+//! content address — and a perturbed run a different one. These were
 //! `scripts/verify.sh` legs over eight spawns of the `collect` binary;
 //! the binary is now a command line around the function called here.
 
 use omptune::core::Arch;
 use omptune::data::collect::{self, Job, State};
 use omptune::data::{Registry, RegistryLoad, RunRecord, SampleCache, Scope, SweepSpec};
-use omptune::tel::{Point, Tsdb};
+use omptune::tel::{Counter, CounterSnapshot, Point, Tsdb};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -22,6 +22,8 @@ struct Run {
     files: [Vec<u8>; 3],
     hits: u64,
     misses: u64,
+    /// Plan builds, summed over the manifest's architectures.
+    plan_misses: u64,
     record: RunRecord,
 }
 
@@ -29,6 +31,11 @@ struct Run {
 /// back before the scratch directory goes.
 struct Runs {
     cold: Run,
+    /// A cold run into a fresh cache with a telemetry session open
+    /// around it, as `collect --monitor` opens one.
+    monitored: Run,
+    /// What that session counted.
+    monitored_counters: CounterSnapshot,
     warm2: Run,
     half_warm: Run,
     warm1: Run,
@@ -41,7 +48,7 @@ struct Runs {
     cold_series: Vec<String>,
     /// The half-warm run's `<arch>/rate/cache_hit` series, `Arch::ALL` order.
     half_warm_hit_rate: Vec<Vec<Point>>,
-    /// The shared registry as it loads after all six runs.
+    /// The shared registry as it loads after all seven runs.
     registry: RegistryLoad,
 }
 
@@ -93,11 +100,22 @@ fn runs() -> &'static Runs {
                 files: DATA_FILES.map(|file| fs::read(out.join(file)).unwrap()),
                 hits,
                 misses,
+                plan_misses: done
+                    .manifest
+                    .arches
+                    .iter()
+                    .map(|a| a.stats.plan_misses)
+                    .sum(),
                 record: done.record.unwrap().unwrap(),
             }
         };
 
         let cold = run("cold", 4, "cache", None);
+        // The fixture makes its runs one after another, so no other
+        // session interleaves with this one.
+        let session = omptune::tel::session().expect("no other telemetry session");
+        let monitored = run("monitored", 4, "cache-monitored", None);
+        let monitored_counters = session.finish();
         let warm2 = run("warm2", 2, "cache", None);
         // A half-warm cache: a64fx recomputes, the other two replay.
         copy_dir(&root.join("cache"), &root.join("cache-mixed"));
@@ -121,6 +139,8 @@ fn runs() -> &'static Runs {
         };
         let runs = Runs {
             cold,
+            monitored,
+            monitored_counters,
             warm2,
             half_warm,
             warm1,
@@ -140,10 +160,11 @@ fn runs() -> &'static Runs {
 }
 
 impl Runs {
-    /// The five runs that must agree, with what each one is.
-    fn identical(&self) -> [(&Run, &str); 5] {
+    /// The six runs that must agree, with what each one is.
+    fn identical(&self) -> [(&Run, &str); 6] {
         [
             (&self.cold, "cold sweep at workers 4"),
+            (&self.monitored, "cold sweep under a telemetry session"),
             (&self.warm2, "warm sweep at workers 2"),
             (&self.half_warm, "sweep over a half-warm cache"),
             (&self.warm1, "warm sweep at workers 1"),
@@ -247,7 +268,7 @@ fn identical_sweeps_share_one_content_address_and_a_perturbed_one_does_not() {
     }
     assert_ne!(runs.perturbed.record.record_hash, address);
 
-    // What the runs returned is what the registry holds: six collect
+    // What the runs returned is what the registry holds: seven collect
     // rows, in order, all intact.
     assert_eq!(runs.registry.corrupt_skipped, 0);
     let held = &runs.registry.records;
@@ -255,7 +276,21 @@ fn identical_sweeps_share_one_content_address_and_a_perturbed_one_does_not() {
     let perturbed = runs.perturbed.record.record_hash;
     assert_eq!(
         hashes,
-        [address, address, address, address, address, perturbed]
+        [address, address, address, address, address, address, perturbed]
+    );
+}
+
+/// `collect --monitor`'s session counts exactly the plan builds the
+/// run's own manifest records (and, by the byte-identity above, changes
+/// nothing it writes).
+#[test]
+fn a_monitored_runs_session_counts_the_plan_builds_its_manifest_records() {
+    let runs = runs();
+    assert!(runs.monitored.plan_misses > 0, "a cold run builds plans");
+    assert_eq!(runs.monitored.plan_misses, runs.cold.plan_misses);
+    assert_eq!(
+        runs.monitored_counters.get(Counter::PlanCacheMisses),
+        runs.monitored.plan_misses
     );
 }
 
