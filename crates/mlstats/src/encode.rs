@@ -1,9 +1,9 @@
-//! Feature encoding and normalization.
+//! Feature normalization and the regressions' design matrix.
 //!
-//! The paper encodes categorical features (architecture, application, and
-//! the categorical environment variables) with a "naive numeric scheme" —
-//! each category level maps to a small integer — and standardizes columns
-//! before fitting. These utilities reproduce that preprocessing.
+//! The paper encodes categorical features with a "naive numeric scheme"
+//! (`omptune_core::encode_env_feature`) and standardizes columns before
+//! fitting. This module holds the standardization and the matrix the
+//! encoded rows are fitted over.
 
 use serde::{Deserialize, Serialize};
 
@@ -166,61 +166,6 @@ impl Design {
     }
 }
 
-/// A stable category → numeric-code encoder (the paper's "naive numeric
-/// scheme"). Codes are assigned in first-seen order starting from 0.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CategoryEncoder {
-    levels: Vec<String>,
-}
-
-impl CategoryEncoder {
-    /// Create an empty encoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create an encoder with a fixed level order.
-    pub fn with_levels<S: Into<String>>(levels: impl IntoIterator<Item = S>) -> Self {
-        CategoryEncoder {
-            levels: levels.into_iter().map(Into::into).collect(),
-        }
-    }
-
-    /// Encode a level, assigning a fresh code on first sight.
-    pub fn encode(&mut self, level: &str) -> f64 {
-        match self.levels.iter().position(|l| l == level) {
-            Some(i) => i as f64,
-            None => {
-                self.levels.push(level.to_string());
-                (self.levels.len() - 1) as f64
-            }
-        }
-    }
-
-    /// Look up a level without inserting. `None` when unseen.
-    pub fn code_of(&self, level: &str) -> Option<f64> {
-        self.levels
-            .iter()
-            .position(|l| l == level)
-            .map(|i| i as f64)
-    }
-
-    /// Reverse lookup from a code.
-    pub fn level_of(&self, code: usize) -> Option<&str> {
-        self.levels.get(code).map(String::as_str)
-    }
-
-    /// Number of distinct levels seen so far.
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// True when no level has been seen.
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,26 +210,6 @@ mod tests {
     fn design_rejects_empty_and_ragged_rows() {
         assert_eq!(Design::from_rows(&[]), None);
         assert_eq!(Design::from_rows(&[vec![1.0], vec![1.0, 2.0]]), None);
-    }
-
-    #[test]
-    fn encoder_assigns_stable_codes() {
-        let mut e = CategoryEncoder::new();
-        assert_eq!(e.encode("a64fx"), 0.0);
-        assert_eq!(e.encode("milan"), 1.0);
-        assert_eq!(e.encode("a64fx"), 0.0);
-        assert_eq!(e.encode("skylake"), 2.0);
-        assert_eq!(e.len(), 3);
-        assert_eq!(e.code_of("milan"), Some(1.0));
-        assert_eq!(e.code_of("power9"), None);
-        assert_eq!(e.level_of(2), Some("skylake"));
-    }
-
-    #[test]
-    fn encoder_with_fixed_levels() {
-        let e = CategoryEncoder::with_levels(["x", "y"]);
-        assert_eq!(e.code_of("y"), Some(1.0));
-        assert!(!e.is_empty());
     }
 
     #[test]

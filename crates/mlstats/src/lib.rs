@@ -16,30 +16,25 @@
 //! - [`logreg`] — L2-regularized logistic regression whose normalized
 //!   coefficient magnitudes are the paper's feature-influence measure
 //!   (Figs. 2–4),
-//! - [`encode`] — the naive numeric category encoding, z-score
-//!   standardization, and the contiguous [`Design`] matrix both
-//!   regressions fit over,
-//! - [`corr`] — Pearson/Spearman correlation for exploratory checks.
+//! - [`encode`] — z-score standardization and the contiguous [`Design`]
+//!   matrix both regressions fit over.
 //!
 //! Everything is deterministic and dependency-light so the full analysis
 //! pipeline can run inside tests.
 
-pub mod corr;
 pub mod describe;
 pub mod encode;
 pub mod holm;
 pub mod linreg;
 pub mod logreg;
 pub mod matrix;
-pub mod metrics;
 pub mod violin;
 pub mod wilcoxon;
 
 pub use describe::{mean, median, quantile, std_population, std_sample, Summary};
-pub use encode::{CategoryEncoder, Design, StandardScaler};
+pub use encode::{Design, StandardScaler};
 pub use holm::{holm_adjust, holm_reject};
 pub use linreg::{fit_linear, LinearModel};
 pub use logreg::{fit_logistic, LogisticModel, LogisticOptions, OnlineLogistic};
-pub use metrics::{cross_validate, Confusion, CrossValidation};
 pub use violin::ViolinSummary;
 pub use wilcoxon::{wilcoxon_signed_rank, WilcoxonResult};

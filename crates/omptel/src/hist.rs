@@ -1,6 +1,6 @@
 //! Streaming log-bucketed latency histograms with *bounded* quantiles.
 //!
-//! The sweep's progress and anomaly machinery need exact counts,
+//! The sweep's progress meter and manifests need exact counts,
 //! mergeability, and quantile answers with a guaranteed error bound.
 //! This module provides an HdrHistogram-style bucket scheme with **8
 //! sub-buckets per octave**:

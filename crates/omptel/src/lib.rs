@@ -22,7 +22,6 @@
 //! (`Err(SessionActive)`), not blocked, so a mid-run enable can never
 //! silently split one run's counts across two consumers.
 
-pub mod anomaly;
 pub mod chrome;
 pub mod hist;
 pub mod metrics;
@@ -35,7 +34,6 @@ pub mod span;
 pub mod summary;
 pub mod tsdb;
 
-pub use anomaly::{install_watchdog, installed_watchdog, report_corrupt, Watchdog};
 pub use chrome::{chrome_trace_with_recording, validate_trace, validate_trace_json, TraceReport};
 pub use hist::{AtomicHistogram, Histogram, QuantileBound};
 pub use metrics::{
@@ -45,8 +43,8 @@ pub use monitor::{monitoring, BodyFn, Monitor, Route};
 pub use progress::Progress;
 pub use report::{explain, render, render_pair, Explanation};
 pub use ring::{
-    live_ring_stats, recent_events, sim_spans, tracing, EventKind, FlightRecording, Recorder,
-    RecorderOptions, ThreadTrace, TraceEvent,
+    live_ring_stats, sim_spans, tracing, EventKind, FlightRecording, Recorder, RecorderOptions,
+    ThreadTrace, TraceEvent,
 };
 pub use schema::{Breakdown, Counter, CounterSnapshot, EnergyBreakdown, EnergySink, Sink};
 pub use span::{

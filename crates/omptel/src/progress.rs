@@ -250,8 +250,7 @@ impl Progress {
     /// Emit the final newline-terminated summary line and return it.
     /// When workers fed [`Progress::observe_ns`], the line carries
     /// bounded p50/p95/p99 latency quantiles instead of only the
-    /// throughput average — the average hides exactly the outliers the
-    /// anomaly watchdog exists for.
+    /// throughput average, which hides the slow tail.
     pub fn finish(&self) -> String {
         let done = self.done();
         let elapsed = self.elapsed_s();

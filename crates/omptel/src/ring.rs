@@ -184,17 +184,6 @@ impl ThreadRing {
         }
         (out, dropped)
     }
-
-    /// The most recent `n` retained events, oldest first. Safe for the
-    /// owning thread (its own pushes are ordered); used by the anomaly
-    /// watchdog to dump context around a slow sample.
-    pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
-        let (mut events, _) = self.harvest();
-        if events.len() > n {
-            events.drain(..events.len() - n);
-        }
-        events
-    }
 }
 
 /// The recorder gate: one relaxed load on every emission site.
@@ -255,15 +244,6 @@ fn with_my_ring<R>(f: impl FnOnce(&ThreadRing) -> R) -> R {
 /// gate on [`tracing`] first.
 pub(crate) fn emit(ev: TraceEvent) {
     with_my_ring(|ring| ring.push(&ev));
-}
-
-/// This thread's most recent `n` retained events (empty when no
-/// recording is live). For anomaly context dumps.
-pub fn recent_events(n: usize) -> Vec<TraceEvent> {
-    if !tracing() {
-        return Vec::new();
-    }
-    with_my_ring(|ring| ring.recent(n))
 }
 
 /// Live `(threads, retained events, dropped events)` across every ring
@@ -360,7 +340,7 @@ impl Recorder {
             .collect();
         let recording = FlightRecording { threads };
         // Surface silent event loss in the counter registry (and hence
-        // the metrics snapshot) instead of only inside anomaly dumps.
+        // the metrics snapshot), not only in the harvested recording.
         crate::add(crate::Counter::TraceDropped, recording.total_dropped());
         recording
     }
@@ -498,17 +478,12 @@ pub(crate) mod tests {
         // Oldest-first, most recent window.
         assert_eq!(events.first().unwrap().ts_ns, 24);
         assert_eq!(events.last().unwrap().ts_ns, 39);
-        // recent() trims from the front.
-        let tail = ring.recent(4);
-        assert_eq!(tail.len(), 4);
-        assert_eq!(tail[0].ts_ns, 36);
     }
 
     #[test]
     fn disabled_emission_is_dropped_without_registration() {
         let _g = locked();
         assert!(!tracing());
-        assert!(recent_events(8).is_empty());
         let rec = Recorder::start(RecorderOptions::default()).expect("no live recorder");
         // Nothing emitted yet: no rings registered.
         let recording = rec.finish();

@@ -68,7 +68,7 @@ pub enum Counter {
     TraceDropped,
     /// Scheduling-unit config groups priced through the batch pricing
     /// path (one per shared-plan miss group; a sample priced on its own,
-    /// under the flight recorder or the watchdog, is a group of one).
+    /// under the flight recorder, is a group of one).
     PricedBatches,
     /// Stale temporary cache files reaped when a `SampleCache` opened.
     SampleCacheTmpReaped,

@@ -56,14 +56,12 @@ pub enum SpanKind {
     Barrier = 14,
     /// simrt: a region on the virtual clock.
     SimRegion = 15,
-    /// Anomaly watchdog flagged something (instant).
-    Anomaly = 16,
     /// One architecture's whole sweep.
-    ArchSweep = 17,
+    ArchSweep = 16,
 }
 
 impl SpanKind {
-    pub const ALL: [SpanKind; 18] = [
+    pub const ALL: [SpanKind; 17] = [
         SpanKind::Seed,
         SpanKind::Unit,
         SpanKind::DefaultRow,
@@ -80,7 +78,6 @@ impl SpanKind {
         SpanKind::Worker,
         SpanKind::Barrier,
         SpanKind::SimRegion,
-        SpanKind::Anomaly,
         SpanKind::ArchSweep,
     ];
 
@@ -107,7 +104,6 @@ impl SpanKind {
             SpanKind::Worker => "worker",
             SpanKind::Barrier => "barrier",
             SpanKind::SimRegion => "sim_region",
-            SpanKind::Anomaly => "anomaly",
             SpanKind::ArchSweep => "arch_sweep",
         }
     }

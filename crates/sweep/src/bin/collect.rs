@@ -7,17 +7,15 @@
 //! finished batches from disk instead of recomputing them, and the
 //! output is byte-identical either way.
 //!
-//! `--trace` additionally arms the omptrace flight recorder and the
-//! anomaly watchdog for the whole run: a Chrome/Perfetto trace of every
-//! scheduler span lands at the given path, and outlier samples (above
-//! the p99.9 latency bracket) are dumped with their surrounding event
-//! window to `OUT_DIR/anomalies.jsonl`. Tracing never changes results —
-//! the provenance stays byte-identical with it on or off.
+//! `--trace` additionally arms the omptrace flight recorder for the
+//! whole run: a Chrome/Perfetto trace of every scheduler span lands at
+//! the given path. Tracing never changes results — the provenance stays
+//! byte-identical with it on or off.
 //!
 //! `--monitor ADDR` starts the live exposition server for the run:
 //! `/metrics` (Prometheus text format), `/healthz`, `/sweep` (JSON
 //! status of the sweep in flight, including live ring-buffer and
-//! watchdog counters), `/influence` (the streaming logistic influence
+//! engine counters), `/influence` (the streaming logistic influence
 //! ranking recomputed as samples arrive), and `/energy` (per-arch
 //! modeled joules, EDP, sink split, and the energy-influence ranking —
 //! the live half of the ompwatt disagreement map). If ADDR is busy the
@@ -69,10 +67,7 @@ OPTIONS:
     --cache-dir PATH  sample-cache directory
                       (default: target/sweep-cache)
     --trace PATH      record a flight-recorder trace of the sweep and
-                      write it as a Chrome trace_event JSON to PATH;
-                      also arms the anomaly watchdog (outliers beyond
-                      the p99.9 latency bracket are dumped to
-                      OUT_DIR/anomalies.jsonl)
+                      write it as a Chrome trace_event JSON to PATH
     --monitor ADDR    serve live /metrics, /healthz, /sweep, /influence
                       and /energy over HTTP on ADDR (e.g. 127.0.0.1:0
                       for an ephemeral port; if ADDR is busy the server
@@ -225,8 +220,7 @@ impl SweepState {
             None => out.push_str("\"state\":\"idle\",\"current\":null,"),
         }
         // Telemetry health: whether the event ring is keeping up (a
-        // non-zero dropped count means the flight recorder is lossy)
-        // and what the anomaly watchdog has dumped so far.
+        // non-zero dropped count means the flight recorder is lossy).
         let (threads, events, dropped) = omptel::live_ring_stats();
         out.push_str(&format!(
             "\"telemetry\":{{\"ring_threads\":{threads},\
@@ -240,21 +234,12 @@ impl SweepState {
         out.push_str(&format!(
             "\"engine\":{{\"priced_batches\":{},\
              \"sample_cache_tmp_reaped\":{},\
-             \"pool_hits\":{},\"pool_misses\":{}}},",
+             \"pool_hits\":{},\"pool_misses\":{}}}}},",
             counters.get(omptel::Counter::PricedBatches),
             counters.get(omptel::Counter::SampleCacheTmpReaped),
             counters.get(omptel::Counter::PoolHits),
             counters.get(omptel::Counter::PoolMisses),
         ));
-        match omptel::installed_watchdog() {
-            Some(w) => {
-                let (flagged, corrupt) = w.counts();
-                out.push_str(&format!(
-                    "\"watchdog\":{{\"flagged\":{flagged},\"corrupt\":{corrupt}}}}},"
-                ));
-            }
-            None => out.push_str("\"watchdog\":null},"),
-        }
         // Longitudinal registry context: where this run will be
         // recorded and how much history was already there.
         match &self.registry {
@@ -466,16 +451,13 @@ fn collect(cli: Cli) -> std::io::Result<()> {
         None => None,
     };
 
-    // Arm the flight recorder and anomaly watchdog when tracing.
+    // Arm the flight recorder when tracing.
     let recorder = match &cli.trace {
-        Some(trace_path) => {
-            let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
-                .map_err(std::io::Error::other)?;
-            let sink = fs::File::create(cli.out_dir.join("anomalies.jsonl"))?;
-            let watchdog = Arc::new(omptel::Watchdog::new(0.999, Box::new(sink)));
-            omptel::install_watchdog(Some(watchdog.clone()));
-            Some((rec, watchdog, trace_path))
-        }
+        Some(trace_path) => Some((
+            omptel::Recorder::start(omptel::RecorderOptions::default())
+                .map_err(std::io::Error::other)?,
+            trace_path,
+        )),
         None => None,
     };
 
@@ -537,26 +519,19 @@ fn collect(cli: Cli) -> std::io::Result<()> {
     }
 
     // Harvest the flight recorder and export the Chrome trace.
-    if let Some((rec, watchdog, trace_path)) = recorder {
-        omptel::install_watchdog(None);
-        watchdog.flush();
+    if let Some((rec, trace_path)) = recorder {
         let recording = rec.finish();
         let doc = omptel::chrome_trace_with_recording(&recording);
         fs::write(
             trace_path,
             serde_json::to_string(&doc).map_err(std::io::Error::other)?,
         )?;
-        let (flagged, corrupt) = watchdog.counts();
         eprintln!(
             "trace: {} events ({} dropped) across {} threads -> {}",
             recording.total_events(),
             recording.total_dropped(),
             recording.threads.len(),
             trace_path.display()
-        );
-        eprintln!(
-            "watchdog: {flagged} slow-sample anomalies, {corrupt} corrupt cache records -> {}",
-            cli.out_dir.join("anomalies.jsonl").display()
         );
     }
 
@@ -628,10 +603,9 @@ mod tests {
         state
     }
 
-    // Both documents for the state above, as the parent's code (with its
-    // own `ArchDone` scoreboard) rendered them.
-    const PARENT_SWEEP: &str = r#"{"scope":"Strided(400)","state":"idle","current":null,"telemetry":{"ring_threads":0,"omptel_ring_events_total":0,"omptel_ring_dropped_total":0,"engine":{"priced_batches":0,"sample_cache_tmp_reaped":0,"pool_hits":0,"pool_misses":0},"watchdog":null},"registry":{"dir":"/var/reg \"x\"","records":3,"corrupt_skipped":1},"completed":[{"arch":"a64fx","settings":45,"samples":540,"dropped":0,"elapsed_s":0.012,"joules":9767.780224,"edp_js":4034.379218},{"arch":"skylake","settings":36,"samples":864,"dropped":0,"elapsed_s":1.500,"joules":46560.968713,"edp_js":299597.498229}]}"#;
-    const PARENT_ENERGY: &str = r#"{"schema":"ompwatt-energy-v1","arches":[{"arch":"a64fx","samples":540,"joules":9767.780224,"edp_js":4034.379218,"sinks":{"active":4841.432097,"memory":1084.281913,"wait":62.020150,"serial":0.621054,"base":3779.425011}},{"arch":"skylake","samples":864,"joules":46560.968713,"edp_js":299597.498229,"sinks":{"active":10779.698471,"memory":2115.336916,"wait":5937.930185,"serial":2.126568,"base":27725.876574}}],"influence":{"samples":0,"optimal_fraction":0.000000,"influence":{"OMP_PLACES":0.000000,"OMP_PROC_BIND":0.000000,"OMP_SCHEDULE":0.000000,"KMP_LIBRARY":0.000000,"KMP_BLOCKTIME":0.000000,"KMP_FORCE_REDUCTION":0.000000,"KMP_ALIGN_ALLOC":0.000000},"top":null}}"#;
+    // Both documents for the state above, byte for byte.
+    const EXPECTED_SWEEP: &str = r#"{"scope":"Strided(400)","state":"idle","current":null,"telemetry":{"ring_threads":0,"omptel_ring_events_total":0,"omptel_ring_dropped_total":0,"engine":{"priced_batches":0,"sample_cache_tmp_reaped":0,"pool_hits":0,"pool_misses":0}},"registry":{"dir":"/var/reg \"x\"","records":3,"corrupt_skipped":1},"completed":[{"arch":"a64fx","settings":45,"samples":540,"dropped":0,"elapsed_s":0.012,"joules":9767.780224,"edp_js":4034.379218},{"arch":"skylake","settings":36,"samples":864,"dropped":0,"elapsed_s":1.500,"joules":46560.968713,"edp_js":299597.498229}]}"#;
+    const EXPECTED_ENERGY: &str = r#"{"schema":"ompwatt-energy-v1","arches":[{"arch":"a64fx","samples":540,"joules":9767.780224,"edp_js":4034.379218,"sinks":{"active":4841.432097,"memory":1084.281913,"wait":62.020150,"serial":0.621054,"base":3779.425011}},{"arch":"skylake","samples":864,"joules":46560.968713,"edp_js":299597.498229,"sinks":{"active":10779.698471,"memory":2115.336916,"wait":5937.930185,"serial":2.126568,"base":27725.876574}}],"influence":{"samples":0,"optimal_fraction":0.000000,"influence":{"OMP_PLACES":0.000000,"OMP_PROC_BIND":0.000000,"OMP_SCHEDULE":0.000000,"KMP_LIBRARY":0.000000,"KMP_BLOCKTIME":0.000000,"KMP_FORCE_REDUCTION":0.000000,"KMP_ALIGN_ALLOC":0.000000},"top":null}}"#;
 
     #[test]
     fn a_command_line_is_a_collection_job_or_a_usage_error() {
@@ -649,8 +623,8 @@ mod tests {
     fn sweep_and_energy_bodies_render_the_manifest() {
         let state = two_arch_state();
         let (sweep_doc, energy_doc) = (state.json(), state.energy_json());
-        assert_eq!(sweep_doc, PARENT_SWEEP);
-        assert_eq!(energy_doc, PARENT_ENERGY);
+        assert_eq!(sweep_doc, EXPECTED_SWEEP);
+        assert_eq!(energy_doc, EXPECTED_ENERGY);
 
         // Entry by entry, each document says what the record holds.
         let parse = |doc: &str| serde_json::from_str::<Value>(doc).expect("valid JSON");

@@ -161,10 +161,7 @@ fn json_report(arch: Arch, app_name: &str) -> Result<String, String> {
     ));
     out.push_str(&format!("  \"best\": {},\n", side(best)));
     out.push_str(&format!("  \"worst\": {},\n", side(worst)));
-    out.push_str(&format!(
-        "  \"gap\": {:.6},\n",
-        worst.mean_runtime() / best.mean_runtime()
-    ));
+    out.push_str(&format!("  \"gap\": {:.6},\n", slice.virtual_gap()?));
     out.push_str(&format!(
         "  \"stats\": {{\"plan_hits\": {}, \"plan_misses\": {}, \"sample_hits\": {}, \
          \"sample_misses\": {}, \"steals\": {}, \"units\": {}}}\n}}\n",
@@ -345,8 +342,9 @@ fn main() -> ExitCode {
 mod tests {
     use omptune_core::Arch;
 
-    /// The text report's gap is the ratio of the two `virtual_ns` fields
-    /// `--json` prints for the same slice: one gap figure, not two.
+    /// The text report's gap and the JSON's `gap` are both the ratio of
+    /// the two `virtual_ns` fields `--json` prints for the same slice:
+    /// one gap figure, not two.
     #[test]
     fn the_text_gap_is_the_json_virtual_ns_ratio() {
         let text = super::best_vs_worst(Arch::Milan, "cg").unwrap();
@@ -364,6 +362,8 @@ mod tests {
             text.starts_with(&headline),
             "{headline:?} does not head\n{text}"
         );
+        let json_gap = field(&doc, "gap").as_f64().unwrap();
+        assert_eq!(format!("{json_gap:.6}"), format!("{gap:.6}"), "--json gap");
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl SampleCache {
     /// Load the usable records of one batch. A missing or unreadable
     /// file, a damaged header, corrupt records, wrong-version or
     /// wrong-spec batches all yield fewer (or no) entries — damage is
-    /// also reported to the flight recorder / anomaly watchdog as cache
+    /// also counted and marked in the flight recorder as cache
     /// corruption. It degrades to recomputation, never to an error or a
     /// wrong result.
     pub fn load_batch(&self, key: &RunKey, spec: &SweepSpec) -> BatchEntries {
@@ -308,7 +308,7 @@ impl SampleCache {
             return BatchEntries::empty();
         };
         let mut corrupt = 0u64;
-        let entries = decode_batch(&bytes, key, spec, &mut corrupt);
+        let entries = decode_batch(&bytes, spec, &mut corrupt);
         if corrupt > 0 {
             omptel::add(omptel::Counter::SampleCacheCorrupt, corrupt);
         }
@@ -403,36 +403,23 @@ fn reap_tmp_files(dir: &Path) -> u64 {
 }
 
 /// Decode one batch file. Damaged records are skipped, a damaged header
-/// empties the batch, and both are counted in `corrupt` and reported; a
-/// sound header for a different spec is an empty batch and no damage.
-fn decode_batch(bytes: &[u8], key: &RunKey, spec: &SweepSpec, corrupt: &mut u64) -> BatchEntries {
-    let mut damaged = |what: &str| {
+/// empties the batch, and both are counted in `corrupt` and marked in
+/// the flight recorder; a sound header for a different spec is an empty
+/// batch and no damage.
+fn decode_batch(bytes: &[u8], spec: &SweepSpec, corrupt: &mut u64) -> BatchEntries {
+    let mut damaged = || {
         *corrupt += 1;
-        omptel::report_corrupt(&format!(
-            "{}/{} i{} t{}: unparseable record {what} in binary batch",
-            key.arch.id(),
-            key.app,
-            key.input_code,
-            key.num_threads,
-        ));
+        omptel::instant(omptel::SpanKind::CacheCorrupt, 0);
     };
     let Some((header, body)) = bytes.split_at_checked(HEADER_WORDS * 8) else {
-        damaged("header (short file)");
+        damaged();
         return BatchEntries::empty();
     };
     let (_, sound) = checked(header);
     let header: Vec<u64> = words(header).collect();
-    let flaw = if header[0] != BIN_MAGIC {
-        Some("header (bad magic)")
-    } else if !sound {
-        Some("header (bad checksum)")
-    } else if header[6] != 0 {
-        Some("header (reserved word set)")
-    } else {
-        None
-    };
-    if let Some(flaw) = flaw {
-        damaged(flaw);
+    // Bad magic, bad checksum or a reserved word set.
+    if header[0] != BIN_MAGIC || !sound || header[6] != 0 {
+        damaged();
         return BatchEntries::empty();
     }
     if header[1..5] != spec_words(spec) {
@@ -444,11 +431,11 @@ fn decode_batch(bytes: &[u8], key: &RunKey, spec: &SweepSpec, corrupt: &mut u64)
     let present = body.len() / stride;
     let count = header[5].min(present as u64) as usize;
     let mut entries = BatchEntries::with_capacity(reps, count);
-    for (slot, rec) in body.chunks_exact(stride).take(count).enumerate() {
+    for rec in body.chunks_exact(stride).take(count) {
         let (payload, sound) = checked(rec);
         let mut payload = words(payload);
         let (true, Some(config_index)) = (sound, payload.next()) else {
-            damaged(&format!("at slot {slot} (checksum)"));
+            damaged();
             continue;
         };
         let slot_at = entries.slots.len() / entries.stride();
@@ -460,7 +447,7 @@ fn decode_batch(bytes: &[u8], key: &RunKey, spec: &SweepSpec, corrupt: &mut u64)
     }
     if header[5] > present as u64 {
         // Torn tail: everything before it already loaded.
-        damaged(&format!("at slot {present} (truncated)"));
+        damaged();
     }
     entries
 }
@@ -606,7 +593,7 @@ mod tests {
         // Stale is not damaged.
         let bytes = std::fs::read(cache.bin_path(&data.key)).unwrap();
         let mut corrupt = 0;
-        decode_batch(&bytes, &data.key, &reseeded, &mut corrupt);
+        decode_batch(&bytes, &reseeded, &mut corrupt);
         assert_eq!(corrupt, 0);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
@@ -662,7 +649,7 @@ mod tests {
             damage(&mut bytes);
             std::fs::write(&bin, &bytes).unwrap();
             let mut corrupt = 0;
-            assert!(decode_batch(&bytes, &data.key, &spec, &mut corrupt).is_empty());
+            assert!(decode_batch(&bytes, &spec, &mut corrupt).is_empty());
             assert_eq!(corrupt, 1, "{flaw}: one header, one count");
             assert!(cache.load_batch(&data.key, &spec).is_empty(), "{flaw}");
             // Nothing answered, so the sweep recomputes all of it ...
@@ -685,13 +672,13 @@ mod tests {
         bytes[5 * 8..6 * 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
         reseal_header(&mut bytes);
         let mut corrupt = 0;
-        let entries = decode_batch(&bytes, &data.key, &spec, &mut corrupt);
+        let entries = decode_batch(&bytes, &spec, &mut corrupt);
         assert_eq!(entries.len(), data.samples.len() + 1);
         assert_eq!(corrupt, 1, "the missing 2^60 - n records are one torn tail");
         assert!(entries.slots.capacity() <= bytes.len() / 8);
         // Header only: the same claim over no records at all.
         bytes.truncate(HEADER_WORDS * 8);
-        let entries = decode_batch(&bytes, &data.key, &spec, &mut corrupt);
+        let entries = decode_batch(&bytes, &spec, &mut corrupt);
         assert!(entries.is_empty());
         assert_eq!(entries.slots.capacity(), 0);
         let _ = std::fs::remove_dir_all(cache.dir());

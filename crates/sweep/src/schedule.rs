@@ -60,8 +60,7 @@ impl SweepStats {
 }
 
 /// Scheduler knobs: worker count plus optional sample cache, progress
-/// meter and batch observer. The anomaly watchdog is the process one
-/// ([`omptel::installed_watchdog`]), read once per sweep.
+/// meter and batch observer.
 pub struct SweepOptions<'a> {
     pub workers: usize,
     pub cache: Option<&'a SampleCache>,
@@ -236,47 +235,20 @@ fn pool_reserve<T>(buf: &mut Vec<T>, needed: usize) {
     buf.reserve(needed);
 }
 
-/// Feed one sample's wall latency to the progress meter and watchdog.
-fn observe_sample(
-    opts: &SweepOptions,
-    watchdog: Option<&omptel::Watchdog>,
-    job: &BatchJob,
-    config_index: usize,
-    t0: Instant,
-) {
-    let ns = t0.elapsed().as_nanos() as u64;
-    if let Some(p) = opts.progress {
-        p.observe_ns(ns);
-    }
-    if let Some(w) = watchdog {
-        w.observe(ns, || {
-            format!(
-                "{}/{} i{} t{} c{}",
-                job.key.arch.id(),
-                job.key.app,
-                job.key.input_code,
-                job.key.num_threads,
-                config_index
-            )
-        });
-    }
-}
-
 /// Execute one unit; returns the number of samples it produced.
 ///
 /// Every slot is looked up in the sample cache first; the misses are
-/// then priced by [`price_misses`]. While samples are watched one at a
-/// time — a live flight recorder or an installed watchdog — the pending
-/// miss is priced right after its own lookup, as a group of one inside
-/// its `Sample` span, so each sample emits its own events and gets its
-/// own latency. `price_batch` is bit-identical to per-config pricing
-/// (property-tested), so the rule changes timing, never results.
+/// then priced by [`price_misses`]. While a flight recorder is live,
+/// the pending miss is priced right after its own lookup, as a group of
+/// one inside its `Sample` span, so each sample emits its own events
+/// and gets its own latency. `price_batch` is bit-identical to
+/// per-config pricing (property-tested), so the rule changes timing,
+/// never results.
 fn run_unit(
     unit: &Unit,
     job: &BatchJob,
     spec: &SweepSpec,
     opts: &SweepOptions,
-    watchdog: Option<&omptel::Watchdog>,
     scratch: &mut WorkerScratch,
 ) -> u64 {
     // The default row is the batch's last slot, alone in its unit.
@@ -287,7 +259,7 @@ fn run_unit(
     };
     let _uspan = omptel::span(kind, unit.batch as u64);
     omptel::flow_in(SpanKind::Unit, unit.flow);
-    let watched = watchdog.is_some() || omptel::tracing();
+    let watched = omptel::tracing();
     let slice = &job.configs[unit.start..unit.end];
     // Unwatched samples share their unit's time: the meter's latency
     // series gets the unit-amortized value.
@@ -320,7 +292,9 @@ fn run_unit(
         if let Some(t0) = t0 {
             price_misses(job, spec, slice, scratch);
             drop(sspan);
-            observe_sample(opts, watchdog, job, config_index, t0);
+            if let Some(p) = opts.progress {
+                p.observe_ns(t0.elapsed().as_nanos() as u64);
+            }
         }
     }
     price_misses(job, spec, slice, scratch);
@@ -461,8 +435,6 @@ fn run_scheduler(jobs: Vec<BatchJob>, spec: &SweepSpec, opts: &SweepOptions) -> 
     let out: Mutex<Vec<Option<SettingData>>> = Mutex::new((0..jobs.len()).map(|_| None).collect());
     let steals = AtomicU64::new(0);
     let units_run = AtomicU64::new(0);
-    let watchdog = omptel::installed_watchdog();
-    let watchdog = watchdog.as_deref();
 
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -491,7 +463,7 @@ fn run_scheduler(jobs: Vec<BatchJob>, spec: &SweepSpec, opts: &SweepOptions) -> 
                     // Units are only ever removed, so all-empty means done.
                     let Some(unit) = unit else { break };
                     let job = &jobs[unit.batch];
-                    let produced = run_unit(&unit, job, spec, opts, watchdog, &mut scratch);
+                    let produced = run_unit(&unit, job, spec, opts, &mut scratch);
                     units_run.fetch_add(1, Ordering::Relaxed);
                     if let Some(p) = opts.progress {
                         p.inc(produced);

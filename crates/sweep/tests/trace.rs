@@ -6,12 +6,12 @@
 //! - a live multi-worker sweep produces a well-nested trace whose
 //!   cross-worker flows all resolve,
 //! - a corrupted cache batch is recomputed byte-identically and the
-//!   corruption lands in the flight recorder as a `CacheCorrupt` event
-//!   and in the anomaly watchdog's dump,
-//! - an installed watchdog, recorder or not, times every sample once.
+//!   corruption lands in the flight recorder as one `CacheCorrupt`
+//!   instant and in the `SampleCacheCorrupt` counter,
+//! - a traced sweep times every sample once.
 
 use omptune_core::Arch;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use sweep::{SampleCache, Scope, SweepOptions, SweepSpec};
 
 /// The recorder is process-global; serialize every test that arms it.
@@ -177,29 +177,41 @@ fn engine_counters_surface_under_telemetry_session() {
     let _ = std::fs::remove_dir_all(traced_cache.dir());
 }
 
-/// An installed watchdog watches samples one at a time with no recorder
-/// live: it times every planned sample (each config and each default
-/// row) once, and the results are those of a plain run.
+/// A live recorder watches samples one at a time: the progress meter
+/// gets one latency per planned sample (each config and each default
+/// row), each inside its own `Sample` span, and the results are those
+/// of a plain run.
 #[test]
-fn installed_watchdog_times_every_sample_without_a_recorder() {
+fn a_traced_sweep_times_every_sample_once() {
     let _guard = recorder_lock();
     let spec = spec();
     let plain = sweep::sweep_arch_scheduled(Arch::A64fx, &spec, &SweepOptions::new(2));
 
-    let watchdog = Arc::new(omptel::Watchdog::new(0.999, Box::new(std::io::sink())));
-    omptel::install_watchdog(Some(watchdog.clone()));
-    let watched = sweep::sweep_arch_scheduled(Arch::A64fx, &spec, &SweepOptions::new(2));
-    omptel::install_watchdog(None);
+    let planned = sweep::planned_samples(Arch::A64fx, &spec);
+    let progress = omptel::Progress::quiet("a64fx", planned);
+    let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
+        .expect("no other recorder live");
+    let traced = sweep::sweep_arch_scheduled(
+        Arch::A64fx,
+        &spec,
+        &SweepOptions::new(2).with_progress(&progress),
+    );
+    let recording = rec.finish();
 
     assert_eq!(
-        watchdog.histogram().count,
-        sweep::planned_samples(Arch::A64fx, &spec),
+        progress.latency_histogram().count,
+        planned,
         "one latency per planned sample"
     );
     assert_eq!(
-        provenance_bytes(&watched.batches, &spec),
+        recording.count(omptel::EventKind::SpanBegin, omptel::SpanKind::Sample) as u64,
+        planned,
+        "one Sample span per planned sample"
+    );
+    assert_eq!(
+        provenance_bytes(&traced.batches, &spec),
         provenance_bytes(&plain.batches, &spec),
-        "the watchdog changed the provenance bytes"
+        "tracing changed the provenance bytes"
     );
 }
 
@@ -228,29 +240,14 @@ fn corrupt_cache_batch_recomputes_identically_and_is_flagged() {
     bytes[header + 16] ^= 0xff;
     std::fs::write(&victim, &bytes).unwrap();
 
-    // Re-run under the recorder with a watchdog collecting dumps.
+    // Re-run under the recorder and a counter session.
+    let session = omptel::session().expect("no other omptel session is live");
     let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
         .expect("no other recorder live");
-    let sink: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    struct SharedSink(Arc<Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedSink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-    let watchdog = Arc::new(omptel::Watchdog::new(
-        0.999,
-        Box::new(SharedSink(sink.clone())),
-    ));
-    omptel::install_watchdog(Some(watchdog.clone()));
     let warm =
         sweep::sweep_arch_scheduled(Arch::Milan, &spec, &SweepOptions::new(2).with_cache(&cache));
-    omptel::install_watchdog(None);
     let recording = rec.finish();
+    let counters = session.finish();
 
     // Byte-identical provenance despite the damage.
     assert_eq!(
@@ -259,18 +256,17 @@ fn corrupt_cache_batch_recomputes_identically_and_is_flagged() {
         "corrupt cache changed recomputed provenance"
     );
 
-    // The corruption was observed: a CacheCorrupt instant in the ring,
-    // the corrupt counter on the watchdog, and a dump in the sink.
-    assert!(
-        recording.count(omptel::EventKind::Instant, omptel::SpanKind::CacheCorrupt) >= 1,
-        "no CacheCorrupt event recorded"
+    // Exactly the one damaged record was observed: one CacheCorrupt
+    // instant in the ring and one in the counter.
+    assert_eq!(
+        recording.count(omptel::EventKind::Instant, omptel::SpanKind::CacheCorrupt),
+        1,
+        "exactly one CacheCorrupt event expected"
     );
-    let (_, corrupt) = watchdog.counts();
-    assert_eq!(corrupt, 1, "exactly one corrupt record expected");
-    let dump = String::from_utf8(sink.lock().unwrap().clone()).unwrap();
-    assert!(
-        dump.contains("cache_corrupt") && dump.contains("unparseable record"),
-        "watchdog dump missing corruption context: {dump:?}"
+    assert_eq!(
+        counters.get(omptel::Counter::SampleCacheCorrupt),
+        1,
+        "exactly one corrupt record expected"
     );
 
     let _ = std::fs::remove_dir_all(cache.dir());

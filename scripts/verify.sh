@@ -147,7 +147,6 @@ metrics|^omptel_sweep_energy_joules |is missing the modeled-energy gauges
 healthz|^ok$|did not answer ok
 sweep|"scope"|JSON is missing the scope field
 sweep|"omptel_ring_dropped_total"|JSON is missing the ring drop counter
-sweep|"watchdog"|JSON is missing the watchdog counters
 sweep|"priced_batches"|JSON is missing the warm-engine counters
 runs|"records"|is not serving the run-registry listing
 influence|"influence"|is not serving the streaming ranking
