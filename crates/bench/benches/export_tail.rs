@@ -16,6 +16,8 @@
 //! - `provenance_s` — provenance build + write: `provenance_iter` fed
 //!   lazily to `write_provenance_jsonl` (one `config_hash` and one JSON
 //!   line per sample),
+//! - `csv_s`        — `write_csv` of the slice's `Dataset` (one row per
+//!   sample),
 //! - `tsdb_s`       — `collect`'s ring pattern, two points per sample
 //!   (`{arch}/virt/s{k}`, `{arch}/energy/s{k}`) through
 //!   `sweep::series::append_stratum_series`, one `Tsdb::flush` per arch,
@@ -112,6 +114,18 @@ fn main() {
     });
     assert_eq!(out.iter().filter(|&&b| b == b'\n').count(), samples);
 
+    let dataset = sweep::Dataset::build(&batches);
+    let mut csv_bytes = 0;
+    let csv = Series::of(passes, || {
+        out.clear();
+        sweep::export::write_csv(&dataset, &mut out).expect("in-memory write");
+        csv_bytes = out.len();
+    });
+    assert_eq!(
+        out.iter().filter(|&&b| b == b'\n').count(),
+        dataset.records.len() + 1
+    );
+
     let dir = std::env::temp_dir().join(format!("omptune-export-tail-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut tsdb = omptel::Tsdb::open(&dir, omptel::DEFAULT_CAPACITY).expect("open tsdb");
@@ -156,6 +170,7 @@ fn main() {
             &provenance,
             format!("{provenance_bytes} bytes"),
         ),
+        ("write_csv", &csv, format!("{csv_bytes} bytes")),
         (
             "tsdb append + flush",
             &tsdb_series,
@@ -184,15 +199,18 @@ fn main() {
         .series("raw_json_s", raw_json.best(), &raw_json)
         .series("read_raw_json_s", read_raw_json.best(), &read_raw_json)
         .series("provenance_s", provenance.best(), &provenance)
+        .series("csv_s", csv.best(), &csv)
         .series("tsdb_s", tsdb_series.best(), &tsdb_series)
         .series("tail_s", tail.best(), &tail)
         .series("tail_parallel_s", tail_parallel.best(), &tail_parallel)
         .count("raw_json_ns_per_sample", ns_per_sample(&raw_json))
         .count("read_raw_json_ns_per_sample", ns_per_sample(&read_raw_json))
         .count("provenance_ns_per_sample", ns_per_sample(&provenance))
+        .count("csv_ns_per_sample", ns_per_sample(&csv))
         .count("tsdb_ns_per_sample", ns_per_sample(&tsdb_series))
         .count("raw_json_bytes", raw_bytes as u64)
         .count("provenance_bytes", provenance_bytes as u64)
+        .count("csv_bytes", csv_bytes as u64)
         .count("tsdb_points", points)
         .publish("BENCH_export.json");
 }

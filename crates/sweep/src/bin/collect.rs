@@ -503,7 +503,7 @@ fn collect(cli: Cli) -> std::io::Result<()> {
         manifest.total_samples, manifest.total_dropped
     );
     eprintln!(
-        "export: {:.2} s wall (raw_json+csv {:.2} s | provenance {:.2} s) on {} thread{}",
+        "export: {:.2} s wall (dataset {:.2} s | provenance {:.2} s) on {} thread{}",
         artifacts.wall_s,
         artifacts.dataset_job_s,
         artifacts.provenance_job_s,

@@ -18,23 +18,60 @@ use std::time::Instant;
 pub const CSV_HEADER: &str = "arch,app,input_size,num_threads,omp_places,omp_proc_bind,\
 omp_schedule,kmp_library,kmp_blocktime,kmp_force_reduction,kmp_align_alloc,speedup";
 
-/// Write the processed dataset as CSV.
+/// `n` in decimal at the end of `row`.
+fn push_uint(row: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    row.extend_from_slice(&digits[at..]);
+}
+
+/// `x` as `{}` prints it at the end of `row`. An integer below 10^15 in
+/// magnitude is exact in an `f64`, and `{}` prints exactly its digits,
+/// so those are written directly; anything else, `-0.0` (`-0`) included,
+/// goes through `core::fmt`.
+fn push_display(row: &mut Vec<u8>, x: f64) -> io::Result<()> {
+    if x.fract() == 0.0 && x.abs() < 1e15 && x.to_bits() != (-0.0f64).to_bits() {
+        if x < 0.0 {
+            row.push(b'-');
+        }
+        push_uint(row, x.abs() as u64);
+        Ok(())
+    } else {
+        write!(row, "{x}")
+    }
+}
+
+/// Write the processed dataset as CSV. Each row is built in one reused
+/// buffer: text and integer cells are copied in, and only a fractional
+/// `input_size` and the `{:.6}` speedup go through `core::fmt`.
 pub fn write_csv<W: Write>(ds: &Dataset, out: &mut W) -> io::Result<()> {
     writeln!(out, "{CSV_HEADER}")?;
+    let mut row = Vec::with_capacity(128);
     for r in &ds.records {
         let c = &r.config;
-        write!(
-            out,
-            "{},{},{},{},",
-            r.arch.id(),
-            r.app,
-            r.input_size,
-            c.num_threads
-        )?;
-        for var in Variable::ALL {
-            write!(out, "{},", c.label(var))?;
+        row.clear();
+        for cell in [r.arch.id(), &r.app] {
+            row.extend_from_slice(cell.as_bytes());
+            row.push(b',');
         }
-        writeln!(out, "{:.6}", r.speedup)?;
+        push_display(&mut row, r.input_size)?;
+        row.push(b',');
+        push_uint(&mut row, c.num_threads as u64);
+        row.push(b',');
+        for var in Variable::ALL {
+            row.extend_from_slice(c.label(var).as_bytes());
+            row.push(b',');
+        }
+        writeln!(row, "{:.6}", r.speedup)?;
+        out.write_all(&row)?;
     }
     Ok(())
 }
@@ -279,6 +316,131 @@ mod tests {
         );
         let names = Variable::ALL.map(|v| v.env_name().to_lowercase());
         assert_eq!(CSV_HEADER.split(',').collect::<Vec<_>>()[4..11], names);
+    }
+
+    /// The CSV as `write_csv` wrote it with one `write!` per cell group.
+    fn reference_csv(ds: &Dataset) -> Vec<u8> {
+        let mut out = Vec::new();
+        writeln!(out, "{CSV_HEADER}").unwrap();
+        for r in &ds.records {
+            let c = &r.config;
+            write!(
+                out,
+                "{},{},{},{},",
+                r.arch.id(),
+                r.app,
+                r.input_size,
+                c.num_threads
+            )
+            .unwrap();
+            for var in Variable::ALL {
+                write!(out, "{},", c.label(var)).unwrap();
+            }
+            writeln!(out, "{:.6}", r.speedup).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn csv_rows_are_the_write_rows_on_edge_cells() {
+        let base = small_dataset().records[0].clone();
+        let mut records = Vec::new();
+        // Every spelling of every variable, owned ones included: an
+        // alignment outside the union spells itself.
+        for var in Variable::ALL {
+            for slot in 0..var.union_len() {
+                records.push(AnalysisRecord {
+                    config: var.at(base.config, slot),
+                    ..base.clone()
+                });
+            }
+        }
+        for align in [3, 1 << 20, u32::MAX] {
+            let mut config = base.config;
+            config.align_alloc = omptune_core::KmpAlignAlloc(align);
+            assert!(matches!(
+                config.label(Variable::AlignAlloc),
+                std::borrow::Cow::Owned(_)
+            ));
+            records.push(AnalysisRecord {
+                config,
+                ..base.clone()
+            });
+        }
+        for num_threads in [0, 1, 9, 10, usize::MAX] {
+            let mut config = base.config;
+            config.num_threads = num_threads;
+            records.push(AnalysisRecord {
+                config,
+                ..base.clone()
+            });
+        }
+        let input_sizes = [
+            -0.0,
+            0.0,
+            0.5,
+            -0.5,
+            3.0,
+            -3.0,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15,
+            1e16,
+            9007199254740993.0,
+            1e300,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let speedups = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.25,
+            0.0000005,
+            0.0000015,
+            -2.5e-7,
+            1e20,
+        ];
+        for (i, input_size) in input_sizes.into_iter().enumerate() {
+            for speedup in speedups {
+                records.push(AnalysisRecord {
+                    app: format!("app{i}"),
+                    input_size,
+                    speedup,
+                    ..base.clone()
+                });
+            }
+        }
+        // Integral input sizes at every magnitude either side of 10^15,
+        // and random bit patterns.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let integral = (state >> (state % 64)) as f64;
+            for input_size in [integral, -integral, f64::from_bits(state)] {
+                records.push(AnalysisRecord {
+                    input_size,
+                    ..base.clone()
+                });
+            }
+        }
+        let ds = Dataset { records };
+        let mut csv = Vec::new();
+        write_csv(&ds, &mut csv).unwrap();
+        let (csv, reference) = (String::from_utf8(csv).unwrap(), reference_csv(&ds));
+        for (row, want) in csv
+            .lines()
+            .zip(String::from_utf8(reference).unwrap().lines())
+        {
+            assert_eq!(row, want);
+        }
+        assert_eq!(csv.lines().count(), ds.records.len() + 1);
     }
 
     #[test]

@@ -149,20 +149,16 @@ pub fn provenance_of(batches: &[SettingData], spec: &SweepSpec) -> Vec<SamplePro
     provenance_iter(batches, spec).collect()
 }
 
-/// Write provenance as JSON lines (one sample per line). Takes records
-/// by reference (a slice) or by value (a lazy [`provenance_iter`], so
-/// only one record exists at a time).
+/// Write provenance as JSON lines (one sample per line), all through one
+/// JSON sink. Takes records by reference (a slice) or by value (a lazy
+/// [`provenance_iter`], so only one record exists at a time).
 pub fn write_provenance_jsonl<W, I>(records: I, out: &mut W) -> io::Result<()>
 where
     W: Write,
     I: IntoIterator,
-    I::Item: Borrow<SampleProvenance>,
+    I::Item: Borrow<SampleProvenance> + Serialize,
 {
-    for r in records {
-        serde_json::to_writer(&mut *out, r.borrow()).map_err(io::Error::other)?;
-        out.write_all(b"\n")?;
-    }
-    Ok(())
+    serde_json::to_writer_lines(out, records).map_err(io::Error::other)
 }
 
 /// Per-architecture slice of a collection run.

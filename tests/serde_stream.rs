@@ -328,6 +328,20 @@ struct Doc {
     boxed: Box<Event>,
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Eq, Ord, Serialize)]
+enum Tone {
+    Low,
+    High,
+}
+
+/// A named struct with a unit-variant field, for a map key.
+#[derive(Debug, Clone, PartialEq, PartialOrd, Eq, Ord, Serialize)]
+struct Slot {
+    index: u8,
+    tone: Tone,
+    name: String,
+}
+
 /// Maps whose keys are not strings: JSON has no such thing, so the
 /// writer quotes the key's own JSON text. Write-only (the quoted key
 /// does not parse back into its type).
@@ -339,6 +353,10 @@ struct Keyed {
     /// A key that itself contains a map with non-string keys.
     by_map: BTreeMap<BTreeMap<u8, String>, u8>,
     by_option: BTreeMap<Option<u8>, u8>,
+    /// Keys written through `field` and a unit variant's `str`.
+    by_slot: BTreeMap<Slot, Tone>,
+    /// A unit variant is a string: the key is that string, unquoted.
+    by_tone: BTreeMap<Tone, String>,
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +471,26 @@ impl Draw<'_> {
                 })
                 .into_iter()
                 .collect(),
+            by_slot: self
+                .vec(3, |d| {
+                    let key = Slot {
+                        index: d.0.next_u64() as u8,
+                        tone: d.tone(),
+                        name: d.string(),
+                    };
+                    (key, d.tone())
+                })
+                .into_iter()
+                .collect(),
+            by_tone: self
+                .vec(2, |d| (d.tone(), d.string()))
+                .into_iter()
+                .collect(),
         }
+    }
+
+    fn tone(&mut self) -> Tone {
+        [Tone::Low, Tone::High][self.below(2) as usize]
     }
 }
 
@@ -614,6 +651,18 @@ fn bare_scalars_and_empty_containers_stream_like_the_tree() {
     assert_eq!(check_streamed(&f64::NEG_INFINITY), "null");
     let keyed: BTreeMap<(u8, u8), u8> = [((1, 2), 3)].into();
     assert_eq!(check_streamed(&keyed), r#"{"[1,2]":3}"#);
+    let slot = Slot {
+        index: 1,
+        tone: Tone::High,
+        name: "a\"".into(),
+    };
+    let keyed: BTreeMap<Slot, Tone> = [(slot, Tone::Low)].into();
+    assert_eq!(
+        check_streamed(&keyed),
+        r#"{"{\"index\":1,\"tone\":\"High\",\"name\":\"a\\\"\"}":"Low"}"#
+    );
+    let keyed: BTreeMap<Tone, u8> = [(Tone::Low, 0), (Tone::High, 1)].into();
+    assert_eq!(check_streamed(&keyed), r#"{"Low":0,"High":1}"#);
 }
 
 // ---------------------------------------------------------------------------
@@ -730,51 +779,119 @@ impl Write for Budget {
     }
 }
 
+type Row = (u64, String, f64);
+
+/// The document of every row, as one JSON array or as JSON lines.
+type WriteRows = fn(&mut Budget, &[Row]) -> Result<(), serde_json::Error>;
+
 #[test]
 fn a_failing_writer_is_an_error_at_every_byte_and_never_a_short_file() {
     // ~200 KB: several buffer flushes, with one string longer than the
     // buffer in the middle.
-    let mut doc: Vec<(u64, String, f64)> = (0..6000u64)
+    let mut doc: Vec<Row> = (0..6000u64)
         .map(|i| (i, format!("row \"{i}\""), i as f64 * 0.37))
         .collect();
     doc[3000].1 = "x".repeat(100_000);
-    let full = serde_json::to_string(&doc).unwrap();
-    assert!(full.len() > 3 * 64 * 1024);
+    let lines = |doc: &[Row]| -> String {
+        doc.iter()
+            .map(|row| serde_json::to_string(row).unwrap() + "\n")
+            .collect()
+    };
+    let writers: [(&str, WriteRows, String); 2] = [
+        (
+            "to_writer",
+            |out, doc| serde_json::to_writer(out, doc),
+            serde_json::to_string(&doc).unwrap(),
+        ),
+        (
+            "to_writer_lines",
+            |out, doc| serde_json::to_writer_lines(out, doc),
+            lines(&doc),
+        ),
+    ];
+    for (name, write, full) in &writers {
+        assert!(full.len() > 3 * 64 * 1024);
+        let budgets = (0..2048)
+            .chain((60_000..70_000).step_by(97))
+            .chain((full.len() - 600..full.len()).step_by(7));
+        for room in budgets {
+            let mut out = Budget {
+                room,
+                taken: Vec::new(),
+                largest_write: 0,
+            };
+            let result = write(&mut out, &doc);
+            assert!(
+                result.is_err(),
+                "{name}: {room} of {} bytes accepted",
+                full.len()
+            );
+            assert_eq!(
+                out.taken,
+                &full.as_bytes()[..room],
+                "{name}: prefix at {room}"
+            );
+        }
 
-    let budgets = (0..2048)
-        .chain((60_000..70_000).step_by(97))
-        .chain((full.len() - 600..full.len()).step_by(7));
-    for room in budgets {
+        // With room for everything it is the whole document, and nothing
+        // but the over-long string was handed over in a piece above 64
+        // KiB: the writer is never more than that far behind the value.
         let mut out = Budget {
-            room,
+            room: full.len(),
             taken: Vec::new(),
             largest_write: 0,
         };
-        let result = serde_json::to_writer(&mut out, &doc);
-        assert!(result.is_err(), "{room} of {} bytes accepted", full.len());
-        assert_eq!(out.taken, &full.as_bytes()[..room], "prefix at {room}");
+        write(&mut out, &doc).unwrap();
+        assert_eq!(out.taken, full.as_bytes(), "{name}");
+        assert_eq!(out.largest_write, 100_000, "{name}");
+        let mut short = doc.clone();
+        short[3000].1.clear();
+        let mut out = Budget {
+            room: usize::MAX,
+            taken: Vec::new(),
+            largest_write: 0,
+        };
+        write(&mut out, &short).unwrap();
+        assert!(
+            out.largest_write <= 64 * 1024,
+            "{name}: {}",
+            out.largest_write
+        );
+        assert!(
+            out.largest_write > 32 * 1024,
+            "{name}: chunks are worth a syscall"
+        );
     }
+}
 
-    // With room for everything it is the whole document, and nothing
-    // but the over-long string was handed over in a piece above 64 KiB:
-    // the writer is never more than that far behind the value.
-    let mut out = Budget {
-        room: full.len(),
-        taken: Vec::new(),
-        largest_write: 0,
-    };
-    serde_json::to_writer(&mut out, &doc).unwrap();
-    assert_eq!(out.taken, full.as_bytes());
-    assert_eq!(out.largest_write, 100_000);
-    doc[3000].1.clear();
+/// JSON lines are each record's `to_string` and a newline, whatever the
+/// record's shape and wherever a line meets the end of a 64 KiB chunk.
+#[test]
+fn json_lines_are_each_records_text_and_a_newline() {
+    let mut out = Vec::new();
+    serde_json::to_writer_lines(&mut out, Vec::<Doc>::new()).unwrap();
+    assert!(out.is_empty());
+
+    let mut rng = TestRng::for_test("json lines");
+    let mut draw = Draw(&mut rng);
+    let records: Vec<(Doc, Keyed)> = (0..400).map(|_| (draw.doc(), draw.keyed())).collect();
     let mut out = Budget {
         room: usize::MAX,
         taken: Vec::new(),
         largest_write: 0,
     };
-    serde_json::to_writer(&mut out, &doc).unwrap();
+    serde_json::to_writer_lines(&mut out, &records).unwrap();
+    let mut expected = String::new();
+    let mut crossings = 0;
+    for record in &records {
+        let start = expected.len();
+        expected += &serde_json::to_string(record).unwrap();
+        expected.push('\n');
+        crossings += usize::from(start / (64 * 1024) != expected.len() / (64 * 1024));
+    }
+    assert_eq!(String::from_utf8(out.taken).unwrap(), expected);
+    assert!(crossings >= 2, "{crossings} lines cross a chunk boundary");
     assert!(out.largest_write <= 64 * 1024, "{}", out.largest_write);
-    assert!(out.largest_write > 32 * 1024, "chunks are worth a syscall");
 }
 
 // ---------------------------------------------------------------------------
