@@ -174,16 +174,14 @@ fn run(scope: Scope, registry_scope: Scope) {
     .scaled(1.0 / samples as f64);
 
     // Traced pass: same uncached sweep, flight recorder at defaults.
-    let recorder = omptel::Recorder::start(omptel::RecorderOptions::default())
-        .expect("no other flight recorder is live");
+    let recorder = omptel::Recorder::start().expect("no other flight recorder is live");
     let mut traced_batches = Vec::new();
     let traced = Series::of(passes, || traced_batches = sweep_once(&spec, None));
     let recording = recorder.finish();
     // The unit of the recorder's tax, on one thread: one span opened and
     // closed. A recorder of its own, so the traced passes' event and drop
     // counts above are theirs alone.
-    let recorder = omptel::Recorder::start(omptel::RecorderOptions::default())
-        .expect("no other flight recorder is live");
+    let recorder = omptel::Recorder::start().expect("no other flight recorder is live");
     let recorder_span = Series::per_iteration(passes, budget_s, || {
         drop(omptel::span(omptel::SpanKind::Sample, 0));
     });

@@ -61,7 +61,5 @@ pub use placement::Placement;
 pub use recommend::{recommend_for, worst_trends, CellReport, Recommendation, WorstTrend};
 pub use report::{transfer_analysis, ArchSummary, SettingMaxima, SpeedupRange, Transfer};
 pub use space::ConfigSpace;
-pub use tuner::{
-    hill_climb, hill_climb_informed, influence_order, random_search, telemetry_order, TuneResult,
-};
+pub use tuner::{hill_climb, influence_order, random_search, TuneResult};
 pub use variable::Variable;

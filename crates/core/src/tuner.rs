@@ -59,75 +59,6 @@ pub fn influence_order(row: &InfluenceRow, features: &[Feature]) -> Vec<Variable
     scored.into_iter().map(|(_, v)| v).collect()
 }
 
-/// The tuning knobs that plausibly move a given telemetry time sink,
-/// most-leveraged first. This is the runtime-measurement analogue of the
-/// offline influence ordering: barrier/imbalance wait points at the
-/// schedule (rebalance) and placement (unserialize); wake-up latency at
-/// blocktime/wait-policy; memory stalls at placement and allocation
-/// alignment; dispatch overhead back at the schedule. Compute and serial
-/// time are not addressable by any of the seven variables.
-fn sink_knobs(sink: omptel::Sink) -> &'static [Variable] {
-    use omptel::Sink;
-    match sink {
-        Sink::Imbalance => &[Variable::Schedule, Variable::Places, Variable::ProcBind],
-        Sink::Sync => &[
-            Variable::Schedule,
-            Variable::Blocktime,
-            Variable::ForceReduction,
-            Variable::AlignAlloc,
-        ],
-        Sink::Wake => &[Variable::Blocktime, Variable::Library],
-        Sink::Memory => &[Variable::Places, Variable::ProcBind, Variable::AlignAlloc],
-        Sink::Dispatch => &[Variable::Schedule, Variable::Library],
-        Sink::Compute | Sink::Serial => &[],
-    }
-}
-
-/// Order variables by what a telemetry [`omptel::Summary`] says the
-/// application actually spends time on: sinks are ranked by their share
-/// of region time, each contributes its knobs in leverage order, and
-/// unaddressed variables keep declaration order at the tail. A
-/// barrier-wait-dominated profile therefore explores schedule and
-/// placement first; a wake-latency-dominated one starts with blocktime.
-pub fn telemetry_order(summary: &omptel::Summary) -> Vec<Variable> {
-    let mut sinks: Vec<omptel::Sink> = omptel::Sink::ALL.to_vec();
-    // Stable sort: ties keep the schema's sink order.
-    sinks.sort_by_key(|&s| std::cmp::Reverse(summary.sink_ns(s)));
-    let mut order: Vec<Variable> = Vec::with_capacity(Variable::ALL.len());
-    for sink in sinks {
-        for &v in sink_knobs(sink) {
-            if !order.contains(&v) {
-                order.push(v);
-            }
-        }
-    }
-    for v in Variable::ALL {
-        if !order.contains(&v) {
-            order.push(v);
-        }
-    }
-    order
-}
-
-/// [`hill_climb`] with an optional telemetry summary steering the
-/// variable order (the counter-informed climber). With `None` it is the
-/// blind climber over declaration order.
-pub fn hill_climb_informed<F>(
-    arch: Arch,
-    start: TuningConfig,
-    telemetry: Option<&omptel::Summary>,
-    max_evals: usize,
-    objective: F,
-) -> TuneResult
-where
-    F: FnMut(&TuningConfig) -> f64,
-{
-    match telemetry {
-        Some(summary) => hill_climb(arch, start, &telemetry_order(summary), max_evals, objective),
-        None => hill_climb(arch, start, &Variable::ALL, max_evals, objective),
-    }
-}
-
 /// Coordinate-descent hill climbing: scan each variable's full value
 /// domain on `arch` in `order`, keep the best, repeat passes until one
 /// finds no improvement or `max_evals` is exhausted. Deterministic.
@@ -326,85 +257,6 @@ mod tests {
         let ea = evals_to_within(&a.trajectory, 40.0, 1.0).unwrap();
         let eb = evals_to_within(&b.trajectory, 40.0, 1.0).unwrap();
         assert!(ea < eb, "guided {ea} vs reversed {eb}");
-    }
-
-    /// A summary whose region time is dominated by one sink.
-    fn summary_dominated_by(sink: omptel::Sink) -> omptel::Summary {
-        let mut bd = omptel::Breakdown {
-            compute_ns: 100.0,
-            ..omptel::Breakdown::default()
-        };
-        match sink {
-            omptel::Sink::Imbalance => bd.imbalance_ns = 900.0,
-            omptel::Sink::Wake => bd.wake_ns = 900.0,
-            omptel::Sink::Memory => bd.memory_ns = 900.0,
-            omptel::Sink::Sync => bd.sync_ns = 900.0,
-            omptel::Sink::Dispatch => bd.dispatch_ns = 900.0,
-            omptel::Sink::Compute => bd.compute_ns = 900.0,
-            omptel::Sink::Serial => bd.serial_ns = 900.0,
-        }
-        let mut s = omptel::Summary::default();
-        s.add_aggregate(bd.sum(), &bd, 1);
-        s
-    }
-
-    #[test]
-    fn telemetry_order_leads_with_the_dominant_sinks_knobs() {
-        let order = telemetry_order(&summary_dominated_by(omptel::Sink::Imbalance));
-        assert_eq!(order[0], Variable::Schedule);
-        assert_eq!(order.len(), 7, "every variable appears: {order:?}");
-        let wake = telemetry_order(&summary_dominated_by(omptel::Sink::Wake));
-        assert_eq!(wake[0], Variable::Blocktime);
-        assert_eq!(wake[1], Variable::Library);
-        let mem = telemetry_order(&summary_dominated_by(omptel::Sink::Memory));
-        assert_eq!(mem[0], Variable::Places);
-        // Each order is a permutation of the variable set.
-        for o in [&order, &wake, &mem] {
-            let mut sorted: Vec<_> = o.iter().map(|v| format!("{v:?}")).collect();
-            sorted.sort();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 7);
-        }
-    }
-
-    /// Barrier-bound synthetic objective: the schedule is the big knob
-    /// (dynamic rebalances the imbalanced loop), placement the second;
-    /// the remaining variables are neutral.
-    fn barrier_bound_objective(c: &TuningConfig) -> f64 {
-        let mut t = 100.0;
-        if c.schedule == crate::envvar::OmpSchedule::Dynamic {
-            t *= 0.4;
-        }
-        match c.effective_bind() {
-            crate::config::EffectiveBind::Spread => t *= 0.9,
-            crate::config::EffectiveBind::Master => t *= 30.0,
-            _ => {}
-        }
-        t
-    }
-
-    #[test]
-    fn informed_climber_needs_no_more_evals_than_blind_on_barrier_bound_model() {
-        let start = TuningConfig::default_for(Arch::Milan, 96);
-        let summary = summary_dominated_by(omptel::Sink::Imbalance);
-        let informed = hill_climb_informed(
-            Arch::Milan,
-            start,
-            Some(&summary),
-            500,
-            barrier_bound_objective,
-        );
-        let blind = hill_climb_informed(Arch::Milan, start, None, 500, barrier_bound_objective);
-        assert_eq!(informed.best_value, blind.best_value, "both converge");
-        let target = informed.best_value;
-        let ei = evals_to_within(&informed.trajectory, target, 1.0).unwrap();
-        let eb = evals_to_within(&blind.trajectory, target, 1.0).unwrap();
-        assert!(ei <= eb, "informed {ei} vs blind {eb}");
-        // On this model the schedule-first order is strictly faster to
-        // the big win (runtime within 2x of optimal).
-        let ei2 = evals_to_within(&informed.trajectory, target, 2.0).unwrap();
-        let eb2 = evals_to_within(&blind.trajectory, target, 2.0).unwrap();
-        assert!(ei2 < eb2, "informed {ei2} vs blind {eb2} to 2x");
     }
 
     #[test]

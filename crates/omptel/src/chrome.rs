@@ -1,26 +1,24 @@
 //! Chrome `trace_event` exporter: renders a [`FlightRecording`] as a
 //! timeline viewable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
-//! Output is the JSON-object form `{"traceEvents": [...]}`. Wall-clock
-//! events export on `pid` 1 (one track per recorded thread): span pairs as
-//! `X` slices, instants as `i`, and cross-thread flows as `s`/`f`
-//! flow events whose arrows stitch a stolen unit back to the seeding
-//! worker. Simulator virtual-time spans render on `pid` 2 — a
-//! separate process row because its clock is not wall time.
+//! Output is the JSON-object form `{"traceEvents": [...]}`. Events
+//! export on `pid` 1 (one track per recorded thread): span pairs as `X`
+//! slices, instants as `i`, and cross-thread flows as `s`/`f` flow
+//! events whose arrows stitch a stolen unit back to the seeding worker.
 //! Timestamps are microseconds, as the format requires.
 //!
-//! [`validate_trace`] / [`validate_trace_json`] check the structural
-//! invariants verify.sh enforces on a live run: spans well-nested per
-//! track, every flow id seen on both sides, drop counts surfaced.
+//! [`validate_trace_json`] checks the structural invariants
+//! `trace-check` enforces on a live run — spans well-nested per track,
+//! every flow id seen on both sides, drop counts surfaced — and folds
+//! each slice's duration into a per-name histogram on the same walk.
 
+use crate::hist::Histogram;
 use crate::ring::{EventKind, FlightRecording};
 use serde::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// pid for flight-recorder (wall-clock) tracks.
+/// pid for flight-recorder tracks.
 const PID_TRACE: u64 = 1;
-/// pid for simulator virtual-time tracks.
-const PID_VIRTUAL: u64 = 2;
 
 fn entry(key: &str, v: Value) -> (Value, Value) {
     (Value::Str(key.to_string()), v)
@@ -40,22 +38,14 @@ fn metadata_event(name: &str, pid: u64, tid: u64, arg_name: &str) -> Value {
     ])
 }
 
-#[allow(clippy::too_many_arguments)]
-fn span_slice(
-    name: &str,
-    ts_us: f64,
-    dur_us: f64,
-    pid: u64,
-    tid: u64,
-    args: Vec<(Value, Value)>,
-) -> Value {
+fn span_slice(name: &str, ts_us: f64, dur_us: f64, tid: u64, args: Vec<(Value, Value)>) -> Value {
     Value::Map(vec![
         entry("name", str_val(name)),
         entry("cat", str_val("span")),
         entry("ph", str_val("X")),
         entry("ts", Value::F64(ts_us)),
         entry("dur", Value::F64(dur_us.max(0.0))),
-        entry("pid", Value::U64(pid)),
+        entry("pid", Value::U64(PID_TRACE)),
         entry("tid", Value::U64(tid)),
         entry("args", Value::Map(args)),
     ])
@@ -91,15 +81,13 @@ fn flow_event(ph: &str, name: &str, ts_us: f64, tid: u64, id: u64) -> Value {
     Value::Map(fields)
 }
 
-/// Build the trace document of a flight recording. Span begin/end pairs
-/// become `X` slices, instants `i` events, flows `s`/`f` arrows, and
-/// virtual-time spans slices on their own pid. A top-level `"omptrace"`
-/// key carries recorder stats (threads, retained events, drop and
-/// orphan counts).
-pub fn chrome_trace_with_recording(rec: &FlightRecording) -> Value {
+/// The trace document of a flight recording, as JSON text. Span
+/// begin/end pairs become `X` slices, instants `i` events and flows
+/// `s`/`f` arrows. A top-level `"omptrace"` key carries recorder stats
+/// (threads, retained events, drop and orphan counts).
+pub fn chrome_trace_with_recording(rec: &FlightRecording) -> String {
     let mut events = Vec::new();
     let mut orphans = 0usize;
-    let mut have_virtual = false;
     if !rec.threads.is_empty() {
         events.push(metadata_event("process_name", PID_TRACE, 0, "omptrace"));
     }
@@ -129,7 +117,6 @@ pub fn chrome_trace_with_recording(rec: &FlightRecording) -> Value {
                             b.what.name(),
                             b.ts_ns as f64 / 1e3,
                             (e.ts_ns.saturating_sub(b.ts_ns)) as f64 / 1e3,
-                            PID_TRACE,
                             tid,
                             args,
                         ));
@@ -163,34 +150,13 @@ pub fn chrome_trace_with_recording(rec: &FlightRecording) -> Value {
                         e.id,
                     ));
                 }
-                EventKind::VirtualSpan => {
-                    have_virtual = true;
-                    let args = vec![entry("arg", Value::U64(e.arg))];
-                    events.push(span_slice(
-                        e.what.name(),
-                        e.ts_ns as f64 / 1e3,
-                        e.parent as f64 / 1e3,
-                        PID_VIRTUAL,
-                        tid,
-                        args,
-                    ));
-                }
             }
         }
         // Ends lost to harvest-while-open (should not happen: the
         // sweep joins workers before finishing the recorder).
         orphans += open.len();
     }
-    if have_virtual {
-        events.push(metadata_event(
-            "process_name",
-            PID_VIRTUAL,
-            0,
-            "simrt virtual time",
-        ));
-    }
-
-    Value::Map(vec![
+    let doc = Value::Map(vec![
         entry("traceEvents", Value::Seq(events)),
         entry(
             "omptrace",
@@ -201,11 +167,13 @@ pub fn chrome_trace_with_recording(rec: &FlightRecording) -> Value {
                 entry("orphan_spans", Value::U64(orphans as u64)),
             ]),
         ),
-    ])
+    ]);
+    // Writing a `Value` into memory cannot fail.
+    serde_json::to_string(&doc).expect("a trace document serializes")
 }
 
 /// What a validation pass measured.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceReport {
     /// Recorder threads (tracks) seen.
     pub threads: usize,
@@ -221,6 +189,9 @@ pub struct TraceReport {
     pub orphan_spans: usize,
     /// Events lost to ring wrap.
     pub dropped: u64,
+    /// Slice durations in ns, one histogram per `X` slice name, sorted
+    /// by name.
+    pub durations: Vec<(String, Histogram)>,
 }
 
 impl std::fmt::Display for TraceReport {
@@ -239,63 +210,8 @@ impl std::fmt::Display for TraceReport {
     }
 }
 
-/// Validate a flight recording's structure: per-thread spans must be
-/// well-nested (LIFO begin/end), flows are tallied by id across
-/// threads. Mis-nesting is an error; unresolved flows and orphaned
-/// spans are *counted* so callers can apply policy (verify.sh demands
-/// zero on a clean run).
-pub fn validate_trace(rec: &FlightRecording) -> Result<TraceReport, String> {
-    let mut report = TraceReport {
-        threads: rec.threads.len(),
-        events: rec.total_events(),
-        dropped: rec.total_dropped(),
-        ..TraceReport::default()
-    };
-    let mut flow_out: HashSet<u64> = HashSet::new();
-    let mut flow_in: HashSet<u64> = HashSet::new();
-    for t in &rec.threads {
-        let mut stack: Vec<u64> = Vec::new();
-        for e in &t.events {
-            match e.kind {
-                EventKind::SpanBegin => stack.push(e.id),
-                EventKind::SpanEnd => {
-                    if stack.last() == Some(&e.id) {
-                        stack.pop();
-                        report.spans += 1;
-                    } else if t.dropped > 0 && !stack.contains(&e.id) {
-                        // Its begin was overwritten by ring wrap.
-                        report.orphan_spans += 1;
-                    } else {
-                        return Err(format!(
-                            "thread {}: span end id={} does not close the innermost open span \
-                             (stack {:?}) — spans are not well-nested",
-                            t.thread, e.id, stack
-                        ));
-                    }
-                }
-                EventKind::FlowOut => {
-                    flow_out.insert(e.id);
-                }
-                EventKind::FlowIn => {
-                    flow_in.insert(e.id);
-                }
-                _ => {}
-            }
-        }
-        if !stack.is_empty() {
-            return Err(format!(
-                "thread {}: {} spans still open at harvest (stack {:?}) — recorder finished \
-                 before the workers quiesced",
-                t.thread,
-                stack.len(),
-                stack
-            ));
-        }
-    }
-    report.flows = flow_out.union(&flow_in).count();
-    report.unresolved_flows = flow_out.symmetric_difference(&flow_in).count();
-    Ok(report)
-}
+/// An `X` slice: `ts` and `dur` in µs, and its name.
+type Slice<'a> = (f64, f64, &'a str);
 
 fn field<'a>(map: &'a [(Value, Value)], name: &str) -> Option<&'a Value> {
     map.iter()
@@ -303,10 +219,12 @@ fn field<'a>(map: &'a [(Value, Value)], name: &str) -> Option<&'a Value> {
         .map(|(_, v)| v)
 }
 
-/// Validate an exported Chrome trace JSON document: `X` slices must be
-/// properly nested within each `(pid, tid)` track, and every flow id
-/// must appear with both an `s` and an `f` phase. Returns the measured
-/// report; malformed JSON or mis-nested slices are errors.
+/// Validate an exported Chrome trace JSON document: `X` slices must have
+/// a finite, non-negative `ts` and `dur` and be properly nested within
+/// each `(pid, tid)` track, and every flow id must appear with both an
+/// `s` and an `f` phase. Returns the measured report, with each slice's
+/// duration (`round(dur × 1000)` ns) folded in by name; malformed JSON,
+/// impossible slices or mis-nested slices are errors.
 pub fn validate_trace_json(json: &str) -> Result<TraceReport, String> {
     // 1 ns of slack: timestamps were divided ns→µs in f64.
     const EPS_US: f64 = 1e-3;
@@ -317,7 +235,7 @@ pub fn validate_trace_json(json: &str) -> Result<TraceReport, String> {
         .ok_or("no traceEvents array")?;
 
     let mut report = TraceReport::default();
-    let mut tracks: HashMap<(u64, u64), Vec<(f64, f64)>> = HashMap::new();
+    let mut tracks: HashMap<(u64, u64), Vec<Slice>> = HashMap::new();
     let mut flow_s: HashSet<u64> = HashSet::new();
     let mut flow_f: HashSet<u64> = HashSet::new();
     let mut tids: HashSet<u64> = HashSet::new();
@@ -340,12 +258,14 @@ pub fn validate_trace_json(json: &str) -> Result<TraceReport, String> {
                 let dur = field(e, "dur")
                     .and_then(Value::as_f64)
                     .ok_or("X without dur")?;
-                // The virtual-time track overlays slices from distinct
-                // simulations whose virtual clocks each start at zero —
-                // nesting holds per wall-clock track only.
-                if pid != PID_VIRTUAL {
-                    tracks.entry((pid, tid)).or_default().push((ts, dur));
+                if !(ts.is_finite() && dur.is_finite() && ts >= 0.0 && dur >= 0.0) {
+                    return Err(format!(
+                        "track pid={pid} tid={tid}: slice with ts={ts} dur={dur} — a slice \
+                         starts and lasts a finite, non-negative time"
+                    ));
                 }
+                let name = field(e, "name").and_then(Value::as_str).unwrap_or("");
+                tracks.entry((pid, tid)).or_default().push((ts, dur, name));
                 report.spans += 1;
             }
             "s" | "f" => {
@@ -373,6 +293,7 @@ pub fn validate_trace_json(json: &str) -> Result<TraceReport, String> {
 
     // Laminar-family check per track: sorted by start (ties: longest
     // first), every slice must lie inside the enclosing open slice.
+    let mut durations: BTreeMap<&str, Histogram> = BTreeMap::new();
     for ((pid, tid), mut slices) in tracks {
         slices.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -380,7 +301,14 @@ pub fn validate_trace_json(json: &str) -> Result<TraceReport, String> {
                 .then(b.1.partial_cmp(&a.1).unwrap())
         });
         let mut stack: Vec<f64> = Vec::new(); // open slice end times
-        for (ts, dur) in slices {
+        for (ts, dur, name) in slices {
+            // `new()`, not `default()`: only `new()` starts `min` high
+            // enough for the first record to set it.
+            #[allow(clippy::unwrap_or_default)]
+            durations
+                .entry(name)
+                .or_insert_with(Histogram::new)
+                .record((dur * 1e3).round() as u64);
             while let Some(&end) = stack.last() {
                 if end <= ts + EPS_US {
                     stack.pop();
@@ -400,6 +328,10 @@ pub fn validate_trace_json(json: &str) -> Result<TraceReport, String> {
             stack.push(ts + dur);
         }
     }
+    report.durations = durations
+        .into_iter()
+        .map(|(name, h)| (name.to_string(), h))
+        .collect();
     Ok(report)
 }
 
@@ -452,9 +384,7 @@ mod tests {
 
     #[test]
     fn recording_exports_slices_flows_and_stats() {
-        let rec = stolen_unit_recording();
-        let doc = chrome_trace_with_recording(&rec);
-        let json = serde_json::to_string(&doc).unwrap();
+        let json = chrome_trace_with_recording(&stolen_unit_recording());
         assert!(json.contains("\"ph\":\"s\""), "flow out: {json}");
         assert!(json.contains("\"ph\":\"f\""), "flow in: {json}");
         assert!(json.contains("\"bp\":\"e\""), "flow binding: {json}");
@@ -464,19 +394,20 @@ mod tests {
         let report = validate_trace_json(&json).expect("valid trace");
         assert_eq!(report.unresolved_flows, 0);
         assert_eq!(report.orphan_spans, 0);
+        assert_eq!(report.dropped, 0);
         assert_eq!(report.threads, 2);
         assert_eq!(report.flows, 1);
-        assert!(report.spans >= 3, "seed + unit + sample: {report}");
-    }
-
-    #[test]
-    fn validate_trace_accepts_the_recording_directly() {
-        let rec = stolen_unit_recording();
-        let report = validate_trace(&rec).expect("well-formed");
-        assert_eq!(report.spans, 3);
-        assert_eq!(report.flows, 1);
-        assert_eq!(report.unresolved_flows, 0);
-        assert_eq!(report.dropped, 0);
+        assert_eq!(report.spans, 3, "seed + unit + sample: {report}");
+        // One duration row per slice name, sorted, exact to the ns.
+        let rows: Vec<(&str, u64, u64)> = report
+            .durations
+            .iter()
+            .map(|(name, h)| (name.as_str(), h.count, h.max))
+            .collect();
+        assert_eq!(
+            rows,
+            [("sample", 1, 80), ("seed", 1, 100), ("unit", 1, 150)]
+        );
     }
 
     #[test]
@@ -493,8 +424,11 @@ mod tests {
                 ],
             }],
         };
-        let err = validate_trace(&rec).unwrap_err();
-        assert!(err.contains("not well-nested"), "{err}");
+        // The inner span never closes: exported, it is an orphan, which
+        // `trace-check` rejects when nothing was dropped.
+        let report = validate_trace_json(&chrome_trace_with_recording(&rec)).expect("parses");
+        assert_eq!(report.orphan_spans, 1, "{report}");
+        assert_eq!(report.dropped, 0, "{report}");
     }
 
     #[test]
@@ -506,7 +440,8 @@ mod tests {
                 events: vec![tev(1, EventKind::FlowOut, SpanKind::Unit, 9, 0)],
             }],
         };
-        let report = validate_trace(&rec).expect("structurally fine");
+        let report =
+            validate_trace_json(&chrome_trace_with_recording(&rec)).expect("structurally fine");
         assert_eq!(report.unresolved_flows, 1, "{report}");
     }
 
@@ -518,6 +453,13 @@ mod tests {
         ]}"#;
         let err = validate_trace_json(json).unwrap_err();
         assert!(err.contains("not well-nested"), "{err}");
+        // Every pid is held to nesting, not only the recorder's.
+        let json = r#"{"traceEvents":[
+            {"name":"a","cat":"span","ph":"X","ts":0,"dur":10,"pid":2,"tid":0},
+            {"name":"b","cat":"span","ph":"X","ts":5,"dur":10,"pid":2,"tid":0}
+        ]}"#;
+        let err = validate_trace_json(json).unwrap_err();
+        assert!(err.contains("pid=2"), "{err}");
         // Same slices on different tracks are fine.
         let json = r#"{"traceEvents":[
             {"name":"a","cat":"span","ph":"X","ts":0,"dur":10,"pid":1,"tid":0},
@@ -527,22 +469,19 @@ mod tests {
     }
 
     #[test]
-    fn virtual_spans_land_on_their_own_pid() {
-        let rec = FlightRecording {
-            threads: vec![ThreadTrace {
-                thread: 0,
-                dropped: 0,
-                events: vec![tev(
-                    500,
-                    EventKind::VirtualSpan,
-                    SpanKind::SimRegion,
-                    0,
-                    250,
-                )],
-            }],
-        };
-        let json = serde_json::to_string(&chrome_trace_with_recording(&rec)).unwrap();
-        assert!(json.contains("simrt virtual time"), "{json}");
-        assert!(json.contains("\"pid\":2"), "{json}");
+    fn validate_json_rejects_impossible_slices() {
+        for (ts, dur) in [("0", "-5"), ("-1", "5"), ("0", "1e999"), ("1e999", "0")] {
+            let json = format!(
+                r#"{{"traceEvents":[{{"ph":"X","pid":1,"tid":0,"ts":{ts},"dur":{dur},"name":"a"}}]}}"#
+            );
+            let err = validate_trace_json(&json).unwrap_err();
+            assert!(err.contains("non-negative"), "ts={ts} dur={dur}: {err}");
+        }
+        // Inside an enclosing slice, a negative one cannot hide either.
+        let json = r#"{"traceEvents":[
+            {"name":"a","ph":"X","ts":0,"dur":10,"pid":1,"tid":0},
+            {"name":"b","ph":"X","ts":2,"dur":-1,"pid":1,"tid":0}
+        ]}"#;
+        assert!(validate_trace_json(json).is_err());
     }
 }

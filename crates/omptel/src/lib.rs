@@ -34,7 +34,7 @@ pub mod span;
 pub mod summary;
 pub mod tsdb;
 
-pub use chrome::{chrome_trace_with_recording, validate_trace, validate_trace_json, TraceReport};
+pub use chrome::{chrome_trace_with_recording, validate_trace_json, TraceReport};
 pub use hist::{AtomicHistogram, Histogram, QuantileBound};
 pub use metrics::{
     histogram_from_prometheus, parse_prometheus, HistogramMetric, MetricsSnapshot, PromSample,
@@ -43,13 +43,10 @@ pub use monitor::{monitoring, BodyFn, Monitor, Route};
 pub use progress::Progress;
 pub use report::{explain, render, render_pair, Explanation};
 pub use ring::{
-    live_ring_stats, sim_spans, tracing, EventKind, FlightRecording, Recorder, RecorderOptions,
-    ThreadTrace, TraceEvent,
+    live_ring_stats, tracing, EventKind, FlightRecording, Recorder, ThreadTrace, TraceEvent,
 };
 pub use schema::{Breakdown, Counter, CounterSnapshot, EnergyBreakdown, EnergySink, Sink};
-pub use span::{
-    current_span, flow_handle, flow_in, flow_out, instant, span, virtual_span, Span, SpanKind,
-};
+pub use span::{current_span, flow_handle, flow_in, flow_out, instant, span, Span, SpanKind};
 pub use summary::Summary;
 pub use tsdb::{read_ring, Point, RingFile, Tsdb, DEFAULT_CAPACITY};
 

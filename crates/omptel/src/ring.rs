@@ -24,16 +24,15 @@
 
 use crate::span::SpanKind;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Words per encoded event slot.
 const EVENT_WORDS: usize = 5;
 
-/// Default ring capacity in events (per thread). 32768 events × 40 B =
-/// at most 1.25 MiB per participating thread, allocated as it fills —
-/// enough for ~3k samples of context at ~10 events/sample before
-/// wrapping.
+/// Ring capacity in events (per thread). 32768 events × 40 B = at most
+/// 1.25 MiB per participating thread, allocated as it fills — enough
+/// for ~3k samples of context at ~10 events/sample before wrapping.
 pub const DEFAULT_CAPACITY: usize = 32_768;
 
 /// What an event slot records.
@@ -49,19 +48,15 @@ pub enum EventKind {
     FlowOut,
     /// Consumer side of a cross-thread flow (`id` = flow id).
     FlowIn,
-    /// A span on the simulator's virtual clock: `ts_ns` is virtual
-    /// begin, `parent` carries the virtual duration (no nesting).
-    VirtualSpan,
 }
 
 impl EventKind {
-    const ALL: [EventKind; 6] = [
+    const ALL: [EventKind; 5] = [
         EventKind::SpanBegin,
         EventKind::SpanEnd,
         EventKind::Instant,
         EventKind::FlowOut,
         EventKind::FlowIn,
-        EventKind::VirtualSpan,
     ];
 
     fn from_u8(v: u8) -> Option<EventKind> {
@@ -72,14 +67,13 @@ impl EventKind {
 /// One decoded flight-recorder event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Nanoseconds since the recorder epoch (virtual ns for
-    /// [`EventKind::VirtualSpan`]).
+    /// Nanoseconds since the recorder epoch.
     pub ts_ns: u64,
     pub kind: EventKind,
     pub what: SpanKind,
     /// Span or flow id (0 for instants).
     pub id: u64,
-    /// Enclosing span id, or virtual duration for `VirtualSpan`.
+    /// Enclosing span id.
     pub parent: u64,
     /// Event-specific payload (config index, victim worker, …).
     pub arg: u64,
@@ -190,13 +184,8 @@ impl ThreadRing {
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
 /// Whether a [`Recorder`] object is live.
 static RECORDER_ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Emit simulator virtual-time spans too? (Separate switch: they are
-/// high-volume and only wanted for `--spans` style deep dives.)
-static SIM_SPANS: AtomicBool = AtomicBool::new(false);
 /// Bumped per recording so stale thread-local handles re-register.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
-/// Per-thread ring capacity for the live recording.
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 /// All rings registered in the live recording, registration order.
 static RINGS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
 
@@ -211,12 +200,6 @@ pub fn tracing() -> bool {
     TRACE_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Are simulator virtual-time spans requested too?
-#[inline]
-pub fn sim_spans() -> bool {
-    SIM_SPANS.load(Ordering::Relaxed)
-}
-
 /// Run `f` on this thread's ring for the live generation, registering
 /// it on first use. Enabled-path only; `f` must not emit.
 fn with_my_ring<R>(f: impl FnOnce(&ThreadRing) -> R) -> R {
@@ -229,10 +212,7 @@ fn with_my_ring<R>(f: impl FnOnce(&ThreadRing) -> R) -> R {
             }
         }
         let mut rings = RINGS.lock().expect("omptrace ring registry poisoned");
-        let ring = Arc::new(ThreadRing::new(
-            rings.len(),
-            CAPACITY.load(Ordering::Acquire),
-        ));
+        let ring = Arc::new(ThreadRing::new(rings.len(), DEFAULT_CAPACITY));
         rings.push(ring.clone());
         drop(rings);
         let (_, ring) = slot.insert((generation, ring));
@@ -264,24 +244,6 @@ pub fn live_ring_stats() -> (usize, u64, u64) {
     (rings.len(), events, dropped)
 }
 
-/// Recorder configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct RecorderOptions {
-    /// Per-thread ring capacity in events.
-    pub capacity: usize,
-    /// Also record simulator virtual-time spans (high volume).
-    pub sim_spans: bool,
-}
-
-impl Default for RecorderOptions {
-    fn default() -> Self {
-        RecorderOptions {
-            capacity: DEFAULT_CAPACITY,
-            sim_spans: false,
-        }
-    }
-}
-
 /// Attempting to start a recorder while one is live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderActive;
@@ -303,7 +265,7 @@ pub struct Recorder {
 impl Recorder {
     /// Start the process-wide flight recorder. Rejected while another
     /// recorder is live.
-    pub fn start(opts: RecorderOptions) -> Result<Recorder, RecorderActive> {
+    pub fn start() -> Result<Recorder, RecorderActive> {
         if RECORDER_ACTIVE.swap(true, Ordering::SeqCst) {
             return Err(RecorderActive);
         }
@@ -313,8 +275,6 @@ impl Recorder {
             .lock()
             .expect("omptrace ring registry poisoned")
             .clear();
-        CAPACITY.store(opts.capacity.max(16), Ordering::SeqCst);
-        SIM_SPANS.store(opts.sim_spans, Ordering::SeqCst);
         GENERATION.fetch_add(1, Ordering::SeqCst);
         TRACE_ENABLED.store(true, Ordering::SeqCst);
         Ok(Recorder { finished: false })
@@ -324,7 +284,6 @@ impl Recorder {
     /// their worker threads first (the sweep scheduler always has).
     pub fn finish(mut self) -> FlightRecording {
         TRACE_ENABLED.store(false, Ordering::SeqCst);
-        SIM_SPANS.store(false, Ordering::SeqCst);
         let rings = std::mem::take(&mut *RINGS.lock().expect("omptrace ring registry poisoned"));
         self.finished = true;
         let threads: Vec<ThreadTrace> = rings
@@ -349,7 +308,6 @@ impl Recorder {
 impl Drop for Recorder {
     fn drop(&mut self) {
         TRACE_ENABLED.store(false, Ordering::SeqCst);
-        SIM_SPANS.store(false, Ordering::SeqCst);
         if !self.finished {
             RINGS
                 .lock()
@@ -395,39 +353,6 @@ impl FlightRecording {
             .flat_map(|t| &t.events)
             .filter(|e| e.kind == kind && e.what == what)
             .count()
-    }
-
-    /// Per-[`SpanKind`] wall-clock duration histograms from matched
-    /// Begin/End pairs (per thread, by span id). Unmatched ends from
-    /// wrapped rings are skipped.
-    pub fn span_durations(&self) -> Vec<(SpanKind, crate::hist::Histogram)> {
-        use std::collections::HashMap;
-        let mut hists: HashMap<u8, crate::hist::Histogram> = HashMap::new();
-        for t in &self.threads {
-            let mut open: HashMap<u64, (SpanKind, u64)> = HashMap::new();
-            for e in &t.events {
-                match e.kind {
-                    EventKind::SpanBegin => {
-                        open.insert(e.id, (e.what, e.ts_ns));
-                    }
-                    EventKind::SpanEnd => {
-                        if let Some((what, begin)) = open.remove(&e.id) {
-                            hists
-                                .entry(what as u8)
-                                .or_default()
-                                .record(e.ts_ns.saturating_sub(begin));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut out: Vec<(SpanKind, crate::hist::Histogram)> = hists
-            .into_iter()
-            .filter_map(|(k, h)| SpanKind::from_u8(k).map(|s| (s, h)))
-            .collect();
-        out.sort_by_key(|(s, _)| *s as u8);
-        out
     }
 }
 
@@ -484,7 +409,7 @@ pub(crate) mod tests {
     fn disabled_emission_is_dropped_without_registration() {
         let _g = locked();
         assert!(!tracing());
-        let rec = Recorder::start(RecorderOptions::default()).expect("no live recorder");
+        let rec = Recorder::start().expect("no live recorder");
         // Nothing emitted yet: no rings registered.
         let recording = rec.finish();
         assert!(recording.threads.is_empty());
@@ -495,24 +420,17 @@ pub(crate) mod tests {
     #[test]
     fn second_recorder_is_rejected() {
         let _g = locked();
-        let rec = Recorder::start(RecorderOptions::default()).expect("no live recorder");
-        assert_eq!(
-            Recorder::start(RecorderOptions::default()).err(),
-            Some(RecorderActive)
-        );
+        let rec = Recorder::start().expect("no live recorder");
+        assert_eq!(Recorder::start().err(), Some(RecorderActive));
         drop(rec);
-        let rec2 = Recorder::start(RecorderOptions::default()).expect("released");
+        let rec2 = Recorder::start().expect("released");
         drop(rec2);
     }
 
     #[test]
     fn threads_get_their_own_rings_across_generations() {
         let _g = locked();
-        let rec = Recorder::start(RecorderOptions {
-            capacity: 64,
-            sim_spans: false,
-        })
-        .expect("no live recorder");
+        let rec = Recorder::start().expect("no live recorder");
         emit(ev(1, 1));
         let handles: Vec<_> = (0..3)
             .map(|t| {
@@ -531,7 +449,7 @@ pub(crate) mod tests {
         assert_eq!(recording.total_events(), 16);
         assert_eq!(recording.total_dropped(), 0);
         // A new generation starts clean even from this (stale) thread.
-        let rec2 = Recorder::start(RecorderOptions::default()).expect("released");
+        let rec2 = Recorder::start().expect("released");
         emit(ev(9, 9));
         let recording2 = rec2.finish();
         assert_eq!(recording2.threads.len(), 1);

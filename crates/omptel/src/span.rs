@@ -16,7 +16,7 @@
 //! inert guard after one relaxed load; `flow_handle()` returns 0 and
 //! `flow_out`/`flow_in` drop 0 handles without loading the clock.
 
-use crate::ring::{emit, sim_spans, tracing, EventKind, TraceEvent};
+use crate::ring::{emit, tracing, EventKind, TraceEvent};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -54,14 +54,12 @@ pub enum SpanKind {
     Worker = 13,
     /// omprt: a barrier episode.
     Barrier = 14,
-    /// simrt: a region on the virtual clock.
-    SimRegion = 15,
     /// One architecture's whole sweep.
-    ArchSweep = 16,
+    ArchSweep = 15,
 }
 
 impl SpanKind {
-    pub const ALL: [SpanKind; 17] = [
+    pub const ALL: [SpanKind; 16] = [
         SpanKind::Seed,
         SpanKind::Unit,
         SpanKind::DefaultRow,
@@ -77,7 +75,6 @@ impl SpanKind {
         SpanKind::Parallel,
         SpanKind::Worker,
         SpanKind::Barrier,
-        SpanKind::SimRegion,
         SpanKind::ArchSweep,
     ];
 
@@ -103,7 +100,6 @@ impl SpanKind {
             SpanKind::Parallel => "parallel",
             SpanKind::Worker => "worker",
             SpanKind::Barrier => "barrier",
-            SpanKind::SimRegion => "sim_region",
             SpanKind::ArchSweep => "arch_sweep",
         }
     }
@@ -261,33 +257,25 @@ pub fn flow_in(what: SpanKind, flow: u64) {
     }
 }
 
-/// Record a span on the simulator's **virtual** clock: `begin_ns` and
-/// `dur_ns` are simulated time, not wall time. Gated on both the
-/// recorder and its `sim_spans` option (high volume).
-#[inline]
-pub fn virtual_span(what: SpanKind, begin_ns: u64, dur_ns: u64, arg: u64) {
-    if tracing() && sim_spans() {
-        emit(TraceEvent {
-            ts_ns: begin_ns,
-            kind: EventKind::VirtualSpan,
-            what,
-            id: 0,
-            parent: dur_ns,
-            arg,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{FlightRecording, Recorder, RecorderOptions};
+    use crate::ring::{FlightRecording, Recorder};
 
-    fn record<F: FnOnce()>(opts: RecorderOptions, f: F) -> FlightRecording {
+    fn record<F: FnOnce()>(f: F) -> FlightRecording {
         let _g = crate::ring::tests::locked();
-        let rec = Recorder::start(opts).expect("no live recorder");
+        let rec = Recorder::start().expect("no live recorder");
         f();
         rec.finish()
+    }
+
+    #[test]
+    fn every_kind_decodes_from_its_discriminant() {
+        for (i, kind) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i);
+            assert_eq!(SpanKind::from_u8(i as u8), Some(*kind));
+        }
+        assert_eq!(SpanKind::from_u8(SpanKind::ALL.len() as u8), None);
     }
 
     #[test]
@@ -301,13 +289,12 @@ mod tests {
         flow_out(SpanKind::Unit, 0);
         flow_in(SpanKind::Unit, 0);
         instant(SpanKind::Steal, 1);
-        virtual_span(SpanKind::SimRegion, 0, 10, 0);
         drop(s);
     }
 
     #[test]
     fn nesting_restores_parent_and_links_events() {
-        let rec = record(RecorderOptions::default(), || {
+        let rec = record(|| {
             let outer = span(SpanKind::Unit, 0);
             assert_eq!(current_span(), outer.id());
             {
@@ -338,7 +325,7 @@ mod tests {
 
     #[test]
     fn flows_connect_across_threads() {
-        let rec = record(RecorderOptions::default(), || {
+        let rec = record(|| {
             let seed = span(SpanKind::Seed, 0);
             let flow = flow_handle();
             assert_ne!(flow, 0);
@@ -367,50 +354,5 @@ mod tests {
             .expect("flow_in recorded");
         assert_eq!(out.id, inn.id, "same flow handle both sides");
         assert_ne!(out.parent, inn.parent, "different enclosing spans");
-    }
-
-    #[test]
-    fn virtual_spans_obey_their_own_switch() {
-        let rec = record(RecorderOptions::default(), || {
-            virtual_span(SpanKind::SimRegion, 100, 50, 2);
-        });
-        assert_eq!(rec.total_events(), 0, "sim_spans off: dropped");
-        let rec = record(
-            RecorderOptions {
-                sim_spans: true,
-                ..RecorderOptions::default()
-            },
-            || {
-                virtual_span(SpanKind::SimRegion, 100, 50, 2);
-            },
-        );
-        assert_eq!(rec.total_events(), 1);
-        let e = rec.threads[0].events[0];
-        assert_eq!(e.kind, EventKind::VirtualSpan);
-        assert_eq!(e.ts_ns, 100);
-        assert_eq!(e.parent, 50, "duration rides in the parent word");
-    }
-
-    #[test]
-    fn span_durations_pair_begin_end() {
-        let rec = record(RecorderOptions::default(), || {
-            for arg in 0..3 {
-                let _s = span(SpanKind::Price, arg);
-            }
-            let _u = span(SpanKind::Unit, 0);
-        });
-        let durs = rec.span_durations();
-        let price = durs
-            .iter()
-            .find(|(k, _)| *k == SpanKind::Price)
-            .map(|(_, h)| h)
-            .expect("price histogram");
-        assert_eq!(price.count, 3);
-        let unit = durs
-            .iter()
-            .find(|(k, _)| *k == SpanKind::Unit)
-            .map(|(_, h)| h)
-            .expect("unit histogram");
-        assert_eq!(unit.count, 1);
     }
 }

@@ -610,8 +610,7 @@ struct StepOutcome {
     trailing_idle: f64,
 }
 
-/// Simulate one timestep. `base_ns` is the virtual time at which the step
-/// begins (used only to timestamp virtual spans).
+/// Simulate one timestep.
 #[allow(clippy::too_many_arguments)]
 fn simulate_step(
     model: &Model,
@@ -622,7 +621,6 @@ fn simulate_step(
     step: u64,
     seed: u64,
     mut idle_since_region: f64,
-    base_ns: f64,
 ) -> StepOutcome {
     let mut bd = TimeBreakdown::default();
     let mut total = 0.0f64;
@@ -651,12 +649,6 @@ fn simulate_step(
                 bd.wake_ns += wake;
                 bd.sync_ns += fork;
                 omptel::add(omptel::Counter::Regions, 1);
-                omptel::virtual_span(
-                    omptel::SpanKind::SimRegion,
-                    (base_ns + total) as u64,
-                    (wake + fork + span) as u64,
-                    pi as u64,
-                );
                 total += wake + fork + span;
                 idle_since_region = 0.0;
                 regions += 1;
@@ -669,12 +661,6 @@ fn simulate_step(
                 bd.wake_ns += wake;
                 bd.sync_ns += fork;
                 omptel::add(omptel::Counter::Regions, 1);
-                omptel::virtual_span(
-                    omptel::SpanKind::SimRegion,
-                    (base_ns + total) as u64,
-                    (wake + fork + span) as u64,
-                    pi as u64,
-                );
                 total += wake + fork + span;
                 idle_since_region = 0.0;
                 regions += 1;
@@ -732,7 +718,6 @@ pub fn simulate_monolithic(
         0,
         seed,
         f64::INFINITY,
-        0.0,
     );
     total += s0.ns;
     bd.add_scaled(&s0.bd, 1.0);
@@ -741,8 +726,6 @@ pub fn simulate_monolithic(
     if model.timesteps > 1 {
         // Warm second step, then extrapolate: steps are statistically
         // identical, so the remaining (timesteps - 2) repeat the warm one.
-        // Virtual spans are emitted for the two simulated steps only;
-        // extrapolated repeats contribute to aggregates, not timelines.
         let s1 = simulate_step(
             model,
             tuning,
@@ -752,7 +735,6 @@ pub fn simulate_monolithic(
             1,
             seed,
             s0.trailing_idle,
-            s0.ns,
         );
         let reps = (model.timesteps - 1) as f64;
         total += s1.ns * reps;

@@ -230,8 +230,6 @@ enum PhasePlan {
         ns: f64,
     },
     Region {
-        /// Phase index in the model (the virtual span's argument).
-        pi: usize,
         kind: RegionKind,
         planned: PlannedRegion,
         /// Reduction clauses (loop regions only; zero for task regions).
@@ -305,7 +303,7 @@ impl RegionPlan {
         for step in &skeletons.steps {
             let mut phases = Vec::with_capacity(step.len());
             let mut regions = 0u64;
-            for (pi, skeleton) in step.iter().enumerate() {
+            for skeleton in step {
                 let (kind, planned, reductions) = match skeleton {
                     Skeleton::Serial { ns } => {
                         idle_since_region += ns;
@@ -334,7 +332,6 @@ impl RegionPlan {
                     }
                 };
                 phases.push(PhasePlan::Region {
-                    pi,
                     kind,
                     planned,
                     reductions,
@@ -367,14 +364,14 @@ impl RegionPlan {
         let mut bd = TimeBreakdown::default();
         let mut regions = 0u64;
 
-        let s0 = self.price_step(0, tuning, machine, policy, 0.0);
+        let s0 = self.price_step(0, tuning, machine, policy);
         total += s0.ns;
         bd.add_scaled(&s0.bd, 1.0);
         regions += s0.regions;
 
         let timesteps = self.shared.timesteps;
         if timesteps > 1 {
-            let s1 = self.price_step(1, tuning, machine, policy, s0.ns);
+            let s1 = self.price_step(1, tuning, machine, policy);
             let reps = (timesteps - 1) as f64;
             total += s1.ns * reps;
             bd.add_scaled(&s1.bd, reps);
@@ -396,7 +393,6 @@ impl RegionPlan {
         tuning: &TuningConfig,
         machine: &MachineDesc,
         policy: omptune_core::WaitPolicy,
-        base_ns: f64,
     ) -> PricedStep {
         let step = &self.steps[idx];
         let t = tuning.num_threads;
@@ -409,7 +405,6 @@ impl RegionPlan {
                     bd.serial_ns += ns;
                 }
                 PhasePlan::Region {
-                    pi,
                     kind,
                     planned,
                     reductions,
@@ -426,12 +421,6 @@ impl RegionPlan {
                     bd.wake_ns += wake;
                     bd.sync_ns += fork;
                     omptel::add(omptel::Counter::Regions, 1);
-                    omptel::virtual_span(
-                        omptel::SpanKind::SimRegion,
-                        (base_ns + total) as u64,
-                        (wake + fork + span) as u64,
-                        *pi as u64,
-                    );
                     total += wake + fork + span;
                 }
             }
@@ -455,8 +444,9 @@ impl RegionPlan {
     /// auto-vectorize. Per-config FP accumulation order is unchanged —
     /// only the loop nest is transposed — so every result is bit-equal
     /// to the sequential path. With telemetry or tracing active it
-    /// falls back to per-config [`RegionPlan::price`] so event order
-    /// (virtual spans, counters) is identical to the one-at-a-time path.
+    /// falls back to per-config [`RegionPlan::price`], each in its own
+    /// `Price` span, so region counters count as on the one-at-a-time
+    /// path and every config's price is a span of its own.
     pub fn price_batch(
         &self,
         tunings: &[TuningConfig],
@@ -1281,12 +1271,8 @@ mod tests {
                 .map(|c| simulate_with_cache(Arch::A64fx, c, &m, 7, &cache))
                 .collect()
         };
-        // Same simulations with the flight recorder and virtual spans on.
-        let rec = omptel::Recorder::start(omptel::RecorderOptions {
-            sim_spans: true,
-            ..omptel::RecorderOptions::default()
-        })
-        .expect("no live recorder");
+        // Same simulations with the flight recorder on.
+        let rec = omptel::Recorder::start().expect("no live recorder");
         let cache = PlanCache::new(Arch::A64fx, &m, 7);
         let traced: Vec<SimResult> = configs
             .iter()
@@ -1302,8 +1288,8 @@ mod tests {
                 b.breakdown.compute_ns.to_bits()
             );
         }
-        // The recorder actually saw the lifecycle: plan builds, prices,
-        // plan-cache hits, and virtual-time regions.
+        // The recorder actually saw the lifecycle: plan builds, prices
+        // and plan-cache hits, and its export is a well-formed trace.
         use omptel::{EventKind, SpanKind};
         assert!(recording.count(EventKind::SpanBegin, SpanKind::PlanBuild) >= 1);
         assert_eq!(
@@ -1311,7 +1297,9 @@ mod tests {
             configs.len() * 2
         );
         assert!(recording.count(EventKind::Instant, SpanKind::PlanHit) >= 1);
-        assert!(recording.count(EventKind::VirtualSpan, SpanKind::SimRegion) > 0);
-        omptel::validate_trace(&recording).expect("well-nested spans");
+        let json = omptel::chrome_trace_with_recording(&recording);
+        let report = omptel::validate_trace_json(&json).expect("well-nested spans");
+        assert_eq!(report.orphan_spans, 0, "{report}");
+        assert_eq!(report.unresolved_flows, 0, "{report}");
     }
 }

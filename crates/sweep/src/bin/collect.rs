@@ -454,8 +454,7 @@ fn collect(cli: Cli) -> std::io::Result<()> {
     // Arm the flight recorder when tracing.
     let recorder = match &cli.trace {
         Some(trace_path) => Some((
-            omptel::Recorder::start(omptel::RecorderOptions::default())
-                .map_err(std::io::Error::other)?,
+            omptel::Recorder::start().map_err(std::io::Error::other)?,
             trace_path,
         )),
         None => None,
@@ -521,11 +520,7 @@ fn collect(cli: Cli) -> std::io::Result<()> {
     // Harvest the flight recorder and export the Chrome trace.
     if let Some((rec, trace_path)) = recorder {
         let recording = rec.finish();
-        let doc = omptel::chrome_trace_with_recording(&recording);
-        fs::write(
-            trace_path,
-            serde_json::to_string(&doc).map_err(std::io::Error::other)?,
-        )?;
+        fs::write(trace_path, omptel::chrome_trace_with_recording(&recording))?;
         eprintln!(
             "trace: {} events ({} dropped) across {} threads -> {}",
             recording.total_events(),

@@ -10,46 +10,20 @@
 //!   analysis as schema-stamped machine-readable JSON (sink and energy
 //!   breakdowns, scheduler statistics), for scripts that post-process
 //!   the report instead of reading it.
-//! - `omptel-report --spans [arch] [app] [--trace-out PATH]` — run one
-//!   setting's sweep under the flight recorder (simulator virtual spans
-//!   included) and print a per-span-kind latency quantile table plus
-//!   the per-sample wall-latency distribution; `--trace-out` also dumps
-//!   the Chrome trace_event JSON.
-//! - `omptel-report --self-check` — run the acceptance invariants and
-//!   exit nonzero on violation: every sample's breakdown must sum to its
-//!   elapsed virtual time, and the pathological configuration (master
-//!   binding at full thread count) must be diagnosed as dominated by
-//!   barrier/imbalance wait.
 //!
 //! Every explanation folds a sample's own closed telemetry; nothing is
 //! re-simulated, and no telemetry session is opened.
 
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
-use omptune_core::{Arch, OmpPlaces, OmpProcBind, TuningConfig};
+use omptune_core::Arch;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use sweep::{ReportSlice, SampleTelemetry, Scope, SweepOptions, SweepSpec};
-use workloads::Setting;
+use sweep::{ReportSlice, SweepOptions};
 
-const USAGE: &str =
-    "usage: omptel-report [--json | --spans [--trace-out PATH] | --self-check] [ARCH] [APP]";
+const USAGE: &str = "usage: omptel-report [--json] [ARCH] [APP]";
 
-/// The slice every mode but `--self-check` reports on: strided 50,
-/// swept on 4 workers.
+/// The slice both modes report on: strided 50, swept on 4 workers.
 const SCOPE: usize = 50;
-
-/// Compact nanosecond formatting for quantile tables.
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
 
 /// Scheduler-statistics table (sweep counters the summary previously
 /// kept to itself).
@@ -67,19 +41,6 @@ fn stats_table(stats: &sweep::SweepStats) -> String {
         let _ = writeln!(out, "  {label:<20} {v:>10}");
     }
     out
-}
-
-/// Quantile row of one histogram: count, p50/p95/p99 midpoints, max.
-fn quantile_row(label: &str, h: &omptel::Histogram) -> String {
-    let mid = |q: f64| h.quantile(q).map(|b| fmt_ns(b.mid())).unwrap_or_default();
-    format!(
-        "  {label:<14} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-        h.count,
-        mid(0.50),
-        mid(0.95),
-        mid(0.99),
-        fmt_ns(h.max)
-    )
 }
 
 fn best_vs_worst(arch: Arch, app_name: &str) -> Result<String, String> {
@@ -175,164 +136,25 @@ fn json_report(arch: Arch, app_name: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// `--spans`: sweep one setting under the flight recorder and report
-/// per-span-kind duration quantiles, the sample latency distribution,
-/// and (optionally) the Chrome trace.
-fn spans_report(arch: Arch, app_name: &str, trace_out: Option<&str>) -> Result<String, String> {
-    let rec = omptel::Recorder::start(omptel::RecorderOptions {
-        sim_spans: true,
-        ..Default::default()
-    })
-    .map_err(|_| "another flight recorder is live".to_string())?;
-    let progress = omptel::Progress::quiet("spans", 0);
-    let opts = SweepOptions::new(4).with_progress(&progress);
-    let slice = ReportSlice::sweep(arch, app_name, SCOPE, &opts)?;
-    let recording = rec.finish();
-    let (data, setting, stats) = (&slice.data, slice.setting, &slice.stats);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "span report: {app_name}/{} t={} ({} samples)",
-        arch.id(),
-        setting.num_threads,
-        data.samples.len()
-    );
-    let _ = writeln!(
-        out,
-        "flight recorder: {} events across {} threads ({} dropped)",
-        recording.total_events(),
-        recording.threads.len(),
-        recording.total_dropped()
-    );
-    let _ = writeln!(
-        out,
-        "  {:<14} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "span", "count", "p50", "p95", "p99", "max"
-    );
-    for (kind, hist) in recording.span_durations() {
-        out.push_str(&quantile_row(kind.name(), &hist));
+/// `--json`, the arch and the app.
+fn parse(mut args: Args) -> Result<(bool, Arch, String), Error> {
+    let json = args.flag("--json");
+    let mut arch = Arch::Milan;
+    if let Some(id) = args.positional()? {
+        arch = Arch::from_id(&id).ok_or_else(|| Error::unknown("arch", &id))?;
     }
-    let lat = progress.latency_histogram();
-    if !lat.is_empty() {
-        out.push_str("sample wall latency\n");
-        let _ = writeln!(
-            out,
-            "  {:<14} {:>8} {:>10} {:>10} {:>10} {:>10}",
-            "", "count", "p50", "p95", "p99", "max"
-        );
-        out.push_str(&quantile_row("sample", &lat));
-    }
-    out.push_str(&stats_table(stats));
-
-    if let Some(path) = trace_out {
-        omptel::validate_trace(&recording).map_err(|e| format!("trace validation: {e}"))?;
-        let doc = omptel::chrome_trace_with_recording(&recording);
-        let json = serde_json::to_string(&doc).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
-        let _ = writeln!(out, "wrote {path}");
-    }
-    Ok(out)
-}
-
-/// The acceptance invariants, as a runnable check.
-fn self_check() -> Result<(), String> {
-    // 1. A sweep sample of an NPB workload: every sample's closed
-    //    breakdown sums to its elapsed virtual time.
-    let app = workloads::app("cg").expect("cg registered");
-    let spec = SweepSpec {
-        scope: Scope::Strided(400),
-        ..SweepSpec::default()
-    };
-    let setting = Setting {
-        input_code: 0,
-        num_threads: 96,
-    };
-    let data = sweep::sweep_setting(Arch::Milan, app, setting, 0, &spec);
-    if data.samples.is_empty() {
-        return Err("self-check sweep produced no samples".into());
-    }
-    for s in &data.samples {
-        let t = &s.telemetry;
-        let sum = t.breakdown.sum();
-        if (sum - t.virtual_ns).abs() > t.virtual_ns.max(1.0) * 1e-9 {
-            return Err(format!(
-                "sample {} breakdown sum {sum} != virtual total {}",
-                s.config_index, t.virtual_ns
-            ));
-        }
-    }
-    println!(
-        "self-check: {} samples close against their totals",
-        data.samples.len()
-    );
-
-    // 2. The pathological configuration — every thread bound to the
-    //    master's place — must be diagnosed as barrier/imbalance bound.
-    let mut bad = TuningConfig::default_for(Arch::Milan, 96);
-    bad.places = OmpPlaces::Cores;
-    bad.proc_bind = OmpProcBind::Master;
-    let model = (app.model)(Arch::Milan, setting);
-    let sim = simrt::simulate(Arch::Milan, &bad, &model, spec.seed);
-    let summary = SampleTelemetry::from_sim(Arch::Milan, &bad, &sim).summary();
-    let dominant = summary.dominant_sink();
-    if dominant != omptel::Sink::Imbalance {
-        return Err(format!(
-            "pathological config diagnosed as {:?} ({}), expected barrier/imbalance wait",
-            dominant,
-            dominant.label()
-        ));
-    }
-    println!(
-        "self-check: master-bound config dominated by {} ({:.0}% of time)",
-        dominant.label(),
-        summary.sink_fraction(dominant) * 100.0
-    );
-    Ok(())
-}
-
-enum Mode {
-    Text,
-    Json,
-    Spans(Option<String>),
-    SelfCheck,
-}
-
-fn parse(mut args: Args) -> Result<(Mode, Arch, String), Error> {
-    let flags = ["--json", "--spans", "--self-check"].map(|mode| args.flag(mode));
-    let mode = match flags {
-        [false, false, false] => Mode::Text,
-        [true, false, false] => Mode::Json,
-        [false, true, false] => Mode::Spans(args.value("--trace-out")?),
-        [false, false, true] => Mode::SelfCheck,
-        _ => {
-            return Err(Error::usage(
-                "--json, --spans and --self-check exclude each other",
-            ))
-        }
-    };
-    let (mut arch, mut app) = (Arch::Milan, "cg".to_string());
-    if !matches!(mode, Mode::SelfCheck) {
-        if let Some(id) = args.positional()? {
-            arch = Arch::from_id(&id).ok_or_else(|| Error::unknown("arch", &id))?;
-        }
-        app = args.positional()?.unwrap_or(app);
-    }
+    let app = args.positional()?.unwrap_or_else(|| "cg".to_string());
     args.finish()?;
-    Ok((mode, arch, app))
+    Ok((json, arch, app))
 }
 
 fn main() -> ExitCode {
     cli::run("omptel-report", USAGE, |args| {
-        let (mode, arch, app) = parse(args)?;
-        match mode {
-            Mode::Text => print!("{}", best_vs_worst(arch, &app)?),
-            Mode::Json => print!("{}", json_report(arch, &app)?),
-            Mode::Spans(trace_out) => print!("{}", spans_report(arch, &app, trace_out.as_deref())?),
-            Mode::SelfCheck => {
-                self_check().map_err(|e| format!("self-check: FAIL: {e}"))?;
-                println!("self-check: PASS");
-            }
+        let (json, arch, app) = parse(args)?;
+        if json {
+            print!("{}", json_report(arch, &app)?);
+        } else {
+            print!("{}", best_vs_worst(arch, &app)?);
         }
         Ok(EXIT_OK)
     })
@@ -370,10 +192,8 @@ mod tests {
     fn a_command_line_is_a_report_mode_or_a_usage_error() {
         omptune_core::cli::check_parse(
             super::parse,
-            " | milan cg | --json skylake xsbench | --spans milan cg --trace-out t.json \
-             | --self-check",
-            "--bogus | --spans --trace-out | --trace-out t.json | --json --spans | nope \
-             | milan cg extra | --self-check milan",
+            " | milan cg | --json skylake xsbench | milan --json",
+            "--bogus | --trace-out t.json | nope | milan cg extra | --json milan cg extra",
         );
     }
 }

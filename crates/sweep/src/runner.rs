@@ -129,7 +129,11 @@ pub struct SampleTelemetry {
 impl SampleTelemetry {
     /// The telemetry of one simulated run of `config`: its breakdown
     /// closed against the total, and its energy priced.
-    pub fn from_sim(arch: Arch, config: &TuningConfig, sim: &simrt::SimResult) -> SampleTelemetry {
+    pub(crate) fn from_sim(
+        arch: Arch,
+        config: &TuningConfig,
+        sim: &simrt::SimResult,
+    ) -> SampleTelemetry {
         let breakdown = sim.breakdown.to_tel().close_to_total(sim.total_ns);
         let energy = simrt::price_energy(arch, config, &breakdown, sim.total_ns, sim.regions);
         SampleTelemetry {

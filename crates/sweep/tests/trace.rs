@@ -3,14 +3,16 @@
 //! must not share a process with the omptel unit tests).
 //!
 //! - results are bit-identical with the recorder on or off,
-//! - a live multi-worker sweep produces a well-nested trace whose
-//!   cross-worker flows all resolve,
+//! - a live multi-worker sweep exports a well-nested trace whose
+//!   cross-worker flows all resolve, and whose span table counts every
+//!   span and brackets the longest of each kind,
 //! - a corrupted cache batch is recomputed byte-identically and the
 //!   corruption lands in the flight recorder as one `CacheCorrupt`
 //!   instant and in the `SampleCacheCorrupt` counter,
 //! - a traced sweep times every sample once.
 
 use omptune_core::Arch;
+use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use sweep::{SampleCache, Scope, SweepOptions, SweepSpec};
 
@@ -53,8 +55,7 @@ fn traced_sweep_is_byte_identical_to_untraced() {
     let spec = spec();
     let plain = sweep::sweep_arch_scheduled(Arch::Skylake, &spec, &SweepOptions::new(4));
 
-    let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
-        .expect("no other recorder live");
+    let rec = omptel::Recorder::start().expect("no other recorder live");
     let traced = sweep::sweep_arch_scheduled(Arch::Skylake, &spec, &SweepOptions::new(4));
     let recording = rec.finish();
 
@@ -70,14 +71,14 @@ fn traced_sweep_is_byte_identical_to_untraced() {
 fn live_sweep_trace_is_well_nested_with_resolved_flows() {
     let _guard = recorder_lock();
     let spec = spec();
-    let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
-        .expect("no other recorder live");
+    let rec = omptel::Recorder::start().expect("no other recorder live");
     let outcome = sweep::sweep_arch_scheduled(Arch::A64fx, &spec, &SweepOptions::new(4));
     let recording = rec.finish();
     assert!(!outcome.batches.is_empty());
 
-    // Raw recording: spans well-nested per thread by construction.
-    let report = omptel::validate_trace(&recording).expect("well-nested recording");
+    // The exported Chrome JSON, read the way `trace-check` reads it.
+    let json = omptel::chrome_trace_with_recording(&recording);
+    let report = omptel::validate_trace_json(&json).expect("valid exported trace");
     assert!(report.spans > 0, "no spans recorded");
     assert!(report.flows > 0, "no unit flows recorded");
     assert_eq!(report.unresolved_flows, 0, "flow lost across workers");
@@ -87,12 +88,46 @@ fn live_sweep_trace_is_well_nested_with_resolved_flows() {
     // One unit flow per scheduling unit, resolved across steals.
     assert_eq!(report.flows as u64, outcome.stats.units);
 
-    // The exported Chrome JSON passes the laminar/flow validator too.
-    let doc = omptel::chrome_trace_with_recording(&recording);
-    let json = serde_json::to_string(&doc).expect("trace serializes");
-    let exported = omptel::validate_trace_json(&json).expect("valid exported trace");
-    assert_eq!(exported.unresolved_flows, 0);
-    assert_eq!(exported.orphan_spans, 0);
+    // The span table: one row per span kind that opened, counting each
+    // of its spans, whose max bracket holds its longest span — paired
+    // here by id, begin to end, on each thread.
+    let mut longest: HashMap<omptel::SpanKind, u64> = HashMap::new();
+    for thread in &recording.threads {
+        let mut open = HashMap::new();
+        for e in &thread.events {
+            match e.kind {
+                omptel::EventKind::SpanBegin => {
+                    open.insert(e.id, e.ts_ns);
+                }
+                omptel::EventKind::SpanEnd => {
+                    let begin = open.remove(&e.id).expect("begin precedes end");
+                    let d = longest.entry(e.what).or_default();
+                    *d = (*d).max(e.ts_ns - begin);
+                }
+                _ => {}
+            }
+        }
+    }
+    for kind in omptel::SpanKind::ALL {
+        let begins = recording.count(omptel::EventKind::SpanBegin, kind);
+        let row = report
+            .durations
+            .iter()
+            .find(|(name, _)| name == kind.name());
+        let Some((_, hist)) = row else {
+            assert_eq!(begins, 0, "{} opened but has no row", kind.name());
+            continue;
+        };
+        assert_eq!(hist.count, begins as u64, "{} row count", kind.name());
+        let max = hist.quantile(1.0).expect("a row has durations");
+        let d = longest[&kind];
+        assert!(
+            max.lo <= d && d < max.hi,
+            "{}: longest span {d} ns outside max bracket {max:?}",
+            kind.name()
+        );
+    }
+    assert!(report.durations.windows(2).all(|w| w[0].0 < w[1].0));
 }
 
 /// A telemetry session over a scheduled sweep surfaces the warm-engine
@@ -149,8 +184,7 @@ fn engine_counters_surface_under_telemetry_session() {
     // lookup: one priced batch per cache-missed sample.
     let traced_cache = SampleCache::new(tmp_dir("engine-counters-traced"));
     let session = omptel::session().expect("no other omptel session is live");
-    let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
-        .expect("no other recorder live");
+    let rec = omptel::Recorder::start().expect("no other recorder live");
     let traced = sweep::sweep_arch_scheduled(
         Arch::Skylake,
         &spec,
@@ -189,8 +223,7 @@ fn a_traced_sweep_times_every_sample_once() {
 
     let planned = sweep::planned_samples(Arch::A64fx, &spec);
     let progress = omptel::Progress::quiet("a64fx", planned);
-    let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
-        .expect("no other recorder live");
+    let rec = omptel::Recorder::start().expect("no other recorder live");
     let traced = sweep::sweep_arch_scheduled(
         Arch::A64fx,
         &spec,
@@ -242,8 +275,7 @@ fn corrupt_cache_batch_recomputes_identically_and_is_flagged() {
 
     // Re-run under the recorder and a counter session.
     let session = omptel::session().expect("no other omptel session is live");
-    let rec = omptel::Recorder::start(omptel::RecorderOptions::default())
-        .expect("no other recorder live");
+    let rec = omptel::Recorder::start().expect("no other recorder live");
     let warm =
         sweep::sweep_arch_scheduled(Arch::Milan, &spec, &SweepOptions::new(2).with_cache(&cache));
     let recording = rec.finish();

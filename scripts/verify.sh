@@ -52,9 +52,10 @@ step cargo clippy --workspace --all-targets -- -D warnings
 # collection run, one exit path) are tier-1's tests/source_rules.rs, run by
 # the workspace tests above. The JSON sink's own f64 text is held to
 # core::fmt over random, artifact-like and tie inputs there; over every
-# binade here.
+# binade here. That every simulated configuration's time sinks close to
+# its virtual total, and that master binding on CG/Milan is named
+# barrier/imbalance wait, is tier-1's tests/model_sanity.rs.
 step cargo test -q --test serde_stream float_text -- --ignored
-step cargo run --release -p sweep --bin omptel-report -- --self-check
 
 # The runs the CLI legs below compare: a cold and a warm `collect tiny`
 # off one cache (their byte-identity with each other, with a half-warm and
@@ -88,12 +89,15 @@ collect_tiny warm --workers 2 --cache-dir "$coherence_dir/cache"
 # Trace validation: a live traced collect run must (a) leave the
 # provenance byte-identical to the untraced runs above, and (b) export a
 # structurally valid trace — spans well-nested per thread, every
-# cross-worker flow resolved, drop count reported by trace-check.
+# cross-worker flow resolved, drop count reported by trace-check — whose
+# span table has a row for the samples.
 banner "flight-recorder trace validation (live traced collect)"
 collect_tiny traced --workers 4 --cache-dir "$coherence_dir/trace-cache" \
     --trace "$coherence_dir/traced/trace.json"
 same_provenance traced
-step cargo run --release -p sweep --bin trace-check -- "$coherence_dir/traced/trace.json"
+cargo run --release -p sweep --bin trace-check -- "$coherence_dir/traced/trace.json" |
+    tee "$coherence_dir/trace-check.txt"
+need "$coherence_dir/trace-check.txt" '^  sample ' "trace-check printed no sample row"
 
 # Live monitor: a monitored collect run must answer every route below
 # while the sweep is running, and still produce byte-identical provenance

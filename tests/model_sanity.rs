@@ -4,7 +4,8 @@
 
 use omptune::apps::{AppSpec, Setting};
 use omptune::core::{
-    Arch, ConfigSpace, KmpBlocktime, KmpForceReduction, KmpLibrary, ReductionMethod, TuningConfig,
+    Arch, ConfigSpace, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind,
+    ReductionMethod, TuningConfig,
 };
 use omptune::sim::{simulate_monolithic, simulate_with_cache, PlanCache, SimResult};
 
@@ -161,12 +162,35 @@ fn the_refuted_rewrites_stay_refuted() {
     }
 }
 
+/// `r`'s breakdown closed to its total — the time sinks a sample's
+/// telemetry reports — checked to sum to `total_ns` within 1e-9
+/// relative, with no sink negative.
+fn closed_sinks(r: &SimResult, what: &str) -> omptune::tel::Summary {
+    let closed = r.breakdown.to_tel().close_to_total(r.total_ns);
+    let sum = closed.sum();
+    assert!(
+        (sum - r.total_ns).abs() <= r.total_ns * 1e-9,
+        "{what}: sinks sum to {sum}, not the total {}",
+        r.total_ns
+    );
+    for sink in omptune::tel::Sink::ALL {
+        assert!(closed.get(sink) >= 0.0, "{what}: negative {sink:?} sink");
+    }
+    let mut summary = omptune::tel::Summary::default();
+    summary.add_aggregate(r.total_ns, &closed, r.regions);
+    summary
+}
+
 #[test]
 fn every_cell_simulates_sanely() {
+    let mut master_bound_cells = 0;
     for (arch, app, setting, model) in cells() {
         let space = ConfigSpace::new(arch, setting.num_threads);
         let default = TuningConfig::default_for(arch, setting.num_threads);
-        let base = omptune::sim::simulate(arch, &default, &model, 0).seconds();
+        let cell = format!("{}/{}/{:?}", arch.id(), app.name, setting);
+        let base_run = omptune::sim::simulate(arch, &default, &model, 0);
+        closed_sinks(&base_run, &cell);
+        let base = base_run.seconds();
         assert!(
             base > 1e-6 && base < 100.0,
             "{}/{}/{:?}: default runtime {base}s out of range",
@@ -178,8 +202,9 @@ fn every_cell_simulates_sanely() {
         // bounds (master-bind can be ~100x slower on Milan, with memory
         // multipliers on top; nothing should be more than 6x faster).
         for config in space.iter().step_by(97) {
-            let t = omptune::sim::simulate(arch, &config, &model, 0).seconds();
-            let speedup = base / t;
+            let run = omptune::sim::simulate(arch, &config, &model, 0);
+            closed_sinks(&run, &format!("{cell} {}", config.describe()));
+            let speedup = base / run.seconds();
             assert!(
                 (1.0 / 500.0..=6.0).contains(&speedup),
                 "{}/{}/{:?}: speedup {speedup} for {}",
@@ -189,7 +214,25 @@ fn every_cell_simulates_sanely() {
                 config.describe()
             );
         }
+        // The paper's pathological configuration: every thread bound to
+        // the master's core serializes the team, and the time goes to
+        // threads waiting on the straggler.
+        if arch == Arch::Milan && app.name == "cg" && setting.num_threads == 96 {
+            let mut bad = default;
+            bad.places = OmpPlaces::Cores;
+            bad.proc_bind = OmpProcBind::Master;
+            let summary = closed_sinks(&omptune::sim::simulate(arch, &bad, &model, 0), &cell);
+            let imbalance = summary.sink_fraction(omptune::tel::Sink::Imbalance);
+            assert_eq!(
+                summary.dominant_sink(),
+                omptune::tel::Sink::Imbalance,
+                "{cell}: master binding"
+            );
+            assert!(imbalance > 0.9, "{cell}: imbalance fraction {imbalance}");
+            master_bound_cells += 1;
+        }
     }
+    assert_eq!(master_bound_cells, 3, "CG on Milan has three input classes");
 }
 
 #[test]

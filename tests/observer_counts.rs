@@ -20,7 +20,7 @@
 //! Each holds at workers 1, 2 and 4, where steals and plan-build races
 //! differ from run to run.
 
-use omptel::{Recorder, RecorderOptions};
+use omptel::Recorder;
 use omptune_core::{Arch, LiveInfluence};
 use std::sync::Mutex;
 use sweep::{SampleCache, Scope, SettingData, SweepOptions, SweepOutcome, SweepSpec};
@@ -28,7 +28,7 @@ use sweep::{SampleCache, Scope, SettingData, SweepOptions, SweepOutcome, SweepSp
 /// One sweep under a default-settings flight recorder: the outcome, the
 /// events retained and the events dropped.
 fn traced(spec: &SweepSpec, opts: &SweepOptions) -> (SweepOutcome, u64, u64) {
-    let recorder = Recorder::start(RecorderOptions::default()).expect("no other recorder is live");
+    let recorder = Recorder::start().expect("no other recorder is live");
     let outcome = sweep::sweep_all_scheduled(spec, opts);
     let recording = recorder.finish();
     let events = recording.total_events() as u64;
