@@ -298,9 +298,36 @@ impl LoopSkeleton {
         }
     }
 
-    /// Reduction clauses closing the loop (a price-layer input).
-    pub(crate) fn reductions(&self) -> u32 {
-        self.phase.reductions
+    /// Whether `other` is this skeleton bit for bit: every phase field,
+    /// the prefix and the largest multiplier compared by `to_bits`, so
+    /// `plan_loop_with` plans both alike under any environment. The
+    /// reduction count is not compared: planning never reads it.
+    pub(crate) fn same_bits(&self, other: &LoopSkeleton) -> bool {
+        fn phase_bits(p: &LoopPhase) -> [u64; 7] {
+            let (access, per_iter) = match p.access {
+                AccessPattern::Streaming => (0, 0.0),
+                AccessPattern::RandomShared { accesses_per_iter } => (1, accesses_per_iter),
+                AccessPattern::CacheResident => (2, 0.0),
+            };
+            let (imbalance, shape) = match p.imbalance {
+                Imbalance::Uniform => (0, 0.0),
+                Imbalance::Linear { skew } => (1, skew),
+                Imbalance::Random { cv } => (2, cv),
+            };
+            [
+                p.iters,
+                p.cycles_per_iter.to_bits(),
+                p.bytes_per_iter.to_bits(),
+                access,
+                per_iter.to_bits(),
+                imbalance,
+                shape.to_bits(),
+            ]
+        }
+        phase_bits(&self.phase) == phase_bits(&other.phase)
+            && self.max_unit_mult.to_bits() == other.max_unit_mult.to_bits()
+            && (self.prefix.iter().map(|x| x.to_bits()))
+                .eq(other.prefix.iter().map(|x| x.to_bits()))
     }
 }
 

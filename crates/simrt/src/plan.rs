@@ -22,8 +22,12 @@
 //! phase skeletons read none of it, the thread environment reads only
 //! the placement, loop regions ignore `library` and task regions ignore
 //! `schedule`. The plans of one [`PlanCache`] are therefore assembled
-//! from one `PlanShared`, which computes each of those parts once
-//! (DESIGN §8.1 has the table and the 78 → ≤30/≤20 bound).
+//! from one `PlanShared`, which computes each of those parts once. A
+//! loop region reads its skeleton, not its (step, phase), so bit-equal
+//! loop skeletons — the warm step of a phase whose imbalance ignores the
+//! seed, a phase a step repeats — share one region slot and each is
+//! planned once per thread environment (DESIGN §8.1 has the table and
+//! the 78 → ≤ 30 loop / ≤ 20 task plans per distinct skeleton bound).
 
 use crate::costs;
 use crate::exec::{
@@ -40,8 +44,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// The projection-independent part of one phase of one simulated step.
 enum Skeleton {
-    Serial { ns: f64 },
-    Loop(LoopSkeleton),
+    Serial {
+        ns: f64,
+    },
+    /// A loop region: its slot in [`Skeletons::loops`], which bit-equal
+    /// occurrences share, and its own reduction clauses.
+    Loop {
+        slot: usize,
+        reductions: u32,
+    },
     Tasks(TaskSkeleton),
 }
 
@@ -50,8 +61,8 @@ enum Skeleton {
 /// whichever projection needs one first and read by all the others.
 struct Placed {
     env: ThreadEnv,
-    /// Per loop skeleton in (step, phase) order, by schedule: a
-    /// projection's is canonical, so never `Auto`.
+    /// Per loop region slot, by schedule: a projection's is canonical,
+    /// so never `Auto`.
     loops: Vec<[OnceLock<PlannedRegion>; 3]>,
     /// Per task skeleton in (step, phase) order, by `yielding`.
     tasks: Vec<[OnceLock<PlannedRegion>; 2]>,
@@ -61,6 +72,10 @@ struct Placed {
 /// has more than one timestep), the skeleton of every phase.
 struct Skeletons {
     topo: Topology,
+    /// One skeleton per loop region slot. A loop skeleton bit-equal to
+    /// an earlier one takes that one's slot: the warm step of a phase
+    /// whose imbalance ignores the seed, or a phase a step repeats.
+    loops: Vec<LoopSkeleton>,
     steps: Vec<Vec<Skeleton>>,
 }
 
@@ -68,6 +83,7 @@ impl Skeletons {
     fn new(arch: Arch, model: &Model, seed: u64) -> Skeletons {
         let topo = Topology::new(machine_for(arch));
         let sim_steps: u64 = if model.timesteps > 1 { 2 } else { 1 };
+        let mut loops: Vec<LoopSkeleton> = Vec::new();
         let steps = (0..sim_steps)
             .map(|step| {
                 model
@@ -79,7 +95,18 @@ impl Skeletons {
                         match phase {
                             Phase::Serial { ns } => Skeleton::Serial { ns: *ns },
                             Phase::Loop(l) => {
-                                Skeleton::Loop(LoopSkeleton::new(l, topo.machine(), phase_seed))
+                                let skeleton = LoopSkeleton::new(l, topo.machine(), phase_seed);
+                                let slot = match loops.iter().position(|s| s.same_bits(&skeleton)) {
+                                    Some(slot) => slot,
+                                    None => {
+                                        loops.push(skeleton);
+                                        loops.len() - 1
+                                    }
+                                };
+                                Skeleton::Loop {
+                                    slot,
+                                    reductions: l.reductions,
+                                }
                             }
                             Phase::Tasks(tp) => Skeleton::Tasks(TaskSkeleton::new(tp, phase_seed)),
                         }
@@ -87,7 +114,7 @@ impl Skeletons {
                     .collect()
             })
             .collect();
-        Skeletons { topo, steps }
+        Skeletons { topo, loops, steps }
     }
 }
 
@@ -156,20 +183,14 @@ impl PlanShared {
         let env = thread_env(&placement, t, &skeletons.topo);
         let shared = match placed.iter().find(|(.., p)| p.env == env) {
             Some((.., alike)) => Arc::clone(alike),
-            None => {
-                let phases = || skeletons.steps.iter().flatten();
-                Arc::new(Placed {
-                    env,
-                    loops: phases()
-                        .filter(|s| matches!(s, Skeleton::Loop(_)))
-                        .map(|_| Default::default())
-                        .collect(),
-                    tasks: phases()
-                        .filter(|s| matches!(s, Skeleton::Tasks(_)))
-                        .map(|_| Default::default())
-                        .collect(),
-                })
-            }
+            None => Arc::new(Placed {
+                env,
+                loops: skeletons.loops.iter().map(|_| Default::default()).collect(),
+                tasks: (skeletons.steps.iter().flatten())
+                    .filter(|s| matches!(s, Skeleton::Tasks(_)))
+                    .map(|_| Default::default())
+                    .collect(),
+            }),
         };
         placed.push((t, placement, Arc::clone(&shared)));
         shared
@@ -191,22 +212,20 @@ impl PlanShared {
     }
 
     /// How many regions have actually been planned so far, per
-    /// (step, phase) slot, summed over environments and classes.
+    /// (step, phase), summed over environments and classes: phases that
+    /// share a loop region slot each count the slot's regions.
     fn planned_per_slot(&self) -> Vec<usize> {
         fn filled(slots: &[OnceLock<PlannedRegion>]) -> usize {
             slots.iter().filter(|region| region.get().is_some()).count()
         }
         let placed = self.environments();
         let skeletons = self.skeletons.get().expect("nothing built yet");
-        let (mut li, mut ti) = (0, 0);
+        let mut ti = 0;
         let phases = skeletons.steps.iter().flatten();
         phases
             .map(|skeleton| match skeleton {
                 Skeleton::Serial { .. } => 0,
-                Skeleton::Loop(_) => {
-                    li += 1;
-                    placed.iter().map(|p| filled(&p.loops[li - 1])).sum()
-                }
+                Skeleton::Loop { slot, .. } => placed.iter().map(|p| filled(&p.loops[*slot])).sum(),
                 Skeleton::Tasks(_) => {
                     ti += 1;
                     placed.iter().map(|p| filled(&p.tasks[ti - 1])).sum()
@@ -294,7 +313,6 @@ impl RegionPlan {
         let yielding = projection.library == KmpLibrary::Throughput;
 
         let mut steps = Vec::with_capacity(skeletons.steps.len());
-        let mut loops = placed.loops.iter();
         let mut tasks = placed.tasks.iter();
         // Idle-time threading across steps reproduces the monolithic
         // chain: INFINITY before the very first region (cold team), then
@@ -310,11 +328,11 @@ impl RegionPlan {
                         phases.push(PhasePlan::Serial { ns: *ns });
                         continue;
                     }
-                    Skeleton::Loop(l) => {
-                        let by_schedule = loops.next().expect("one entry per loop skeleton");
-                        let planned = by_schedule[projection.schedule as usize].get_or_init(|| {
+                    Skeleton::Loop { slot, reductions } => {
+                        let region = &placed.loops[*slot][projection.schedule as usize];
+                        let planned = region.get_or_init(|| {
                             plan_loop_with(
-                                l,
+                                &skeletons.loops[*slot],
                                 t,
                                 projection.schedule,
                                 machine,
@@ -322,7 +340,7 @@ impl RegionPlan {
                                 shared.migration_sensitivity,
                             )
                         });
-                        (RegionKind::Loop, *planned, l.reductions())
+                        (RegionKind::Loop, *planned, *reductions)
                     }
                     Skeleton::Tasks(tp) => {
                         let by_yielding = tasks.next().expect("one entry per task skeleton");
@@ -1127,6 +1145,75 @@ mod tests {
         }
     }
 
+    fn loop_model(phases: &[(Imbalance, u32)], timesteps: u32) -> Model {
+        let phases = phases.iter().map(|&(imbalance, reductions)| {
+            Phase::Loop(LoopPhase {
+                iters: 30_000,
+                cycles_per_iter: 120.0,
+                bytes_per_iter: 32.0,
+                access: AccessPattern::Streaming,
+                imbalance,
+                reductions,
+            })
+        });
+        Model {
+            name: "loops".into(),
+            phases: phases.collect(),
+            timesteps,
+            migration_sensitivity: 0.5,
+        }
+    }
+
+    /// Plan `model` under every canonical schedule at one placement and
+    /// return its loop region slots, after checking every price against
+    /// the monolithic path.
+    fn loop_slots(model: &Model) -> usize {
+        let arch = Arch::Skylake;
+        let cache = PlanCache::new(arch, model, 8);
+        for schedule in [
+            OmpSchedule::Static,
+            OmpSchedule::Dynamic,
+            OmpSchedule::Guided,
+        ] {
+            let c = TuningConfig {
+                schedule,
+                ..TuningConfig::default_for(arch, 16)
+            };
+            let cached = simulate_with_cache(arch, &c, model, 8, &cache);
+            assert_bit_equal(&cached, &simulate_monolithic(arch, &c, model, 8), "slots");
+        }
+        let slots = cache.shared.skeletons.get().expect("built").loops.len();
+        let per_slot = cache.shared.planned_per_slot();
+        assert!(per_slot.iter().all(|&n| n == 3), "{per_slot:?}");
+        slots
+    }
+
+    #[test]
+    fn a_seed_free_loop_plans_its_warm_step_into_its_cold_steps_slot() {
+        let _tel = crate::tel_shared();
+        for imbalance in [Imbalance::Uniform, Imbalance::Linear { skew: 0.4 }] {
+            assert_eq!(loop_slots(&loop_model(&[(imbalance, 1)], 4)), 1);
+        }
+        // A random shape reads the phase seed, which the step changes.
+        let random = Imbalance::Random { cv: 0.3 };
+        assert_eq!(loop_slots(&loop_model(&[(random, 1)], 4)), 2);
+        assert_eq!(loop_slots(&loop_model(&[(random, 1)], 1)), 1);
+    }
+
+    #[test]
+    fn a_phase_repeated_within_one_step_shares_its_slot() {
+        let _tel = crate::tel_shared();
+        // Reductions are priced per occurrence, so two occurrences that
+        // differ only there still share a slot.
+        let linear = Imbalance::Linear { skew: -0.6 };
+        let repeated = [(linear, 0), (Imbalance::Uniform, 2), (linear, 3)];
+        assert_eq!(loop_slots(&loop_model(&repeated, 1)), 2);
+        assert_eq!(loop_slots(&loop_model(&repeated, 3)), 2);
+        // The same phase at another position reads another seed.
+        let random = Imbalance::Random { cv: 0.3 };
+        assert_eq!(loop_slots(&loop_model(&[(random, 0), (random, 0)], 1)), 2);
+    }
+
     /// A model from generated phase descriptors: `kind` picks the phase
     /// shape, every fifth `size` is an empty (zero-work) phase.
     fn generated_model(phases: &[(u8, u64)], timesteps: u32, loops: bool, tasks: bool) -> Model {
@@ -1214,6 +1301,37 @@ mod tests {
             let mixed = generated_model(&phases, timesteps, true, true);
             let of = |places| TuningConfig { places, proc_bind: OmpProcBind::Close, ..a };
             prop_assert!(steps(of(OmpPlaces::Unset), &mixed) == steps(of(OmpPlaces::Cores), &mixed));
+        }
+
+        /// Bit-equal loop skeletons share a region slot, whichever
+        /// occurrence filled it: every plan built through one cache
+        /// prices like a plan from a fresh state and like the monolithic
+        /// path, on models whose warm steps and repeated phases share.
+        #[test]
+        fn plans_through_shared_slots_price_like_fresh_ones(
+            arch in prop_oneof![Just(Arch::A64fx), Just(Arch::Skylake), Just(Arch::Milan)],
+            phases in prop::collection::vec((0u8..5, 0u64..60_000), 1..5),
+            repeats in prop::collection::vec(0usize..5, 0..4),
+            timesteps in 2u32..4,
+            seed in any::<u64>(),
+            picks in prop::collection::vec(0usize..192, 1..6),
+            t in 1usize..=48,
+        ) {
+            let _tel = crate::tel_shared();
+            let mut phases = phases;
+            for r in repeats {
+                phases.push(phases[r % phases.len()]);
+            }
+            let m = generated_model(&phases, timesteps, true, true);
+            let cache = PlanCache::new(arch, &m, seed);
+            let structures = all_structures(arch, t);
+            for i in picks {
+                let c = structures[i];
+                let shared = cache.plan(&c, &m).price(&c);
+                let fresh = RegionPlan::build(arch, c.plan_projection(), &m, seed).price(&c);
+                assert_bit_equal(&shared, &fresh, "fresh state");
+                assert_bit_equal(&shared, &simulate_monolithic(arch, &c, &m, seed), "monolithic");
+            }
         }
     }
 

@@ -59,6 +59,16 @@ fn the_paper_scope_scorecard_has_no_miss() {
     assert_eq!(card.code(), 0, "\n{card}");
 }
 
+/// The swept paper-scope slice, by bit pattern: a change to planning,
+/// pricing or the scheduler may leave every table and figure alone and
+/// still move a sample, and then this literal moves. The same value at
+/// every worker count (the scheduler's byte-identity).
+#[test]
+fn the_paper_scope_slice_hashes_to_the_pinned_fingerprint() {
+    let fingerprint = omptune::data::slice_fingerprint(&paper_scope().batches);
+    assert_eq!(format!("{fingerprint:016x}"), "0da60ef1290f13d9");
+}
+
 /// A scorecard that cannot fail is not a gate: one row's paper value
 /// ×1.1 is a miss, and the run's code is 4.
 #[test]
