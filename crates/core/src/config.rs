@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn describe_matches_the_parents_literal() {
-        // `omptel-report` titles carry the knobs, logs the whole line.
+        // `ompprof diff` side headers carry the knobs, logs the whole line.
         let c = crate::space::ConfigSpace::new(Arch::Milan, 24).get(4861);
         let knobs = "places=ll_caches bind=unset sched=guided lib=turnaround blocktime=0 \
                      red=atomic align=128";

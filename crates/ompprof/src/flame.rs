@@ -33,9 +33,9 @@ impl Frame {
 }
 
 /// Fold an explanation into `app -> phase -> sink` frames. Phase spans
-/// come from the differential warm-timestep attribution; sink leaves
-/// are each phase's closed breakdown, so every level sums to its
-/// parent. Each phase is priced through the deterministic power model
+/// are each phase's whole-run cost, so the root is the run's virtual
+/// time; sink leaves are each phase's closed breakdown, so every level
+/// sums to its parent. Each phase is priced through the deterministic power model
 /// and its joules are spread over the sink leaves proportionally to
 /// their time share, so energy also sums to its parent.
 pub fn explanation_tree(app: &str, arch: Arch, config: &TuningConfig, e: &Explanation) -> Frame {

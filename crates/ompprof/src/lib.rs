@@ -16,7 +16,9 @@
 //! - the `ompprof` binary — `attribute` and `diff` subcommands wiring
 //!   both onto live sweeps or exported `raw_batches.json`, with a
 //!   `--check` mode that cross-validates the attribution ranking against
-//!   the logistic-regression influence ranking (paper Figs. 2–4).
+//!   the logistic-regression influence ranking (paper Figs. 2–4). `diff`
+//!   is the best-vs-worst report: the slice's time and energy gaps, and
+//!   both sides' closed sink tables.
 //!
 //! Exit codes follow the repo convention (omplint/ompfuzz/ompobs):
 //! 0 = clean, 4 = findings (ranking disagreement), 2 = usage error,

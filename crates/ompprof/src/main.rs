@@ -9,10 +9,11 @@
 //!   it as JSON, and print the marginal-cost ranking. `--check`
 //!   cross-validates the top-ranked variable against the
 //!   logistic-regression influence ranking.
-//! - `diff` — sweep the same slice the telemetry report uses, pick the
-//!   best and worst configurations by mean runtime, and render their
-//!   phase trees as folded stacks and flame-graph SVGs plus a signed
-//!   red/blue diff view.
+//! - `diff` — sweep every 50th configuration of one setting
+//!   (`sweep::ReportSlice`), pick the best and worst by mean runtime,
+//!   print the time and energy gaps of the two samples and each side's
+//!   closed sink table, and render their phase trees as folded stacks
+//!   and flame-graph SVGs plus signed red/blue diff views.
 //!
 //! Exit codes are `omptune_core::cli`'s 0/4/2/1, 4 meaning `--check`
 //! found the two rankings disagreeing.
@@ -184,19 +185,27 @@ fn cmd_attribute(args: &Cli) -> Result<u8, Error> {
     Ok(EXIT_OK)
 }
 
-fn cmd_diff(args: &Cli) -> Result<u8, Error> {
-    // omptel-report's slice, so the gap printed here is the recorded one.
-    let slice = ReportSlice::sweep(args.arch, &args.app, 50, &SweepOptions::new(4))?;
-    let (best, worst) = (slice.fastest()?, slice.slowest()?);
-    let (data, setting, seed) = (&slice.data, slice.setting, slice.spec.seed);
-    let model = slice.model();
-    let gap = slice.virtual_gap()?;
+/// `diff`'s slice: every 50th configuration, swept on 4 workers.
+const DIFF_SCOPE: usize = 50;
 
-    let best_ex = simrt::explain(args.arch, &best.config, &model, seed);
-    let worst_ex = simrt::explain(args.arch, &worst.config, &model, seed);
-    let best_tree = ompprof::explanation_tree(&args.app, args.arch, &best.config, &best_ex);
-    let worst_tree = ompprof::explanation_tree(&args.app, args.arch, &worst.config, &worst_ex);
-    let energy_gap = worst_tree.energy_j / best_tree.energy_j.max(1e-12);
+/// The best-vs-worst report over one slice.
+struct Diff {
+    /// What `diff` prints.
+    text: String,
+    /// The best and the worst sample's flame tree.
+    trees: [ompprof::Frame; 2],
+    /// The SVGs `diff` draws from them, by file name.
+    svgs: Vec<(String, String)>,
+}
+
+/// Explain the slice's fastest and slowest samples. The headline gaps
+/// are the samples' own `virtual_ns` and `energy.total_j` ratios; each
+/// side's sink table and flame tree come from one [`simrt::explain`] of
+/// its configuration.
+fn diff(slice: &ReportSlice) -> Result<Diff, String> {
+    let (arch, app, data) = (slice.arch, slice.app.name, &slice.data);
+    let (gap, energy_gap) = (slice.virtual_gap()?, slice.energy_gap()?);
+    let model = slice.model();
 
     // Attribution over the same slice names the variable the flame
     // graph subtitle blames.
@@ -207,44 +216,69 @@ fn cmd_diff(args: &Cli) -> Result<u8, Error> {
         .map(|f| f.env_name().to_string())
         .unwrap_or_else(|| "n/a".to_string());
 
+    let slug = format!("{}/{app} t={}", arch.id(), slice.setting.num_threads);
+    let explain = |side: &str, sample: &sweep::RawSample| {
+        let e = simrt::explain(arch, &sample.config, &model, slice.spec.seed);
+        let speedup = data.speedup(sample);
+        let table = format!(
+            "\n== {side:<5} speedup {speedup:.2}x | {} ==\n{}",
+            sample.config.describe_knobs(),
+            e.render()
+        );
+        let tree = ompprof::explanation_tree(app, arch, &sample.config, &e);
+        let subtitle = format!("speedup {speedup:.2}x | top variable {top}");
+        let svg = ompprof::svg(&tree, &format!("{side} {slug}"), &subtitle);
+        (
+            table,
+            (format!("flame_{side}.svg"), svg),
+            tree,
+            e.ranked_sinks()[0].0,
+        )
+    };
+    let (best_table, best_svg, best, _) = explain("best", slice.fastest()?);
+    let (worst_table, worst_svg, worst, worst_top) = explain("worst", slice.slowest()?);
+    let diff_svg = ompprof::diff_svg(
+        &best,
+        &worst,
+        &format!("worst vs best {slug}"),
+        &format!("best-vs-worst {gap:.2}x virtual-time gap | top variable {top}"),
+    );
+    let energy_diff_svg = ompprof::energy_diff_svg(
+        &best,
+        &worst,
+        &format!("worst vs best {slug} (energy)"),
+        &format!("best-vs-worst {energy_gap:.2}x modeled-energy gap | time layout, joule colors"),
+    );
+    let text = format!(
+        "ompprof diff {slug}: best-vs-worst: {gap:.2}x virtual-time gap, {energy_gap:.2}x \
+         modeled-energy gap; worst config dominated by {} (top variable {top})\n\
+         {best_table}{worst_table}",
+        worst_top.label()
+    );
+    Ok(Diff {
+        text,
+        trees: [best, worst],
+        svgs: vec![
+            best_svg,
+            worst_svg,
+            ("flame_diff.svg".to_string(), diff_svg),
+            ("flame_energy_diff.svg".to_string(), energy_diff_svg),
+        ],
+    })
+}
+
+fn cmd_diff(args: &Cli) -> Result<u8, Error> {
+    let slice = ReportSlice::sweep(args.arch, &args.app, DIFF_SCOPE, &SweepOptions::new(4))?;
+    let diff = diff(&slice)?;
     let dir = std::path::Path::new(&args.out_dir);
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", args.out_dir))?;
-    let write = |name: &str, text: String| -> Result<(), String> {
-        std::fs::write(dir.join(name), text)
-            .map_err(|e| format!("cannot write {}/{name}: {e}", args.out_dir))
-    };
-    let slug = format!("{}/{} t={}", args.arch.id(), args.app, setting.num_threads);
-    for (side, tree, sample) in [("best", &best_tree, best), ("worst", &worst_tree, worst)] {
-        write(&format!("{side}.folded"), ompprof::folded(tree))?;
-        let subtitle = format!("speedup {:.2}x | top variable {top}", data.speedup(sample));
-        let svg = ompprof::svg(tree, &format!("{side} {slug}"), &subtitle);
-        write(&format!("flame_{side}.svg"), svg)?;
+    let folded = ["best", "worst"].iter().zip(&diff.trees);
+    let folded = folded.map(|(side, tree)| (format!("{side}.folded"), ompprof::folded(tree)));
+    for (name, text) in folded.chain(diff.svgs) {
+        std::fs::write(dir.join(&name), text)
+            .map_err(|e| format!("cannot write {}/{name}: {e}", args.out_dir))?;
     }
-    write(
-        "flame_diff.svg",
-        ompprof::diff_svg(
-            &best_tree,
-            &worst_tree,
-            &format!("worst vs best {slug}"),
-            &format!("best-vs-worst {gap:.2}x virtual-time gap | top variable {top}"),
-        ),
-    )?;
-    write(
-        "flame_energy_diff.svg",
-        ompprof::energy_diff_svg(
-            &best_tree,
-            &worst_tree,
-            &format!("worst vs best {slug} (energy)"),
-            &format!(
-                "best-vs-worst {energy_gap:.2}x modeled-energy gap | time layout, joule colors"
-            ),
-        ),
-    )?;
-
-    println!(
-        "ompprof diff {slug}: best-vs-worst: {gap:.2}x virtual-time gap, \
-         {energy_gap:.2}x modeled-energy gap (top variable {top})"
-    );
+    print!("{}", diff.text);
     println!(
         "wrote {}/{{best,worst}}.folded, flame_{{best,worst,diff}}.svg, and flame_energy_diff.svg",
         args.out_dir
@@ -264,6 +298,52 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use omptune_core::Arch;
+    use sweep::{ReportSlice, SweepOptions};
+
+    /// `diff milan cg` prints one time gap and one energy gap, both the
+    /// slice's own sample ratios; each flame root is its sample's whole
+    /// run; and both sides' sink tables are printed.
+    #[test]
+    fn the_diff_report_reads_the_slices_own_samples() {
+        let slice = ReportSlice::sweep(Arch::Milan, "cg", super::DIFF_SCOPE, &SweepOptions::new(4))
+            .unwrap();
+        let diff = super::diff(&slice).unwrap();
+        let (gap, energy_gap) = (slice.virtual_gap().unwrap(), slice.energy_gap().unwrap());
+        let headline = format!(
+            "best-vs-worst: {gap:.2}x virtual-time gap, {energy_gap:.2}x modeled-energy gap;"
+        );
+        let first = diff.text.lines().next().unwrap();
+        assert!(
+            first.contains(&headline),
+            "{headline:?} does not head\n{}",
+            diff.text
+        );
+        let samples = [slice.fastest().unwrap(), slice.slowest().unwrap()];
+        for (tree, sample) in diff.trees.iter().zip(samples) {
+            let want = sample.telemetry.virtual_ns;
+            assert!(
+                (tree.value_ns - want).abs() <= 1e-9 * want,
+                "flame root {} against the sample's {want}",
+                tree.value_ns
+            );
+        }
+        let (best, worst) = diff.text.split_once("\n== worst").expect("a worst side");
+        let (_, best) = best.split_once("\n== best ").expect("a best side");
+        for (table, sample) in [best, worst].into_iter().zip(samples) {
+            let speedup = format!(" speedup {:.2}x | ", slice.data.speedup(sample));
+            assert!(
+                table.starts_with(&speedup),
+                "{speedup:?} does not head\n{table}"
+            );
+            assert_eq!(table.matches("top time sink: ").count(), 1, "{table}");
+            for sink in omptel::Sink::ALL {
+                let row = format!("\n  {:<30} ", sink.label());
+                assert!(table.contains(&row), "no {sink:?} row:\n{table}");
+            }
+        }
+    }
+
     #[test]
     fn a_command_line_is_a_profile_job_or_a_usage_error() {
         omptune_core::cli::check_parse(

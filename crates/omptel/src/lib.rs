@@ -27,7 +27,6 @@ pub mod hist;
 pub mod metrics;
 pub mod monitor;
 pub mod progress;
-pub mod report;
 pub mod ring;
 pub mod schema;
 pub mod span;
@@ -41,7 +40,6 @@ pub use metrics::{
 };
 pub use monitor::{monitoring, BodyFn, Monitor, Route};
 pub use progress::Progress;
-pub use report::{explain, render, render_pair, Explanation};
 pub use ring::{
     live_ring_stats, tracing, EventKind, FlightRecording, Recorder, ThreadTrace, TraceEvent,
 };

@@ -266,8 +266,7 @@ impl Progress {
         let lat = self.lat.snapshot();
         if !lat.is_empty() {
             let q = |b: Option<crate::hist::QuantileBound>| {
-                b.map(|b| crate::report::fmt_ns(b.mid()))
-                    .unwrap_or_default()
+                b.map(|b| fmt_ns(b.mid() as f64)).unwrap_or_default()
             };
             line.push_str(&format!(
                 " lat p50 {} p95 {} p99 {}",
@@ -286,6 +285,20 @@ impl Progress {
             Sink::Buffer(lines) => Some(lines.clone()),
             _ => None,
         }
+    }
+}
+
+/// Two decimals of the largest unit of `s`, `ms` and `µs` that `ns`
+/// reaches, whole nanoseconds below one microsecond.
+pub fn fmt_ns(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.2} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.2} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.2} µs", ns / 1e3)
+    } else {
+        format!("{ns:.0} ns")
     }
 }
 

@@ -224,7 +224,8 @@ impl Sink {
         Sink::Imbalance,
     ];
 
-    /// Human-readable label used by `omptel-report`.
+    /// Human-readable label: the rows of `simrt::Explanation::render`'s
+    /// sink table.
     pub fn label(self) -> &'static str {
         match self {
             Sink::Compute => "compute",

@@ -115,24 +115,6 @@ impl Summary {
             self.sink_ns(sink) as f64 / self.total_ns as f64
         }
     }
-
-    /// Fraction of region time lost to barrier/imbalance waiting.
-    pub fn imbalance_ratio(&self) -> f64 {
-        self.sink_fraction(Sink::Imbalance)
-    }
-
-    /// Steal success rate `steals / (steals + steal_fails)`; `None` when
-    /// the run had no steal attempts.
-    pub fn steal_efficiency(&self) -> Option<f64> {
-        use crate::schema::Counter;
-        let ok = self.counters.get(Counter::Steals);
-        let fail = self.counters.get(Counter::StealFails);
-        if ok + fail == 0 {
-            None
-        } else {
-            Some(ok as f64 / (ok + fail) as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,15 +145,14 @@ mod tests {
     }
 
     #[test]
-    fn dominant_sink_and_ratios() {
+    fn dominant_sink_and_fraction() {
         let s = run(100.0, 20.0, 80.0);
         assert_eq!(s.dominant_sink(), Sink::Imbalance);
-        assert!((s.imbalance_ratio() - 0.8).abs() < 1e-12);
-        assert_eq!(s.steal_efficiency(), None);
+        assert!((s.sink_fraction(Sink::Imbalance) - 0.8).abs() < 1e-12);
     }
 
     #[test]
-    fn counters_merge_into_the_steal_efficiency() {
+    fn counters_merge_element_wise() {
         let mut s = run(10.0, 10.0, 0.0);
         s.add_counters(&CounterSnapshot {
             values: vec![1, 5, 5],
@@ -180,7 +161,6 @@ mod tests {
             values: vec![0, 5, 0],
         });
         assert_eq!(s.regions, 1);
-        assert_eq!(s.counters.values[1], 10);
-        assert_eq!(s.steal_efficiency(), Some(10.0 / 15.0));
+        assert_eq!(s.counters.values, vec![1, 10, 5]);
     }
 }

@@ -413,41 +413,42 @@ impl RegionPlan {
         policy: omptune_core::WaitPolicy,
     ) -> PricedStep {
         let step = &self.steps[idx];
-        let t = tuning.num_threads;
         let mut bd = TimeBreakdown::default();
         let mut total = 0.0f64;
         for phase in &step.phases {
-            match phase {
-                PhasePlan::Serial { ns } => {
-                    total += ns;
-                    bd.serial_ns += ns;
-                }
-                PhasePlan::Region {
-                    kind,
-                    planned,
-                    reductions,
-                    idle_before,
-                } => {
-                    let wake = costs::region_wake_ns(machine, policy, *idle_before, t);
-                    let fork = costs::fork_ns(t);
-                    let span = match kind {
-                        RegionKind::Tasks => price_tasks(planned, tuning, machine, &mut bd),
-                        RegionKind::Loop => {
-                            price_loop(planned, *reductions, tuning, machine, &mut bd)
-                        }
-                    };
-                    bd.wake_ns += wake;
-                    bd.sync_ns += fork;
-                    omptel::add(omptel::Counter::Regions, 1);
-                    total += wake + fork + span;
-                }
-            }
+            total += price_phase(phase, tuning, machine, policy, &mut bd);
         }
         PricedStep {
             ns: total,
             bd,
             regions: step.regions,
         }
+    }
+
+    /// Each model phase's whole-run cost, in model order: its cold-step
+    /// price plus `timesteps - 1` times its warm-step price, each priced
+    /// into a fresh breakdown. The phases sum to [`RegionPlan::price`]'s
+    /// total up to rounding (the steps' own sums run in another order).
+    pub(crate) fn price_by_phase(&self, tuning: &TuningConfig) -> Vec<(f64, TimeBreakdown)> {
+        let machine = self.shared.machine();
+        let policy = tuning.wait_policy();
+        let reps = self.shared.timesteps.saturating_sub(1) as f64;
+        let priced = |phase: &PhasePlan| {
+            let mut bd = TimeBreakdown::default();
+            (price_phase(phase, tuning, machine, policy, &mut bd), bd)
+        };
+        let warm = self.steps.get(1);
+        let cold = self.steps[0].phases.iter().enumerate();
+        cold.map(|(i, phase)| {
+            let (mut ns, mut bd) = priced(phase);
+            if let Some(warm) = warm {
+                let (warm_ns, warm_bd) = priced(&warm.phases[i]);
+                ns += warm_ns * reps;
+                bd.add_scaled(&warm_bd, reps);
+            }
+            (ns, bd)
+        })
+        .collect()
     }
 
     /// Price the plan for every configuration in `tunings` at once,
@@ -628,6 +629,41 @@ impl RegionPlan {
                 breakdown: bd,
                 regions: s0_regions + s1_regions,
             });
+        }
+    }
+}
+
+/// Price one phase of a planned step into `bd`, returning the virtual
+/// nanoseconds it adds to the step.
+fn price_phase(
+    phase: &PhasePlan,
+    tuning: &TuningConfig,
+    machine: &MachineDesc,
+    policy: omptune_core::WaitPolicy,
+    bd: &mut TimeBreakdown,
+) -> f64 {
+    match phase {
+        PhasePlan::Serial { ns } => {
+            bd.serial_ns += ns;
+            *ns
+        }
+        PhasePlan::Region {
+            kind,
+            planned,
+            reductions,
+            idle_before,
+        } => {
+            let t = tuning.num_threads;
+            let wake = costs::region_wake_ns(machine, policy, *idle_before, t);
+            let fork = costs::fork_ns(t);
+            let span = match kind {
+                RegionKind::Tasks => price_tasks(planned, tuning, machine, bd),
+                RegionKind::Loop => price_loop(planned, *reductions, tuning, machine, bd),
+            };
+            bd.wake_ns += wake;
+            bd.sync_ns += fork;
+            omptel::add(omptel::Counter::Regions, 1);
+            wake + fork + span
         }
     }
 }

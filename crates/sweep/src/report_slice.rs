@@ -1,7 +1,7 @@
-//! The one slice `omptel-report`, `ompprof` and `ompwatt` profile: a
-//! strided sweep of an application's largest setting on one architecture,
-//! catalog position 0, default seed. The three tools' figures (the
-//! recorded 142.76x CG/Milan gap among them) agree because they call this.
+//! The one slice `ompprof` and `ompwatt` profile: a strided sweep of an
+//! application's largest setting on one architecture, catalog position 0,
+//! default seed. The tools' figures (the recorded 142.76x CG/Milan time
+//! gap and 49.36x energy gap among them) agree because they call this.
 
 use crate::{RawSample, Scope, SettingData, SweepOptions, SweepSpec, SweepStats};
 use omptune_core::Arch;
@@ -67,6 +67,14 @@ impl ReportSlice {
     /// their noiseless `virtual_ns`: the one gap figure the reports print.
     pub fn virtual_gap(&self) -> Result<f64, String> {
         Ok(self.slowest()?.telemetry.virtual_ns / self.fastest()?.telemetry.virtual_ns)
+    }
+
+    /// The best-vs-worst modeled-energy gap, `slowest` over `fastest` by
+    /// their own `energy.total_j`: the one energy gap figure the reports
+    /// print.
+    pub fn energy_gap(&self) -> Result<f64, String> {
+        let joules = |s: &RawSample| s.telemetry.energy.total_j;
+        Ok(joules(self.slowest()?) / joules(self.fastest()?))
     }
 
     /// The simulation model of the slice's (architecture, setting).

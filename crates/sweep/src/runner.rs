@@ -148,14 +148,6 @@ impl SampleTelemetry {
     pub fn fold_into(&self, s: &mut omptel::Summary) {
         s.add_aggregate(self.virtual_ns, &self.breakdown, self.regions);
     }
-
-    /// This sample alone as a telemetry summary: where its time went, as
-    /// the reports explain it.
-    pub fn summary(&self) -> omptel::Summary {
-        let mut s = omptel::Summary::default();
-        self.fold_into(&mut s);
-        s
-    }
 }
 
 /// One raw sample: a configuration with its repeated "measurements"

@@ -1,5 +1,6 @@
-//! Cost-attribution scenario: explain where a configuration's time goes,
-//! phase by phase and category by category, before and after tuning.
+//! Cost-attribution scenario: explain where a configuration's time goes
+//! over the whole run, phase by phase and sink by sink, before and after
+//! tuning.
 //!
 //! Run with: `cargo run --release --example explain -- [app] [arch]`
 //! (defaults: mg on a64fx — the wake-up-dominated case)

@@ -202,10 +202,11 @@ echo "sentinel clean on identical history, change-point + drift + blame on the p
 
 # ompprof smoke: the top attributed variable of a strided CG/Milan sweep
 # must agree with the logistic-regression influence ranking (--check:
-# exit 4 if not), and `diff` must still print the recorded 142.76x gap.
+# exit 4 if not), and `diff` must still print the recorded 142.76x time
+# gap, the samples' 49.36x energy gap and the worst side's top sink.
 # The artifacts' shape (schema markers, folded-stack lines, SVG prologue
 # and epilogue) is held by ompprof's, ompwatt's and ompobs's own tests.
-banner "ompprof smoke (attribution vs logreg, foreign dataset, 142.76x gap)"
+banner "ompprof smoke (attribution vs logreg, foreign dataset, 142.76x time and 49.36x energy gap)"
 step cargo run --release -p ompprof -- attribute milan cg --check \
     --out "$coherence_dir/profile.json"
 # A dataset is outside input: one sample with an alignment no
@@ -225,6 +226,10 @@ diff_out="$(cargo run --release -q -p ompprof -- diff milan cg \
     --out-dir "$coherence_dir/flame")"
 echo "$diff_out"
 need <(echo "$diff_out") '142\.76x' "ompprof diff lost the recorded 142.76x CG/Milan gap"
+need <(echo "$diff_out") '49\.36x modeled-energy gap' \
+    "ompprof diff lost the samples' 49.36x CG/Milan energy gap"
+need <(echo "$diff_out") 'worst config dominated by barrier/imbalance wait' \
+    "ompprof diff no longer names barrier/imbalance wait as the worst side's top sink"
 
 # Energy disagreement gate: the headline ompwatt claim — at least one
 # architecture's energy-optimal configuration differs from its

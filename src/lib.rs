@@ -16,15 +16,16 @@
 //! - [`arch`] (`archsim`) — machine models of the three studied CPUs and
 //!   the deterministic virtual-time substrate;
 //! - [`sim`] (`simrt`) — the simulated runtime that executes workload
-//!   models under a tuning configuration in virtual time;
+//!   models under a tuning configuration in virtual time, and explains a
+//!   run phase by phase and sink by sink (`simrt::explain`);
 //! - [`apps`] (`workloads`) — the paper's 15 benchmarks, as calibrated
 //!   simulation models *and* verified real kernels;
 //! - [`data`] (`sweep`) — the 240k-sample data-collection harness;
 //! - [`stats`] (`mlstats`) — Wilcoxon, violins, linear & logistic
 //!   regression;
 //! - [`tel`] (`omptel`) — OMPT-style telemetry: runtime counters, the
-//!   closed time breakdown, the flight recorder and its Chrome-trace
-//!   exporter, and the `omptel-report` "why was this slow" analysis.
+//!   closed time breakdown, and the flight recorder and its Chrome-trace
+//!   exporter.
 //!
 //! ## Quickstart
 //!

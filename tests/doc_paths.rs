@@ -1,6 +1,6 @@
 //! Doc lint: a repository path the prose cites in backticks must exist,
 //! a `--bench NAME` must be a bench target, a `BENCH_*.json` a committed
-//! baseline, a `--flag` given to one of the eleven tools a literal in
+//! baseline, a `--flag` given to one of the ten tools a literal in
 //! that tool's source, and a `crate::item` path under a workspace crate
 //! an item that crate's source defines. The docs outlive the files and
 //! items they describe — a crate folded into another, a test renamed, a
@@ -32,7 +32,7 @@ fn cited_bench(span: &str) -> (Option<&str>, Option<&str>) {
 }
 
 /// The source file of the tool `word` names (bare, or ending a path such
-/// as `target/release/collect`), if it names one of the eleven: a crate
+/// as `target/release/collect`), if it names one of the ten: a crate
 /// with a `main.rs`, or a `sweep` / `bench-harness` `src/bin` file.
 fn tool_source(word: &str) -> Option<String> {
     let tool = word.rsplit('/').next()?;
