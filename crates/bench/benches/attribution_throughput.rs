@@ -8,8 +8,9 @@
 //!   byte-identical to the whole-slice fold (asserted every run, smoke
 //!   and full);
 //! - streaming the logistic influence tracker from the sweep's batch
-//!   observer — what `collect --monitor` does to serve `/influence` —
-//!   costs one `LiveInfluence::observe` per usable sample
+//!   observer — what every `collect` run does, so that `--monitor` can
+//!   show the ranking on `/metrics` — costs one `LiveInfluence::observe`
+//!   per usable sample
 //!   (`influence_observe_s`, timed in isolation; the count is tier-1's
 //!   `tests/observer_counts.rs`). The observed and plain sweeps are timed
 //!   too, and `influence_overhead` is their informational quotient.

@@ -272,7 +272,6 @@ pub struct LiveInfluence {
     /// Running sum of squared deviations per feature (Welford M2).
     m2: Vec<f64>,
     observed: u64,
-    optimal: u64,
 }
 
 impl Default for LiveInfluence {
@@ -289,7 +288,6 @@ impl LiveInfluence {
             mean: vec![0.0; d],
             m2: vec![0.0; d],
             observed: 0,
-            optimal: 0,
         }
     }
 
@@ -302,9 +300,6 @@ impl LiveInfluence {
         let x = encode_env_features(config);
         self.observed += 1;
         let y = speedup > OPTIMAL_SPEEDUP_THRESHOLD;
-        if y {
-            self.optimal += 1;
-        }
         let n = self.observed as f64;
         let mut z = vec![0.0; x.len()];
         for i in 0..x.len() {
@@ -326,15 +321,6 @@ impl LiveInfluence {
         self.observed
     }
 
-    /// Fraction of observed samples labelled optimal.
-    pub fn optimal_fraction(&self) -> f64 {
-        if self.observed == 0 {
-            0.0
-        } else {
-            self.optimal as f64 / self.observed as f64
-        }
-    }
-
     /// Current influence per variable, in [`Variable::ALL`] order. Sums
     /// to 1 once any signal exists (all-zero before).
     pub fn influence(&self) -> Vec<(Variable, f64)> {
@@ -342,41 +328,6 @@ impl LiveInfluence {
             .into_iter()
             .zip(self.model.normalized_influence())
             .collect()
-    }
-
-    /// The variable with the largest current influence (`None` before
-    /// any signal), ties broken by presentation order.
-    pub fn top(&self) -> Option<Variable> {
-        let infl = self.influence();
-        let (f, v) = infl
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(std::cmp::Ordering::Greater))?;
-        (v > 0.0).then_some(f)
-    }
-
-    /// The `/influence` JSON document: sample counts plus the current
-    /// per-variable influence map and top variable.
-    pub fn json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"samples\":{},\"optimal_fraction\":{:.6},\"influence\":{{",
-            self.observed,
-            self.optimal_fraction()
-        ));
-        for (i, (f, v)) in self.influence().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{:.6}", f.env_name(), v));
-        }
-        out.push_str("},\"top\":");
-        match self.top() {
-            Some(f) => out.push_str(&format!("\"{}\"", f.env_name())),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -637,7 +588,6 @@ mod tests {
                 live.observe(&rec.config, rec.speedup);
             }
         }
-        assert_eq!(live.top(), Some(Variable::Library));
         let infl = live.influence();
         let library = infl
             .iter()
@@ -656,14 +606,13 @@ mod tests {
         live.observe(&config, f64::NAN);
         live.observe(&config, f64::INFINITY);
         assert_eq!(live.samples(), 0);
-        assert_eq!(live.top(), None);
+        assert!(live.influence().iter().all(|(_, v)| *v == 0.0));
         live.observe(&config, 2.0);
         assert_eq!(live.samples(), 1);
-        assert_eq!(live.optimal_fraction(), 1.0);
     }
 
     #[test]
-    fn live_influence_is_deterministic_and_serializes() {
+    fn live_influence_is_deterministic() {
         let feed = library_dominated_records();
         let mut a = LiveInfluence::new();
         let mut b = LiveInfluence::new();
@@ -672,11 +621,6 @@ mod tests {
             b.observe(&rec.config, rec.speedup);
         }
         assert_eq!(a, b);
-        let doc = a.json();
-        assert!(doc.starts_with('{') && doc.ends_with('}'));
-        assert!(doc.contains("\"samples\":"));
-        assert!(doc.contains("\"KMP_LIBRARY\":"));
-        assert!(doc.contains("\"top\":"));
     }
 
     #[test]

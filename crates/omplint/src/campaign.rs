@@ -81,34 +81,6 @@ impl Campaign {
         self.schedules_pruned += 1;
     }
 
-    /// Fold another campaign (e.g. a worker shard) into this one.
-    pub fn merge(&mut self, other: &Campaign) {
-        self.programs += other.programs;
-        self.schedules_run += other.schedules_run;
-        self.schedules_pruned += other.schedules_pruned;
-        self.clean += other.clean;
-        self.failing += other.failing;
-        for (rule, n) in &other.rules_fired {
-            *self.rules_fired.entry(rule.clone()).or_insert(0) += n;
-        }
-        let s = &other.totals;
-        let t = &mut self.totals;
-        t.events += s.events;
-        t.threads += s.threads;
-        t.regions += s.regions;
-        t.barriers += s.barriers;
-        t.episodes_completed += s.episodes_completed;
-        t.tasks += s.tasks;
-        t.steals += s.steals;
-        t.locks += s.locks;
-        t.locations += s.locations;
-        t.loops += s.loops;
-        t.chunks += s.chunks;
-        t.conds += s.conds;
-        t.notifies += s.notifies;
-        t.parks += s.parks;
-    }
-
     /// Every replayed schedule certified clean.
     pub fn is_clean(&self) -> bool {
         self.failing == 0
@@ -166,23 +138,6 @@ mod tests {
         // campaign counts the rule once for the trace.
         c.record(&check_trace(&fixtures::broken_barrier_trace()));
         assert_eq!(c.rules_fired.get("B-EARLY-RELEASE"), Some(&1));
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let mut a = Campaign::new();
-        a.add_program();
-        a.record(&check_trace(&fixtures::correct_barrier_trace()));
-        let mut b = Campaign::new();
-        b.add_program();
-        b.record(&check_trace(&fixtures::lost_wakeup_trace()));
-        b.record_pruned();
-        a.merge(&b);
-        assert_eq!(a.programs, 2);
-        assert_eq!(a.schedules_run, 2);
-        assert_eq!(a.schedules_pruned, 1);
-        assert_eq!(a.failing, 1);
-        assert_eq!(a.rules_fired.get("D-LOST-WAKEUP"), Some(&1));
     }
 
     #[test]

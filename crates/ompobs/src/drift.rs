@@ -2,8 +2,10 @@
 //! directories' `tsdb/` rings.
 //!
 //! Each run directory (as written by `collect`) carries a `tsdb/` of
-//! ring-file series; the two runs are paired series-by-series by name,
-//! and a series one run lacks is a row of its own.
+//! ring-file series. The two runs are paired on the per-stratum names
+//! ([`sweep::series::all_stratum_series`]): a name neither run recorded
+//! is no row, one that only one run recorded is a row that drifts, and
+//! any other ring in the directory is not read.
 
 use serde::Serialize;
 use std::io;
@@ -11,6 +13,7 @@ use std::path::Path;
 
 use crate::{compare, SeriesPair, SeriesRow};
 use omptel::tsdb::Tsdb;
+use sweep::series::all_stratum_series;
 
 /// Context of one run directory, from its `manifest.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -50,23 +53,23 @@ pub struct DriftReport {
     pub run_b: RunContext,
     /// Family-wise significance level the gate ran at.
     pub alpha: f64,
-    /// Size of the Holm family (gating, testable, non-identical rows).
+    /// Size of the Holm family (testable, non-identical rows).
     pub family: usize,
     pub rows: Vec<SeriesRow>,
-    /// The verdict: any gating row drifted.
+    /// The verdict: any row drifted.
     pub drift: bool,
 }
 
-/// Compare two run directories' time-series. `alpha` is the
-/// family-wise level for the gating family (0.05 is the paper's).
+/// Compare two run directories' per-stratum series. `alpha` is the
+/// family-wise level (0.05 is the paper's).
 pub fn drift_report(dir_a: &Path, dir_b: &Path, alpha: f64) -> io::Result<DriftReport> {
     let tsdb_a = dir_a.join("tsdb");
     let tsdb_b = dir_b.join("tsdb");
     let series_a = Tsdb::series(&tsdb_a)?;
     let series_b = Tsdb::series(&tsdb_b)?;
-    let mut names = [series_a.as_slice(), series_b.as_slice()].concat();
-    names.sort();
-    names.dedup();
+    let names = all_stratum_series()
+        .into_iter()
+        .filter(|name| series_a.contains(name) || series_b.contains(name));
 
     let values = |tsdb: &Path, recorded: &[String], series: &String| -> io::Result<_> {
         if !recorded.contains(series) {
@@ -76,7 +79,6 @@ pub fn drift_report(dir_a: &Path, dir_b: &Path, alpha: f64) -> io::Result<DriftR
         Ok(Some(points.iter().map(omptel::Point::value).collect()))
     };
     let pairs = names
-        .into_iter()
         .map(|series| {
             Ok(SeriesPair {
                 a: values(&tsdb_a, &series_a, &series)?,
@@ -110,7 +112,7 @@ impl DriftReport {
             fmt_opt(self.run_b.seed),
         ));
         out.push_str(&format!(
-            "alpha {} (Holm over {} gating tests)\n\n",
+            "alpha {} (Holm over {} tests)\n\n",
             self.alpha, self.family
         ));
         out.push_str(&format!(
@@ -119,10 +121,10 @@ impl DriftReport {
         ));
         for r in &self.rows {
             let note = if r.note.is_empty() { "-" } else { &r.note };
-            let verdict = match (r.drift, r.gating) {
-                (true, _) => "DRIFT".to_string(),
-                (false, true) => format!("OK ({note})"),
-                (false, false) => format!("info ({note})"),
+            let verdict = if r.drift {
+                "DRIFT".to_string()
+            } else {
+                format!("OK ({note})")
             };
             out.push_str(&format!(
                 "{:<28} {:>5} {:>12} {:>12} {:>9} {:>9}  {}\n",
@@ -213,43 +215,53 @@ mod tests {
         let values: Vec<f64> = (0..40).map(|i| 1000.0 + i as f64).collect();
         for dir in [a, b] {
             write_series(dir, "skylake/virt/s0", &values);
-            write_series(dir, "skylake/wall/sample_ns", &values);
         }
         let report = drift_report(a, b, 0.05).unwrap();
         assert!(!report.drift);
         assert_eq!(report.family, 0, "identical rows leave the family empty");
         let gate = row(&report, "skylake/virt/s0");
-        assert!(gate.identical && gate.gating && !gate.drift);
+        assert!(gate.identical && !gate.drift);
         assert!(report.render().contains("VERDICT: OK"));
     }
 
     #[test]
-    fn systematic_slowdown_is_drift_wall_noise_is_not() {
+    fn a_stray_ring_beside_the_strata_is_not_read() {
+        // A run directory an older `collect` wrote into still holds its
+        // wall-clock ring; against a clean twin only the strata pair up.
+        let Runs { a, b } = &runs("stray");
+        let values: Vec<f64> = (0..40).map(|i| 1000.0 + i as f64).collect();
+        let wall: Vec<f64> = (0..40).map(|i| 500.0 + ((i * 7) % 13) as f64).collect();
+        for dir in [a, b] {
+            write_series(dir, "skylake/virt/s0", &values);
+            write_series(dir, "skylake/energy/s0", &values);
+        }
+        write_series(a, "skylake/wall/sample_ns", &wall);
+        let report = drift_report(a, b, 0.05).unwrap();
+        assert!(!report.drift, "{}", report.render());
+        let names: Vec<&str> = report.rows.iter().map(|r| r.series.as_str()).collect();
+        assert_eq!(names, ["skylake/virt/s0", "skylake/energy/s0"]);
+        assert!(report.render().contains("VERDICT: OK"));
+    }
+
+    #[test]
+    fn systematic_slowdown_is_drift() {
         let Runs { a, b } = &runs("slow");
         let base: Vec<f64> = (0..40).map(|i| 1000.0 + (i as f64) * 3.0).collect();
         let slowed: Vec<f64> = base.iter().map(|v| v * 1.05).collect();
-        // Wall series differs randomly in sign — real runs always do.
-        let wall_a: Vec<f64> = (0..40).map(|i| 500.0 + ((i * 7) % 13) as f64).collect();
-        let wall_b: Vec<f64> = (0..40).map(|i| 500.0 + ((i * 11) % 13) as f64).collect();
         write_series(a, "skylake/virt/s0", &base);
         write_series(b, "skylake/virt/s0", &slowed);
-        write_series(a, "skylake/wall/sample_ns", &wall_a);
-        write_series(b, "skylake/wall/sample_ns", &wall_b);
         let report = drift_report(a, b, 0.05).unwrap();
         assert!(report.drift, "{}", report.render());
         let gate = row(&report, "skylake/virt/s0");
         assert!(gate.drift);
         assert!(gate.p_holm.unwrap() < 0.05);
-        let wall = row(&report, "skylake/wall/sample_ns");
-        assert!(!wall.gating && !wall.drift, "wall series must not gate");
     }
 
     #[test]
     fn energy_only_shift_is_drift() {
         // The two-run twin of the sentinel's
         // `energy_only_shift_is_a_change_point`: same virtual time,
-        // 5% more joules. Only the stratum energy series may flag; the
-        // per-arch energy totals repeat them and stay informational.
+        // 5% more joules. Only the stratum energy series may flag.
         let Runs { a, b } = &runs("energy");
         let virt: Vec<f64> = (0..40).map(|i| 1000.0 + (i as f64) * 3.0).collect();
         let joules: Vec<f64> = virt.iter().map(|v| v * 0.002).collect();
@@ -257,15 +269,11 @@ mod tests {
         for (dir, energy) in [(a, &joules), (b, &more)] {
             write_series(dir, "a64fx/virt/s0", &virt);
             write_series(dir, "a64fx/energy/s0", energy);
-            write_series(dir, "a64fx/energy/joules", &[energy.iter().sum()]);
         }
         let report = drift_report(a, b, 0.05).unwrap();
         assert!(report.drift, "{}", report.render());
         assert!(row(&report, "a64fx/virt/s0").identical);
-        let energy = row(&report, "a64fx/energy/s0");
-        assert!(energy.gating && energy.drift);
-        let total = row(&report, "a64fx/energy/joules");
-        assert!(!total.gating && !total.drift, "totals must not gate");
+        assert!(row(&report, "a64fx/energy/s0").drift);
         assert_eq!(report.family, 1);
     }
 
@@ -276,20 +284,15 @@ mod tests {
         write_series(a, "skylake/virt/s0", &values);
         write_series(a, "skylake/virt/s1", &values);
         write_series(b, "skylake/virt/s0", &values);
-        // An informational series missing from A must not gate.
-        write_series(b, "skylake/rate/steal", &values);
+        write_series(b, "milan/energy/s7", &values);
         let report = drift_report(a, b, 0.05).unwrap();
         assert!(report.drift);
-        let missing = row(&report, "skylake/virt/s1");
-        assert!(missing.drift);
-        assert!(
-            missing.note.contains("missing in run B"),
-            "{}",
-            missing.note
-        );
-        let info = row(&report, "skylake/rate/steal");
-        assert!(!info.drift);
-        assert!(info.note.contains("missing in run A"), "{}", info.note);
+        for (series, side) in [("skylake/virt/s1", "B"), ("milan/energy/s7", "A")] {
+            let missing = row(&report, series);
+            assert!(missing.drift, "{series}");
+            let note = &missing.note;
+            assert!(note.contains(&format!("missing in run {side}")), "{note}");
+        }
     }
 
     #[test]
@@ -328,13 +331,7 @@ mod tests {
         assert_eq!(report.run_b.scope, "?", "the comparison still runs");
         assert_eq!(report.run_b.seed, None);
         let json = serde_json::to_string_pretty(&report).unwrap();
-        for field in [
-            "\"run_a\"",
-            "\"family\"",
-            "\"gating\"",
-            "\"drift\"",
-            "\"note\"",
-        ] {
+        for field in ["\"run_a\"", "\"family\"", "\"drift\"", "\"note\""] {
             assert!(json.contains(field), "{field} missing from {json}");
         }
         assert!(json.contains("skylake/virt/s0"), "{json}");

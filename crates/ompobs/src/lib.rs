@@ -7,8 +7,8 @@
 //! gate over named series pairs, and everything else here feeds it or
 //! reads its verdict:
 //!
-//! - [`drift`] — two run directories by hand: every series of the two
-//!   `tsdb/` ring directories `collect` wrote, paired by name.
+//! - [`drift`] — two run directories by hand: the per-stratum series of
+//!   the two `tsdb/` ring directories `collect` wrote, paired by name.
 //! - [`sentinel`] — the N-run change-point scan over the whole history
 //!   in a [`sweep::Registry`] (every `collect` run and bench invocation
 //!   appends a content-addressed record). Comparable runs (equal
@@ -35,7 +35,7 @@ pub mod report;
 use mlstats::holm_adjust;
 use mlstats::wilcoxon::{wilcoxon_signed_rank, WilcoxonError};
 use serde::Serialize;
-use sweep::series::{is_gating, stratum_series};
+use sweep::series::stratum_series;
 use sweep::{CollectCore, RunCore, RunRecord};
 
 pub use drift::{drift_report, DriftReport};
@@ -65,13 +65,10 @@ pub struct SeriesRow {
     pub identical: bool,
     /// Raw two-sided Wilcoxon p (absent when the test is undefined).
     pub p_raw: Option<f64>,
-    /// Holm-adjusted p; only gating, testable, non-identical rows are
-    /// in the family.
+    /// Holm-adjusted p; only testable, non-identical rows are in the
+    /// family.
     pub p_holm: Option<f64>,
-    /// Whether this row can decide the verdict
-    /// ([`sweep::series::is_gating`]).
-    pub gating: bool,
-    /// This row's call (always `false` for informational rows).
+    /// This row's call.
     pub drift: bool,
     /// Human-readable qualifier (`identical`, `missing in run B`, …).
     pub note: String,
@@ -80,26 +77,19 @@ pub struct SeriesRow {
 /// Compare every pair at family-wise level `alpha` (0.05 is the
 /// paper's): rows in input order, and the size of the Holm family.
 ///
-/// Only **gating** series ([`sweep::series`]: per-stratum virtual time
-/// and energy, deterministic given the seed) feed the verdict. Wall
-/// latency and scheduler rates legitimately vary run to run; they are
-/// reported with their p-values but never decide — a CI gate that fails
-/// on a busy runner is a gate that gets deleted.
-///
-/// One Wilcoxon test per series would be fine; dozens are not — at
-/// α = 0.05 a 24-test family flags spurious drift in most comparisons.
-/// Gating p-values are therefore Holm-adjusted and a row drifts only
-/// when its adjusted p clears `alpha`, or when it is a gating series
-/// one side lacks.
+/// Every pair gates: the callers pass per-stratum virtual time and
+/// energy ([`sweep::series`]), deterministic given the seed, and nothing
+/// that varies with the machine. One Wilcoxon test per series would be
+/// fine; dozens are not — at α = 0.05 a 24-test family flags spurious
+/// drift in most comparisons. The p-values are therefore Holm-adjusted
+/// and a row drifts only when its adjusted p clears `alpha`, or when one
+/// side lacks the series.
 pub fn compare(pairs: Vec<SeriesPair>, alpha: f64) -> (Vec<SeriesRow>, usize) {
     let mut rows: Vec<SeriesRow> = pairs.into_iter().map(compare_pair).collect();
-    // Holm family: gating rows with a defined raw p. Identical rows
-    // cannot drift and untestable rows carry no evidence; keeping them
-    // out preserves power for the tests that can actually speak.
-    let mut family: Vec<&mut SeriesRow> = rows
-        .iter_mut()
-        .filter(|r| r.gating && r.p_raw.is_some())
-        .collect();
+    // Holm family: rows with a defined raw p. Identical rows cannot
+    // drift and untestable rows carry no evidence; keeping them out
+    // preserves power for the tests that can actually speak.
+    let mut family: Vec<&mut SeriesRow> = rows.iter_mut().filter(|r| r.p_raw.is_some()).collect();
     let raw: Vec<f64> = family.iter().filter_map(|r| r.p_raw).collect();
     for (row, adjusted) in family.iter_mut().zip(holm_adjust(&raw)) {
         row.p_holm = Some(adjusted);
@@ -110,7 +100,6 @@ pub fn compare(pairs: Vec<SeriesPair>, alpha: f64) -> (Vec<SeriesRow>, usize) {
 }
 
 fn compare_pair(pair: SeriesPair) -> SeriesRow {
-    let gating = is_gating(&pair.series);
     let mut row = SeriesRow {
         series: pair.series,
         n: 0,
@@ -119,16 +108,15 @@ fn compare_pair(pair: SeriesPair) -> SeriesRow {
         identical: false,
         p_raw: None,
         p_holm: None,
-        gating,
         drift: false,
         note: String::new(),
     };
     let (a, b) = match (pair.a, pair.b) {
         (Some(a), Some(b)) => (a, b),
         (a, _) => {
-            // A gating series present on one side only means the swept
-            // space itself changed — that is drift, not noise.
-            row.drift = gating;
+            // A series present on one side only means the swept space
+            // itself changed — that is drift, not noise.
+            row.drift = true;
             row.note = format!("missing in run {}", if a.is_some() { "B" } else { "A" });
             return row;
         }

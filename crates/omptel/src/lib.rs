@@ -38,7 +38,7 @@ pub use hist::{AtomicHistogram, Histogram, QuantileBound};
 pub use metrics::{
     histogram_from_prometheus, parse_prometheus, HistogramMetric, MetricsSnapshot, PromSample,
 };
-pub use monitor::{monitoring, BodyFn, Monitor, Route};
+pub use monitor::{BodyFn, Monitor};
 pub use progress::Progress;
 pub use ring::{
     live_ring_stats, tracing, EventKind, FlightRecording, Recorder, ThreadTrace, TraceEvent,

@@ -1,20 +1,15 @@
 //! Live exposition server: a dependency-free std-TCP HTTP
 //! endpoint so a long-running sweep can be scraped mid-run.
 //!
-//! Three routes, all read-only:
+//! Two routes, both read-only:
 //!
 //! - `GET /metrics` — the [`MetricsSnapshot`](crate::MetricsSnapshot)
 //!   in Prometheus text format v0.0.4,
-//! - `GET /healthz` — liveness (`ok`),
-//! - `GET /sweep`   — caller-defined JSON status of the running sweep.
+//! - `GET /healthz` — liveness (`ok`).
 //!
-//! The server owns one background thread; each request is answered from
-//! a caller-supplied closure evaluated at scrape time, so the process
-//! under observation pays nothing between scrapes. The global
-//! [`monitoring`] gate is the same one-relaxed-load discipline as
-//! [`crate::enabled`] and [`crate::tracing`]: instrumentation that only
-//! matters to a live monitor guards on it and the unmonitored hot path
-//! costs a single relaxed load.
+//! The server owns one background thread; `/metrics` is answered from a
+//! caller-supplied closure evaluated at scrape time, so the process
+//! under observation pays nothing between scrapes.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,22 +23,11 @@ use std::time::{Duration, Instant};
 /// keep `/metrics` unanswered and [`Monitor::shutdown`] waiting.
 const HEAD_DEADLINE: Duration = Duration::from_millis(500);
 
+/// The body of every answer to a path other than the two routes.
+const NOT_FOUND: &str = "not found: this server serves GET /metrics and GET /healthz\n";
+
 /// Producer of one response body, evaluated per request.
 pub type BodyFn = Arc<dyn Fn() -> String + Send + Sync>;
-
-/// An extra read-only GET route: absolute path, content type, body
-/// producer. Registered via [`Monitor::start_with`].
-pub type Route = (String, &'static str, BodyFn);
-
-/// Is a monitor endpoint live in this process? One relaxed load.
-static MONITOR_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// Is a [`Monitor`] serving? One relaxed load — the only cost
-/// monitor-only instrumentation pays when unmonitored.
-#[inline]
-pub fn monitoring() -> bool {
-    MONITOR_ACTIVE.load(Ordering::Relaxed)
-}
 
 /// A live exposition endpoint; dropping (or [`Monitor::shutdown`])
 /// stops the server thread.
@@ -61,36 +45,14 @@ impl std::fmt::Debug for Monitor {
 
 impl Monitor {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// serve until shutdown. `metrics` feeds `/metrics`, `sweep` feeds
-    /// `/sweep`.
-    pub fn start(addr: &str, metrics: BodyFn, sweep: BodyFn) -> io::Result<Monitor> {
-        Monitor::start_with(addr, metrics, sweep, Vec::new())
-    }
-
-    /// Like [`Monitor::start`] but with extra caller-defined GET routes
-    /// (e.g. `/influence`) served alongside the built-in three.
-    pub fn start_with(
-        addr: &str,
-        metrics: BodyFn,
-        sweep: BodyFn,
-        extra: Vec<Route>,
-    ) -> io::Result<Monitor> {
-        let listener = TcpListener::bind(addr)?;
-        Monitor::serve(listener, metrics, sweep, extra)
-    }
-
-    /// Like [`Monitor::start_with`], but if `addr` is already in use,
-    /// fall back to an ephemeral port on the same host instead of
-    /// failing — a monitor is auxiliary and must never abort the sweep
-    /// it observes. Callers read the real address via [`local_addr`].
+    /// serve `/metrics` from `metrics` until shutdown. If `addr` is
+    /// already in use, fall back to an ephemeral port on the same host
+    /// instead of failing — a monitor is auxiliary and must never abort
+    /// the sweep it observes. Callers read the real address via
+    /// [`local_addr`].
     ///
     /// [`local_addr`]: Monitor::local_addr
-    pub fn start_with_fallback(
-        addr: &str,
-        metrics: BodyFn,
-        sweep: BodyFn,
-        extra: Vec<Route>,
-    ) -> io::Result<Monitor> {
+    pub fn start(addr: &str, metrics: BodyFn) -> io::Result<Monitor> {
         let listener = match TcpListener::bind(addr) {
             Ok(l) => l,
             Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
@@ -99,20 +61,10 @@ impl Monitor {
             }
             Err(e) => return Err(e),
         };
-        Monitor::serve(listener, metrics, sweep, extra)
-    }
-
-    fn serve(
-        listener: TcpListener,
-        metrics: BodyFn,
-        sweep: BodyFn,
-        extra: Vec<Route>,
-    ) -> io::Result<Monitor> {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
-        MONITOR_ACTIVE.store(true, Ordering::SeqCst);
         let handle = std::thread::Builder::new()
             .name("omptel-monitor".into())
             .spawn(move || {
@@ -125,7 +77,7 @@ impl Monitor {
                         Ok((stream, _)) => {
                             // Per-request errors (client hangup, bad
                             // request) must never kill the server.
-                            let _ = serve_one(stream, &metrics, &sweep, &extra);
+                            let _ = serve_one(stream, &metrics);
                         }
                         Err(_) if stopping => break,
                         Err(_) => std::thread::sleep(Duration::from_millis(10)),
@@ -154,7 +106,6 @@ impl Monitor {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        MONITOR_ACTIVE.store(false, Ordering::SeqCst);
     }
 }
 
@@ -168,12 +119,7 @@ impl Drop for Monitor {
 /// The request head is read until a blank line, 2 KiB, end of stream or
 /// [`HEAD_DEADLINE`] after accept — one deadline for the whole head, so a
 /// client dribbling a byte at a time cannot renew it.
-fn serve_one(
-    mut stream: TcpStream,
-    metrics: &BodyFn,
-    sweep: &BodyFn,
-    extra: &[Route],
-) -> io::Result<()> {
+fn serve_one(mut stream: TcpStream, metrics: &BodyFn) -> io::Result<()> {
     let deadline = Instant::now() + HEAD_DEADLINE;
     stream.set_write_timeout(Some(Duration::from_millis(500)))?;
     let mut buf = [0u8; 2048];
@@ -211,11 +157,7 @@ fn serve_one(
                 metrics(),
             ),
             "/healthz" => ("200 OK", "text/plain", "ok\n".into()),
-            "/sweep" => ("200 OK", "application/json", sweep()),
-            _ => match extra.iter().find(|(p, _, _)| p == path) {
-                Some((_, content_type, body)) => ("200 OK", *content_type, body()),
-                None => ("404 Not Found", "application/json", error_body(path, extra)),
-            },
+            _ => ("404 Not Found", "text/plain", NOT_FOUND.into()),
         }
     };
     let response = format!(
@@ -225,24 +167,6 @@ fn serve_one(
     );
     stream.write_all(response.as_bytes())?;
     stream.flush()
-}
-
-/// JSON error body for an unknown path: names every route this server
-/// *does* serve, so a scraper pointed at a dead route — a typo, or
-/// `/influence` on a sweep started with `--no-influence` — reads where
-/// to go instead of a bare 404.
-fn error_body(path: &str, extra: &[Route]) -> String {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut routes: Vec<String> = ["/metrics", "/healthz", "/sweep"]
-        .iter()
-        .map(|r| format!("\"{r}\""))
-        .collect();
-    routes.extend(extra.iter().map(|(p, _, _)| format!("\"{}\"", escape(p))));
-    format!(
-        "{{\"error\": \"no route {}\", \"routes\": [{}]}}\n",
-        escape(path),
-        routes.join(", ")
-    )
 }
 
 #[cfg(test)]
@@ -261,14 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn serves_all_routes_and_404() {
-        let monitor = Monitor::start(
-            "127.0.0.1:0",
-            Arc::new(|| "omptel_up 1\n".to_string()),
-            Arc::new(|| "{\"state\":\"running\"}".to_string()),
-        )
-        .expect("bind localhost");
-        assert!(monitoring());
+    fn serves_metrics_and_healthz_and_nothing_else() {
+        let monitor = Monitor::start("127.0.0.1:0", Arc::new(|| "omptel_up 1\n".to_string()))
+            .expect("bind localhost");
         let addr = monitor.local_addr();
 
         let (head, body) = get(addr, "/healthz");
@@ -279,66 +198,21 @@ mod tests {
         assert!(head.contains("version=0.0.4"), "{head}");
         assert_eq!(body, "omptel_up 1\n");
 
-        let (_, body) = get(addr, "/sweep");
-        assert_eq!(body, "{\"state\":\"running\"}");
-
-        let (head, _) = get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.0 404"), "{head}");
+        for path in [
+            "/sweep",
+            "/energy",
+            "/influence",
+            "/runs",
+            "/nope",
+            "/x%22y\"z",
+        ] {
+            let (head, body) = get(addr, path);
+            assert!(head.starts_with("HTTP/1.0 404"), "{path}: {head}");
+            assert_eq!(body, NOT_FOUND, "{path}");
+        }
 
         monitor.shutdown();
-        assert!(!monitoring());
         assert!(TcpStream::connect(addr).is_err(), "server still listening");
-    }
-
-    #[test]
-    fn extra_routes_are_served() {
-        let monitor = Monitor::start_with(
-            "127.0.0.1:0",
-            Arc::new(String::new),
-            Arc::new(String::new),
-            vec![(
-                "/influence".to_string(),
-                "application/json",
-                Arc::new(|| "{\"samples\":0}".to_string()) as BodyFn,
-            )],
-        )
-        .expect("bind localhost");
-        let addr = monitor.local_addr();
-        let (head, body) = get(addr, "/influence");
-        assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        assert!(head.contains("application/json"), "{head}");
-        assert_eq!(body, "{\"samples\":0}");
-        let (head, _) = get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.0 404"), "{head}");
-    }
-
-    #[test]
-    fn unknown_routes_get_a_json_body_listing_live_routes() {
-        let monitor = Monitor::start_with(
-            "127.0.0.1:0",
-            Arc::new(String::new),
-            Arc::new(String::new),
-            vec![(
-                "/energy".to_string(),
-                "application/json",
-                Arc::new(|| "{}".to_string()) as BodyFn,
-            )],
-        )
-        .expect("bind localhost");
-        let addr = monitor.local_addr();
-        // `/influence` was not registered (the `--no-influence` shape):
-        // the 404 body must say what IS served, as JSON.
-        let (head, body) = get(addr, "/influence");
-        assert!(head.starts_with("HTTP/1.0 404"), "{head}");
-        assert!(head.contains("application/json"), "{head}");
-        assert!(body.contains("\"error\""), "{body}");
-        assert!(body.contains("no route /influence"), "{body}");
-        for route in ["/metrics", "/healthz", "/sweep", "/energy"] {
-            assert!(body.contains(&format!("\"{route}\"")), "{body}");
-        }
-        // A path with a quote cannot break the JSON framing.
-        let (_, body) = get(addr, "/x%22y\"z");
-        assert!(body.contains("\\\""), "{body}");
     }
 
     #[test]
@@ -346,13 +220,8 @@ mod tests {
         // Occupy a port, then ask the monitor for exactly that address.
         let squatter = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let busy = squatter.local_addr().unwrap();
-        let monitor = Monitor::start_with_fallback(
-            &busy.to_string(),
-            Arc::new(String::new),
-            Arc::new(String::new),
-            Vec::new(),
-        )
-        .expect("fallback bind");
+        let monitor =
+            Monitor::start(&busy.to_string(), Arc::new(String::new)).expect("fallback bind");
         let addr = monitor.local_addr();
         assert_ne!(addr.port(), busy.port(), "fallback reused the busy port");
         assert_eq!(addr.ip(), busy.ip());
@@ -363,18 +232,14 @@ mod tests {
 
     #[test]
     fn connections_queued_before_shutdown_are_answered() {
-        let monitor = Monitor::start(
-            "127.0.0.1:0",
-            Arc::new(String::new),
-            Arc::new(|| "{\"state\":\"done\"}".to_string()),
-        )
-        .expect("bind localhost");
+        let monitor = Monitor::start("127.0.0.1:0", Arc::new(|| "sweep_done 1\n".to_string()))
+            .expect("bind localhost");
         let addr = monitor.local_addr();
         // Connected and asked, but the server may not have polled yet.
         let mut queued: Vec<TcpStream> = (0..3)
             .map(|_| {
                 let mut s = TcpStream::connect(addr).expect("connect to monitor");
-                s.write_all(b"GET /sweep HTTP/1.0\r\n\r\n").unwrap();
+                s.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
                 s
             })
             .collect();
@@ -382,7 +247,7 @@ mod tests {
         for s in &mut queued {
             let mut text = String::new();
             s.read_to_string(&mut text).unwrap();
-            assert!(text.ends_with("{\"state\":\"done\"}"), "{text}");
+            assert!(text.ends_with("sweep_done 1\n"), "{text}");
         }
         assert!(TcpStream::connect(addr).is_err(), "server still listening");
     }
@@ -392,8 +257,7 @@ mod tests {
     const HELD_AT_MOST: Duration = Duration::from_secs(2);
 
     fn healthy() -> Monitor {
-        Monitor::start("127.0.0.1:0", Arc::new(String::new), Arc::new(String::new))
-            .expect("bind localhost")
+        Monitor::start("127.0.0.1:0", Arc::new(String::new)).expect("bind localhost")
     }
 
     /// Connect, let `client` misbehave, then read until the server is
@@ -501,7 +365,6 @@ mod tests {
         let monitor = Monitor::start(
             "127.0.0.1:0",
             Arc::new(move || format!("scrape {}\n", h.fetch_add(1, Ordering::SeqCst))),
-            Arc::new(String::new),
         )
         .expect("bind localhost");
         let addr = monitor.local_addr();

@@ -174,7 +174,6 @@ fn live_scrape_parses_and_matches_summary() {
             .histogram("sample_latency_ns", lat_for_body.clone(), Some(lat_sum))
             .render_prometheus()
         }),
-        Arc::new(|| "{}".to_string()),
     )
     .expect("bind localhost");
 

@@ -12,21 +12,16 @@
 //! the given path. Tracing never changes results — the provenance stays
 //! byte-identical with it on or off.
 //!
-//! `--monitor ADDR` starts the live exposition server for the run:
-//! `/metrics` (Prometheus text format), `/healthz`, `/sweep` (JSON
-//! status of the sweep in flight, including live ring-buffer and
-//! engine counters), `/influence` (the streaming logistic influence
-//! ranking recomputed as samples arrive), and `/energy` (per-arch
-//! modeled joules, EDP, sink split, and the energy-influence ranking —
-//! the live half of the ompwatt disagreement map). If ADDR is busy the
-//! server falls back to an ephemeral port on the same host; the bound
-//! address is written to `OUT_DIR/monitor.addr` so scripts always
+//! `--monitor ADDR` serves the run live at `/metrics` (Prometheus text
+//! format: runtime counters, sweep progress, modeled energy and the
+//! streaming influence ranking per objective) and `/healthz`. If ADDR is
+//! busy the server falls back to an ephemeral port on the same host; the
+//! bound address is written to `OUT_DIR/monitor.addr` so scripts always
 //! discover the real port. Monitoring is read-only and never changes
 //! results either.
 //!
-//! Every run also writes `OUT_DIR/tsdb/` — ring-file time-series of
-//! per-stratum virtual rep means and joules, per-arch energy and EDP
-//! aggregates, wall sample latency, and scheduler rates — which
+//! Every run also writes `OUT_DIR/tsdb/`: per architecture and config
+//! stratum, one ring of virtual rep means and one of joules, which
 //! `ompobs drift` compares across runs.
 
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
@@ -36,6 +31,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use sweep::collect::{ArchDone, ArchEnergy, Job, State, Watch};
+use sweep::series::OBJECTIVES;
 use sweep::{Roster, SampleCache, Scope, SweepSpec};
 
 const USAGE: &str = "usage: collect [SCOPE] [OUT_DIR] [OPTIONS] (see --help)";
@@ -68,11 +64,11 @@ OPTIONS:
                       (default: target/sweep-cache)
     --trace PATH      record a flight-recorder trace of the sweep and
                       write it as a Chrome trace_event JSON to PATH
-    --monitor ADDR    serve live /metrics, /healthz, /sweep, /influence
-                      and /energy over HTTP on ADDR (e.g. 127.0.0.1:0
-                      for an ephemeral port; if ADDR is busy the server
-                      falls back to an ephemeral port, and the bound
-                      address always lands in OUT_DIR/monitor.addr);
+    --monitor ADDR    serve live /metrics and /healthz over HTTP on ADDR
+                      (e.g. 127.0.0.1:0 for an ephemeral port; if ADDR
+                      is busy the server falls back to an ephemeral
+                      port, and the bound address always lands in
+                      OUT_DIR/monitor.addr);
                       opens a counter-only telemetry session so runtime
                       counters flow to /metrics
     --registry DIR    longitudinal run registry directory; every run
@@ -162,120 +158,27 @@ fn parse(mut args: Args) -> Result<Cli, Error> {
     })
 }
 
-/// What the monitor's routes render: the run as `sweep::collect` keeps
-/// it, plus what only a monitored run knows.
+/// What `/metrics` renders: the run as `sweep::collect` keeps it, plus
+/// the registry's history at run start.
 struct SweepState {
-    /// Longitudinal registry context at run start:
-    /// (dir, records, corrupt_skipped). `None` with `--no-registry`,
-    /// and without `--monitor` (nothing would serve it).
-    registry: Option<(String, u64, u64)>,
+    /// `(records, corrupt_skipped)` of the registry at run start. `None`
+    /// with `--no-registry`, and without `--monitor` (nothing would
+    /// serve it).
+    registry: Option<(u64, u64)>,
     run: State,
 }
 
 impl SweepState {
-    /// The `/energy` JSON document: per-arch joules, EDP, and sink
-    /// split over the cleaned samples, plus the streaming
-    /// energy-influence ranking.
-    fn energy_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"ompwatt-energy-v1\",\"arches\":[");
-        let run = self.run.lock();
-        for (i, (a, energy)) in run.manifest.arches.iter().zip(&run.energy).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"arch\":\"{}\",\"samples\":{},\"joules\":{:.6},\"edp_js\":{:.6},\"sinks\":{{",
-                a.arch, a.samples, energy.joules, energy.edp_js
-            ));
-            for (j, sink) in omptel::EnergySink::ALL.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\"{}\":{:.6}",
-                    format!("{sink:?}").to_lowercase(),
-                    energy.sinks[j]
-                ));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"influence\":");
-        out.push_str(&run.influence[1].json());
-        out.push('}');
-        out
-    }
-
-    /// The `/sweep` JSON document.
-    fn json(&self) -> String {
-        let mut out = String::from("{");
-        let run = self.run.lock();
-        out.push_str(&format!("\"scope\":\"{}\",", run.manifest.scope));
-        match &run.current {
-            Some((arch, meter, total)) => out.push_str(&format!(
-                "\"state\":\"running\",\"current\":{{\"arch\":\"{arch}\",\
-                 \"done\":{},\"total\":{total},\"elapsed_s\":{:.3}}},",
-                meter.done(),
-                meter.elapsed_s()
-            )),
-            None => out.push_str("\"state\":\"idle\",\"current\":null,"),
-        }
-        // Telemetry health: whether the event ring is keeping up (a
-        // non-zero dropped count means the flight recorder is lossy).
-        let (threads, events, dropped) = omptel::live_ring_stats();
-        out.push_str(&format!(
-            "\"telemetry\":{{\"ring_threads\":{threads},\
-             \"omptel_ring_events_total\":{events},\
-             \"omptel_ring_dropped_total\":{dropped},"
-        ));
-        // Warm-sweep engine counters: batch pricing, the cache's tmp
-        // reaper, and the worker allocation pools. Zero outside a
-        // telemetry session (counters are session-gated).
-        let counters = omptel::counters_now();
-        out.push_str(&format!(
-            "\"engine\":{{\"priced_batches\":{},\
-             \"sample_cache_tmp_reaped\":{},\
-             \"pool_hits\":{},\"pool_misses\":{}}}}},",
-            counters.get(omptel::Counter::PricedBatches),
-            counters.get(omptel::Counter::SampleCacheTmpReaped),
-            counters.get(omptel::Counter::PoolHits),
-            counters.get(omptel::Counter::PoolMisses),
-        ));
-        // Longitudinal registry context: where this run will be
-        // recorded and how much history was already there.
-        match &self.registry {
-            Some((dir, records, corrupt)) => out.push_str(&format!(
-                "\"registry\":{{\"dir\":{},\"records\":{records},\
-                 \"corrupt_skipped\":{corrupt}}},",
-                serde_json::to_string(dir).unwrap_or_else(|_| "\"?\"".to_string())
-            )),
-            None => out.push_str("\"registry\":null,"),
-        }
-        out.push_str("\"completed\":[");
-        for (i, (a, energy)) in run.manifest.arches.iter().zip(&run.energy).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"arch\":\"{}\",\"settings\":{},\"samples\":{},\
-                 \"dropped\":{},\"elapsed_s\":{:.3},\
-                 \"joules\":{:.6},\"edp_js\":{:.6}}}",
-                a.arch, a.settings, a.samples, a.dropped, a.elapsed_s, energy.joules, energy.edp_js
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// The `/metrics` body: the process snapshot plus this run's gauges.
     fn metrics(&self) -> String {
         let mut snap = omptel::MetricsSnapshot::capture();
         // Registry counters: history depth at run start and how many
         // records corruption has cost, so scrapers can alarm on a
         // decaying registry.
-        if let Some((_, records, corrupt)) = &self.registry {
+        if let Some((records, corrupt)) = self.registry {
             snap = snap
-                .gauge("registry_records", *records as f64)
-                .gauge("registry_corrupt_skipped", *corrupt as f64);
+                .gauge("registry_records", records as f64)
+                .gauge("registry_corrupt_skipped", corrupt as f64);
         }
         let run = self.run.lock();
         // Progress gauges are always present (zero between arches) so
@@ -291,6 +194,16 @@ impl SweepState {
             }
             None => (0.0, 0.0, 0.0),
         };
+        // The streaming influence ranking, per objective: its sample
+        // count and one gauge per variable.
+        for (objective, live) in OBJECTIVES.iter().zip(&run.influence) {
+            let prefix = format!("influence_{objective}");
+            snap = snap.gauge(&format!("{prefix}_samples"), live.samples() as f64);
+            for (var, value) in live.influence() {
+                let slug = var.env_name().to_lowercase();
+                snap = snap.gauge(&format!("{prefix}_{slug}"), value);
+            }
+        }
         // Energy totals over the completed arches: joules and the
         // energy-delay product, so a scraper can watch the second
         // objective accumulate alongside virtual time.
@@ -355,22 +268,17 @@ fn collect(cli: Cli) -> std::io::Result<()> {
     let cache = cli.cache_dir.map(SampleCache::new);
 
     // Longitudinal run registry: this run appends a content-addressed
-    // RunRecord when it finishes. Opened up front so the monitor can
-    // serve /runs and report the registry location from the start.
+    // RunRecord when it finishes.
     let registry = match &cli.registry {
         Some(dir) => Some(sweep::Registry::open(dir)?),
         None => None,
     };
-    // How much history was there at run start: shown by /sweep and
-    // /metrics only, so only a monitored run reads the registry for it.
+    // How much history was there at run start: shown by /metrics only,
+    // so only a monitored run reads the registry for it.
     let registry_stats = match (&registry, &cli.monitor) {
         (Some(r), Some(_)) => {
             let loaded = r.load().unwrap_or_default();
-            Some((
-                r.dir().display().to_string(),
-                loaded.records.len() as u64,
-                loaded.corrupt_skipped,
-            ))
+            Some((loaded.records.len() as u64, loaded.corrupt_skipped))
         }
         _ => None,
     };
@@ -380,8 +288,8 @@ fn collect(cli: Cli) -> std::io::Result<()> {
         roster: cli.roster,
         ..SweepSpec::default()
     };
-    // Live exposition: the monitor only *reads* (every route renders
-    // from a closure at scrape time), so a monitored run's outputs stay
+    // Live exposition: the monitor only *reads* (`/metrics` renders from
+    // a closure at scrape time), so a monitored run's outputs stay
     // byte-identical to an unmonitored one. The telemetry session makes
     // runtime counters visible to /metrics and buffers nothing else;
     // counters never feed results.
@@ -396,54 +304,17 @@ fn collect(cli: Cli) -> std::io::Result<()> {
     };
     let monitor = match &cli.monitor {
         Some(addr) => {
-            let body = |render: fn(&SweepState) -> String| -> omptel::BodyFn {
-                let st = state.clone();
-                Arc::new(move || render(&st))
-            };
-            // /energy: the ompwatt exposition — per-arch joules, EDP,
-            // sink split, and the energy-influence ranking.
-            let mut routes: Vec<omptel::Route> = vec![
-                (
-                    "/influence".to_string(),
-                    "application/json",
-                    body(|st| st.run.lock().influence[0].json()),
-                ),
-                (
-                    "/energy".to_string(),
-                    "application/json",
-                    body(SweepState::energy_json),
-                ),
-            ];
-            // /runs: the registry listing, loaded fresh per scrape so a
-            // poller sees records land the moment runs finish.
-            if let Some(reg) = &registry {
-                let reg = reg.clone();
-                let runs_body: omptel::BodyFn = Arc::new(move || reg.listing_json());
-                routes.push(("/runs".to_string(), "application/json", runs_body));
-            }
-            // If the requested address is squatted, the monitor falls
-            // back to an ephemeral port on the same host rather than
-            // failing the whole collection run.
-            let m = omptel::Monitor::start_with_fallback(
-                addr,
-                body(SweepState::metrics),
-                body(SweepState::json),
-                routes,
-            )?;
+            let st = state.clone();
+            let m = omptel::Monitor::start(addr, Arc::new(move || st.metrics()))?;
             // Scripts discover the actually-bound address (ephemeral
             // or fallback port included) from this file; it is written
             // before any sweeping so pollers never race the run.
-            // First line: the bound address (scripts parse exactly the
-            // first line). Following lines: sidecar metadata, currently
-            // the registry directory this run will record into.
-            let mut addr_doc = format!("{}\n", m.local_addr());
-            if let Some(reg) = &registry {
-                addr_doc.push_str(&format!("registry {}\n", reg.dir().display()));
-            }
-            fs::write(cli.out_dir.join("monitor.addr"), addr_doc)?;
+            fs::write(
+                cli.out_dir.join("monitor.addr"),
+                format!("{}\n", m.local_addr()),
+            )?;
             eprintln!(
-                "monitor: serving /metrics /healthz /sweep /influence /energy{} on http://{}",
-                if registry.is_some() { " /runs" } else { "" },
+                "monitor: serving /metrics /healthz on http://{}",
                 m.local_addr()
             );
             Some(m)
@@ -554,53 +425,7 @@ fn collect(cli: Cli) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Value;
-
-    /// `collect tiny` run through the library, then brought to the
-    /// golden's state: two finished architectures, no observed sample,
-    /// and the wall-clock and scheduling figures pinned.
-    fn two_arch_state() -> SweepState {
-        let spec = SweepSpec {
-            scope: Scope::Strided(400),
-            ..SweepSpec::default()
-        };
-        let state = SweepState {
-            registry: Some(("/var/reg \"x\"".to_string(), 3, 1)),
-            run: State::new(&spec),
-        };
-        let job = Job {
-            spec: &spec,
-            workers: 1,
-            cache: None,
-            perturb: None,
-        };
-        let dir = std::env::temp_dir().join(format!("collect-routes-{}", std::process::id()));
-        sweep::collect::run(&job, &dir, None, &state.run, &mut ()).unwrap();
-        let _ = fs::remove_dir_all(&dir);
-
-        let mut run = state.run.lock();
-        run.manifest.arches.truncate(2);
-        run.energy.truncate(2);
-        run.influence = Default::default();
-        let pinned = [(0.0123456, 0), (1.5, 900)];
-        for (a, (elapsed_s, sample_hits)) in run.manifest.arches.iter_mut().zip(pinned) {
-            a.elapsed_s = elapsed_s;
-            a.stats = sweep::SweepStats {
-                plan_hits: 7,
-                plan_misses: 5,
-                sample_hits,
-                sample_misses: 585,
-                steals: 2,
-                units: 11,
-            };
-        }
-        drop(run);
-        state
-    }
-
-    // Both documents for the state above, byte for byte.
-    const EXPECTED_SWEEP: &str = r#"{"scope":"Strided(400)","state":"idle","current":null,"telemetry":{"ring_threads":0,"omptel_ring_events_total":0,"omptel_ring_dropped_total":0,"engine":{"priced_batches":0,"sample_cache_tmp_reaped":0,"pool_hits":0,"pool_misses":0}},"registry":{"dir":"/var/reg \"x\"","records":3,"corrupt_skipped":1},"completed":[{"arch":"a64fx","settings":45,"samples":540,"dropped":0,"elapsed_s":0.012,"joules":9767.780224,"edp_js":4034.379218},{"arch":"skylake","settings":36,"samples":864,"dropped":0,"elapsed_s":1.500,"joules":46560.968713,"edp_js":299597.498229}]}"#;
-    const EXPECTED_ENERGY: &str = r#"{"schema":"ompwatt-energy-v1","arches":[{"arch":"a64fx","samples":540,"joules":9767.780224,"edp_js":4034.379218,"sinks":{"active":4841.432097,"memory":1084.281913,"wait":62.020150,"serial":0.621054,"base":3779.425011}},{"arch":"skylake","samples":864,"joules":46560.968713,"edp_js":299597.498229,"sinks":{"active":10779.698471,"memory":2115.336916,"wait":5937.930185,"serial":2.126568,"base":27725.876574}}],"influence":{"samples":0,"optimal_fraction":0.000000,"influence":{"OMP_PLACES":0.000000,"OMP_PROC_BIND":0.000000,"OMP_SCHEDULE":0.000000,"KMP_LIBRARY":0.000000,"KMP_BLOCKTIME":0.000000,"KMP_FORCE_REDUCTION":0.000000,"KMP_ALIGN_ALLOC":0.000000},"top":null}}"#;
+    use std::io::{Read, Write};
 
     #[test]
     fn a_command_line_is_a_collection_job_or_a_usage_error() {
@@ -614,39 +439,69 @@ mod tests {
         );
     }
 
+    /// `collect tiny` through the library, served as `--monitor` serves
+    /// it: each objective's seven influence gauges are its tracker's
+    /// ranking exactly — not a bucket mean over the samples — and sum to 1.
     #[test]
-    fn sweep_and_energy_bodies_render_the_manifest() {
-        let state = two_arch_state();
-        let (sweep_doc, energy_doc) = (state.json(), state.energy_json());
-        assert_eq!(sweep_doc, EXPECTED_SWEEP);
-        assert_eq!(energy_doc, EXPECTED_ENERGY);
-
-        // Entry by entry, each document says what the record holds.
-        let parse = |doc: &str| serde_json::from_str::<Value>(doc).expect("valid JSON");
-        let array_at = |doc: &Value, at: usize, key: &str| {
-            let (k, v) = &doc.as_map().expect("object")[at];
-            assert_eq!(k.as_str(), Some(key));
-            v.as_seq().expect("array").to_vec()
+    fn a_monitored_runs_metrics_carry_the_live_ranking() {
+        let spec = SweepSpec {
+            scope: Scope::Strided(400),
+            ..SweepSpec::default()
         };
-        let completed = array_at(&parse(&sweep_doc), 5, "completed");
-        let arches = array_at(&parse(&energy_doc), 1, "arches");
+        let state = Arc::new(SweepState {
+            registry: Some((3, 1)),
+            run: State::new(&spec),
+        });
+        let job = Job {
+            spec: &spec,
+            workers: 1,
+            cache: None,
+            perturb: None,
+        };
+        let dir = std::env::temp_dir().join(format!("collect-metrics-{}", std::process::id()));
+        sweep::collect::run(&job, &dir, None, &state.run, &mut ()).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+
+        let st = state.clone();
+        let monitor = omptel::Monitor::start("127.0.0.1:0", Arc::new(move || st.metrics()))
+            .expect("bind localhost");
+        let mut stream = std::net::TcpStream::connect(monitor.local_addr()).unwrap();
+        stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        monitor.shutdown();
+        let (_, body) = response.split_once("\r\n\r\n").expect("full response");
+        let samples = omptel::parse_prometheus(body).expect("/metrics parses");
+        let gauge = |name: &str| match samples.iter().find(|s| s.name == name) {
+            Some(sample) => sample.value,
+            None => panic!("no {name} in {body}"),
+        };
+
+        assert_eq!(gauge("omptel_registry_records"), 3.0);
         let run = state.run.lock();
-        let (joules, edp_js) = energy_totals(&run.energy);
-        assert_eq!((completed.len(), arches.len()), (2, 2));
-        for (i, (a, e)) in run.manifest.arches.iter().zip(&run.energy).enumerate() {
-            let (arch, samples) = (&a.arch, a.samples);
-            let figures = format!(r#""joules":{:.6},"edp_js":{:.6}"#, e.joules, e.edp_js);
-            let done = format!(
-                r#"{{"arch":"{arch}","settings":{},"samples":{samples},"dropped":{},"elapsed_s":{:.3},{figures}}}"#,
-                a.settings, a.dropped, a.elapsed_s
+        for (objective, live) in OBJECTIVES.iter().zip(&run.influence) {
+            let prefix = format!("omptel_influence_{objective}_");
+            assert!(live.samples() > 0, "{objective}: nothing observed");
+            assert_eq!(gauge(&format!("{prefix}samples")), live.samples() as f64);
+            let ranked: Vec<f64> = samples
+                .iter()
+                .filter(|s| s.name.starts_with(&prefix) && !s.name.ends_with("_samples"))
+                .map(|s| s.value)
+                .collect();
+            assert_eq!(ranked.len(), 7, "{objective}: one gauge per variable");
+            for (var, value) in live.influence() {
+                let name = format!("{prefix}{}", var.env_name().to_lowercase());
+                assert_eq!(gauge(&name), value, "{name}");
+            }
+            let sum: f64 = ranked.iter().sum();
+            assert!(
+                (sum - 1.0).abs() < 1e-9,
+                "{objective} ranking sums to {sum}"
             );
-            assert_eq!(completed[i], parse(&done), "completed[{i}]");
-            let head = parse(&format!(
-                r#"{{"arch":"{arch}","samples":{samples},{figures}}}"#
-            ));
-            assert_eq!(arches[i].as_map().unwrap()[..4], *head.as_map().unwrap());
         }
-        assert_eq!(joules, run.energy[0].joules + run.energy[1].joules);
-        assert_eq!(edp_js, run.energy[0].edp_js + run.energy[1].edp_js);
+        // The names scrapers and the docs cite.
+        for name in ["virt_omp_proc_bind", "energy_kmp_library"] {
+            gauge(&format!("omptel_influence_{name}"));
+        }
     }
 }

@@ -13,9 +13,9 @@ use crate::registry::{
 };
 use crate::runner::{RunKey, SettingData};
 use crate::schedule::{planned_samples, sweep_arch_scheduled, SweepOptions, SweepStats};
-use crate::series::{append_arch_series, append_stratum_series};
+use crate::series::append_stratum_series;
 use crate::{SampleCache, SweepSpec};
-use omptel::{EnergySink, Progress, Tsdb};
+use omptel::{Progress, Tsdb};
 use omptune_core::{Arch, Fnv1a, LiveInfluence};
 use std::io;
 use std::path::Path;
@@ -40,8 +40,6 @@ pub struct ArchEnergy {
     pub joules: f64,
     /// Σ total_j · virtual_s — the energy-delay product in J·s.
     pub edp_js: f64,
-    /// Per-sink joules, [`EnergySink::ALL`] order.
-    pub sinks: [f64; EnergySink::ALL.len()],
 }
 
 impl ArchEnergy {
@@ -54,17 +52,14 @@ impl ArchEnergy {
             }
             total.joules += e.total_j;
             total.edp_js += e.edp_js(sample.telemetry.virtual_ns);
-            for (slot, sink) in total.sinks.iter_mut().zip(EnergySink::ALL) {
-                *slot += e.get(sink);
-            }
         }
         total
     }
 }
 
 /// A run in flight, as a monitor may read it at any moment. Every
-/// surface that reports a finished architecture — `/sweep`, `/energy`,
-/// the energy gauges, stderr, the registry record — reads it from here.
+/// surface that reports a finished architecture — the `/metrics` gauges,
+/// stderr, the registry record — reads it from here.
 pub struct Live {
     /// The record `manifest.json` is written from.
     pub manifest: RunManifest,
@@ -75,7 +70,8 @@ pub struct Live {
     /// indexed like [`crate::series::OBJECTIVES`]: did the config beat
     /// the arch default's time, and did it cost fewer joules? Where the
     /// two rankings disagree is the ompwatt disagreement map, live.
-    /// Exposition only: it never feeds back into sampling or artifacts.
+    /// Exposition only (`collect --monitor`'s `/metrics`): it never feeds
+    /// back into sampling, artifacts or series.
     pub influence: [LiveInfluence; 2],
     /// The architecture being swept: its id, meter and planned samples.
     pub current: Option<(String, Arc<Progress>, u64)>,
@@ -333,10 +329,10 @@ pub fn run(
         let swept = sweep_arch(job, arch, state, &meter, core.as_mut());
 
         // The architecture joins the run's record; everything said about
-        // it from here on (series, stderr, timing block, registry) is
+        // it from here on (stderr, timing block, registry) is
         // read back from there.
         let energy = ArchEnergy::of(&swept.batches);
-        let (done, lookups, influence) = {
+        let (done, lookups) = {
             let mut live = state.lock();
             live.manifest.push_arch(
                 arch,
@@ -352,21 +348,12 @@ pub fn run(
             (
                 live.manifest.arches[i].clone(),
                 live.manifest.arch_lookups(i),
-                live.influence.clone(),
             )
         };
 
-        // Time-series for the drift sentinel, from the cleaned samples:
-        // the gating per-stratum series, then the informational rest.
+        // The drift sentinel's per-stratum series, from the cleaned
+        // samples.
         append_stratum_series(&mut tsdb, arch.id(), &swept.batches)?;
-        append_arch_series(
-            &mut tsdb,
-            &done,
-            lookups,
-            meter.latency_sum_ns(),
-            (energy.joules, energy.edp_js),
-            &influence,
-        )?;
         // One write per series per arch; a failed write fails the run
         // here rather than vanishing in the handle's drop.
         tsdb.flush()?;
@@ -494,7 +481,6 @@ mod tests {
             assert_eq!(live.samples(), reference.samples());
             assert_eq!(bits(live), bits(reference));
             assert_eq!(live, reference);
-            assert_eq!(live.json(), reference.json());
         }
     }
 }

@@ -877,57 +877,6 @@ impl Registry {
         }
         Ok(out)
     }
-
-    /// Registry listing as JSON — the `/runs` route body, loaded fresh
-    /// per call. Hashes render as hex strings so consumers without
-    /// exact u64 parsing stay safe.
-    pub fn listing_json(&self) -> String {
-        #[derive(Serialize)]
-        struct Listing {
-            dir: String,
-            corrupt_skipped: u64,
-            records: Vec<ListingRow>,
-        }
-        #[derive(Serialize)]
-        struct Unreadable {
-            error: String,
-        }
-        match self.load() {
-            Ok(loaded) => serde_json::to_string(&Listing {
-                dir: self.dir.display().to_string(),
-                corrupt_skipped: loaded.corrupt_skipped,
-                records: loaded.records.into_iter().map(ListingRow).collect(),
-            }),
-            Err(e) => serde_json::to_string(&Unreadable {
-                error: e.to_string(),
-            }),
-        }
-        .expect("writing JSON into memory cannot fail")
-    }
-}
-
-/// One `/runs` row: a record's envelope without its core, plus the one
-/// figure that sizes it (`samples` of a sweep, `bench` name of a bench).
-struct ListingRow(RunRecord);
-
-impl Serialize for ListingRow {
-    fn serialize<S: Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
-        let r = &self.0;
-        sink.map_begin()?;
-        sink.entry("seq", &r.seq)?;
-        sink.entry("ts_unix", &r.ts_unix)?;
-        sink.entry("kind", r.core.kind())?;
-        sink.entry("git_rev", &r.git_rev)?;
-        sink.entry("record_hash", &format!("{:016x}", r.record_hash))?;
-        sink.entry("spec_fp", &format!("{:016x}", r.core.spec_fp()))?;
-        match &r.core {
-            RunCore::Collect(c) => {
-                sink.entry("samples", &c.arches.iter().map(|a| a.samples).sum::<u64>())?
-            }
-            RunCore::Bench(b) => sink.entry("bench", &b.bench)?,
-        }
-        sink.map_end()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1249,9 +1198,6 @@ mod tests {
         // Same core content => same address on every record.
         let h0 = loaded.records[0].record_hash;
         assert!(loaded.records.iter().all(|r| r.record_hash == h0));
-        let listing = registry.listing_json();
-        assert!(listing.contains("\"records\""), "{listing}");
-        assert!(listing.contains(&format!("{h0:016x}")), "{listing}");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -1277,16 +1223,6 @@ mod tests {
         assert_eq!((info.workers, info.elapsed_s), (4, 1.25));
         assert_eq!(info.out_dir, "runs/\"cold\"\n");
         assert_eq!(info.counters[0], ("plan_hits".to_string(), 12));
-        // And the `/runs` body over the two, as the parent rendered it.
-        let dir = tmp_dir("listing");
-        let text = format!("{PARENT_COLLECT_LINE}\n{PARENT_BENCH_LINE}\n");
-        fs::write(dir.join("registry.jsonl"), text).unwrap();
-        let listing = format!(
-            r#"{{"dir":"{}","corrupt_skipped":0,"records":[{{"seq":7,"ts_unix":1700000000,"kind":"collect","git_rev":"1c7150e0431f","record_hash":"c93ddb30d99e35d2","spec_fp":"123456789abcdef0","samples":5}},{{"seq":8,"ts_unix":1700000001,"kind":"bench","git_rev":"unknown","record_hash":"c9e6e89974037028","spec_fp":"c4f7c7a25d6dfce3","bench":"sweep"}}]}}"#,
-            dir.display()
-        );
-        assert_eq!(Registry::open(&dir).unwrap().listing_json(), listing);
-        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 
 use omptune::core::Arch;
 use omptune::data::collect::{self, Job, State};
+use omptune::data::series::all_stratum_series;
 use omptune::data::{Registry, RegistryLoad, RunRecord, SampleCache, Scope, SweepSpec};
-use omptune::tel::{Counter, CounterSnapshot, Point, Tsdb};
+use omptune::tel::{Counter, CounterSnapshot, Tsdb};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -24,6 +25,9 @@ struct Run {
     misses: u64,
     /// Plan builds, summed over the manifest's architectures.
     plan_misses: u64,
+    /// Each architecture's own sample-cache `(hits, misses)`, as the
+    /// manifest records them, `Arch::ALL` order.
+    lookups: Vec<(u64, u64)>,
     record: RunRecord,
 }
 
@@ -46,8 +50,6 @@ struct Runs {
     cache_files: Vec<PathBuf>,
     /// Names of the series in the cold run's `tsdb/`.
     cold_series: Vec<String>,
-    /// The half-warm run's `<arch>/rate/cache_hit` series, `Arch::ALL` order.
-    half_warm_hit_rate: Vec<Vec<Point>>,
     /// The shared registry as it loads after all seven runs.
     registry: RegistryLoad,
 }
@@ -106,6 +108,9 @@ fn runs() -> &'static Runs {
                     .iter()
                     .map(|a| a.stats.plan_misses)
                     .sum(),
+                lookups: (0..done.manifest.arches.len())
+                    .map(|i| done.manifest.arch_lookups(i))
+                    .collect(),
                 record: done.record.unwrap().unwrap(),
             }
         };
@@ -133,10 +138,6 @@ fn runs() -> &'static Runs {
         let damaged = run("damaged", 1, "cache", None);
         let perturbed = run("perturbed", 2, "cache", Some((Arch::Skylake, 1.10)));
 
-        let hit_rate = |arch: &Arch| {
-            let series = format!("{}/rate/cache_hit", arch.id());
-            Tsdb::read(&root.join("half-warm/tsdb"), &series).unwrap().0
-        };
         let runs = Runs {
             cold,
             monitored,
@@ -147,7 +148,6 @@ fn runs() -> &'static Runs {
             damaged,
             perturbed,
             cold_series: Tsdb::series(&root.join("cold/tsdb")).unwrap(),
-            half_warm_hit_rate: Arch::ALL.iter().map(hit_rate).collect(),
             registry: registry.load().unwrap(),
             cache_files: cache_files
                 .iter()
@@ -232,16 +232,20 @@ fn the_cache_directory_holds_only_arch_stem_bin_files() {
 }
 
 /// A run records joules beside virtual time: one stratified series of
-/// each per architecture (`tiny` only fills stratum 0), plus the per-arch
-/// totals the observatory trends.
+/// each per architecture (`tiny` only fills stratum 0), and nothing but
+/// the stratum series `ompobs drift` pairs.
 #[test]
 fn every_architecture_records_energy_series_beside_virtual_time() {
     let series = &runs().cold_series;
     for arch in Arch::ALL {
-        for name in ["virt/s0", "energy/s0", "energy/joules", "energy/edp_js"] {
+        for name in ["virt/s0", "energy/s0"] {
             let name = format!("{}/{name}", arch.id());
             assert!(series.contains(&name), "no {name} among {series:?}");
         }
+    }
+    let strata = all_stratum_series();
+    for name in series {
+        assert!(strata.contains(name), "{name} is not a stratum series");
     }
 }
 
@@ -250,12 +254,12 @@ fn every_architecture_records_energy_series_beside_virtual_time() {
 /// would read 900/1485 and 1875/2460.
 #[test]
 fn the_half_warm_run_records_each_architectures_own_cache_hit_rate() {
-    let recorded = &runs().half_warm_hit_rate;
-    for ((arch, points), rate) in Arch::ALL.iter().zip(recorded).zip([0.0, 1.0, 1.0]) {
-        let [point] = points[..] else {
-            panic!("{arch:?}: rate/cache_hit holds {} points", points.len());
-        };
-        assert_eq!(point.value(), rate, "{arch:?}: rate/cache_hit");
+    let recorded = &runs().half_warm.lookups;
+    assert_eq!(recorded.len(), Arch::ALL.len());
+    for ((arch, &(hits, misses)), rate) in Arch::ALL.iter().zip(recorded).zip([0.0, 1.0, 1.0]) {
+        assert!(hits + misses > 0, "{arch:?}: no lookups");
+        let recorded = hits as f64 / (hits + misses) as f64;
+        assert_eq!(recorded, rate, "{arch:?}: {hits} hits, {misses} misses");
     }
 }
 
