@@ -18,9 +18,6 @@
 //!   line per sample),
 //! - `csv_s`        — `write_csv` of the slice's `Dataset` (one row per
 //!   sample),
-//! - `tsdb_s`       — `collect`'s ring pattern, two points per sample
-//!   (`{arch}/virt/s{k}`, `{arch}/energy/s{k}`) through
-//!   `sweep::series::append_stratum_series`, one `Tsdb::flush` per arch,
 //! - `tail_s` / `tail_parallel_s` — the whole tail as `collect` runs it:
 //!   `write_artifacts` of all five files into a directory, its two jobs
 //!   one after the other (`workers` 1) and side by side (`workers` 2).
@@ -35,7 +32,7 @@
 
 use bench_harness::{BenchDoc, Series};
 use serde::{Serialize, Value};
-use sweep::{Scope, SettingData, SweepOptions, SweepSpec};
+use sweep::{Scope, SweepOptions, SweepSpec};
 
 const WORKERS: usize = 4;
 
@@ -47,21 +44,6 @@ fn floats_of(value: &Value, out: &mut Vec<f64>) {
         Value::Map(entries) => entries.iter().for_each(|(_, item)| floats_of(item, out)),
         _ => {}
     }
-}
-
-/// `collect`'s stratum series of every architecture (batches arrive
-/// grouped by it), one flush per architecture. Returns the points
-/// appended.
-fn append_series(tsdb: &mut omptel::Tsdb, batches: &[SettingData]) -> u64 {
-    let arches = batches.chunk_by(|a, b| a.key.arch == b.key.arch);
-    arches
-        .map(|of_arch| {
-            let arch = of_arch[0].key.arch.id();
-            let points = sweep::series::append_stratum_series(tsdb, arch, of_arch).expect("append");
-            tsdb.flush().expect("flush");
-            points
-        })
-        .sum()
 }
 
 fn main() {
@@ -128,11 +110,7 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("omptune-export-tail-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut tsdb = omptel::Tsdb::open(&dir, omptel::DEFAULT_CAPACITY).expect("open tsdb");
-    let mut points = 0;
-    let tsdb_series = Series::of(passes, || points = append_series(&mut tsdb, &batches));
-    drop(tsdb);
-    assert_eq!(points, 2 * samples as u64);
+    std::fs::create_dir_all(&dir).expect("output directory");
 
     // The files are rewritten in place every pass, as a re-run `collect`
     // rewrites its output directory.
@@ -171,11 +149,6 @@ fn main() {
             format!("{provenance_bytes} bytes"),
         ),
         ("write_csv", &csv, format!("{csv_bytes} bytes")),
-        (
-            "tsdb append + flush",
-            &tsdb_series,
-            format!("{points} points"),
-        ),
         ("write_artifacts, 1 worker", &tail, "5 files".to_string()),
         (
             "write_artifacts, 2 workers",
@@ -200,17 +173,14 @@ fn main() {
         .series("read_raw_json_s", read_raw_json.best(), &read_raw_json)
         .series("provenance_s", provenance.best(), &provenance)
         .series("csv_s", csv.best(), &csv)
-        .series("tsdb_s", tsdb_series.best(), &tsdb_series)
         .series("tail_s", tail.best(), &tail)
         .series("tail_parallel_s", tail_parallel.best(), &tail_parallel)
         .count("raw_json_ns_per_sample", ns_per_sample(&raw_json))
         .count("read_raw_json_ns_per_sample", ns_per_sample(&read_raw_json))
         .count("provenance_ns_per_sample", ns_per_sample(&provenance))
         .count("csv_ns_per_sample", ns_per_sample(&csv))
-        .count("tsdb_ns_per_sample", ns_per_sample(&tsdb_series))
         .count("raw_json_bytes", raw_bytes as u64)
         .count("provenance_bytes", provenance_bytes as u64)
         .count("csv_bytes", csv_bytes as u64)
-        .count("tsdb_points", points)
         .publish("BENCH_export.json");
 }

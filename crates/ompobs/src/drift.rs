@@ -1,19 +1,23 @@
 //! Two-run drift: [`compare`](crate::compare) fed from two run
-//! directories' `tsdb/` rings.
+//! directories' datasets.
 //!
-//! Each run directory (as written by `collect`) carries a `tsdb/` of
-//! ring-file series. The two runs are paired on the per-stratum names
-//! ([`sweep::series::all_stratum_series`]): a name neither run recorded
-//! is no row, one that only one run recorded is a row that drifts, and
-//! any other ring in the directory is not read.
+//! Each run directory (as written by `collect`) carries its cleaned
+//! batches in `raw_batches.json`; [`sweep::series::fold_stratum_series`]
+//! turns them into the per-stratum series. The two runs are paired on
+//! those names ([`sweep::series::all_stratum_series`]): a name neither
+//! run has is no row, and one that only one run has is a row that
+//! drifts.
 
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
 use crate::{compare, SeriesPair, SeriesRow};
-use omptel::tsdb::Tsdb;
-use sweep::series::all_stratum_series;
+use sweep::series::{all_stratum_series, fold_stratum_series};
+
+/// A run's stratum series by name, each name's points in run order.
+pub type RunSeries = BTreeMap<String, Vec<f64>>;
 
 /// Context of one run directory, from its `manifest.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -61,41 +65,48 @@ pub struct DriftReport {
 }
 
 /// Compare two run directories' per-stratum series. `alpha` is the
-/// family-wise level (0.05 is the paper's).
+/// family-wise level (0.05 is the paper's). One run's batches are in
+/// memory at a time: each is folded and dropped before the next is read.
 pub fn drift_report(dir_a: &Path, dir_b: &Path, alpha: f64) -> io::Result<DriftReport> {
-    let tsdb_a = dir_a.join("tsdb");
-    let tsdb_b = dir_b.join("tsdb");
-    let series_a = Tsdb::series(&tsdb_a)?;
-    let series_b = Tsdb::series(&tsdb_b)?;
-    let names = all_stratum_series()
-        .into_iter()
-        .filter(|name| series_a.contains(name) || series_b.contains(name));
+    let a = run_series(dir_a)?;
+    let b = run_series(dir_b)?;
+    let (run_a, run_b) = (RunContext::read(dir_a), RunContext::read(dir_b));
+    Ok(drift_between(run_a, a, run_b, b, alpha))
+}
 
-    let values = |tsdb: &Path, recorded: &[String], series: &String| -> io::Result<_> {
-        if !recorded.contains(series) {
-            return Ok(None);
-        }
-        let (points, _) = Tsdb::read(tsdb, series)?;
-        Ok(Some(points.iter().map(omptel::Point::value).collect()))
-    };
-    let pairs = names
-        .map(|series| {
-            Ok(SeriesPair {
-                a: values(&tsdb_a, &series_a, &series)?,
-                b: values(&tsdb_b, &series_b, &series)?,
-                series,
-            })
+/// The stratum series of the run in `dir`, folded from its
+/// `raw_batches.json`.
+fn run_series(dir: &Path) -> io::Result<RunSeries> {
+    let path = dir.join("raw_batches.json");
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    let batches = sweep::export::read_raw_json(&std::fs::read(&path).map_err(named)?);
+    Ok(fold_stratum_series(&batches.map_err(named)?))
+}
+
+/// Pair two runs' series on the stratum names and compare them.
+pub fn drift_between(
+    run_a: RunContext,
+    mut a: RunSeries,
+    run_b: RunContext,
+    mut b: RunSeries,
+    alpha: f64,
+) -> DriftReport {
+    let pairs = all_stratum_series()
+        .into_iter()
+        .filter_map(|series| {
+            let (a, b) = (a.remove(&series), b.remove(&series));
+            (a.is_some() || b.is_some()).then_some(SeriesPair { series, a, b })
         })
-        .collect::<io::Result<Vec<SeriesPair>>>()?;
+        .collect();
     let (rows, family) = compare(pairs, alpha);
-    Ok(DriftReport {
-        run_a: RunContext::read(dir_a),
-        run_b: RunContext::read(dir_b),
+    DriftReport {
+        run_a,
+        run_b,
         alpha,
         family,
         drift: rows.iter().any(|r| r.drift),
         rows,
-    })
+    }
 }
 
 impl DriftReport {
@@ -170,39 +181,45 @@ fn fmt_p(p: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omptel::Point;
     use std::path::PathBuf;
 
-    /// Two fresh run directories, removed again when the test ends.
-    struct Runs {
-        a: PathBuf,
-        b: PathBuf,
-    }
+    /// A fresh run directory, removed again when the test ends.
+    struct RunDir(PathBuf);
 
-    fn runs(tag: &str) -> Runs {
-        let [a, b] = ["a", "b"].map(|side| {
-            let name = format!("ompobs-drift-{tag}-{side}-{}", std::process::id());
+    impl RunDir {
+        fn new(tag: &str) -> RunDir {
+            let name = format!("ompobs-drift-{tag}-{}", std::process::id());
             let dir = std::env::temp_dir().join(name);
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
-            dir
-        });
-        Runs { a, b }
+            RunDir(dir)
+        }
     }
 
-    impl Drop for Runs {
+    impl Drop for RunDir {
         fn drop(&mut self) {
-            for dir in [&self.a, &self.b] {
-                let _ = std::fs::remove_dir_all(dir);
-            }
+            let _ = std::fs::remove_dir_all(&self.0);
         }
     }
 
-    fn write_series(dir: &Path, series: &str, values: &[f64]) {
-        let mut db = Tsdb::open(dir.join("tsdb"), 1024).unwrap();
-        for (i, &v) in values.iter().enumerate() {
-            db.append(series, Point::single(i as u64, v)).unwrap();
+    fn context(name: &str) -> RunContext {
+        RunContext {
+            dir: name.to_string(),
+            scope: "?".to_string(),
+            seed: None,
+            total_samples: None,
         }
+    }
+
+    fn series(named: &[(&str, &[f64])]) -> RunSeries {
+        named
+            .iter()
+            .map(|(name, values)| (name.to_string(), values.to_vec()))
+            .collect()
+    }
+
+    fn drift(a: RunSeries, b: RunSeries) -> DriftReport {
+        drift_between(context("a"), a, context("b"), b, 0.05)
     }
 
     fn row<'r>(report: &'r DriftReport, series: &str) -> &'r SeriesRow {
@@ -211,12 +228,9 @@ mod tests {
 
     #[test]
     fn identical_runs_report_ok() {
-        let Runs { a, b } = &runs("id");
         let values: Vec<f64> = (0..40).map(|i| 1000.0 + i as f64).collect();
-        for dir in [a, b] {
-            write_series(dir, "skylake/virt/s0", &values);
-        }
-        let report = drift_report(a, b, 0.05).unwrap();
+        let run = || series(&[("skylake/virt/s0", &values)]);
+        let report = drift(run(), run());
         assert!(!report.drift);
         assert_eq!(report.family, 0, "identical rows leave the family empty");
         let gate = row(&report, "skylake/virt/s0");
@@ -225,32 +239,13 @@ mod tests {
     }
 
     #[test]
-    fn a_stray_ring_beside_the_strata_is_not_read() {
-        // A run directory an older `collect` wrote into still holds its
-        // wall-clock ring; against a clean twin only the strata pair up.
-        let Runs { a, b } = &runs("stray");
-        let values: Vec<f64> = (0..40).map(|i| 1000.0 + i as f64).collect();
-        let wall: Vec<f64> = (0..40).map(|i| 500.0 + ((i * 7) % 13) as f64).collect();
-        for dir in [a, b] {
-            write_series(dir, "skylake/virt/s0", &values);
-            write_series(dir, "skylake/energy/s0", &values);
-        }
-        write_series(a, "skylake/wall/sample_ns", &wall);
-        let report = drift_report(a, b, 0.05).unwrap();
-        assert!(!report.drift, "{}", report.render());
-        let names: Vec<&str> = report.rows.iter().map(|r| r.series.as_str()).collect();
-        assert_eq!(names, ["skylake/virt/s0", "skylake/energy/s0"]);
-        assert!(report.render().contains("VERDICT: OK"));
-    }
-
-    #[test]
     fn systematic_slowdown_is_drift() {
-        let Runs { a, b } = &runs("slow");
         let base: Vec<f64> = (0..40).map(|i| 1000.0 + (i as f64) * 3.0).collect();
         let slowed: Vec<f64> = base.iter().map(|v| v * 1.05).collect();
-        write_series(a, "skylake/virt/s0", &base);
-        write_series(b, "skylake/virt/s0", &slowed);
-        let report = drift_report(a, b, 0.05).unwrap();
+        let report = drift(
+            series(&[("skylake/virt/s0", &base)]),
+            series(&[("skylake/virt/s0", &slowed)]),
+        );
         assert!(report.drift, "{}", report.render());
         let gate = row(&report, "skylake/virt/s0");
         assert!(gate.drift);
@@ -262,15 +257,11 @@ mod tests {
         // The two-run twin of the sentinel's
         // `energy_only_shift_is_a_change_point`: same virtual time,
         // 5% more joules. Only the stratum energy series may flag.
-        let Runs { a, b } = &runs("energy");
         let virt: Vec<f64> = (0..40).map(|i| 1000.0 + (i as f64) * 3.0).collect();
         let joules: Vec<f64> = virt.iter().map(|v| v * 0.002).collect();
         let more: Vec<f64> = joules.iter().map(|j| j * 1.05).collect();
-        for (dir, energy) in [(a, &joules), (b, &more)] {
-            write_series(dir, "a64fx/virt/s0", &virt);
-            write_series(dir, "a64fx/energy/s0", energy);
-        }
-        let report = drift_report(a, b, 0.05).unwrap();
+        let run = |energy: &[f64]| series(&[("a64fx/virt/s0", &virt), ("a64fx/energy/s0", energy)]);
+        let report = drift(run(&joules), run(&more));
         assert!(report.drift, "{}", report.render());
         assert!(row(&report, "a64fx/virt/s0").identical);
         assert!(row(&report, "a64fx/energy/s0").drift);
@@ -279,13 +270,11 @@ mod tests {
 
     #[test]
     fn missing_gating_series_is_structural_drift() {
-        let Runs { a, b } = &runs("miss");
-        let values = [1.0, 2.0, 3.0];
-        write_series(a, "skylake/virt/s0", &values);
-        write_series(a, "skylake/virt/s1", &values);
-        write_series(b, "skylake/virt/s0", &values);
-        write_series(b, "milan/energy/s7", &values);
-        let report = drift_report(a, b, 0.05).unwrap();
+        let values: &[f64] = &[1.0, 2.0, 3.0];
+        let report = drift(
+            series(&[("skylake/virt/s0", values), ("skylake/virt/s1", values)]),
+            series(&[("skylake/virt/s0", values), ("milan/energy/s7", values)]),
+        );
         assert!(report.drift);
         for (series, side) in [("skylake/virt/s1", "B"), ("milan/energy/s7", "A")] {
             let missing = row(&report, series);
@@ -297,14 +286,14 @@ mod tests {
 
     #[test]
     fn tail_alignment_compares_retained_windows() {
-        let Runs { a, b } = &runs("tail");
-        // Run A retained 10 extra leading points; the common tail is
+        // Run A has 10 extra leading points; the common tail is
         // identical, so no drift.
         let long: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let short: Vec<f64> = (10..50).map(|i| i as f64).collect();
-        write_series(a, "skylake/virt/s0", &long);
-        write_series(b, "skylake/virt/s0", &short);
-        let report = drift_report(a, b, 0.05).unwrap();
+        let report = drift(
+            series(&[("skylake/virt/s0", &long)]),
+            series(&[("skylake/virt/s0", &short)]),
+        );
         assert!(!report.drift, "{}", report.render());
         assert!(report.rows[0].identical);
         assert_eq!(report.rows[0].n, 40);
@@ -312,19 +301,19 @@ mod tests {
 
     #[test]
     fn report_serializes_to_json() {
-        let Runs { a, b } = &runs("json");
-        write_series(a, "skylake/virt/s0", &[1.0, 2.0]);
-        write_series(b, "skylake/virt/s0", &[1.0, 2.0]);
+        let (a, b) = (RunDir::new("json-a"), RunDir::new("json-b"));
         let spec = sweep::SweepSpec {
             scope: sweep::Scope::Strided(300),
             ..sweep::SweepSpec::default()
         };
         let mut manifest = Vec::new();
         sweep::write_manifest(&sweep::RunManifest::new(&spec), &mut manifest).unwrap();
-        std::fs::write(a.join("manifest.json"), manifest).unwrap();
+        std::fs::write(a.0.join("manifest.json"), manifest).unwrap();
         // A manifest that is not whole is no manifest: context only.
-        std::fs::write(b.join("manifest.json"), br#"{"scope":"Strided(300)"}"#).unwrap();
-        let report = drift_report(a, b, 0.05).unwrap();
+        std::fs::write(b.0.join("manifest.json"), br#"{"scope":"Strided(300)"}"#).unwrap();
+        let run = || series(&[("skylake/virt/s0", &[1.0, 2.0])]);
+        let (run_a, run_b) = (RunContext::read(&a.0), RunContext::read(&b.0));
+        let report = drift_between(run_a, run(), run_b, run(), 0.05);
         assert_eq!(report.run_a.scope, "Strided(300)");
         assert_eq!(report.run_a.seed, Some(spec.seed));
         assert_eq!(report.run_a.total_samples, Some(0));
@@ -335,5 +324,59 @@ mod tests {
             assert!(json.contains(field), "{field} missing from {json}");
         }
         assert!(json.contains("skylake/virt/s0"), "{json}");
+    }
+
+    #[test]
+    fn two_run_directories_compare_their_datasets() {
+        let spec = sweep::SweepSpec {
+            scope: sweep::Scope::Strided(1001),
+            ..sweep::SweepSpec::default()
+        };
+        let opts = sweep::SweepOptions::new(2);
+        let arch = omptune_core::Arch::Milan;
+        let mut batches = sweep::sweep_arch_scheduled(arch, &spec, &opts).batches;
+        for data in &mut batches {
+            sweep::clean(data, spec.reps as usize);
+        }
+        let write = |dir: &Path, batches: &[sweep::SettingData]| {
+            let mut file = std::fs::File::create(dir.join("raw_batches.json")).unwrap();
+            sweep::export::write_raw_json(batches, &mut file).unwrap();
+        };
+        let (a, b) = (RunDir::new("data-a"), RunDir::new("data-b"));
+        write(&a.0, &batches);
+        write(&b.0, &batches);
+        let report = drift_report(&a.0, &b.0, 0.05).unwrap();
+        assert!(!report.drift, "{}", report.render());
+        assert!(report.rows.iter().all(|r| r.identical));
+        let mut rows: Vec<&str> = report.rows.iter().map(|r| r.series.as_str()).collect();
+        rows.sort_unstable();
+        let folded = fold_stratum_series(&batches);
+        let names: Vec<&str> = folded.keys().map(String::as_str).collect();
+        assert!(names.len() > 2, "{names:?}");
+        assert_eq!(rows, names);
+
+        // Every repetition 10 % slower: the time strata drift, and the
+        // joules, which the scaling did not touch, stay identical.
+        for sample in batches.iter_mut().flat_map(|data| &mut data.samples) {
+            sample.runtimes.iter_mut().for_each(|t| *t *= 1.10);
+        }
+        write(&b.0, &batches);
+        let report = drift_report(&a.0, &b.0, 0.05).unwrap();
+        assert!(report.drift, "{}", report.render());
+        for row in &report.rows {
+            let slower = row.series.contains("/virt/");
+            assert_eq!(row.identical, !slower, "{}", report.render());
+        }
+    }
+
+    #[test]
+    fn a_run_directory_without_its_dataset_is_an_error() {
+        let (a, b) = (RunDir::new("none-a"), RunDir::new("none-b"));
+        std::fs::write(a.0.join("raw_batches.json"), b"[]").unwrap();
+        let err = drift_report(&a.0, &b.0, 0.05).unwrap_err();
+        assert!(err.to_string().contains("raw_batches.json"), "{err}");
+        // A dataset that does not parse is no dataset either.
+        std::fs::write(b.0.join("raw_batches.json"), b"[{").unwrap();
+        assert!(drift_report(&a.0, &b.0, 0.05).is_err());
     }
 }

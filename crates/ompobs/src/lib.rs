@@ -7,8 +7,8 @@
 //! gate over named series pairs, and everything else here feeds it or
 //! reads its verdict:
 //!
-//! - [`drift`] — two run directories by hand: the per-stratum series of
-//!   the two `tsdb/` ring directories `collect` wrote, paired by name.
+//! - [`drift`] — two run directories by hand: the per-stratum series
+//!   folded from each run's `raw_batches.json`, paired by name.
 //! - [`sentinel`] — the N-run change-point scan over the whole history
 //!   in a [`sweep::Registry`] (every `collect` run and bench invocation
 //!   appends a content-addressed record). Comparable runs (equal
@@ -21,16 +21,8 @@
 //!   bracketing records' per-app and per-(variable, value) cost
 //!   digests are diffed to name the top regressed slice:
 //!   (arch, app, variable, value) with its relative delta.
-//! - [`bisect`] — replay the sweep recorded by the latest run under
-//!   the *current* tree (warm from the shared sample cache when one is
-//!   given) and report which historical records the tree still
-//!   reproduces — the content address does the bisection.
-//!
-//! [`report`] renders the registry into a dependency-free static HTML
-//! dashboard with hand-rolled SVG sparklines.
 
 pub mod drift;
-pub mod report;
 
 use mlstats::holm_adjust;
 use mlstats::wilcoxon::{wilcoxon_signed_rank, WilcoxonError};
@@ -458,8 +450,13 @@ impl History {
     }
 }
 
-fn short(rev: &str) -> &str {
-    &rev[..rev.len().min(12)]
+/// The first 12 characters of a recorded git revision. A record's
+/// `git_rev` is outside input (only the core is content-hashed), so the
+/// cut lands on a character boundary, never inside one.
+pub fn short(rev: &str) -> &str {
+    rev.char_indices()
+        .nth(12)
+        .map_or(rev, |(end, _)| &rev[..end])
 }
 
 // ---------------------------------------------------------------------------
@@ -523,27 +520,28 @@ pub struct Blame {
 }
 
 /// Diff the digests of two registered runs and name the top regressed
-/// slice. `from_seq`/`to_seq` address records in `records`.
+/// slice. `from_seq`/`to_seq` address records in `records`, which must
+/// share a spec fingerprint: runs of different sweeps differ by what
+/// they swept, not by a regression.
 pub fn blame(records: &[RunRecord], from_seq: u64, to_seq: u64) -> Result<Blame, String> {
-    let find = |seq: u64| -> Result<&CollectCore, String> {
+    let find = |seq: u64| -> Result<(&RunRecord, &CollectCore), String> {
         let rec = records
             .iter()
             .find(|r| r.seq == seq)
             .ok_or_else(|| format!("run #{seq} is not in the registry"))?;
         match &rec.core {
-            RunCore::Collect(c) => Ok(c),
+            RunCore::Collect(c) => Ok((rec, c)),
             RunCore::Bench(_) => Err(format!("run #{seq} is a bench record, not a sweep")),
         }
     };
-    let ca = find(from_seq)?;
-    let cb = find(to_seq)?;
-    let rev_of = |seq: u64| {
-        records
-            .iter()
-            .find(|r| r.seq == seq)
-            .map(|r| r.git_rev.clone())
-            .unwrap_or_default()
-    };
+    let (ra, ca) = find(from_seq)?;
+    let (rb, cb) = find(to_seq)?;
+    if ca.spec_fingerprint != cb.spec_fingerprint {
+        return Err(format!(
+            "run #{from_seq} (spec {:016x}) and run #{to_seq} (spec {:016x}) swept different specs — nothing to blame",
+            ca.spec_fingerprint, cb.spec_fingerprint
+        ));
+    }
 
     let mut arches: Vec<SliceDelta> = ca
         .arches
@@ -638,8 +636,8 @@ pub fn blame(records: &[RunRecord], from_seq: u64, to_seq: u64) -> Result<Blame,
         schema: "ompobs-blame-v1".to_string(),
         from_seq,
         to_seq,
-        from_rev: rev_of(from_seq),
-        to_rev: rev_of(to_seq),
+        from_rev: ra.git_rev.clone(),
+        to_rev: rb.git_rev.clone(),
         arches,
         energy,
         apps,
@@ -703,108 +701,6 @@ impl Blame {
                 t.variable,
                 t.value,
                 t.delta_rel * 100.0
-            ));
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bisection by replay: which recorded runs does the current tree still
-// reproduce?
-
-/// Result of replaying the latest recorded sweep under the current
-/// tree.
-#[derive(Debug, Clone, Serialize)]
-pub struct Bisect {
-    /// Content address the replay produced, hex.
-    pub replay_hash: String,
-    /// Sequence numbers of records the replay reproduces bit-exactly.
-    pub matches: Vec<u64>,
-    /// Trail length the replay was compared against.
-    pub compared: usize,
-}
-
-/// Parse a recorded scope string back into a [`sweep::Scope`].
-pub fn parse_scope(s: &str) -> Option<sweep::Scope> {
-    match s {
-        "Full" => Some(sweep::Scope::Full),
-        "PaperSized" => Some(sweep::Scope::PaperSized),
-        "Pruned" => Some(sweep::Scope::Pruned),
-        other => other
-            .strip_prefix("Strided(")
-            .and_then(|rest| rest.strip_suffix(')'))
-            .and_then(|n| n.parse().ok())
-            .map(sweep::Scope::Strided),
-    }
-}
-
-fn parse_roster(s: &str) -> Option<sweep::Roster> {
-    match s {
-        "Paper" => Some(sweep::Roster::Paper),
-        "Generated" => Some(sweep::Roster::Generated),
-        "All" => Some(sweep::Roster::All),
-        _ => None,
-    }
-}
-
-/// Re-run the sweep recorded by the latest comparable run under the
-/// current tree, as `collect` would (warm from `cache` when given), and
-/// compare content addresses against the whole trail.
-pub fn bisect(
-    records: &[RunRecord],
-    cache: Option<&sweep::SampleCache>,
-    workers: usize,
-) -> Result<Bisect, String> {
-    let trail = comparable_trail(records);
-    let last = trail.last().ok_or("no collect runs in the registry")?;
-    let RunCore::Collect(recorded) = &last.core else {
-        unreachable!("trail holds collect records only");
-    };
-    let spec = sweep::SweepSpec {
-        scope: parse_scope(&recorded.scope)
-            .ok_or_else(|| format!("unparsable recorded scope {:?}", recorded.scope))?,
-        roster: parse_roster(&recorded.roster)
-            .ok_or_else(|| format!("unparsable recorded roster {:?}", recorded.roster))?,
-        reps: recorded.reps,
-        seed: recorded.seed,
-        failure_rate: f64::from_bits(recorded.failure_rate_bits),
-    };
-    let core = sweep::collect::core_of(&sweep::collect::Job {
-        spec: &spec,
-        workers: workers.max(1),
-        cache,
-        perturb: None,
-    });
-    let replay_hash = RunCore::Collect(core).hash();
-    Ok(Bisect {
-        replay_hash: format!("{replay_hash:016x}"),
-        matches: trail
-            .iter()
-            .filter(|r| r.record_hash == replay_hash)
-            .map(|r| r.seq)
-            .collect(),
-        compared: trail.len(),
-    })
-}
-
-impl Bisect {
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "bisect: replay under the current tree hashed {}\n",
-            self.replay_hash
-        );
-        if self.matches.is_empty() {
-            out.push_str(&format!(
-                "the current tree reproduces NONE of the {} comparable run(s) — behaviour changed after the last record\n",
-                self.compared
-            ));
-        } else {
-            out.push_str(&format!(
-                "the current tree reproduces run(s) {:?} of {} compared — the change landed after run #{}\n",
-                self.matches,
-                self.compared,
-                self.matches.last().expect("non-empty matches")
             ));
         }
         out
@@ -1035,23 +931,14 @@ mod tests {
             c.arches[0].energy.truncate(1);
         }
         short.record_hash = short.core.hash();
-        let load = sweep::RegistryLoad {
-            records: vec![synth_record(0, None), short],
-            corrupt_skipped: 0,
-        };
-        let h = sentinel(&load.records, 0.05);
+        let records = vec![synth_record(0, None), short];
+        let h = sentinel(&records, 0.05);
         let a64fx = h.steps[0]
             .rows
             .iter()
             .filter(|r| r.series.starts_with("a64fx/"));
         assert_eq!(a64fx.count(), 3, "the strata both sides have");
-        let html = report::dashboard_html("reg", &load, &h, None);
-        assert!(
-            html.contains("a64fx/virt/s7"),
-            "missing strata render as gaps"
-        );
-        assert!(html.starts_with("<!DOCTYPE html>"));
-        assert!(html.ends_with("</html>\n"), "report.html is truncated");
+        assert!(h.render().contains("VERDICT: OK"), "{}", h.render());
     }
 
     #[test]
@@ -1081,15 +968,34 @@ mod tests {
     }
 
     #[test]
-    fn scope_strings_round_trip() {
-        for scope in [
-            sweep::Scope::Full,
-            sweep::Scope::PaperSized,
-            sweep::Scope::Pruned,
-            sweep::Scope::Strided(400),
-        ] {
-            assert_eq!(parse_scope(&format!("{scope:?}")), Some(scope));
+    fn blame_refuses_runs_of_different_specs() {
+        // A `tiny` run then a `fast` one: the gap is the larger scope,
+        // not a regression, so there is no slice to name.
+        let scoped = |seq: u64, stride: usize| {
+            let spec = sweep::SweepSpec {
+                scope: sweep::Scope::Strided(stride),
+                ..sweep::SweepSpec::default()
+            };
+            let mut core = CollectCore::new(&spec);
+            core.arches.push(synth_arch("skylake", stride as f64, 1.0));
+            let rc = RunCore::Collect(core);
+            RunRecord {
+                seq,
+                ts_unix: 1_000 + seq,
+                git_rev: format!("rev{seq}"),
+                record_hash: rc.hash(),
+                core: rc,
+                info: RunInfo::default(),
+            }
+        };
+        let records = vec![scoped(0, 400), scoped(1, 24)];
+        let fps = records.iter().map(|r| format!("{:016x}", r.core.spec_fp()));
+        let err = blame(&records, 0, 1).unwrap_err();
+        for fp in fps {
+            assert!(err.contains(&fp), "{err} does not name {fp}");
         }
-        assert_eq!(parse_scope("Strided(x)"), None);
+        // Runs of one spec still blame.
+        let records = vec![scoped(0, 400), scoped(1, 400)];
+        assert!(blame(&records, 0, 1).is_ok());
     }
 }

@@ -10,17 +10,13 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use omptel::tsdb::Tsdb;
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
-use sweep::{RegistryLoad, RunCore, SampleCache};
+use sweep::{RegistryLoad, RunCore};
 
 const USAGE: &str = "usage: ompobs drift    <RUN_A> <RUN_B> [--alpha A] [--out PATH]
-       ompobs series   <RUN>
        ompobs list     [--dir DIR]
        ompobs sentinel [--dir DIR] [--alpha A] [--out PATH]
-       ompobs blame    [--dir DIR] [--from N --to N] [--out PATH]
-       ompobs bisect   [--dir DIR] [--cache-dir DIR] [--workers N]
-       ompobs report   [--dir DIR] [--out PATH]";
+       ompobs blame    [--dir DIR] [--from N --to N] [--out PATH]";
 
 /// A parsed command line: the verb, its run directories and the flags.
 struct Cli {
@@ -31,23 +27,19 @@ struct Cli {
     out: Option<PathBuf>,
     /// `--from N --to N`, both or neither.
     bracket: Option<(u64, u64)>,
-    cache_dir: Option<PathBuf>,
-    workers: usize,
 }
 
 fn parse(mut args: Args) -> Result<Cli, Error> {
     let cmd = args.subcommand()?;
     let runs = match cmd.as_str() {
         "drift" => 2,
-        "series" => 1,
-        "list" | "sentinel" | "blame" | "bisect" | "report" => 0,
+        "list" | "sentinel" | "blame" => 0,
         other => return Err(Error::unknown("command", other)),
     };
     let seq = "a run sequence number";
     let mut cli = Cli {
         dir: args.value("--dir")?.map(PathBuf::from),
         out: args.value("--out")?.map(PathBuf::from),
-        cache_dir: args.value("--cache-dir")?.map(PathBuf::from),
         alpha: match args.parsed("--alpha", "a level")? {
             None => 0.05,
             Some(a) if a > 0.0 && a < 1.0 => a,
@@ -58,7 +50,6 @@ fn parse(mut args: Args) -> Result<Cli, Error> {
             (None, None) => None,
             _ => return Err(Error::usage("--from and --to go together")),
         },
-        workers: args.positive("--workers")?.unwrap_or(2),
         runs: Vec::new(),
         cmd,
     };
@@ -102,16 +93,13 @@ fn main() -> ExitCode {
         let cli = parse(args)?;
         match (cli.cmd.as_str(), cli.runs.as_slice()) {
             ("drift", [run_a, run_b]) => drift_cmd(run_a, run_b, &cli),
-            ("series", [run]) => series_cmd(run),
             (cmd, _) => {
                 let dir = registry_dir(&cli);
                 let load = load_registry(&dir)?;
                 match cmd {
                     "list" => list_cmd(&dir, &load),
                     "sentinel" => sentinel_cmd(&dir, &load, &cli),
-                    "blame" => blame_cmd(&dir, &load, &cli),
-                    "bisect" => bisect_cmd(&load, &cli),
-                    _ => report_cmd(&dir, &load, &cli),
+                    _ => blame_cmd(&dir, &load, &cli),
                 }
             }
         }
@@ -133,39 +121,6 @@ fn drift_cmd(run_a: &Path, run_b: &Path, cli: &Cli) -> Outcome {
     let out = cli.out.clone().unwrap_or_else(|| run_b.join("drift.json"));
     write_json(&out, "report", &report)?;
     Ok(cli::findings(report.drift))
-}
-
-fn series_cmd(run: &Path) -> Outcome {
-    let dir = run.join("tsdb");
-    let names = Tsdb::series(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    println!(
-        "{:<28} {:>8} {:>8} {:>12} {:>12}",
-        "SERIES", "POINTS", "DROPPED", "MEAN", "LAST"
-    );
-    for name in names {
-        match Tsdb::read(&dir, &name) {
-            Ok((points, dropped)) => {
-                let count: u64 = points.iter().map(|p| p.count).sum();
-                let sum: f64 = points.iter().map(|p| p.sum).sum();
-                let mean = if count > 0 {
-                    sum / count as f64
-                } else {
-                    f64::NAN
-                };
-                let last = points.last().map(|p| p.value()).unwrap_or(f64::NAN);
-                println!(
-                    "{:<28} {:>8} {:>8} {:>12.4} {:>12.4}",
-                    name,
-                    points.len(),
-                    dropped,
-                    mean,
-                    last
-                );
-            }
-            Err(e) => eprintln!("ompobs: {name}: {e}"),
-        }
-    }
-    Ok(EXIT_OK)
 }
 
 fn list_cmd(dir: &Path, load: &RegistryLoad) -> Outcome {
@@ -193,7 +148,7 @@ fn list_cmd(dir: &Path, load: &RegistryLoad) -> Outcome {
             rec.seq,
             rec.ts_unix,
             rec.core.kind(),
-            &rec.git_rev[..rec.git_rev.len().min(12)],
+            ompobs::short(&rec.git_rev),
             rec.record_hash,
             samples,
             rec.info.workers,
@@ -233,49 +188,50 @@ fn blame_cmd(dir: &Path, load: &RegistryLoad, cli: &Cli) -> Outcome {
     Ok(EXIT_OK)
 }
 
-fn bisect_cmd(load: &RegistryLoad, cli: &Cli) -> Outcome {
-    let cache = cli.cache_dir.as_ref().map(SampleCache::new);
-    let result = ompobs::bisect(&load.records, cache.as_ref(), cli.workers)?;
-    print!("{}", result.render());
-    // "reproduces nothing" is the change signal for CI.
-    Ok(cli::findings(
-        result.matches.is_empty() && result.compared > 0,
-    ))
-}
-
-fn report_cmd(dir: &Path, load: &RegistryLoad, cli: &Cli) -> Outcome {
-    let history = ompobs::sentinel(&load.records, cli.alpha);
-    let blame = history
-        .default_bracket()
-        .filter(|_| history.change)
-        .and_then(|(from, to)| ompobs::blame(&load.records, from, to).ok());
-    let html =
-        ompobs::report::dashboard_html(&dir.display().to_string(), load, &history, blame.as_ref());
-    let out = cli.out.clone().unwrap_or_else(|| dir.join("report.html"));
-    std::fs::write(&out, html).map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!(
-        "report: {} record(s), {} change-point(s) -> {}",
-        load.records.len(),
-        history.change_points.len(),
-        out.display()
-    );
-    Ok(EXIT_OK)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use sweep::{CollectCore, Registry, RunInfo, Scope, SweepSpec};
+
     #[test]
     fn a_command_line_is_a_verb_with_flags_or_a_usage_error() {
-        omptune_core::cli::check_parse(
-            super::parse,
-            "drift a b --alpha 0.01 --out d.json | series a | list --dir reg \
+        cli::check_parse(
+            parse,
+            "drift a b --alpha 0.01 --out d.json | list --dir reg \
              | sentinel --dir reg --alpha 0.1 --out h.json \
-             | blame --from 1 --to 3 --out b.json \
-             | bisect --dir reg --cache-dir c --workers 4 | report",
-            " | frob | drift a | drift a b c | series | list extra | list --frob \
-             | sentinel --alpha 1.5 \
-             | sentinel --dir | blame --from 1 | blame --from x --to 2 \
-             | bisect --workers 0",
+             | blame --from 1 --to 3 --out b.json",
+            " | frob | series a | bisect | report | drift a | drift a b c | list extra \
+             | list --frob | sentinel --alpha 1.5 | sentinel --dir | blame --from 1 \
+             | blame --from x --to 2 | blame --workers 2 | list --cache-dir c",
         );
+    }
+
+    /// A record's `git_rev` is not content-hashed, so any text loads;
+    /// every surface that shortens it must cut on a character boundary.
+    #[test]
+    fn a_multi_byte_revision_lists_and_renders() {
+        let dir = std::env::temp_dir().join(format!("ompobs-rev-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Registry::open(&dir).unwrap();
+        let spec = SweepSpec {
+            scope: Scope::Strided(400),
+            ..SweepSpec::default()
+        };
+        let mut core = CollectCore::new(&spec);
+        core.push_arch("skylake", &[], 0);
+        for (rev, ts) in [("abcdefghijkéz", 1), ("0123456789abcdef", 2)] {
+            let core = RunCore::Collect(core.clone());
+            registry.append(core, RunInfo::default(), rev, ts).unwrap();
+        }
+        let load = load_registry(&dir).unwrap();
+        assert_eq!(load.records[0].git_rev, "abcdefghijkéz");
+
+        assert_eq!(list_cmd(&dir, &load).unwrap(), EXIT_OK);
+        let history = ompobs::sentinel(&load.records, 0.05);
+        assert!(history.render().contains("rev abcdefghijké "));
+        let blame = ompobs::blame(&load.records, 0, 1).unwrap();
+        let render = blame.render();
+        assert!(render.contains("(rev abcdefghijké) -> run #1 (rev 0123456789ab)"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

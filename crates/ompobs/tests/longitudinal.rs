@@ -101,32 +101,5 @@ fn registered_history_yields_clean_sentinel_then_flags_a_perturbed_run() {
     );
     assert!(blame.render().contains("top regressed slice: skylake/"));
 
-    // The dashboard renders the whole trail without panicking and
-    // carries the verdict.
-    let html =
-        ompobs::report::dashboard_html(&dir.display().to_string(), &load, &history, Some(&blame));
-    assert!(html.contains("<!DOCTYPE html>"));
-    assert!(html.contains("CHANGE-POINT"));
-    assert!(html.contains("skylake/virt/s0"));
-    assert!(html.ends_with("</html>\n"));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bisect_replay_matches_unperturbed_records_only() {
-    let dir = temp_registry("bisect");
-    let reg = Registry::open(&dir).expect("open registry");
-    append(&reg, swept_core(None), "rev-a", 100);
-    append(&reg, swept_core(Some((Arch::A64fx, 1.25))), "rev-b", 200);
-
-    let load = reg.load().expect("load registry");
-    let result = ompobs::bisect(&load.records, None, 2).expect("bisect replay");
-    assert_eq!(result.compared, 2);
-    // The current tree reproduces the unperturbed record bit-exactly
-    // and disagrees with the perturbed one.
-    assert_eq!(result.matches, vec![0], "{}", result.render());
-    assert!(result.render().contains("run(s) [0]"));
-
     let _ = std::fs::remove_dir_all(&dir);
 }

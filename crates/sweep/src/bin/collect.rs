@@ -20,9 +20,8 @@
 //! discover the real port. Monitoring is read-only and never changes
 //! results either.
 //!
-//! Every run also writes `OUT_DIR/tsdb/`: per architecture and config
-//! stratum, one ring of virtual rep means and one of joules, which
-//! `ompobs drift` compares across runs.
+//! `OUT_DIR` holds the five artifact files and nothing else;
+//! `ompobs drift` compares two runs by folding their `raw_batches.json`.
 
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use omptune_core::Arch;

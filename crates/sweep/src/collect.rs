@@ -1,9 +1,9 @@
 //! One collection run (paper Sec. IV-B/C), in the one order everything
 //! downstream depends on. Per architecture: sweep → `--perturb` → clean →
-//! registry fold → the run's record → `tsdb/` series; then the artifact
-//! tail and the registry append. The `collect` binary is a command line,
-//! a monitor and stderr around [`run`]; `ompobs bisect` and the tests
-//! call the same functions, so the order is written once.
+//! registry fold → the run's record; then the artifact tail and the
+//! registry append. The `collect` binary is a command line, a monitor
+//! and stderr around [`run`]; the tests call the same functions, so the
+//! order is written once.
 
 use crate::dataset::clean;
 use crate::export::{write_artifacts, ArtifactSummary};
@@ -13,9 +13,8 @@ use crate::registry::{
 };
 use crate::runner::{RunKey, SettingData};
 use crate::schedule::{planned_samples, sweep_arch_scheduled, SweepOptions, SweepStats};
-use crate::series::append_stratum_series;
 use crate::{SampleCache, SweepSpec};
-use omptel::{Progress, Tsdb};
+use omptel::Progress;
 use omptune_core::{Arch, Fnv1a, LiveInfluence};
 use std::io;
 use std::path::Path;
@@ -141,8 +140,8 @@ pub trait Watch {
         Progress::quiet(label, total)
     }
 
-    /// Called once the architecture is in the state's record and its
-    /// series are on disk, with the state unlocked.
+    /// Called once the architecture is in the state's record, with the
+    /// state unlocked.
     fn arch_done(&mut self, _done: &ArchDone<'_>) {}
 }
 
@@ -164,7 +163,7 @@ pub struct Finished {
 /// Fault injection for the change-point sentinel's acceptance test:
 /// scale every runtime, virtual-time, and energy figure of one
 /// architecture's batches, exactly as a real regression on that arch
-/// would move them. Applied before any artifact (tsdb, provenance,
+/// would move them. Applied before any artifact (dataset, provenance,
 /// registry) is built.
 fn perturb_batches(batches: &mut [SettingData], factor: f64) {
     for data in batches.iter_mut() {
@@ -266,8 +265,8 @@ fn sweep_arch(
     }
 }
 
-/// The core [`run`] registers for `job`, without the run's outputs: what
-/// a replay compares against recorded content addresses.
+/// The core [`run`] registers for `job`, without the run's outputs: the
+/// content address a run of `job` would be recorded under.
 pub fn core_of(job: &Job) -> CollectCore {
     let state = State::new(job.spec);
     let mut core = CollectCore::new(job.spec);
@@ -302,8 +301,8 @@ fn scheduler_counters(manifest: &RunManifest) -> Vec<(String, u64)> {
     names.map(str::to_string).into_iter().zip(totals).collect()
 }
 
-/// Collect `job` into `out_dir`: `tsdb/` as each architecture finishes,
-/// then every file of [`crate::export::ARTIFACT_FILES`], then one record
+/// Collect `job` into `out_dir`: every file of
+/// [`crate::export::ARTIFACT_FILES`] and nothing else, then one record
 /// appended to `registry` — the deterministic core (hashed) plus the
 /// run-varying context (informational). `state` is the run as it stands
 /// for whoever else holds it; `watch` hears of each architecture.
@@ -316,9 +315,9 @@ pub fn run(
 ) -> io::Result<Finished> {
     let spec = job.spec;
     let mut core = registry.map(|_| CollectCore::new(spec));
-    // Every run records its time-series; `ompobs drift` compares them
-    // across runs, so unmonitored CI runs need them too.
-    let mut tsdb = Tsdb::open(out_dir.join("tsdb"), omptel::DEFAULT_CAPACITY)?;
+    // An unusable output directory fails the run before the sweep, not
+    // after it.
+    std::fs::create_dir_all(out_dir)?;
     let mut batches = Vec::new();
 
     for &arch in Arch::ALL.iter() {
@@ -351,12 +350,6 @@ pub fn run(
             )
         };
 
-        // The drift sentinel's per-stratum series, from the cleaned
-        // samples.
-        append_stratum_series(&mut tsdb, arch.id(), &swept.batches)?;
-        // One write per series per arch; a failed write fails the run
-        // here rather than vanishing in the handle's drop.
-        tsdb.flush()?;
         watch.arch_done(&ArchDone {
             arch: &done,
             energy,

@@ -9,7 +9,7 @@
 //! - [`dataset`] — cleaning, repetition averaging, speedup computation,
 //!   and tabular record building,
 //! - [`export`] — the open-sourced artifacts: CSV tables and raw JSON,
-//! - [`series`] — the per-stratum time-series a run leaves in `tsdb/`,
+//! - [`series`] — the per-stratum series `ompobs drift` folds from a run,
 //! - [`registry`] — the content-addressed run log `ompobs` reads,
 //! - [`collect`] — one collection run over all of the above, in order.
 

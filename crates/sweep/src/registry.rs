@@ -39,8 +39,8 @@ use std::path::{Path, PathBuf};
 pub const SCHEMA: &str = "ompobs-run-v2";
 
 /// Config strata every per-stratum series folds into
-/// (`config_index % STRATA`) — here and in a run's `tsdb/` rings
-/// ([`crate::series`]).
+/// (`config_index % STRATA`) — here and in the series `ompobs drift`
+/// folds from a run's dataset ([`crate::series`]).
 pub const STRATA: usize = 8;
 
 /// Per-stratum series tail retained in a record. The sentinel pairs
@@ -98,8 +98,8 @@ pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
 /// One stratum's virtual-time series: one point per sample carrying the
 /// simulation's deterministic `virtual_ns` (count 1, sum the ns figure),
 /// ring-capped to the most recent [`SERIES_RETAIN`] points. Virtual
-/// time is what the perturbation gate scales and what the dashboard
-/// renders, and it lives inline in every sample — the fold never has to
+/// time is what the perturbation gate scales and what the sentinel
+/// tests, and it lives inline in every sample — the fold never has to
 /// chase the per-repetition runtime arrays.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StratumSeries {

@@ -1,20 +1,21 @@
-//! The time-series a collection run leaves in its `tsdb/`: their names
-//! and their one writer.
+//! The per-stratum series `ompobs drift` gates on: their names and the
+//! one fold that reads them out of a run's cleaned batches.
 //!
 //! A run's samples are stratified by `config_index % STRATA`; per
-//! architecture and stratum it records one series of virtual time and
-//! one of modeled energy, a point per sample. Both are deterministic
-//! given the seed, so two same-seed runs must agree on them exactly —
-//! which is what lets `ompobs drift` gate on every one of them. The
-//! registry's [`ArchDigest`](crate::ArchDigest) folds the same strata
-//! under the same names. A run records nothing else there: what varies
-//! with the machine or the schedule has no reader that could gate on it.
+//! architecture and stratum there is one series of mean repetition
+//! seconds (`virt`) and one of modeled joules (`energy`), a point per
+//! sample. Both are deterministic given the seed, so two same-seed runs
+//! must agree on them exactly — which is what lets `ompobs drift` gate
+//! on every one of them. They are not stored anywhere: `drift` folds
+//! them from each run's `raw_batches.json`. The registry's
+//! [`ArchDigest`](crate::ArchDigest) folds the same strata under the
+//! same names, but its `virt` series hold the simulation's
+//! `virtual_ns`, not the repetition times.
 
 use crate::registry::STRATA;
 use crate::runner::SettingData;
-use omptel::{Point, Tsdb};
 use omptune_core::Arch;
-use std::io;
+use std::collections::BTreeMap;
 
 /// The objectives recorded per stratum, as they appear in series names.
 pub const OBJECTIVES: [&str; 2] = ["virt", "energy"];
@@ -36,42 +37,43 @@ pub fn all_stratum_series() -> Vec<String> {
     names
 }
 
-/// Append one architecture's cleaned samples to its stratum series:
-/// per sample with a finite repetition, one virtual-time point (count
-/// and sum of the finite repetitions) and — when the sample has modeled
-/// joules — one energy point at the same stratum sequence number, so
-/// the two objectives pair up position for position. Returns the points
-/// appended; the caller flushes.
-pub fn append_stratum_series(
-    tsdb: &mut Tsdb,
-    arch: &str,
-    batches: &[SettingData],
-) -> io::Result<u64> {
-    let names = |objective| -> [String; STRATA] {
-        std::array::from_fn(|k| stratum_series(arch, objective, k))
-    };
-    let (virt, energy) = (names("virt"), names("energy"));
-    let mut stratum_seq = [0u64; STRATA];
-    let mut points = 0u64;
-    for sample in batches.iter().flat_map(|data| &data.samples) {
-        let finite = || sample.runtimes.iter().filter(|t| t.is_finite());
-        let count = finite().count() as u64;
-        if count == 0 {
-            continue;
-        }
-        let k = sample.config_index % STRATA;
-        let ts = stratum_seq[k];
-        stratum_seq[k] += 1;
-        let sum = finite().sum();
-        tsdb.append(&virt[k], Point { ts, count, sum })?;
-        points += 1;
-        let joules = sample.telemetry.energy.total_j;
-        if joules.is_finite() && joules > 0.0 {
-            tsdb.append(&energy[k], Point::single(ts, joules))?;
-            points += 1;
+/// Fold cleaned batches into their stratum series, by name; a name is
+/// there when it has a point. Per sample with a finite repetition, one
+/// `virt` point (the finite repetitions' sum over their count) and —
+/// when the sample has modeled joules — one `energy` point, so the two
+/// objectives pair up position for position. Points follow batch order,
+/// then sample order, within each (arch, stratum).
+pub fn fold_stratum_series(batches: &[SettingData]) -> BTreeMap<String, Vec<f64>> {
+    let mut points: [[[Vec<f64>; STRATA]; 2]; Arch::ALL.len()] = Default::default();
+    for data in batches {
+        let arch = Arch::ALL.iter().position(|&a| a == data.key.arch);
+        let [virt, energy] = &mut points[arch.expect("an architecture of Arch::ALL")];
+        for sample in &data.samples {
+            let finite = || sample.runtimes.iter().filter(|t| t.is_finite());
+            let count = finite().count() as u64;
+            if count == 0 {
+                continue;
+            }
+            let k = sample.config_index % STRATA;
+            let sum: f64 = finite().sum();
+            virt[k].push(sum / count as f64);
+            let joules = sample.telemetry.energy.total_j;
+            if joules.is_finite() && joules > 0.0 {
+                energy[k].push(joules);
+            }
         }
     }
-    Ok(points)
+    let mut series = BTreeMap::new();
+    for (arch, objectives) in Arch::ALL.iter().zip(points) {
+        for (objective, strata) in OBJECTIVES.iter().zip(objectives) {
+            for (k, values) in strata.into_iter().enumerate() {
+                if !values.is_empty() {
+                    series.insert(stratum_series(arch.id(), objective, k), values);
+                }
+            }
+        }
+    }
+    series
 }
 
 #[cfg(test)]
@@ -80,7 +82,7 @@ mod tests {
     use crate::{Scope, SweepOptions, SweepSpec};
 
     #[test]
-    fn the_stratum_writer_writes_only_stratum_series() {
+    fn the_fold_yields_only_stratum_series() {
         // An odd stride spreads the samples over several strata.
         let spec = SweepSpec {
             scope: Scope::Strided(1001),
@@ -92,24 +94,32 @@ mod tests {
             crate::clean(data, spec.reps as usize);
         }
         let samples: usize = batches.iter().map(|b| b.samples.len()).sum();
-        let dir = std::env::temp_dir().join(format!("sweep-series-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut tsdb = Tsdb::open(&dir, omptel::DEFAULT_CAPACITY).unwrap();
 
-        let points = append_stratum_series(&mut tsdb, "skylake", &batches).unwrap();
-        tsdb.flush().unwrap();
-        assert_eq!(
-            points,
-            2 * samples as u64,
-            "a virt and an energy point per sample"
-        );
-        let written = Tsdb::series(&dir).unwrap();
-        assert!(written.len() > 2, "one stratum only: {written:?}");
+        let series = fold_stratum_series(&batches);
+        let points: usize = series.values().map(Vec::len).sum();
+        assert_eq!(points, 2 * samples, "a virt and an energy point per sample");
+        assert!(series.len() > 2, "one stratum only: {series:?}");
         let names = all_stratum_series();
         assert_eq!(names.len(), Arch::ALL.len() * OBJECTIVES.len() * STRATA);
-        for name in &written {
+        for name in series.keys() {
             assert!(names.contains(name), "{name} is not a stratum series");
+            assert!(name.starts_with("skylake/"), "{name}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        // The first sample of stratum 0 is the first point of its series.
+        let first = batches
+            .iter()
+            .flat_map(|b| &b.samples)
+            .find(|s| s.config_index % STRATA == 0)
+            .unwrap();
+        let finite: Vec<f64> = first
+            .runtimes
+            .iter()
+            .copied()
+            .filter(|t| t.is_finite())
+            .collect();
+        let mean = finite.iter().sum::<f64>() / finite.len() as f64;
+        assert_eq!(series["skylake/virt/s0"][0].to_bits(), mean.to_bits());
+        let joules = first.telemetry.energy.total_j;
+        assert_eq!(series["skylake/energy/s0"][0].to_bits(), joules.to_bits());
     }
 }

@@ -165,7 +165,7 @@ step cargo run --release -q -p ompobs -- drift "$coherence_dir/cold" "$coherence
 # must say OK over that history, and a deliberately perturbed fifth run
 # (+10% virtual time on one architecture) must flip it to exit 4 with
 # blame naming the perturbed slice.
-banner "longitudinal observatory gate (registry, sentinel, blame, report)"
+banner "longitudinal observatory gate (registry, sentinel, drift, blame)"
 obs_dir="$coherence_dir/.ompobs"
 cargo run --release -q -p ompobs -- list --dir "$obs_dir"
 expect_exit 0 "sentinel over the identical-run history" \
@@ -174,8 +174,10 @@ need "$obs_dir/history.json" . "sentinel did not write history.json"
 collect_tiny perturbed --workers 2 --cache-dir "$coherence_dir/cache" --perturb skylake:1.10
 expect_exit 4 "sentinel over the +10% skylake perturbation" \
     cargo run --release -q -p ompobs -- sentinel --dir "$obs_dir"
-# The two-run comparison must see the same fault from the runs' tsdb/
-# rings alone: cold vs perturbed is DRIFT (exit 4), not OK, not an error.
+need "$obs_dir/history.json" '"change": true' \
+    "history.json lost the change-point verdict"
+# The two-run comparison must see the same fault from the runs' datasets
+# alone: cold vs perturbed is DRIFT (exit 4), not OK, not an error.
 expect_exit 4 "drift of cold vs the +10% skylake perturbation" \
     cargo run --release -q -p ompobs -- \
     drift "$coherence_dir/cold" "$coherence_dir/perturbed"
@@ -185,8 +187,6 @@ blame_out="$(cargo run --release -q -p ompobs -- blame --dir "$obs_dir")"
 echo "$blame_out"
 need <(echo "$blame_out") 'top regressed slice: skylake/' \
     "blame did not name the perturbed skylake slice"
-cargo run --release -q -p ompobs -- report --dir "$obs_dir"
-need "$obs_dir/report.html" 'CHANGE-POINT' "report.html lost the change-point verdict"
 echo "sentinel clean on identical history, change-point + drift + blame on the perturbed run"
 
 # ompprof smoke: the top attributed variable of a strided CG/Milan sweep

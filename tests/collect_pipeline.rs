@@ -7,9 +7,10 @@
 
 use omptune::core::Arch;
 use omptune::data::collect::{self, Job, State};
-use omptune::data::series::all_stratum_series;
+use omptune::data::export::{read_raw_json, ARTIFACT_FILES};
+use omptune::data::series::{all_stratum_series, fold_stratum_series};
 use omptune::data::{Registry, RegistryLoad, RunRecord, SampleCache, Scope, SweepSpec};
-use omptune::tel::{Counter, CounterSnapshot, Tsdb};
+use omptune::tel::{Counter, CounterSnapshot};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -48,8 +49,10 @@ struct Runs {
     /// Files under the shared cache directory after the three sound
     /// runs, relative to it.
     cache_files: Vec<PathBuf>,
-    /// Names of the series in the cold run's `tsdb/`.
+    /// The stratum series folded from the cold run's `raw_batches.json`.
     cold_series: Vec<String>,
+    /// What the cold run left in its directory besides the artifacts.
+    cold_extra: Vec<PathBuf>,
     /// The shared registry as it loads after all seven runs.
     registry: RegistryLoad,
 }
@@ -137,6 +140,13 @@ fn runs() -> &'static Runs {
         }
         let damaged = run("damaged", 1, "cache", None);
         let perturbed = run("perturbed", 2, "cache", Some((Arch::Skylake, 1.10)));
+        let cold_raw = fs::read(root.join("cold/raw_batches.json")).unwrap();
+        let cold_series = fold_stratum_series(&read_raw_json(&cold_raw).unwrap());
+        let cold_extra = fs::read_dir(root.join("cold"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| !ARTIFACT_FILES.iter().any(|file| path.ends_with(file)))
+            .collect();
 
         let runs = Runs {
             cold,
@@ -147,7 +157,8 @@ fn runs() -> &'static Runs {
             warm1,
             damaged,
             perturbed,
-            cold_series: Tsdb::series(&root.join("cold/tsdb")).unwrap(),
+            cold_series: cold_series.into_keys().collect(),
+            cold_extra,
             registry: registry.load().unwrap(),
             cache_files: cache_files
                 .iter()
@@ -231,11 +242,14 @@ fn the_cache_directory_holds_only_arch_stem_bin_files() {
     }
 }
 
-/// A run records joules beside virtual time: one stratified series of
-/// each per architecture (`tiny` only fills stratum 0), and nothing but
-/// the stratum series `ompobs drift` pairs.
+/// A run records joules beside virtual time: its dataset folds into one
+/// stratified series of each per architecture (`tiny` only fills
+/// stratum 0), and nothing but the stratum series `ompobs drift` pairs.
+/// The series are not stored a second time: the run directory holds the
+/// artifact files and no `tsdb/`.
 #[test]
 fn every_architecture_records_energy_series_beside_virtual_time() {
+    assert_eq!(runs().cold_extra, Vec::<PathBuf>::new());
     let series = &runs().cold_series;
     for arch in Arch::ALL {
         for name in ["virt/s0", "energy/s0"] {
