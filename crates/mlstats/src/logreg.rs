@@ -66,14 +66,13 @@ impl std::fmt::Display for LogRegError {
 
 impl std::error::Error for LogRegError {}
 
-/// Numerically stable logistic sigmoid.
+/// Numerically stable logistic sigmoid: `1 / (1 + e^-z)` for `z >= 0`
+/// and `e^z / (1 + e^z)` below, both as `num / (1 + e^-|z|)`, so the one
+/// `exp` call does not wait on the sign test.
 pub fn sigmoid(z: f64) -> f64 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
-    }
+    let e = (-z.abs()).exp();
+    let num = if z >= 0.0 { 1.0 } else { e };
+    num / (1.0 + e)
 }
 
 impl LogisticModel {
@@ -110,11 +109,14 @@ impl LogisticModel {
 
 /// Fit a logistic model on the rows of `x` with boolean labels `y`.
 ///
-/// Each Newton step accumulates the gradient and the upper triangle of
-/// the Hessian over the rows in order, packed row by row, with the row
-/// weight hoisted: `w·x_i` once per `i`, then `+= (w·x_i)·x_j` — the
-/// same left-associated product as `w·x_i·x_j`, so every entry is the
-/// same sum of the same terms in the same order at any packing.
+/// Each Newton step walks the rows in spans of [`SPAN`], two passes a
+/// span. The first computes every row's residual `err` and weight `w`
+/// (the `exp` calls, with nothing waiting on them); the second adds the
+/// span's terms to the gradient `err·x_i` and to the upper triangle of
+/// the Hessian `(w·x_i)·x_j`, a few column chunks of one row `i` at a
+/// time held in registers (see [`Rows::add`]). Every entry is the same
+/// sum of the same products in row order as a one-pass row-by-row loop,
+/// so the model is too, bit for bit.
 pub fn fit_logistic(
     x: &Design,
     y: &[bool],
@@ -130,38 +132,46 @@ pub fn fit_logistic(
 
     let n = x.len();
     let p = x.dim() + 1;
+    // The rows copied once, each zero-padded to whole chunks of `LANES`
+    // columns, so that every chunk a sum reads is in bounds.
+    let width = p.div_ceil(LANES) * LANES;
+    let mut padded = vec![0.0f64; n * width];
+    for (to, row) in padded.chunks_exact_mut(width).zip(x.rows()) {
+        to[..p].copy_from_slice(row);
+    }
     let mut beta = vec![0.0f64; p]; // [intercept, coefs...]
     let mut iterations = 0;
+    let (mut err, mut weight) = (vec![0.0f64; SPAN], vec![0.0f64; SPAN]);
+    // Rows 0..p: the Hessian's rows (entries left of the diagonal are
+    // never read); row p: the gradient.
+    let mut sums = vec![0.0f64; (p + 1) * width];
     let mut grad = vec![0.0f64; p];
-    let mut upper = vec![0.0f64; p * (p + 1) / 2];
     let mut hess = Matrix::zeros(p, p);
 
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
         // Gradient and Hessian of the regularized negative log-likelihood.
-        grad.fill(0.0);
-        upper.fill(0.0);
-        for (row, &yi) in x.rows().zip(y) {
-            let z: f64 = beta.iter().zip(row).map(|(b, v)| b * v).sum();
-            let mu = sigmoid(z);
-            let err = mu - if yi { 1.0 } else { 0.0 };
-            let w = (mu * (1.0 - mu)).max(1e-10);
-            let mut k = 0; // start of row i of the packed triangle
-            for i in 0..p {
-                grad[i] += err * row[i];
-                let wi = w * row[i];
-                for (h, xj) in upper[k..k + p - i].iter_mut().zip(&row[i..]) {
-                    *h += wi * xj;
-                }
-                k += p - i;
+        sums.fill(0.0);
+        let (hess_sums, grad_sums) = sums.split_at_mut(p * width);
+        for (data, ys) in padded.chunks(SPAN * width).zip(y.chunks(SPAN)) {
+            let rows = Rows { width, data };
+            let (err, weight) = (&mut err[..ys.len()], &mut weight[..ys.len()]);
+            for ((row, &yi), (e, w)) in rows.iter().zip(ys).zip(err.iter_mut().zip(&mut *weight)) {
+                let z: f64 = beta.iter().zip(row).map(|(b, v)| b * v).sum();
+                let mu = sigmoid(z);
+                *e = mu - if yi { 1.0 } else { 0.0 };
+                *w = (mu * (1.0 - mu)).max(1e-10);
+            }
+            rows.add(0, err, |e, _| e, grad_sums);
+            for (i, out) in hess_sums.chunks_exact_mut(width).enumerate() {
+                rows.add(i, weight, |w, row| w * row[i], out);
             }
         }
         let nf = n as f64;
-        let mut packed = upper.iter();
         for i in 0..p {
-            grad[i] /= nf;
-            for (j, h) in (i..p).zip(packed.by_ref()) {
-                hess[(i, j)] = h / nf;
+            grad[i] = grad_sums[i] / nf;
+            for j in i..p {
+                hess[(i, j)] = hess_sums[i * width + j] / nf;
             }
         }
         // L2 on coefficients only.
@@ -201,6 +211,76 @@ pub fn fit_logistic(
     };
     let loss = mean_nll(&model, x, y);
     Ok(LogisticModel { loss, ..model })
+}
+
+/// Rows a Newton step sweeps as one span: 24 KiB at 12 columns, so a
+/// span stays in L1 while every sum is swept over it.
+const SPAN: usize = 256;
+
+/// Columns in one register chunk of [`add_chunks`].
+const LANES: usize = 4;
+
+/// A span of padded design rows, `width` columns each.
+struct Rows<'a> {
+    width: usize,
+    data: &'a [f64],
+}
+
+impl Rows<'_> {
+    fn iter(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.data.chunks_exact(self.width)
+    }
+
+    /// `out[j] += scale(w_r, x_r) · x_rj` over the rows `r` in order,
+    /// for every column `j` from the chunk that holds column `from`, up
+    /// to four chunks per sweep of the rows.
+    fn add(
+        &self,
+        from: usize,
+        weights: &[f64],
+        scale: impl Fn(f64, &[f64]) -> f64 + Copy,
+        out: &mut [f64],
+    ) {
+        let mut j0 = from / LANES * LANES;
+        while j0 < self.width {
+            j0 += LANES
+                * match (self.width - j0) / LANES {
+                    1 => add_chunks::<1>(self, j0, weights, scale, out),
+                    2 => add_chunks::<2>(self, j0, weights, scale, out),
+                    3 => add_chunks::<3>(self, j0, weights, scale, out),
+                    _ => add_chunks::<4>(self, j0, weights, scale, out),
+                };
+        }
+    }
+}
+
+/// [`Rows::add`] for the `C` chunks from column `j0`: the `C·LANES` sums
+/// stay in registers for the whole sweep, and each is still the running
+/// sum of its own column's terms in row order. Returns `C`.
+fn add_chunks<const C: usize>(
+    rows: &Rows,
+    j0: usize,
+    weights: &[f64],
+    scale: impl Fn(f64, &[f64]) -> f64,
+    out: &mut [f64],
+) -> usize {
+    let mut acc = [[0.0f64; LANES]; C];
+    for (c, a) in acc.iter_mut().enumerate() {
+        a.copy_from_slice(&out[j0 + c * LANES..][..LANES]);
+    }
+    for (row, &w) in rows.iter().zip(weights) {
+        let a = scale(w, row);
+        let xs = &row[j0..j0 + C * LANES];
+        for c in 0..C {
+            for k in 0..LANES {
+                acc[c][k] += a * xs[c * LANES + k];
+            }
+        }
+    }
+    for (c, a) in acc.iter().enumerate() {
+        out[j0 + c * LANES..][..LANES].copy_from_slice(a);
+    }
+    C
 }
 
 /// Streaming logistic learner: one AdaGrad step per observation.

@@ -84,6 +84,115 @@ fn reference_fit(xs: &[Vec<f64>], y: &[bool], opts: LogisticOptions) -> Logistic
     }
 }
 
+/// The logistic sigmoid as it was written before `fit_logistic` took its
+/// two-pass form: one `exp` on each side of a branch.
+fn retired_sigmoid(z: f64) -> f64 {
+    if z >= 0.0 {
+        1.0 / (1.0 + (-z).exp())
+    } else {
+        let e = z.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// The one-pass Newton loop `fit_logistic` retired: per row, its `exp`,
+/// then the gradient and the packed upper triangle of the Hessian summed
+/// in place, `w·x_i` hoisted. Also counts the steps that fell back to the
+/// gradient because the Hessian was singular.
+fn retired_fit(x: &Design, y: &[bool], opts: LogisticOptions) -> (LogisticModel, usize) {
+    let n = x.len();
+    let p = x.dim() + 1;
+    let mut beta = vec![0.0f64; p];
+    let mut iterations = 0;
+    let mut fallbacks = 0;
+    let mut grad = vec![0.0f64; p];
+    let mut upper = vec![0.0f64; p * (p + 1) / 2];
+    let mut hess = Matrix::zeros(p, p);
+    for iter in 0..opts.max_iter {
+        iterations = iter + 1;
+        grad.fill(0.0);
+        upper.fill(0.0);
+        for (row, &yi) in x.rows().zip(y) {
+            let z: f64 = beta.iter().zip(row).map(|(b, v)| b * v).sum();
+            let mu = retired_sigmoid(z);
+            let err = mu - if yi { 1.0 } else { 0.0 };
+            let w = (mu * (1.0 - mu)).max(1e-10);
+            let mut k = 0;
+            for i in 0..p {
+                grad[i] += err * row[i];
+                let wi = w * row[i];
+                for (h, xj) in upper[k..k + p - i].iter_mut().zip(&row[i..]) {
+                    *h += wi * xj;
+                }
+                k += p - i;
+            }
+        }
+        let nf = n as f64;
+        let mut packed = upper.iter();
+        for i in 0..p {
+            grad[i] /= nf;
+            for (j, h) in (i..p).zip(packed.by_ref()) {
+                hess[(i, j)] = h / nf;
+            }
+        }
+        for i in 1..p {
+            grad[i] += opts.l2 * beta[i];
+            hess[(i, i)] += opts.l2;
+        }
+        for i in 0..p {
+            for j in 0..i {
+                hess[(i, j)] = hess[(j, i)];
+            }
+            hess[(i, i)] += 1e-10;
+        }
+        let step = hess.solve(&grad).unwrap_or_else(|| {
+            fallbacks += 1;
+            grad.iter().map(|g| g * 0.5).collect()
+        });
+        let mut max_update = 0.0f64;
+        for i in 0..p {
+            beta[i] -= step[i];
+            max_update = max_update.max(step[i].abs());
+        }
+        if max_update < opts.tol {
+            break;
+        }
+    }
+    let model = LogisticModel {
+        intercept: beta[0],
+        coefficients: beta[1..].to_vec(),
+        iterations,
+        loss: 0.0,
+    };
+    let loss = mlstats::logreg::mean_nll(&model, x, y);
+    (LogisticModel { loss, ..model }, fallbacks)
+}
+
+/// Whether two models are the same bits: intercept, coefficients,
+/// iterations and loss.
+fn same_bits(got: &LogisticModel, want: &LogisticModel) {
+    prop_assert_eq!(got.iterations, want.iterations);
+    prop_assert_eq!(got.intercept.to_bits(), want.intercept.to_bits());
+    prop_assert_eq!(got.coefficients.len(), want.coefficients.len());
+    for (g, w) in got.coefficients.iter().zip(&want.coefficients) {
+        prop_assert_eq!(g.to_bits(), w.to_bits());
+    }
+    prop_assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+}
+
+/// `xs` with column `c` replaced by the constant `value` (0 makes it a
+/// zero column).
+fn with_constant_column(xs: &mut [Vec<f64>], c: usize, value: f64) {
+    for x in xs {
+        x[c] = value;
+    }
+}
+
+/// An L2 penalty of `-1e-10` cancels the `1e-10` the fit adds to the
+/// diagonal, so a zero column leaves the Hessian exactly singular: every
+/// step is the gradient fallback.
+const SINGULAR_L2: f64 = -1e-10;
+
 /// A random `n × d` design shaped like the analysis's encodings: column
 /// `c` holds small integer levels, a continuous value or a log2 size by
 /// `c % 3`; labels follow a random linear score plus `noise`-scaled
@@ -235,5 +344,85 @@ proptest! {
         }
         prop_assert_eq!(got.coefficients.len(), d);
         prop_assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+    }
+
+    /// The two-pass Newton step is the retired one-pass loop bit for bit
+    /// on random designs, with up to two columns made constant (zero or
+    /// not), and at L2 penalties that include one leaving a zero column's
+    /// Hessian singular, so that the gradient fallback runs too.
+    #[test]
+    fn two_pass_newton_step_is_the_retired_loop_bit_for_bit(
+        n in 2usize..300,
+        d in 1usize..14,
+        seed in any::<u64>(),
+        noise in 0.0f64..2.0,
+        constant in prop::collection::vec((0usize..14, prop_oneof![Just(0.0), Just(1.0), Just(-2.5)]), 0..3),
+        l2 in prop_oneof![Just(1e-4), Just(0.0), Just(SINGULAR_L2)],
+        standardize in any::<bool>(),
+    ) {
+        let (mut xs, y) = random_problem(n, d, seed, noise);
+        prop_assume!(y.iter().any(|v| *v) && y.iter().any(|v| !*v));
+        for &(c, value) in &constant {
+            with_constant_column(&mut xs, c % d, value);
+        }
+        let mut design = Design::from_rows(&xs).expect("rows of equal width");
+        if standardize {
+            design.standardize();
+        }
+        let opts = LogisticOptions { l2, max_iter: 30, ..LogisticOptions::default() };
+        let (want, _) = retired_fit(&design, &y, opts);
+        let got = fit_logistic(&design, &y, opts).expect("both classes present");
+        same_bits(&got, &want);
+    }
+}
+
+/// The singular case the proptest draws is real: a zero column at
+/// [`SINGULAR_L2`] makes every step the gradient fallback, and the
+/// two-pass fit still takes the retired loop's steps bit for bit.
+#[test]
+fn a_singular_hessian_takes_the_gradient_fallback_in_both_loops() {
+    let (mut xs, y) = random_problem(120, 4, 11, 0.5);
+    with_constant_column(&mut xs, 2, 0.0);
+    let design = Design::from_rows(&xs).unwrap();
+    let opts = LogisticOptions {
+        l2: SINGULAR_L2,
+        max_iter: 25,
+        ..LogisticOptions::default()
+    };
+    let (want, fallbacks) = retired_fit(&design, &y, opts);
+    assert_eq!(fallbacks, want.iterations, "every step falls back");
+    let got = fit_logistic(&design, &y, opts).unwrap();
+    same_bits(&got, &want);
+}
+
+/// The branch-free sigmoid is the two-branch one bit for bit.
+#[test]
+fn the_sigmoid_is_the_retired_one_bit_for_bit() {
+    let mut state = 0x5eed_u64;
+    let mut zs = vec![
+        0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 1e308, -1e308,
+    ];
+    zs.extend([
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+    ]);
+    for _ in 0..200_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let bits = state >> 1 ^ state << 63;
+        let z = f64::from_bits(bits);
+        // Random bits, and the range fits actually see.
+        zs.push(z);
+        zs.push((bits >> 11) as f64 / (1u64 << 53) as f64 * 80.0 - 40.0);
+    }
+    for z in zs {
+        let (got, want) = (sigmoid(z), retired_sigmoid(z));
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "sigmoid({z:e}) = {got:e}, was {want:e}"
+        );
     }
 }

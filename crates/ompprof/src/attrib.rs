@@ -59,16 +59,22 @@ pub struct Cell {
 }
 
 impl Cell {
-    fn fold(&mut self, sample: &RawSample) {
-        self.samples += 1;
-        self.failed_reps += sample.runtimes.iter().filter(|t| !t.is_finite()).count() as u64;
-        self.total_fp += to_fp(sample.telemetry.virtual_ns);
-        for (slot, sink) in self.sinks_fp.iter_mut().zip(omptel::Sink::ALL) {
-            *slot += to_fp(sample.telemetry.breakdown.get(sink));
+    /// One sample as a cell: its ten figures rounded into fixed point
+    /// once, to be merged into every cell the sample is charged to.
+    fn of(sample: &RawSample) -> Cell {
+        let t = &sample.telemetry;
+        let mut sinks_fp = [0; 7];
+        for (slot, sink) in sinks_fp.iter_mut().zip(omptel::Sink::ALL) {
+            *slot = to_fp(t.breakdown.get(sink));
         }
-        let e = &sample.telemetry.energy;
-        self.energy_ufp += to_fp(e.total_j * 1e6);
-        self.edp_ufp += to_fp(e.edp_js(sample.telemetry.virtual_ns) * 1e6);
+        Cell {
+            samples: 1,
+            failed_reps: sample.runtimes.iter().filter(|t| !t.is_finite()).count() as u64,
+            total_fp: to_fp(t.virtual_ns),
+            sinks_fp,
+            energy_ufp: to_fp(t.energy.total_j * 1e6),
+            edp_ufp: to_fp(t.energy.edp_js(t.virtual_ns) * 1e6),
+        }
     }
 
     fn merge(&mut self, other: &Cell) {
@@ -134,10 +140,11 @@ impl Attribution {
     /// without a slot (a foreign alignment, which [`foreign_sample`]
     /// rejects in loaded data) is charged to the grand total only.
     pub fn fold_sample(&mut self, sample: &RawSample) {
-        self.grand.fold(sample);
+        let one = Cell::of(sample);
+        self.grand.merge(&one);
         for var in Variable::ALL {
             if let Some(slot) = var.slot(&sample.config) {
-                self.cells[var as usize][slot].fold(sample);
+                self.cells[var as usize][slot].merge(&one);
             }
         }
     }
@@ -431,6 +438,45 @@ mod tests {
             num_threads: 96,
         };
         vec![sweep::sweep_setting(Arch::Milan, app, setting, 0, &spec)]
+    }
+
+    /// The fold `fold_sample` retired: every cell rounds the sample's
+    /// ten figures into fixed point again.
+    fn retired_fold(cell: &mut Cell, sample: &RawSample) {
+        cell.samples += 1;
+        cell.failed_reps += sample.runtimes.iter().filter(|t| !t.is_finite()).count() as u64;
+        cell.total_fp += to_fp(sample.telemetry.virtual_ns);
+        for (slot, sink) in cell.sinks_fp.iter_mut().zip(omptel::Sink::ALL) {
+            *slot += to_fp(sample.telemetry.breakdown.get(sink));
+        }
+        let e = &sample.telemetry.energy;
+        cell.energy_ufp += to_fp(e.total_j * 1e6);
+        cell.edp_ufp += to_fp(e.edp_js(sample.telemetry.virtual_ns) * 1e6);
+    }
+
+    /// Converting a sample once and merging it into its eight cells is
+    /// the retired eight-fold rounding, cell for cell — failed
+    /// repetitions, a foreign value's missing slot and non-finite
+    /// figures included.
+    #[test]
+    fn one_conversion_per_sample_folds_like_eight() {
+        let mut batches = slice();
+        batches[0].samples[3].config.align_alloc = omptune_core::KmpAlignAlloc(1024);
+        batches[0].samples[5].telemetry.virtual_ns = f64::NAN;
+        batches[0].samples[6].telemetry.energy.total_j = f64::INFINITY;
+        let mut retired = Attribution::new();
+        for sample in &batches[0].samples {
+            retired_fold(&mut retired.grand, sample);
+            for var in Variable::ALL {
+                if let Some(slot) = var.slot(&sample.config) {
+                    retired_fold(&mut retired.cells[var as usize][slot], sample);
+                }
+            }
+        }
+        let mut folded = Attribution::new();
+        folded.fold_slice(&batches);
+        assert!(retired.grand.failed_reps > 0);
+        assert_eq!(folded, retired);
     }
 
     #[test]

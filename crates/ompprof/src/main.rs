@@ -21,6 +21,7 @@
 use ompprof::{Attribution, SliceMeta};
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use omptune_core::{Arch, GroupBy, Variable};
+use std::fmt::Write as _;
 use std::process::ExitCode;
 use sweep::{ReportSlice, SettingData, SweepOptions, SweepSpec};
 
@@ -98,8 +99,26 @@ fn logreg_top(batches: &[SettingData], arch: Arch, app: &str) -> Result<Variable
         .ok_or_else(|| "no env features in influence row".to_string())
 }
 
-fn cmd_attribute(args: &Cli) -> Result<u8, Error> {
-    let (batches, scope_label) = match &args.data {
+/// What a slice holds along one axis: the one value all its batches
+/// share, or `all`.
+fn axis_label<'a>(mut values: impl Iterator<Item = &'a str>) -> String {
+    let first = values.next().unwrap_or("all");
+    match values.all(|v| v == first) {
+        true => first.to_string(),
+        false => "all".to_string(),
+    }
+}
+
+/// The profile of one slice, as `attribute` writes it (`profile.json`)
+/// and prints it, and the exit code of its `--check`.
+struct Attributed {
+    json: String,
+    text: String,
+    code: u8,
+}
+
+fn attribute(args: &Cli) -> Result<Attributed, Error> {
+    let (batches, scope, seed) = match &args.data {
         Some(dir) => {
             let path = format!("{dir}/raw_batches.json");
             let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -108,12 +127,27 @@ fn cmd_attribute(args: &Cli) -> Result<u8, Error> {
             if let Some(foreign) = ompprof::foreign_sample(&batches) {
                 return Err(format!("{path}: {foreign}").into());
             }
-            (batches, format!("data:{dir}"))
+            // The run's own seed, where its manifest is there to say it.
+            let path = format!("{dir}/manifest.json");
+            let seed = match std::fs::read(&path) {
+                Ok(bytes) => {
+                    sweep::read_manifest(&bytes)
+                        .map_err(|e| format!("{path}: {e}"))?
+                        .seed
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => SweepSpec::default().seed,
+                Err(e) => return Err(format!("cannot read {path}: {e}").into()),
+            };
+            (batches, format!("data:{dir}"), seed)
         }
         None => {
             let workers = SweepOptions::new(args.workers);
             let slice = ReportSlice::sweep(args.arch, &args.app, args.scope, &workers)?;
-            (vec![slice.data], format!("strided({})", args.scope))
+            (
+                vec![slice.data],
+                format!("strided({})", args.scope),
+                slice.spec.seed,
+            )
         }
     };
     if batches.iter().all(|b| b.samples.is_empty()) {
@@ -123,30 +157,22 @@ fn cmd_attribute(args: &Cli) -> Result<u8, Error> {
     let mut profile = Attribution::new();
     profile.fold_slice(&batches);
     let meta = SliceMeta {
-        arch: args.arch.id().to_string(),
-        app: args.app.clone(),
-        scope: scope_label,
-        seed: SweepSpec::default().seed,
+        arch: axis_label(batches.iter().map(|b| b.key.arch.id())),
+        app: axis_label(batches.iter().map(|b| b.key.app.as_str())),
+        scope,
+        seed,
         fingerprint: sweep::slice_fingerprint(&batches),
     };
-    if let Some(parent) = std::path::Path::new(&args.out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-        }
-    }
-    std::fs::write(&args.out, profile.to_json(&meta))
-        .map_err(|e| format!("cannot write {}: {e}", args.out))?;
-
-    println!(
-        "ompprof attribute: {} samples ({} failed reps) over {}/{}",
+    let mut text = format!(
+        "ompprof attribute: {} samples ({} failed reps) over {}/{}\n",
         profile.samples(),
         profile.grand.failed_reps,
         meta.arch,
         meta.app
     );
     for (i, (f, spread)) in profile.ranked_variables().iter().take(3).enumerate() {
-        println!(
+        let _ = writeln!(
+            text,
             "  #{} {:<20} spread {:.3} ms",
             i + 1,
             f.env_name(),
@@ -154,35 +180,57 @@ fn cmd_attribute(args: &Cli) -> Result<u8, Error> {
         );
     }
     for (i, (f, spread)) in profile.ranked_variables_energy().iter().take(3).enumerate() {
-        println!(
+        let _ = writeln!(
+            text,
             "  E#{} {:<19} spread {:.3} mJ",
             i + 1,
             f.env_name(),
             spread * 1e3
         );
     }
-    println!("wrote {}", args.out);
+    let _ = writeln!(text, "wrote {}", args.out);
 
+    let mut code = EXIT_OK;
     if args.check {
         let attributed = profile
             .top_variable()
             .ok_or_else(|| "empty profile has no top variable".to_string())?;
         let influence = logreg_top(&batches, args.arch, &args.app)?;
         if attributed == influence {
-            println!(
+            let _ = writeln!(
+                text,
                 "check: attribution and logreg influence agree on {}",
                 attributed.env_name()
             );
         } else {
-            println!(
+            let _ = writeln!(
+                text,
                 "check: DISAGREE — attribution says {}, logreg influence says {}",
                 attributed.env_name(),
                 influence.env_name()
             );
         }
-        return Ok(cli::findings(attributed != influence));
+        code = cli::findings(attributed != influence);
     }
-    Ok(EXIT_OK)
+    Ok(Attributed {
+        json: profile.to_json(&meta),
+        text,
+        code,
+    })
+}
+
+fn cmd_attribute(args: &Cli) -> Result<u8, Error> {
+    let attributed = attribute(args)?;
+    if let Some(parent) = std::path::Path::new(&args.out).parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)
+                .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
+        }
+    }
+    std::fs::write(&args.out, &attributed.json)
+        .map_err(|e| format!("cannot write {}: {e}", args.out))?;
+    print!("{}", attributed.text);
+    Ok(attributed.code)
 }
 
 /// `diff`'s slice: every 50th configuration, swept on 4 workers.
@@ -342,6 +390,63 @@ mod tests {
                 assert!(table.contains(&row), "no {sink:?} row:\n{table}");
             }
         }
+    }
+
+    /// `attribute --data` names the slice it folded, in the summary line
+    /// and in the profile's `slice` header: a run over several arches
+    /// and apps is `all/all`, one batch is its own arch and app, and the
+    /// seed is the run's own, from its manifest when it has one.
+    #[test]
+    fn a_data_profile_names_the_slice_it_folded() {
+        use sweep::{RunManifest, Scope, SettingData, SweepSpec};
+        let spec = SweepSpec {
+            scope: Scope::Strided(400),
+            seed: 7,
+            ..SweepSpec::default()
+        };
+        let batches = sweep::sweep_all_scheduled(&spec, &SweepOptions::new(2)).batches;
+        let dir = std::env::temp_dir().join(format!("ompprof-data-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cli = super::parse(omptune_core::cli::Args::of(&format!(
+            "attribute milan cg --data {} --out unused.json",
+            dir.display()
+        )))
+        .unwrap();
+        let attribute = |batches: &[SettingData]| {
+            let mut raw = Vec::new();
+            sweep::export::write_raw_json(batches, &mut raw).unwrap();
+            std::fs::write(dir.join("raw_batches.json"), raw).unwrap();
+            let attributed = super::attribute(&cli).unwrap();
+            let first = attributed.text.lines().next().unwrap().to_string();
+            (first, attributed.json)
+        };
+
+        let samples: usize = batches.iter().map(|b| b.samples.len()).sum();
+        let (line, json) = attribute(&batches);
+        assert_eq!(
+            line,
+            format!("ompprof attribute: {samples} samples (0 failed reps) over all/all")
+        );
+        assert!(json.contains(r#""arch": "all", "app": "all""#), "{json}");
+        let default_seed = format!(r#""seed": {},"#, SweepSpec::default().seed);
+        assert!(
+            json.contains(&default_seed),
+            "no manifest: the default seed\n{json}"
+        );
+
+        let mut manifest = Vec::new();
+        sweep::write_manifest(&RunManifest::new(&spec), &mut manifest).unwrap();
+        std::fs::write(dir.join("manifest.json"), manifest).unwrap();
+        let one = &batches[batches.len() - 1..];
+        let (line, json) = attribute(one);
+        let (arch, app) = (one[0].key.arch.id(), &one[0].key.app);
+        assert!(line.ends_with(&format!(" over {arch}/{app}")), "{line}");
+        let header = format!(r#""arch": "{arch}", "app": "{app}", "scope": "data:"#);
+        assert!(
+            json.contains(&header) && json.contains(r#""seed": 7,"#),
+            "{json}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -211,6 +211,10 @@ expect_exit 1 "ompprof attribute --data over a 1024-byte alignment" attribute_fo
 need "$coherence_dir/foreign.err" 'sample config_index [0-9]*: .*align=1024' \
     "ompprof attribute --data did not name the sample with the foreign alignment"
 echo "foreign alignment in a dataset: exit 1, sample named"
+data_out="$(cargo run --release -q -p ompprof -- attribute --data "$coherence_dir/cold" --out "$coherence_dir/data-profile.json")"
+need <(echo "$data_out") ' over all/all$' "ompprof attribute --data did not name the slice it folded"
+need "$coherence_dir/data-profile.json" "\"samples\": $(wc -l <"$coherence_dir/cold/provenance.jsonl")," \
+    "ompprof attribute --data did not fold one sample per provenance line"
 diff_out="$(cargo run --release -q -p ompprof -- diff milan cg \
     --out-dir "$coherence_dir/flame")"
 echo "$diff_out"

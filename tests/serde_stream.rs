@@ -752,6 +752,182 @@ fn float_text_is_core_fmts_in_every_binade() {
 }
 
 // ---------------------------------------------------------------------------
+// The source converts a number's text itself where it can. The scan and
+// `str::parse` behind the reference parser stay the reference: every
+// value bit for bit, every error where the reference errs.
+
+/// `number` read by every typed and untyped read, alone and as the
+/// second element of an array, held to the reference parser's tree.
+fn check_number(number: &str) {
+    let reference = reference_parse(number);
+    let bits = |v: &Value| match v {
+        Value::F64(x) => Some(x.to_bits()),
+        _ => None,
+    };
+    match (&reference, serde_json::from_str::<Value>(number)) {
+        (Ok(want), Ok(got)) => {
+            assert_eq!((&got, bits(&got)), (want, bits(want)), "{number}")
+        }
+        (Err(_), Err(_)) => {}
+        (want, got) => panic!("{number}: {got:?} where the reference has {want:?}"),
+    }
+    let want = reference.as_ref().ok();
+    let f64_bits = serde_json::from_str::<f64>(number).ok().map(f64::to_bits);
+    assert_eq!(
+        f64_bits,
+        want.and_then(Value::as_f64).map(f64::to_bits),
+        "{number}"
+    );
+    let u = serde_json::from_str::<u64>(number).ok();
+    assert_eq!(u, want.and_then(Value::as_u64), "{number}");
+    let i = serde_json::from_str::<i64>(number).ok();
+    assert_eq!(i, want.and_then(Value::as_i64), "{number}");
+
+    // In a document: a refused number is refused where it starts, or
+    // where the reference stops reading it.
+    let doc = format!("[0,{number}]");
+    match (
+        reference_parse(&doc),
+        serde_json::from_str::<Vec<f64>>(&doc),
+    ) {
+        (Ok(_), Ok(_)) => {}
+        (Err(want), Err(got)) => {
+            let got = got.to_string();
+            let at = want.rsplit_once("at byte ").map_or("3", |(_, at)| at);
+            assert!(
+                got.ends_with(&format!("at byte {at}")),
+                "{doc}: {got} / {want}"
+            );
+        }
+        (want, got) => panic!("{doc}: {got:?} where the reference has {want:?}"),
+    }
+}
+
+#[test]
+fn numbers_read_as_str_parse_reads_them() {
+    let mut rng = TestRng::for_test("numbers");
+    // The shortest text of random bits in every binade, both layouts.
+    for exponent in 0..0x7ff_u64 {
+        for _ in 0..4 {
+            let x = f64::from_bits(exponent << 52 | rng.next_u64() >> 12);
+            for text in [format!("{x}"), format!("{x:e}"), format!("{:e}", -x)] {
+                check_number(&text);
+            }
+        }
+    }
+    // 17 to 25 significant digits, the point anywhere, any exponent.
+    for _ in 0..20_000 {
+        let len = 17 + rng.below(9) as usize;
+        let digits: String = (0..len)
+            .map(|_| char::from(b'0' + rng.below(10) as u8))
+            .collect();
+        let point = rng.below(len as u64) as usize + 1;
+        let exponent = rng.below(700) as i64 - 350;
+        let sign = ["", "-"][rng.below(2) as usize];
+        check_number(&format!(
+            "{sign}{}.{}e{exponent}",
+            &digits[..point],
+            &digits[point..]
+        ));
+        check_number(&format!("{sign}{digits}"));
+        check_number(&format!("{sign}0.{digits}"));
+    }
+    // Halfway between two doubles, and one unit either side: integers
+    // in [2^53, 2^64) and halves in [2^52, 2^53).
+    for _ in 0..20_000 {
+        let shift = rng.below(11);
+        let below = ((1u64 << 52 | rng.next_u64() >> 12) << shift) as u128;
+        let tie = below + (1u128 << shift) / 2;
+        for n in [tie - 1, tie, tie + 1] {
+            check_number(&n.to_string());
+            check_number(&format!("{n}e0"));
+        }
+        let half = (1u64 << 52 | rng.next_u64() >> 12) as f64 + 0.5;
+        check_number(&format!("{half:.1}"));
+    }
+    for text in [
+        // Around the ends of the range, and across the fast path's limits.
+        "2.2250738585072011e-308",
+        "2.2250738585072012e-308",
+        "4.9406564584124654e-324",
+        "2.4703282292062327e-324",
+        "2.4703282292062328e-324",
+        "1.7976931348623157e308",
+        "1.7976931348623158e308",
+        "1.7976931348623159e308",
+        "9007199254740992",
+        "9007199254740993",
+        "9007199254740993.0",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "-999999999999999999",
+        "-1000000000000000000",
+        "9999999999999999999",
+        "10000000000000000000",
+        "1e22",
+        "1e23",
+        "123456789012345678e-40",
+        // Exponent forms.
+        "1e5",
+        "1E5",
+        "1e+5",
+        "1e-5",
+        "1.5E-0",
+        "0e0",
+        "0e-999999999999",
+        "1e400",
+        "-1e400",
+        "1e-400",
+        "1e00000000000000000000000000000001",
+        "0.0000001e7",
+        "100000000000000000000000e-23",
+        // The lenient spellings the scan accepts, and what it refuses.
+        "1.",
+        "01",
+        "-01",
+        "00",
+        "-.5",
+        "-0",
+        "-00",
+        "-0.0",
+        "-0e0",
+        "1.e5",
+        ".5",
+        "+1",
+        "-",
+        "--1",
+        "1e",
+        "1e+",
+        "1.5.5",
+        "1+2",
+        "1-2",
+        "0x10",
+        "1_000",
+        "1.5e5e5",
+        "1.5x",
+    ] {
+        check_number(text);
+    }
+}
+
+/// A duplicate field keeps its first copy, also when that copy sits in
+/// declaration order and the repeat does not.
+#[test]
+fn a_duplicate_field_in_declaration_order_keeps_its_first_copy() {
+    let text = r#"{"code":1,"detail":"first","detail":"second","code":2}"#;
+    let read: Event = serde_json::from_str(&format!(r#"{{"Fault":{text}}}"#)).unwrap();
+    assert_eq!(
+        read,
+        Event::Fault {
+            code: 1,
+            detail: Some("first".into())
+        }
+    );
+}
+
+// ---------------------------------------------------------------------------
 // `to_writer`'s I/O contract.
 
 /// Accepts `room` bytes, then fails; records the largest single write.
