@@ -8,9 +8,10 @@
 //!
 //! - `raw_json_s`   — `write_raw_json` of every batch (one streamed
 //!   document),
-//! - `float_ns`     — the JSON sink's number writer alone: every `f64`
-//!   of that document (17 a sample) written as one array, in ns per
-//!   float,
+//! - `float_ns`     — the JSON sink's number writer alone: every
+//!   distinct `f64` of that document written once, as one array, in ns
+//!   per float (no value repeats, so the sink's float memo never hits
+//!   and this times the digit writer),
 //! - `read_raw_json_s` — `read_raw_json` of that document, as `ompprof
 //!   attribute --data` takes it back in,
 //! - `provenance_s` — provenance build + write: `provenance_iter` fed
@@ -32,16 +33,20 @@
 
 use bench_harness::{BenchDoc, Series};
 use serde::{Serialize, Value};
+use std::collections::HashSet;
 use sweep::{Scope, SweepOptions, SweepSpec};
 
 const WORKERS: usize = 4;
 
-/// Every float of `value`'s tree, in document order.
-fn floats_of(value: &Value, out: &mut Vec<f64>) {
+/// Every float of `value`'s tree not already in `seen` (by bits), in
+/// document order.
+fn floats_of(value: &Value, seen: &mut HashSet<u64>, out: &mut Vec<f64>) {
     match value {
-        Value::F64(x) => out.push(*x),
-        Value::Seq(items) => items.iter().for_each(|item| floats_of(item, out)),
-        Value::Map(entries) => entries.iter().for_each(|(_, item)| floats_of(item, out)),
+        Value::F64(x) if seen.insert(x.to_bits()) => out.push(*x),
+        Value::Seq(items) => items.iter().for_each(|item| floats_of(item, seen, out)),
+        Value::Map(entries) => entries
+            .iter()
+            .for_each(|(_, item)| floats_of(item, seen, out)),
         _ => {}
     }
 }
@@ -64,7 +69,7 @@ fn main() {
     // and not the allocator growing a fresh Vec.
     let mut out = Vec::new();
     let mut floats = Vec::new();
-    floats_of(&batches.serialize_value(), &mut floats);
+    floats_of(&batches.serialize_value(), &mut HashSet::new(), &mut floats);
     let float_text = Series::of(passes, || {
         out.clear();
         serde_json::to_writer(&mut out, &floats).expect("in-memory write");

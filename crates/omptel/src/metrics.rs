@@ -374,6 +374,54 @@ mod tests {
         assert!(back.is_empty());
     }
 
+    /// What the registry's readers owe any line, the exposition readers
+    /// owe any text: every prefix, 9 mutations of every byte and 4,000
+    /// arbitrary inputs (raw bytes in turn with strings over the bytes
+    /// the format is made of) parse to samples or an error, and the
+    /// samples rebuild a histogram or `None`. A panic fails the test.
+    #[test]
+    fn hostile_text_is_samples_or_an_error_and_never_a_panic() {
+        let mut h = Histogram::new();
+        for v in [0u64, 3, 17, 900, 900, 1 << 20] {
+            h.record(v);
+        }
+        let text = MetricsSnapshot::default()
+            .gauge("sweep_done", 0.5)
+            .histogram("lat_ns", h.clone(), Some(4321))
+            .render_prometheus();
+        let survives = |bytes: &[u8]| {
+            if let Ok(samples) = parse_prometheus(&String::from_utf8_lossy(bytes)) {
+                for name in ["lat_ns", "sweep_done", ""] {
+                    let _ = histogram_from_prometheus(&samples, name);
+                }
+            }
+        };
+        let samples = parse_prometheus(&text).unwrap();
+        assert_eq!(histogram_from_prometheus(&samples, "lat_ns"), Some(h));
+
+        let bytes = text.as_bytes();
+        let mut mutated = bytes.to_vec();
+        for at in 0..bytes.len() {
+            survives(&bytes[..at]);
+            for with in b"0\"{}= \n\xff".iter().copied().chain([bytes[at] ^ 1]) {
+                mutated[at] = with;
+                survives(&mutated);
+            }
+            mutated[at] = bytes[at];
+        }
+        let alphabet = b"{}=\",# \n0123456789.-+eInfNa le omptel_lat_ns_bucket";
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        for round in 0..4000 {
+            let pick = |n: usize| [n as u8, alphabet[n % alphabet.len()]][round % 2];
+            let junk: Vec<u8> = (0..next() % 96).map(|_| pick(next())).collect();
+            survives(&junk);
+        }
+    }
+
     #[test]
     fn parser_rejects_malformed_lines() {
         assert!(parse_prometheus("name_only").is_err());

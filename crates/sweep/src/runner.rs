@@ -110,7 +110,7 @@ impl Deserialize for RunKey {
 /// closed against the total (components sum to `virtual_ns` exactly,
 /// uncharged idle time folded into the imbalance sink), so downstream
 /// aggregation via [`omptel::Summary::add_aggregate`] needs no fixup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SampleTelemetry {
     /// End-to-end virtual runtime in nanoseconds (pre-noise).
     pub virtual_ns: f64,
@@ -147,6 +147,74 @@ impl SampleTelemetry {
     /// Fold this sample into a telemetry summary.
     pub fn fold_into(&self, s: &mut omptel::Summary) {
         s.add_aggregate(self.virtual_ns, &self.breakdown, self.regions);
+    }
+
+    /// The bits of every number the block holds, in field order: equal
+    /// keys serialize to equal text. Destructured to the last field, so
+    /// a field added to any of the three structs fails to compile here.
+    fn memo_key(&self) -> [u64; 15] {
+        let SampleTelemetry {
+            virtual_ns,
+            regions,
+            breakdown,
+            energy,
+        } = self;
+        let omptel::Breakdown {
+            compute_ns,
+            memory_ns,
+            sync_ns,
+            wake_ns,
+            dispatch_ns,
+            serial_ns,
+            imbalance_ns,
+        } = breakdown;
+        let omptel::EnergyBreakdown {
+            total_j,
+            active_j,
+            memory_j,
+            wait_j,
+            serial_j,
+            base_j,
+        } = energy;
+        [
+            virtual_ns.to_bits(),
+            *regions,
+            compute_ns.to_bits(),
+            memory_ns.to_bits(),
+            sync_ns.to_bits(),
+            wake_ns.to_bits(),
+            dispatch_ns.to_bits(),
+            serial_ns.to_bits(),
+            imbalance_ns.to_bits(),
+            total_j.to_bits(),
+            active_j.to_bits(),
+            memory_j.to_bits(),
+            wait_j.to_bits(),
+            serial_j.to_bits(),
+            base_j.to_bits(),
+        ]
+    }
+}
+
+// Hand-written (not derived) to hand the block to the sink's memo: most
+// configurations of a setting price to the same telemetry, and a JSON
+// sink writes each distinct block once per document. The fields and
+// their order are the derive's.
+impl Serialize for SampleTelemetry {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        struct Fields<'a>(&'a SampleTelemetry);
+        impl Serialize for Fields<'_> {
+            fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+                let t = self.0;
+                sink.map_begin()?;
+                sink.field("virtual_ns", &t.virtual_ns)?;
+                sink.field("regions", &t.regions)?;
+                sink.field("breakdown", &t.breakdown)?;
+                sink.field("energy", &t.energy)?;
+                sink.map_end()
+            }
+        }
+        sink.memo(&self.memo_key(), &Fields(self))
     }
 }
 
@@ -539,5 +607,64 @@ mod tests {
         // Health and Sort/Strassen absent on Skylake.
         assert!(data.iter().all(|d| d.key.app != "health"));
         assert!(data.iter().all(|d| d.key.app != "sort"));
+    }
+
+    /// `t` with the lowest bit of its `field`-th number (memo-key order)
+    /// flipped.
+    fn nudged(t: &SampleTelemetry, field: usize) -> SampleTelemetry {
+        let mut t = t.clone();
+        let flip = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ 1);
+        let (b, e) = (&mut t.breakdown, &mut t.energy);
+        match field {
+            0 => flip(&mut t.virtual_ns),
+            1 => t.regions ^= 1,
+            2 => flip(&mut b.compute_ns),
+            3 => flip(&mut b.memory_ns),
+            4 => flip(&mut b.sync_ns),
+            5 => flip(&mut b.wake_ns),
+            6 => flip(&mut b.dispatch_ns),
+            7 => flip(&mut b.serial_ns),
+            8 => flip(&mut b.imbalance_ns),
+            9 => flip(&mut e.total_j),
+            10 => flip(&mut e.active_j),
+            11 => flip(&mut e.memory_j),
+            12 => flip(&mut e.wait_j),
+            13 => flip(&mut e.serial_j),
+            14 => flip(&mut e.base_j),
+            _ => unreachable!("a telemetry block holds 15 numbers"),
+        }
+        t
+    }
+
+    /// The JSON sink writes a telemetry block it has seen before as the
+    /// text it recorded under the block's key, so the key must tell
+    /// apart any two blocks that differ at all: one bit of one number
+    /// is a different block, written as its own text.
+    #[test]
+    fn telemetries_one_bit_apart_are_written_apart() {
+        let app = workloads::app("cg").unwrap();
+        let setting = Setting {
+            input_code: 0,
+            num_threads: 96,
+        };
+        let data = sweep_setting(Arch::Milan, app, setting, 0, &tiny_spec());
+        let base = data.samples[0].telemetry.clone();
+        // Enough blocks ahead of the variant for the sink to memoize.
+        let mut doc = vec![base.clone(); 64];
+        for field in 0..15 {
+            let variant = nudged(&base, field);
+            let differs: Vec<usize> = (0..15)
+                .filter(|&i| variant.memo_key()[i] != base.memo_key()[i])
+                .collect();
+            assert_eq!(differs, [field], "key word order");
+            doc.push(variant.clone());
+            let text = serde_json::to_string(&doc).unwrap();
+            let back: Vec<SampleTelemetry> = serde_json::from_str(&text).unwrap();
+            assert_eq!(back[0], base);
+            assert_eq!(back.last(), Some(&variant), "field {field}");
+            let one = serde_json::to_string(&variant).unwrap();
+            assert!(text.ends_with(&format!(",{one}]")), "field {field}");
+            doc.pop();
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! tree-walking emitter it replaced and the streamed reads to the
 //! tree-building parser they replaced (both kept here as the reference),
 //! for every shape the derive supports; hold the sink's own float text to
-//! `core::fmt`'s; hold `to_writer` to its I/O contract; and feed the
+//! `core::fmt`'s, and what it copies from its memos to the reference
+//! emitter; hold `to_writer` to its I/O contract; and feed the
 //! reader, and the dataset and manifest readers built on it, truncated,
 //! mutated and hostile bytes.
 
@@ -928,6 +929,219 @@ fn a_duplicate_field_in_declaration_order_keeps_its_first_copy() {
 }
 
 // ---------------------------------------------------------------------------
+// The sink writes a float it has written before, and a `Sink::memo` block
+// whose key it has seen, by copying the text it wrote the first time. The
+// reference emitter renders every value afresh.
+
+/// Numbers the sink may memoize as one block.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+struct Gauges {
+    level: f64,
+    count: u64,
+    parts: Vec<f64>,
+}
+
+/// [`Gauges`] handed to the sink's memo, keyed by the bits of every
+/// number in it, as `SampleTelemetry` keys its block.
+#[derive(Debug, Clone, PartialEq)]
+struct Memoized(Gauges);
+
+impl Serialize for Memoized {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        let Gauges {
+            level,
+            count,
+            parts,
+        } = &self.0;
+        let mut key = vec![level.to_bits(), *count, parts.len() as u64];
+        key.extend(parts.iter().map(|x| x.to_bits()));
+        sink.memo(&key, &self.0)
+    }
+}
+
+/// A map whose keys may be anything, entries in order.
+struct Entries<K, V>(Vec<(K, V)>);
+
+impl<K: Serialize, V: Serialize> Serialize for Entries<K, V> {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        sink.map_begin()?;
+        for (k, v) in &self.0 {
+            sink.entry(k, v)?;
+        }
+        sink.map_end()
+    }
+}
+
+/// `x` with the lowest bit of its representation flipped: one ulp away
+/// for a finite nonzero `x`.
+fn one_bit_off(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() ^ 1)
+}
+
+#[test]
+fn floats_written_again_are_the_reference_text() {
+    let mut rng = TestRng::for_test("float memo");
+    let mut draw = Draw(&mut rng);
+    // More distinct values than the memo has slots, so slots collide:
+    // zeros of both signs, non-finite values, texts too long for a slot,
+    // and each finite value's neighbour one bit away.
+    let mut pool: Vec<f64> = (0..3000).map(|_| draw.f64()).collect();
+    pool.extend([0.0, -0.0, 1.0e300, 5e-324, 0.1, 2.5e7]);
+    let neighbours: Vec<f64> = pool
+        .iter()
+        .filter(|x| x.is_finite())
+        .map(|&x| one_bit_off(x))
+        .collect();
+    pool.extend(neighbours);
+    let doc: Vec<f64> = (0..40_000)
+        .map(|_| pool[draw.below(pool.len() as u64) as usize])
+        .collect();
+    assert!(check_streamed(&doc).len() > 3 * 64 * 1024);
+
+    // Zero and negative zero, and NaN and the infinities, written
+    // alternately long after the memo exists.
+    let mut signs = vec![0.5; 1000];
+    signs.extend([0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY].repeat(200));
+    let text = check_streamed(&signs);
+    let tail = ["0.0", "-0.0", "null", "null", "null"]
+        .repeat(200)
+        .join(",");
+    assert!(text.ends_with(&format!(",{tail}]")));
+
+    // In key position a float is its captured text, as it always was.
+    let keyed = Value::Map(
+        doc.iter()
+            .map(|&x| (Value::F64(x), Value::F64(x)))
+            .collect(),
+    );
+    check_streamed(&keyed);
+}
+
+#[test]
+fn memo_blocks_are_the_reference_text() {
+    let mut rng = TestRng::for_test("block memo");
+    let mut draw = Draw(&mut rng);
+    // More distinct blocks than the memo has slots, drawn with repeats;
+    // some with keys or texts longer than a slot holds.
+    let mut pool: Vec<Memoized> = (0..2500)
+        .map(|_| {
+            Memoized(Gauges {
+                level: draw.f64(),
+                count: draw.below(4),
+                parts: draw.vec(4, Draw::f64),
+            })
+        })
+        .collect();
+    for parts in [vec![0.5; 20], vec![1.0e300; 3]] {
+        pool.extend((0..20).map(|count| {
+            Memoized(Gauges {
+                level: 0.25,
+                count,
+                parts: parts.clone(),
+            })
+        }));
+    }
+    let mut doc: Vec<Memoized> = (0..12_000)
+        .map(|_| pool[draw.below(pool.len() as u64) as usize].clone())
+        .collect();
+    // Then a block and the blocks one bit away from it in one number
+    // (and one with a zero's sign flipped), each after the other.
+    let base = Gauges {
+        level: 1.5,
+        count: 7,
+        parts: vec![0.0, 2.5e7, 0.1],
+    };
+    let mut variants = vec![base.clone(); 6];
+    variants[0].level = one_bit_off(base.level);
+    variants[1].count ^= 1;
+    variants[2].parts[0] = -0.0;
+    variants[3].parts[1] = one_bit_off(base.parts[1]);
+    variants[4].parts[2] = one_bit_off(base.parts[2]);
+    variants[5].parts.pop();
+    for _ in 0..3 {
+        for variant in &variants {
+            doc.push(Memoized(base.clone()));
+            doc.push(Memoized(variant.clone()));
+        }
+    }
+    check_streamed(&doc);
+
+    // In key position a block is its captured text, and inside a
+    // captured key too; a float key beside a block value as well.
+    let some = || doc.iter().step_by(4).cloned();
+    check_streamed(&Entries(some().map(|m| (m.clone(), m)).collect()));
+    check_streamed(&Entries(some().map(|m| ((m.clone(), 1u8), m)).collect()));
+    check_streamed(&Entries(some().map(|m| (m.0.level, m)).collect()));
+}
+
+#[test]
+fn memo_copies_straddle_the_buffers_end_and_blocks_that_did_are_walked_again() {
+    // 600 distinct blocks of ~300 bytes, three rounds over: the first
+    // round's walks cross 64 KiB flushes (those are not recorded), the
+    // later rounds' copies land across them.
+    let pool: Vec<Memoized> = (0..600u64)
+        .map(|i| {
+            Memoized(Gauges {
+                level: i as f64 * 0.37,
+                count: i,
+                parts: (0..12).map(|j| (i * 31 + j) as f64 / 7.0).collect(),
+            })
+        })
+        .collect();
+    let doc: Vec<&Memoized> = pool.iter().cycle().take(1800).collect();
+    let mut out = Budget {
+        room: usize::MAX,
+        taken: Vec::new(),
+        largest_write: 0,
+    };
+    serde_json::to_writer(&mut out, &doc).unwrap();
+    let mut reference = String::new();
+    reference_json(&doc.serialize_value(), &mut reference);
+    assert!(reference.len() > 6 * 64 * 1024);
+    assert!(out.taken == reference.as_bytes());
+
+    let mut out = Budget {
+        room: usize::MAX,
+        taken: Vec::new(),
+        largest_write: 0,
+    };
+    serde_json::to_writer_lines(&mut out, &doc).unwrap();
+    let mut reference = String::new();
+    for block in &doc {
+        reference_json(&block.serialize_value(), &mut reference);
+        reference.push('\n');
+    }
+    assert!(out.taken == reference.as_bytes());
+}
+
+/// The two documents the memos exist for, from a real sweep: every byte
+/// is the reference emitter's text of the records' trees.
+#[test]
+fn a_sweeps_raw_batches_and_provenance_are_the_reference_text() {
+    use omptune::data::{self, export, Scope, SweepOptions, SweepSpec};
+    let spec = SweepSpec {
+        scope: Scope::Strided(400),
+        ..SweepSpec::default()
+    };
+    let batches = data::sweep_all_scheduled(&spec, &SweepOptions::new(2)).batches;
+
+    let mut text = Vec::new();
+    export::write_raw_json(&batches, &mut text).unwrap();
+    let mut reference = String::new();
+    reference_json(&batches.serialize_value(), &mut reference);
+    assert!(text == reference.as_bytes(), "raw_batches.json differs");
+
+    let mut text = Vec::new();
+    data::write_provenance_jsonl(data::provenance_iter(&batches, &spec), &mut text).unwrap();
+    let mut reference = String::new();
+    for record in data::provenance_of(&batches, &spec) {
+        reference_json(&record.serialize_value(), &mut reference);
+        reference.push('\n');
+    }
+    assert!(text == reference.as_bytes(), "provenance.jsonl differs");
+}
+
+// ---------------------------------------------------------------------------
 // `to_writer`'s I/O contract.
 
 /// Accepts `room` bytes, then fails; records the largest single write.
@@ -957,8 +1171,9 @@ impl Write for Budget {
 
 type Row = (u64, String, f64);
 
-/// The document of every row, as one JSON array or as JSON lines.
-type WriteRows = fn(&mut Budget, &[Row]) -> Result<(), serde_json::Error>;
+/// A row of a document the sink mostly copies: a float from a pool of
+/// 50 and a memo block from a pool of 40.
+type MemoRow = (u64, String, f64, Memoized);
 
 #[test]
 fn a_failing_writer_is_an_error_at_every_byte_and_never_a_short_file() {
@@ -968,21 +1183,57 @@ fn a_failing_writer_is_an_error_at_every_byte_and_never_a_short_file() {
         .map(|i| (i, format!("row \"{i}\""), i as f64 * 0.37))
         .collect();
     doc[3000].1 = "x".repeat(100_000);
-    let lines = |doc: &[Row]| -> String {
-        doc.iter()
-            .map(|row| serde_json::to_string(row).unwrap() + "\n")
-            .collect()
-    };
-    let writers: [(&str, WriteRows, String); 2] = [
+    let mut short = doc.clone();
+    short[3000].1.clear();
+    holds_the_io_contract(&doc, &short);
+
+    // The same contract where most of what is written is copied from
+    // the sink's memos, whose copies also meet the buffer's end.
+    let blocks: Vec<Memoized> = (0..40)
+        .map(|i| {
+            Memoized(Gauges {
+                level: i as f64 * 1.0e6 / 3.0,
+                count: i,
+                parts: vec![i as f64 / 7.0, -(i as f64)],
+            })
+        })
+        .collect();
+    let mut doc: Vec<MemoRow> = (0..2500u64)
+        .map(|i| {
+            let block = blocks[i as usize % blocks.len()].clone();
+            (i, format!("row {i}"), (i % 50) as f64 * 0.37, block)
+        })
+        .collect();
+    doc[1250].1 = "x".repeat(100_000);
+    let mut short = doc.clone();
+    short[1250].1.clear();
+    holds_the_io_contract(&doc, &short);
+}
+
+/// `to_writer`'s I/O contract over `doc`, written as one JSON array and
+/// as JSON lines: every budget of bytes the writer accepts ends in an
+/// error with exactly that prefix of the reference text handed over,
+/// and no piece handed over is longer than 64 KiB but `doc`'s one
+/// over-long string, which `short` empties.
+fn holds_the_io_contract<R: Serialize + Clone>(doc: &[R], short: &[R]) {
+    let mut array = String::new();
+    reference_json(&doc.serialize_value(), &mut array);
+    let mut lines = String::new();
+    for row in doc {
+        reference_json(&row.serialize_value(), &mut lines);
+        lines.push('\n');
+    }
+    type Writes<R> = fn(&mut Budget, &[R]) -> Result<(), serde_json::Error>;
+    let writers: [(&str, Writes<R>, String); 2] = [
         (
             "to_writer",
             |out, doc| serde_json::to_writer(out, doc),
-            serde_json::to_string(&doc).unwrap(),
+            array,
         ),
         (
             "to_writer_lines",
             |out, doc| serde_json::to_writer_lines(out, doc),
-            lines(&doc),
+            lines,
         ),
     ];
     for (name, write, full) in &writers {
@@ -996,7 +1247,7 @@ fn a_failing_writer_is_an_error_at_every_byte_and_never_a_short_file() {
                 taken: Vec::new(),
                 largest_write: 0,
             };
-            let result = write(&mut out, &doc);
+            let result = write(&mut out, doc);
             assert!(
                 result.is_err(),
                 "{name}: {room} of {} bytes accepted",
@@ -1017,17 +1268,15 @@ fn a_failing_writer_is_an_error_at_every_byte_and_never_a_short_file() {
             taken: Vec::new(),
             largest_write: 0,
         };
-        write(&mut out, &doc).unwrap();
+        write(&mut out, doc).unwrap();
         assert_eq!(out.taken, full.as_bytes(), "{name}");
         assert_eq!(out.largest_write, 100_000, "{name}");
-        let mut short = doc.clone();
-        short[3000].1.clear();
         let mut out = Budget {
             room: usize::MAX,
             taken: Vec::new(),
             largest_write: 0,
         };
-        write(&mut out, &short).unwrap();
+        write(&mut out, short).unwrap();
         assert!(
             out.largest_write <= 64 * 1024,
             "{name}: {}",
