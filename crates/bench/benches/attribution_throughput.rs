@@ -23,7 +23,8 @@
 //! `BENCH_OUT`); every timing key publishes its repetitions
 //! (`*_s_reps`), which are what `bench-diff` gates.
 //!
-//! `harness = false`: under `cargo test` (argv contains `--test`) this
+//! `harness = false`: unless `cargo bench` runs it (argv holds `--bench`
+//! and no `--test`; see `bench_harness::full_run`) this
 //! runs a fast smoke slice and publishes nothing; under `cargo bench` it
 //! runs the full measurement and publishes the document.
 

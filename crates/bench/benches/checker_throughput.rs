@@ -14,7 +14,8 @@
 //! `BENCH_OUT`) with per-repetition arrays so `bench-diff` can put a
 //! band violation to the Wilcoxon signed-rank test.
 //!
-//! `harness = false`: under `cargo test` (argv contains `--test`) this
+//! `harness = false`: unless `cargo bench` runs it (argv holds `--bench`
+//! and no `--test`; see `bench_harness::full_run`) this
 //! runs a small smoke corpus and publishes nothing; under `cargo bench`
 //! it runs the full corpus and publishes the document.
 

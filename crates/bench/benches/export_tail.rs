@@ -14,9 +14,9 @@
 //!   and this times the digit writer),
 //! - `read_raw_json_s` — `read_raw_json` of that document, as `ompprof
 //!   attribute --data` takes it back in,
-//! - `provenance_s` — provenance build + write: `provenance_iter` fed
+//! - `provenance_s` — provenance build + write: `provenance_rows` fed
 //!   lazily to `write_provenance_jsonl` (one `config_hash` and one JSON
-//!   line per sample),
+//!   line per sample, each row borrowing from its batch),
 //! - `csv_s`        — `write_csv` of the slice's `Dataset` (one row per
 //!   sample),
 //! - `tail_s` / `tail_parallel_s` — the whole tail as `collect` runs it:
@@ -27,7 +27,8 @@
 //! derived ns/sample (informational). Results go to `BENCH_export.json`
 //! at the repo root (override with `BENCH_OUT`) for `bench-diff`.
 //!
-//! `harness = false`: under `cargo test` (argv contains `--test`) this
+//! `harness = false`: unless `cargo bench` runs it (argv holds `--bench`
+//! and no `--test`; see `bench_harness::full_run`) this
 //! runs a smoke slice and publishes nothing; under `cargo bench` it runs
 //! the full slice and publishes the document.
 
@@ -95,7 +96,7 @@ fn main() {
     let mut provenance_bytes = 0;
     let provenance = Series::of(passes, || {
         out.clear();
-        sweep::write_provenance_jsonl(sweep::provenance_iter(&batches, &spec), &mut out)
+        sweep::write_provenance_jsonl(sweep::provenance_rows(&batches, &spec), &mut out)
             .expect("in-memory write");
         provenance_bytes = out.len();
     });

@@ -31,7 +31,8 @@
 //! Results go to `BENCH_runtime.json` at the repo root (override with
 //! `BENCH_OUT`) for `bench-diff`.
 //!
-//! `harness = false`: under `cargo test` (argv contains `--test`) this
+//! `harness = false`: unless `cargo bench` runs it (argv holds `--bench`
+//! and no `--test`; see `bench_harness::full_run`) this
 //! runs two short passes per series and publishes nothing.
 
 use bench_harness::{BenchDoc, Series};

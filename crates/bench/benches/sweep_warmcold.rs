@@ -26,7 +26,8 @@
 //! informational quotients of gated series. Results go to
 //! `BENCH_sweep.json` at the repo root (override with `BENCH_OUT`).
 //!
-//! `harness = false`: under `cargo test` (argv contains `--test`) this
+//! `harness = false`: unless `cargo bench` runs it (argv holds `--bench`
+//! and no `--test`; see `bench_harness::full_run`) this
 //! runs a fast smoke slice and publishes nothing; under `cargo bench` it
 //! runs the full measurement and publishes the document.
 

@@ -16,10 +16,22 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// `false` under `cargo test` (argv contains `--test`): a bench then runs
-/// its smoke slice and [`BenchDoc::publish`] writes nothing.
+/// Whether this bench process is a full run: `cargo bench` passes
+/// `--bench` to a `harness = false` target, `cargo test --bench NAME`
+/// passes nothing. Anything else (and `cargo bench -- --test`) runs the
+/// smoke slice, and [`BenchDoc::publish`] writes nothing.
 pub fn full_run() -> bool {
-    !std::env::args().any(|a| a == "--test")
+    full_run_of(std::env::args())
+}
+
+/// [`full_run`]'s rule over an argv.
+fn full_run_of(args: impl IntoIterator<Item = impl AsRef<str>>) -> bool {
+    let (mut bench, mut test) = (false, false);
+    for arg in args {
+        bench |= arg.as_ref() == "--bench";
+        test |= arg.as_ref() == "--test";
+    }
+    bench && !test
 }
 
 /// The repetitions of one timed workload, in run order. A bench claims
@@ -141,7 +153,7 @@ impl BenchDoc {
     }
 
     /// Publish a full run's results through [`publish_bench`]; a smoke
-    /// run (`cargo test`) leaves no artifact.
+    /// run (see [`full_run`]) leaves no artifact.
     pub fn publish(&self, file: &str) {
         if full_run() {
             publish_bench(self.bench, file, &self.to_json());
@@ -179,6 +191,16 @@ pub fn publish_bench(bench: &str, file: &str, json: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `cargo bench` passes `--bench`; `cargo test --bench NAME` passes
+    /// nothing, and `cargo bench -- --test` asks for the smoke slice.
+    #[test]
+    fn only_cargo_bench_is_a_full_run() {
+        assert!(full_run_of(["x", "--bench"]));
+        assert!(!full_run_of(["x"]));
+        assert!(!full_run_of(["x", "--test"]));
+        assert!(!full_run_of(["x", "--bench", "--test"]));
+    }
 
     #[test]
     fn document_round_trips_through_the_registry_parser() {

@@ -107,7 +107,7 @@ pub struct PlanProjection {
 
 /// One point in the configuration space: all swept variables plus the
 /// thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Deserialize)]
 pub struct TuningConfig {
     pub places: OmpPlaces,
     pub proc_bind: OmpProcBind,
@@ -117,6 +117,74 @@ pub struct TuningConfig {
     pub force_reduction: KmpForceReduction,
     pub align_alloc: KmpAlignAlloc,
     pub num_threads: usize,
+}
+
+// Every enum field of a `TuningConfig` is fieldless and one byte wide, so
+// its discriminant fits the byte `memo_key` gives it.
+const _: () = assert!(
+    size_of::<OmpPlaces>() == 1
+        && size_of::<OmpProcBind>() == 1
+        && size_of::<OmpSchedule>() == 1
+        && size_of::<KmpLibrary>() == 1
+        && size_of::<KmpBlocktime>() == 1
+        && size_of::<KmpForceReduction>() == 1
+);
+
+impl TuningConfig {
+    /// Every field, packed without loss: the six enum discriminants a
+    /// byte each, then the alignment, then the thread count. Equal keys
+    /// are equal configurations, so they serialize to equal text; three
+    /// words, so no other memo block of a document (a `SampleTelemetry`
+    /// is fifteen) shares a key with one. Destructured to the last field,
+    /// so a field added to the struct fails to compile here.
+    fn memo_key(&self) -> [u64; 3] {
+        let TuningConfig {
+            places,
+            proc_bind,
+            schedule,
+            library,
+            blocktime,
+            force_reduction,
+            align_alloc,
+            num_threads,
+        } = *self;
+        let enums = [
+            places as u64,
+            proc_bind as u64,
+            schedule as u64,
+            library as u64,
+            blocktime as u64,
+            force_reduction as u64,
+        ];
+        let packed = enums.into_iter().fold(0, |word, d| word << 8 | d);
+        [packed, u64::from(align_alloc.0), num_threads as u64]
+    }
+}
+
+// Hand-written (not derived) to hand the object to the sink's memo: a
+// sweep repeats each configuration across settings (~13x per document
+// at `collect fast`), and a JSON sink writes each distinct one once per
+// document. The fields and their order are the derive's.
+impl Serialize for TuningConfig {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        struct Fields<'a>(&'a TuningConfig);
+        impl Serialize for Fields<'_> {
+            fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+                let c = self.0;
+                sink.map_begin()?;
+                sink.field("places", &c.places)?;
+                sink.field("proc_bind", &c.proc_bind)?;
+                sink.field("schedule", &c.schedule)?;
+                sink.field("library", &c.library)?;
+                sink.field("blocktime", &c.blocktime)?;
+                sink.field("force_reduction", &c.force_reduction)?;
+                sink.field("align_alloc", &c.align_alloc)?;
+                sink.field("num_threads", &c.num_threads)?;
+                sink.map_end()
+            }
+        }
+        sink.memo(&self.memo_key(), &Fields(self))
+    }
 }
 
 impl TuningConfig {

@@ -3,7 +3,7 @@
 //!
 //! The model (DESIGN §15) is a **pure function** of the machine, the
 //! tuning configuration, and the closed telemetry breakdown — no clocks,
-//! no randomness, no global state — so every sample's joules are
+//! no randomness, no mutable global state — so every sample's joules are
 //! bit-identically reproducible at any worker count, warm or cold,
 //! batched or sequential. With `T` threads on a `C`-core machine and the
 //! per-thread breakdown components (ns):
@@ -25,12 +25,23 @@
 //! `total_j` is the sum of the five sinks (closed, like the time
 //! breakdown's `close_to_total` invariant).
 
-use archsim::PowerDesc;
+use archsim::{MachineDesc, PowerDesc};
 use omptune_core::{Arch, TuningConfig, WaitPolicy};
+use std::sync::LazyLock;
 
 /// The power model used to simulate `arch`.
 pub fn power_for(arch: Arch) -> PowerDesc {
     PowerDesc::by_name(arch.id()).expect("every simulated arch has a power preset")
+}
+
+/// The machine `arch` is simulated on, built once per process: pricing
+/// runs per sample and reads a few of its numbers, where a fresh
+/// [`crate::exec::machine_for`] would allocate its name every time.
+fn machine(arch: Arch) -> &'static MachineDesc {
+    static MACHINES: LazyLock<[MachineDesc; 3]> =
+        LazyLock::new(|| Arch::ALL.map(crate::exec::machine_for));
+    let at = Arch::ALL.iter().position(|&a| a == arch);
+    &MACHINES[at.expect("Arch::ALL holds every arch")]
 }
 
 /// Nanoseconds of spin budget before a `SpinThenSleep` worker parks.
@@ -71,7 +82,7 @@ fn wait_watts(power: &PowerDesc, config: &TuningConfig, avg_wait_ns: f64) -> f64
 /// DRAM power (watts) while the machine streams memory: per-node
 /// bandwidth × nodes × per-byte energy, scaled by occupancy. 1 GiB/s is
 /// ~1.0737 bytes/ns, and 1 pJ/ns is 1 mW, hence the 1.0737e-3 factor.
-fn dram_watts(machine: &archsim::MachineDesc, power: &PowerDesc, occupancy: f64) -> f64 {
+fn dram_watts(machine: &MachineDesc, power: &PowerDesc, occupancy: f64) -> f64 {
     machine.mem.node_bw_gibs
         * machine.numa_nodes as f64
         * 1.0737e-3
@@ -91,7 +102,7 @@ pub fn price_energy(
     virtual_ns: f64,
     regions: u64,
 ) -> omptel::EnergyBreakdown {
-    let machine = crate::exec::machine_for(arch);
+    let machine = machine(arch);
     let power = power_for(arch);
     let t = config.num_threads.min(machine.cores) as f64;
     let cores = machine.cores as f64;
@@ -104,7 +115,7 @@ pub fn price_energy(
 
     let active_j = (breakdown.compute_ns + breakdown.dispatch_ns) * t * power.core_active_w * J;
     let memory_j = breakdown.memory_ns
-        * (t * power.core_memstall_w + dram_watts(&machine, &power, occupancy))
+        * (t * power.core_memstall_w + dram_watts(machine, &power, occupancy))
         * J;
     let wait_j = wait_ns * t * w_wait * J;
     let serial_j = breakdown.serial_ns

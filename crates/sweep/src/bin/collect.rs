@@ -195,7 +195,7 @@ impl SweepState {
         };
         // The streaming influence ranking, per objective: its sample
         // count and one gauge per variable.
-        for (objective, live) in OBJECTIVES.iter().zip(&run.influence) {
+        for (objective, live) in OBJECTIVES.iter().zip(run.influence.iter().flatten()) {
             let prefix = format!("influence_{objective}");
             snap = snap.gauge(&format!("{prefix}_samples"), live.samples() as f64);
             for (var, value) in live.influence() {
@@ -291,10 +291,15 @@ fn collect(cli: Cli) -> std::io::Result<()> {
     // a closure at scrape time), so a monitored run's outputs stay
     // byte-identical to an unmonitored one. The telemetry session makes
     // runtime counters visible to /metrics and buffers nothing else;
-    // counters never feed results.
+    // counters never feed results. Only a monitored run keeps the
+    // influence trackers, which nothing but /metrics reads.
+    let run = match &cli.monitor {
+        Some(_) => State::monitored(&spec),
+        None => State::new(&spec),
+    };
     let state = Arc::new(SweepState {
         registry: registry_stats,
-        run: State::new(&spec),
+        run,
     });
 
     let _session = match &cli.monitor {
@@ -449,7 +454,7 @@ mod tests {
         };
         let state = Arc::new(SweepState {
             registry: Some((3, 1)),
-            run: State::new(&spec),
+            run: State::monitored(&spec),
         });
         let job = Job {
             spec: &spec,
@@ -478,7 +483,8 @@ mod tests {
 
         assert_eq!(gauge("omptel_registry_records"), 3.0);
         let run = state.run.lock();
-        for (objective, live) in OBJECTIVES.iter().zip(&run.influence) {
+        let influence = run.influence.as_ref().expect("a monitored run's trackers");
+        for (objective, live) in OBJECTIVES.iter().zip(influence) {
             let prefix = format!("omptel_influence_{objective}_");
             assert!(live.samples() > 0, "{objective}: nothing observed");
             assert_eq!(gauge(&format!("{prefix}samples")), live.samples() as f64);

@@ -12,7 +12,7 @@
 //!
 //! One on-disk form: a `.bin` file per `(arch, app, setting)` batch,
 //! written whole through a temporary file renamed into place. All values
-//! are little-endian `u64` words (container `OMPSCB02`):
+//! are little-endian `u64` words (container `OMPSCB03`):
 //!
 //! ```text
 //! header   [magic, engine, reps, seed, failure_rate_bits,
@@ -22,7 +22,10 @@
 //!           runtimes_bits×reps, checksum]                     18+reps
 //! ```
 //!
-//! Checksums are FNV-1a over the preceding bytes of the header/record.
+//! Checksums fold the preceding words of the header/record whole, one
+//! FNV-1a round per word ([`Fnv1a::mix`]). A single flipped bit anywhere
+//! in a header or record changes its checksum: each round is a bijection
+//! of the state.
 //! Every record has the same stride, so the loader builds a
 //! `config_index → slot` index in one pass with no parsing, and warm
 //! lookups are O(1) word reads plus a fieldwise fingerprint check.
@@ -54,7 +57,7 @@ pub const ENGINE_VERSION: u32 = 1;
 /// sentinel index for its noise stream already).
 pub const DEFAULT_ROW_INDEX: usize = usize::MAX;
 
-const BIN_MAGIC: u64 = u64::from_le_bytes(*b"OMPSCB02");
+const BIN_MAGIC: u64 = u64::from_le_bytes(*b"OMPSCB03");
 const HEADER_WORDS: usize = 8;
 const BREAKDOWN_FIELDS: usize = 7;
 /// total, active, memory, wait, serial, base.
@@ -120,9 +123,19 @@ fn push_word(buf: &mut Vec<u8>, w: u64) {
     buf.extend_from_slice(&w.to_le_bytes());
 }
 
-/// Append the FNV-1a of `buf[from..]` to `buf`.
+/// The checksum of a header's or record's payload: its words folded
+/// whole.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    for w in words(payload) {
+        h.mix(w);
+    }
+    h.finish()
+}
+
+/// Append the [`checksum`] of `buf[from..]` to `buf`.
 fn push_checksum(buf: &mut Vec<u8>, from: usize) {
-    let sum = Fnv1a::of(&buf[from..]);
+    let sum = checksum(&buf[from..]);
     push_word(buf, sum);
 }
 
@@ -140,7 +153,7 @@ fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 /// the trailing checksum word matches them.
 fn checked(bytes: &[u8]) -> (&[u8], bool) {
     let (payload, sum) = bytes.split_at(bytes.len().saturating_sub(8));
-    (payload, words(sum).next() == Some(Fnv1a::of(payload)))
+    (payload, words(sum).next() == Some(checksum(payload)))
 }
 
 /// The spec words a header carries (and a batch must match).
@@ -498,7 +511,7 @@ mod tests {
     /// Recompute the header checksum after editing header words.
     fn reseal_header(bytes: &mut [u8]) {
         let at = (HEADER_WORDS - 1) * 8;
-        let sum = Fnv1a::of(&bytes[..at]);
+        let sum = checksum(&bytes[..at]);
         bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
     }
 
@@ -632,21 +645,19 @@ mod tests {
         cache.store_batch(&data, &spec).unwrap();
         let bin = cache.bin_path(&data.key);
         let sound = std::fs::read(&bin).unwrap();
-        type Damage = fn(&mut Vec<u8>);
+        type Damage<'a> = Box<dyn Fn(&[u8]) -> Vec<u8> + 'a>;
         let damages: [(&str, Damage); 3] = [
-            ("bad magic", |b| b[3] ^= 0xff),
-            ("bad checksum", |b| b[8] ^= 0x01),
-            // The previous container generation (the magic's last
-            // digit one lower), checksum and all: not a format this
-            // loader reads.
-            ("bad magic", |b| {
-                b[..8].copy_from_slice(&(BIN_MAGIC - (1 << 56)).to_le_bytes());
-                reseal_header(b);
-            }),
+            ("bad magic", Box::new(|b| flip(b, 3, 0xff))),
+            ("bad checksum", Box::new(|b| flip(b, 8, 0x01))),
+            // A file of the previous container generation, sound in its
+            // own format: not a format this loader reads.
+            (
+                "previous generation",
+                Box::new(|b| previous_generation(b, &data, &spec)),
+            ),
         ];
         for (flaw, damage) in damages {
-            let mut bytes = sound.clone();
-            damage(&mut bytes);
+            let bytes = damage(&sound);
             std::fs::write(&bin, &bytes).unwrap();
             let mut corrupt = 0;
             assert!(decode_batch(&bytes, &spec, &mut corrupt).is_empty());
@@ -658,6 +669,90 @@ mod tests {
             assert_eq!(std::fs::read(&bin).unwrap(), sound, "{flaw}: rewritten");
         }
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Every single-bit flip of one stored record and of the header is
+    /// caught by its checksum: the record misses, the header empties the
+    /// batch, and either is counted corrupt once.
+    #[test]
+    fn every_single_bit_flip_of_a_record_or_the_header_is_caught() {
+        let spec = spec();
+        let data = batch(&spec);
+        let cache = SampleCache::new(tmp_dir("bit-flip"));
+        cache.store_batch(&data, &spec).unwrap();
+        let mut bytes = std::fs::read(cache.bin_path(&data.key)).unwrap();
+        let stride = record_words(spec.reps as usize) * 8;
+        let victim = &data.samples[2];
+        let record_at = HEADER_WORDS * 8 + 2 * stride;
+        for bit in 0..stride * 8 {
+            let (byte, mask) = (record_at + bit / 8, 1 << (bit % 8));
+            bytes[byte] ^= mask;
+            let mut corrupt = 0;
+            let entries = decode_batch(&bytes, &spec, &mut corrupt);
+            bytes[byte] ^= mask;
+            assert_eq!(corrupt, 1, "record bit {bit}");
+            assert_eq!(entries.len(), data.samples.len(), "record bit {bit}");
+            let hit = entries.lookup(victim.config_index, &victim.config);
+            assert!(hit.is_none(), "record bit {bit}");
+        }
+        for bit in 0..HEADER_WORDS * 64 {
+            let (byte, mask) = (bit / 8, 1 << (bit % 8));
+            bytes[byte] ^= mask;
+            let mut corrupt = 0;
+            let entries = decode_batch(&bytes, &spec, &mut corrupt);
+            bytes[byte] ^= mask;
+            assert_eq!(corrupt, 1, "header bit {bit}");
+            assert!(entries.is_empty(), "header bit {bit}");
+        }
+        let mut corrupt = 0;
+        let entries = decode_batch(&bytes, &spec, &mut corrupt);
+        assert_eq!((entries.len(), corrupt), (data.samples.len() + 1, 0));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// `bytes` with `mask` xored into byte `at`.
+    fn flip(bytes: &[u8], at: usize, mask: u8) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        bytes[at] ^= mask;
+        bytes
+    }
+
+    /// The file the previous container generation wrote for `data`:
+    /// magic `OMPSCB02`, fingerprints and checksums folded byte by byte.
+    fn previous_generation(current: &[u8], data: &SettingData, spec: &SweepSpec) -> Vec<u8> {
+        let fingerprint = |c: &TuningConfig| {
+            let mut h = Fnv1a::new();
+            for field in [
+                c.places as u64,
+                c.proc_bind as u64,
+                c.schedule as u64,
+                c.library as u64,
+                c.blocktime as u64,
+                c.force_reduction as u64,
+                c.align_alloc.0 as u64,
+                c.num_threads as u64,
+            ] {
+                h.eat_u64(field);
+            }
+            h.finish()
+        };
+        let reseal = |bytes: &mut [u8]| {
+            let at = bytes.len() - 8;
+            let sum = Fnv1a::of(&bytes[..at]);
+            bytes[at..].copy_from_slice(&sum.to_le_bytes());
+        };
+        let mut bytes = current.to_vec();
+        let (header, body) = bytes.split_at_mut(HEADER_WORDS * 8);
+        header[..8].copy_from_slice(b"OMPSCB02");
+        reseal(header);
+        let default = TuningConfig::default_for(data.key.arch, data.key.num_threads);
+        let configs = data.samples.iter().map(|s| s.config).chain([default]);
+        let stride = record_words(spec.reps as usize) * 8;
+        for (record, config) in body.chunks_exact_mut(stride).zip(configs) {
+            record[8..16].copy_from_slice(&fingerprint(&config).to_le_bytes());
+            reseal(record);
+        }
+        bytes
     }
 
     /// A header may claim any count; what is loaded (and allocated) is

@@ -69,23 +69,28 @@ pub struct Live {
     /// indexed like [`crate::series::OBJECTIVES`]: did the config beat
     /// the arch default's time, and did it cost fewer joules? Where the
     /// two rankings disagree is the ompwatt disagreement map, live.
-    /// Exposition only (`collect --monitor`'s `/metrics`): it never feeds
-    /// back into sampling, artifacts or series.
-    pub influence: [LiveInfluence; 2],
+    /// Exposition only (`collect --monitor`'s `/metrics`), so only a
+    /// [`State::monitored`] run has them: they never feed back into
+    /// sampling, artifacts or series.
+    pub influence: Option<[LiveInfluence; 2]>,
     /// The architecture being swept: its id, meter and planned samples.
     pub current: Option<(String, Arc<Progress>, u64)>,
 }
 
 impl Live {
-    /// Feed one completed batch to both influence trackers: per sample
-    /// and objective, the default's cost over the sample's.
+    /// Feed one completed batch to both influence trackers, if the run
+    /// has them: per sample and objective, the default's cost over the
+    /// sample's.
     fn observe(&mut self, data: &SettingData) {
+        let Some(influence) = &mut self.influence else {
+            return;
+        };
         let usable = |cost: f64| cost.is_finite() && cost > 0.0;
         let defaults = [data.default_mean(), data.default_telemetry.energy.total_j];
         for sample in &data.samples {
             let costs = [sample.mean_runtime(), sample.telemetry.energy.total_j];
             let pairs = defaults.into_iter().zip(costs);
-            for (live, (default, cost)) in self.influence.iter_mut().zip(pairs) {
+            for (live, (default, cost)) in influence.iter_mut().zip(pairs) {
                 if usable(default) && usable(cost) {
                     live.observe(&sample.config, default / cost);
                 }
@@ -107,13 +112,22 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl State {
+    /// A run nobody watches live: no influence trackers.
     pub fn new(spec: &SweepSpec) -> State {
         State(Mutex::new(Live {
             manifest: RunManifest::new(spec),
             energy: Vec::new(),
-            influence: [LiveInfluence::new(), LiveInfluence::new()],
+            influence: None,
             current: None,
         }))
+    }
+
+    /// A run `/metrics` serves: its batches also feed the influence
+    /// trackers.
+    pub fn monitored(spec: &SweepSpec) -> State {
+        let state = State::new(spec);
+        state.lock().influence = Some([LiveInfluence::new(), LiveInfluence::new()]);
+        state
     }
 
     pub fn lock(&self) -> MutexGuard<'_, Live> {
@@ -266,7 +280,8 @@ fn sweep_arch(
 }
 
 /// The core [`run`] registers for `job`, without the run's outputs: the
-/// content address a run of `job` would be recorded under.
+/// content address a run of `job` would be recorded under. Its replays
+/// feed no influence tracker.
 pub fn core_of(job: &Job) -> CollectCore {
     let state = State::new(job.spec);
     let mut core = CollectCore::new(job.spec);
@@ -415,8 +430,9 @@ mod tests {
         assert_eq!(totals, [14, 10, 900, 585, 4, 22]);
     }
 
-    /// The merged observer against the two closures it replaced: each
-    /// tracker sees the same observations in the same order.
+    /// The merged observer of a monitored state against the two closures
+    /// it replaced: each tracker sees the same observations in the same
+    /// order.
     #[test]
     fn one_observer_feeds_both_trackers_like_the_two_it_replaced() {
         let time_ref = |live: &mut LiveInfluence, data: &SettingData| {
@@ -457,14 +473,17 @@ mod tests {
         // default is not: only the energy tracker may move.
         batches[0].default_runtimes.fill(f64::NAN);
 
-        let state = State::new(&spec);
+        let state = State::monitored(&spec);
+        let unmonitored = State::new(&spec);
         let mut reference = [LiveInfluence::new(), LiveInfluence::new()];
         for data in &batches {
             state.lock().observe(data);
+            unmonitored.lock().observe(data);
             time_ref(&mut reference[0], data);
             energy_ref(&mut reference[1], data);
         }
-        let merged = state.lock().influence.clone();
+        assert!(unmonitored.lock().influence.is_none());
+        let merged = state.lock().influence.clone().expect("monitored");
         assert!(merged[0].samples() > 0);
         assert!(merged[1].samples() > merged[0].samples());
         for (live, reference) in merged.iter().zip(&reference) {

@@ -4,7 +4,7 @@
 //! files to a directory.
 
 use crate::dataset::Dataset;
-use crate::provenance::{provenance_iter, write_manifest, write_provenance_jsonl, RunManifest};
+use crate::provenance::{provenance_rows, write_manifest, write_provenance_jsonl, RunManifest};
 use crate::runner::SettingData;
 use crate::spec::SweepSpec;
 use omptune_core::Variable;
@@ -235,10 +235,8 @@ pub fn write_artifacts(
     let provenance_job = || -> Result<(u64, usize, f64), Failed> {
         let t = Instant::now();
         let mut lines = 0usize;
-        let records = provenance_iter(batches, spec).inspect(|_| lines += 1);
-        let bytes = write_file(out_dir, PROVENANCE, |out| {
-            write_provenance_jsonl(records, out)
-        })?;
+        let rows = provenance_rows(batches, spec).inspect(|_| lines += 1);
+        let bytes = write_file(out_dir, PROVENANCE, |out| write_provenance_jsonl(rows, out))?;
         Ok((bytes, lines, t.elapsed().as_secs_f64()))
     };
 
@@ -537,7 +535,7 @@ mod tests {
         )];
         let manifest = RunManifest::new(&spec);
         let mut expected = Vec::new();
-        write_provenance_jsonl(provenance_iter(&batches, &spec), &mut expected).unwrap();
+        write_provenance_jsonl(provenance_rows(&batches, &spec), &mut expected).unwrap();
 
         for workers in [1, 2] {
             let dir = std::env::temp_dir().join(format!(

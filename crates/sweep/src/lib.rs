@@ -28,9 +28,9 @@ pub mod spec;
 pub use cache::{BatchEntries, SampleCache, DEFAULT_ROW_INDEX, ENGINE_VERSION};
 pub use dataset::{clean, CleanReport, Dataset, DropReason};
 pub use provenance::{
-    config_fingerprint, config_hash, provenance_iter, provenance_of, read_manifest,
-    slice_fingerprint, write_manifest, write_provenance_jsonl, ArchManifest, RunManifest,
-    SampleProvenance,
+    config_fingerprint, config_hash, provenance_of, provenance_rows, read_manifest,
+    slice_fingerprint, write_manifest, write_provenance_jsonl, ArchManifest, ProvenanceRow,
+    RunManifest, SampleProvenance,
 };
 pub use registry::{
     default_registry_dir, detect_git_rev, record_bench, spec_fingerprint, ArchDigest, BatchPartial,

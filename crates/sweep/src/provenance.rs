@@ -12,7 +12,6 @@ use crate::schedule::SweepStats;
 use crate::spec::SweepSpec;
 use omptune_core::{Fnv1a, TuningConfig};
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io::{self, Write};
 
@@ -37,27 +36,33 @@ impl ConfigHashes {
     }
 }
 
-/// FNV-1a over a configuration's fields directly — no serialization, so
-/// a fingerprint costs a handful of integer folds instead of a JSON
-/// encode. This is the hot-path content address the binary sample cache
-/// verifies on every warm lookup; [`config_hash`] remains the archival
-/// join key (the two are different hash domains and never compared to
-/// each other).
+/// FNV-1a over a configuration's fields directly, one round per field
+/// ([`Fnv1a::mix`]) — no serialization, so a fingerprint costs eight
+/// integer folds instead of a JSON encode. This is the hot-path content
+/// address the binary sample cache stores and verifies on every warm
+/// lookup (a change to it is a new cache container); [`config_hash`]
+/// remains the archival join key (the two are different hash domains
+/// and never compared to each other).
 pub fn config_fingerprint(config: &TuningConfig) -> u64 {
     let mut h = Fnv1a::new();
-    h.eat_u64(config.places as u64);
-    h.eat_u64(config.proc_bind as u64);
-    h.eat_u64(config.schedule as u64);
-    h.eat_u64(config.library as u64);
-    h.eat_u64(config.blocktime as u64);
-    h.eat_u64(config.force_reduction as u64);
-    h.eat_u64(config.align_alloc.0 as u64);
-    h.eat_u64(config.num_threads as u64);
+    for field in [
+        config.places as u64,
+        config.proc_bind as u64,
+        config.schedule as u64,
+        config.library as u64,
+        config.blocktime as u64,
+        config.force_reduction as u64,
+        config.align_alloc.0 as u64,
+        config.num_threads as u64,
+    ] {
+        h.mix(field);
+    }
     h.finish()
 }
 
-/// Everything needed to reproduce (and audit) one sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Everything needed to reproduce (and audit) one sample: a
+/// [`ProvenanceRow`] that owns its data, and is written as one.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct SampleProvenance {
     pub arch: String,
     pub app: String,
@@ -77,31 +82,101 @@ pub struct SampleProvenance {
     pub telemetry: SampleTelemetry,
 }
 
-impl SampleProvenance {
-    /// Provenance of one sample within its batch.
-    pub fn of(data: &SettingData, sample: &RawSample, spec: &SweepSpec) -> SampleProvenance {
-        SampleProvenance::with_hash(data, sample, spec, config_hash(&sample.config))
+impl Serialize for SampleProvenance {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        ProvenanceRow::from(self).serialize(sink)
     }
+}
 
-    /// [`SampleProvenance::of`], given the sample's `config_hash`.
-    fn with_hash(
-        data: &SettingData,
-        sample: &RawSample,
+/// One line of `provenance.jsonl`, borrowing its text and numbers from
+/// the batch it describes (or from a [`SampleProvenance`]): the one
+/// writer of the format. Fields as [`SampleProvenance`] documents them.
+#[derive(Debug)]
+pub struct ProvenanceRow<'a> {
+    arch: &'a str,
+    app: &'a str,
+    input_code: u32,
+    num_threads: usize,
+    config_index: usize,
+    config_hash: u64,
+    seed: u64,
+    noise_stream: u64,
+    rep_times: &'a [f64],
+    telemetry: &'a SampleTelemetry,
+}
+
+impl<'a> ProvenanceRow<'a> {
+    /// The row of `sample` within its batch, given its `config_hash`.
+    fn of(
+        data: &'a SettingData,
+        sample: &'a RawSample,
         spec: &SweepSpec,
         config_hash: u64,
-    ) -> SampleProvenance {
-        SampleProvenance {
-            arch: data.key.arch.id().to_string(),
-            app: data.key.app.clone(),
+    ) -> ProvenanceRow<'a> {
+        ProvenanceRow {
+            arch: data.key.arch.id(),
+            app: &data.key.app,
             input_code: data.key.input_code,
             num_threads: data.key.num_threads,
             config_index: sample.config_index,
             config_hash,
             seed: spec.seed,
             noise_stream: noise_stream(&data.key, sample.config_index),
-            rep_times: sample.runtimes.clone(),
-            telemetry: sample.telemetry.clone(),
+            rep_times: &sample.runtimes,
+            telemetry: &sample.telemetry,
         }
+    }
+
+    /// The record that owns a copy of this row.
+    fn to_record(&self) -> SampleProvenance {
+        SampleProvenance {
+            arch: self.arch.to_string(),
+            app: self.app.to_string(),
+            input_code: self.input_code,
+            num_threads: self.num_threads,
+            config_index: self.config_index,
+            config_hash: self.config_hash,
+            seed: self.seed,
+            noise_stream: self.noise_stream,
+            rep_times: self.rep_times.to_vec(),
+            telemetry: self.telemetry.clone(),
+        }
+    }
+}
+
+impl<'a> From<&'a SampleProvenance> for ProvenanceRow<'a> {
+    fn from(record: &'a SampleProvenance) -> ProvenanceRow<'a> {
+        ProvenanceRow {
+            arch: &record.arch,
+            app: &record.app,
+            input_code: record.input_code,
+            num_threads: record.num_threads,
+            config_index: record.config_index,
+            config_hash: record.config_hash,
+            seed: record.seed,
+            noise_stream: record.noise_stream,
+            rep_times: &record.rep_times,
+            telemetry: &record.telemetry,
+        }
+    }
+}
+
+// Hand-written: the derive takes no lifetime parameter. The fields and
+// their order are `SampleProvenance`'s, which reads the text back.
+impl Serialize for ProvenanceRow<'_> {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        sink.map_begin()?;
+        sink.field("arch", self.arch)?;
+        sink.field("app", self.app)?;
+        sink.field("input_code", &self.input_code)?;
+        sink.field("num_threads", &self.num_threads)?;
+        sink.field("config_index", &self.config_index)?;
+        sink.field("config_hash", &self.config_hash)?;
+        sink.field("seed", &self.seed)?;
+        sink.field("noise_stream", &self.noise_stream)?;
+        sink.field("rep_times", self.rep_times)?;
+        sink.field("telemetry", self.telemetry)?;
+        sink.map_end()
     }
 }
 
@@ -131,34 +206,38 @@ pub fn slice_fingerprint(batches: &[SettingData]) -> u64 {
     h.finish()
 }
 
-/// Provenance records for every sample of a batch list, in sweep order,
-/// built one at a time as the iterator is advanced.
-pub fn provenance_iter<'a>(
+/// The provenance row of every sample of a batch list, in sweep order,
+/// each borrowing from its batch.
+pub fn provenance_rows<'a>(
     batches: &'a [SettingData],
     spec: &'a SweepSpec,
-) -> impl Iterator<Item = SampleProvenance> + 'a {
+) -> impl Iterator<Item = ProvenanceRow<'a>> + 'a {
     let mut hashes = ConfigHashes::default();
     batches
         .iter()
         .flat_map(|data| data.samples.iter().map(move |s| (data, s)))
-        .map(move |(data, s)| SampleProvenance::with_hash(data, s, spec, hashes.get(&s.config)))
+        .map(move |(data, s)| ProvenanceRow::of(data, s, spec, hashes.get(&s.config)))
 }
 
-/// [`provenance_iter`], collected.
+/// Provenance records for every sample of a batch list, in sweep order:
+/// [`provenance_rows`], each copied into a record of its own.
 pub fn provenance_of(batches: &[SettingData], spec: &SweepSpec) -> Vec<SampleProvenance> {
-    provenance_iter(batches, spec).collect()
+    provenance_rows(batches, spec)
+        .map(|row| row.to_record())
+        .collect()
 }
 
 /// Write provenance as JSON lines (one sample per line), all through one
-/// JSON sink. Takes records by reference (a slice) or by value (a lazy
-/// [`provenance_iter`], so only one record exists at a time).
-pub fn write_provenance_jsonl<W, I>(records: I, out: &mut W) -> io::Result<()>
+/// JSON sink. Takes records by reference (`&[SampleProvenance]`) or rows
+/// (a lazy [`provenance_rows`], which copies nothing).
+pub fn write_provenance_jsonl<'a, W, I>(records: I, out: &mut W) -> io::Result<()>
 where
     W: Write,
     I: IntoIterator,
-    I::Item: Borrow<SampleProvenance> + Serialize,
+    I::Item: Into<ProvenanceRow<'a>>,
 {
-    serde_json::to_writer_lines(out, records).map_err(io::Error::other)
+    let rows = records.into_iter().map(Into::into);
+    serde_json::to_writer_lines(out, rows).map_err(io::Error::other)
 }
 
 /// Per-architecture slice of a collection run.
@@ -314,9 +393,9 @@ mod tests {
             .map(|line| serde_json::from_str(line).unwrap())
             .collect();
         assert_eq!(back, records);
-        // Fed lazily, by value, the writer produces the same bytes.
+        // Fed rows lazily, the writer produces the same bytes.
         let mut lazy = Vec::new();
-        write_provenance_jsonl(provenance_iter(&batches, &spec), &mut lazy).unwrap();
+        write_provenance_jsonl(provenance_rows(&batches, &spec), &mut lazy).unwrap();
         assert_eq!(lazy, text.as_bytes());
     }
 
@@ -358,6 +437,19 @@ mod tests {
         let mut v = base;
         v.num_threads += 1;
         assert_ne!(config_fingerprint(&v), fp);
+    }
+
+    /// The sample cache tells configurations apart by fingerprint alone
+    /// once their index matches, so no two points of any space may share
+    /// one.
+    #[test]
+    fn config_fingerprints_are_distinct_over_every_space() {
+        for arch in Arch::ALL {
+            let space = omptune_core::ConfigSpace::new(arch, arch.cores());
+            let prints: std::collections::HashSet<u64> =
+                space.iter().map(|c| config_fingerprint(&c)).collect();
+            assert_eq!(prints.len(), space.len(), "{arch:?}");
+        }
     }
 
     #[test]

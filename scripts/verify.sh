@@ -83,8 +83,21 @@ same_provenance() { # same_provenance RUN — RUN's provenance is byte-identical
     }
     echo "$1 and plain provenance byte-identical"
 }
+current_cache() { # current_cache DIR — DIR holds batch files, each an OMPSCB03 container
+    local bins=0 bin
+    while IFS= read -r -d '' bin; do
+        bins=$((bins + 1))
+        [ "$(head -c 8 "$bin")" = OMPSCB03 ] || {
+            echo "verify: $bin does not start with OMPSCB03" >&2
+            exit 1
+        }
+    done < <(find "$1" -name '*.bin' -print0)
+    [ "$bins" -gt 0 ] || { echo "verify: no batch files under $1" >&2; exit 1; }
+    echo "$bins batch files under $1, every one OMPSCB03"
+}
 collect_tiny cold --workers 4 --cache-dir "$coherence_dir/cache"
 collect_tiny warm --workers 2 --cache-dir "$coherence_dir/cache"
+current_cache "$coherence_dir/cache"
 
 # Trace validation: a live traced collect run must (a) leave the
 # provenance byte-identical to the untraced runs above, and (b) export a
@@ -95,6 +108,7 @@ banner "flight-recorder trace validation (live traced collect)"
 collect_tiny traced --workers 4 --cache-dir "$coherence_dir/trace-cache" \
     --trace "$coherence_dir/traced/trace.json"
 same_provenance traced
+current_cache "$coherence_dir/trace-cache"
 cargo run --release -p sweep --bin trace-check -- "$coherence_dir/traced/trace.json" |
     tee "$coherence_dir/trace-check.txt"
 need "$coherence_dir/trace-check.txt" '^  sample ' "trace-check printed no sample row"
@@ -153,6 +167,7 @@ echo "live /metrics and /healthz answered mid-run"
 wait "$collect_pid"
 collect_pid=""
 same_provenance monitored
+current_cache "$coherence_dir/mon-cache"
 
 # Drift sentinel self-comparison: the cold and warm runs above share a
 # seed, so their per-stratum virtual-time and energy series must be

@@ -1,27 +1,41 @@
 //! The collection run's spine, in-process: `sweep::collect::run` at the
 //! `tiny` scope, cold, monitored, warm, half-warm and over a damaged
 //! cache at workers 4/2/1, must leave the same data files and the same
-//! content address — and a perturbed run a different one. These were
-//! `scripts/verify.sh` legs over eight spawns of the `collect` binary;
-//! the binary is now a command line around the function called here.
+//! content address — and a perturbed run a different one. A monitored
+//! run differs from the others only in what `/metrics` reads: its state
+//! holds the influence trackers. These were `scripts/verify.sh` legs
+//! over eight spawns of the `collect` binary; the binary is now a
+//! command line around the function called here.
 
 use omptune::core::Arch;
 use omptune::data::collect::{self, Job, State};
 use omptune::data::export::{read_raw_json, ARTIFACT_FILES};
 use omptune::data::series::{all_stratum_series, fold_stratum_series};
-use omptune::data::{Registry, RegistryLoad, RunRecord, SampleCache, Scope, SweepSpec};
+use omptune::data::{
+    read_manifest, Registry, RegistryLoad, RunManifest, RunRecord, SampleCache, Scope, SweepSpec,
+};
 use omptune::tel::{Counter, CounterSnapshot};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-const DATA_FILES: [&str; 3] = ["provenance.jsonl", "samples.csv", "raw_batches.json"];
+const DATA_FILES: [&str; 4] = [
+    "provenance.jsonl",
+    "samples.csv",
+    "raw_batches.json",
+    "SUMMARY.txt",
+];
 
 /// One finished run: its data files, what its cache handle counted, and
 /// the record it appended.
 struct Run {
     /// Bytes of each of [`DATA_FILES`].
-    files: [Vec<u8>; 3],
+    files: [Vec<u8>; 4],
+    /// `manifest.json` as read back, less its wall-clock fields.
+    manifest: RunManifest,
+    /// Samples each influence tracker of the run's state observed, `None`
+    /// for a state without trackers.
+    influence_samples: Option<[u64; 2]>,
     hits: u64,
     misses: u64,
     /// Plan builds, summed over the manifest's architectures.
@@ -37,7 +51,8 @@ struct Run {
 struct Runs {
     cold: Run,
     /// A cold run into a fresh cache with a telemetry session open
-    /// around it, as `collect --monitor` opens one.
+    /// around it and the trackers in its state, as `collect --monitor`
+    /// runs.
     monitored: Run,
     /// What that session counted.
     monitored_counters: CounterSnapshot,
@@ -89,7 +104,7 @@ fn runs() -> &'static Runs {
             ..SweepSpec::default()
         };
         let registry = Registry::open(root.join(".ompobs")).unwrap();
-        let run = |name: &str, workers: usize, cache_dir: &str, perturb| {
+        let run_in = |state: State, name: &str, workers: usize, cache_dir: &str, perturb| {
             let cache = SampleCache::new(root.join(cache_dir));
             let job = Job {
                 spec: &spec,
@@ -98,11 +113,20 @@ fn runs() -> &'static Runs {
                 perturb,
             };
             let out = root.join(name);
-            let state = State::new(&spec);
             let done = collect::run(&job, &out, Some(&registry), &state, &mut ()).unwrap();
             let (hits, misses) = cache.stats();
+            let influence = state.lock().influence.clone();
+            let mut manifest =
+                read_manifest(&fs::read(out.join("manifest.json")).unwrap()).unwrap();
+            for arch in &mut manifest.arches {
+                arch.elapsed_s = 0.0;
+                arch.sample_latency = omptune::tel::Histogram::new();
+                arch.stats.steals = 0;
+            }
             Run {
                 files: DATA_FILES.map(|file| fs::read(out.join(file)).unwrap()),
+                manifest,
+                influence_samples: influence.map(|live| live.map(|l| l.samples())),
                 hits,
                 misses,
                 plan_misses: done
@@ -118,11 +142,20 @@ fn runs() -> &'static Runs {
             }
         };
 
+        let run = |name: &str, workers: usize, cache_dir: &str, perturb| {
+            run_in(State::new(&spec), name, workers, cache_dir, perturb)
+        };
         let cold = run("cold", 4, "cache", None);
         // The fixture makes its runs one after another, so no other
         // session interleaves with this one.
         let session = omptune::tel::session().expect("no other telemetry session");
-        let monitored = run("monitored", 4, "cache-monitored", None);
+        let monitored = run_in(
+            State::monitored(&spec),
+            "monitored",
+            4,
+            "cache-monitored",
+            None,
+        );
         let monitored_counters = session.finish();
         let warm2 = run("warm2", 2, "cache", None);
         // A half-warm cache: a64fx recomputes, the other two replay.
@@ -296,6 +329,24 @@ fn identical_sweeps_share_one_content_address_and_a_perturbed_one_does_not() {
         hashes,
         [address, address, address, address, address, address, perturbed]
     );
+}
+
+/// Only a monitored run's state holds the influence trackers, and
+/// feeding them changes no artifact: the data files and `SUMMARY.txt`
+/// are byte-equal to the unmonitored cold run's, and `manifest.json`
+/// equal but for its wall-clock fields.
+#[test]
+fn only_a_monitored_state_holds_trackers_and_they_change_no_artifact() {
+    let runs = runs();
+    for (run, what) in runs.identical() {
+        if !std::ptr::eq(run, &runs.monitored) {
+            assert_eq!(run.influence_samples, None, "{what}");
+        }
+    }
+    let observed = runs.monitored.influence_samples.expect("monitored");
+    assert!(observed.iter().all(|&n| n > 0), "{observed:?}");
+    assert_eq!(runs.monitored.files, runs.cold.files);
+    assert_eq!(runs.monitored.manifest, runs.cold.manifest);
 }
 
 /// `collect --monitor`'s session counts exactly the plan builds the

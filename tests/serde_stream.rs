@@ -1114,6 +1114,95 @@ fn memo_copies_straddle_the_buffers_end_and_blocks_that_did_are_walked_again() {
     assert!(out.taken == reference.as_bytes());
 }
 
+/// One element of a document that mixes the sink's two kinds of memo
+/// block, each through its own `Serialize`.
+enum Block<'a> {
+    Config(&'a omptune::core::TuningConfig),
+    Telemetry(&'a omptune::data::SampleTelemetry),
+}
+
+impl Serialize for Block<'_> {
+    fn serialize<S: serde::Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        match self {
+            Block::Config(config) => config.serialize(sink),
+            Block::Telemetry(telemetry) => telemetry.serialize(sink),
+        }
+    }
+}
+
+/// Every configuration of every architecture's space, and every
+/// architecture's default at every thread count, written twice after
+/// the memo exists and interleaved with telemetry blocks that share its
+/// table, is the reference emitter's text: a configuration copied from
+/// the memo is the one that was recorded, never one that differs from
+/// it in a field. The document is held to the reference element by
+/// element (its tree would be ~50 MB of text built at once).
+#[test]
+fn every_configuration_through_the_block_memo_is_the_reference_text() {
+    use omptune::core::{Arch, ConfigSpace, TuningConfig};
+    use omptune::data::SampleTelemetry;
+    let mut rng = TestRng::for_test("config memo");
+    let mut draw = Draw(&mut rng);
+    let telemetry: Vec<SampleTelemetry> = (0..64)
+        .map(|_| SampleTelemetry {
+            virtual_ns: draw.f64(),
+            regions: draw.below(1000),
+            breakdown: omptune::tel::Breakdown {
+                compute_ns: draw.f64(),
+                memory_ns: draw.f64(),
+                sync_ns: draw.f64(),
+                wake_ns: draw.f64(),
+                dispatch_ns: draw.f64(),
+                serial_ns: draw.f64(),
+                imbalance_ns: draw.f64(),
+            },
+            energy: omptune::tel::EnergyBreakdown {
+                total_j: draw.f64(),
+                active_j: draw.f64(),
+                memory_j: draw.f64(),
+                wait_j: draw.f64(),
+                serial_j: draw.f64(),
+                base_j: draw.f64(),
+            },
+        })
+        .collect();
+    let mut configs: Vec<TuningConfig> = Vec::new();
+    for arch in Arch::ALL {
+        configs.extend((1..=arch.cores()).map(|t| TuningConfig::default_for(arch, t)));
+        configs.extend(ConfigSpace::new(arch, arch.cores()).iter());
+    }
+    // Enough telemetry first that the sink has built its memo, then the
+    // configurations twice over, a telemetry block after every third.
+    let mut doc: Vec<Block> = telemetry.iter().map(Block::Telemetry).collect();
+    for (i, config) in configs.iter().chain(&configs).enumerate() {
+        doc.push(Block::Config(config));
+        if i % 3 == 0 {
+            doc.push(Block::Telemetry(&telemetry[i % telemetry.len()]));
+        }
+    }
+    let mut text = Vec::new();
+    serde_json::to_writer(&mut text, &doc).unwrap();
+
+    let mut at = 0;
+    let mut expect = |piece: &str, what: &dyn Fn() -> String| {
+        let got = text.get(at..at + piece.len());
+        assert!(got == Some(piece.as_bytes()), "{} at byte {at}", what());
+        at += piece.len();
+    };
+    let mut reference = String::new();
+    for (i, block) in doc.iter().enumerate() {
+        reference.clear();
+        reference.push(if i == 0 { '[' } else { ',' });
+        reference_json(&block.serialize_value(), &mut reference);
+        expect(&reference, &|| match block {
+            Block::Config(c) => format!("element {i}, {c:?}"),
+            Block::Telemetry(_) => format!("element {i}, a telemetry block"),
+        });
+    }
+    expect("]", &|| "the closing bracket".into());
+    assert_eq!(at, text.len());
+}
+
 /// The two documents the memos exist for, from a real sweep: every byte
 /// is the reference emitter's text of the records' trees.
 #[test]
@@ -1132,7 +1221,7 @@ fn a_sweeps_raw_batches_and_provenance_are_the_reference_text() {
     assert!(text == reference.as_bytes(), "raw_batches.json differs");
 
     let mut text = Vec::new();
-    data::write_provenance_jsonl(data::provenance_iter(&batches, &spec), &mut text).unwrap();
+    data::write_provenance_jsonl(data::provenance_rows(&batches, &spec), &mut text).unwrap();
     let mut reference = String::new();
     for record in data::provenance_of(&batches, &spec) {
         reference_json(&record.serialize_value(), &mut reference);
