@@ -77,11 +77,6 @@ impl<T> EventQueue<T> {
         self.seq += 1;
     }
 
-    /// Schedule `payload` `delay` ns after the current time.
-    pub fn schedule_in(&mut self, delay: VTime, payload: T) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(VTime, T)> {
         let Reverse((Entry(at, _), idx)) = self.heap.pop()?;
@@ -213,15 +208,6 @@ mod tests {
         q.schedule(10, ());
         q.pop();
         q.schedule(5, ());
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(10, 1);
-        q.pop();
-        q.schedule_in(7, 2);
-        assert_eq!(q.pop(), Some((17, 2)));
     }
 
     #[test]

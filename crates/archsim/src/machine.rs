@@ -130,11 +130,6 @@ impl MachineDesc {
         self.cores / self.sockets
     }
 
-    /// Cycles → virtual nanoseconds at this machine's clock.
-    pub fn cycles_to_ns(&self, cycles: f64) -> f64 {
-        cycles / self.clock_ghz
-    }
-
     /// Validate internal consistency (topology divides evenly, positive
     /// rates). Used by property tests and on deserialized descriptions.
     pub fn validate(&self) -> Result<(), String> {
@@ -202,12 +197,6 @@ mod tests {
         assert_eq!(m.cores_per_numa(), 12);
         assert_eq!(m.cores_per_llc(), 8);
         assert_eq!(m.cores_per_socket(), 48);
-    }
-
-    #[test]
-    fn cycles_conversion() {
-        let m = MachineDesc::skylake();
-        assert!((m.cycles_to_ns(2.4e9) - 1e9).abs() < 1.0);
     }
 
     #[test]

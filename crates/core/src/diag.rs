@@ -55,12 +55,6 @@ impl Diagnostic {
             suggestion: None,
         }
     }
-
-    /// Attach a suggested fix.
-    pub fn with_suggestion(mut self, suggestion: impl Into<String>) -> Diagnostic {
-        self.suggestion = Some(suggestion.into());
-        self
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -85,8 +79,8 @@ mod tests {
 
     #[test]
     fn display_includes_rule_and_suggestion() {
-        let d = Diagnostic::new("E-TEST", Severity::Error, "bad point")
-            .with_suggestion("use the default");
+        let mut d = Diagnostic::new("E-TEST", Severity::Error, "bad point");
+        d.suggestion = Some("use the default".to_string());
         let s = d.to_string();
         assert!(s.contains("error[E-TEST]"));
         assert!(s.contains("bad point"));

@@ -104,11 +104,6 @@ impl Placement {
             }
         }
     }
-
-    /// Number of distinct places actually occupied (0 for unbound).
-    pub fn places_used(&self) -> usize {
-        self.occupancy().iter().filter(|n| **n > 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +213,6 @@ mod tests {
         let p = Placement::Unbound;
         assert_eq!(p.max_oversubscription(Arch::Skylake, 40), 1.0);
         assert_eq!(p.max_oversubscription(Arch::Skylake, 20), 0.5);
-        assert_eq!(p.places_used(), 0);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl Matrix {
         }
     }
 
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.rows
-    }
-
     /// Number of columns.
     pub fn ncols(&self) -> usize {
         self.cols
@@ -223,7 +218,6 @@ mod tests {
     fn transpose_roundtrip() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         let t = a.transpose();
-        assert_eq!(t.nrows(), 3);
         assert_eq!(t.ncols(), 2);
         assert_eq!(t.transpose(), a);
     }

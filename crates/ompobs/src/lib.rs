@@ -24,8 +24,8 @@
 
 pub mod drift;
 
-use mlstats::holm_adjust;
 use mlstats::wilcoxon::{wilcoxon_signed_rank, WilcoxonError};
+use mlstats::{holm_adjust, mean};
 use serde::Serialize;
 use sweep::series::stratum_series;
 use sweep::{CollectCore, RunCore, RunRecord};
@@ -139,14 +139,6 @@ fn compare_pair(pair: SeriesPair) -> SeriesRow {
         Err(WilcoxonError::LengthMismatch) => unreachable!("the pairing aligns lengths"),
     }
     row
-}
-
-fn mean(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        f64::NAN
-    } else {
-        v.iter().sum::<f64>() / v.len() as f64
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -430,7 +430,6 @@ mod tests {
             reps: 2,
             seed: 29,
             failure_rate: 0.08,
-            ..SweepSpec::default()
         };
         let app = workloads::app("cg").unwrap();
         let setting = Setting {

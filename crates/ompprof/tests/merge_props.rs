@@ -21,7 +21,6 @@ fn fixture() -> &'static Vec<SettingData> {
             reps: 3,
             seed: 41,
             failure_rate: 0.1,
-            ..SweepSpec::default()
         };
         let app = workloads::app("cg").expect("cg registered");
         let setting = workloads::Setting {
@@ -124,7 +123,6 @@ fn worker_count_does_not_change_the_profile() {
         reps: 2,
         seed: 23,
         failure_rate: 0.05,
-        ..SweepSpec::default()
     };
     let app = workloads::app("cg").expect("cg registered");
     let setting = workloads::Setting {

@@ -157,9 +157,6 @@ impl Histogram {
     pub fn p99(&self) -> Option<QuantileBound> {
         self.quantile(0.99)
     }
-    pub fn p999(&self) -> Option<QuantileBound> {
-        self.quantile(0.999)
-    }
 
     /// Exact arithmetic mean is unknowable from bins; this is the
     /// bin-midpoint estimate, for display only.
@@ -300,8 +297,6 @@ mod tests {
         assert!((p50.hi - p50.lo) as f64 <= p50.lo as f64 / 8.0 + 1.0);
         let p99 = h.p99().unwrap();
         assert!(p99.lo <= 9_900 && 9_900 < p99.hi, "p99 {p99:?}");
-        let p999 = h.p999().unwrap();
-        assert!(p999.lo <= 9_990 && 9_990 < p999.hi, "p999 {p999:?}");
     }
 
     #[test]

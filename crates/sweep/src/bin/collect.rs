@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use sweep::collect::{ArchDone, ArchEnergy, Job, State, Watch};
 use sweep::series::OBJECTIVES;
-use sweep::{Roster, SampleCache, Scope, SweepSpec};
+use sweep::{SampleCache, Scope, SweepSpec};
 
 const USAGE: &str = "usage: collect [SCOPE] [OUT_DIR] [OPTIONS] (see --help)";
 
@@ -53,10 +53,6 @@ ARGS:
 OPTIONS:
     --workers N       worker threads for the sweep scheduler
                       (default: available parallelism)
-    --roster WHICH    paper | generated | all   (default: paper)
-                      which application roster to sweep: the paper's
-                      Table II apps, the promoted ompfuzz-generated
-                      apps, or both
     --no-cache        recompute everything; do not read or write the
                       sample cache
     --cache-dir PATH  sample-cache directory
@@ -84,7 +80,6 @@ OPTIONS:
 
 struct Cli {
     scope: Scope,
-    roster: Roster,
     out_dir: PathBuf,
     workers: usize,
     cache_dir: Option<PathBuf>,
@@ -100,12 +95,6 @@ fn parse(mut args: Args) -> Result<Cli, Error> {
     let workers = match args.positive("--workers")? {
         Some(n) => n,
         None => std::thread::available_parallelism().map_or(4, |n| n.get()),
-    };
-    let roster = match args.value("--roster")?.as_deref() {
-        None | Some("paper") => Roster::Paper,
-        Some("generated") => Roster::Generated,
-        Some("all") => Roster::All,
-        Some(other) => return Err(Error::unknown("roster", other)),
     };
     let cache_dir = path(args.value("--cache-dir")?);
     let no_cache = args.flag("--no-cache");
@@ -146,7 +135,6 @@ fn parse(mut args: Args) -> Result<Cli, Error> {
     let cache_dir = cache_dir.unwrap_or_else(|| PathBuf::from("target/sweep-cache"));
     Ok(Cli {
         scope,
-        roster,
         out_dir,
         workers,
         cache_dir: (!no_cache).then_some(cache_dir),
@@ -183,7 +171,7 @@ impl SweepState {
         // Progress gauges are always present (zero between arches) so
         // scrapers never see a series disappear.
         let (done, total, elapsed) = match &run.current {
-            Some((_, meter, total)) => {
+            Some((meter, total)) => {
                 snap = snap.histogram(
                     "sample_latency_ns",
                     meter.latency_histogram(),
@@ -284,7 +272,6 @@ fn collect(cli: Cli) -> std::io::Result<()> {
 
     let spec = SweepSpec {
         scope: cli.scope,
-        roster: cli.roster,
         ..SweepSpec::default()
     };
     // Live exposition: the monitor only *reads* (`/metrics` renders from
@@ -436,10 +423,10 @@ mod tests {
         cli::check_parse(
             parse,
             " | --help | tiny -h | fast out --workers 2 --cache-dir c --registry r \
-             | tiny out --workers 1 --no-cache --no-registry | pruned out --roster all \
+             | tiny out --workers 1 --no-cache --no-registry | pruned out \
              --trace t.json --monitor 127.0.0.1:0 --perturb skylake:1.10",
             "bogus | tiny out extra | --frob | tiny out --workers | tiny out --workers 0 \
-             | --roster nope | --perturb skylake | --perturb nope:1.1 | --perturb milan:-1",
+             | tiny out --roster paper | --perturb skylake | --perturb nope:1.1 | --perturb milan:-1",
         );
     }
 

@@ -486,7 +486,6 @@ mod tests {
             reps: 3,
             seed: 21,
             failure_rate: 0.1,
-            ..SweepSpec::default()
         }
     }
 

@@ -73,8 +73,8 @@ pub struct Live {
     /// [`State::monitored`] run has them: they never feed back into
     /// sampling, artifacts or series.
     pub influence: Option<[LiveInfluence; 2]>,
-    /// The architecture being swept: its id, meter and planned samples.
-    pub current: Option<(String, Arc<Progress>, u64)>,
+    /// The architecture being swept: its meter and planned samples.
+    pub current: Option<(Arc<Progress>, u64)>,
 }
 
 impl Live {
@@ -339,7 +339,7 @@ pub fn run(
         let total = planned_samples(arch, spec);
         let label = format!("sweep {} ({:?})", arch.id(), spec.scope);
         let meter = Arc::new(watch.meter(&label, total));
-        state.lock().current = Some((arch.id().to_string(), meter.clone(), total));
+        state.lock().current = Some((meter.clone(), total));
         let swept = sweep_arch(job, arch, state, &meter, core.as_mut());
 
         // The architecture joins the run's record; everything said about

@@ -45,4 +45,4 @@ pub use schedule::{
     planned_samples, sweep_all_scheduled, sweep_arch_scheduled, sweep_setting_scheduled,
     SweepOptions, SweepOutcome, SweepStats,
 };
-pub use spec::{Roster, Scope, SweepSpec};
+pub use spec::{Scope, SweepSpec};

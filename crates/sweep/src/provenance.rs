@@ -358,7 +358,6 @@ mod tests {
             reps: 2,
             seed: 11,
             failure_rate: 0.0,
-            ..SweepSpec::default()
         };
         let app = workloads::app("ep").unwrap();
         let setting = Setting {

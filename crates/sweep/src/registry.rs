@@ -27,7 +27,7 @@
 //! machine, worker count, or wall clock produced them.
 
 use crate::runner::{RunKey, SettingData};
-use crate::spec::{Roster, Scope, SweepSpec};
+use crate::spec::{Scope, SweepSpec};
 use omptune_core::{Fnv1a, Variable};
 use serde::{Deserialize, Serialize, Sink, Source};
 use std::fs;
@@ -81,11 +81,8 @@ pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
         // configurations: those runs are not comparable to these.
         Scope::Pruned => h.mix(5),
     }
-    match spec.roster {
-        Roster::Paper => h.mix(11),
-        Roster::Generated => h.mix(12),
-        Roster::All => h.mix(13),
-    }
+    // Word 11 is the one roster's (the paper's): recorded fingerprints stay valid.
+    h.mix(11);
     h.mix(spec.reps as u64);
     h.mix(spec.seed);
     h.mix(spec.failure_rate.to_bits());
@@ -418,7 +415,8 @@ impl CollectCore {
     pub fn new(spec: &SweepSpec) -> CollectCore {
         CollectCore {
             scope: format!("{:?}", spec.scope),
-            roster: format!("{:?}", spec.roster),
+            // The one roster; kept because recorded runs hash this field.
+            roster: "Paper".to_string(),
             reps: spec.reps,
             seed: spec.seed,
             failure_rate_bits: spec.failure_rate.to_bits(),

@@ -376,27 +376,12 @@ pub fn sweep_setting(
     }
 }
 
-/// The (app, setting, setting-index) work list for one architecture
-/// under one roster. Paper apps always come first, so the paper
-/// roster's setting indices (which size [`Scope::PaperSized`]) are
-/// identical whether or not generated apps ride along.
-pub(crate) fn work_list(
-    arch: Arch,
-    roster: crate::spec::Roster,
-) -> Vec<(&'static workloads::AppSpec, Setting, usize)> {
-    use crate::spec::Roster;
-    let apps: Vec<&'static workloads::AppSpec> = match roster {
-        Roster::Paper => workloads::apps_on(arch),
-        Roster::Generated => workloads::generated_apps_on(arch),
-        Roster::All => {
-            let mut v = workloads::apps_on(arch);
-            v.extend(workloads::generated_apps_on(arch));
-            v
-        }
-    };
+/// The (app, setting, setting-index) work list for one architecture, in
+/// catalog order: the setting indices [`Scope::PaperSized`] is sized by.
+pub(crate) fn work_list(arch: Arch) -> Vec<(&'static workloads::AppSpec, Setting, usize)> {
     let mut out = Vec::new();
     let mut setting_idx = 0;
-    for app in apps {
+    for app in workloads::apps_on(arch) {
         for setting in workloads::settings_for(app, arch) {
             out.push((app, setting, setting_idx));
             setting_idx += 1;
@@ -407,7 +392,7 @@ pub(crate) fn work_list(
 
 /// Sweep everything available on one architecture, in catalog order.
 pub fn sweep_arch(arch: Arch, spec: &SweepSpec) -> Vec<SettingData> {
-    work_list(arch, spec.roster)
+    work_list(arch)
         .into_iter()
         .map(|(app, setting, idx)| sweep_setting(arch, app, setting, idx, spec))
         .collect()
@@ -432,7 +417,6 @@ mod tests {
             reps: 3,
             seed: 42,
             failure_rate: 0.0,
-            ..SweepSpec::default()
         }
     }
 
@@ -478,7 +462,6 @@ mod tests {
             reps: 3,
             seed: 7,
             failure_rate: 0.0,
-            ..SweepSpec::default()
         };
         let data = sweep_setting(Arch::A64fx, app, setting, 0, &spec);
         let default_row = data
@@ -545,7 +528,6 @@ mod tests {
             reps: 2,
             seed: 3,
             failure_rate: 0.0,
-            ..SweepSpec::default()
         };
         let seq = sweep_arch(Arch::A64fx, &spec);
         for workers in [1usize, 2, 5] {
@@ -566,7 +548,6 @@ mod tests {
             reps: 3,
             seed: 9,
             failure_rate: 0.15,
-            ..SweepSpec::default()
         };
         let mut data = sweep_setting(Arch::Skylake, app, setting, 0, &spec);
         let failed = data
@@ -600,7 +581,6 @@ mod tests {
             reps: 2,
             seed: 1,
             failure_rate: 0.0,
-            ..SweepSpec::default()
         };
         let data = sweep_arch(Arch::Skylake, &spec);
         assert_eq!(data.len(), 36);

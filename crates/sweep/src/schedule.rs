@@ -116,7 +116,7 @@ pub struct SweepOutcome {
 /// configurations plus one default row per setting) — the progress
 /// meter total.
 pub fn planned_samples(arch: Arch, spec: &SweepSpec) -> u64 {
-    work_list(arch, spec.roster)
+    work_list(arch)
         .iter()
         .map(|&(_, _, idx)| samples_for_setting(arch, idx, spec.scope) as u64 + 1)
         .sum()
@@ -504,7 +504,7 @@ fn run_scheduler(jobs: Vec<BatchJob>, spec: &SweepSpec, opts: &SweepOptions) -> 
 /// Sweep one architecture through the work-stealing scheduler.
 pub fn sweep_arch_scheduled(arch: Arch, spec: &SweepSpec, opts: &SweepOptions) -> SweepOutcome {
     let _arch_span = omptel::span(SpanKind::ArchSweep, arch as u64);
-    let jobs = build_jobs(arch, &work_list(arch, spec.roster), spec, opts.cache);
+    let jobs = build_jobs(arch, &work_list(arch), spec, opts.cache);
     run_scheduler(jobs, spec, opts)
 }
 
@@ -558,7 +558,6 @@ mod tests {
             reps: 2,
             seed: 13,
             failure_rate,
-            ..SweepSpec::default()
         }
     }
 

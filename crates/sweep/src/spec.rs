@@ -29,27 +29,10 @@ pub enum Scope {
     Pruned,
 }
 
-/// Which application roster a sweep covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Roster {
-    /// The paper's Table II applications only (the default).
-    Paper,
-    /// Only the promoted `ompfuzz`-generated apps
-    /// (`workloads::generated`).
-    Generated,
-    /// Paper roster first, then the generated apps.
-    All,
-}
-
 /// Sweep parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     pub scope: Scope,
-    /// Which applications to sweep. [`Scope::PaperSized`]'s Table II
-    /// totals are defined over the paper roster; generated settings
-    /// appended by [`Roster::All`] each contribute the base per-setting
-    /// allocation on top.
-    pub roster: Roster,
     /// Timed repetitions per configuration (the paper pairs R0..R3).
     pub reps: u32,
     /// Master seed for the noise model.
@@ -65,7 +48,6 @@ impl Default for SweepSpec {
     fn default() -> Self {
         SweepSpec {
             scope: Scope::PaperSized,
-            roster: Roster::Paper,
             reps: 3,
             seed: 0x0527_1CEB,
             failure_rate: 0.0,

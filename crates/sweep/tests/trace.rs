@@ -30,7 +30,6 @@ fn spec() -> SweepSpec {
         reps: 2,
         seed: 17,
         failure_rate: 0.05,
-        ..SweepSpec::default()
     }
 }
 

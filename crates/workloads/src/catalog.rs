@@ -24,9 +24,6 @@ pub enum Suite {
     Bots,
     /// Proxy/mini-apps (XSBench, RSBench, SU3Bench, LULESH).
     Proxy,
-    /// Promoted `ompfuzz`-generated shapes (see [`crate::generated`]);
-    /// not part of the paper's Table II roster.
-    Generated,
 }
 
 /// One experimental setting: input-size class and thread count.
@@ -137,13 +134,9 @@ pub fn apps() -> &'static [AppSpec] {
     ]
 }
 
-/// Look up an application by name — paper roster first, then the
-/// promoted generated apps.
+/// Look up an application by name.
 pub fn app(name: &str) -> Option<&'static AppSpec> {
-    apps()
-        .iter()
-        .chain(crate::generated::generated_apps())
-        .find(|a| a.name == name)
+    apps().iter().find(|a| a.name == name)
 }
 
 /// Whether `name` was executed on `arch` in the study.
@@ -165,19 +158,11 @@ pub fn apps_on(arch: Arch) -> Vec<&'static AppSpec> {
         .collect()
 }
 
-/// Promoted generated applications available on `arch` (all of them:
-/// generated shapes carry no per-architecture execution history).
-pub fn generated_apps_on(_arch: Arch) -> Vec<&'static AppSpec> {
-    crate::generated::generated_apps().iter().collect()
-}
-
 /// The settings swept for `app` on `arch` (paper Sec. IV-B).
 pub fn settings_for(app: &AppSpec, arch: Arch) -> Vec<Setting> {
     let cores = arch.cores();
     match app.suite {
-        // Generated apps follow the NPB/BOTS design: vary the input
-        // class at the full machine.
-        Suite::Npb | Suite::Bots | Suite::Generated => (0..3)
+        Suite::Npb | Suite::Bots => (0..3)
             .map(|input_code| Setting {
                 input_code,
                 num_threads: cores,

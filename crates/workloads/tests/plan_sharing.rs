@@ -1,11 +1,11 @@
 //! Oracle for the plan cache's shared planning state, over the whole
-//! catalog: one configuration per raw (places, bind, schedule, library)
-//! combination — 192, which project onto 78 canonical plans — of every
-//! (application x architecture x setting), priced through ONE
-//! `PlanCache`, must be bit-identical to `simulate_monolithic` — in
-//! whatever order the configurations arrive, so that each planned region
-//! is also consumed by projections other than the one that computed it,
-//! and each plan is built exactly once.
+//! catalog and four `ompfuzz` shapes: one configuration per raw
+//! (places, bind, schedule, library) combination — 192, which project
+//! onto 78 canonical plans — of every (model x architecture x setting),
+//! priced through ONE `PlanCache`, must be bit-identical to
+//! `simulate_monolithic` — in whatever order the configurations arrive,
+//! so that each planned region is also consumed by projections other
+//! than the one that computed it, and each plan is built exactly once.
 
 use omptune_core::{
     Arch, KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind,
@@ -77,17 +77,30 @@ fn assert_bit_equal(got: &SimResult, want: &SimResult, what: &str) {
     }
 }
 
-/// Every catalog model (paper and generated rosters) with its arch.
+/// `ompfuzz` seeds whose programs carry shapes no catalog app has
+/// together: a loop/reduce/task mix, locks and sections, a wide
+/// six-node program, and a task tree.
+const FUZZ_SEEDS: [u64; 4] = [0, 5, 6, 10];
+
+/// Every catalog model with its arch, then each fuzz seed's model on the
+/// full machine at one, three and nine timesteps (the input classes'
+/// work steps).
 fn catalog_models() -> Vec<(String, Arch, Model, usize)> {
     let mut out = Vec::new();
     for arch in Arch::ALL {
-        let mut apps = workloads::apps_on(arch);
-        apps.extend(workloads::generated_apps_on(arch));
-        for app in apps {
+        for app in workloads::apps_on(arch) {
             for setting in workloads::settings_for(app, arch) {
                 let what = format!("{}/{}/{:?}", arch.id(), app.name, setting);
                 let model = (app.model)(arch, setting);
                 out.push((what, arch, model, setting.num_threads));
+            }
+        }
+        for seed in FUZZ_SEEDS {
+            for timesteps in [1, 3, 9] {
+                let what = format!("{}/fuzz-{seed}/x{timesteps}", arch.id());
+                let mut model = ompfuzz::generate(seed).to_model();
+                model.timesteps = timesteps;
+                out.push((what, arch, model, arch.cores()));
             }
         }
     }
