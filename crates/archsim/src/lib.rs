@@ -16,7 +16,7 @@
 //!   reproduces the paper's Wilcoxon consistency findings (quiet A64FX,
 //!   noisy x86 cluster nodes),
 //! - [`power`] — the per-architecture power model ([`power::PowerDesc`])
-//!   behind the `ompwatt` energy objective.
+//!   behind the energy objective (`ompprof energy`).
 
 pub mod engine;
 pub mod machine;

@@ -1,4 +1,4 @@
-//! The one front end of the ten binaries: an argument cursor whose
+//! The one front end of the nine binaries: an argument cursor whose
 //! every token is either consumed or a usage error, the four exit codes,
 //! and the one place an error becomes a message and a code.
 //!

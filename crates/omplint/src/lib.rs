@@ -6,7 +6,7 @@
 //!   redundant (not a fixpoint of `TuningConfig::canonical`), or
 //!   invalid.
 //! - [`check`]: a happens-before checker over synchronization traces
-//!   recorded by `omprt`'s `check` feature — vector-clock race
+//!   recorded by `omprt`'s instrumented runtime — vector-clock race
 //!   detection plus barrier-misuse and deadlock analysis.
 
 pub mod campaign;

@@ -1,7 +1,7 @@
 //! # ompprof — the explanation layer over the omptune telemetry stack
 //!
 //! The sweep harness can say *which* configuration won; `ompprof` says
-//! *why*. Three pieces:
+//! *why*. Four pieces:
 //!
 //! - [`attrib`] — fold every sample's sink [`omptel::Breakdown`] into
 //!   exact, mergeable per-(variable, value) marginal-cost profiles.
@@ -13,18 +13,23 @@
 //!   [`simrt::explain`] phase trees as folded stacks and dependency-free
 //!   SVG flame graphs, including a signed red/blue diff view that turns
 //!   a best-vs-worst runtime gap into a picture of where the time goes.
-//! - the `ompprof` binary — `attribute` and `diff` subcommands wiring
-//!   both onto live sweeps or exported `raw_batches.json`, with a
-//!   `--check` mode that cross-validates the attribution ranking against
+//! - [`energy`] — energy as a second objective: per-arch time-, energy-
+//!   and EDP-optimal configurations over the report slice, and whether
+//!   time and energy pick the same one.
+//! - the `ompprof` binary — `attribute`, `diff` and `energy` subcommands
+//!   wiring these onto live sweeps or exported `raw_batches.json`.
+//!   `attribute --check` cross-validates the attribution ranking against
 //!   the logistic-regression influence ranking (paper Figs. 2–4). `diff`
 //!   is the best-vs-worst report: the slice's time and energy gaps, and
-//!   both sides' closed sink tables.
+//!   both sides' closed sink tables. `energy --check` asserts that some
+//!   architecture's energy optimum is not its time optimum.
 //!
 //! Exit codes follow the repo convention (omplint/ompfuzz/ompobs):
-//! 0 = clean, 4 = findings (ranking disagreement), 2 = usage error,
+//! 0 = clean, 4 = findings (a failed `--check`), 2 = usage error,
 //! 1 = internal error.
 
 pub mod attrib;
+pub mod energy;
 pub mod flame;
 
 pub use attrib::{foreign_sample, sink_key, Attribution, Cell, SliceMeta, FP_SCALE};

@@ -14,10 +14,17 @@
 //!   print the time and energy gaps of the two samples and each side's
 //!   closed sink table, and render their phase trees as folded stacks
 //!   and flame-graph SVGs plus signed red/blue diff views.
+//! - `energy` — sweep the same slice of one application on every
+//!   architecture that runs it, find the time-, energy- and EDP-optimal
+//!   configurations, and write the disagreement table
+//!   (`disagreement.md`) and `energy.json`. `--check` asserts that at
+//!   least one architecture's energy optimum is not its time optimum.
 //!
-//! Exit codes are `omptune_core::cli`'s 0/4/2/1, 4 meaning `--check`
-//! found the two rankings disagreeing.
+//! Exit codes are `omptune_core::cli`'s 0/4/2/1, 4 meaning a `--check`
+//! failed: the two rankings disagree (`attribute`), or time and energy
+//! agree everywhere (`energy`).
 
+use ompprof::energy::Report;
 use ompprof::{Attribution, SliceMeta};
 use omptune_core::cli::{self, Args, Error, EXIT_OK};
 use omptune_core::{Arch, GroupBy, Variable};
@@ -26,12 +33,21 @@ use std::process::ExitCode;
 use sweep::{ReportSlice, SettingData, SweepOptions, SweepSpec};
 
 const USAGE: &str = "usage: ompprof attribute [ARCH] [APP] [--scope N] [--workers N] [--out PATH] [--data DIR] [--check]
-       ompprof diff [ARCH] [APP] [--out-dir DIR]";
+       ompprof diff [ARCH] [APP] [--out-dir DIR]
+       ompprof energy [APP] [--scope N] [--workers N] [--out-dir DIR] [--check]";
 
-/// A parsed command line; a subcommand's flags stay at their defaults
-/// under the other one.
-struct Cli {
-    diff: bool,
+/// A parsed command line: one verb and only its own flags.
+enum Cli {
+    Attribute(AttributeArgs),
+    Diff {
+        arch: Arch,
+        app: String,
+        out_dir: String,
+    },
+    Energy(EnergyArgs),
+}
+
+struct AttributeArgs {
     arch: Arch,
     app: String,
     scope: usize,
@@ -39,39 +55,64 @@ struct Cli {
     out: String,
     data: Option<String>,
     check: bool,
+}
+
+struct EnergyArgs {
+    app: String,
+    scope: usize,
+    workers: usize,
     out_dir: String,
+    check: bool,
+}
+
+/// The optional `[ARCH] [APP]` positionals, `milan cg` by default.
+fn arch_app(args: &mut Args) -> Result<(Arch, String), Error> {
+    let arch = match args.positional()? {
+        Some(id) => Arch::from_id(&id).ok_or_else(|| Error::unknown("arch", &id))?,
+        None => Arch::Milan,
+    };
+    Ok((arch, args.positional()?.unwrap_or_else(|| "cg".to_string())))
+}
+
+fn out_dir(args: &mut Args) -> Result<String, Error> {
+    Ok(args
+        .value("--out-dir")?
+        .unwrap_or_else(|| "ompprof-out".to_string()))
 }
 
 fn parse(mut args: Args) -> Result<Cli, Error> {
-    let diff = match args.subcommand()?.as_str() {
-        "attribute" => false,
-        "diff" => true,
+    let cli = match args.subcommand()?.as_str() {
+        "attribute" => {
+            let scope = args.positive("--scope")?.unwrap_or(400);
+            let workers = args.positive("--workers")?.unwrap_or(4);
+            let out = args.value("--out")?;
+            let data = args.value("--data")?;
+            let check = args.flag("--check");
+            let (arch, app) = arch_app(&mut args)?;
+            Cli::Attribute(AttributeArgs {
+                arch,
+                app,
+                scope,
+                workers,
+                out: out.unwrap_or_else(|| "profile.json".to_string()),
+                data,
+                check,
+            })
+        }
+        "diff" => {
+            let out_dir = out_dir(&mut args)?;
+            let (arch, app) = arch_app(&mut args)?;
+            Cli::Diff { arch, app, out_dir }
+        }
+        "energy" => Cli::Energy(EnergyArgs {
+            scope: args.positive("--scope")?.unwrap_or(200),
+            workers: args.positive("--workers")?.unwrap_or(4),
+            out_dir: out_dir(&mut args)?,
+            check: args.flag("--check"),
+            app: args.positional()?.unwrap_or_else(|| "cg".to_string()),
+        }),
         other => return Err(Error::unknown("subcommand", other)),
     };
-    let mut cli = Cli {
-        diff,
-        arch: Arch::Milan,
-        app: "cg".to_string(),
-        scope: 400,
-        workers: 4,
-        out: "profile.json".to_string(),
-        data: None,
-        check: false,
-        out_dir: "ompprof-out".to_string(),
-    };
-    if diff {
-        cli.out_dir = args.value("--out-dir")?.unwrap_or(cli.out_dir);
-    } else {
-        cli.scope = args.positive("--scope")?.unwrap_or(cli.scope);
-        cli.workers = args.positive("--workers")?.unwrap_or(cli.workers);
-        cli.out = args.value("--out")?.unwrap_or(cli.out);
-        cli.data = args.value("--data")?;
-        cli.check = args.flag("--check");
-    }
-    if let Some(id) = args.positional()? {
-        cli.arch = Arch::from_id(&id).ok_or_else(|| Error::unknown("arch", &id))?;
-    }
-    cli.app = args.positional()?.unwrap_or(cli.app);
     args.finish()?;
     Ok(cli)
 }
@@ -117,7 +158,7 @@ struct Attributed {
     code: u8,
 }
 
-fn attribute(args: &Cli) -> Result<Attributed, Error> {
+fn attribute(args: &AttributeArgs) -> Result<Attributed, Error> {
     let (batches, scope, seed) = match &args.data {
         Some(dir) => {
             let path = format!("{dir}/raw_batches.json");
@@ -219,7 +260,7 @@ fn attribute(args: &Cli) -> Result<Attributed, Error> {
     })
 }
 
-fn cmd_attribute(args: &Cli) -> Result<u8, Error> {
+fn cmd_attribute(args: &AttributeArgs) -> Result<u8, Error> {
     let attributed = attribute(args)?;
     if let Some(parent) = std::path::Path::new(&args.out).parent() {
         if !parent.as_os_str().is_empty() {
@@ -315,32 +356,83 @@ fn diff(slice: &ReportSlice) -> Result<Diff, String> {
     })
 }
 
-fn cmd_diff(args: &Cli) -> Result<u8, Error> {
-    let slice = ReportSlice::sweep(args.arch, &args.app, DIFF_SCOPE, &SweepOptions::new(4))?;
+/// Create `out_dir` and write each `(name, text)` file into it.
+fn write_files<N: AsRef<str>>(
+    out_dir: &str,
+    files: impl IntoIterator<Item = (N, String)>,
+) -> Result<(), String> {
+    let dir = std::path::Path::new(out_dir);
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+    for (name, text) in files {
+        let name = name.as_ref();
+        std::fs::write(dir.join(name), text)
+            .map_err(|e| format!("cannot write {out_dir}/{name}: {e}"))?;
+    }
+    Ok(())
+}
+
+fn cmd_diff(arch: Arch, app: &str, out_dir: &str) -> Result<u8, Error> {
+    let slice = ReportSlice::sweep(arch, app, DIFF_SCOPE, &SweepOptions::new(4))?;
     let diff = diff(&slice)?;
-    let dir = std::path::Path::new(&args.out_dir);
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", args.out_dir))?;
     let folded = ["best", "worst"].iter().zip(&diff.trees);
     let folded = folded.map(|(side, tree)| (format!("{side}.folded"), ompprof::folded(tree)));
-    for (name, text) in folded.chain(diff.svgs) {
-        std::fs::write(dir.join(&name), text)
-            .map_err(|e| format!("cannot write {}/{name}: {e}", args.out_dir))?;
-    }
+    write_files(out_dir, folded.chain(diff.svgs))?;
     print!("{}", diff.text);
     println!(
-        "wrote {}/{{best,worst}}.folded, flame_{{best,worst,diff}}.svg, and flame_energy_diff.svg",
-        args.out_dir
+        "wrote {out_dir}/{{best,worst}}.folded, flame_{{best,worst,diff}}.svg, and flame_energy_diff.svg"
     );
     Ok(EXIT_OK)
 }
 
+/// `energy --check`'s verdict line and exit code: findings (4) when time
+/// and energy pick the same configuration on every architecture.
+fn energy_check(report: &Report) -> (String, u8) {
+    let line = match report.disagreements() {
+        0 => "check: FAILED — time- and energy-optima agree on every architecture".to_string(),
+        n => format!("check: {n} architecture(s) where energy-optimal != time-optimal"),
+    };
+    (line, cli::findings(report.disagreements() == 0))
+}
+
+fn cmd_energy(args: &EnergyArgs) -> Result<u8, Error> {
+    let report = Report::sweep(&args.app, args.scope, &SweepOptions::new(args.workers))?;
+    let md = report.markdown();
+    let files = [
+        ("disagreement.md", md.clone()),
+        ("energy.json", report.json()),
+    ];
+    write_files(&args.out_dir, files)?;
+    println!(
+        "ompprof energy: {} over strided({}) on {} arch(es)\n",
+        args.app,
+        args.scope,
+        report.verdicts.len()
+    );
+    print!("{md}");
+    for v in &report.verdicts {
+        println!(
+            "\n{}: time-opt  {}\n{:>width$}energy-opt {}",
+            v.arch.id(),
+            v.time_best.config.describe(),
+            "",
+            v.energy_best.config.describe(),
+            width = v.arch.id().len() + 2
+        );
+    }
+    println!("\nwrote {}/{{disagreement.md, energy.json}}", args.out_dir);
+    if !args.check {
+        return Ok(EXIT_OK);
+    }
+    let (line, code) = energy_check(&report);
+    println!("{line}");
+    Ok(code)
+}
+
 fn main() -> ExitCode {
-    cli::run("ompprof", USAGE, |args| {
-        let cli = parse(args)?;
-        match cli.diff {
-            true => cmd_diff(&cli),
-            false => cmd_attribute(&cli),
-        }
+    cli::run("ompprof", USAGE, |args| match parse(args)? {
+        Cli::Attribute(args) => cmd_attribute(&args),
+        Cli::Diff { arch, app, out_dir } => cmd_diff(arch, &app, &out_dir),
+        Cli::Energy(args) => cmd_energy(&args),
     })
 }
 
@@ -407,11 +499,14 @@ mod tests {
         let batches = sweep::sweep_all_scheduled(&spec, &SweepOptions::new(2)).batches;
         let dir = std::env::temp_dir().join(format!("ompprof-data-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let cli = super::parse(omptune_core::cli::Args::of(&format!(
+        let line = format!(
             "attribute milan cg --data {} --out unused.json",
             dir.display()
-        )))
-        .unwrap();
+        );
+        let Ok(super::Cli::Attribute(cli)) = super::parse(omptune_core::cli::Args::of(&line))
+        else {
+            panic!("{line:?} is an attribute job");
+        };
         let attribute = |batches: &[SettingData]| {
             let mut raw = Vec::new();
             sweep::export::write_raw_json(batches, &mut raw).unwrap();
@@ -449,15 +544,53 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `energy --check` on a report whose optima agree everywhere is a
+    /// failed check: exit 4.
+    #[test]
+    fn an_energy_check_with_no_disagreement_is_findings() {
+        use ompprof::energy::{Best, Report, Verdict};
+        let config = omptune_core::TuningConfig::default_for(Arch::Milan, 96);
+        let best = Best {
+            config,
+            virtual_ns: 1e6,
+            joules: 1.0,
+            edp_js: 1e-3,
+        };
+        let mut report = Report {
+            app: "cg".to_string(),
+            scope: 200,
+            seed: 0,
+            verdicts: vec![Verdict {
+                arch: Arch::Milan,
+                samples: 1,
+                time_best: best.clone(),
+                energy_best: best.clone(),
+                edp_best: best,
+                energy_spread_j: vec![0.0; omptune_core::Variable::ALL.len()],
+            }],
+        };
+        let (line, code) = super::energy_check(&report);
+        assert_eq!(code, omptune_core::cli::EXIT_FINDINGS, "{line}");
+        assert!(line.starts_with("check: FAILED"), "{line}");
+
+        report.verdicts[0].energy_best.config.num_threads = 48;
+        let (line, code) = super::energy_check(&report);
+        assert_eq!(code, omptune_core::cli::EXIT_OK, "{line}");
+    }
+
     #[test]
     fn a_command_line_is_a_profile_job_or_a_usage_error() {
         omptune_core::cli::check_parse(
             super::parse,
             "attribute | attribute milan cg --scope 400 --workers 2 --out p.json --check \
              | attribute --data collect_out --out profile.json \
-             | diff milan cg --out-dir flame",
+             | diff milan cg --out-dir flame \
+             | energy | energy alignment --scope 400 --workers 2 --out-dir d --check \
+             | energy cg --scope 200 --workers 4 --out-dir w --check",
             " | frob | attribute nope | attribute milan cg extra | attribute --scope 0 \
-             | attribute --workers | attribute --out-dir d | diff --check | diff --frob",
+             | attribute --workers | attribute --out-dir d | diff --check | diff --frob \
+             | diff --scope 4 | energy --scope 0 | energy --data x | energy cg lu \
+             | energy --scope | energy --workers x | energy --json | energy --out p.json",
         );
     }
 }

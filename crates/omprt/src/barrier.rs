@@ -7,7 +7,6 @@
 //! the ablation bench can compare them; the runtime default follows
 //! thread count like libomp's hierarchical choice.
 
-use crate::check_event;
 use crate::perturb::{self, Site};
 use crate::trace::{self, Event};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -74,15 +73,15 @@ impl CentralBarrier {
 
 impl Barrier for CentralBarrier {
     fn wait(&self, _tid: usize) {
-        check_event!(Event::BarrierArrive {
+        trace::emit(Event::BarrierArrive {
             barrier: self.trace_id,
-            team: self.team as u32
+            team: self.team as u32,
         });
         let tel = episode_start(self.team);
         if self.team == 1 {
             episode_end(tel);
-            check_event!(Event::BarrierRelease {
-                barrier: self.trace_id
+            trace::emit(Event::BarrierRelease {
+                barrier: self.trace_id,
             });
             return;
         }
@@ -98,8 +97,8 @@ impl Barrier for CentralBarrier {
             }
         }
         episode_end(tel);
-        check_event!(Event::BarrierRelease {
-            barrier: self.trace_id
+        trace::emit(Event::BarrierRelease {
+            barrier: self.trace_id,
         });
     }
 
@@ -163,15 +162,15 @@ impl TreeBarrier {
 
 impl Barrier for TreeBarrier {
     fn wait(&self, tid: usize) {
-        check_event!(Event::BarrierArrive {
+        trace::emit(Event::BarrierArrive {
             barrier: self.trace_id,
-            team: self.team as u32
+            team: self.team as u32,
         });
         let tel = episode_start(self.team);
         if self.team == 1 {
             episode_end(tel);
-            check_event!(Event::BarrierRelease {
-                barrier: self.trace_id
+            trace::emit(Event::BarrierRelease {
+                barrier: self.trace_id,
             });
             return;
         }
@@ -206,8 +205,8 @@ impl Barrier for TreeBarrier {
             }
         }
         episode_end(tel);
-        check_event!(Event::BarrierRelease {
-            barrier: self.trace_id
+        trace::emit(Event::BarrierRelease {
+            barrier: self.trace_id,
         });
     }
 

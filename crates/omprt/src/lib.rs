@@ -36,21 +36,6 @@ pub mod task;
 pub mod trace;
 pub mod worksharing;
 
-/// Emit a synchronization trace event. Expands to [`trace::emit`] when
-/// the `check` feature is on; compiles to nothing (the argument is never
-/// evaluated) otherwise.
-#[cfg(feature = "check")]
-macro_rules! check_event {
-    ($event:expr) => {
-        $crate::trace::emit($event)
-    };
-}
-#[cfg(not(feature = "check"))]
-macro_rules! check_event {
-    ($event:expr) => {};
-}
-pub(crate) use check_event;
-
 pub use barrier::{default_barrier, Barrier, CentralBarrier, TreeBarrier};
 pub use env::{EnvError, RuntimeConfig};
 pub use perturb::{Decision, PerturbGuard, Plan, Site};

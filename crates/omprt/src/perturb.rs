@@ -1,4 +1,4 @@
-//! Controlled schedule perturbation for the `check` feature.
+//! Controlled schedule perturbation for the happens-before checker.
 //!
 //! A happens-before checker only certifies the schedules it actually
 //! observes, and an unperturbed runtime settles into a handful of them:
@@ -28,13 +28,9 @@
 //! observed interleavings by trace signature and prunes duplicates
 //! (sleep-set-style), so only genuinely distinct schedules are counted
 //! toward a certification campaign.
-//!
-//! Builds without the `check` feature compile [`point`] to nothing.
 
 use omptune_core::{splitmix64 as mix, SPLITMIX64_GAMMA};
-#[cfg(feature = "check")]
 use std::cell::Cell;
-#[cfg(feature = "check")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Which runtime site a perturbation point annotates. The site index
@@ -147,18 +143,12 @@ pub fn decision(plan: Plan, visit: u64, fp: u64, site: Site) -> Decision {
     }
 }
 
-#[cfg(feature = "check")]
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-#[cfg(feature = "check")]
 static SEED: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "check")]
 static STRENGTH: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "check")]
 static VISITS: AtomicU64 = AtomicU64::new(0);
-#[cfg(feature = "check")]
 static NEXT_THREAD_FP: AtomicU64 = AtomicU64::new(1);
 
-#[cfg(feature = "check")]
 thread_local! {
     static THREAD_FP: Cell<u64> = const { Cell::new(0) };
 }
@@ -172,10 +162,7 @@ pub struct PerturbGuard {
 
 impl Drop for PerturbGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "check")]
-        {
-            ACTIVE.store(false, Ordering::SeqCst);
-        }
+        ACTIVE.store(false, Ordering::SeqCst);
     }
 }
 
@@ -183,45 +170,25 @@ impl Drop for PerturbGuard {
 /// visit counter. Intended for a sequential harness (one plan at a
 /// time); installing over a live plan simply replaces it.
 pub fn install(plan: Plan) -> PerturbGuard {
-    #[cfg(feature = "check")]
-    {
-        SEED.store(plan.seed, Ordering::SeqCst);
-        STRENGTH.store(plan.strength as u64, Ordering::SeqCst);
-        VISITS.store(0, Ordering::SeqCst);
-        ACTIVE.store(true, Ordering::SeqCst);
-    }
-    #[cfg(not(feature = "check"))]
-    let _ = plan;
+    SEED.store(plan.seed, Ordering::SeqCst);
+    STRENGTH.store(plan.strength as u64, Ordering::SeqCst);
+    VISITS.store(0, Ordering::SeqCst);
+    ACTIVE.store(true, Ordering::SeqCst);
     PerturbGuard { _private: () }
 }
 
 /// Whether a plan is currently installed.
-#[cfg(feature = "check")]
 pub fn is_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Without the `check` feature no plan is ever active.
-#[cfg(not(feature = "check"))]
-pub fn is_active() -> bool {
-    false
-}
-
 /// Number of perturbation points visited under the current plan.
-#[cfg(feature = "check")]
 pub fn visits() -> u64 {
     VISITS.load(Ordering::Relaxed)
 }
 
-/// Without the `check` feature nothing is ever visited.
-#[cfg(not(feature = "check"))]
-pub fn visits() -> u64 {
-    0
-}
-
 /// A perturbation point: possibly concede the CPU, per the installed
 /// plan. One relaxed load when no plan is active.
-#[cfg(feature = "check")]
 #[inline]
 pub fn point(site: Site) {
     if !ACTIVE.load(Ordering::Relaxed) {
@@ -230,12 +197,6 @@ pub fn point(site: Site) {
     perturb(site);
 }
 
-/// Without the `check` feature perturbation compiles to nothing.
-#[cfg(not(feature = "check"))]
-#[inline]
-pub fn point(_site: Site) {}
-
-#[cfg(feature = "check")]
 #[cold]
 fn perturb(site: Site) {
     let fp = THREAD_FP.with(|c| {

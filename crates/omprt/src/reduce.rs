@@ -15,7 +15,6 @@
 //! used inside a parallel region together with a barrier.
 
 use crate::barrier::Barrier;
-use crate::check_event;
 use crate::perturb::{self, Site};
 use crate::trace::{self, Event};
 use omptune_core::ReductionMethod;
@@ -127,23 +126,23 @@ impl Reducer {
             ReductionMethod::None => {
                 debug_assert_eq!(self.team, 1, "None method requires a single thread");
                 store_f64(&self.shared, partial, Ordering::Release);
-                check_event!(Event::Write {
-                    loc: self.loc_shared()
+                trace::emit(Event::Write {
+                    loc: self.loc_shared(),
                 });
             }
             ReductionMethod::Critical => {
                 let _guard = self.critical.lock().expect("critical section poisoned");
-                check_event!(Event::LockAcquire {
-                    lock: self.loc_lock()
+                trace::emit(Event::LockAcquire {
+                    lock: self.loc_lock(),
                 });
                 let cur = load_f64(&self.shared, Ordering::Relaxed);
                 store_f64(&self.shared, cur + partial, Ordering::Relaxed);
                 // The read-modify-write counts as one write access.
-                check_event!(Event::Write {
-                    loc: self.loc_shared()
+                trace::emit(Event::Write {
+                    loc: self.loc_shared(),
                 });
-                check_event!(Event::LockRelease {
-                    lock: self.loc_lock()
+                trace::emit(Event::LockRelease {
+                    lock: self.loc_lock(),
                 });
             }
             ReductionMethod::Atomic => {
@@ -152,8 +151,8 @@ impl Reducer {
             }
             ReductionMethod::Tree => {
                 store_f64(&self.slots[tid].0, partial, Ordering::Release);
-                check_event!(Event::Write {
-                    loc: self.loc_slot(tid)
+                trace::emit(Event::Write {
+                    loc: self.loc_slot(tid),
                 });
                 let mut stride = 1usize;
                 while stride < self.team {
@@ -162,11 +161,11 @@ impl Reducer {
                         let mine = load_f64(&self.slots[tid].0, Ordering::Acquire);
                         let theirs = load_f64(&self.slots[tid + stride].0, Ordering::Acquire);
                         store_f64(&self.slots[tid].0, mine + theirs, Ordering::Release);
-                        check_event!(Event::Read {
-                            loc: self.loc_slot(tid + stride)
+                        trace::emit(Event::Read {
+                            loc: self.loc_slot(tid + stride),
                         });
-                        check_event!(Event::Write {
-                            loc: self.loc_slot(tid)
+                        trace::emit(Event::Write {
+                            loc: self.loc_slot(tid),
                         });
                     }
                     stride *= 2;
@@ -177,11 +176,11 @@ impl Reducer {
                         load_f64(&self.slots[0].0, Ordering::Acquire),
                         Ordering::Release,
                     );
-                    check_event!(Event::Read {
-                        loc: self.loc_slot(0)
+                    trace::emit(Event::Read {
+                        loc: self.loc_slot(0),
                     });
-                    check_event!(Event::Write {
-                        loc: self.loc_shared()
+                    trace::emit(Event::Write {
+                        loc: self.loc_shared(),
                     });
                 }
             }
@@ -191,8 +190,8 @@ impl Reducer {
     /// The reduced value. Only meaningful after every thread combined and
     /// passed a barrier.
     pub fn result(&self) -> f64 {
-        check_event!(Event::Read {
-            loc: self.loc_shared()
+        trace::emit(Event::Read {
+            loc: self.loc_shared(),
         });
         load_f64(&self.shared, Ordering::Acquire)
     }

@@ -12,7 +12,6 @@
 //!
 //! `auto` maps to `static`, as in libomp.
 
-use crate::check_event;
 use crate::perturb::{self, Site};
 use crate::trace::{self, Event};
 use omptune_core::{chunk, OmpSchedule};
@@ -91,10 +90,10 @@ impl DynamicDispatcher {
         }
         let hi = (lo + self.chunk).min(self.total);
         omptel::add(omptel::Counter::ChunksDynamic, 1);
-        check_event!(Event::ChunkClaim {
+        trace::emit(Event::ChunkClaim {
             loop_id: self.trace_id,
             lo,
-            hi
+            hi,
         });
         Some(lo..hi)
     }
@@ -135,10 +134,10 @@ impl GuidedDispatcher {
                 .is_ok()
             {
                 omptel::add(omptel::Counter::ChunksGuided, 1);
-                check_event!(Event::ChunkClaim {
+                trace::emit(Event::ChunkClaim {
                     loop_id: self.trace_id,
                     lo,
-                    hi
+                    hi,
                 });
                 return Some(lo..hi);
             }

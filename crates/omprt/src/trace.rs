@@ -1,4 +1,4 @@
-//! Synchronization-event tracing for the `check` feature.
+//! Synchronization-event tracing for the happens-before checker.
 //!
 //! When a trace session is active, instrumented sites across the runtime
 //! (barrier waits, task fork/steal/join, reduction slot accesses, lock
@@ -10,8 +10,7 @@
 //! Cost model: every site is gated on one relaxed atomic load, so with
 //! tracing off (the default) the instrumented runtime stays within noise
 //! of an uninstrumented build — the `runtime_ablation` bench quantifies
-//! both states. Builds without the `check` feature compile the sites out
-//! entirely.
+//! both states.
 //!
 //! Sessions are exclusive: [`session`] holds a global lock for the
 //! guard's lifetime so concurrent tests cannot interleave their traces.
@@ -117,9 +116,7 @@ pub fn is_enabled() -> bool {
 
 /// [`next_id`] when a session is active, 0 otherwise. Lets call sites
 /// allocate per-episode object ids (regions, tasks) at the cost of a
-/// single relaxed load when untraced. Constant 0 without the `check`
-/// feature, so the `id != 0` guards around emission dead-code-eliminate.
-#[cfg(feature = "check")]
+/// single relaxed load when untraced.
 #[inline]
 pub fn live_id() -> u64 {
     if is_enabled() {
@@ -127,13 +124,6 @@ pub fn live_id() -> u64 {
     } else {
         0
     }
-}
-
-/// Without the `check` feature no site ever traces.
-#[cfg(not(feature = "check"))]
-#[inline]
-pub fn live_id() -> u64 {
-    0
 }
 
 /// Set the team-relative thread id for the current OS thread. The pool
@@ -153,7 +143,6 @@ fn os_id() -> u64 {
 }
 
 /// Append an event to the active session (no-op when none is active).
-#[cfg(feature = "check")]
 #[inline]
 pub fn emit(event: Event) {
     if !is_enabled() {
@@ -166,11 +155,6 @@ pub fn emit(event: Event) {
     };
     unpoison(BUFFER.lock()).push(rec);
 }
-
-/// Without the `check` feature emission compiles to nothing.
-#[cfg(not(feature = "check"))]
-#[inline]
-pub fn emit(_event: Event) {}
 
 /// Exclusive handle on the global trace buffer.
 pub struct TraceSession {

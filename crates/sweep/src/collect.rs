@@ -68,7 +68,7 @@ pub struct Live {
     /// Streaming influence, one online logistic model per objective,
     /// indexed like [`crate::series::OBJECTIVES`]: did the config beat
     /// the arch default's time, and did it cost fewer joules? Where the
-    /// two rankings disagree is the ompwatt disagreement map, live.
+    /// two rankings disagree is `ompprof energy`'s disagreement map, live.
     /// Exposition only (`collect --monitor`'s `/metrics`), so only a
     /// [`State::monitored`] run has them: they never feed back into
     /// sampling, artifacts or series.

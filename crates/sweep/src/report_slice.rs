@@ -1,7 +1,8 @@
-//! The one slice `ompprof` and `ompwatt` profile: a strided sweep of an
-//! application's largest setting on one architecture, catalog position 0,
-//! default seed. The tools' figures (the recorded 142.76x CG/Milan time
-//! gap and 49.36x energy gap among them) agree because they call this.
+//! The one slice `ompprof` profiles: a strided sweep of an application's
+//! largest setting on one architecture, catalog position 0, default seed.
+//! Its verbs' figures (`diff`'s recorded 142.76x CG/Milan time gap and
+//! 49.36x energy gap, `energy`'s optima, `attribute`'s spreads) agree
+//! because they call this.
 
 use crate::{RawSample, Scope, SettingData, SweepOptions, SweepSpec, SweepStats};
 use omptune_core::Arch;

@@ -209,7 +209,7 @@ echo "sentinel clean on identical history, change-point + drift + blame on the p
 # exit 4 if not), and `diff` must still print the recorded 142.76x time
 # gap, the samples' 49.36x energy gap and the worst side's top sink.
 # The artifacts' shape (schema markers, folded-stack lines, SVG prologue
-# and epilogue) is held by ompprof's, ompwatt's and ompobs's own tests.
+# and epilogue) is held by ompprof's and ompobs's own tests.
 banner "ompprof smoke (attribution vs logreg, foreign dataset, 142.76x time and 49.36x energy gap)"
 step cargo run --release -p ompprof -- attribute milan cg --check \
     --out "$coherence_dir/profile.json"
@@ -239,11 +239,11 @@ need <(echo "$diff_out") '49\.36x modeled-energy gap' \
 need <(echo "$diff_out") 'worst config dominated by barrier/imbalance wait' \
     "ompprof diff no longer names barrier/imbalance wait as the worst side's top sink"
 
-# Energy disagreement gate: the headline ompwatt claim — at least one
+# Energy disagreement gate: the headline energy claim — at least one
 # architecture's energy-optimal configuration differs from its
 # time-optimal one — must hold (exit 4 from --check means it vanished).
-step cargo run --release -p ompwatt -- report cg --scope 200 --workers 4 \
-    --out-dir "$coherence_dir/ompwatt" --check
+step cargo run --release -p ompprof -- energy cg --scope 200 --workers 4 \
+    --out-dir "$coherence_dir/energy" --check
 
 # Schedule-space certification smoke: 25 generated programs x 64
 # perturbed schedules (1600 pairs), every trace through the

@@ -8,6 +8,11 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap()
 }
 
+/// `text` up to its test module.
+fn non_test(text: &str) -> &str {
+    text.split("\n#[cfg(test)]").next().unwrap()
+}
+
 /// Push `(repo-relative path, text)` of every `.rs` file under `dir`.
 fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
     for entry in std::fs::read_dir(dir).unwrap() {
@@ -36,10 +41,7 @@ fn crate_sources() -> Vec<(String, String)> {
 /// string literal in `crates/core/src/variable.rs` and nowhere else.
 #[test]
 fn a_variable_name_is_spelled_in_the_variable_table_only() {
-    let spells = |text: &str| {
-        let code = text.split("\n#[cfg(test)]").next().unwrap();
-        code.contains("\"KMP_FORCE_REDUCTION\"")
-    };
+    let spells = |text: &str| non_test(text).contains("\"KMP_FORCE_REDUCTION\"");
     let sources = crate_sources();
     let named: Vec<&str> = sources
         .iter()
@@ -60,8 +62,10 @@ fn a_paper_number_is_written_in_the_paper_table_only() {
     let numbers = ["2.602", "4.851", "53_822"];
     let mut written = std::collections::BTreeSet::new();
     for (path, text) in &sources {
-        let code = text.split("\n#[cfg(test)]").next().unwrap();
-        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+        for line in non_test(text)
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+        {
             let found = numbers.iter().filter(|n| line.contains(*n));
             written.extend(found.map(|n| (path, *n)));
         }
@@ -121,12 +125,47 @@ fn the_crates_name_no_dependency_they_keep_only_for_the_lockfile() {
     ];
     let mut named = Vec::new();
     for (path, text) in crate_sources() {
-        let code = text.split("\n#[cfg(test)]").next().unwrap();
         for (dir, dep) in dead {
-            if path.starts_with(dir) && code.contains(dep) {
+            if path.starts_with(dir) && non_test(&text).contains(dep) {
                 named.push(format!("{path} names {dep}"));
             }
         }
     }
     assert!(named.is_empty(), "{}", named.join("\n"));
+}
+
+/// One SVG writer: outside test modules, an `<svg` literal is written in
+/// `crates/ompprof/src/flame.rs` and nowhere else under `crates/*/src`.
+#[test]
+fn svg_is_drawn_by_the_flame_module_only() {
+    let sources = crate_sources();
+    let drawers: Vec<&str> = sources
+        .iter()
+        .filter(|(_, text)| non_test(text).contains("<svg"))
+        .map(|(path, _)| path.as_str())
+        .collect();
+    assert_eq!(drawers, ["crates/ompprof/src/flame.rs"]);
+}
+
+/// One build: no crate manifest has a `[features]` table and no source
+/// outside test modules compiles code in or out by a feature
+/// (`cfg(feature …)`, `cfg(not(feature …))`), so every build runs what
+/// the tests run.
+#[test]
+fn no_crate_has_cargo_features() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let manifest = krate.unwrap().path().join("Cargo.toml");
+        if read(&manifest).lines().any(|l| l.trim() == "[features]") {
+            found.push(format!("{} has a [features] table", manifest.display()));
+        }
+    }
+    for (path, text) in crate_sources() {
+        let code = non_test(&text);
+        if code.contains("cfg(feature") || code.contains("(feature = ") {
+            found.push(format!("{path} compiles by a feature"));
+        }
+    }
+    assert!(found.is_empty(), "{}", found.join("\n"));
 }
