@@ -1,4 +1,4 @@
-//! The one front end of the nine binaries: an argument cursor whose
+//! The one front end of the eight binaries: an argument cursor whose
 //! every token is either consumed or a usage error, the four exit codes,
 //! and the one place an error becomes a message and a code.
 //!
@@ -229,7 +229,7 @@ mod tests {
             assert_eq!(args.positional().unwrap().as_deref(), expected);
         }
         assert_eq!(args.finish(), Ok(()));
-        assert_eq!(Args::of("lint --json").subcommand().unwrap(), "lint");
+        assert_eq!(Args::of("run --json").subcommand().unwrap(), "run");
     }
 
     #[test]
@@ -248,7 +248,7 @@ mod tests {
         for (got, want) in [
             (why(of("--arhc x").finish()), "unknown option \"--arhc\""),
             (why(of("a").finish()), "unexpected argument \"a\""),
-            (why(of("--json lint").subcommand()), sub),
+            (why(of("--json run").subcommand()), sub),
             (why(of("").subcommand()), sub),
             (why(of("--seeds").value("--seeds")), "--seeds needs a value"),
             (why(of("-o a -o b").value("-o")), "-o given more than once"),

@@ -32,7 +32,6 @@ pub mod arch;
 pub mod chunk;
 pub mod cli;
 pub mod config;
-pub mod diag;
 pub mod envvar;
 pub mod fnv;
 pub mod icv;
@@ -51,7 +50,6 @@ pub use analysis::{
 };
 pub use arch::Arch;
 pub use config::{EffectiveBind, PlanProjection, ReductionMethod, TuningConfig, WaitPolicy};
-pub use diag::{Diagnostic, Severity};
 pub use envvar::{
     KmpAlignAlloc, KmpBlocktime, KmpForceReduction, KmpLibrary, OmpPlaces, OmpProcBind, OmpSchedule,
 };

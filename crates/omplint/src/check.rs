@@ -13,10 +13,15 @@
 //!   (`B-REENTRY`), and inconsistent team sizes (`B-TEAM-MISMATCH`). A
 //!   misused episode is *tainted*: it contributes no ordering, so bugs it
 //!   would have masked still surface as races.
+//! - **Lock and task misuse** — a lock acquired while held or released
+//!   by a non-holder (`L-MISUSE`), a task started without a recorded
+//!   spawn (`T-ORPHAN`), a join observed before its task completed
+//!   (`T-JOIN-INCOMPLETE`).
 //! - **Deadlock shapes** — cycles in the lock-order graph
 //!   (`D-LOCK-CYCLE`), cycles in the task join-wait graph
-//!   (`D-JOIN-CYCLE`), and tasks spawned but never completed
-//!   (`D-TASK-INCOMPLETE`).
+//!   (`D-JOIN-CYCLE`), tasks spawned but never completed
+//!   (`D-TASK-INCOMPLETE`), and a thread parked on an epoch a recorded
+//!   notification had already advanced past (`D-LOST-WAKEUP`).
 //! - **Worksharing** — chunk claims within one loop must be disjoint
 //!   (`C-CHUNK-OVERLAP`).
 //!
@@ -30,76 +35,57 @@
 //! from concurrent *untraced* code form isolated components instead of
 //! producing false positives.
 
-use crate::lint::Rule;
 use omprt::trace::{Event, Record};
-use omptune_core::{Diagnostic, Severity};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-/// Rule catalog for the concurrency checker (ids disjoint from the lint
-/// catalog; everything here is an error).
-pub const CHECK_RULES: [Rule; 12] = [
-    Rule {
-        id: "B-TEAM-MISMATCH",
-        severity: Severity::Error,
-        summary: "barrier episode saw a different team size than announced",
-    },
-    Rule {
-        id: "B-EARLY-RELEASE",
-        severity: Severity::Error,
-        summary: "barrier released a thread before the full team arrived",
-    },
-    Rule {
-        id: "B-REENTRY",
-        severity: Severity::Error,
-        summary: "thread re-entered a barrier before being released",
-    },
-    Rule {
-        id: "L-MISUSE",
-        severity: Severity::Error,
-        summary: "lock acquired while held or released by a non-holder",
-    },
-    Rule {
-        id: "D-LOCK-CYCLE",
-        severity: Severity::Error,
-        summary: "cycle in the lock acquisition-order graph (potential deadlock)",
-    },
-    Rule {
-        id: "D-JOIN-CYCLE",
-        severity: Severity::Error,
-        summary: "tasks wait on each other's completion in a cycle (deadlock)",
-    },
-    Rule {
-        id: "D-TASK-INCOMPLETE",
-        severity: Severity::Error,
-        summary: "task was spawned but never completed",
-    },
-    Rule {
-        id: "D-LOST-WAKEUP",
-        severity: Severity::Error,
-        summary: "thread parked on a stale epoch after the wakeup was already announced",
-    },
-    Rule {
-        id: "T-ORPHAN",
-        severity: Severity::Error,
-        summary: "task started executing without a recorded spawn",
-    },
-    Rule {
-        id: "T-JOIN-INCOMPLETE",
-        severity: Severity::Error,
-        summary: "join observed before the joined task completed",
-    },
-    Rule {
-        id: "C-RACE",
-        severity: Severity::Error,
-        summary: "conflicting accesses to a location are not ordered by happens-before",
-    },
-    Rule {
-        id: "C-CHUNK-OVERLAP",
-        severity: Severity::Error,
-        summary: "two chunk claims of one worksharing loop overlap",
-    },
-];
+/// How bad a finding is. Every rule is an error: any finding means the
+/// schedule is not certified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Severity {
+    Error,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad("error")
+    }
+}
+
+/// One rule firing against one trace.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Diagnostic {
+    /// Stable rule identifier, e.g. `C-RACE` or `B-EARLY-RELEASE`.
+    pub rule: String,
+    pub severity: Severity,
+    /// What went wrong, naming the threads and objects involved.
+    pub message: String,
+    /// Suggested fix; the checker leaves it empty.
+    pub suggestion: Option<String>,
+}
+
+impl Diagnostic {
+    /// An error-severity firing of `rule`.
+    pub fn new(rule: impl Into<String>, message: impl Into<String>) -> Diagnostic {
+        Diagnostic {
+            rule: rule.into(),
+            severity: Severity::Error,
+            message: message.into(),
+            suggestion: None,
+        }
+    }
+}
+
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}[{}]: {}", self.severity, self.rule, self.message)?;
+        if let Some(s) = &self.suggestion {
+            write!(f, " (suggestion: {s})")?;
+        }
+        Ok(())
+    }
+}
 
 /// A vector clock mapping os-thread ids to event counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -158,13 +144,9 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// No error-severity findings: the schedule is certified race- and
-    /// deadlock-free.
+    /// No findings: the schedule is certified race- and deadlock-free.
     pub fn is_clean(&self) -> bool {
-        !self
-            .diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
+        self.diagnostics.is_empty()
     }
 
     pub fn has_rule(&self, id: &str) -> bool {
@@ -265,7 +247,7 @@ fn fire(
     message: String,
 ) {
     if seen.insert((rule, key.0, key.1)) {
-        diags.push(Diagnostic::new(rule, Severity::Error, message));
+        diags.push(Diagnostic::new(rule, message));
     }
 }
 
@@ -732,7 +714,7 @@ pub fn check_trace(records: &[Record]) -> CheckReport {
 
 /// Hand-built traces exercising the checker's failure modes: the
 /// deliberately broken barrier the acceptance test demands, plus cycle
-/// and race shapes. Also used by `omplint check --demo`.
+/// and race shapes.
 pub mod fixtures {
     use omprt::trace::{Event, Record};
 
@@ -944,6 +926,21 @@ mod tests {
     use omprt::pool::ThreadPool;
     use omprt::trace;
     use omptune_core::{OmpSchedule, ReductionMethod};
+
+    #[test]
+    fn a_diagnostic_prints_and_serializes_in_its_report_form() {
+        let mut d = Diagnostic::new("C-RACE", "bad trace");
+        assert_eq!(d.to_string(), "error[C-RACE]: bad trace");
+        assert_eq!(
+            serde_json::to_string(&d).unwrap(),
+            r#"{"rule":"C-RACE","severity":"Error","message":"bad trace","suggestion":null}"#
+        );
+        d.suggestion = Some("join first".to_string());
+        assert_eq!(
+            d.to_string(),
+            "error[C-RACE]: bad trace (suggestion: join first)"
+        );
+    }
 
     #[test]
     fn broken_barrier_is_flagged() {

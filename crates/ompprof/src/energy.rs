@@ -120,6 +120,7 @@ pub struct Report {
 impl Report {
     /// Sweep `app`'s report slice on every architecture that runs it.
     pub fn sweep(app: &str, scope: usize, opts: &SweepOptions) -> Result<Report, String> {
+        workloads::app(app).ok_or_else(|| format!("unknown app {app:?}"))?;
         let mut report = Report {
             app: app.to_string(),
             scope,
@@ -132,9 +133,6 @@ impl Report {
                 report.seed = slice.spec.seed;
                 report.verdicts.push(Verdict::of(&slice)?);
             }
-        }
-        if report.verdicts.is_empty() {
-            return Err(format!("{app} is not available on any architecture"));
         }
         Ok(report)
     }

@@ -24,7 +24,7 @@
 //!   both sides' closed sink tables. `energy --check` asserts that some
 //!   architecture's energy optimum is not its time optimum.
 //!
-//! Exit codes follow the repo convention (omplint/ompfuzz/ompobs):
+//! Exit codes follow the repo convention (ompfuzz/ompobs):
 //! 0 = clean, 4 = findings (a failed `--check`), 2 = usage error,
 //! 1 = internal error.
 

@@ -42,12 +42,11 @@ USAGE:
     collect [SCOPE] [OUT_DIR] [OPTIONS]
 
 ARGS:
-    SCOPE     tiny | fast | paper | full | pruned   (default: paper)
+    SCOPE     tiny | fast | paper | full   (default: paper)
                 tiny    smoke-test slice (every 400th config)
                 fast    small slice (every 24th config)
                 paper   Table II sample counts (the default)
                 full    every configuration of every setting
-                pruned  only canonical configurations (TuningConfig::canonical)
     OUT_DIR   output directory (default: dataset)
 
 OPTIONS:
@@ -122,7 +121,6 @@ fn parse(mut args: Args) -> Result<Cli, Error> {
         Some("fast") => Scope::Strided(24),
         None | Some("paper") => Scope::PaperSized,
         Some("full") => Scope::Full,
-        Some("pruned") => Scope::Pruned,
         Some(other) => return Err(Error::unknown("scope", other)),
     };
     let out_dir = path(args.positional()?).unwrap_or_else(|| PathBuf::from("dataset"));
@@ -423,9 +421,9 @@ mod tests {
         cli::check_parse(
             parse,
             " | --help | tiny -h | fast out --workers 2 --cache-dir c --registry r \
-             | tiny out --workers 1 --no-cache --no-registry | pruned out \
+             | tiny out --workers 1 --no-cache --no-registry | full out \
              --trace t.json --monitor 127.0.0.1:0 --perturb skylake:1.10",
-            "bogus | tiny out extra | --frob | tiny out --workers | tiny out --workers 0 \
+            "bogus | pruned out | tiny out extra | --frob | tiny out --workers | tiny out --workers 0 \
              | tiny out --roster paper | --perturb skylake | --perturb nope:1.1 | --perturb milan:-1",
         );
     }

@@ -70,6 +70,8 @@ fn mix_str(h: &mut Fnv1a, s: &str) {
 /// compare them point-for-point.
 pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
     let mut h = Fnv1a::new();
+    // Words 4 and 5 were the two retired pruned scopes: no new scope
+    // takes them, so their recorded runs match none of these.
     match spec.scope {
         Scope::Full => h.mix(1),
         Scope::PaperSized => h.mix(2),
@@ -77,9 +79,6 @@ pub fn spec_fingerprint(spec: &SweepSpec) -> u64 {
             h.mix(3);
             h.mix(n as u64);
         }
-        // Word 4 was the linter-pruned scope, a smaller set of
-        // configurations: those runs are not comparable to these.
-        Scope::Pruned => h.mix(5),
     }
     // Word 11 is the one roster's (the paper's): recorded fingerprints stay valid.
     h.mix(11);
@@ -1113,17 +1112,9 @@ mod tests {
             ..base
         };
         let reseeded = SweepSpec { seed: 7, ..base };
-        let pruned = SweepSpec {
-            scope: Scope::Pruned,
-            ..base
-        };
         assert_ne!(spec_fingerprint(&base), spec_fingerprint(&strided));
         assert_ne!(spec_fingerprint(&base), spec_fingerprint(&reseeded));
-        assert_ne!(spec_fingerprint(&base), spec_fingerprint(&pruned));
         assert_eq!(spec_fingerprint(&base), spec_fingerprint(&base.clone()));
-        // What a pruned run of this spec recorded while the scope was the
-        // linter's smaller set.
-        assert_ne!(spec_fingerprint(&pruned), 0x1fcf_f463_cc51_0f2a);
     }
 
     #[test]

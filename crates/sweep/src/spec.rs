@@ -6,10 +6,7 @@
 //! and cleaning trimmed them), so the reproduction offers several scopes:
 //! [`Scope::Full`] sweeps every configuration, [`Scope::PaperSized`]
 //! deterministically strides the space so the per-architecture totals
-//! match Table II exactly, and [`Scope::Pruned`] sweeps only the
-//! fixpoints of [`TuningConfig::canonical`] — one representative of
-//! each class the simulator prices bit for bit alike, which cover the
-//! same behavior as [`Scope::Full`] at 39/96 of the runs.
+//! match Table II exactly, and [`Scope::Strided`] takes every `n`-th.
 
 use omptune_core::{paper, Arch, ConfigSpace, TuningConfig};
 use serde::{Deserialize, Serialize};
@@ -23,10 +20,6 @@ pub enum Scope {
     PaperSized,
     /// A tiny smoke-test slice (every `n`-th configuration).
     Strided(usize),
-    /// Only the configurations with `c.canonical() == c`: a point the
-    /// model prices exactly like its canonical form is skipped, so the
-    /// sweep covers every distinct behavior once.
-    Pruned,
 }
 
 /// Sweep parameters.
@@ -81,7 +74,6 @@ pub fn samples_for_setting(arch: Arch, setting_idx: usize, scope: Scope) -> usiz
             let remainder = target % settings;
             base + usize::from(setting_idx < remainder)
         }
-        Scope::Pruned => space.iter().filter(|c| c.canonical() == *c).count(),
     }
 }
 
@@ -106,20 +98,11 @@ pub fn configs_for(
     let space = ConfigSpace::new(arch, num_threads);
     let n = samples_for_setting(arch, setting_idx, scope);
     let mut configs = Vec::with_capacity(n + 1);
-    if scope == Scope::Pruned {
-        configs.extend(
-            space
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.canonical() == *c),
-        );
-    } else {
-        configs.extend(
-            config_indices(space.len(), n)
-                .into_iter()
-                .map(|i| (i, space.get(i).expect("index in space"))),
-        );
-    }
+    configs.extend(
+        config_indices(space.len(), n)
+            .into_iter()
+            .map(|i| (i, space.get(i).expect("index in space"))),
+    );
     configs
 }
 
@@ -161,37 +144,6 @@ mod tests {
     #[test]
     fn strided_scope_shrinks() {
         assert_eq!(samples_for_setting(Arch::Milan, 0, Scope::Strided(100)), 93);
-    }
-
-    #[test]
-    fn pruned_scope_keeps_only_canonical_configs() {
-        // 13 (bind,places) pairs x 3 schedules x 6 (library,blocktime)
-        // pairs x 4 reductions x aligns, whatever the team size.
-        assert_eq!(samples_for_setting(Arch::Milan, 0, Scope::Pruned), 3744);
-        assert_eq!(samples_for_setting(Arch::A64fx, 0, Scope::Pruned), 1872);
-
-        for (arch, threads, n) in [
-            (Arch::Skylake, 1, 3744),
-            (Arch::Skylake, 40, 3744),
-            (Arch::Milan, 3, 3744),
-            (Arch::A64fx, 48, 1872),
-        ] {
-            let configs = configs_for(arch, threads, 0, Scope::Pruned);
-            assert_eq!(configs.len(), n, "{arch} at {threads} threads");
-            assert!(configs.capacity() > n, "no slot for the default row");
-            let space = ConfigSpace::new(arch, threads);
-            for (i, c) in &configs {
-                assert_eq!(space.get(*i), Some(*c));
-                assert_eq!(c.canonical(), *c);
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_scope_is_deterministic() {
-        let a = configs_for(Arch::A64fx, 48, 0, Scope::Pruned);
-        let b = configs_for(Arch::A64fx, 48, 0, Scope::Pruned);
-        assert_eq!(a, b);
     }
 
     #[test]

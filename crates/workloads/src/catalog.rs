@@ -139,14 +139,15 @@ pub fn app(name: &str) -> Option<&'static AppSpec> {
     apps().iter().find(|a| a.name == name)
 }
 
-/// Whether `name` was executed on `arch` in the study.
+/// Whether `name` was executed on `arch` in the study (never, for a name
+/// the catalog does not hold).
 pub fn available_on(name: &str, arch: Arch) -> bool {
     match (name, arch) {
         // Sort and Strassen ran on A64FX only (paper Sec. V Q2 note).
         ("sort" | "strassen", Arch::Skylake | Arch::Milan) => false,
         // Health is additionally missing on Skylake (12 apps there).
         ("health", Arch::Skylake) => false,
-        _ => true,
+        _ => app(name).is_some(),
     }
 }
 
@@ -255,5 +256,6 @@ mod tests {
     #[test]
     fn unknown_app_is_none() {
         assert!(app("miniFE").is_none());
+        assert!(Arch::ALL.iter().all(|&arch| !available_on("miniFE", arch)));
     }
 }

@@ -30,6 +30,11 @@ expect_exit() { # expect_exit CODE WHAT CMD... — the tools' 0 clean, 4 finding
     }
 }
 
+# benchmark/run.sh builds without --locked, so a change to the crate graph
+# would rewrite benchmark/Cargo.lock in the middle of a benchmark run.
+banner "benchmark/Cargo.lock matches the crate graph"
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+
 step cargo build --release --workspace
 step cargo test --workspace -q
 

@@ -301,8 +301,8 @@ fn spans_that_are_not_one_plain_path_are_skipped() {
     ] {
         assert_eq!(cited_flags(cargos), None, "{cargos}");
     }
-    let lint = "cargo run -p omplint --bin omplint -- lint --json";
-    assert_eq!(cited_flags(lint).unwrap().1, ["--json"]);
+    let fuzz = "cargo run -p ompfuzz --bin ompfuzz -- run --seed 1 --json";
+    assert_eq!(cited_flags(fuzz).unwrap().1, ["--seed", "--json"]);
     assert_eq!(
         cited_items("simrt::plan::RegionPlan::price(..)"),
         Some(("simrt", vec!["plan", "RegionPlan", "price"]))
